@@ -518,8 +518,8 @@ fn bench_sampling_midcircuit(shots: u64, reps: usize, threads: usize, no_skip: b
     }
 }
 
-/// The `scaling` family: the mid-circuit shot engine on one warm shared
-/// base at increasing worker-thread counts, recording each run's speedup
+/// The `scaling` family: the mid-circuit shot engine (one warm package per
+/// worker) at increasing worker-thread counts, recording each run's speedup
 /// over the 1-thread wall time. A leading measurement forces the per-shot
 /// re-execution regime without perturbing the workload (on |0…0⟩ it always
 /// reads 0); the trailing `measure_all` makes the histogram meaningful.
@@ -709,7 +709,7 @@ fn main() {
         records.push(r);
     }
 
-    // The scaling family: the shared-base shot engine at increasing thread
+    // The scaling family: the mid-circuit shot engine at increasing thread
     // counts. On a single-core runner the speedups hover around 1.0 (and
     // below, from thread overhead); the records keep the honest numbers,
     // and `bench_diff.py` warns when the 4-thread speedup falls below 80%

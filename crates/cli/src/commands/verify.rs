@@ -16,8 +16,8 @@ OPTIONS:
   --strategy S     construction | one-to-one | proportional |
                    barrier-guided | lookahead   (default proportional)
   --threads N      worker threads for the construction strategy: with 2 or
-                   more, both system matrices build concurrently on a shared
-                   frozen base (default 1; 0 = one per CPU, capped at 2).
+                   more, the two system matrices build concurrently, each in
+                   its own package (default 1; 0 = one per CPU, capped at 2).
                    The verdict is independent of the thread count.
   --stimuli N      additionally run N random basis states through both
                    circuits and compare the outputs (default 0)

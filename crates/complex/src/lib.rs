@@ -30,14 +30,12 @@
 
 mod complex;
 mod hash;
-mod slotvec;
 mod table;
 mod visit;
 
 pub use complex::Complex;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use slotvec::SlotVec;
-pub use table::{ComplexIdx, ComplexTable, ComplexTableStats, FrontCache, C_ONE, C_ZERO};
+pub use table::{ComplexIdx, ComplexTable, ComplexTableStats, C_ONE, C_ZERO};
 pub use visit::{ScratchGuard, ScratchPool, VisitSet, WalkScratch};
 
 /// Default tolerance used for interning and approximate comparisons.

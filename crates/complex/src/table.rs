@@ -7,43 +7,25 @@
 //! reference \[14\] of the reproduced paper.
 //!
 //! Interning is the innermost loop of the whole package (every normalization
-//! step interns one or more weights), and since the concurrency rework it is
-//! also *shareable*:
+//! step interns one or more weights), so the table is a plain single-owner
+//! structure: a `Vec` of values, one tolerance-grid index map, and a small
+//! exact-bits front cache that answers repeats of the handful of hot
+//! constants (±1/√2, phase factors, …) without touching the grid.
 //!
-//! * value storage is an append-friendly [`SlotVec`]: slots never move, so
-//!   [`ComplexTable::value`] is a lock-free read from any thread;
-//! * the tolerance-grid index is striped over `RwLock`-guarded cell maps.
-//!   The exclusive (`&mut self`) hot path bypasses the locks entirely via
-//!   `get_mut`, so single-threaded interning pays nothing for shareability;
-//!   the shared (`&self`) path takes brief read locks per probed cell and a
-//!   single global insert lock on a miss;
-//! * repeats of the handful of hot constants (±1/√2, phase factors, …) are
-//!   answered from an exact-bits front cache without touching the grid — a
-//!   table-owned one on the exclusive path, a caller-owned per-thread
-//!   [`FrontCache`] on the shared path;
-//! * reclamation ([`ComplexTable::retain_referenced`]) remains a
-//!   stop-the-world (`&mut self`) epoch and keeps surviving handles stable.
-//!
-//! A table can also be an **overlay** over a frozen base table
-//! ([`ComplexTable::overlay`]): lookups consult the (immutable, `Arc`-shared)
-//! base first, inserts go to overlay-local slots whose handles are offset
-//! past the base handle space. This is what lets many worker packages share
-//! one warm table without any synchronization on the base.
+//! Reclamation ([`ComplexTable::retain_referenced`]) keeps surviving handles
+//! stable. A **warm mark** ([`ComplexTable::mark_warm`]) makes every value
+//! interned so far permanent; [`ComplexTable::reset_to_warm`] then drops
+//! everything interned since, by truncating the value storage back to the
+//! mark.
 
 use crate::complex::Complex;
-use crate::hash::{FxHashMap, FxHasher};
-use crate::slotvec::SlotVec;
+use crate::hash::FxHashMap;
 use crate::DEFAULT_TOLERANCE;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
 
 /// A stable handle to an interned complex value in a [`ComplexTable`].
 ///
 /// Two handles from the same table are equal iff they denote the same
-/// (tolerance-collapsed) value; handles are meaningless across tables. An
-/// overlay table and its frozen base share a handle space: base handles are
-/// valid in the overlay.
+/// (tolerance-collapsed) value; handles are meaningless across tables.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ComplexIdx(u32);
 
@@ -76,8 +58,7 @@ impl ComplexIdx {
 /// ablation experiments.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ComplexTableStats {
-    /// Number of distinct interned values (including the frozen base's for
-    /// overlay tables).
+    /// Number of distinct interned values.
     pub entries: usize,
     /// Total `lookup` calls.
     pub lookups: u64,
@@ -94,7 +75,7 @@ pub struct ComplexTableStats {
     pub front_hits: u64,
 }
 
-/// One slot of a front cache: exact bit patterns of a recently interned
+/// One slot of the front cache: exact bit patterns of a recently interned
 /// value and its handle.
 #[derive(Copy, Clone, Debug)]
 struct RecentEntry {
@@ -109,77 +90,20 @@ impl RecentEntry {
     const VACANT: RecentEntry = RecentEntry { re_bits: 0, im_bits: 0, idx: EMPTY };
 }
 
-/// Size of a front cache (direct-mapped on the value's bit hash).
+/// Size of the front cache (direct-mapped on the value's bit hash).
 const RECENT_SLOTS: usize = 8;
 
-/// A small per-thread exact-bits cache in front of the shared interning
-/// grid, handed out by the package to worker threads. Repeats of a hot
-/// value skip the striped probe entirely. Remembered handles stay correct
-/// for the lifetime of the table epoch; the owner must drop or
-/// [`FrontCache::flush`] it across a reclamation
-/// ([`ComplexTable::retain_referenced`]).
-#[derive(Clone, Debug)]
-pub struct FrontCache {
-    recent: [RecentEntry; RECENT_SLOTS],
+#[inline]
+fn recent_slot(re_bits: u64, im_bits: u64) -> usize {
+    (re_bits ^ im_bits.rotate_left(32)) as usize % RECENT_SLOTS
 }
 
-impl FrontCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        FrontCache { recent: [RecentEntry::VACANT; RECENT_SLOTS] }
-    }
-
-    /// Forgets every remembered handle.
-    pub fn flush(&mut self) {
-        self.recent = [RecentEntry::VACANT; RECENT_SLOTS];
-    }
-
-    #[inline]
-    fn slot_of(re_bits: u64, im_bits: u64) -> usize {
-        (re_bits ^ im_bits.rotate_left(32)) as usize % RECENT_SLOTS
-    }
-
-    #[inline]
-    fn get(&self, re_bits: u64, im_bits: u64) -> Option<u32> {
-        let r = self.recent[Self::slot_of(re_bits, im_bits)];
-        (r.idx != EMPTY && r.re_bits == re_bits && r.im_bits == im_bits).then_some(r.idx)
-    }
-
-    #[inline]
-    fn put(&mut self, re_bits: u64, im_bits: u64, idx: u32) {
-        self.recent[Self::slot_of(re_bits, im_bits)] = RecentEntry { re_bits, im_bits, idx };
-    }
-}
-
-impl Default for FrontCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Number of index stripes (power of two). Each stripe guards a cell map;
-/// a probe locks only the stripes its nine candidate cells hash to.
-const NSTRIPES: usize = 16;
-
-/// An interned value plus its home grid cell (for index rebuilds).
+/// An interned value plus the next slot in its grid cell's chain (`EMPTY`
+/// at the end).
 #[derive(Clone, Debug)]
 struct CEntry {
     v: Complex,
-    cell: (i64, i64),
-}
-
-#[inline]
-fn cell_hash(cell: (i64, i64)) -> usize {
-    let mut h = FxHasher::default();
-    cell.hash(&mut h);
-    h.finish() as usize
-}
-
-#[inline]
-fn stripe_of(cell: (i64, i64)) -> usize {
-    // Decouple the stripe choice from the map's bucket choice by mixing the
-    // top bits.
-    (cell_hash(cell) >> 48) & (NSTRIPES - 1)
+    next: u32,
 }
 
 /// The nine probe cells around `(cr, ci)` in the fixed scan order.
@@ -203,12 +127,14 @@ fn probe_cells(cr: i64, ci: i64) -> [(i64, i64); 9] {
     out
 }
 
-/// One stripe of the grid index: cell → value slots quantizing there.
-///
-/// Because the cell size equals the tolerance, two values in one cell are
-/// always within tolerance of each other, so a cell holds at most one slot —
-/// except for the degenerate clamped edge cells, hence the tiny `Vec`.
-type Stripe = FxHashMap<(i64, i64), Vec<u32>>;
+/// What [`ComplexTable::reset_to_warm`] rewinds to.
+#[derive(Clone, Debug, Default)]
+struct WarmMark {
+    /// Value slots below this are permanent.
+    len: usize,
+    /// Live entries at the mark.
+    live: usize,
+}
 
 /// An interning table for complex numbers with tolerance-bucketed lookup.
 ///
@@ -228,31 +154,28 @@ type Stripe = FxHashMap<(i64, i64), Vec<u32>>;
 /// let a = t.lookup(Complex::new(0.25, 0.75));
 /// assert_eq!(t.lookup(Complex::new(0.25, 0.75)), a);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ComplexTable {
-    /// Local value storage; global handle = `base_len + local slot`.
-    values: SlotVec<CEntry>,
-    /// Reclaimed local slots available for reuse. Doubles as the global
-    /// insert lock for the shared path: a shared insert holds this mutex
-    /// from re-probe to index publication, so concurrent interns of the
-    /// same value collapse to one slot.
-    free: Mutex<Vec<u32>>,
-    /// Count of entries in `free` (so `len` stays lock-free).
-    free_count: AtomicU32,
-    /// Striped grid index over local values.
-    stripes: Box<[RwLock<Stripe>]>,
-    /// Exclusive-path front cache (the shared path uses a caller-owned
-    /// [`FrontCache`] instead).
-    recent: FrontCache,
-    /// Frozen base table this one overlays, if any.
-    base: Option<Arc<ComplexTable>>,
-    /// Handle-space offset: local slot `i` is handle `base_len + i`.
-    base_len: u32,
+    /// Value storage indexed by handle; `None` marks a reclaimed slot.
+    values: Vec<Option<CEntry>>,
+    /// Grid index: cell → first slot of the chain of values quantizing
+    /// there, oldest first (chained through [`CEntry::next`]). Because the
+    /// cell size equals the tolerance, a chain almost always holds one slot;
+    /// longer ones come from rounding at the tolerance boundary and from
+    /// the clamped edge cells of astronomically large values.
+    index: FxHashMap<(i64, i64), u32>,
+    /// Reclaimed slots at or above the warm mark, reused before the value
+    /// storage grows.
+    free: Vec<u32>,
+    /// Number of live entries.
+    live: usize,
+    recent: [RecentEntry; RECENT_SLOTS],
+    warm: WarmMark,
     tolerance: f64,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    reclaimed: AtomicU64,
-    front_hits: AtomicU64,
+    lookups: u64,
+    hits: u64,
+    reclaimed: u64,
+    front_hits: u64,
 }
 
 impl ComplexTable {
@@ -271,46 +194,28 @@ impl ComplexTable {
             tolerance.is_finite() && tolerance > 0.0,
             "tolerance must be finite and positive"
         );
-        let mut table = Self::bare(tolerance, None, 0);
-        table.seed_constants();
-        table
-    }
-
-    fn bare(tolerance: f64, base: Option<Arc<ComplexTable>>, base_len: u32) -> Self {
-        ComplexTable {
-            values: SlotVec::new(),
-            free: Mutex::new(Vec::new()),
-            free_count: AtomicU32::new(0),
-            stripes: (0..NSTRIPES).map(|_| RwLock::new(Stripe::default())).collect(),
-            recent: FrontCache::new(),
-            base,
-            base_len,
+        let mut table = ComplexTable {
+            values: Vec::new(),
+            index: FxHashMap::default(),
+            free: Vec::new(),
+            live: 0,
+            recent: [RecentEntry::VACANT; RECENT_SLOTS],
+            warm: WarmMark::default(),
             tolerance,
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            reclaimed: AtomicU64::new(0),
-            front_hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Stores the constants `0` and `1` at their fixed slots, bypassing the
-    /// constant fast path (which answers without inserting).
-    fn seed_constants(&mut self) {
-        let mut free = std::mem::take(self.free.get_mut().unwrap());
-        let zero = self.insert_locked(Complex::ZERO, &mut free);
-        let one = self.insert_locked(Complex::ONE, &mut free);
-        *self.free.get_mut().unwrap() = free;
+            lookups: 0,
+            hits: 0,
+            reclaimed: 0,
+            front_hits: 0,
+        };
+        // Seed the two ubiquitous constants at fixed slots, bypassing the
+        // constant fast path (which answers without inserting), and make
+        // them permanent.
+        let zero = table.insert(Complex::ZERO);
+        let one = table.insert(Complex::ONE);
         debug_assert_eq!(zero, C_ZERO);
         debug_assert_eq!(one, C_ONE);
-    }
-
-    /// Creates an empty overlay over a frozen `base` table. The overlay
-    /// resolves every base handle (lock-free), prefers base representatives
-    /// on lookup, and appends new values to overlay-local slots — the base
-    /// is never mutated.
-    pub fn overlay(base: Arc<ComplexTable>) -> Self {
-        let base_len = (base.base_len as usize + base.values.len()) as u32;
-        Self::bare(base.tolerance, Some(base), base_len)
+        table.mark_warm();
+        table
     }
 
     /// The interning tolerance.
@@ -319,15 +224,10 @@ impl ComplexTable {
         self.tolerance
     }
 
-    /// The number of distinct live interned values (including the frozen
-    /// base's for an overlay).
+    /// The number of distinct live interned values.
     #[inline]
     pub fn len(&self) -> usize {
-        let local = self.values.len() - self.free_count.load(Ordering::Relaxed) as usize;
-        match &self.base {
-            Some(b) => b.len() + local,
-            None => local,
-        }
+        self.live
     }
 
     /// Returns `true` if the table holds only the seeded constants.
@@ -336,32 +236,41 @@ impl ComplexTable {
         self.len() <= 2
     }
 
-    /// Current statistics snapshot (constant time). For an overlay the
-    /// counters are local; `entries` includes the base.
+    /// Current statistics snapshot (constant time).
     pub fn stats(&self) -> ComplexTableStats {
         ComplexTableStats {
             entries: self.len(),
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
+            lookups: self.lookups,
+            hits: self.hits,
             approx_bytes: self.len()
-                * (std::mem::size_of::<CEntry>() + 32 + std::mem::size_of::<u32>()),
-            reclaimed: self.reclaimed.load(Ordering::Relaxed),
-            front_hits: self.front_hits.load(Ordering::Relaxed),
+                * (std::mem::size_of::<Option<CEntry>>() + std::mem::size_of::<((i64, i64), u32)>()),
+            reclaimed: self.reclaimed,
+            front_hits: self.front_hits,
         }
     }
 
-    /// Returns the value behind a handle. Lock-free; callable from any
-    /// thread that shares the table.
+    /// Returns the value behind a handle.
     ///
     /// # Panics
     ///
-    /// Panics if `idx` did not come from this table (or its base).
+    /// Panics if `idx` did not come from this table or was reclaimed.
     #[inline]
     pub fn value(&self, idx: ComplexIdx) -> Complex {
-        if idx.0 < self.base_len {
-            return self.base.as_ref().expect("foreign handle").value(idx);
+        self.entry(idx.0).v
+    }
+
+    #[inline]
+    fn entry(&self, slot: u32) -> &CEntry {
+        match &self.values[slot as usize] {
+            Some(e) => e,
+            None => panic!("reclaimed complex handle {slot}"),
         }
-        self.values.get_expect((idx.0 - self.base_len) as usize).v
+    }
+
+    fn entry_mut(&mut self, slot: u32) -> &mut CEntry {
+        self.values[slot as usize]
+            .as_mut()
+            .unwrap_or_else(|| panic!("reclaimed complex handle {slot}"))
     }
 
     #[inline]
@@ -372,172 +281,148 @@ impl ComplexTable {
         )
     }
 
-    /// Scans one local cell for a slot matching `v` within tolerance.
-    #[inline]
-    fn scan_cell(&self, stripe: &Stripe, cell: (i64, i64), v: Complex) -> Option<u32> {
-        for &slot in stripe.get(&cell)?.iter() {
-            if self.values.get_expect(slot as usize).v.approx_eq(v, self.tolerance) {
-                return Some(self.base_len + slot);
-            }
-        }
-        None
-    }
-
-    /// Finds a stored handle for `v`, consulting the frozen base first
-    /// (earliest representative wins) and then the local stripes, taking
-    /// read locks per probed cell. Shared-path safe.
-    fn find_shared(&self, v: Complex) -> Option<ComplexIdx> {
-        if let Some(base) = &self.base {
-            if let Some(idx) = base.find_shared(v) {
-                return Some(idx);
-            }
-        }
+    /// Finds a stored handle for `v` within tolerance, probing the nine
+    /// cells around it in the fixed scan order (earliest cell wins).
+    fn find(&self, v: Complex) -> Option<ComplexIdx> {
         let (cr, ci) = self.cell(v);
         for cell in probe_cells(cr, ci) {
-            let stripe = self.stripes[stripe_of(cell)].read().unwrap();
-            if let Some(raw) = self.scan_cell(&stripe, cell, v) {
-                return Some(ComplexIdx(raw));
+            let mut slot = self.index.get(&cell).copied().unwrap_or(EMPTY);
+            while slot != EMPTY {
+                let e = self.entry(slot);
+                if e.v.approx_eq(v, self.tolerance) {
+                    return Some(ComplexIdx(slot));
+                }
+                slot = e.next;
             }
         }
         None
     }
 
-    /// Exclusive-path variant of [`Self::find_shared`]: identical probe
-    /// order, no lock traffic on the local stripes.
-    fn find_mut(&mut self, v: Complex) -> Option<ComplexIdx> {
-        if let Some(base) = &self.base {
-            if let Some(idx) = base.find_shared(v) {
-                return Some(idx);
-            }
-        }
-        let (cr, ci) = self.cell(v);
-        for cell in probe_cells(cr, ci) {
-            // Split borrows: read the candidate list out of the stripe, then
-            // compare against `values` without holding the map borrow.
-            let mut candidates = [0u32; 4];
-            let mut ncand = 0;
-            {
-                let stripe = self.stripes[stripe_of(cell)].get_mut().unwrap();
-                if let Some(slots) = stripe.get(&cell) {
-                    for &s in slots.iter() {
-                        if ncand < candidates.len() {
-                            candidates[ncand] = s;
-                            ncand += 1;
-                        }
-                    }
-                }
-            }
-            for &slot in &candidates[..ncand] {
-                if self.values.get_expect(slot as usize).v.approx_eq(v, self.tolerance) {
-                    return Some(ComplexIdx(self.base_len + slot));
-                }
-            }
-        }
-        None
-    }
-
-    /// Allocates a local slot for `v` and publishes it in the grid index.
-    /// The caller must hold the insert lock (shared path) or `&mut self`
-    /// (exclusive path, where `free` is accessed via the same mutex).
-    fn insert_locked(&self, v: Complex, free: &mut Vec<u32>) -> ComplexIdx {
-        let cell = self.cell(v);
-        let slot = match free.pop() {
+    /// Stores `v` in a fresh (or recycled) slot and indexes it.
+    fn insert(&mut self, v: Complex) -> ComplexIdx {
+        let entry = Some(CEntry { v, next: EMPTY });
+        let slot = match self.free.pop() {
             Some(slot) => {
-                self.free_count.fetch_sub(1, Ordering::Relaxed);
-                self.values.set(slot, CEntry { v, cell });
+                self.values[slot as usize] = entry;
                 slot
             }
             None => {
-                let slot = self.values.claim();
-                self.values.set(slot, CEntry { v, cell });
-                slot
+                self.values.push(entry);
+                (self.values.len() - 1) as u32
             }
         };
-        self.stripes[stripe_of(cell)]
-            .write()
-            .unwrap()
-            .entry(cell)
-            .or_default()
-            .push(slot);
-        ComplexIdx(self.base_len + slot)
+        self.live += 1;
+        self.link(slot);
+        ComplexIdx(slot)
     }
 
-    /// Reclaims every interned value whose handle fails `keep`, except the
-    /// seeded constants `0` and `1` (for an overlay, the frozen base is
-    /// untouched by construction — only overlay-local slots are examined).
+    /// Appends `slot` to the end of its cell's chain, so older values keep
+    /// winning the probe.
+    fn link(&mut self, slot: u32) {
+        let cell = self.cell(self.entry(slot).v);
+        let Some(&head) = self.index.get(&cell) else {
+            self.index.insert(cell, slot);
+            return;
+        };
+        let mut tail = head;
+        while self.entry(tail).next != EMPTY {
+            tail = self.entry(tail).next;
+        }
+        self.entry_mut(tail).next = slot;
+    }
+
+    /// Reclaims every interned value whose handle fails `keep`, except
+    /// everything below the warm mark (which always covers the seeded
+    /// constants `0` and `1`).
     ///
     /// Kept handles stay valid and keep denoting bit-identical values;
     /// reclaimed slots are recycled by later insertions. The grid index is
     /// rebuilt over the survivors (shrinking it back towards cache-resident
     /// size) and the front cache is flushed, since it may remember
-    /// reclaimed handles. This is a stop-the-world epoch: it requires
-    /// `&mut self`, so no reader can hold a handle-resolution borrow across
-    /// it, and per-thread [`FrontCache`]s handed out for the shared path
-    /// must be flushed by their owners.
+    /// reclaimed handles.
     ///
-    /// Returns the number of slots reclaimed.
+    /// This is the complex-table half of garbage collection: a long run
+    /// interns a fresh set of amplitudes per applied gate, and without
+    /// reclamation the probe index grows until every lookup is a cache
+    /// miss. The caller supplies liveness (weights referenced by live DD
+    /// nodes and registered roots). Returns the number of slots reclaimed.
     pub fn retain_referenced(&mut self, keep: impl Fn(ComplexIdx) -> bool) -> usize {
-        let protect = if self.base.is_none() { 2 } else { 0 };
         let mut freed = 0usize;
-        let base_len = self.base_len;
-        let free = self.free.get_mut().unwrap();
-        for slot in protect..self.values.len() {
-            let handle = ComplexIdx(base_len + slot as u32);
-            if self.values.get(slot).is_some() && !keep(handle) {
-                self.values.take(slot);
-                free.push(slot as u32);
+        for slot in self.warm.len..self.values.len() {
+            if self.values[slot].is_some() && !keep(ComplexIdx(slot as u32)) {
+                self.values[slot] = None;
+                self.free.push(slot as u32);
                 freed += 1;
             }
         }
-        *self.free_count.get_mut() += freed as u32;
-        *self.reclaimed.get_mut() += freed as u64;
-        // Rebuild the stripes over the survivors.
-        for stripe in self.stripes.iter_mut() {
-            let s = stripe.get_mut().unwrap();
-            s.clear();
-            s.shrink_to_fit();
+        self.live -= freed;
+        self.reclaimed += freed as u64;
+        self.index = FxHashMap::with_capacity_and_hasher(self.live, Default::default());
+        for slot in 0..self.values.len() {
+            if let Some(e) = &mut self.values[slot] {
+                e.next = EMPTY;
+                self.link(slot as u32);
+            }
         }
-        for (slot, e) in self.values.iter_present() {
-            self.stripes[stripe_of(e.cell)]
-                .get_mut()
-                .unwrap()
-                .entry(e.cell)
-                .or_default()
-                .push(slot as u32);
-        }
-        self.recent.flush();
+        self.flush_recent();
         freed
     }
 
-    /// Drops every overlay-local value, returning the table to the frozen
-    /// base's state. No-op effect on non-overlay tables beyond clearing
-    /// everything but the re-seeded constants.
-    pub fn clear_local(&mut self) {
-        self.values.clear();
-        self.free.get_mut().unwrap().clear();
-        *self.free_count.get_mut() = 0;
-        for stripe in self.stripes.iter_mut() {
-            stripe.get_mut().unwrap().clear();
-        }
-        self.recent.flush();
-        if self.base.is_none() {
-            self.seed_constants();
-        }
+    /// Makes every value interned so far permanent: reclamation never
+    /// frees a slot below the mark, no later insertion reuses one, and
+    /// [`Self::reset_to_warm`] rewinds to exactly this point.
+    pub fn mark_warm(&mut self) {
+        self.free.clear();
+        self.warm = WarmMark {
+            len: self.values.len(),
+            live: self.live,
+        };
+        self.flush_recent();
     }
 
-    #[inline]
-    fn constant_fast_path(&self, v: Complex) -> Option<ComplexIdx> {
-        if v.is_zero(self.tolerance) {
-            return Some(C_ZERO);
+    /// Drops every value interned since the last [`Self::mark_warm`] (or
+    /// since construction, leaving only the seeded constants): value
+    /// storage is truncated back to the mark. Handles below the mark keep
+    /// denoting bit-identical values. Statistics counters keep counting.
+    pub fn reset_to_warm(&mut self) {
+        let len = self.warm.len as u32;
+        for slot in len..self.values.len() as u32 {
+            let Some(e) = &self.values[slot as usize] else {
+                continue;
+            };
+            // Every chain lists its slots below the mark first (the free
+            // list holds none of them, and rebuilds link in slot order), so
+            // cutting a chain before its first slot at or above the mark
+            // unlinks all of them.
+            let cell = self.cell(e.v);
+            match self.index.get(&cell) {
+                None => {}
+                Some(&head) if head >= len => {
+                    self.index.remove(&cell);
+                }
+                Some(&head) => {
+                    // `EMPTY` exceeds every slot, so this also stops at the
+                    // chain's end.
+                    let mut s = head;
+                    while self.entry(s).next < len {
+                        s = self.entry(s).next;
+                    }
+                    self.entry_mut(s).next = EMPTY;
+                }
+            }
         }
-        if v.is_one(self.tolerance) {
-            return Some(C_ONE);
-        }
-        None
+        self.values.truncate(self.warm.len);
+        self.free.clear();
+        self.live = self.warm.live;
+        self.flush_recent();
+    }
+
+    fn flush_recent(&mut self) {
+        self.recent = [RecentEntry::VACANT; RECENT_SLOTS];
     }
 
     /// Interns `v`, returning the handle of an existing value within
-    /// tolerance if there is one. Exclusive fast path: no lock traffic.
+    /// tolerance if there is one.
     ///
     /// # Panics
     ///
@@ -549,82 +434,35 @@ impl ComplexTable {
             !v.is_non_finite(),
             "cannot intern non-finite complex value {v:?}"
         );
-        *self.lookups.get_mut() += 1;
-        if let Some(c) = self.constant_fast_path(v) {
-            *self.hits.get_mut() += 1;
-            return c;
+        self.lookups += 1;
+        if v.is_zero(self.tolerance) {
+            self.hits += 1;
+            return C_ZERO;
+        }
+        if v.is_one(self.tolerance) {
+            self.hits += 1;
+            return C_ONE;
         }
         // Front cache: repeats of a hot value (exact bit pattern) skip the
         // grid probe entirely. Interning is deterministic and the cache is
-        // flushed whenever entries are reclaimed, so a remembered handle
-        // stays correct.
+        // flushed whenever entries are reclaimed or truncated, so a
+        // remembered handle stays correct.
         let (re_bits, im_bits) = (v.re.to_bits(), v.im.to_bits());
-        if let Some(raw) = self.recent.get(re_bits, im_bits) {
-            *self.hits.get_mut() += 1;
-            *self.front_hits.get_mut() += 1;
-            return ComplexIdx(raw);
+        let rslot = recent_slot(re_bits, im_bits);
+        let r = self.recent[rslot];
+        if r.idx != EMPTY && r.re_bits == re_bits && r.im_bits == im_bits {
+            self.hits += 1;
+            self.front_hits += 1;
+            return ComplexIdx(r.idx);
         }
-        let idx = match self.find_mut(v) {
+        let idx = match self.find(v) {
             Some(idx) => {
-                *self.hits.get_mut() += 1;
+                self.hits += 1;
                 idx
             }
-            None => {
-                let mut free = std::mem::take(self.free.get_mut().unwrap());
-                let idx = self.insert_locked(v, &mut free);
-                *self.free.get_mut().unwrap() = free;
-                idx
-            }
+            None => self.insert(v),
         };
-        self.recent.put(re_bits, im_bits, idx.0);
-        idx
-    }
-
-    /// Shared-path interning: identical semantics to [`Self::lookup`], but
-    /// callable from many threads at once on a shared `&ComplexTable`.
-    /// `front` is the caller's per-thread front cache. Hot-path lookups take
-    /// only brief per-cell read locks; a genuine miss serializes on the
-    /// table's single insert lock and re-probes before inserting, so
-    /// concurrent interns of the same value collapse to one handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` has a NaN or infinite component.
-    pub fn lookup_shared(&self, v: Complex, front: &mut FrontCache) -> ComplexIdx {
-        assert!(
-            !v.is_non_finite(),
-            "cannot intern non-finite complex value {v:?}"
-        );
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = self.constant_fast_path(v) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return c;
-        }
-        let (re_bits, im_bits) = (v.re.to_bits(), v.im.to_bits());
-        if let Some(raw) = front.get(re_bits, im_bits) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.front_hits.fetch_add(1, Ordering::Relaxed);
-            return ComplexIdx(raw);
-        }
-        let idx = match self.find_shared(v) {
-            Some(idx) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                idx
-            }
-            None => {
-                let mut free = self.free.lock().unwrap();
-                // Re-probe under the insert lock: another thread may have
-                // inserted the same value since the optimistic scan.
-                match self.find_shared(v) {
-                    Some(idx) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        idx
-                    }
-                    None => self.insert_locked(v, &mut free),
-                }
-            }
-        };
-        front.put(re_bits, im_bits, idx.0);
+        self.recent[rslot] = RecentEntry { re_bits, im_bits, idx: idx.0 };
         idx
     }
 
@@ -707,29 +545,6 @@ impl ComplexTable {
 impl Default for ComplexTable {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for ComplexTable {
-    fn clone(&self) -> Self {
-        ComplexTable {
-            values: self.values.clone(),
-            free: Mutex::new(self.free.lock().unwrap().clone()),
-            free_count: AtomicU32::new(self.free_count.load(Ordering::Relaxed)),
-            stripes: self
-                .stripes
-                .iter()
-                .map(|s| RwLock::new(s.read().unwrap().clone()))
-                .collect(),
-            recent: self.recent.clone(),
-            base: self.base.clone(),
-            base_len: self.base_len,
-            tolerance: self.tolerance,
-            lookups: AtomicU64::new(self.lookups.load(Ordering::Relaxed)),
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-            reclaimed: AtomicU64::new(self.reclaimed.load(Ordering::Relaxed)),
-            front_hits: AtomicU64::new(self.front_hits.load(Ordering::Relaxed)),
-        }
     }
 }
 
@@ -917,77 +732,60 @@ mod tests {
     }
 
     #[test]
-    fn shared_lookup_agrees_with_exclusive() {
+    fn reset_to_warm_truncates_back_to_the_mark() {
         let mut t = ComplexTable::new();
-        let vals: Vec<Complex> = (0..200)
-            .map(|i| Complex::new(0.003 * i as f64 - 0.3, 0.001 * i as f64))
-            .collect();
-        let exclusive: Vec<ComplexIdx> = vals.iter().map(|&v| t.lookup(v)).collect();
-        let mut front = FrontCache::new();
-        for (v, h) in vals.iter().zip(&exclusive) {
-            assert_eq!(t.lookup_shared(*v, &mut front), *h);
-        }
-        // Consecutive repeats of a hot value hit the caller-owned front
-        // cache (direct-mapped, so only un-evicted repeats can hit).
-        let hot = vals[7];
-        let before = t.stats().front_hits;
-        let h = t.lookup_shared(hot, &mut front);
-        for _ in 0..10 {
-            assert_eq!(t.lookup_shared(hot, &mut front), h);
-        }
-        assert!(t.stats().front_hits >= before + 10);
+        let warm_v = Complex::new(0.6, -0.2);
+        let warm = t.lookup(warm_v);
+        t.mark_warm();
+        let run = |t: &mut ComplexTable| -> Vec<ComplexIdx> {
+            (0..50)
+                .map(|i| t.lookup(Complex::new(0.01 * i as f64 + 0.3, 0.1)))
+                .collect()
+        };
+        let first = run(&mut t);
+        assert_eq!(t.len(), 53);
+        // Reclamation never frees a warm value, whatever `keep` says.
+        assert_eq!(t.retain_referenced(|_| false), 50);
+        assert_eq!(t.value(warm), warm_v);
+        t.reset_to_warm();
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.lookup(warm_v), warm);
+        // Truncation makes the replay land on the same handles.
+        assert_eq!(run(&mut t), first);
+        assert!(first.iter().all(|h| h.index() >= 3), "no slot below the mark is reused");
     }
 
     #[test]
-    fn concurrent_shared_interning_is_canonical() {
-        let t = ComplexTable::new();
-        let handles: Vec<Vec<ComplexIdx>> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..4)
-                .map(|_| {
-                    let t = &t;
-                    s.spawn(move || {
-                        let mut front = FrontCache::new();
-                        (0..500)
-                            .map(|i| {
-                                t.lookup_shared(
-                                    Complex::new(0.002 * (i % 250) as f64 + 0.1, 0.4),
-                                    &mut front,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
-        });
-        // Same value interned on any thread yields the same handle.
-        for w in &handles[1..] {
-            assert_eq!(w, &handles[0]);
-        }
-        // 250 distinct values + the two constants, no duplicates.
-        assert_eq!(t.len(), 252);
+    fn values_sharing_a_cell_chain_in_insertion_order() {
+        // Astronomically large values all quantize to the clamped edge cell,
+        // so distinct values share one chain.
+        let huge = |k: f64| Complex::new(k * 1e300, 0.0);
+        let mut t = ComplexTable::new();
+        let a = t.lookup(huge(1.0));
+        t.mark_warm();
+        let b = t.lookup(huge(2.0));
+        let c = t.lookup(huge(3.0));
+        assert!(a != b && b != c);
+        assert_eq!(t.lookup(huge(2.0)), b);
+        // Reclaiming the middle of a chain keeps both ends findable.
+        t.retain_referenced(|h| h != b);
+        assert_eq!(t.lookup(huge(1.0)), a);
+        assert_eq!(t.lookup(huge(3.0)), c);
+        // The reset cuts the chain right after its warm value.
+        t.reset_to_warm();
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.lookup(huge(1.0)), a);
+        assert_eq!(t.lookup(huge(3.0)).index(), 3);
     }
 
     #[test]
-    fn overlay_resolves_base_handles_and_appends_locally() {
-        let mut base = ComplexTable::new();
-        let hot = Complex::new(0.6, -0.2);
-        let h = base.lookup(hot);
-        let base = Arc::new(base);
-        let mut over = ComplexTable::overlay(base.clone());
-        // Base representative wins on lookup.
-        assert_eq!(over.lookup(hot), h);
-        assert_eq!(over.value(h), hot);
-        assert_eq!(over.lookup(Complex::ZERO), C_ZERO);
-        // New values get handles past the base space.
-        let novel = over.lookup(Complex::new(0.11, 0.22));
-        assert!(novel.index() >= base.len());
-        assert_eq!(over.value(novel), Complex::new(0.11, 0.22));
-        // Clearing the overlay forgets local values, keeps the base.
-        over.clear_local();
-        assert_eq!(over.lookup(hot), h);
-        let again = over.lookup(Complex::new(0.11, 0.22));
-        assert_eq!(again, novel, "slot reuse makes the re-intern deterministic");
+    fn reset_without_a_mark_keeps_only_the_constants() {
+        let mut t = ComplexTable::new();
+        let a = t.lookup(Complex::new(0.25, 0.5));
+        t.reset_to_warm();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.lookup(Complex::ONE), C_ONE);
+        assert_eq!(t.lookup(Complex::new(0.25, 0.5)), a);
     }
 
     use proptest::prelude::*;
@@ -1034,21 +832,6 @@ mod tests {
                         prop_assert!(!va.approx_eq(vb, t.tolerance() * 0.5));
                     }
                 }
-            }
-        }
-
-        /// Exclusive and shared interning agree handle-for-handle.
-        #[test]
-        fn shared_path_matches_exclusive(
-            vals in prop::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 1..60)
-        ) {
-            let mut t = ComplexTable::new();
-            let mut front = FrontCache::new();
-            for &(re, im) in &vals {
-                let v = Complex::new(re, im);
-                let a = t.lookup(v);
-                let b = t.lookup_shared(v, &mut front);
-                prop_assert_eq!(a, b);
             }
         }
     }

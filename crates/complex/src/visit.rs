@@ -75,20 +75,19 @@ impl WalkScratch {
     }
 }
 
+use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::Mutex;
 
-/// A shared pool of [`WalkScratch`] buffers.
+/// A pool of [`WalkScratch`] buffers owned by one node store.
 ///
-/// Traversals used to borrow one `RefCell<WalkScratch>` per store, which made
-/// the store `!Sync` and forbade same-arity nested walks. A pool hands each
-/// concurrent (or nested) traversal its own scratch buffer: [`Self::acquire`]
-/// pops a warm buffer (or allocates a fresh one on first use / under nesting)
-/// and the [`ScratchGuard`] returns it on drop, so steady-state walks stay
-/// allocation-free.
+/// [`Self::acquire`] pops a warm buffer (or allocates a fresh one on first
+/// use / under nesting) and the [`ScratchGuard`] returns it on drop, so
+/// steady-state walks stay allocation-free and a walk nested inside another
+/// walk of the same store gets its own buffer. The `RefCell` is borrowed
+/// only inside `acquire` and `drop`, never across a walk.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    pool: Mutex<Vec<WalkScratch>>,
+    pool: RefCell<Vec<WalkScratch>>,
 }
 
 impl ScratchPool {
@@ -99,7 +98,7 @@ impl ScratchPool {
 
     /// Checks a scratch buffer out of the pool.
     pub fn acquire(&self) -> ScratchGuard<'_> {
-        let scratch = self.pool.lock().unwrap().pop().unwrap_or_default();
+        let scratch = self.pool.borrow_mut().pop().unwrap_or_default();
         ScratchGuard { pool: self, scratch: Some(scratch) }
     }
 }
@@ -138,7 +137,7 @@ impl DerefMut for ScratchGuard<'_> {
 impl Drop for ScratchGuard<'_> {
     fn drop(&mut self) {
         if let Some(s) = self.scratch.take() {
-            self.pool.pool.lock().unwrap().push(s);
+            self.pool.pool.borrow_mut().push(s);
         }
     }
 }

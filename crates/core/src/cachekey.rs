@@ -1,17 +1,9 @@
-//! Stable cache-key plumbing for compiled-circuit caches.
+//! Stable content hashing for cache keys.
 //!
-//! A server reusing frozen warm bases across requests (`qdd-serve`) needs a
-//! key that changes exactly when the compiled artifact would: the circuit
-//! source and the *structural* package configuration (tolerance,
-//! normalization rule, identity-skipping, …). Resource [`Limits`] are
-//! deliberately excluded — they govern *how much* a request may spend, not
-//! what any diagram looks like, and warm bases are built with default
-//! limits precisely so they can serve requests with any budget.
-//!
-//! [`Limits`]: crate::Limits
-
-use crate::package::PackageConfig;
-use crate::normalize::VectorNormalization;
+//! A server caching parsed circuits across requests (`qdd-serve`) keys them
+//! by a hash of the QASM source. The hash must be deterministic across
+//! processes and platforms, so it is a fixed FNV-1a rather than `std`'s
+//! randomly seeded hasher.
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -19,10 +11,10 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a over a byte string: the workspace's one deterministic,
-/// dependency-free content hash for cache keys (QASM sources, config
-/// fingerprints). Not cryptographic — so any cache serving results by this
-/// key alone would conflate colliding inputs. Callers keying shared state
-/// off this hash must verify the stored source on lookup (as
+/// dependency-free content hash for cache keys (QASM sources, histogram
+/// digests). Not cryptographic — so any cache serving results by this key
+/// alone would conflate colliding inputs. Callers keying shared state off
+/// this hash must verify the stored source on lookup (as
 /// `qdd_serve::cache` does), making a collision cost a rebuild instead of
 /// a wrong answer.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
@@ -34,44 +26,9 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Folds a 64-bit word into an FNV-1a state (little-endian bytes).
-fn fnv1a_fold(h: u64, word: u64) -> u64 {
-    let mut h = h;
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-impl PackageConfig {
-    /// A stable fingerprint of the configuration knobs that shape diagram
-    /// *structure*. Two configs with the same structural key build
-    /// bit-identical warm bases from the same circuit; [`Limits`] fields
-    /// are excluded (see module docs).
-    ///
-    /// [`Limits`]: crate::Limits
-    pub fn structural_key(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv1a_fold(h, self.tolerance.to_bits());
-        h = fnv1a_fold(h, u64::from(self.compute_tables));
-        h = fnv1a_fold(h, u64::from(self.check_unitarity));
-        h = fnv1a_fold(
-            h,
-            match self.vector_normalization {
-                VectorNormalization::L2 => 0,
-                VectorNormalization::MaxMagnitude => 1,
-            },
-        );
-        h = fnv1a_fold(h, u64::from(self.identity_skip));
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Limits;
 
     #[test]
     fn fnv1a_matches_reference_vectors() {
@@ -79,29 +36,5 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn structural_key_ignores_limits_but_sees_structure() {
-        let base = PackageConfig::default();
-        let budgeted = PackageConfig {
-            limits: Limits {
-                max_nodes: Some(10),
-                deadline: Some(std::time::Duration::from_millis(5)),
-                ..Limits::default()
-            },
-            ..base
-        };
-        assert_eq!(base.structural_key(), budgeted.structural_key());
-        let no_skip = PackageConfig {
-            identity_skip: false,
-            ..base
-        };
-        assert_ne!(base.structural_key(), no_skip.structural_key());
-        let loose = PackageConfig {
-            tolerance: base.tolerance * 2.0,
-            ..base
-        };
-        assert_ne!(base.structural_key(), loose.structural_key());
     }
 }

@@ -73,8 +73,7 @@ pub use limits::{ApproxPolicy, Limits, DEFAULT_AUTO_GC_THRESHOLD, DEFAULT_COMPLE
 pub use measure::MeasurementOutcome;
 pub use node::{MNode, Node, VNode};
 pub use observable::{ParsePauliError, Pauli, PauliString};
-pub use package::{DdPackage, FrozenDd, GcReport, PackageConfig, PackageStats, VectorNormalization};
-pub use qdd_complex::FrontCache;
+pub use package::{DdPackage, GcReport, PackageConfig, PackageStats, VectorNormalization};
 pub use sample::SamplingTableau;
 pub use serialize::SerializeError;
 pub use traverse::Traversable;

@@ -126,7 +126,9 @@ impl DdPackage {
     ///
     /// # Errors
     ///
-    /// [`DdError::ImpossibleOutcome`] if the outcome has probability ≈ 0.
+    /// [`DdError::ImpossibleOutcome`] if the outcome has probability ≈ 0;
+    /// [`DdError::ResourceExhausted`] when the projected diagram does not
+    /// fit the node budget.
     pub fn collapse(
         &mut self,
         state: VecEdge,
@@ -142,7 +144,7 @@ impl DdPackage {
             });
         }
         let mut memo: FxHashMap<VNodeId, VecEdge> = FxHashMap::default();
-        let projected = self.project(state, qubit as Qubit, outcome.as_bool(), &mut memo);
+        let projected = self.project(state, qubit as Qubit, outcome.as_bool(), &mut memo)?;
         debug_assert!(!projected.is_zero());
         // make_vec_node re-normalized every level; only the root weight's
         // magnitude (√p) remains to be divided out. The phase is kept so
@@ -158,12 +160,12 @@ impl DdPackage {
         q: Qubit,
         one: bool,
         memo: &mut FxHashMap<VNodeId, VecEdge>,
-    ) -> VecEdge {
+    ) -> Result<VecEdge, DdError> {
         if e.is_zero() {
-            return VecEdge::ZERO;
+            return Ok(VecEdge::ZERO);
         }
         if let Some(&r) = memo.get(&e.node) {
-            return self.scale_vec(r, e.weight);
+            return Ok(self.scale_vec(r, e.weight));
         }
         let node = self.vnode(e.node);
         let var = node.var;
@@ -175,14 +177,14 @@ impl DdPackage {
             } else {
                 [kept, VecEdge::ZERO]
             };
-            self.make_vec_node(var, children)
+            self.try_make_vec_node(var, children)?
         } else {
-            let r0 = self.project(c[0], q, one, memo);
-            let r1 = self.project(c[1], q, one, memo);
-            self.make_vec_node(var, [r0, r1])
+            let r0 = self.project(c[0], q, one, memo)?;
+            let r1 = self.project(c[1], q, one, memo)?;
+            self.try_make_vec_node(var, [r0, r1])?
         };
         memo.insert(e.node, r);
-        self.scale_vec(r, e.weight)
+        Ok(self.scale_vec(r, e.weight))
     }
 
     /// Measures `qubit`, choosing the outcome at random with the proper
@@ -191,7 +193,9 @@ impl DdPackage {
     /// # Errors
     ///
     /// Propagates [`DdError::ImpossibleOutcome`] only in pathological
-    /// cases of a non-normalized input state.
+    /// cases of a non-normalized input state, and
+    /// [`DdError::ResourceExhausted`] from the collapse (see
+    /// [`Self::collapse`]).
     pub fn measure<R: Rng + ?Sized>(
         &mut self,
         state: VecEdge,

@@ -1,7 +1,6 @@
 //! Arena node representations.
 
 use crate::types::{Edge, Qubit};
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A decision-diagram node with `N` successor edges.
 ///
@@ -12,11 +11,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 ///   row index `i` is the *output* value of the qubit, column index `j` the
 ///   *input* value, matching Fig. 2(c) of the paper (child `2·i + j`).
 ///
-/// `var`, `children` and `birth` are immutable once the node is published
-/// into the store (canonicity depends on it). The root-reference count is
-/// atomic so shared-store workers can pin and release roots without a write
-/// lock on the arena.
-#[derive(Debug)]
+/// `var`, `children` and `birth` are immutable once the node is stored
+/// (canonicity depends on it).
+#[derive(Clone, Debug)]
 pub struct Node<const N: usize> {
     /// Qubit this node decides on.
     pub var: Qubit,
@@ -24,7 +21,7 @@ pub struct Node<const N: usize> {
     pub children: [Edge<N>; N],
     /// External root-reference count (used by garbage collection; not a
     /// structural property).
-    pub(crate) rc: AtomicU32,
+    pub(crate) rc: u32,
     /// Monotone creation stamp. Commutative operations order their operands
     /// by birth rather than by slot id: slot ids are recycled by garbage
     /// collection, and an ordering that changes when a collection happens to
@@ -39,25 +36,8 @@ impl<const N: usize> Node<N> {
         Node {
             var,
             children,
-            rc: AtomicU32::new(0),
+            rc: 0,
             birth: 0,
-        }
-    }
-
-    /// Current external root count.
-    #[inline]
-    pub(crate) fn rc(&self) -> u32 {
-        self.rc.load(Ordering::Relaxed)
-    }
-}
-
-impl<const N: usize> Clone for Node<N> {
-    fn clone(&self) -> Self {
-        Node {
-            var: self.var,
-            children: self.children,
-            rc: AtomicU32::new(self.rc()),
-            birth: self.birth,
         }
     }
 }

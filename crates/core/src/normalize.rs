@@ -14,50 +14,7 @@
 //! Both rules are invariant under pre-scaling of the inputs, which is the
 //! canonicity requirement.
 
-use qdd_complex::{Complex, ComplexIdx, ComplexTable, FrontCache, C_ZERO};
-
-/// The weight-table capability normalization needs: resolve a handle and
-/// intern a value. Implemented for the exclusive (`&mut ComplexTable`) hot
-/// path and the shared (`&ComplexTable` + per-thread front cache) path, so
-/// the normalization rules themselves exist exactly once.
-pub(crate) trait WeightCtx {
-    fn value(&self, idx: ComplexIdx) -> Complex;
-    fn intern(&mut self, v: Complex) -> ComplexIdx;
-}
-
-/// Exclusive-lane weight context: plain mutable table access.
-pub(crate) struct ExclusiveCtx<'a>(pub &'a mut ComplexTable);
-
-impl WeightCtx for ExclusiveCtx<'_> {
-    #[inline]
-    fn value(&self, idx: ComplexIdx) -> Complex {
-        self.0.value(idx)
-    }
-
-    #[inline]
-    fn intern(&mut self, v: Complex) -> ComplexIdx {
-        self.0.lookup(v)
-    }
-}
-
-/// Shared-lane weight context: lock-free reads, striped interning through
-/// the caller's per-thread front cache.
-pub(crate) struct SharedCtx<'a> {
-    pub table: &'a ComplexTable,
-    pub front: &'a mut FrontCache,
-}
-
-impl WeightCtx for SharedCtx<'_> {
-    #[inline]
-    fn value(&self, idx: ComplexIdx) -> Complex {
-        self.table.value(idx)
-    }
-
-    #[inline]
-    fn intern(&mut self, v: Complex) -> ComplexIdx {
-        self.table.lookup_shared(v, self.front)
-    }
-}
+use qdd_complex::{ComplexIdx, ComplexTable, C_ZERO};
 
 /// Which normalization rule vector nodes use.
 ///
@@ -95,31 +52,22 @@ pub(crate) fn normalize_vector(
     weights: [ComplexIdx; 2],
     rule: VectorNormalization,
 ) -> Option<Normalized<2>> {
-    normalize_vector_ctx(&mut ExclusiveCtx(table), weights, rule)
-}
-
-/// Context-generic form of [`normalize_vector`] (exclusive or shared lane).
-pub(crate) fn normalize_vector_ctx<C: WeightCtx>(
-    ctx: &mut C,
-    weights: [ComplexIdx; 2],
-    rule: VectorNormalization,
-) -> Option<Normalized<2>> {
     match rule {
-        VectorNormalization::L2 => normalize_vector_l2(ctx, weights),
-        VectorNormalization::MaxMagnitude => normalize_vector_max(ctx, weights),
+        VectorNormalization::L2 => normalize_vector_l2(table, weights),
+        VectorNormalization::MaxMagnitude => normalize_vector_max(table, weights),
     }
 }
 
 /// L2 rule (paper footnote 3): unit local norm, first non-zero weight
 /// real-positive.
-fn normalize_vector_l2<C: WeightCtx>(
-    ctx: &mut C,
+fn normalize_vector_l2(
+    table: &mut ComplexTable,
     weights: [ComplexIdx; 2],
 ) -> Option<Normalized<2>> {
     if weights.iter().all(|i| i.is_zero()) {
         return None;
     }
-    let w = [ctx.value(weights[0]), ctx.value(weights[1])];
+    let w = [table.value(weights[0]), table.value(weights[1])];
     let mag2: f64 = w.iter().map(|c| c.norm_sqr()).sum();
     let norm = mag2.sqrt();
     // Phase convention: first non-zero (interned-non-zero) weight becomes
@@ -127,35 +75,35 @@ fn normalize_vector_l2<C: WeightCtx>(
     let k = weights.iter().position(|i| !i.is_zero()).expect("non-zero");
     let phase = w[k] / w[k].abs();
     let factor = phase * norm;
-    let top = ctx.intern(factor);
+    let top = table.lookup(factor);
     let mut out = [C_ZERO; 2];
     for (i, slot) in out.iter_mut().enumerate() {
         if !weights[i].is_zero() {
-            *slot = ctx.intern(w[i] / factor);
+            *slot = table.lookup(w[i] / factor);
         }
     }
     Some(Normalized { top, weights: out })
 }
 
 /// QMDD-style max-magnitude rule for vectors (ablation alternative).
-fn normalize_vector_max<C: WeightCtx>(
-    ctx: &mut C,
+fn normalize_vector_max(
+    table: &mut ComplexTable,
     weights: [ComplexIdx; 2],
 ) -> Option<Normalized<2>> {
     if weights.iter().all(|i| i.is_zero()) {
         return None;
     }
-    let w = [ctx.value(weights[0]), ctx.value(weights[1])];
+    let w = [table.value(weights[0]), table.value(weights[1])];
     let best = if w[1].norm_sqr() > w[0].norm_sqr() { 1 } else { 0 };
     let factor = w[best];
-    let top = ctx.intern(factor);
+    let top = table.lookup(factor);
     let mut out = [C_ZERO; 2];
     for (i, slot) in out.iter_mut().enumerate() {
         if !weights[i].is_zero() {
             *slot = if i == best {
                 qdd_complex::C_ONE
             } else {
-                ctx.intern(w[i] / factor)
+                table.lookup(w[i] / factor)
             };
         }
     }
@@ -170,23 +118,15 @@ pub(crate) fn normalize_matrix(
     table: &mut ComplexTable,
     weights: [ComplexIdx; 4],
 ) -> Option<Normalized<4>> {
-    normalize_matrix_ctx(&mut ExclusiveCtx(table), weights)
-}
-
-/// Context-generic form of [`normalize_matrix`] (exclusive or shared lane).
-pub(crate) fn normalize_matrix_ctx<C: WeightCtx>(
-    ctx: &mut C,
-    weights: [ComplexIdx; 4],
-) -> Option<Normalized<4>> {
     let nonzero = weights.iter().filter(|i| !i.is_zero()).count();
     if nonzero == 0 {
         return None;
     }
     let w = [
-        ctx.value(weights[0]),
-        ctx.value(weights[1]),
-        ctx.value(weights[2]),
-        ctx.value(weights[3]),
+        table.value(weights[0]),
+        table.value(weights[1]),
+        table.value(weights[2]),
+        table.value(weights[3]),
     ];
     // First strictly-larger magnitude wins; earliest index on ties. Because
     // equal values share an interned handle, genuine ties compare exactly
@@ -201,14 +141,14 @@ pub(crate) fn normalize_matrix_ctx<C: WeightCtx>(
         }
     }
     let factor = w[best];
-    let top = ctx.intern(factor);
+    let top = table.lookup(factor);
     let mut out = [C_ZERO; 4];
     for (i, slot) in out.iter_mut().enumerate() {
         if !weights[i].is_zero() {
             *slot = if i == best {
                 qdd_complex::C_ONE
             } else {
-                ctx.intern(w[i] / factor)
+                table.lookup(w[i] / factor)
             };
         }
     }

@@ -4,42 +4,64 @@
 //! checking `G ≡ G'` by driving `G'⁻¹ · G` toward the identity requires the
 //! inverses — for unitaries, the adjoints — of `G'`'s gates.
 
+use crate::error::DdError;
 use crate::package::DdPackage;
 use crate::types::{MatEdge, MNodeId};
 
 impl DdPackage {
     /// The conjugate transpose `M†` of an operator DD.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a configured resource budget runs out mid-operation (use
+    /// [`Self::try_adjoint_mat`] under [`Limits`](crate::Limits)).
     pub fn adjoint_mat(&mut self, m: MatEdge) -> MatEdge {
-        if m.is_zero() {
-            return MatEdge::ZERO;
-        }
-        let w = self.ctable.conj(m.weight);
-        let r = self.adjoint_unit(m.node);
-        self.scale_mat(r, w)
+        self.try_adjoint_mat(m)
+            .unwrap_or_else(|e| panic!("ungoverned adjoint_mat failed: {e}"))
     }
 
-    fn adjoint_unit(&mut self, mn: MNodeId) -> MatEdge {
+    /// Governed form of [`Self::adjoint_mat`].
+    ///
+    /// # Errors
+    ///
+    /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
+    /// a configured budget runs out.
+    pub fn try_adjoint_mat(&mut self, m: MatEdge) -> Result<MatEdge, DdError> {
+        self.adjoint_go(m, 0)
+    }
+
+    fn adjoint_go(&mut self, m: MatEdge, depth: usize) -> Result<MatEdge, DdError> {
+        if m.is_zero() {
+            return Ok(MatEdge::ZERO);
+        }
+        let w = self.ctable.conj(m.weight);
+        let r = self.adjoint_unit(m.node, depth)?;
+        Ok(self.scale_mat(r, w))
+    }
+
+    fn adjoint_unit(&mut self, mn: MNodeId, depth: usize) -> Result<MatEdge, DdError> {
+        self.governor_check(depth)?;
         if mn.is_terminal() {
-            return MatEdge::ONE;
+            return Ok(MatEdge::ONE);
         }
         if self.config.compute_tables {
             if let Some(r) = self.caches.adjoint.get(&mn) {
-                return r;
+                return Ok(r);
             }
         }
         let node = self.mnode(mn);
         let var = node.var;
         let c = node.children;
         // Transpose swaps the off-diagonal blocks; conjugation recurses.
-        let r00 = self.adjoint_mat(c[0]);
-        let r01 = self.adjoint_mat(c[2]);
-        let r10 = self.adjoint_mat(c[1]);
-        let r11 = self.adjoint_mat(c[3]);
-        let r = self.make_mat_node(var, [r00, r01, r10, r11]);
+        let r00 = self.adjoint_go(c[0], depth + 1)?;
+        let r01 = self.adjoint_go(c[2], depth + 1)?;
+        let r10 = self.adjoint_go(c[1], depth + 1)?;
+        let r11 = self.adjoint_go(c[3], depth + 1)?;
+        let r = self.try_make_mat_node(var, [r00, r01, r10, r11])?;
         if self.config.compute_tables {
             self.caches.adjoint.insert(mn, r);
         }
-        r
+        Ok(r)
     }
 }
 

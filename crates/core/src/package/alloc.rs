@@ -5,11 +5,10 @@
 
 use crate::error::{DdError, ResourceKind};
 use crate::node::Node;
-use crate::normalize::{normalize_matrix_ctx, normalize_vector_ctx, Normalized, SharedCtx};
 use crate::package::store::HasStore;
 use crate::package::DdPackage;
 use crate::types::{Edge, MatEdge, NodeId, Qubit, VecEdge};
-use qdd_complex::{ComplexIdx, FrontCache};
+use qdd_complex::ComplexIdx;
 
 impl DdPackage {
     /// Creates (or finds) the canonical node `var → children` and returns
@@ -28,10 +27,18 @@ impl DdPackage {
         let Some(norm) = Self::normalize(&mut self.ctable, &self.config, weights) else {
             return Ok(Edge::ZERO);
         };
-        let canon = Self::canonicalize(&children, &norm);
+        let canon: [Edge<N>; N] = std::array::from_fn(|i| {
+            Edge::new(
+                if norm.weights[i].is_zero() {
+                    NodeId::TERMINAL
+                } else {
+                    children[i].node
+                },
+                norm.weights[i],
+            )
+        });
         if let Some(through) = self.identity_collapse(&canon) {
-            self.identity_collapses
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.identity_collapses += 1;
             return Ok(self.scale_edge(through, norm.top));
         }
         let id = match self.store().lookup(var, &canon) {
@@ -131,15 +138,8 @@ impl DdPackage {
 
     #[inline]
     pub(crate) fn next_birth(&mut self) -> u64 {
-        let b = self.births.get_mut();
-        *b += 1;
-        *b
-    }
-
-    /// Shared-lane birth stamp: unique and monotone across threads.
-    #[inline]
-    pub(crate) fn next_birth_shared(&self) -> u64 {
-        self.births.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
+        self.births += 1;
+        self.births
     }
 
     #[inline]
@@ -213,109 +213,6 @@ impl DdPackage {
         children: [MatEdge; 4],
     ) -> Result<MatEdge, DdError> {
         self.try_make_node_generic(var, children)
-    }
-
-    // ------------------------------------------------------------------
-    // Shared construction surface (&self, striped locks)
-    // ------------------------------------------------------------------
-
-    /// Canonicalizes normalized children into the stored edge form, shared
-    /// with the exclusive path's logic.
-    fn canonicalize<const N: usize>(
-        children: &[Edge<N>; N],
-        norm: &Normalized<N>,
-    ) -> [Edge<N>; N] {
-        std::array::from_fn(|i| {
-            Edge::new(
-                if norm.weights[i].is_zero() {
-                    NodeId::TERMINAL
-                } else {
-                    children[i].node
-                },
-                norm.weights[i],
-            )
-        })
-    }
-
-    /// Creates (or finds) a canonical vector node from `&self`, for use by
-    /// many threads on one shared package. `front` is the caller's
-    /// per-thread weight cache.
-    ///
-    /// Semantics match [`Self::make_vec_node`] with two documented
-    /// differences: allocation budgets are not enforced (budget state is
-    /// exclusive-lane), and when several threads race to intern values
-    /// within tolerance of each other, which representative wins depends on
-    /// interleaving — shared construction is canonical (same inputs on any
-    /// thread yield the same edge afterwards) but not bit-reproducible
-    /// across runs. Deterministic parallel simulation goes through frozen
-    /// overlays instead (see [`crate::FrozenDd`]).
-    pub fn make_vec_node_shared(
-        &self,
-        var: Qubit,
-        children: [VecEdge; 2],
-        front: &mut FrontCache,
-    ) -> VecEdge {
-        let weights = std::array::from_fn(|i| children[i].weight);
-        let mut ctx = SharedCtx { table: &self.ctable, front };
-        let Some(norm) =
-            normalize_vector_ctx(&mut ctx, weights, self.config.vector_normalization)
-        else {
-            return Edge::ZERO;
-        };
-        let canon = Self::canonicalize(&children, &norm);
-        let id = match self.vstore.lookup(var, &canon) {
-            Some(id) => id,
-            None => {
-                let birth = self.next_birth_shared();
-                self.vstore.intern_shared(Node::new(var, canon), birth)
-            }
-        };
-        Edge::new(id, norm.top)
-    }
-
-    /// Matrix-arity form of [`Self::make_vec_node_shared`].
-    pub fn make_mat_node_shared(
-        &self,
-        var: Qubit,
-        children: [MatEdge; 4],
-        front: &mut FrontCache,
-    ) -> MatEdge {
-        let weights = std::array::from_fn(|i| children[i].weight);
-        let mut ctx = SharedCtx { table: &self.ctable, front };
-        let Some(norm) = normalize_matrix_ctx(&mut ctx, weights) else {
-            return Edge::ZERO;
-        };
-        let canon = Self::canonicalize(&children, &norm);
-        if let Some(through) = self.identity_collapse(&canon) {
-            self.identity_collapses
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // Matrix normalization makes the first maximal entry exactly 1,
-            // and a collapsing node has only the two equal diagonal entries,
-            // so `through.weight` is 1 in practice; the general product
-            // keeps the rule correct regardless.
-            use crate::normalize::WeightCtx as _;
-            let weight = if through.weight.is_one() {
-                norm.top
-            } else if norm.top.is_one() {
-                through.weight
-            } else {
-                let v = ctx.value(through.weight) * ctx.value(norm.top);
-                ctx.intern(v)
-            };
-            return if weight.is_zero() {
-                Edge::ZERO
-            } else {
-                Edge::new(through.node, weight)
-            };
-        }
-        let id = match self.mstore.lookup(var, &canon) {
-            Some(id) => id,
-            None => {
-                let birth = self.next_birth_shared();
-                self.mstore.intern_shared(Node::new(var, canon), birth)
-            }
-        };
-        Edge::new(id, norm.top)
     }
 
     /// Rescales a vector edge by an interned factor.

@@ -23,10 +23,11 @@ pub struct GcReport {
 impl DdPackage {
     /// Reclaims every node not reachable from a root registered via the
     /// `inc_ref_*` methods, then sweeps the complex table of weights no
-    /// live edge references. Clears all compute tables (their keys may
-    /// refer to reclaimed ids); the gate-DD cache survives as an
-    /// additional root (see [`Self::gc_under_pressure`] for the
-    /// flush-everything variant).
+    /// live edge references. Nodes and weights below the warm mark
+    /// ([`Self::mark_warm`]) are permanent and never reclaimed. Clears all
+    /// compute tables (their keys may refer to reclaimed ids); the gate-DD
+    /// cache survives as an additional root (see
+    /// [`Self::gc_under_pressure`] for the flush-everything variant).
     pub fn garbage_collect(&mut self) -> GcReport {
         let mut span = qdd_telemetry::span("core.gc");
         self.gc_runs += 1;

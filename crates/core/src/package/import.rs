@@ -1,39 +1,31 @@
 //! Cross-package diagram import: translating an edge built in one package
 //! into another.
 //!
-//! The parallel verification path needs this: worker threads build their
-//! halves of a construction-scheme check on private overlay packages (all
-//! over one frozen base), and the checker then pulls each worker's result
-//! edge into its own overlay to compare them as canonical edges.
+//! Verification's two-sided construction needs this: the right-hand system
+//! matrix is built on a private package in a worker thread, and the checker
+//! then pulls the result into its own package to compare the two as
+//! canonical edges.
 //!
-//! Translation is a memoized post-order walk. Two properties make it cheap
-//! in the intended setting:
-//!
-//! * **Shared-base fast path** — when both packages overlay the *same*
-//!   frozen base arena, every id below `base_len` denotes the same node (and
-//!   frozen nodes only reference frozen weight handles, which the shared
-//!   complex-table base resolves identically), so the walk never descends
-//!   into the base: only worker-local nodes are visited.
-//! * **Value re-interning** — local weights are carried across by value
-//!   through the destination's exclusive-lane intern, so tolerance collapse
-//!   happens exactly as if the diagram had been built here.
+//! Translation is a memoized post-order walk. Weights are carried across by
+//! value through the destination's intern, so tolerance collapse happens
+//! exactly as if the diagram had been built here, and every new node goes
+//! through the destination's budget chokepoint.
 
+use crate::error::DdError;
 use crate::package::store::HasStore;
 use crate::package::DdPackage;
-use crate::types::{Edge, MatEdge, NodeId, VecEdge};
+use crate::types::{Edge, MatEdge, NodeId};
 use qdd_complex::{ComplexIdx, FxHashMap};
 
 impl DdPackage {
     /// Translates `e`, built in `src`, into this package, returning the
-    /// canonical local edge for the same vector diagram.
-    pub fn import_vec_edge(&mut self, src: &DdPackage, e: VecEdge) -> VecEdge {
-        let mut memo = FxHashMap::default();
-        self.import_edge_generic(src, e, &mut memo)
-    }
-
-    /// Translates `e`, built in `src`, into this package, returning the
     /// canonical local edge for the same matrix diagram.
-    pub fn import_mat_edge(&mut self, src: &DdPackage, e: MatEdge) -> MatEdge {
+    ///
+    /// # Errors
+    ///
+    /// [`DdError::ResourceExhausted`] when the translated nodes do not fit
+    /// this package's budgets.
+    pub fn try_import_mat_edge(&mut self, src: &DdPackage, e: MatEdge) -> Result<MatEdge, DdError> {
         let mut memo = FxHashMap::default();
         self.import_edge_generic(src, e, &mut memo)
     }
@@ -43,25 +35,25 @@ impl DdPackage {
         src: &DdPackage,
         e: Edge<N>,
         memo: &mut FxHashMap<u32, NodeId<N>>,
-    ) -> Edge<N>
+    ) -> Result<Edge<N>, DdError>
     where
         Self: HasStore<N>,
     {
         if e.is_zero() {
-            return Edge::ZERO;
+            return Ok(Edge::ZERO);
         }
         let w = self.import_weight(src, e.weight);
         if e.is_terminal() {
-            return Edge::terminal(w);
+            return Ok(Edge::terminal(w));
         }
-        let node = self.import_node_generic(src, e.node, memo);
+        let node = self.import_node_generic(src, e.node, memo)?;
         // Re-interning can collapse a weight to zero under this package's
         // tolerance; keep the 0-stub invariant.
-        if w.is_zero() {
+        Ok(if w.is_zero() {
             Edge::ZERO
         } else {
             Edge::new(node, w)
-        }
+        })
     }
 
     fn import_node_generic<const N: usize>(
@@ -69,33 +61,28 @@ impl DdPackage {
         src: &DdPackage,
         id: NodeId<N>,
         memo: &mut FxHashMap<u32, NodeId<N>>,
-    ) -> NodeId<N>
+    ) -> Result<NodeId<N>, DdError>
     where
         Self: HasStore<N>,
     {
-        // Shared-base fast path: the node already exists here under the
-        // same id.
-        if self.store().same_base(src.store()) && id.raw() < self.store().base_len() {
-            return id;
-        }
         if let Some(&t) = memo.get(&id.raw()) {
-            return t;
+            return Ok(t);
         }
         let src_node = src.store().node(id);
         let (var, children) = (src_node.var, src_node.children);
-        let translated: [Edge<N>; N] =
-            std::array::from_fn(|i| self.import_edge_generic(src, children[i], memo));
+        let mut translated = [Edge::ZERO; N];
+        for (slot, child) in translated.iter_mut().zip(children) {
+            *slot = self.import_edge_generic(src, child, memo)?;
+        }
         // Children are already canonical in `src`, so re-construction here
         // is a unique-table hit whenever the sub-diagram exists locally.
-        let local = self
-            .try_make_node_generic(var, translated)
-            .unwrap_or_else(|err| panic!("import exceeded destination budget: {err}"));
+        let local = self.try_make_node_generic(var, translated)?;
         debug_assert!(
             !local.is_zero(),
             "importing a live node cannot yield the 0-stub"
         );
         memo.insert(id.raw(), local.node);
-        local.node
+        Ok(local.node)
     }
 
     fn import_weight(&mut self, src: &DdPackage, w: ComplexIdx) -> ComplexIdx {
@@ -105,51 +92,50 @@ impl DdPackage {
 
 #[cfg(test)]
 mod tests {
+    use crate::error::{DdError, ResourceKind};
     use crate::gates::{self, Control};
-    use crate::package::DdPackage;
+    use crate::limits::Limits;
+    use crate::package::{DdPackage, PackageConfig};
+
+    fn operator(dd: &mut DdPackage) -> crate::MatEdge {
+        let h = dd.gate_dd(gates::H, &[], 2, 3).unwrap();
+        let cx = dd.gate_dd(gates::X, &[Control::pos(2)], 0, 3).unwrap();
+        let t = dd.gate_dd(gates::t(), &[], 1, 3).unwrap();
+        let u = dd.mat_mat(cx, h);
+        dd.mat_mat(t, u)
+    }
 
     #[test]
     fn import_between_unrelated_packages_preserves_semantics() {
         let mut a = DdPackage::new();
         let mut b = DdPackage::new();
         // Warm `b` with unrelated state so id spaces diverge.
-        let _ = b.zero_state(5).unwrap();
-        let z = a.zero_state(3).unwrap();
-        let s = a.apply_gate(z, gates::H, &[], 2).unwrap();
-        let s = a.apply_gate(s, gates::X, &[Control::pos(2)], 0).unwrap();
-        let s = a.apply_gate(s, gates::t(), &[], 1).unwrap();
-        let got = b.import_vec_edge(&a, s);
-        assert_eq!(b.to_dense_vector(got, 3), a.to_dense_vector(s, 3));
+        let _ = b.gate_dd(gates::ry(0.4), &[Control::pos(0)], 1, 3).unwrap();
+        let u = operator(&mut a);
+        let got = b.try_import_mat_edge(&a, u).unwrap();
+        assert_eq!(b.to_dense_matrix(got, 3), a.to_dense_matrix(u, 3));
+        // The imported edge is canonical in `b`: building it there again
+        // lands on the same edge.
+        assert_eq!(operator(&mut b), got);
     }
 
     #[test]
-    fn import_over_shared_base_reuses_frozen_nodes() {
-        let mut warm = DdPackage::new();
-        let _ = warm.zero_state(4).unwrap();
-        let h = warm.gate_dd(gates::H, &[], 3, 4).unwrap();
-        let base = warm.freeze();
-
-        // Worker overlay builds past the frozen prefix.
-        let mut worker = base.overlay();
-        let u = {
-            let cx = worker.gate_dd(gates::X, &[Control::pos(3)], 0, 4).unwrap();
-            worker.mat_mat(cx, h)
-        };
-
-        let mut checker = base.overlay();
-        let local_before = checker.stats().mnodes_allocated;
-        let got = checker.import_mat_edge(&worker, u);
-        // The checker now holds the same canonical operator: rebuilding it
-        // locally is a pure unique-table hit.
-        let cx = checker.gate_dd(gates::X, &[Control::pos(3)], 0, 4).unwrap();
-        let rebuilt = checker.mat_mat(cx, h);
-        assert_eq!(got, rebuilt);
-        assert!(checker.stats().mnodes_allocated > local_before);
-
-        // And a frozen-only edge imports without allocating anything.
-        let before = checker.stats().mnodes_allocated;
-        let h2 = checker.import_mat_edge(&worker, h);
-        assert_eq!(h2, h);
-        assert_eq!(checker.stats().mnodes_allocated, before);
+    fn import_past_the_node_budget_is_a_typed_error() {
+        let mut a = DdPackage::new();
+        let u = operator(&mut a);
+        let mut b = DdPackage::with_config(PackageConfig {
+            limits: Limits {
+                max_nodes: Some(1),
+                ..Limits::default()
+            },
+            ..PackageConfig::default()
+        });
+        assert!(matches!(
+            b.try_import_mat_edge(&a, u),
+            Err(DdError::ResourceExhausted {
+                kind: ResourceKind::Nodes,
+                ..
+            })
+        ));
     }
 }

@@ -61,50 +61,6 @@ impl DdPackage {
         self.dec_ref_generic(e, "unbalanced dec_ref_mat");
     }
 
-    /// Pins a vector node as an external root from `&self` (atomic count on
-    /// the node; shared-lane use on one package from many threads).
-    ///
-    /// Unlike [`Self::inc_ref_vec`] this does **not** pin the edge's own
-    /// weight against the complex-table sweep — the root-weight registry is
-    /// exclusive-lane state. Shared refcounts protect *nodes* across a GC
-    /// run by another owner of the package; callers that need the root
-    /// edge's weight to survive a sweep must take the exclusive lane.
-    pub fn inc_ref_vec_shared(&self, e: VecEdge) {
-        if !e.is_terminal() {
-            self.vstore.inc_rc(e.node);
-        }
-    }
-
-    /// Releases a shared vector root (see [`Self::inc_ref_vec_shared`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node's root count is already zero.
-    pub fn dec_ref_vec_shared(&self, e: VecEdge) {
-        if !e.is_terminal() {
-            self.vstore.dec_rc(e.node, "unbalanced dec_ref_vec_shared");
-        }
-    }
-
-    /// Pins a matrix node as an external root from `&self` (see
-    /// [`Self::inc_ref_vec_shared`] for the weight caveat).
-    pub fn inc_ref_mat_shared(&self, e: MatEdge) {
-        if !e.is_terminal() {
-            self.mstore.inc_rc(e.node);
-        }
-    }
-
-    /// Releases a shared matrix root.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node's root count is already zero.
-    pub fn dec_ref_mat_shared(&self, e: MatEdge) {
-        if !e.is_terminal() {
-            self.mstore.dec_rc(e.node, "unbalanced dec_ref_mat_shared");
-        }
-    }
-
     fn release_root_weight(&mut self, w: ComplexIdx) {
         if let Some(rc) = self.root_weights.get_mut(&w) {
             *rc -= 1;

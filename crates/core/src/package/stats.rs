@@ -154,7 +154,6 @@ impl DdPackage {
     /// so far (constant time). Always 0 when `identity_skip` is disabled.
     pub fn identity_nodes_skipped(&self) -> u64 {
         self.identity_collapses
-            .load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Statistics of the complex-weight interning table (constant time).
@@ -166,7 +165,7 @@ impl DdPackage {
     /// was built — the birth-stamp counter, read in constant time. Deltas of
     /// this counter attribute allocations to individual operations.
     pub fn node_births(&self) -> u64 {
-        self.births.load(std::sync::atomic::Ordering::Relaxed)
+        self.births
     }
 
     /// Total compute-table lookups so far (constant time).
@@ -281,9 +280,9 @@ impl DdPackage {
     /// Current statistics snapshot.
     pub fn stats(&self) -> PackageStats {
         PackageStats {
-            vnodes_alive: self.vstore.alive_count(),
+            vnodes_alive: self.vstore.live_len(),
             vnodes_allocated: self.vstore.arena_len(),
-            mnodes_alive: self.mstore.alive_count(),
+            mnodes_alive: self.mstore.live_len(),
             mnodes_allocated: self.mstore.arena_len(),
             complex_entries: self.ctable.len(),
             cache_lookups: self.caches.total_lookups(),
@@ -297,9 +296,7 @@ impl DdPackage {
             gate_cache_lookups: self.gate_lookups,
             gate_cache_hits: self.gate_hits,
             mat_peak_nodes: self.mstore.peak_live(),
-            identity_nodes_skipped: self
-                .identity_collapses
-                .load(std::sync::atomic::Ordering::Relaxed),
+            identity_nodes_skipped: self.identity_collapses,
         }
     }
 }

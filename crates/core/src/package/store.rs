@@ -1,377 +1,244 @@
-//! The arity-generic node store: one arena + sharded unique table +
-//! per-shard free lists + traversal scratch pool, instantiated at `N = 2`
-//! (vector DDs) and `N = 4` (matrix DDs), so allocation, refcounting, GC
-//! mark/sweep and node counting exist exactly once.
+//! The arity-generic node store: one arena + unique table + free list +
+//! traversal scratch pool, instantiated at `N = 2` (vector DDs) and `N = 4`
+//! (matrix DDs), so allocation, refcounting, GC mark/sweep, node counting
+//! and the warm mark exist exactly once.
 //!
-//! # Concurrency model
-//!
-//! The store is `Sync` with a two-lane discipline:
-//!
-//! * **Exclusive lane** (`&mut self`) — the classic single-owner hot path.
-//!   Every lock is bypassed via `get_mut`, so single-threaded construction
-//!   pays nothing for shareability. Garbage collection (mark/sweep/rebuild)
-//!   and slot reclamation live exclusively here: they are stop-the-world
-//!   epochs by construction.
-//! * **Shared lane** (`&self`) — node reads ([`NodeStore::node`]) are
-//!   lock-free (the arena is a [`SlotVec`]: slots never move), unique-table
-//!   lookups take a read lock on one of [`NSHARDS`] shards keyed by the
-//!   node hash, interning a new node takes that shard's write lock (with a
-//!   re-check, so races collapse to one canonical id), and refcounts are
-//!   atomic.
-//!
-//! A store can also **overlay** a frozen base store (`Arc`-shared, never
-//! mutated): ids below `base_len` resolve into the base, new nodes get ids
-//! past it, and lookups consult the base shard first so base representatives
-//! stay canonical across every overlay.
+//! A store has a single owner: every mutation goes through `&mut self`, and
+//! the package that owns it is `Send` but not `Sync`.
 
 use crate::node::Node;
 use crate::normalize::{normalize_matrix, normalize_vector, Normalized};
 use crate::types::{Edge, NodeId, Qubit};
-use qdd_complex::{
-    ComplexIdx, ComplexTable, FxHashMap, FxHasher, FxHashSet, ScratchGuard, ScratchPool, SlotVec,
-};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use qdd_complex::{ComplexIdx, ComplexTable, FxHashMap, FxHashSet, ScratchGuard, ScratchPool};
 
 use super::{DdPackage, PackageConfig};
 
-/// Number of unique-table shards (power of two). Sixteen keeps write-lock
-/// collisions rare at the thread counts we target while staying small
-/// enough that rebuilds and clears stay cheap.
-const NSHARDS: usize = 16;
-
-/// One shard of the unique table: the canonical `key → id` map for nodes
-/// hashing here, plus the free slots whose last occupant hashed here.
+/// What [`NodeStore::reset_to_warm`] rewinds to.
 #[derive(Clone, Debug, Default)]
-struct Shard<const N: usize> {
-    map: FxHashMap<(Qubit, [Edge<N>; N]), NodeId<N>>,
-    free: Vec<u32>,
+struct WarmMark {
+    /// Arena slots below this are permanent.
+    len: usize,
+    /// Live nodes at the mark.
+    live: usize,
+    /// Root counts of the slots below the mark, at the mark.
+    rc: Vec<u32>,
 }
 
-#[inline]
-fn shard_of<const N: usize>(var: Qubit, children: &[Edge<N>; N]) -> usize {
-    let mut h = FxHasher::default();
-    var.hash(&mut h);
-    children.hash(&mut h);
-    // Use top bits so the shard choice decouples from the map's buckets.
-    (h.finish() >> 48) as usize & (NSHARDS - 1)
-}
-
-/// One diagram kind's worth of storage: the node arena, the sharded unique
-/// table that enforces structural sharing, per-shard free lists of
-/// reclaimed slots, and the traversal scratch pool (see the module docs for
-/// the concurrency model).
-#[derive(Debug)]
+/// One diagram kind's worth of storage: the node arena, the unique table
+/// that enforces structural sharing, the free list of reclaimed slots, and
+/// the traversal scratch pool.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct NodeStore<const N: usize> {
-    /// Local node arena; global id = `base_len + local slot`.
-    nodes: SlotVec<Node<N>>,
-    shards: Box<[RwLock<Shard<N>>]>,
-    /// Total entries across all shard free lists (lock-free `live_len`).
-    free_count: AtomicUsize,
-    /// High-water mark of [`Self::live_len`], maintained at allocation time
-    /// (per-kind peak, unlike the governor's combined peak).
-    peak_live: AtomicUsize,
+    /// Node arena indexed by id; `None` marks a reclaimed slot.
+    nodes: Vec<Option<Node<N>>>,
+    unique: FxHashMap<(Qubit, [Edge<N>; N]), NodeId<N>>,
+    /// Reclaimed slots at or above the warm mark, reused before the arena
+    /// grows.
+    free: Vec<u32>,
+    /// Number of live nodes.
+    live: usize,
+    /// High-water mark of `live` (per-kind peak, unlike the governor's
+    /// combined peak).
+    peak_live: usize,
     scratch: ScratchPool,
-    /// Frozen base store this one overlays, if any.
-    base: Option<Arc<NodeStore<N>>>,
-    /// Id-space offset: local slot `i` is global id `base_len + i`.
-    base_len: u32,
+    warm: WarmMark,
 }
 
 impl<const N: usize> NodeStore<N> {
     pub(crate) fn new() -> Self {
-        Self::bare(None, 0)
+        Self::default()
     }
 
-    fn bare(base: Option<Arc<NodeStore<N>>>, base_len: u32) -> Self {
-        let inherited_peak = base.as_ref().map_or(0, |b| b.live_len());
-        NodeStore {
-            nodes: SlotVec::new(),
-            shards: (0..NSHARDS).map(|_| RwLock::new(Shard::default())).collect(),
-            free_count: AtomicUsize::new(0),
-            peak_live: AtomicUsize::new(inherited_peak),
-            scratch: ScratchPool::new(),
-            base,
-            base_len,
-        }
-    }
-
-    /// Creates an empty overlay over a frozen `base` store: base ids stay
-    /// valid, base nodes stay canonical, all growth is overlay-local.
-    pub(crate) fn overlay(base: Arc<NodeStore<N>>) -> Self {
-        let base_len = (base.base_len as usize + base.nodes.len()) as u32;
-        Self::bare(Some(base), base_len)
-    }
-
-    /// Read access to a node. Lock-free; callable from any thread sharing
-    /// the store.
+    /// Read access to a node.
     ///
     /// # Panics
     ///
     /// Panics on the terminal sentinel or a foreign/freed id.
     #[inline]
     pub(crate) fn node(&self, id: NodeId<N>) -> &Node<N> {
-        let raw = id.raw();
-        if raw < self.base_len {
-            return self.base.as_ref().expect("foreign node id").node(id);
+        match &self.nodes[id.index()] {
+            Some(n) => n,
+            None => panic!("access to freed node {id:?}"),
         }
-        self.nodes.get_expect((raw - self.base_len) as usize)
     }
 
-    /// Unique-table lookup of a canonicalized node: the frozen base first
-    /// (its representative is canonical for every overlay), then the local
-    /// shard under a read lock.
+    /// Unique-table lookup of a canonicalized node.
     #[inline]
     pub(crate) fn lookup(&self, var: Qubit, children: &[Edge<N>; N]) -> Option<NodeId<N>> {
-        if let Some(base) = &self.base {
-            if let Some(id) = base.lookup(var, children) {
-                return Some(id);
-            }
-        }
-        self.shards[shard_of(var, children)]
-            .read()
-            .unwrap()
-            .map
-            .get(&(var, *children))
-            .copied()
+        self.unique.get(&(var, *children)).copied()
     }
 
     /// Allocates a node (reusing a free-listed slot when available) and
-    /// records it in the unique table. Exclusive lane: the caller has
-    /// already checked the unique table and the allocation budget.
+    /// records it in the unique table. The caller has already checked the
+    /// unique table and the allocation budget.
     pub(crate) fn alloc(&mut self, mut node: Node<N>, birth: u64) -> NodeId<N> {
         node.birth = birth;
         let key = (node.var, node.children);
-        let shard = self.shards[shard_of(node.var, &node.children)].get_mut().unwrap();
-        let slot = match shard.free.pop() {
+        let slot = match self.free.pop() {
             Some(slot) => {
-                *self.free_count.get_mut() -= 1;
-                slot
+                self.nodes[slot as usize] = Some(node);
+                slot as usize
             }
-            None => self.nodes.claim(),
+            None => {
+                self.nodes.push(Some(node));
+                self.nodes.len() - 1
+            }
         };
-        self.nodes.set(slot, node);
-        let id = NodeId::from_index((self.base_len + slot) as usize);
-        shard.map.insert(key, id);
-        let live = self.live_len();
-        let peak = self.peak_live.get_mut();
-        if live > *peak {
-            *peak = live;
-        }
+        let id = NodeId::from_index(slot);
+        self.unique.insert(key, id);
+        self.live += 1;
+        self.peak_live = self.peak_live.max(self.live);
         id
     }
 
-    /// Shared-lane interning: returns the canonical id for the node,
-    /// allocating it if absent. Takes the key's shard write lock and
-    /// re-checks under it, so concurrent interns of the same node collapse
-    /// to one id. The caller provides the (already-stamped) birth.
-    pub(crate) fn intern_shared(&self, mut node: Node<N>, birth: u64) -> NodeId<N> {
-        node.birth = birth;
-        let key = (node.var, node.children);
-        let mut shard = self.shards[shard_of(node.var, &node.children)].write().unwrap();
-        if let Some(&id) = shard.map.get(&key) {
-            return id;
-        }
-        let slot = match shard.free.pop() {
-            Some(slot) => {
-                self.free_count.fetch_sub(1, Ordering::Relaxed);
-                slot
-            }
-            None => self.nodes.claim(),
-        };
-        self.nodes.set(slot, node);
-        let id = NodeId::from_index((self.base_len + slot) as usize);
-        shard.map.insert(key, id);
-        drop(shard);
-        self.peak_live.fetch_max(self.live_len(), Ordering::Relaxed);
-        id
-    }
-
-    /// Bumps a node's external root count (atomic; either lane).
+    /// Bumps a node's external root count.
     #[inline]
-    pub(crate) fn inc_rc(&self, id: NodeId<N>) {
-        self.node(id).rc.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn inc_rc(&mut self, id: NodeId<N>) {
+        self.node_mut(id).rc += 1;
     }
 
-    /// Drops a node's external root count (atomic; either lane).
+    /// Drops a node's external root count.
     ///
     /// # Panics
     ///
     /// Panics with `label` if the count is already zero.
     #[inline]
-    pub(crate) fn dec_rc(&self, id: NodeId<N>, label: &'static str) {
-        let prev = self.node(id).rc.fetch_sub(1, Ordering::Relaxed);
-        assert!(prev > 0, "{}", label);
+    pub(crate) fn dec_rc(&mut self, id: NodeId<N>, label: &'static str) {
+        let rc = &mut self.node_mut(id).rc;
+        assert!(*rc > 0, "{}", label);
+        *rc -= 1;
     }
 
-    /// Number of id-space slots (base + local, live + free-listed) —
-    /// visited-set sizing and the `*_allocated` statistics.
+    fn node_mut(&mut self, id: NodeId<N>) -> &mut Node<N> {
+        self.nodes[id.index()]
+            .as_mut()
+            .unwrap_or_else(|| panic!("access to freed node {id:?}"))
+    }
+
+    /// Number of arena slots (live + reclaimed) — visited-set sizing and
+    /// the `*_allocated` statistics.
     #[inline]
     pub(crate) fn arena_len(&self) -> usize {
-        self.base_len as usize + self.nodes.len()
+        self.nodes.len()
     }
 
-    /// Ids below this resolve into the frozen base (0 for standalone stores).
-    #[inline]
-    pub(crate) fn base_len(&self) -> u32 {
-        self.base_len
-    }
-
-    /// Whether two stores overlay the *same* frozen base arena — in which
-    /// case ids below `base_len` mean the same node in both.
-    #[inline]
-    pub(crate) fn same_base(&self, other: &NodeStore<N>) -> bool {
-        match (&self.base, &other.base) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-
-    /// Constant-time live-slot estimate (allocated minus free-listed,
-    /// including the frozen base's live slots).
+    /// Number of live nodes (constant time).
     #[inline]
     pub(crate) fn live_len(&self) -> usize {
-        let local = self.nodes.len() - self.free_count.load(Ordering::Relaxed);
-        match &self.base {
-            Some(b) => b.live_len() + local,
-            None => local,
-        }
+        self.live
     }
 
     /// High-water mark of [`Self::live_len`] (constant time).
     #[inline]
     pub(crate) fn peak_live(&self) -> usize {
-        self.peak_live.load(Ordering::Relaxed)
-    }
-
-    /// Exact live-node count (linear scan over the arenas).
-    pub(crate) fn alive_count(&self) -> usize {
-        let local = self.nodes.iter_present().count();
-        match &self.base {
-            Some(b) => b.alive_count() + local,
-            None => local,
-        }
+        self.peak_live
     }
 
     /// Checks a traversal scratch buffer out of the store's pool (see
-    /// [`Traversable`](crate::Traversable)). Nested and concurrent walks
-    /// each get their own buffer.
+    /// [`Traversable`](crate::Traversable)). Nested walks each get their
+    /// own buffer.
     #[inline]
     pub(crate) fn scratch(&self) -> ScratchGuard<'_> {
         self.scratch.acquire()
     }
 
-    /// Drops every overlay-local node, returning the store to the frozen
-    /// base's state (or to empty for a non-overlay store).
-    pub(crate) fn clear_local(&mut self) {
-        self.nodes.clear();
-        for shard in self.shards.iter_mut() {
-            let s = shard.get_mut().unwrap();
-            s.map.clear();
-            s.free.clear();
+    // --------------------------------------------------------------
+    // Warm mark
+    // --------------------------------------------------------------
+
+    /// Makes every node live now permanent: GC never sweeps a slot below
+    /// the mark, no later allocation reuses one, and
+    /// [`Self::reset_to_warm`] rewinds to exactly this point.
+    pub(crate) fn mark_warm(&mut self) {
+        self.free.clear();
+        self.warm = WarmMark {
+            len: self.nodes.len(),
+            live: self.live,
+            rc: self
+                .nodes
+                .iter()
+                .map(|n| n.as_ref().map_or(0, |n| n.rc))
+                .collect(),
+        };
+    }
+
+    /// Drops every node allocated since the mark (truncating the arena back
+    /// to it) and restores the warm nodes' root counts.
+    pub(crate) fn reset_to_warm(&mut self) {
+        let len = self.warm.len;
+        for node in self.nodes.drain(len..).flatten() {
+            self.unique.remove(&(node.var, node.children));
         }
-        *self.free_count.get_mut() = 0;
+        for (n, &rc) in self.nodes.iter_mut().zip(&self.warm.rc) {
+            if let Some(n) = n {
+                n.rc = rc;
+            }
+        }
+        self.free.clear();
+        self.live = self.warm.live;
     }
 
     // --------------------------------------------------------------
-    // Garbage collection (exclusive lane; overlay-local only — the frozen
-    // base is permanently live by construction)
+    // Garbage collection (nodes below the warm mark are permanent)
     // --------------------------------------------------------------
 
-    /// Mark phase: flags every *local* slot reachable from a node with a
-    /// positive root count or from `extra_roots` (cache-held edges). The
-    /// returned vector is indexed by local slot; base ids are never swept,
-    /// so edges into the base terminate marking.
+    /// Mark phase: flags every slot reachable from a node with a positive
+    /// root count or from `extra_roots` (cache-held edges).
     pub(crate) fn mark(&self, extra_roots: impl IntoIterator<Item = NodeId<N>>) -> Vec<bool> {
         let mut mark = vec![false; self.nodes.len()];
         let mut stack: Vec<u32> = Vec::new();
-        for (i, n) in self.nodes.iter_present() {
-            if n.rc() > 0 {
+        for (i, n) in self.nodes.iter().enumerate() {
+            if n.as_ref().is_some_and(|n| n.rc > 0) {
                 stack.push(i as u32);
             }
         }
-        for id in extra_roots {
-            if id.raw() >= self.base_len {
-                stack.push(id.raw() - self.base_len);
-            }
-        }
+        stack.extend(extra_roots.into_iter().map(NodeId::raw));
         while let Some(i) = stack.pop() {
             if mark[i as usize] {
                 continue;
             }
             mark[i as usize] = true;
-            for c in self.nodes.get_expect(i as usize).children {
-                if !c.is_terminal() && c.node.raw() >= self.base_len {
-                    stack.push(c.node.raw() - self.base_len);
+            for c in self.node(NodeId::from_index(i as usize)).children {
+                if !c.is_terminal() {
+                    stack.push(c.node.raw());
                 }
             }
         }
         mark
     }
 
-    /// Sweep phase: empties every unmarked live local slot onto its shard's
-    /// free list. Returns `(freed, live)` over local slots.
+    /// Sweep phase: empties every unmarked live slot at or above the warm
+    /// mark onto the free list. Returns `(freed, live)`.
     pub(crate) fn sweep(&mut self, mark: &[bool]) -> (usize, usize) {
-        let (mut freed, mut live) = (0, 0);
-        for (i, &marked) in mark.iter().enumerate() {
-            let Some(n) = self.nodes.get(i) else { continue };
-            if marked {
-                live += 1;
-                continue;
+        let mut freed = 0;
+        for (i, &marked) in mark.iter().enumerate().skip(self.warm.len) {
+            if !marked && self.nodes[i].take().is_some() {
+                self.free.push(i as u32);
+                freed += 1;
             }
-            let shard = shard_of(n.var, &n.children);
-            self.nodes.take(i);
-            self.shards[shard].get_mut().unwrap().free.push(i as u32);
-            freed += 1;
         }
-        *self.free_count.get_mut() += freed;
-        (freed, live)
+        self.live -= freed;
+        (freed, self.live)
     }
 
-    /// Rebuilds the unique table from the surviving local nodes (the base's
-    /// table is immutable and consulted separately).
+    /// Rebuilds the unique table from the surviving nodes.
     pub(crate) fn rebuild_unique(&mut self) {
-        for shard in self.shards.iter_mut() {
-            shard.get_mut().unwrap().map.clear();
-        }
-        let base_len = self.base_len;
-        let Self { nodes, shards, .. } = self;
-        for (i, n) in nodes.iter_present() {
-            shards[shard_of(n.var, &n.children)]
-                .get_mut()
-                .unwrap()
-                .map
-                .insert((n.var, n.children), NodeId::from_index(base_len as usize + i));
+        self.unique.clear();
+        for (i, n) in self.nodes.iter().enumerate() {
+            if let Some(n) = n {
+                self.unique
+                    .insert((n.var, n.children), NodeId::from_index(i));
+            }
         }
     }
 
-    /// Adds the child-edge weights of every live local node to `keep` (the
-    /// complex-table sweep's pin set; base nodes reference only base
-    /// weights, which the overlay's complex table never sweeps).
+    /// Adds the child-edge weights of every live node to `keep` (the
+    /// complex-table sweep's pin set).
     pub(crate) fn collect_live_weights(&self, keep: &mut FxHashSet<ComplexIdx>) {
-        for (_, n) in self.nodes.iter_present() {
+        for n in self.nodes.iter().flatten() {
             for c in n.children {
                 keep.insert(c.weight);
             }
-        }
-    }
-}
-
-impl<const N: usize> Clone for NodeStore<N> {
-    fn clone(&self) -> Self {
-        NodeStore {
-            nodes: self.nodes.clone(),
-            shards: self
-                .shards
-                .iter()
-                .map(|s| RwLock::new(s.read().unwrap().clone()))
-                .collect(),
-            free_count: AtomicUsize::new(self.free_count.load(Ordering::Relaxed)),
-            peak_live: AtomicUsize::new(self.peak_live.load(Ordering::Relaxed)),
-            scratch: ScratchPool::new(),
-            base: self.base.clone(),
-            base_len: self.base_len,
         }
     }
 }

@@ -15,8 +15,7 @@
 //! A walker checks a scratch buffer out of the store's pool for the
 //! duration of the traversal. The pool hands every acquisition its own
 //! buffer, so callbacks may freely start nested traversals — of either
-//! arity, including the same one — and concurrent walks from different
-//! threads over a shared package each get independent scratch.
+//! arity, including the same one.
 
 use crate::node::Node;
 use crate::types::{Edge, NodeId};

@@ -1,43 +1,29 @@
-//! The shared compiled-circuit + warm gate-DD cache.
+//! The shared parsed-circuit cache.
 //!
-//! Parsing QASM and constructing every gate operator of a circuit is
-//! per-circuit work, not per-request work. The daemon interns both behind
-//! a key of `fnv1a_64(qasm) ⊕ PackageConfig::structural_key()`: requests
-//! for the same source under the same structural configuration share one
-//! parsed [`QuantumCircuit`] and one frozen [`FrozenDd`] warm base
-//! (`Arc`-shared, per DESIGN.md §15 overlay semantics). Warm bases are
-//! built with **default limits** — resource budgets are per-request leashes
-//! and must not be baked into a shared artifact (see
-//! [`PackageConfig::structural_key`]).
+//! Parsing QASM is per-circuit work, not per-request work. The daemon
+//! interns parsed circuits behind the key `fnv1a_64(qasm)`: requests for
+//! the same source share one parsed [`QuantumCircuit`]. Everything built
+//! from it — `|0…0⟩`, the gate DDs, the run itself — lives in a package
+//! each request owns, so no decision-diagram state crosses requests.
 
 use crate::quota::ApiError;
 use qdd_circuit::QuantumCircuit;
-use qdd_core::{fnv1a_64, FrozenDd, PackageConfig};
-use qdd_sim::shots;
+use qdd_core::fnv1a_64;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One interned circuit: source-derived artifacts every request reuses.
+/// One interned circuit.
 #[derive(Debug)]
 pub struct CacheEntry {
-    /// The exact QASM source this entry was built from. Lookups verify
+    /// The exact QASM source this entry was parsed from. Lookups verify
     /// this against the probe before serving the entry: the 64-bit key is
     /// FNV-1a-based (non-cryptographic), and a collision — accidental or
-    /// crafted — must cost a rebuild, never silently hand one tenant
+    /// crafted — must cost a re-parse, never silently hand one tenant
     /// another tenant's circuit.
     qasm: String,
-    /// The structural key the entry was built under (the other key half).
-    structural: u64,
     /// The parsed circuit.
     pub circuit: QuantumCircuit,
-    /// The frozen warm base (zero state + every gate DD).
-    pub base: Arc<FrozenDd>,
-    /// Gate-DD cache lookups construction cost (attributed to the building
-    /// request only).
-    pub build_lookups: u64,
-    /// Gate-DD cache hits during construction.
-    pub build_hits: u64,
     /// Times this entry served a request after its insertion.
     pub hits: AtomicU64,
 }
@@ -45,7 +31,7 @@ pub struct CacheEntry {
 /// A cache probe result.
 #[derive(Debug)]
 pub struct CacheOutcome {
-    /// The (possibly just-built) entry.
+    /// The (possibly just-parsed) entry.
     pub entry: Arc<CacheEntry>,
     /// Whether the entry existed before this request.
     pub hit: bool,
@@ -53,7 +39,7 @@ pub struct CacheOutcome {
     pub key: u64,
 }
 
-/// A bounded, FIFO-evicting intern table of compiled circuits.
+/// A bounded, FIFO-evicting intern table of parsed circuits.
 #[derive(Debug)]
 pub struct CircuitCache {
     entries: Mutex<CacheMap>,
@@ -67,7 +53,7 @@ struct CacheMap {
 }
 
 impl CircuitCache {
-    /// Creates a cache holding at most `capacity` compiled circuits.
+    /// Creates a cache holding at most `capacity` parsed circuits.
     pub fn new(capacity: usize) -> Self {
         CircuitCache {
             entries: Mutex::new(CacheMap::default()),
@@ -75,28 +61,21 @@ impl CircuitCache {
         }
     }
 
-    /// Returns the interned artifacts for `qasm` under `config`, parsing
-    /// and warming on first sight. Construction happens under the cache
-    /// lock: concurrent first-sight requests for one circuit build it once
-    /// and the rest wait — slower than racing, but never duplicates a
-    /// multi-hundred-megabyte warm base.
-    pub fn get_or_build(
-        &self,
-        qasm: &str,
-        config: PackageConfig,
-    ) -> Result<CacheOutcome, ApiError> {
-        let structural = config.structural_key();
-        let key = fnv1a_64(qasm.as_bytes()) ^ structural;
+    /// Returns the interned circuit for `qasm`, parsing it on first sight.
+    /// Parsing happens under the cache lock: concurrent first-sight
+    /// requests for one circuit parse it once and the rest wait.
+    pub fn get_or_build(&self, qasm: &str) -> Result<CacheOutcome, ApiError> {
+        let key = fnv1a_64(qasm.as_bytes());
         let mut map = self.entries.lock().unwrap();
         // A key match alone is not identity: the key is a 64-bit FNV-1a
-        // xor, so distinct (qasm, config) pairs can collide. Verify the
-        // stored source and structural key byte-for-byte before serving —
-        // on mismatch this probe falls through to a private rebuild (the
-        // resident entry keeps its slot; a collision costs the colliding
-        // request a rebuild, never correctness and never eviction).
+        // hash, so distinct sources can collide. Verify the stored source
+        // byte-for-byte before serving — on mismatch this probe falls
+        // through to a private parse (the resident entry keeps its slot; a
+        // collision costs the colliding request a parse, never correctness
+        // and never eviction).
         let mut collided = false;
         if let Some(entry) = map.by_key.get(&key) {
-            if entry.qasm == qasm && entry.structural == structural {
+            if entry.qasm == qasm {
                 entry.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(CacheOutcome {
                     entry: entry.clone(),
@@ -108,20 +87,9 @@ impl CircuitCache {
         }
         let circuit = qdd_circuit::qasm::parse(qasm)
             .map_err(|e| ApiError::bad_request(format!("QASM parse error: {e}")))?;
-        // Structural config only: budgets stay per-request.
-        let build_config = PackageConfig {
-            limits: qdd_core::Limits::default(),
-            ..config
-        };
-        let warm = shots::build_warm_base(&circuit, build_config)
-            .map_err(|e| ApiError::bad_request(format!("circuit rejected: {e}")))?;
         let entry = Arc::new(CacheEntry {
             qasm: qasm.to_string(),
-            structural,
             circuit,
-            base: warm.frozen,
-            build_lookups: warm.gate_cache_lookups,
-            build_hits: warm.gate_cache_hits,
             hits: AtomicU64::new(0),
         });
         if !collided {
@@ -158,11 +126,11 @@ mod tests {
     const BELL: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n";
 
     #[test]
-    fn repeat_requests_hit_and_share_the_base() {
+    fn repeat_requests_hit_and_share_the_circuit() {
         let cache = CircuitCache::new(4);
-        let first = cache.get_or_build(BELL, PackageConfig::default()).unwrap();
+        let first = cache.get_or_build(BELL).unwrap();
         assert!(!first.hit);
-        let second = cache.get_or_build(BELL, PackageConfig::default()).unwrap();
+        let second = cache.get_or_build(BELL).unwrap();
         assert!(second.hit);
         assert_eq!(first.key, second.key);
         assert!(Arc::ptr_eq(&first.entry, &second.entry));
@@ -170,39 +138,25 @@ mod tests {
     }
 
     #[test]
-    fn structural_config_partitions_the_key_space() {
-        let cache = CircuitCache::new(4);
-        let a = cache.get_or_build(BELL, PackageConfig::default()).unwrap();
-        let no_skip = PackageConfig {
-            identity_skip: false,
-            ..PackageConfig::default()
-        };
-        let b = cache.get_or_build(BELL, no_skip).unwrap();
-        assert!(!b.hit);
-        assert_ne!(a.key, b.key);
-    }
-
-    #[test]
     fn capacity_evicts_oldest_first() {
         let cache = CircuitCache::new(1);
-        cache.get_or_build(BELL, PackageConfig::default()).unwrap();
+        cache.get_or_build(BELL).unwrap();
         let ghz = "OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n";
-        cache.get_or_build(ghz, PackageConfig::default()).unwrap();
+        cache.get_or_build(ghz).unwrap();
         assert_eq!(cache.len(), 1);
         // The bell entry was evicted; probing it again is a miss.
-        assert!(!cache.get_or_build(BELL, PackageConfig::default()).unwrap().hit);
+        assert!(!cache.get_or_build(BELL).unwrap().hit);
     }
 
     #[test]
     fn key_collisions_rebuild_instead_of_serving_the_wrong_circuit() {
         let cache = CircuitCache::new(4);
         let ghz = "OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n";
-        cache.get_or_build(ghz, PackageConfig::default()).unwrap();
+        cache.get_or_build(ghz).unwrap();
         // Forge a 64-bit collision: re-file the resident 3-qubit GHZ entry
         // under BELL's key, as a crafted FNV-1a collision would.
-        let structural = PackageConfig::default().structural_key();
-        let ghz_key = fnv1a_64(ghz.as_bytes()) ^ structural;
-        let bell_key = fnv1a_64(BELL.as_bytes()) ^ structural;
+        let ghz_key = fnv1a_64(ghz.as_bytes());
+        let bell_key = fnv1a_64(BELL.as_bytes());
         {
             let mut map = cache.entries.lock().unwrap();
             let forged = map.by_key.remove(&ghz_key).unwrap();
@@ -211,12 +165,12 @@ mod tests {
         // The probe's key hits the forged entry, but source verification
         // catches the mismatch: the request gets its own correctly parsed
         // circuit (2 qubits, not the resident 3) and reads as a miss.
-        let outcome = cache.get_or_build(BELL, PackageConfig::default()).unwrap();
+        let outcome = cache.get_or_build(BELL).unwrap();
         assert!(!outcome.hit);
         assert_eq!(outcome.key, bell_key);
         assert_eq!(outcome.entry.circuit.num_qubits(), 2);
         // The resident (colliding) entry keeps its slot: collisions cannot
-        // be used to evict another tenant's warm entry.
+        // be used to evict another tenant's entry.
         let map = cache.entries.lock().unwrap();
         assert_eq!(map.by_key.get(&bell_key).unwrap().circuit.num_qubits(), 3);
     }
@@ -225,7 +179,7 @@ mod tests {
     fn malformed_qasm_is_a_typed_400() {
         let cache = CircuitCache::new(4);
         let err = cache
-            .get_or_build("OPENQASM 2.0;\nqreg q[2];\nfrobnicate q;\n", PackageConfig::default())
+            .get_or_build("OPENQASM 2.0;\nqreg q[2];\nfrobnicate q;\n")
             .unwrap_err();
         assert_eq!(err.status, 400);
         assert!(err.message.contains("QASM parse error"));

@@ -81,7 +81,7 @@ fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> Result<String, Pa
 
 /// Reads one request from the stream. `body_cap` bounds the bytes this
 /// connection may make the server buffer; request-line and header reads
-/// are bounded by [`MAX_LINE_BYTES`] / [`MAX_HEADER_BYTES`] so that *no*
+/// are bounded by `MAX_LINE_BYTES` / `MAX_HEADER_BYTES` so that *no*
 /// phase of request parsing buffers unbounded client input.
 pub fn read_request(stream: &mut TcpStream, body_cap: usize) -> Result<Request, ParseError> {
     read_request_from(&mut BufReader::new(stream), body_cap)
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn oversized_single_header_is_rejected() {
         let mut raw = b"GET /healthz HTTP/1.1\r\nX-Big: ".to_vec();
-        raw.extend(std::iter::repeat(b'x').take(MAX_LINE_BYTES * 2));
+        raw.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES * 2));
         raw.extend_from_slice(b"\r\n\r\n");
         assert!(matches!(parse(&raw), Err(ParseError::Malformed(_))));
     }

@@ -21,10 +21,10 @@
 //!    and fidelity-bounded degradation surfaces as `"degraded":
 //!    "approximate"` in the response — the HTTP rendition of the CLI's
 //!    exit code 4.
-//! 4. **Warm sharing.** Compiled circuits and their gate-DD warm bases are
-//!    interned in a [`cache::CircuitCache`] keyed by QASM hash ⊕
-//!    structural config, `Arc`-shared across concurrent requests through
-//!    the frozen-base overlay machinery (DESIGN.md §15).
+//! 4. **Shared parsing, private packages.** Parsed circuits are interned
+//!    in a [`cache::CircuitCache`] keyed by the QASM hash and `Arc`-shared
+//!    across concurrent requests; every request builds its own gate DDs in
+//!    a package it owns (DESIGN.md §15).
 //!
 //! Endpoints: `POST /v1/simulate`, `POST /v1/shots` (chunked JSONL
 //! stream), `POST /v1/verify`, and the session family `POST /v1/sessions`,
@@ -296,13 +296,6 @@ fn request_config(limits: Limits) -> PackageConfig {
     }
 }
 
-/// Whether a request may run on the shared frozen warm base. Mirrors the
-/// shot engine's rule: hard node/complex budgets need a private package
-/// for exact budget semantics.
-fn overlay_applies(limits: &Limits) -> bool {
-    limits.max_nodes.is_none() && limits.max_complex_entries.is_none()
-}
-
 // --- /v1/simulate ---------------------------------------------------------
 
 /// Runs the full circuit once (measurements resolved by the seeded
@@ -311,20 +304,9 @@ fn handle_simulate(body: &JsonValue, state: &ServerState) -> Result<(u16, String
     let qasm = require_qasm(body, "qasm")?;
     let seed = get_u64(body, "seed").unwrap_or(1);
     let limits = state.quota.clamp_limits(body)?;
-    let config = request_config(limits);
-    let outcome = state.cache.get_or_build(qasm, config)?;
+    let outcome = state.cache.get_or_build(qasm)?;
     let entry = &outcome.entry;
-    let mut sim = if overlay_applies(&limits) {
-        let mut s = DdSimulator::with_frozen_base(entry.circuit.clone(), seed, &entry.base);
-        // The overlay copies the base's (deadline-free) config; arm this
-        // request's budget explicitly.
-        if let Some(budget) = limits.deadline {
-            s.package_mut().arm_deadline_for(budget);
-        }
-        s
-    } else {
-        DdSimulator::with_config(entry.circuit.clone(), seed, config)
-    };
+    let mut sim = DdSimulator::with_config(entry.circuit.clone(), seed, request_config(limits));
     if let Some(fallback) = get_bool(body, "dense_fallback") {
         sim.set_dense_fallback(fallback);
     }
@@ -398,8 +380,7 @@ fn handle_shots(
     let shots_requested = get_u64(body, "shots").unwrap_or(1024);
     state.quota.check_shots(shots_requested)?;
     let limits = state.quota.clamp_limits(body)?;
-    let config = request_config(limits);
-    let outcome = state.cache.get_or_build(qasm, config)?;
+    let outcome = state.cache.get_or_build(qasm)?;
     let entry = &outcome.entry;
     let cancel = Arc::new(AtomicBool::new(false));
     // A request may ask for *fewer* workers than the server default, never
@@ -414,9 +395,8 @@ fn handle_shots(
         threads: get_u64(body, "threads")
             .map(|t| (t as usize).clamp(1, thread_cap))
             .unwrap_or(state.threads),
-        config,
+        config: request_config(limits),
         cancel: Some(Arc::clone(&cancel)),
-        warm_base: Some(Arc::clone(&entry.base)),
         ..ShotOptions::default()
     };
     if let Some(fallback) = get_bool(body, "dense_fallback") {
@@ -473,22 +453,6 @@ fn handle_shots(
         "{{\"schema\":\"qdd-histogram-v1\",\"kind\":\"{kind}\",\"shots\":{}}}",
         report.shots
     );
-    // The request that *built* the warm base pays its construction misses;
-    // requests served from the already-warm base do not — so a warm
-    // request's hit rate is strictly higher than the cold one's.
-    let (gate_lookups, gate_hits) = if outcome.hit {
-        (report.gate_cache_lookups, report.gate_cache_hits)
-    } else {
-        (
-            report.gate_cache_lookups + entry.build_lookups,
-            report.gate_cache_hits + entry.build_hits,
-        )
-    };
-    let gate_hit_rate = if gate_lookups == 0 {
-        0.0
-    } else {
-        gate_hits as f64 / gate_lookups as f64
-    };
     let worker_shots: Vec<String> = report.worker_shots.iter().map(|n| n.to_string()).collect();
     let trailer = format!(
         "{{\"stats\":{{\"regime\":\"{}\",\"threads_used\":{},\"elapsed_ms\":{},\
@@ -499,9 +463,9 @@ fn handle_shots(
         report.threads_used,
         report.elapsed.as_millis(),
         num(report.fidelity_lower_bound),
-        gate_lookups,
-        gate_hits,
-        num(gate_hit_rate),
+        report.gate_cache_lookups,
+        report.gate_cache_hits,
+        num(report.gate_cache_hit_rate()),
         worker_shots.join(","),
         degraded_field(report.is_approximate(), false),
         outcome.hit,

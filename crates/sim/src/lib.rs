@@ -37,7 +37,7 @@ mod stepper;
 
 pub use dense::{DenseSimulator, MAX_DENSE_QUBITS};
 pub use error::SimError;
-pub use shots::{build_warm_base, shot_seed, HistogramKind, ShotOptions, ShotReport, WarmBase};
+pub use shots::{shot_seed, HistogramKind, ShotOptions, ShotReport};
 pub use simulator::{DdSimulator, SimStats};
 pub use stepper::{ChoiceKind, PendingChoice, StepOutcome, SteppableSimulation};
 

@@ -17,19 +17,17 @@
 //!   sampled index.
 //! * **Mid-circuit** — collapse feeds back into the evolution (conditioned
 //!   gates, resets, measure-then-evolve), so each shot re-executes the
-//!   circuit. The engine first builds every gate operator the circuit needs
-//!   **once**, deterministically, and freezes that package into a shared
-//!   [`FrozenDd`] base; shots then fan out across [`std::thread`] workers
-//!   whose simulators are cheap overlays over the shared base
-//!   ([`DdSimulator::with_frozen_base`]) — one warm gate-DD cache, one set
-//!   of interned weights and frozen unique tables for the whole job instead
-//!   of per-worker duplicates. Each **shot** — not worker — gets its own
-//!   RNG stream derived with [`shot_seed`], and each shot starts from a
-//!   reset overlay, so outcomes depend only on `(frozen base, base seed,
-//!   shot index)`: the merged histogram is bit-identical regardless of
-//!   thread count. Runs under resource budgets (node/complex-entry limits)
-//!   keep the former per-worker-package path, preserving exact budget
-//!   semantics.
+//!   circuit. Shots fan out across [`std::thread`] workers, each owning one
+//!   [`DdSimulator`] and its package. A worker builds `|0…0⟩` and every gate
+//!   DD of the circuit into its package once and marks them warm
+//!   ([`DdPackage::mark_warm`](qdd_core::DdPackage::mark_warm)); every shot
+//!   then starts with [`DdSimulator::restart`], which resets the package
+//!   to that mark. Each **shot** — not worker — gets its own RNG stream
+//!   derived with [`shot_seed`]. The warm state is a function of the
+//!   circuit and configuration alone, so shot `i` is a function of
+//!   `(circuit, config, shot_seed(seed, i))`: the merged histogram is
+//!   bit-identical at every thread count, with or without resource
+//!   budgets.
 //!
 //! Resource governance propagates: the [`PackageConfig`] limits apply inside
 //! every worker, and [`Limits::deadline`](qdd_core::Limits::deadline) is
@@ -39,9 +37,9 @@
 use crate::error::SimError;
 use crate::simulator::DdSimulator;
 use crate::creg_value;
-use qdd_circuit::{MeasurementAnalysis, MeasurementRegime, Operation, QuantumCircuit};
+use qdd_circuit::{MeasurementAnalysis, MeasurementRegime, QuantumCircuit};
 use qdd_complex::FxHashMap;
-use qdd_core::{DdError, DdPackage, FrozenDd, PackageConfig};
+use qdd_core::{DdError, PackageConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,12 +102,6 @@ pub struct ShotOptions {
     /// shot boundary and the job returns [`SimError::Cancelled`] instead of
     /// burning CPU to completion.
     pub cancel: Option<Arc<AtomicBool>>,
-    /// A prebuilt warm base (from [`build_warm_base`] on the **same circuit
-    /// and structural config**) to reuse instead of rebuilding the job's
-    /// gate DDs. Only consulted when the shared frozen-base path applies
-    /// (no node/complex budgets); budgeted jobs keep their per-worker
-    /// packages for exact budget semantics.
-    pub warm_base: Option<Arc<FrozenDd>>,
     /// Test-only hook: forces the worker owning this shot index to panic at
     /// that shot, exercising the panic-containment path. Not part of the
     /// stable API.
@@ -126,7 +118,6 @@ impl Default for ShotOptions {
             config: PackageConfig::default(),
             dense_fallback: true,
             cancel: None,
-            warm_base: None,
             panic_at_shot: None,
         }
     }
@@ -166,12 +157,10 @@ pub struct ShotReport {
     /// a run. In the mid-circuit regime this is the **minimum** across all
     /// workers' shots: the weakest guarantee any sampled trajectory had.
     pub fidelity_lower_bound: f64,
-    /// Gate-DD cache lookups across the whole job (warm-base construction
-    /// plus every worker), for per-request cache accounting.
+    /// Gate-DD cache lookups across the whole job (every worker's warm-up
+    /// plus its shots), for per-request cache accounting.
     pub gate_cache_lookups: u64,
-    /// Gate-DD cache hits across the whole job. A job served from an
-    /// already-warm injected base ([`ShotOptions::warm_base`]) skips the
-    /// construction misses, so its hit rate is strictly higher.
+    /// Gate-DD cache hits across the whole job.
     pub gate_cache_hits: u64,
 }
 
@@ -251,19 +240,7 @@ fn run_shared_state(
     analysis: &MeasurementAnalysis,
     opts: &ShotOptions,
 ) -> Result<ShotReport, SimError> {
-    let warm = opts.warm_base.as_ref().filter(|_| shared_path_applies(opts));
-    let mut sim = match warm {
-        Some(base) => {
-            let mut s = DdSimulator::with_frozen_base(circuit.clone(), opts.seed, base);
-            // The overlay copies the base's config, which carries no
-            // deadline; arm this request's budget explicitly.
-            if let Some(budget) = opts.config.limits.deadline {
-                s.package_mut().arm_deadline_for(budget);
-            }
-            s
-        }
-        None => DdSimulator::with_config(circuit.clone(), opts.seed, opts.config),
-    };
+    let mut sim = DdSimulator::with_config(circuit.clone(), opts.seed, opts.config);
     sim.set_dense_fallback(opts.dense_fallback);
     sim.run_prefix(analysis.prefix_len)?;
     if externally_cancelled(opts) {
@@ -336,64 +313,6 @@ struct WorkerOutput {
 /// failed and why.
 type WorkerResult = Result<WorkerOutput, (u64, SimError)>;
 
-/// A frozen warm base plus the gate-DD cache traffic its construction
-/// generated, so jobs can account construction misses against the request
-/// that paid for them (a cached base re-injected via
-/// [`ShotOptions::warm_base`] contributes neither).
-#[derive(Clone, Debug)]
-pub struct WarmBase {
-    /// The frozen package: `|0…0⟩` plus every gate operator of the circuit.
-    pub frozen: Arc<FrozenDd>,
-    /// Gate-DD cache lookups during construction.
-    pub gate_cache_lookups: u64,
-    /// Gate-DD cache hits during construction.
-    pub gate_cache_hits: u64,
-}
-
-/// Builds the job-wide warm base for the shared-package path: `|0…0⟩` and
-/// every gate operator the circuit applies, constructed **sequentially** (so
-/// the result is a deterministic function of the circuit and config), then
-/// frozen for overlay sharing. Servers cache the result keyed by
-/// (circuit source, structural config) and re-inject it via
-/// [`ShotOptions::warm_base`] so later requests skip construction entirely.
-pub fn build_warm_base(
-    circuit: &QuantumCircuit,
-    config: PackageConfig,
-) -> Result<WarmBase, SimError> {
-    let n = circuit.num_qubits();
-    let mut dd = DdPackage::with_config(config);
-    let zero = dd.zero_state(n)?;
-    dd.inc_ref_vec(zero);
-    for op in circuit.ops() {
-        match op {
-            Operation::Gate(g) => {
-                dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
-            }
-            Operation::Swap { .. } => {
-                for g in crate::gate_sequence(op)? {
-                    dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
-                }
-            }
-            _ => {}
-        }
-    }
-    let gate_cache_lookups = dd.gate_cache_lookups();
-    let gate_cache_hits = dd.gate_cache_hits();
-    Ok(WarmBase {
-        frozen: dd.freeze(),
-        gate_cache_lookups,
-        gate_cache_hits,
-    })
-}
-
-/// Whether the shared frozen-base path may serve this job. Budgeted runs
-/// keep the per-worker-package path: an overlay's live-node accounting
-/// includes the frozen base, which would tighten `max_nodes` /
-/// `max_complex_entries` semantics mid-flight.
-fn shared_path_applies(opts: &ShotOptions) -> bool {
-    opts.config.limits.max_nodes.is_none() && opts.config.limits.max_complex_entries.is_none()
-}
-
 /// Mid-circuit regime: per-shot re-execution, fanned out over workers.
 fn run_mid_circuit(
     circuit: &QuantumCircuit,
@@ -402,23 +321,6 @@ fn run_mid_circuit(
 ) -> Result<ShotReport, SimError> {
     let threads = crate::resolve_threads(opts.threads);
     let threads = threads.clamp(1, opts.shots.max(1) as usize);
-    let (base, build_lookups, build_hits) = if shared_path_applies(opts) {
-        match &opts.warm_base {
-            // An injected, already-warm base: construction was paid for by
-            // an earlier job, so this one records no construction traffic.
-            Some(frozen) => (Some(frozen.clone()), 0, 0),
-            None => {
-                let warm = build_warm_base(circuit, opts.config)?;
-                (Some(warm.frozen), warm.gate_cache_lookups, warm.gate_cache_hits)
-            }
-        }
-    } else {
-        (None, 0, 0)
-    };
-    qdd_telemetry::gauge_set(
-        "shots.shared_base",
-        if base.is_some() { 1.0 } else { 0.0 },
-    );
     let cancel = AtomicBool::new(false);
     let start = Instant::now();
     let per_worker = opts.shots / threads as u64;
@@ -456,7 +358,6 @@ fn run_mid_circuit(
                 .enumerate()
                 .map(|(w, &(lo, hi))| {
                     let cancel = &cancel;
-                    let base = base.as_ref();
                     let handle = scope.spawn(move || {
                         let _panic_guard = PanicCancel(cancel);
                         qdd_telemetry::set_enabled(telemetry);
@@ -472,8 +373,7 @@ fn run_mid_circuit(
                             qdd_telemetry::timeline::set_worker(w as u32 + 1);
                             qdd_telemetry::timeline::set_snapshot_stride(snapshot_stride);
                         }
-                        let result =
-                            shot_worker(circuit, analysis, opts, base, lo, hi, cancel, start);
+                        let result = shot_worker(circuit, analysis, opts, lo, hi, cancel, start);
                         qdd_telemetry::publish();
                         if timeline {
                             qdd_telemetry::timeline::publish();
@@ -493,8 +393,8 @@ fn run_mid_circuit(
     let mut worker_shots = Vec::with_capacity(results.len());
     let mut first_error: Option<(u64, SimError)> = None;
     let mut fidelity_lower_bound = 1.0f64;
-    let mut gate_cache_lookups = build_lookups;
-    let mut gate_cache_hits = build_hits;
+    let mut gate_cache_lookups = 0;
+    let mut gate_cache_hits = 0;
     let consider = |shot: u64, e: SimError, slot: &mut Option<(u64, SimError)>| {
         if slot.as_ref().is_none_or(|(s, _)| shot < *s) {
             *slot = Some((shot, e));
@@ -571,16 +471,13 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One worker: re-executes the circuit for shots `lo..hi`, reusing a single
-/// simulator (warm gate-DD cache, no per-shot package construction). With a
-/// frozen `base` the simulator is a shared-package overlay; without one it
-/// owns a standalone package (budgeted runs).
-#[allow(clippy::too_many_arguments)]
+/// One worker: re-executes the circuit for shots `lo..hi` on a single
+/// simulator it owns, restarting it to the package's warm mark before every
+/// shot (the first restart builds the warm state).
 fn shot_worker(
     circuit: &QuantumCircuit,
     analysis: &MeasurementAnalysis,
     opts: &ShotOptions,
-    base: Option<&Arc<FrozenDd>>,
     lo: u64,
     hi: u64,
     cancel: &AtomicBool,
@@ -608,22 +505,12 @@ fn shot_worker(
             }
         }
         let seed = shot_seed(opts.seed, shot);
-        let sim = match &mut sim {
-            Some(sim) => {
-                sim.restart(seed).map_err(|e| abort(cancel, shot, e))?;
-                sim
-            }
-            none => none.insert({
-                let mut s = match base {
-                    Some(base) => {
-                        DdSimulator::with_frozen_base(circuit.clone(), seed, base)
-                    }
-                    None => DdSimulator::with_config(circuit.clone(), seed, opts.config),
-                };
-                s.set_dense_fallback(opts.dense_fallback);
-                s
-            }),
-        };
+        let sim = sim.get_or_insert_with(|| {
+            let mut s = DdSimulator::with_config(circuit.clone(), seed, opts.config);
+            s.set_dense_fallback(opts.dense_fallback);
+            s
+        });
+        sim.restart(seed).map_err(|e| abort(cancel, shot, e))?;
         sim.run().map_err(|e| abort(cancel, shot, e))?;
         let value = if analysis.has_measurements {
             creg_value(sim.classical_bits(), 0, sim.classical_bits().len())
@@ -684,63 +571,5 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 10_000);
-    }
-
-    /// A mid-circuit workload: measure, feed the outcome into a conditioned
-    /// gate, keep evolving — per-shot re-execution is unavoidable.
-    fn mid_circuit_workload() -> QuantumCircuit {
-        let mut qc = QuantumCircuit::new(3);
-        let c = qc.add_creg("c", 2);
-        qc.h(0).measure(0, 0);
-        qc.gate_if(
-            qdd_circuit::StandardGate::X,
-            vec![],
-            1,
-            qdd_circuit::Condition { creg: c, value: 1 },
-        );
-        qc.h(2).cx(2, 1).measure(2, 1);
-        qc
-    }
-
-    #[test]
-    fn shared_base_histograms_are_thread_count_invariant() {
-        let qc = mid_circuit_workload();
-        let reference = run(&qc, &ShotOptions::new(300, 9)).unwrap();
-        assert_eq!(reference.regime, MeasurementRegime::MidCircuit);
-        for threads in [1, 2, 4, 8] {
-            let opts = ShotOptions {
-                threads,
-                ..ShotOptions::new(300, 9)
-            };
-            let report = run(&qc, &opts).unwrap();
-            assert_eq!(
-                report.histogram, reference.histogram,
-                "histogram diverged at {threads} threads"
-            );
-            assert_eq!(report.worker_shots.iter().sum::<u64>(), 300);
-        }
-    }
-
-    /// The shared frozen-base path and the per-worker-package path (forced
-    /// here by an ample node budget) must draw identical histograms: the
-    /// warm base only changes *where* diagrams live, never what any shot
-    /// computes.
-    #[test]
-    fn shared_base_path_matches_per_worker_package_path() {
-        let qc = mid_circuit_workload();
-        let shared = run(&qc, &ShotOptions::new(200, 4)).unwrap();
-        let budgeted_opts = ShotOptions {
-            config: qdd_core::PackageConfig {
-                limits: qdd_core::Limits {
-                    max_nodes: Some(10_000_000),
-                    ..qdd_core::Limits::default()
-                },
-                ..qdd_core::PackageConfig::default()
-            },
-            ..ShotOptions::new(200, 4)
-        };
-        assert!(!shared_path_applies(&budgeted_opts));
-        let budgeted = run(&qc, &budgeted_opts).unwrap();
-        assert_eq!(shared.histogram, budgeted.histogram);
     }
 }

@@ -6,12 +6,11 @@ use crate::error::SimError;
 use qdd_circuit::{Operation, QuantumCircuit};
 use qdd_complex::{Complex, FxHashMap};
 use qdd_core::{
-    ApproxPolicy, DdError, DdPackage, FrozenDd, MeasurementOutcome, PackageConfig, ResourceKind,
+    ApproxPolicy, DdError, DdPackage, Limits, MeasurementOutcome, PackageConfig, ResourceKind,
     VecEdge,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Per-run statistics of a [`DdSimulator`].
 #[derive(Clone, Debug, PartialEq)]
@@ -169,6 +168,9 @@ pub struct DdSimulator {
     /// Run (restart) index stamped onto timeline records, so shot replays
     /// of the same circuit stay distinguishable in a merged timeline.
     tl_run: u32,
+    /// The pinned `|0…0⟩` at the package's warm mark, once the first
+    /// [`Self::restart`] has built the warm state.
+    warm_zero: Option<VecEdge>,
 }
 
 impl DdSimulator {
@@ -187,36 +189,8 @@ impl DdSimulator {
     /// Creates a simulator with an explicit package configuration (used by
     /// the ablation benchmarks).
     pub fn with_config(circuit: QuantumCircuit, seed: u64, config: PackageConfig) -> Self {
-        Self::from_package(DdPackage::with_config(config), circuit, seed)
-    }
-
-    /// Creates a simulator whose package is an **overlay** over a frozen,
-    /// shared base (see [`FrozenDd`]): the base's unique tables, interned
-    /// weights and gate-DD cache serve this simulator warm, and any number
-    /// of sibling simulators on other threads can share the same base.
-    /// [`Self::restart`] on such a simulator discards only overlay-local
-    /// state, so every run is a pure function of `(base, seed)`.
-    pub fn with_frozen_base(circuit: QuantumCircuit, seed: u64, base: &Arc<FrozenDd>) -> Self {
-        Self::from_package(base.overlay(), circuit, seed)
-    }
-
-    fn from_package(mut dd: DdPackage, circuit: QuantumCircuit, seed: u64) -> Self {
-        // The initial |0…0⟩ state is mandatory structure sized by the
-        // register width, not governed "work": a node budget smaller than
-        // the register must not panic the (infallible) constructors. Build
-        // it with the memory budgets lifted and restore them — the first
-        // governed operation then reports exhaustion as a typed error.
-        let limits = *dd.limits();
-        dd.set_limits(qdd_core::Limits {
-            max_nodes: None,
-            max_complex_entries: None,
-            ..limits
-        });
-        let state = dd
-            .zero_state(circuit.num_qubits())
-            .expect("circuit widths are validated at construction");
-        dd.set_limits(limits);
-        dd.inc_ref_vec(state);
+        let mut dd = DdPackage::with_config(config);
+        let state = pinned_zero_state(&mut dd, circuit.num_qubits());
         let classical = vec![false; circuit.num_clbits()];
         DdSimulator {
             dd,
@@ -230,13 +204,13 @@ impl DdSimulator {
             dense_fallback_enabled: true,
             threads: 1,
             tl_run: qdd_telemetry::timeline::next_run(),
+            warm_zero: None,
         }
     }
 
     /// Sets the worker-thread count for the data-parallel dense kernels
-    /// (the DD path itself is sequential per simulator; parallelism across
-    /// simulators comes from [`Self::with_frozen_base`] sharing). `0` means
-    /// one thread per available CPU.
+    /// (the DD path itself is sequential per simulator; parallel shots run
+    /// one simulator per worker). `0` means one thread per available CPU.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = crate::resolve_threads(threads);
         if let Some(dense) = &mut self.dense {
@@ -356,52 +330,39 @@ impl DdSimulator {
     }
 
     /// Rewinds the simulator to a fresh `|0…0⟩` run of the same circuit
-    /// with a new RNG seed, **keeping the decision-diagram package** — its
-    /// unique tables, interned weights, and gate-DD cache stay warm, which
-    /// is what makes batched per-shot re-execution cheap. The caches are
-    /// result-transparent, so a restarted run is bit-identical to a fresh
-    /// simulator constructed with the same seed.
+    /// with a new RNG seed, resetting its package to the warm mark
+    /// ([`DdPackage::reset_to_warm`]).
+    ///
+    /// The first restart resets to an empty package and builds the warm
+    /// state: `|0…0⟩` and every gate DD of the circuit, constructed with the
+    /// memory budgets lifted (they are the circuit, not work) and then
+    /// marked permanent. Every restart therefore starts from the same
+    /// bit-identical package, and a restarted run is a function of the
+    /// circuit, the configuration and `seed` alone — never of the runs
+    /// before it. The warm state counts against
+    /// [`Limits::max_nodes`](qdd_core::Limits::max_nodes) like any other
+    /// live node.
     ///
     /// # Errors
     ///
-    /// Propagates [`DdError`] if re-preparing `|0…0⟩` fails (node budget
-    /// fully consumed by retained live states).
+    /// Propagates [`SimError`] from building the warm gate DDs (e.g. a
+    /// non-decomposable operation).
     pub fn restart(&mut self, seed: u64) -> Result<(), SimError> {
         self.tl_run = qdd_telemetry::timeline::next_run();
-        if self.dd.is_overlay() {
-            // Overlay-backed simulator: drop the previous run's local nodes
-            // wholesale and replay over the untouched frozen base. The old
-            // state edge dies with the overlay, so release it first.
-            self.dd.dec_ref_vec(self.state);
-            self.dd.reset_overlay();
-            let fresh = self.dd.zero_state(self.circuit.num_qubits())?;
-            self.dd.inc_ref_vec(fresh);
-            self.state = fresh;
-            self.classical.iter_mut().for_each(|b| *b = false);
-            self.cursor = 0;
-            self.rng = SmallRng::seed_from_u64(seed);
-            self.dense = None;
-            self.stats = SimStats::default();
-            return Ok(());
-        }
-        let fresh = match self.dd.zero_state(self.circuit.num_qubits()) {
-            Ok(s) => s,
-            // A run that ended at its node cap (e.g. through the
-            // approximation rung) can leave no headroom even for the fresh
-            // |0…0⟩ chain; everything but the about-to-be-dropped final
-            // state is garbage here, so collect under pressure and retry.
-            Err(e) if e.is_resource() => {
-                self.dd.gc_under_pressure();
-                self.dd.zero_state(self.circuit.num_qubits())?
-            }
-            Err(e) => return Err(e.into()),
-        };
-        self.set_state(fresh);
+        self.dd.reset_to_warm();
         self.classical.iter_mut().for_each(|b| *b = false);
         self.cursor = 0;
         self.rng = SmallRng::seed_from_u64(seed);
         self.dense = None;
         self.stats = SimStats::default();
+        if let Some(zero) = self.warm_zero {
+            self.state = zero;
+            return Ok(());
+        }
+        self.state = pinned_zero_state(&mut self.dd, self.circuit.num_qubits());
+        with_budgets_lifted(&mut self.dd, |dd| build_gate_dds(dd, &self.circuit))?;
+        self.dd.mark_warm();
+        self.warm_zero = Some(self.state);
         Ok(())
     }
 
@@ -921,6 +882,50 @@ impl DdSimulator {
     pub fn collect_garbage(&mut self) {
         self.dd.garbage_collect();
     }
+}
+
+/// Runs `f` with the package's memory budgets lifted, restoring them after.
+fn with_budgets_lifted<T>(dd: &mut DdPackage, f: impl FnOnce(&mut DdPackage) -> T) -> T {
+    let limits = *dd.limits();
+    dd.set_limits(Limits {
+        max_nodes: None,
+        max_complex_entries: None,
+        ..limits
+    });
+    let out = f(dd);
+    dd.set_limits(limits);
+    out
+}
+
+/// Builds and pins the initial `|0…0⟩`. It is mandatory structure sized by
+/// the register width, not governed "work": a node budget smaller than the
+/// register must not panic the (infallible) constructors, so it is built
+/// with the memory budgets lifted — the first governed operation then
+/// reports exhaustion as a typed error.
+fn pinned_zero_state(dd: &mut DdPackage, num_qubits: usize) -> VecEdge {
+    let state = with_budgets_lifted(dd, |dd| dd.zero_state(num_qubits))
+        .expect("circuit widths are validated at construction");
+    dd.inc_ref_vec(state);
+    state
+}
+
+/// Builds every gate DD the circuit applies into the package's gate cache.
+fn build_gate_dds(dd: &mut DdPackage, circuit: &QuantumCircuit) -> Result<(), SimError> {
+    let n = circuit.num_qubits();
+    for op in circuit.ops() {
+        match op {
+            Operation::Gate(g) => {
+                dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
+            }
+            Operation::Swap { .. } => {
+                for g in crate::gate_sequence(op)? {
+                    dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

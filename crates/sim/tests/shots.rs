@@ -2,7 +2,7 @@
 //! dispatch, statistical agreement of the fast paths with per-shot
 //! re-execution, and thread-count invariance of the mid-circuit path.
 
-use qdd_circuit::{library, MeasurementRegime, QuantumCircuit};
+use qdd_circuit::{library, Condition, MeasurementRegime, QuantumCircuit, StandardGate};
 use qdd_complex::FxHashMap;
 use qdd_core::{DdError, Limits, PackageConfig};
 use qdd_sim::shots::{self, HistogramKind, ShotOptions};
@@ -106,27 +106,81 @@ fn mid_circuit_engine_matches_run_shots_bit_for_bit() {
     assert_eq!(report.histogram, reference);
 }
 
+/// A 5-qubit mid-circuit workload whose gate DDs and states are big enough
+/// for a node budget to bite: at `max_nodes = 60` shots go through pressure
+/// GC and dense fallback.
+fn entangled_mid_circuit() -> QuantumCircuit {
+    let n = 5;
+    let mut qc = QuantumCircuit::new(n);
+    let c = qc.add_creg("c", 2);
+    for q in 0..n {
+        qc.ry(0.3 + 0.2 * q as f64, q);
+    }
+    for q in 0..n - 1 {
+        qc.cx(q, q + 1);
+    }
+    qc.measure(0, 0);
+    qc.gate_if(StandardGate::X, vec![], 1, Condition { creg: c, value: 1 });
+    for q in 0..n {
+        qc.ry(0.7 + 0.1 * q as f64, q);
+    }
+    for q in (0..n - 1).rev() {
+        qc.cx(q + 1, q);
+    }
+    qc.measure(3, 1);
+    qc
+}
+
 #[test]
 fn mid_circuit_histograms_are_thread_count_invariant() {
-    // Per-shot seed derivation makes the merged histogram a pure function
-    // of (base seed, shot count) — any worker partition, same bits.
-    let qc = library::teleportation(0.4);
-    let single = {
-        let mut o = ShotOptions::new(600, 99);
-        o.threads = 1;
-        shots::run(&qc, &o).unwrap()
-    };
-    for threads in [2, 3, 8] {
-        let mut o = ShotOptions::new(600, 99);
-        o.threads = threads;
-        let multi = shots::run(&qc, &o).unwrap();
-        assert_eq!(
-            multi.histogram, single.histogram,
-            "{threads}-thread histogram differs from 1-thread"
-        );
-        assert_eq!(multi.threads_used, threads);
-        assert_eq!(multi.worker_shots.iter().sum::<u64>(), 600);
+    // Every worker resets its own package to the same warm mark before each
+    // shot, so shot i is a function of (circuit, config, shot_seed(seed, i))
+    // alone: any worker partition gives the same bits, with or without a
+    // node budget — budgeted and unbudgeted jobs run one code path.
+    let qc = entangled_mid_circuit();
+    for max_nodes in [None, Some(60)] {
+        let opts = |threads| ShotOptions {
+            threads,
+            config: PackageConfig {
+                limits: Limits {
+                    max_nodes,
+                    ..Limits::default()
+                },
+                ..PackageConfig::default()
+            },
+            ..ShotOptions::new(600, 99)
+        };
+        let single = shots::run(&qc, &opts(1)).unwrap();
+        assert_eq!(single.regime, MeasurementRegime::MidCircuit);
+        for threads in [2, 4, 8] {
+            let multi = shots::run(&qc, &opts(threads)).unwrap();
+            assert_eq!(
+                multi.histogram, single.histogram,
+                "{threads}-thread histogram differs from 1-thread (max_nodes {max_nodes:?})"
+            );
+            assert_eq!(multi.threads_used, threads);
+            assert_eq!(multi.worker_shots.iter().sum::<u64>(), 600);
+        }
     }
+}
+
+#[test]
+fn an_untripped_budget_changes_no_histogram() {
+    // A budget the job never reaches must be invisible: there is no
+    // separate budgeted path to diverge.
+    let qc = entangled_mid_circuit();
+    let unbudgeted = shots::run(&qc, &ShotOptions::new(400, 4)).unwrap();
+    let ample = ShotOptions {
+        config: PackageConfig {
+            limits: Limits {
+                max_nodes: Some(10_000_000),
+                ..Limits::default()
+            },
+            ..PackageConfig::default()
+        },
+        ..ShotOptions::new(400, 4)
+    };
+    assert_eq!(shots::run(&qc, &ample).unwrap().histogram, unbudgeted.histogram);
 }
 
 #[test]
@@ -306,27 +360,6 @@ fn already_cancelled_job_never_starts() {
     opts.cancel = Some(Arc::new(AtomicBool::new(true)));
     let err = shots::run(&library::teleportation(0.2), &opts).unwrap_err();
     assert_eq!(err, SimError::Cancelled);
-}
-
-#[test]
-fn warm_base_injection_preserves_histograms_and_skips_construction() {
-    // A server-cached warm base must change cache accounting only — the
-    // histogram stays bit-identical, and the injected job records no
-    // construction lookups, so its hit rate is strictly higher.
-    let qc = library::teleportation(0.6);
-    let cold = shots::run(&qc, &ShotOptions::new(400, 8)).unwrap();
-    let warm_base = shots::build_warm_base(&qc, PackageConfig::default()).unwrap();
-    let mut opts = ShotOptions::new(400, 8);
-    opts.warm_base = Some(warm_base.frozen.clone());
-    let warm = shots::run(&qc, &opts).unwrap();
-    assert_eq!(warm.histogram, cold.histogram);
-    assert!(warm.gate_cache_lookups < cold.gate_cache_lookups);
-    assert!(
-        warm.gate_cache_hit_rate() > cold.gate_cache_hit_rate(),
-        "warm {} ≤ cold {}",
-        warm.gate_cache_hit_rate(),
-        cold.gate_cache_hit_rate()
-    );
 }
 
 #[test]

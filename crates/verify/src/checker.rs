@@ -28,10 +28,10 @@ enum Flat {
 /// [`VerifyError::Dd`].
 ///
 /// With [`Self::set_threads`] ≥ 2, the construction strategy builds the two
-/// system matrices **concurrently**: every gate operator is built once,
-/// sequentially; the package is frozen into a shared base; two worker
-/// overlays multiply their gate chains independently; and the results are
-/// imported back into one overlay for the canonical comparison. The
+/// system matrices **concurrently**: the left one on the checker's own
+/// package, the right one on a private package in one scoped thread. The
+/// right result is then imported into the checker's package
+/// ([`DdPackage::try_import_mat_edge`]) for the canonical comparison. The
 /// *decision* (equivalent / phase / not) is the same as the sequential
 /// path's on every input — only intermediate diagram residency differs.
 #[derive(Debug)]
@@ -156,7 +156,7 @@ impl EquivalenceChecker {
                 Equivalence::NotEquivalent
             }
         } else {
-            let u2d = self.dd.adjoint_mat(u2);
+            let u2d = self.dd.try_adjoint_mat(u2)?;
             let m = self.dd.try_mat_mat(u2d, u1)?;
             match self.find_magnitude_deviation(m) {
                 Some(cx) => {
@@ -184,12 +184,10 @@ impl EquivalenceChecker {
         })
     }
 
-    /// Parallel construction: prebuild every gate operator sequentially
-    /// (deterministic interning), freeze the package into a shared base,
-    /// build the two system matrices on independent worker overlays, then
-    /// import both results into a fresh overlay of the same base for the
-    /// canonical comparison. The checker keeps that overlay as its package,
-    /// so follow-up checks stay warm.
+    /// Parallel construction: the left system matrix on the checker's own
+    /// package, the right one on a private package (same configuration) in
+    /// a scoped thread, then the right result imported into the checker's
+    /// package for the canonical comparison.
     fn build_both_parallel(
         &mut self,
         lflat: &[Flat],
@@ -197,56 +195,32 @@ impl EquivalenceChecker {
         n: usize,
         trace: &mut Vec<usize>,
     ) -> Result<(MatEdge, MatEdge), VerifyError> {
-        for flat in [lflat, rflat] {
-            for step in flat {
-                let Flat::Gate(g) = step else { continue };
-                self.dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
-            }
-        }
-        self.dd.disarm_deadline();
-        let config = *self.dd.config();
-        let base = std::mem::replace(&mut self.dd, DdPackage::with_config(config)).freeze();
-
-        type Built = Result<(MatEdge, Vec<usize>, DdPackage), VerifyError>;
-        let build = |flat: &[Flat]| -> Built {
-            let mut dd = base.overlay();
-            dd.arm_deadline();
-            let mut trace = Vec::new();
-            let u = build_system_matrix(&mut dd, flat, n, &mut trace);
-            dd.disarm_deadline();
-            Ok((u?, trace, dd))
-        };
-        // Workers inherit the caller's telemetry toggle and publish their
-        // thread-local metrics into the process-wide merged registry on the
-        // way out, so aggregate reports see both construction halves.
+        let mut right_dd = DdPackage::with_config(*self.dd.config());
+        // The worker inherits the caller's telemetry toggle and publishes
+        // its thread-local metrics into the process-wide merged registry on
+        // the way out, so aggregate reports see both construction halves.
         let telemetry = qdd_telemetry::enabled();
-        let run = |flat: &[Flat], worker: u32, name: &'static str| -> Built {
-            qdd_telemetry::set_enabled(telemetry);
-            if telemetry {
-                qdd_telemetry::register_worker_name(worker, name);
-            }
-            let result = build(flat);
-            qdd_telemetry::publish();
-            result
-        };
         let (left, right) = std::thread::scope(|scope| {
-            let lh = scope.spawn(|| run(lflat, 1, "verify-left"));
-            let rh = scope.spawn(|| run(rflat, 2, "verify-right"));
-            (
-                lh.join().expect("left construction worker panicked"),
-                rh.join().expect("right construction worker panicked"),
-            )
+            let worker = scope.spawn(|| {
+                qdd_telemetry::set_enabled(telemetry);
+                if telemetry {
+                    qdd_telemetry::register_worker_name(1, "verify-right");
+                }
+                right_dd.arm_deadline();
+                let mut rtrace = Vec::new();
+                let u = build_system_matrix(&mut right_dd, rflat, n, &mut rtrace);
+                right_dd.disarm_deadline();
+                qdd_telemetry::publish();
+                u.map(|u| (u, rtrace))
+            });
+            let left = build_system_matrix(&mut self.dd, lflat, n, trace);
+            let right = worker.join().expect("right construction worker panicked");
+            (left, right)
         });
-
-        self.dd = base.overlay();
-        self.dd.arm_deadline();
-        let (lu, ltrace, ldd) = left?;
-        let (ru, rtrace, rdd) = right?;
-        let u1 = self.dd.import_mat_edge(&ldd, lu);
-        self.dd.inc_ref_mat(u1);
-        let u2 = self.dd.import_mat_edge(&rdd, ru);
-        self.dd.dec_ref_mat(u1);
-        trace.extend(ltrace);
+        let u1 = left?;
+        let (ru, rtrace) = right?;
+        // Import never collects garbage, so `u1` needs no pin here.
+        let u2 = self.dd.try_import_mat_edge(&right_dd, ru)?;
         trace.extend(rtrace);
         Ok((u1, u2))
     }
@@ -488,7 +462,7 @@ impl EquivalenceChecker {
 
 /// Builds the full system matrix of a flattened circuit, recording node
 /// counts (Example 10/11's route). A free function so both the checker's
-/// own package and the parallel path's worker overlays can drive it.
+/// own package and the parallel path's private package can drive it.
 fn build_system_matrix(
     dd: &mut DdPackage,
     flat: &[Flat],
@@ -727,6 +701,33 @@ mod tests {
         ));
     }
 
+    /// Every node budget either lets the construction check finish or
+    /// stops it with a typed error — the adjoint step used to panic once the
+    /// budget ran out (GHZ-4 against GHZ-4 plus a Z, `max_nodes` 18–21).
+    #[test]
+    fn construction_check_never_panics_under_a_node_budget() {
+        let good = library::ghz(4);
+        let mut bad = library::ghz(4);
+        bad.z(2);
+        for threads in [1, 2] {
+            for max_nodes in 1..=64 {
+                let mut checker = EquivalenceChecker::with_config(PackageConfig {
+                    limits: Limits {
+                        max_nodes: Some(max_nodes),
+                        ..Limits::default()
+                    },
+                    ..PackageConfig::default()
+                });
+                checker.set_threads(threads);
+                match checker.check(&good, &bad, Strategy::Construction) {
+                    Ok(report) => assert_eq!(report.result, Equivalence::NotEquivalent),
+                    Err(VerifyError::Dd(qdd_core::DdError::ResourceExhausted { .. })) => {}
+                    Err(e) => panic!("max_nodes {max_nodes}, {threads} threads: {e}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn deadline_zero_aborts_check() {
         let config = PackageConfig {
@@ -749,8 +750,7 @@ mod tests {
 
     /// The parallel construction path must reach the same decision as the
     /// sequential one on equivalent, phase-equivalent, and non-equivalent
-    /// pairs — and a checker must stay usable for further checks after the
-    /// freeze/overlay swap.
+    /// pairs — and a checker must stay usable for further checks.
     #[test]
     fn parallel_construction_agrees_with_sequential() {
         let mut phase_b = QuantumCircuit::new(1);
