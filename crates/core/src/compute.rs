@@ -23,13 +23,16 @@ use std::hash::{Hash, Hasher};
 /// (different key hashing to an occupied slot) drops exactly one entry — the
 /// previous occupant — which is counted in [`Cache::dropped`]; explicit
 /// [`Cache::clear`] calls (mandatory after garbage collection) are counted
-/// separately in [`Cache::clears`].
+/// separately in [`Cache::clears`]. A clear empties only the slots filled
+/// since the previous one, so it costs the entries it drops, not the
+/// table's capacity.
 #[derive(Clone, Debug)]
 pub(crate) struct Cache<K, V> {
     slots: Vec<Option<(K, V)>>,
+    /// Index of every occupied slot, in the order the slots were filled.
+    occupied: Vec<u32>,
     /// Power-of-two capacity the slot array takes on first insert.
     cap: usize,
-    len: usize,
     lookups: u64,
     hits: u64,
     dropped: u64,
@@ -40,6 +43,9 @@ pub(crate) struct Cache<K, V> {
 /// insert collides) without saving meaningful memory.
 pub(crate) const MIN_CACHE_CAP: usize = 16;
 
+/// Largest direct-mapped table (slot indices are stored as `u32`).
+const MAX_CACHE_CAP: usize = 1 << 26;
+
 #[inline]
 fn slot_of<K: Hash>(key: &K, mask: usize) -> usize {
     let mut h = FxHasher::default();
@@ -48,10 +54,10 @@ fn slot_of<K: Hash>(key: &K, mask: usize) -> usize {
 }
 
 impl<K: Eq + Hash + Copy, V: Copy> Cache<K, V> {
-    /// A table with `cap` slots, rounded down to a power of two (floor
-    /// [`MIN_CACHE_CAP`]). `usize::MAX` selects the given default capacity.
+    /// A table with `cap` slots, clamped to `[MIN_CACHE_CAP, MAX_CACHE_CAP]`
+    /// and rounded down to a power of two.
     pub(crate) fn with_cap(cap: usize) -> Self {
-        let cap = cap.clamp(MIN_CACHE_CAP, 1 << 26);
+        let cap = cap.clamp(MIN_CACHE_CAP, MAX_CACHE_CAP);
         let cap = if cap.is_power_of_two() {
             cap
         } else {
@@ -59,8 +65,8 @@ impl<K: Eq + Hash + Copy, V: Copy> Cache<K, V> {
         };
         Cache {
             slots: Vec::new(),
+            occupied: Vec::new(),
             cap,
-            len: 0,
             lookups: 0,
             hits: 0,
             dropped: 0,
@@ -86,9 +92,10 @@ impl<K: Eq + Hash + Copy, V: Copy> Cache<K, V> {
         if self.slots.is_empty() {
             self.slots.resize_with(self.cap, || None);
         }
-        let slot = &mut self.slots[slot_of(&key, self.cap - 1)];
+        let index = slot_of(&key, self.cap - 1);
+        let slot = &mut self.slots[index];
         match slot {
-            None => self.len += 1,
+            None => self.occupied.push(index as u32),
             Some((k, _)) if *k != key => self.dropped += 1,
             Some(_) => {}
         }
@@ -97,17 +104,19 @@ impl<K: Eq + Hash + Copy, V: Copy> Cache<K, V> {
 
     /// Drops every entry (used after garbage collection, when keys refer to
     /// node ids that may have been freed). Counted in [`Cache::clears`];
-    /// the slot array is kept allocated.
+    /// the slot array is kept allocated and only occupied slots are written.
     pub(crate) fn clear(&mut self) {
-        if self.len > 0 {
+        if !self.occupied.is_empty() {
             self.clears += 1;
-            self.slots.iter_mut().for_each(|s| *s = None);
-            self.len = 0;
+            for &index in &self.occupied {
+                self.slots[index as usize] = None;
+            }
+            self.occupied.clear();
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.occupied.len()
     }
 
     pub(crate) fn capacity(&self) -> usize {
@@ -399,22 +408,44 @@ mod tests {
 
     proptest! {
         /// A direct-mapped table must never answer with a value for the
-        /// wrong key, no matter the collision pattern.
+        /// wrong key, no matter the collision pattern, and a clear empties
+        /// it: afterwards every probe misses, and refilling an emptied slot
+        /// adds an entry instead of counting an eviction.
         #[test]
         fn collisions_never_alias_keys(
-            ops in prop::collection::vec((0u32..64, 0u32..1000), 1..200)
+            // `None` clears the table (one op in sixteen on average).
+            ops in prop::collection::vec(
+                (0u32..16, 0u32..64, 0u32..1000)
+                    .prop_map(|(roll, key, value)| (roll > 0).then_some((key, value))),
+                1..200,
+            )
         ) {
             let mut cache: Cache<u32, u32> = Cache::with_cap(MIN_CACHE_CAP);
+            let mask = cache.capacity() - 1;
+            // The table as it must be: slot -> (key, value).
             let mut model = std::collections::HashMap::new();
-            for (key, value) in ops {
-                cache.insert(key, value);
-                model.insert(key, value);
-                // Whatever the cache answers must match the model exactly;
-                // misses (evicted entries) are always allowed.
-                for probe in 0..64u32 {
-                    if let Some(got) = cache.get(&probe) {
-                        prop_assert_eq!(Some(&got), model.get(&probe));
+            let mut dropped = 0;
+            for op in ops {
+                match op {
+                    Some((key, value)) => {
+                        cache.insert(key, value);
+                        if let Some((old, _)) = model.insert(slot_of(&key, mask), (key, value)) {
+                            dropped += u64::from(old != key);
+                        }
                     }
+                    None => {
+                        cache.clear();
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(cache.len(), model.len());
+                prop_assert_eq!(cache.dropped(), dropped);
+                for probe in 0..64u32 {
+                    let stored = model
+                        .get(&slot_of(&probe, mask))
+                        .filter(|(key, _)| *key == probe)
+                        .map(|&(_, value)| value);
+                    prop_assert_eq!(cache.get(&probe), stored);
                 }
             }
         }

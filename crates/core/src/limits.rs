@@ -13,9 +13,11 @@
 //! 2. **Recursive operation entry** (`add`/`multiply`/`kron`/`inner`): each
 //!    recursion level checks [`Limits::recursion_depth`] and, periodically,
 //!    the armed [`Limits::deadline`].
-//! 3. **Compute-table insert**: each cache is bounded by its share of
-//!    [`Limits::max_compute_entries`] and evicts (clears) on pressure rather
-//!    than growing without bound.
+//! 3. **Compute-table insert**: each cache is a fixed slot array sized by
+//!    its share of [`Limits::max_compute_entries`]. An insert that collides
+//!    overwrites the one entry in its slot (counted in
+//!    `PackageStats::compute_evictions`); a table never grows and is never
+//!    cleared under pressure.
 //!
 //! All limits default to *unlimited*; a default-configured package behaves
 //! byte-identically to one without the governor.
@@ -52,8 +54,9 @@ pub struct Limits {
     /// Ceiling on distinct interned complex values.
     pub max_complex_entries: Option<usize>,
     /// Ceiling on total memoized operation results. Unlike the other limits
-    /// this one degrades silently: caches evict (clear) instead of erroring,
-    /// counted in `PackageStats::compute_evictions`.
+    /// this one degrades silently: it sizes the caches' fixed slot arrays,
+    /// and an insert into an occupied slot overwrites that one entry instead
+    /// of erroring, counted in `PackageStats::compute_evictions`.
     pub max_compute_entries: Option<usize>,
     /// Wall-clock budget for governed work. The clock starts when a driver
     /// arms it (`DdPackage::arm_deadline`); once elapsed, governed

@@ -388,12 +388,30 @@ mod warm_tests {
             .collect()
     }
 
+    /// [`run`], plus the compute-table lookups, hits, evictions and entries
+    /// it added.
+    fn counted_run(dd: &mut DdPackage) -> (VecEdge, [i64; 4]) {
+        let counts = |dd: &DdPackage| {
+            let s = dd.stats();
+            [
+                s.cache_lookups as i64,
+                s.cache_hits as i64,
+                s.compute_evictions as i64,
+                s.cache_entries as i64,
+            ]
+        };
+        let before = counts(dd);
+        let e = run(dd);
+        let after = counts(dd);
+        (e, std::array::from_fn(|i| after[i] - before[i]))
+    }
+
     #[test]
     fn reset_to_warm_is_bit_reproducible() {
         let mut dd = DdPackage::new();
         let _ = bell(&mut dd);
         dd.mark_warm();
-        let first = run(&mut dd);
+        let (first, first_tables) = counted_run(&mut dd);
         let first_bits = amplitude_bits(&dd, first);
         let (vnodes, mnodes, entries) = {
             let s = dd.stats();
@@ -403,7 +421,12 @@ mod warm_tests {
         dd.gc_under_pressure();
         for _ in 0..3 {
             dd.reset_to_warm();
-            let again = run(&mut dd);
+            assert_eq!(
+                dd.stats().cache_entries,
+                0,
+                "a reset empties the compute tables"
+            );
+            let (again, tables) = counted_run(&mut dd);
             // Same edge ids, same amplitudes to the bit, same allocation
             // pattern: a reset replays a run exactly.
             assert_eq!(again, first);
@@ -413,6 +436,9 @@ mod warm_tests {
                 (s.vnodes_allocated, s.mnodes_allocated, s.complex_entries),
                 (vnodes, mnodes, entries)
             );
+            // A compute-table entry left over from the previous run would
+            // answer a lookup the first run had to compute.
+            assert_eq!(tables, first_tables);
         }
     }
 
