@@ -15,8 +15,6 @@
 //!   --out PATH                 explicit output path (overrides --label)
 //!   --small                    smallest widths only, 1 repetition (CI smoke)
 //!   --reps N                   timing repetitions per workload (default 3)
-//!   --no-identity-skip         disable identity-skip edges in matrix DDs
-//!                              for every workload (A/B debugging aid)
 
 use qdd_bench::fmt_duration;
 use qdd_bench::workloads::{self, Family};
@@ -38,8 +36,7 @@ struct Record {
     /// identity skip is meant to shrink. `scripts/bench_diff.py` warns when
     /// this regresses by more than 10%.
     mat_peak_nodes: usize,
-    /// Matrix-node constructions elided by the identity-skip collapse rule
-    /// (0 with `--no-identity-skip`).
+    /// Matrix-node constructions elided by the identity-skip collapse rule.
     identity_nodes_skipped: u64,
     cache_lookups: u64,
     cache_hits: u64,
@@ -172,15 +169,6 @@ fn mat_counters(snap: &qdd_telemetry::Snapshot) -> (usize, u64) {
     )
 }
 
-/// The package configuration every workload runs under: defaults, except
-/// identity skip follows the suite-wide `--no-identity-skip` flag.
-fn suite_config(no_skip: bool) -> qdd_core::PackageConfig {
-    qdd_core::PackageConfig {
-        identity_skip: !no_skip,
-        ..qdd_core::PackageConfig::default()
-    }
-}
-
 /// Simulation widths per family: wide enough that the DD work dominates
 /// fixed overheads, small enough that the full suite stays under a minute.
 fn sim_widths(family: Family, small: bool) -> &'static [usize] {
@@ -248,14 +236,14 @@ fn timeline_overhead(best_off_ms: f64, reps: usize, work: impl Fn()) -> f64 {
     }
 }
 
-fn bench_sim(family: Family, n: usize, reps: usize, no_skip: bool) -> Record {
+fn bench_sim(family: Family, n: usize, reps: usize) -> Record {
     let circuit = family.circuit(n);
     let mut best = f64::INFINITY;
     let mut peak = 0usize;
     let mut stats = qdd_core::PackageStats::default();
     for _ in 0..reps {
         let t0 = Instant::now();
-        let mut sim = DdSimulator::with_config(circuit.clone(), 1, suite_config(no_skip));
+        let mut sim = DdSimulator::with_seed(circuit.clone(), 1);
         sim.run().expect("simulation");
         let wall = t0.elapsed().as_secs_f64() * 1e3;
         best = best.min(wall);
@@ -263,11 +251,11 @@ fn bench_sim(family: Family, n: usize, reps: usize, no_skip: bool) -> Record {
         stats = sim.package().stats();
     }
     let timeline_overhead_pct = timeline_overhead(best, reps, || {
-        let mut sim = DdSimulator::with_config(circuit.clone(), 1, suite_config(no_skip));
+        let mut sim = DdSimulator::with_seed(circuit.clone(), 1);
         sim.run().expect("simulation");
     });
     let metrics = collect_metrics(|| {
-        let mut sim = DdSimulator::with_config(circuit.clone(), 1, suite_config(no_skip));
+        let mut sim = DdSimulator::with_seed(circuit.clone(), 1);
         sim.run().expect("simulation");
     })
     .to_json();
@@ -294,14 +282,14 @@ fn bench_sim(family: Family, n: usize, reps: usize, no_skip: bool) -> Record {
     }
 }
 
-fn bench_verify(family: Family, n: usize, reps: usize, no_skip: bool) -> Record {
+fn bench_verify(family: Family, n: usize, reps: usize) -> Record {
     let circuit = family.circuit(n);
     let mut best = f64::INFINITY;
     let mut peak = 0usize;
     let mut stats = qdd_core::PackageStats::default();
     for _ in 0..reps {
         let t0 = Instant::now();
-        let mut checker = EquivalenceChecker::with_config(suite_config(no_skip));
+        let mut checker = EquivalenceChecker::with_config(qdd_core::PackageConfig::default());
         let report = checker
             .check(&circuit, &circuit, Strategy::Construction)
             .expect("verification");
@@ -312,7 +300,7 @@ fn bench_verify(family: Family, n: usize, reps: usize, no_skip: bool) -> Record 
         stats = checker.package().stats();
     }
     let metrics = collect_metrics(|| {
-        let mut checker = EquivalenceChecker::with_config(suite_config(no_skip));
+        let mut checker = EquivalenceChecker::with_config(qdd_core::PackageConfig::default());
         let report = checker
             .check(&circuit, &circuit, Strategy::Construction)
             .expect("verification");
@@ -353,7 +341,6 @@ fn bench_approx(
     circuit: qdd_circuit::QuantumCircuit,
     cap: usize,
     floor: f64,
-    no_skip: bool,
 ) -> Record {
     let config = qdd_core::PackageConfig {
         limits: qdd_core::Limits {
@@ -361,7 +348,7 @@ fn bench_approx(
             min_fidelity: Some(floor),
             ..qdd_core::Limits::default()
         },
-        ..suite_config(no_skip)
+        ..qdd_core::PackageConfig::default()
     };
     let t0 = Instant::now();
     let mut sim = DdSimulator::with_config(circuit.clone(), 1, config);
@@ -406,21 +393,17 @@ fn bench_approx(
 /// Sampling throughput of the shared-state fast path on an unmeasured QFT:
 /// `memoized` runs the shot engine (one prefix run + tableau walks),
 /// `!memoized` the naive per-shot hash-path loop over the same diagram.
-fn bench_sampling_shared(n: usize, shots: u64, reps: usize, memoized: bool, no_skip: bool) -> Record {
+fn bench_sampling_shared(n: usize, shots: u64, reps: usize, memoized: bool) -> Record {
     let circuit = qdd_circuit::library::qft(n, true);
-    let opts_for = |shots: u64| {
-        let mut o = qdd_sim::ShotOptions::new(shots, 1);
-        o.config = suite_config(no_skip);
-        o
-    };
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
         let drawn: u64 = if memoized {
-            let report = qdd_sim::shots::run(&circuit, &opts_for(shots)).expect("sampling");
+            let opts = qdd_sim::ShotOptions::new(shots, 1);
+            let report = qdd_sim::shots::run(&circuit, &opts).expect("sampling");
             report.histogram.values().sum()
         } else {
-            let mut sim = DdSimulator::with_config(circuit.clone(), 1, suite_config(no_skip));
+            let mut sim = DdSimulator::with_seed(circuit.clone(), 1);
             sim.run().expect("simulation");
             sim.sample(shots).values().sum()
         };
@@ -428,7 +411,7 @@ fn bench_sampling_shared(n: usize, shots: u64, reps: usize, memoized: bool, no_s
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
     }
     let snapshot = collect_metrics(|| {
-        let _ = qdd_sim::shots::run(&circuit, &opts_for(shots.min(1000)));
+        let _ = qdd_sim::shots::run(&circuit, &qdd_sim::ShotOptions::new(shots.min(1000), 1));
     });
     let (cache_lookups, cache_hits, gate_cache_lookups, gate_cache_hits, complex_entries) =
         cache_counters(&snapshot);
@@ -459,7 +442,7 @@ fn bench_sampling_shared(n: usize, shots: u64, reps: usize, memoized: bool, no_s
 /// Sampling throughput of the mid-circuit regime on teleportation:
 /// `threads == 0` times the serial reference (`DdSimulator::run_shots`,
 /// fresh package per shot), otherwise the batched shot engine.
-fn bench_sampling_midcircuit(shots: u64, reps: usize, threads: usize, no_skip: bool) -> Record {
+fn bench_sampling_midcircuit(shots: u64, reps: usize, threads: usize) -> Record {
     let circuit = qdd_circuit::library::teleportation(0.3);
     let mut best = f64::INFINITY;
     for _ in 0..reps {
@@ -472,7 +455,6 @@ fn bench_sampling_midcircuit(shots: u64, reps: usize, threads: usize, no_skip: b
         } else {
             let mut opts = qdd_sim::ShotOptions::new(shots, 1);
             opts.threads = threads;
-            opts.config = suite_config(no_skip);
             qdd_sim::shots::run(&circuit, &opts)
                 .expect("shots")
                 .histogram
@@ -485,7 +467,6 @@ fn bench_sampling_midcircuit(shots: u64, reps: usize, threads: usize, no_skip: b
     let snapshot = collect_metrics(|| {
         let mut opts = qdd_sim::ShotOptions::new(shots.min(100), 1);
         opts.threads = threads.max(1);
-        opts.config = suite_config(no_skip);
         let _ = qdd_sim::shots::run(&circuit, &opts);
     });
     let (cache_lookups, cache_hits, gate_cache_lookups, gate_cache_hits, complex_entries) =
@@ -539,7 +520,6 @@ fn bench_scaling(
     shots: u64,
     reps: usize,
     threads: usize,
-    no_skip: bool,
     baseline: Option<&(f64, std::collections::HashMap<u64, u64>)>,
 ) -> (Record, (f64, std::collections::HashMap<u64, u64>)) {
     let circuit = scaling_workload(family, n);
@@ -558,7 +538,6 @@ fn bench_scaling(
     for _ in 0..reps {
         let mut opts = qdd_sim::ShotOptions::new(shots, 1);
         opts.threads = threads;
-        opts.config = suite_config(no_skip);
         let t0 = Instant::now();
         let report = qdd_sim::shots::run(&circuit, &opts).expect("scaling shots");
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
@@ -574,7 +553,6 @@ fn bench_scaling(
     let snapshot = collect_metrics(|| {
         let mut opts = qdd_sim::ShotOptions::new(shots.min(4), 1);
         opts.threads = threads;
-        opts.config = suite_config(no_skip);
         let _ = qdd_sim::shots::run(&circuit, &opts);
     });
     let (cache_lookups, cache_hits, gate_cache_lookups, gate_cache_hits, complex_entries) =
@@ -618,14 +596,12 @@ fn main() {
     let mut out: Option<PathBuf> = None;
     let mut small = false;
     let mut reps = 3usize;
-    let mut no_skip = false;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--label" => label = it.next().expect("--label needs a value").clone(),
             "--out" => out = Some(PathBuf::from(it.next().expect("--out needs a value"))),
             "--small" => small = true,
-            "--no-identity-skip" => no_skip = true,
             "--reps" => {
                 reps = it
                     .next()
@@ -655,7 +631,7 @@ fn main() {
     let suite_t0 = Instant::now();
     for family in families {
         for &n in sim_widths(family, small) {
-            let r = bench_sim(family, n, reps, no_skip);
+            let r = bench_sim(family, n, reps);
             println!(
                 "sim     {:>10}  n={:<2}  {:>10}  peak {} nodes",
                 r.family,
@@ -666,7 +642,7 @@ fn main() {
             records.push(r);
         }
         for &n in verify_widths(family, small) {
-            let r = bench_verify(family, n, reps, no_skip);
+            let r = bench_verify(family, n, reps);
             println!(
                 "verify  {:>10}  n={:<2}  {:>10}  peak {} nodes",
                 r.family,
@@ -687,7 +663,7 @@ fn main() {
         (16, 100_000, 2_000)
     };
     for memoized in [false, true] {
-        let r = bench_sampling_shared(qft_n, qft_shots, reps, memoized, no_skip);
+        let r = bench_sampling_shared(qft_n, qft_shots, reps, memoized);
         println!(
             "sample  {:>10}  n={:<2}  {:>10}  {:.0} shots/s",
             r.phase,
@@ -698,7 +674,7 @@ fn main() {
         records.push(r);
     }
     for threads in [0, 8] {
-        let r = bench_sampling_midcircuit(tele_shots, reps, threads, no_skip);
+        let r = bench_sampling_midcircuit(tele_shots, reps, threads);
         println!(
             "sample  {:>10}  n={:<2}  {:>10}  {:.0} shots/s",
             r.phase,
@@ -725,7 +701,7 @@ fn main() {
     for &(family, n, shots, reps) in &scaling_workloads {
         let mut baseline: Option<(f64, std::collections::HashMap<u64, u64>)> = None;
         for &threads in thread_counts {
-            let (r, measured) = bench_scaling(family, n, shots, reps, threads, no_skip, baseline.as_ref());
+            let (r, measured) = bench_scaling(family, n, shots, reps, threads, baseline.as_ref());
             println!(
                 "scale   {:>13}  n={:<2}  {:>10}  {:.2}x vs 1 thread",
                 r.phase,
@@ -753,7 +729,7 @@ fn main() {
             ]
         };
     for (phase, qc, cap, floor) in approx_workloads {
-        let r = bench_approx(phase, qc, cap, floor, no_skip);
+        let r = bench_approx(phase, qc, cap, floor);
         println!(
             "approx  {:>10}  n={:<2}  {:>10}  fidelity ≥ {:.4}, peak {} nodes",
             r.phase,

@@ -1,7 +1,8 @@
 //! Regenerates paper Fig. 2: the decision-diagram representations of the
 //! Bell state (3 nodes), the Hadamard gate (1 node), and the controlled-NOT
-//! gate (3 nodes incl. the shared identity/X pattern). Writes classic-style
-//! DOT and SVG renderings to `out/`.
+//! gate (2 nodes: the paper draws 3, but the idle identity block on the
+//! non-firing branch is an identity-skip edge here, not a node). Writes
+//! classic-style DOT and SVG renderings to `out/`.
 
 use qdd_bench::out_dir;
 use qdd_core::{gates, Control, DdPackage};
@@ -41,7 +42,7 @@ fn main() {
     // Fig. 2(c): the controlled-NOT gate.
     let cx = dd.gate_dd(gates::X, &[Control::pos(1)], 0, 2).expect("CNOT");
     println!(
-        "\nFig. 2(c)  CNOT DD: {} nodes (root q1 + identity-block and X-block q0 nodes)",
+        "\nFig. 2(c)  CNOT DD: {} nodes (root q1 + X-block q0 node; the identity block is a skip edge)",
         dd.mat_node_count(cx)
     );
     let root = dd.mnode(cx.node);

@@ -20,9 +20,9 @@ OPTIONS:
                     mid-circuit measurement, reset, or classical control
                     re-execute per shot. Measured circuits histogram the
                     classical register values, unmeasured ones basis states.
-  --threads N       worker threads (default: one per CPU). Drives per-shot
-                    re-execution and the dense-fallback gate kernel; results
-                    and histograms are bit-identical for every thread count.
+  --threads N       worker threads for per-shot re-execution (default: one
+                    per CPU); histograms are bit-identical for every thread
+                    count.
   --state           print the amplitude table of the final state
   --threshold P     hide amplitudes below probability P (default 1e-9)
   --node-limit N    cap live DD nodes; under pressure the run GCs, then
@@ -37,10 +37,6 @@ OPTIONS:
                     cheapest subtrees within the fidelity budget) or
                     threshold:EPS (zero edges contributing < EPS).
                     Requires --min-fidelity
-  --no-identity-skip
-                    disable identity-skip edges in matrix DDs: every gate
-                    materializes explicit identity nodes on idle qubits
-                    (debug aid; slower and larger, results are identical)
   --stats           print the full engine statistics snapshot (per-table
                     hit rates, gate-DD cache, complex-table interning,
                     GC activity, peak nodes)
@@ -76,7 +72,7 @@ const FLAGS: &[&str] = &[
     "--seed", "--shots", "--threads", "--state", "--threshold", "--node-limit",
     "--timeout-ms", "--stats", "--stats-json", "--svg", "--dot", "--html",
     "--style", "--profile", "--metrics-out", "--trace-out", "--min-fidelity",
-    "--approx-policy", "--no-identity-skip", "--record-timeline",
+    "--approx-policy", "--record-timeline",
     "--snapshot-stride", "--histogram-out",
 ];
 
@@ -143,11 +139,9 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
 
     let config = qdd_core::PackageConfig {
         limits,
-        identity_skip: !args.has("--no-identity-skip"),
         ..qdd_core::PackageConfig::default()
     };
     let mut sim = qdd_sim::DdSimulator::with_config(circuit.clone(), seed, config);
-    sim.set_threads(threads);
     if let Err(e) = sim.run() {
         // A blown deadline returns immediately without climbing the ladder
         // (time spent cannot be GC'd back), so the trail would be fiction.
@@ -423,25 +417,15 @@ fn print_degradation_trail(
 /// per-compute-table rates, and complex-table health.
 fn stats_json(circuit: &qdd_circuit::QuantumCircuit, sim: &qdd_sim::DdSimulator) -> String {
     use std::fmt::Write as _;
-    fn esc(s: &str) -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' | '\\' => vec!['\\', c],
-                '\n' => vec!['\\', 'n'],
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect()
-    }
     let pkg = sim.package().stats();
     let ct = sim.package().complex_table_stats();
     let run = sim.stats();
     let mut out = String::with_capacity(1024);
-    out.push_str("{\"schema\":\"qdd-stats-v1\"");
+    out.push_str("{\"schema\":\"qdd-stats-v1\",\"circuit\":{\"name\":");
+    qdd_telemetry::json::write_json_string(&mut out, circuit.name());
     let _ = write!(
         out,
-        ",\"circuit\":{{\"name\":\"{}\",\"qubits\":{},\"ops\":{},\"depth\":{}}}",
-        esc(circuit.name()),
+        ",\"qubits\":{},\"ops\":{},\"depth\":{}}}",
         circuit.num_qubits(),
         circuit.len(),
         circuit.depth()

@@ -15,17 +15,10 @@ qubits, like the paper's tool).
 OPTIONS:
   --strategy S     construction | one-to-one | proportional |
                    barrier-guided | lookahead   (default proportional)
-  --threads N      worker threads for the construction strategy: with 2 or
-                   more, the two system matrices build concurrently, each in
-                   its own package (default 1; 0 = one per CPU, capped at 2).
-                   The verdict is independent of the thread count.
   --stimuli N      additionally run N random basis states through both
                    circuits and compare the outputs (default 0)
   --node-limit N   cap live DD nodes during the check
   --timeout-ms N   wall-clock budget for the check
-  --no-identity-skip
-                   disable identity-skip edges in matrix DDs (debug aid;
-                   slower and larger, the verdict is identical)
   --profile        print a per-phase wall-time profile table on stderr
   --metrics-out P  write the telemetry metrics snapshot as JSON to P
   --trace-out P    write the telemetry event stream to P (Chrome
@@ -35,8 +28,8 @@ EXIT STATUS: 0 when equivalent (incl. up to global phase), 1 otherwise,
 3 when a resource budget (--node-limit, --timeout-ms) is exhausted.";
 
 const FLAGS: &[&str] = &[
-    "--strategy", "--threads", "--stimuli", "--node-limit", "--timeout-ms",
-    "--profile", "--metrics-out", "--trace-out", "--no-identity-skip",
+    "--strategy", "--stimuli", "--node-limit", "--timeout-ms", "--profile",
+    "--metrics-out", "--trace-out",
 ];
 
 pub fn run(argv: &[String]) -> Result<(), CmdError> {
@@ -51,7 +44,6 @@ pub fn run(argv: &[String]) -> Result<(), CmdError> {
     let left = load_circuit(left_path)?;
     let right = load_circuit(right_path)?;
     let strategy = parse_strategy(args.value("--strategy"))?;
-    let threads: usize = args.number("--threads", 1)?;
     let stimuli: usize = args.number("--stimuli", 0)?;
     let limits = parse_limits(&args)?;
 
@@ -68,17 +60,14 @@ pub fn run(argv: &[String]) -> Result<(), CmdError> {
         right.gate_count()
     );
 
-    let identity_skip = !args.has("--no-identity-skip");
-    let mut checker = if limits.is_unlimited() && identity_skip {
+    let mut checker = if limits.is_unlimited() {
         EquivalenceChecker::new()
     } else {
         EquivalenceChecker::with_config(qdd_core::PackageConfig {
             limits,
-            identity_skip,
             ..qdd_core::PackageConfig::default()
         })
     };
-    checker.set_threads(threads);
     let report = match checker.check(&left, &right, strategy) {
         Ok(report) => report,
         Err(e) => {

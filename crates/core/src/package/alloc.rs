@@ -37,7 +37,7 @@ impl DdPackage {
                 norm.weights[i],
             )
         });
-        if let Some(through) = self.identity_collapse(&canon) {
+        if let Some(through) = Self::identity_collapse(&canon) {
             self.identity_collapses += 1;
             return Ok(self.scale_edge(through, norm.top));
         }
@@ -59,34 +59,35 @@ impl DdPackage {
     /// and is never materialized — the edge passes straight through to `e`,
     /// with the level gap meaning "identity on every skipped qubit".
     /// Returns the pass-through edge, or `None` when a real node is needed
-    /// (always for vector diagrams, and under `--no-identity-skip`).
+    /// (always for vector diagrams).
     #[inline]
-    fn identity_collapse<const N: usize>(&self, canon: &[Edge<N>; N]) -> Option<Edge<N>> {
-        if N != 4 || !self.config.identity_skip {
-            return None;
-        }
-        if canon[1].is_zero() && canon[2].is_zero() && canon[0] == canon[3] {
+    fn identity_collapse<const N: usize>(canon: &[Edge<N>; N]) -> Option<Edge<N>> {
+        if N == 4 && canon[1].is_zero() && canon[2].is_zero() && canon[0] == canon[3] {
             Some(canon[0])
         } else {
             None
         }
     }
 
-    /// Structural invariant checked on every construction (debug builds):
-    /// each child is a zero stub, or (at `var == 0`) the terminal, or a
-    /// node below this level. Vector diagrams stay dense (children exactly
-    /// one level down); matrix children may sit *any* number of levels
-    /// down — or be non-zero terminals — with the gap meaning identity on
-    /// the skipped qubits.
-    fn children_well_formed<const N: usize>(&self, var: Qubit, children: &[Edge<N>; N]) -> bool
+    /// Structural invariant of every construction: each child is a zero
+    /// stub, or (at `var == 0`) the terminal, or a node below this level.
+    /// Vector diagrams stay dense (children exactly one level down); matrix
+    /// children may sit *any* number of levels down — or be non-zero
+    /// terminals — with the gap meaning identity on the skipped qubits.
+    /// Debug builds assert it on every construction; the text readers check
+    /// it on every node they load.
+    pub(crate) fn children_well_formed<const N: usize>(
+        &self,
+        var: Qubit,
+        children: &[Edge<N>; N],
+    ) -> bool
     where
         Self: HasStore<N>,
     {
-        let skip = N == 4 && self.config.identity_skip;
         children.iter().all(|c| {
             if c.is_zero() || var == 0 {
                 c.is_terminal()
-            } else if skip {
+            } else if N == 4 {
                 c.is_terminal() || self.store().node(c.node).var < var
             } else {
                 !c.is_terminal() && self.store().node(c.node).var == var - 1

@@ -45,32 +45,16 @@ impl GateKey {
 const GATE_CACHE_CAP: usize = 1 << 12;
 
 impl DdPackage {
-    /// The identity operator on `n` qubits. Under identity skip (the
-    /// default) this is the terminal unit edge — identity levels are never
-    /// materialized, so the diagram has zero nodes regardless of `n`. With
-    /// skip disabled it is the classic chain of one shared node per level.
+    /// The identity operator on `n` qubits: the terminal unit edge.
+    /// Identity levels are never materialized, so the diagram has zero
+    /// nodes regardless of `n`.
     ///
     /// # Errors
     ///
     /// [`DdError::QubitCountOutOfRange`] if `n` is invalid.
     pub fn identity(&mut self, n: usize) -> Result<MatEdge, DdError> {
         Self::check_qubits(n)?;
-        self.id_edge(n)
-    }
-
-    /// Identity DD spanning variables `0..k` (`k = 0` is the scalar 1).
-    ///
-    /// Dense levels are only built under `--no-identity-skip`; the loop is
-    /// all unique-table hits after the first call, so no cache is needed.
-    pub(crate) fn id_edge(&mut self, k: usize) -> Result<MatEdge, DdError> {
-        if self.config.identity_skip {
-            return Ok(MatEdge::ONE);
-        }
-        let mut e = MatEdge::ONE;
-        for var in 0..k {
-            e = self.try_make_mat_node(var as Qubit, [e, MatEdge::ZERO, MatEdge::ZERO, e])?;
-        }
-        Ok(e)
+        Ok(MatEdge::ONE)
     }
 
     /// Builds the `2ⁿ×2ⁿ` operator DD of a (multi-)controlled single-qubit
@@ -153,11 +137,10 @@ impl DdPackage {
         target: usize,
         n: usize,
     ) -> Result<MatEdge, DdError> {
-        // Under identity skip the uncontrolled wrapping levels below
-        // collapse in `try_make_mat_node` (and `id_edge` is the terminal
-        // unit), so a k-controlled gate costs O(k) nodes regardless of the
-        // register width; with skip disabled the same code builds the
-        // classic dense chains.
+        // The uncontrolled wrapping levels below collapse in
+        // `try_make_mat_node`, and an idle identity is the terminal unit,
+        // so a k-controlled gate costs O(k) nodes regardless of the
+        // register width.
         let pol_at = |q: usize| controls.iter().find(|c| c.qubit == q).map(|c| c.polarity);
 
         // Terminal 2×2 block edges [e₀₀, e₀₁, e₁₀, e₁₁].
@@ -183,7 +166,7 @@ impl DdPackage {
                         // the target sub-space: diagonal blocks get the
                         // identity of the processed levels, off-diagonal
                         // blocks vanish.
-                        let idle = if i == j { self.id_edge(q)? } else { MatEdge::ZERO };
+                        let idle = if i == j { MatEdge::ONE } else { MatEdge::ZERO };
                         let (c00, c11) = match p {
                             Polarity::Positive => (idle, em[b]),
                             Polarity::Negative => (em[b], idle),
@@ -206,10 +189,9 @@ impl DdPackage {
                     self.try_make_mat_node(q as Qubit, [e, MatEdge::ZERO, MatEdge::ZERO, e])?
                 }
                 Some(p) => {
-                    let idle = self.id_edge(q)?;
                     let (c00, c11) = match p {
-                        Polarity::Positive => (idle, e),
-                        Polarity::Negative => (e, idle),
+                        Polarity::Positive => (MatEdge::ONE, e),
+                        Polarity::Negative => (e, MatEdge::ONE),
                     };
                     self.try_make_mat_node(q as Qubit, [c00, MatEdge::ZERO, MatEdge::ZERO, c11])?
                 }
@@ -278,22 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn identity_has_one_node_per_level_without_skip() {
-        let mut dd = DdPackage::with_config(PackageConfig {
-            identity_skip: false,
-            ..PackageConfig::default()
-        });
-        let id = dd.identity(5).unwrap();
-        assert_eq!(dd.mat_node_count(id), 5);
-        assert!(dd.complex_value(id.weight).is_one(1e-12));
-    }
-
-    #[test]
     fn controlled_gate_cost_is_independent_of_register_width() {
         let mut dd = DdPackage::new();
-        // CX on (control 1, target 0) embedded in ever-wider registers: the
-        // skip representation keeps the same two nodes; only the dense
-        // representation pays per skipped level.
+        // CX on (control 1, target 0) embedded in ever-wider registers
+        // keeps the same two nodes: the levels above the control are
+        // skipped.
         let narrow = dd.gate_dd(gates::X, &[Control::pos(1)], 0, 2).unwrap();
         let wide = dd.gate_dd(gates::X, &[Control::pos(1)], 0, 12).unwrap();
         assert_eq!(narrow, wide, "skipped levels above the control are free");
@@ -331,22 +302,6 @@ mod tests {
         // The non-firing branch is the skipped identity on q0.
         assert!(root.children[0].is_terminal());
         assert!(dd.complex_value(root.children[0].weight).is_one(1e-12));
-    }
-
-    #[test]
-    fn cnot_gate_dd_matches_fig_2c_without_skip() {
-        let mut dd = DdPackage::with_config(PackageConfig {
-            identity_skip: false,
-            ..PackageConfig::default()
-        });
-        let cx = dd.gate_dd(gates::X, &[Control::pos(1)], 0, 2).unwrap();
-        // The dense representation matches the figure literally: the q1
-        // node plus I and X nodes at the q0 level.
-        assert_eq!(dd.mat_node_count(cx), 3);
-        let root = dd.mnode(cx.node);
-        assert_eq!(root.var, 1);
-        assert!(root.children[1].is_zero());
-        assert!(root.children[2].is_zero());
     }
 
     #[test]

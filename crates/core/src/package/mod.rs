@@ -7,7 +7,6 @@
 //! `N = 2` (vector DDs) and `N = 4` (matrix DDs) — plus focused submodules:
 //!
 //! * [`store`] — `NodeStore<N>` and the `HasStore<N>` arity dispatch;
-//! * [`import`] — fallible cross-package diagram import;
 //! * [`alloc`] — normalization + unique-table interning (`make_*_node`);
 //! * [`refcount`] — external roots (`inc_ref_*` / `dec_ref_*`);
 //! * [`gc`] — mark/sweep collection and the complex-table sweep;
@@ -23,7 +22,6 @@
 mod alloc;
 mod gates;
 mod gc;
-mod import;
 mod refcount;
 mod states;
 mod stats;
@@ -62,14 +60,6 @@ pub struct PackageConfig {
     pub vector_normalization: VectorNormalization,
     /// Resource budgets enforced by the package (all unlimited by default).
     pub limits: Limits,
-    /// Identity-skipped matrix edges (arXiv 2406.11959): a matrix edge may
-    /// point to a node strictly below the contextually expected level, the
-    /// gap meaning "identity on every skipped qubit", and nodes whose four
-    /// children form the identity pattern over one child edge are never
-    /// materialized. Disabling this forces dense matrix levels — only
-    /// useful for bisecting regressions to the representation
-    /// (`--no-identity-skip` on the CLI).
-    pub identity_skip: bool,
 }
 
 impl Default for PackageConfig {
@@ -80,7 +70,6 @@ impl Default for PackageConfig {
             check_unitarity: true,
             vector_normalization: VectorNormalization::default(),
             limits: Limits::default(),
-            identity_skip: true,
         }
     }
 }
@@ -92,15 +81,19 @@ impl Default for PackageConfig {
 /// All diagrams created by one package may share nodes; edges from different
 /// packages must never be mixed.
 ///
+/// Matrix diagrams are identity-skipped (arXiv 2406.11959): a matrix edge
+/// may point to a node strictly below the contextually expected level, the
+/// gap meaning "identity on every skipped qubit", and a node whose four
+/// children form the identity pattern over one child edge is never
+/// materialized.
+///
 /// See the [crate-level documentation](crate) for a worked example.
 ///
 /// # Ownership and threads
 ///
 /// A package has a single owner. It is `Send` — a worker thread may build
 /// one and hand it back — but not `Sync`: nothing inside it is locked or
-/// atomic. Parallel drivers give every thread its own package (the shot
-/// engine's workers, verification's two-sided construction) and move
-/// results between packages with [`DdPackage::try_import_mat_edge`].
+/// atomic. The shot engine gives every worker thread its own package.
 ///
 /// # The warm mark
 ///

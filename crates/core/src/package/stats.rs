@@ -151,7 +151,7 @@ impl DdPackage {
     }
 
     /// Matrix-node constructions elided by the identity-skip collapse rule
-    /// so far (constant time). Always 0 when `identity_skip` is disabled.
+    /// so far (constant time).
     pub fn identity_nodes_skipped(&self) -> u64 {
         self.identity_collapses
     }

@@ -16,18 +16,20 @@
 //! `T` is the terminal, `Z` the 0-stub. Nodes are listed children-first
 //! (ascending variable), so deserialization is a single pass. Weights are
 //! re-interned and nodes re-normalized on load, so a loaded diagram is
-//! canonical in its new package even if the file was edited by hand.
+//! canonical in its new package even if the file was edited by hand. The
+//! file is not trusted: a node whose children break the package's level
+//! rules, or that does not fit the package's node budget, is a
+//! [`SerializeError::Parse`] naming its line.
 //!
 //! Matrix diagrams are written in the `qdd-matrix v2` dialect, which
 //! annotates every node-to-node reference with the target's variable
-//! (`3@1` = node 3, sitting at `q1`). Under identity skip an edge may land
+//! (`3@1` = node 3, sitting at `q1`). An identity-skipped edge may land
 //! strictly below the next level, and the annotation makes the gap — and
 //! therefore the implicit identity — explicit and checkable instead of a
 //! detail the reader must reconstruct from the node table. The reader
 //! accepts both `v1` (no annotations) and `v2`; because every node line
 //! carries its variable, old `v1` files deserialize unchanged, and their
-//! identity chains collapse into skip edges on load when the target
-//! package has identity skip enabled.
+//! dense identity chains collapse into skip edges on load.
 //!
 //! Vector and matrix diagrams share one generic implementation
 //! parameterized by the node arity: only the header strings and the number
@@ -199,11 +201,6 @@ impl DdPackage {
                 format!("expected header `{}`", headers_accepted.join("` or `")),
             ));
         }
-        // Skip-annotated files loaded into a package with identity skip
-        // disabled need the implicit identities materialized back into
-        // explicit level-by-level nodes.
-        let densify = N == 4 && !self.config.identity_skip;
-        let mut levels: Option<i64> = None;
         let mut nodes: FxHashMap<u32, Edge<N>> = FxHashMap::default();
         let mut root: Option<Edge<N>> = None;
         for (idx, line) in lines {
@@ -211,37 +208,27 @@ impl DdPackage {
             let line = line?;
             let tokens: Vec<&str> = line.split_whitespace().collect();
             match tokens.as_slice() {
-                [] => continue,
-                ["levels", n] => {
-                    levels = n.parse::<i64>().ok();
-                    continue;
-                }
+                [] | ["levels", _] => continue,
                 ["node", id, var, rest @ ..] if rest.len() == 3 * N => {
                     let id: u32 = id.parse().map_err(|_| parse_err(lineno, "bad node id"))?;
-                    let var: u8 = var
-                        .parse()
-                        .map_err(|_| parse_err(lineno, "bad variable"))?;
+                    let var: u8 = var.parse().map_err(|_| parse_err(lineno, "bad variable"))?;
                     let mut children = [Edge::ZERO; N];
                     for (k, chunk) in rest.chunks(3).enumerate() {
                         children[k] = self.resolve_child(chunk, &nodes, lineno)?;
-                        if densify {
-                            children[k] =
-                                self.raise_to_level(children[k], i64::from(var) - 1, lineno)?;
-                        }
+                    }
+                    if !self.children_well_formed(var, &children) {
+                        return Err(parse_err(
+                            lineno,
+                            format!("node {id} at variable {var} has a child at the wrong level"),
+                        ));
                     }
                     let edge = self
                         .try_make_node_generic(var, children)
-                        .unwrap_or_else(|e| panic!("ungoverned node construction failed: {e}"));
+                        .map_err(|e| parse_err(lineno, format!("node {id}: {e}")))?;
                     nodes.insert(id, edge);
                 }
                 ["root", rest @ ..] if rest.len() == 3 => {
-                    let mut e = self.resolve_child(rest, &nodes, lineno)?;
-                    if densify {
-                        if let Some(levels) = levels {
-                            e = self.raise_to_level(e, levels - 1, lineno)?;
-                        }
-                    }
-                    root = Some(e);
+                    root = Some(self.resolve_child(rest, &nodes, lineno)?);
                 }
                 _ => return Err(parse_err(lineno, format!("unrecognized line `{line}`"))),
             }
@@ -311,41 +298,6 @@ impl DdPackage {
         }
     }
 
-    /// Wraps `e` in explicit identity nodes until its root sits at level
-    /// `want` (a variable index; -1 means "leave terminals alone"). Used
-    /// when loading into a package with identity skip disabled, where an
-    /// edge gap must be materialized as one `[e 0; 0 e]` node per skipped
-    /// level. No-op for gap-free (dense) input.
-    fn raise_to_level<const N: usize>(
-        &mut self,
-        e: Edge<N>,
-        want: i64,
-        lineno: usize,
-    ) -> Result<Edge<N>, SerializeError>
-    where
-        Self: crate::package::HasStore<N>,
-    {
-        if e.is_zero() {
-            return Ok(e);
-        }
-        let mut cur: i64 = if e.is_terminal() {
-            -1
-        } else {
-            i64::from(self.store().node(e.node).var)
-        };
-        let mut e = e;
-        while cur < want {
-            cur += 1;
-            let mut children = [Edge::ZERO; N];
-            children[0] = e;
-            children[N - 1] = e;
-            e = self
-                .try_make_node_generic(cur as crate::types::Qubit, children)
-                .map_err(|err| parse_err(lineno, format!("densification failed: {err}")))?;
-        }
-        Ok(e)
-    }
-
     /// Writes a state diagram in the `qdd-vector v1` text format.
     ///
     /// # Errors
@@ -377,10 +329,8 @@ impl DdPackage {
     }
 
     /// Reads an operator diagram in either the `qdd-matrix v1` or
-    /// `qdd-matrix v2` format. Old `v1` files keep loading: identity
-    /// chains collapse into skip edges when this package has identity
-    /// skip enabled, and skip gaps in `v2` files are densified back into
-    /// explicit identity nodes when it does not.
+    /// `qdd-matrix v2` format. Old `v1` files keep loading: their dense
+    /// identity chains collapse into skip edges.
     ///
     /// # Errors
     ///
@@ -505,16 +455,74 @@ mod tests {
 
     #[test]
     fn parse_errors_are_reported() {
-        let mut dd = DdPackage::new();
-        for (input, needle) in [
-            ("", "empty input"),
-            ("wrong header\n", "expected header"),
-            ("qdd-vector v1\nnode 0 0 T 1 0\n", "unrecognized line"),
-            ("qdd-vector v1\nnode 0 0 T x 0 Z 0 0\nroot 0 1 0\n", "bad real part"),
-            ("qdd-vector v1\nnode 0 0 7 1 0 Z 0 0\nroot 0 1 0\n", "forward reference"),
-            ("qdd-vector v1\nnode 0 0 T 1 0 Z 0 0\n", "missing root"),
+        // Two vector nodes: one more than a one-node budget admits.
+        let two_nodes = "qdd-vector v1\nnode 0 0 T 1 0 Z 0 0\nnode 1 1 0 1 0 Z 0 0\nroot 1 1 0\n";
+        // Node 1's child, node 0, sits at node 1's own level.
+        let same_level = "qdd-matrix v2\nlevels 2\n\
+                          node 0 1 T 1 0 Z 0 0 Z 0 0 T -1 0\n\
+                          node 1 1 0@1 1 0 Z 0 0 Z 0 0 T 1 0\n\
+                          root 1@1 1 0\n";
+        for (matrix, max_nodes, input, needle) in [
+            (false, None, "", "empty input"),
+            (false, None, "wrong header\n", "expected header"),
+            (
+                false,
+                None,
+                "qdd-vector v1\nnode 0 0 T 1 0\n",
+                "unrecognized line",
+            ),
+            (
+                false,
+                None,
+                "qdd-vector v1\nnode 0 0 T x 0 Z 0 0\nroot 0 1 0\n",
+                "bad real part",
+            ),
+            (
+                false,
+                None,
+                "qdd-vector v1\nnode 0 0 7 1 0 Z 0 0\nroot 0 1 0\n",
+                "forward reference",
+            ),
+            (
+                false,
+                None,
+                "qdd-vector v1\nnode 0 0 T 1 0 Z 0 0\n",
+                "missing root",
+            ),
+            // A terminal child above the bottom level.
+            (
+                false,
+                None,
+                "qdd-vector v1\nnode 0 2 T 1 0 Z 0 0\nroot 0 1 0\n",
+                "line 2: node 0 at variable 2 has a child at the wrong level",
+            ),
+            (true, None, "wrong header\n", "expected header"),
+            (
+                true,
+                None,
+                same_level,
+                "line 4: node 1 at variable 1 has a child at the wrong level",
+            ),
+            (
+                false,
+                Some(1),
+                two_nodes,
+                "line 3: node 1: node budget exhausted",
+            ),
         ] {
-            let err = dd.read_vector(input.as_bytes()).unwrap_err();
+            let mut dd = DdPackage::with_config(crate::PackageConfig {
+                limits: crate::Limits {
+                    max_nodes,
+                    ..crate::Limits::default()
+                },
+                ..crate::PackageConfig::default()
+            });
+            let err = if matrix {
+                dd.read_matrix(input.as_bytes()).map(drop)
+            } else {
+                dd.read_vector(input.as_bytes()).map(drop)
+            }
+            .unwrap_err();
             assert!(
                 err.to_string().contains(needle),
                 "`{input}` → {err} (wanted `{needle}`)"
@@ -577,30 +585,6 @@ mod tests {
         // Same-package reload is pointer-identical.
         let reloaded = dd.read_matrix(buffer.as_slice()).unwrap();
         assert_eq!(reloaded, g);
-    }
-
-    #[test]
-    fn v2_file_densifies_into_skip_off_package() {
-        let mut dd = DdPackage::new();
-        let cx = dd.gate_dd(gates::X, &[Control::pos(1)], 0, 2).unwrap();
-        let mut buffer = Vec::new();
-        dd.write_matrix(cx, &mut buffer).unwrap();
-
-        let mut dense = DdPackage::with_config(crate::PackageConfig {
-            identity_skip: false,
-            ..crate::PackageConfig::default()
-        });
-        let loaded = dense.read_matrix(buffer.as_slice()).unwrap();
-        // The skip edge is materialized back into an explicit identity
-        // node: the historical 3-node dense CX.
-        assert_eq!(dense.mat_node_count(loaded), 3);
-        let a = dd.to_dense_matrix(cx, 2);
-        let b = dense.to_dense_matrix(loaded, 2);
-        for (ra, rb) in a.iter().zip(b.iter()) {
-            for (x, y) in ra.iter().zip(rb.iter()) {
-                assert!(x.approx_eq(*y, 1e-10));
-            }
-        }
     }
 
     #[test]

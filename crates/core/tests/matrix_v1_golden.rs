@@ -4,14 +4,9 @@
 //! child references carry no `@var` annotations — must keep loading, and
 //! must load to the *same canonical diagram* the current package builds
 //! natively (the dense identity chains collapse into skip edges on read).
-//!
-//! To regenerate after an *intentional* format change:
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test -p qdd-core --test matrix_v1_golden
-//! ```
+//! The file is frozen legacy input: nothing in the workspace writes `v1`.
 
-use qdd_core::{gates, Control, DdPackage, MatEdge, PackageConfig};
+use qdd_core::{gates, Control, DdPackage, MatEdge};
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
@@ -33,45 +28,11 @@ fn build_operator(dd: &mut DdPackage) -> MatEdge {
     dd.mat_mat(h, u)
 }
 
-/// Regenerates the golden by writing the operator from an identity-skip-off
-/// package (whose diagram is fully dense) and downgrading the text to the
-/// pre-skip `v1` dialect: the old header, and no `@var` annotations.
-fn regenerate() -> String {
-    let mut dense = DdPackage::with_config(PackageConfig {
-        identity_skip: false,
-        ..PackageConfig::default()
-    });
-    let op = build_operator(&mut dense);
-    let mut buffer = Vec::new();
-    dense.write_matrix(op, &mut buffer).unwrap();
-    let v2 = String::from_utf8(buffer).unwrap();
-    let mut out = String::with_capacity(v2.len());
-    for line in v2.lines() {
-        if line == "qdd-matrix v2" {
-            out.push_str("qdd-matrix v1\n");
-            continue;
-        }
-        // Strip `@var` suffixes from node-reference tokens.
-        let stripped: Vec<&str> = line
-            .split(' ')
-            .map(|tok| tok.split_once('@').map_or(tok, |(id, _)| id))
-            .collect();
-        out.push_str(&stripped.join(" "));
-        out.push('\n');
-    }
-    out
-}
-
 #[test]
 fn pinned_v1_matrix_golden_still_loads() {
     let path = golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, regenerate()).unwrap();
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {} ({e}); run with UPDATE_GOLDEN=1", path.display())
-    });
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
     assert!(
         text.starts_with("qdd-matrix v1\n"),
         "golden must stay a v1 file"

@@ -1,34 +1,23 @@
 //! JSON helpers for the API: string escaping, compact writers, and typed
 //! accessors over the workspace's hand-rolled parser.
 //!
-//! Parsing reuses [`qdd_viz::inspect::parse_json`] — the same minimal
-//! recursive-descent parser the timeline inspector uses — so the daemon
-//! adds no serialization dependency. Writing follows the `qdd-stats-v1`
-//! conventions: single-line objects, manually escaped strings,
-//! deterministic member order.
+//! Parsing and escaping are [`qdd_telemetry::json`]'s — the same parser
+//! the timeline inspector uses — so the daemon adds no serialization
+//! dependency. Writing follows the `qdd-stats-v1` conventions: single-line
+//! objects, manually escaped strings, deterministic member order.
 
-pub use qdd_viz::inspect::{parse_json, JsonValue};
+pub use qdd_telemetry::json::{parse_json, JsonValue};
 
 use qdd_telemetry::Snapshot;
 use std::fmt::Write as _;
 
 /// Escapes a string for embedding in a JSON document (quotes not
-/// included) — the same escaping rules as the CLI's stats writer.
+/// included), with [`qdd_telemetry::json::write_json_string`].
 pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(s.len() + 2);
+    qdd_telemetry::json::write_json_string(&mut out, s);
+    out.pop();
+    out.remove(0);
     out
 }
 

@@ -17,22 +17,6 @@ use rand::{Rng, SeedableRng};
 /// Largest register the dense simulator accepts (2²⁴ amplitudes).
 pub const MAX_DENSE_QUBITS: usize = 24;
 
-/// Smallest state (in amplitudes) worth fanning a gate application out over
-/// worker threads; below this the spawn overhead dominates the kernel.
-const PAR_THRESHOLD: usize = 1 << 14;
-
-/// A raw amplitude-buffer pointer that may cross thread boundaries.
-///
-/// Safety argument for the parallel gate kernel: the index space is split
-/// into contiguous chunks, and a pair `(i, i | t_mask)` is read and written
-/// **only** by the thread whose chunk contains the pair's base index `i`
-/// (the one with the target bit clear). Every amplitude belongs to exactly
-/// one pair, so no two threads ever touch the same element.
-#[derive(Copy, Clone)]
-struct SendPtr(*mut Complex);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
 /// A straightforward `2ⁿ`-amplitude state-vector simulator.
 #[derive(Clone, Debug)]
 pub struct DenseSimulator {
@@ -40,10 +24,6 @@ pub struct DenseSimulator {
     state: Vec<Complex>,
     classical: Vec<bool>,
     rng: SmallRng,
-    /// Worker threads for the gate kernel (1 = serial). Reductions
-    /// (`prob_one`, sampling) stay serial: float summation order is part of
-    /// the bit-reproducibility contract.
-    threads: usize,
 }
 
 impl DenseSimulator {
@@ -66,15 +46,7 @@ impl DenseSimulator {
             state,
             classical: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
-            threads: 1,
         })
-    }
-
-    /// Sets the worker-thread count for the gate kernel (minimum 1).
-    /// Thread count never changes results: the parallel kernel writes each
-    /// amplitude pair from exactly one thread and all reductions are serial.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Creates a simulator mid-circuit from an exported amplitude vector and
@@ -102,7 +74,6 @@ impl DenseSimulator {
             state,
             classical,
             rng: SmallRng::seed_from_u64(seed),
-            threads: 1,
         })
     }
 
@@ -187,9 +158,7 @@ impl DenseSimulator {
         Ok(())
     }
 
-    /// Applies a (multi-)controlled 2×2 gate in place — data-parallel over
-    /// disjoint amplitude pairs when [`Self::set_threads`] allows it and the
-    /// state is large enough to amortize the fan-out.
+    /// Applies a (multi-)controlled 2×2 gate in place.
     pub fn apply_gate(&mut self, u: &GateMatrix, controls: &[Control], target: usize) {
         let t_mask = 1usize << target;
         let mut pos_mask = 0usize;
@@ -200,40 +169,7 @@ impl DenseSimulator {
                 Polarity::Negative => neg_mask |= 1 << c.qubit,
             }
         }
-        let len = self.state.len();
-        if self.threads > 1 && len >= PAR_THRESHOLD {
-            let workers = self.threads.min(len);
-            let chunk = len.div_ceil(workers);
-            let ptr = SendPtr(self.state.as_mut_ptr());
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(len));
-                    scope.spawn(move || {
-                        let ptr = ptr;
-                        for i in lo..hi {
-                            if i & t_mask != 0 {
-                                continue; // pair is owned by its |0⟩ side
-                            }
-                            if i & pos_mask != pos_mask || i & neg_mask != 0 {
-                                continue;
-                            }
-                            let j = i | t_mask;
-                            // SAFETY: i has the target bit clear, so this
-                            // thread (whose chunk contains i) is the unique
-                            // owner of both slots of the pair; see SendPtr.
-                            unsafe {
-                                let a = *ptr.0.add(i);
-                                let b = *ptr.0.add(j);
-                                *ptr.0.add(i) = u[0][0] * a + u[0][1] * b;
-                                *ptr.0.add(j) = u[1][0] * a + u[1][1] * b;
-                            }
-                        }
-                    });
-                }
-            });
-            return;
-        }
-        for i in 0..len {
+        for i in 0..self.state.len() {
             if i & t_mask != 0 {
                 continue; // handle each pair once, from the |0⟩ side
             }
@@ -418,31 +354,5 @@ mod tests {
     fn collapse_impossible_outcome_panics() {
         let mut sim = DenseSimulator::new(1, 1).unwrap();
         sim.collapse(0, true);
-    }
-
-    /// The parallel kernel partitions pairs, never reorders the arithmetic
-    /// within one, so any thread count must reproduce the serial run to the
-    /// last bit — including controlled gates whose pairs straddle chunk
-    /// boundaries.
-    #[test]
-    fn parallel_gate_kernel_is_bit_identical_to_serial() {
-        let n = 14; // 2¹⁴ amplitudes: above PAR_THRESHOLD
-        let mut qc = qdd_circuit::QuantumCircuit::new(n);
-        for q in 0..n {
-            qc.h(q);
-        }
-        for q in 0..n - 1 {
-            qc.cx(q, q + 1);
-            qc.rz(0.17 * (q + 1) as f64, q + 1);
-        }
-        qc.x(13).swap(0, 13);
-        let mut serial = DenseSimulator::simulate(&qc, 1).unwrap();
-        for threads in [2, 3, 8] {
-            let mut par = DenseSimulator::new(n, 1).unwrap();
-            par.set_threads(threads);
-            par.run(&qc).unwrap();
-            assert_eq!(serial.state(), par.state(), "threads = {threads}");
-        }
-        let _ = serial.sample(1);
     }
 }

@@ -163,8 +163,6 @@ pub struct DdSimulator {
     dense: Option<DenseSimulator>,
     /// Gates the dense rung of the degradation ladder.
     dense_fallback_enabled: bool,
-    /// Worker threads for the data-parallel dense kernels (1 = serial).
-    threads: usize,
     /// Run (restart) index stamped onto timeline records, so shot replays
     /// of the same circuit stay distinguishable in a merged timeline.
     tl_run: u32,
@@ -202,19 +200,8 @@ impl DdSimulator {
             stats: SimStats::default(),
             dense: None,
             dense_fallback_enabled: true,
-            threads: 1,
             tl_run: qdd_telemetry::timeline::next_run(),
             warm_zero: None,
-        }
-    }
-
-    /// Sets the worker-thread count for the data-parallel dense kernels
-    /// (the DD path itself is sequential per simulator; parallel shots run
-    /// one simulator per worker). `0` means one thread per available CPU.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = crate::resolve_threads(threads);
-        if let Some(dense) = &mut self.dense {
-            dense.set_threads(self.threads);
         }
     }
 
@@ -583,7 +570,6 @@ impl DdSimulator {
         let amps = self.dd.try_to_dense_vector(self.state, n)?;
         let seed = self.rng.gen::<u64>();
         let mut dense = DenseSimulator::from_parts(n, amps, self.classical.clone(), seed)?;
-        dense.set_threads(self.threads);
         dense.apply_operation(&self.circuit, op)?;
         self.dense = Some(dense);
         self.stats.dense_fallback = true;

@@ -35,7 +35,7 @@ impl Value {
             Value::Bool(v) => {
                 let _ = write!(out, "{v}");
             }
-            Value::Str(s) => crate::snapshot::write_json_string(out, s),
+            Value::Str(s) => crate::json::write_json_string(out, s),
         }
     }
 }

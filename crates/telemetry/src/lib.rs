@@ -53,6 +53,7 @@
 //! ```
 
 mod event;
+pub mod json;
 mod metrics;
 pub mod sink;
 mod snapshot;

@@ -2,7 +2,8 @@
 //! human-readable profile table.
 
 use crate::event::Event;
-use crate::snapshot::{write_json_string, Snapshot};
+use crate::json::write_json_string;
+use crate::snapshot::Snapshot;
 use std::fmt::Write as _;
 
 /// Renders events as JSON Lines: one self-contained JSON object per line,

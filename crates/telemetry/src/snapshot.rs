@@ -1,5 +1,6 @@
 //! Serializable snapshot of the metrics registry.
 
+use crate::json::write_json_string;
 use crate::metrics::{Histogram, HistogramSnapshot, SpanAgg};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -180,36 +181,9 @@ fn merge_sorted<V: Clone>(
     }
 }
 
-/// Appends `text` to `out` as a JSON string literal with the required
-/// escapes.
-pub(crate) fn write_json_string(out: &mut String, text: &str) {
-    out.push('"');
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_string_escapes() {
-        let mut s = String::new();
-        write_json_string(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
 
     #[test]
     fn empty_snapshot_serializes() {

@@ -30,7 +30,7 @@
 //! of thread scheduling.
 
 use crate::event::Value;
-use crate::snapshot::write_json_string;
+use crate::json::write_json_string;
 use crate::Event;
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;

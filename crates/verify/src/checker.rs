@@ -27,17 +27,11 @@ enum Flat {
 /// the duration of [`Self::check`]. Resource overruns surface as
 /// [`VerifyError::Dd`].
 ///
-/// With [`Self::set_threads`] ≥ 2, the construction strategy builds the two
-/// system matrices **concurrently**: the left one on the checker's own
-/// package, the right one on a private package in one scoped thread. The
-/// right result is then imported into the checker's package
-/// ([`DdPackage::try_import_mat_edge`]) for the canonical comparison. The
-/// *decision* (equivalent / phase / not) is the same as the sequential
-/// path's on every input — only intermediate diagram residency differs.
+/// Every check runs on the checker's one package, so both circuits'
+/// diagrams are canonical in the same unique table (Example 11).
 #[derive(Debug)]
 pub struct EquivalenceChecker {
     dd: DdPackage,
-    threads: usize,
 }
 
 impl Default for EquivalenceChecker {
@@ -64,23 +58,13 @@ impl EquivalenceChecker {
     pub fn with_config(config: PackageConfig) -> Self {
         EquivalenceChecker {
             dd: DdPackage::with_config(config),
-            threads: 1,
         }
     }
 
-    /// Sets the worker-thread count for the construction strategy's two
-    /// independent system-matrix builds (`0` = one per available CPU;
-    /// effective parallelism is capped at 2 — one worker per circuit). The
-    /// alternating strategies are inherently sequential and ignore this.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-    }
+    /// Has no effect: every check runs on one thread, in the checker's own
+    /// package.
+    #[deprecated(note = "checks are single-threaded; this call does nothing")]
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Read access to the underlying package (for visualization of the
     /// working diagram).
@@ -126,15 +110,10 @@ impl EquivalenceChecker {
         n: usize,
     ) -> Result<EquivalenceReport, VerifyError> {
         let mut trace = Vec::new();
-        let (u1, u2) = if self.threads >= 2 {
-            self.build_both_parallel(lflat, rflat, n, &mut trace)?
-        } else {
-            let u1 = build_system_matrix(&mut self.dd, lflat, n, &mut trace)?;
-            self.dd.inc_ref_mat(u1);
-            let u2 = build_system_matrix(&mut self.dd, rflat, n, &mut trace)?;
-            self.dd.dec_ref_mat(u1);
-            (u1, u2)
-        };
+        let u1 = build_system_matrix(&mut self.dd, lflat, n, &mut trace)?;
+        self.dd.inc_ref_mat(u1);
+        let u2 = build_system_matrix(&mut self.dd, rflat, n, &mut trace)?;
+        self.dd.dec_ref_mat(u1);
         let peak = trace.iter().copied().max().unwrap_or(0);
 
         // Fast path: canonicity makes equal functionalities the identical
@@ -182,47 +161,6 @@ impl EquivalenceChecker {
             applied_right: count_gates(rflat),
             counterexample,
         })
-    }
-
-    /// Parallel construction: the left system matrix on the checker's own
-    /// package, the right one on a private package (same configuration) in
-    /// a scoped thread, then the right result imported into the checker's
-    /// package for the canonical comparison.
-    fn build_both_parallel(
-        &mut self,
-        lflat: &[Flat],
-        rflat: &[Flat],
-        n: usize,
-        trace: &mut Vec<usize>,
-    ) -> Result<(MatEdge, MatEdge), VerifyError> {
-        let mut right_dd = DdPackage::with_config(*self.dd.config());
-        // The worker inherits the caller's telemetry toggle and publishes
-        // its thread-local metrics into the process-wide merged registry on
-        // the way out, so aggregate reports see both construction halves.
-        let telemetry = qdd_telemetry::enabled();
-        let (left, right) = std::thread::scope(|scope| {
-            let worker = scope.spawn(|| {
-                qdd_telemetry::set_enabled(telemetry);
-                if telemetry {
-                    qdd_telemetry::register_worker_name(1, "verify-right");
-                }
-                right_dd.arm_deadline();
-                let mut rtrace = Vec::new();
-                let u = build_system_matrix(&mut right_dd, rflat, n, &mut rtrace);
-                right_dd.disarm_deadline();
-                qdd_telemetry::publish();
-                u.map(|u| (u, rtrace))
-            });
-            let left = build_system_matrix(&mut self.dd, lflat, n, trace);
-            let right = worker.join().expect("right construction worker panicked");
-            (left, right)
-        });
-        let u1 = left?;
-        let (ru, rtrace) = right?;
-        // Import never collects garbage, so `u1` needs no pin here.
-        let u2 = self.dd.try_import_mat_edge(&right_dd, ru)?;
-        trace.extend(rtrace);
-        Ok((u1, u2))
     }
 
     fn check_alternating(
@@ -460,9 +398,9 @@ impl EquivalenceChecker {
     }
 }
 
+
 /// Builds the full system matrix of a flattened circuit, recording node
-/// counts (Example 10/11's route). A free function so both the checker's
-/// own package and the parallel path's private package can drive it.
+/// counts (Example 10/11's route).
 fn build_system_matrix(
     dd: &mut DdPackage,
     flat: &[Flat],
@@ -709,21 +647,18 @@ mod tests {
         let good = library::ghz(4);
         let mut bad = library::ghz(4);
         bad.z(2);
-        for threads in [1, 2] {
-            for max_nodes in 1..=64 {
-                let mut checker = EquivalenceChecker::with_config(PackageConfig {
-                    limits: Limits {
-                        max_nodes: Some(max_nodes),
-                        ..Limits::default()
-                    },
-                    ..PackageConfig::default()
-                });
-                checker.set_threads(threads);
-                match checker.check(&good, &bad, Strategy::Construction) {
-                    Ok(report) => assert_eq!(report.result, Equivalence::NotEquivalent),
-                    Err(VerifyError::Dd(qdd_core::DdError::ResourceExhausted { .. })) => {}
-                    Err(e) => panic!("max_nodes {max_nodes}, {threads} threads: {e}"),
-                }
+        for max_nodes in 1..=64 {
+            let mut checker = EquivalenceChecker::with_config(PackageConfig {
+                limits: Limits {
+                    max_nodes: Some(max_nodes),
+                    ..Limits::default()
+                },
+                ..PackageConfig::default()
+            });
+            match checker.check(&good, &bad, Strategy::Construction) {
+                Ok(report) => assert_eq!(report.result, Equivalence::NotEquivalent),
+                Err(VerifyError::Dd(qdd_core::DdError::ResourceExhausted { .. })) => {}
+                Err(e) => panic!("max_nodes {max_nodes}: {e}"),
             }
         }
     }
@@ -746,44 +681,6 @@ mod tests {
             err,
             VerifyError::Dd(qdd_core::DdError::DeadlineExceeded { .. })
         ));
-    }
-
-    /// The parallel construction path must reach the same decision as the
-    /// sequential one on equivalent, phase-equivalent, and non-equivalent
-    /// pairs — and a checker must stay usable for further checks.
-    #[test]
-    fn parallel_construction_agrees_with_sequential() {
-        let mut phase_b = QuantumCircuit::new(1);
-        phase_b.z(0).y(0);
-        let mut phase_a = QuantumCircuit::new(1);
-        phase_a.x(0);
-        let mut broken = library::ghz(4);
-        broken.z(2);
-        let pairs = [
-            (library::qft(3, true), compile::compiled_qft(3)),
-            (library::ghz(4), broken),
-            (phase_a, phase_b),
-            (library::random_circuit(4, 20, 13), library::random_circuit(4, 20, 13)),
-        ];
-        let mut par = EquivalenceChecker::new();
-        par.set_threads(2);
-        for (a, b) in &pairs {
-            let mut seq = EquivalenceChecker::new();
-            let s = seq.check(a, b, Strategy::Construction).unwrap();
-            let p = par.check(a, b, Strategy::Construction).unwrap();
-            assert_eq!(
-                std::mem::discriminant(&s.result),
-                std::mem::discriminant(&p.result),
-                "decision diverged: sequential {:?} vs parallel {:?}",
-                s.result,
-                p.result
-            );
-            assert_eq!(s.applied_left, p.applied_left);
-            assert_eq!(s.applied_right, p.applied_right);
-            if s.result == Equivalence::NotEquivalent {
-                assert!(p.counterexample.is_some());
-            }
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use qdd::serve::quota::Quota;
 use qdd::serve::{Server, ServerConfig};
-use qdd::viz::inspect::{parse_json, JsonValue};
+use qdd::serve::json::{parse_json, JsonValue};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;

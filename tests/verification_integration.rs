@@ -134,6 +134,24 @@ fn hadamard_conjugation_rewrites_verify() {
         .is_equivalent());
 }
 
+/// Runs the construction check and random stimuli on one pair, asserts
+/// that they agree, and returns the construction verdict.
+fn verdicts_agree(a: &QuantumCircuit, b: &QuantumCircuit, seed: u64) -> bool {
+    let mut checker = EquivalenceChecker::new();
+    let exact = checker.check(a, b, Strategy::Construction).unwrap();
+    let stimuli = simulate_equivalence(a, b, 12, seed).unwrap();
+    // A global-phase-only difference could fool stimuli, but none of the
+    // pairs below differ by a phase alone.
+    assert_eq!(
+        exact.result.is_equivalent(),
+        stimuli.probably_equivalent,
+        "{}: construction {:?} vs stimuli",
+        a.name(),
+        exact.result
+    );
+    exact.result.is_equivalent()
+}
+
 #[test]
 fn stimuli_and_construction_agree_on_verdicts() {
     for seed in 0..6 {
@@ -145,15 +163,24 @@ fn stimuli_and_construction_agree_on_verdicts() {
             c.y(seed as usize % 4);
             c
         };
-        let mut checker = EquivalenceChecker::new();
-        let exact = checker.check(&a, &b, Strategy::Construction).unwrap();
-        let stimuli = simulate_equivalence(&a, &b, 12, seed).unwrap();
-        if exact.result.is_equivalent() {
-            assert!(stimuli.probably_equivalent, "seed {seed}");
-        } else {
-            // A global-phase-only difference could fool stimuli, but an
-            // injected Y is not phase-only on these circuits.
-            assert!(!stimuli.probably_equivalent, "seed {seed}");
+        verdicts_agree(&a, &b, seed);
+    }
+    // Clifford+T circuits against themselves and their optimized forms.
+    // Canonicity makes these the identical edge in one package; seeds 7
+    // and 9 at three qubits, depth 8, were judged NOT equivalent by a
+    // construction that built the right side in a second package.
+    for n in 3..=6 {
+        for depth in [8, 16] {
+            for seed in [1, 7, 9] {
+                let a = library::random_clifford_t(n, depth, seed);
+                let (optimized, _) = qdd::circuit::optimize::optimize(&a);
+                for b in [&a, &optimized] {
+                    assert!(
+                        verdicts_agree(&a, b, seed),
+                        "random_clifford_t({n}, {depth}, {seed}) judged NOT equivalent"
+                    );
+                }
+            }
         }
     }
 }
