@@ -1,347 +1,135 @@
-//! The tracked performance suite: GHZ / QFT / Grover / random-Clifford+T
-//! workloads at several widths, through both simulation and verification,
-//! with wall time, peak node counts, and cache hit rates written as JSON.
-//!
-//! Every perf-relevant PR regenerates `BENCH_current.json` at the repo root
-//! (and, once per optimization effort, pins the pre-change numbers as
-//! `BENCH_baseline.json`) so the trajectory is answerable:
+//! The rows `perfbench` cannot express, written to `BENCH_current.json` at
+//! the repository root:
 //!
 //! ```text
-//! cargo run --release -p qdd-bench --bin bench_suite -- --label current
+//! cargo run --release -p qdd-bench --bin bench_suite
 //! ```
 //!
-//! Options:
-//!   --label baseline|current   output file name (default: current)
-//!   --out PATH                 explicit output path (overrides --label)
-//!   --small                    smallest widths only, 1 repetition (CI smoke)
-//!   --reps N                   timing repetitions per workload (default 3)
+//! * `sim/<circuit>`: `circuits/{cliffordt15,qft16,grover12}.qasm` through
+//!   `DdSimulator::run`, timed with the execution-timeline recorder off and
+//!   at snapshot stride 16 (the recorder's overhead claim, DESIGN §17), plus
+//!   the run's exact GC and complex-table counts. perfbench's states stay
+//!   at n ≤ 9; these are the circuits where GC thrash shows.
+//! * `teleport/<workers>`: mid-circuit shots per second of the shot engine
+//!   on teleportation at 1 and 8 workers.
+//! * `approx/<workload>`: the fidelity-bounded approximation rung at node
+//!   caps that exhaust the exact engine (dense fallback off), with the
+//!   certified bound it paid.
+//!
+//! Every row runs [`REPS`] times; each timed value is written as the median
+//! and quartiles of those runs.
 
-use qdd_bench::fmt_duration;
 use qdd_bench::workloads::{self, Family};
-use qdd_sim::DdSimulator;
-use qdd_verify::{EquivalenceChecker, Strategy};
-use std::fmt::Write as _;
+use qdd_circuit::QuantumCircuit;
+use qdd_sim::{DdSimulator, ShotOptions};
+use qdd_telemetry::timeline;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// One benchmark measurement, serialized as a JSON object.
-struct Record {
-    family: &'static str,
-    phase: &'static str,
-    n: usize,
-    gates: usize,
-    wall_ms: f64,
-    peak_nodes: usize,
-    /// High-water mark of live *matrix* nodes — the operator-DD footprint
-    /// identity skip is meant to shrink. `scripts/bench_diff.py` warns when
-    /// this regresses by more than 10%.
-    mat_peak_nodes: usize,
-    /// Matrix-node constructions elided by the identity-skip collapse rule.
-    identity_nodes_skipped: u64,
-    cache_lookups: u64,
-    cache_hits: u64,
-    complex_entries: usize,
-    /// Gate-DD cache counters (0/0 on package versions without the cache).
-    gate_cache_lookups: u64,
-    gate_cache_hits: u64,
-    /// Sampling throughput (0.0 for non-sampling phases).
-    shots_per_sec: f64,
-    /// Worker threads used (0 for single-threaded phases).
-    threads: usize,
-    /// Wall-time speedup over the same workload at 1 thread (the `scaling`
-    /// family; 0.0 elsewhere). `scripts/bench_diff.py` warns when the
-    /// 4-thread speedup falls below 80% of the baseline's.
-    speedup: f64,
-    /// Fidelity lower bound achieved by the run (1.0 for exact phases; the
-    /// `approx` family records what its node budget cost in state quality).
-    fidelity: f64,
-    /// Wall-time cost of the execution-timeline recorder at snapshot
-    /// stride 16, as a percentage over the recording-off time (the `sim`
-    /// family; 0.0 elsewhere). `scripts/bench_diff.py` warns above 5%:
-    /// the recorder's contract is that observation stays cheap.
-    timeline_overhead_pct: f64,
-    /// Telemetry snapshot of one extra untimed repetition (span timings,
-    /// GC pauses, table hit rates) — the *why* behind `wall_ms` moves.
-    /// Timed repetitions always run with telemetry disabled.
-    metrics: String,
+/// Repetitions per row.
+const REPS: usize = 5;
+
+/// Shots per teleportation row.
+const TELEPORT_SHOTS: u64 = 20_000;
+
+/// Wall time of one call of `work` in milliseconds, with its output. The
+/// caller drops the output outside the timed region.
+fn timed<T>(work: impl FnOnce() -> T) -> (f64, T) {
+    let t0 = Instant::now();
+    let out = work();
+    (t0.elapsed().as_secs_f64() * 1e3, out)
 }
 
-impl Record {
-    fn hit_rate(lookups: u64, hits: u64) -> f64 {
-        if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "    {{\"family\": \"{}\", \"phase\": \"{}\", \"n\": {}, \"gates\": {}, \
-             \"wall_ms\": {:.3}, \"peak_nodes\": {}, \
-             \"mat_peak_nodes\": {}, \"identity_nodes_skipped\": {}, \
-             \"cache_lookups\": {}, \"cache_hits\": {}, \"cache_hit_rate\": {:.4}, \
-             \"gate_cache_lookups\": {}, \"gate_cache_hits\": {}, \"gate_cache_hit_rate\": {:.4}, \
-             \"shots_per_sec\": {:.1}, \"threads\": {}, \"speedup\": {:.4}, \
-             \"fidelity\": {:.6}, \"timeline_overhead_pct\": {:.2}, \
-             \"complex_entries\": {}}}",
-            self.family,
-            self.phase,
-            self.n,
-            self.gates,
-            self.wall_ms,
-            self.peak_nodes,
-            self.mat_peak_nodes,
-            self.identity_nodes_skipped,
-            self.cache_lookups,
-            self.cache_hits,
-            Self::hit_rate(self.cache_lookups, self.cache_hits),
-            self.gate_cache_lookups,
-            self.gate_cache_hits,
-            Self::hit_rate(self.gate_cache_lookups, self.gate_cache_hits),
-            self.shots_per_sec,
-            self.threads,
-            self.speedup,
-            self.fidelity,
-            self.timeline_overhead_pct,
-            self.complex_entries,
-        );
-        // Splice in the (already serialized) telemetry snapshot.
-        s.truncate(s.len() - 1);
-        let _ = write!(s, ", \"metrics\": {}}}", compact(&self.metrics));
-        s
-    }
+/// The 25th, 50th and 75th percentiles, interpolated linearly.
+fn quartiles(samples: &[f64]) -> [f64; 3] {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|p| {
+        let pos = p * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    })
 }
 
-/// Flattens the pretty-printed snapshot JSON onto one line so each record
-/// stays a single row in the benchmark file. Safe textually: metric names
-/// contain no whitespace or escapes, so collapsing indentation never
-/// touches string contents.
-fn compact(json: &str) -> String {
-    json.split_whitespace().collect::<Vec<_>>().join(" ")
+/// Median and quartiles as a JSON object.
+fn spread(samples: &[f64]) -> String {
+    let [p25, median, p75] = quartiles(samples);
+    format!("{{\"median\": {median:.3}, \"p25\": {p25:.3}, \"p75\": {p75:.3}}}")
 }
 
-/// Runs `work` once with telemetry enabled and returns the metrics
-/// snapshot. Kept outside the timing loop: the telemetry rep is
-/// diagnostic, the timed reps measure the engine with recording off.
-///
-/// The returned snapshot is the *merged* view: multi-threaded workloads
-/// publish each worker's registry into the process-wide pool on exit, so
-/// the record reflects every thread's work.
-fn collect_metrics(work: impl FnOnce()) -> qdd_telemetry::Snapshot {
-    qdd_telemetry::set_enabled(true);
-    qdd_telemetry::reset();
-    qdd_telemetry::reset_published();
-    work();
-    let snapshot = qdd_telemetry::merged_snapshot();
-    let _ = qdd_telemetry::drain_events();
-    qdd_telemetry::reset_published();
-    qdd_telemetry::set_enabled(false);
-    snapshot
-}
-
-/// Derives the top-level cache counters from the telemetry snapshot — the
-/// same source the embedded `metrics` blob reports — so the record's
-/// `cache_hit_rate`/`gate_cache_hit_rate` fields can never disagree with
-/// it. Used by the families that do not keep a package around after the
-/// timed reps (sampling, scaling), whose records used to hardcode zeros
-/// here while the gauges showed real rates.
-fn cache_counters(snap: &qdd_telemetry::Snapshot) -> (u64, u64, u64, u64, usize) {
-    let g = |name: &str| snap.gauge(name).unwrap_or(0.0).max(0.0) as u64;
-    (
-        g("core.compute.lookups"),
-        g("core.compute.hits"),
-        g("core.gate_cache.lookups"),
-        g("core.gate_cache.hits"),
-        g("core.complex.entries") as usize,
-    )
-}
-
-/// Matrix-footprint counters from the telemetry snapshot, for families that
-/// do not keep a package around after the timed reps.
-fn mat_counters(snap: &qdd_telemetry::Snapshot) -> (usize, u64) {
-    let g = |name: &str| snap.gauge(name).unwrap_or(0.0).max(0.0) as u64;
-    (
-        g("core.nodes.mat_peak") as usize,
-        g("core.nodes.identity_skipped"),
-    )
-}
-
-/// Simulation widths per family: wide enough that the DD work dominates
-/// fixed overheads, small enough that the full suite stays under a minute.
-fn sim_widths(family: Family, small: bool) -> &'static [usize] {
-    if small {
-        return match family {
-            Family::Ghz => &[8],
-            Family::Qft => &[8],
-            Family::Grover => &[6],
-            Family::CliffordT => &[6],
-            _ => &[],
-        };
-    }
-    match family {
-        Family::Ghz => &[8, 16, 24],
-        Family::Qft => &[8, 12, 16],
-        Family::Grover => &[8, 12, 14],
-        Family::CliffordT => &[8, 10, 12],
-        _ => &[],
-    }
-}
-
-/// Verification (self-equivalence, construction strategy) widths: the full
-/// system matrix is built twice, so these are narrower than the sim widths.
-fn verify_widths(family: Family, small: bool) -> &'static [usize] {
-    if small {
-        return match family {
-            Family::Ghz => &[6],
-            Family::Qft => &[5],
-            Family::Grover => &[4],
-            Family::CliffordT => &[4],
-            _ => &[],
-        };
-    }
-    match family {
-        Family::Ghz => &[8, 16, 24],
-        Family::Qft => &[6, 8, 10],
-        Family::Grover => &[4, 6, 8],
-        Family::CliffordT => &[4, 5, 6],
-        _ => &[],
-    }
-}
-
-/// Re-times `work` with the execution-timeline recorder armed at snapshot
-/// stride 16 and returns the best wall time's overhead over `best_off_ms`
-/// as a percentage. Records are drained and discarded — this measures the
-/// recorder's cost, not its output. Noise can make the result slightly
-/// negative; the honest number is kept (bench_diff only warns above +5%).
-fn timeline_overhead(best_off_ms: f64, reps: usize, work: impl Fn()) -> f64 {
-    use qdd_telemetry::timeline;
-    timeline::set_enabled(true);
-    timeline::set_snapshot_stride(16);
-    let mut best_on = f64::INFINITY;
-    for _ in 0..reps {
+fn sim_row(name: &str) -> String {
+    let path = repo_root().join(format!("circuits/{name}.qasm"));
+    let src = std::fs::read_to_string(&path).expect("read pinned circuit");
+    let circuit = qdd_circuit::qasm::parse(&src).expect("parse pinned circuit");
+    let run = || {
+        let mut sim = DdSimulator::with_seed(circuit.clone(), 1);
+        sim.run().expect("simulation");
+        sim
+    };
+    // Runs with the recorder off and on alternate, so drift in the host's
+    // speed falls on both. Records are drained inside the timed region (a
+    // buffer swap) and dropped outside it with the run's simulator.
+    let (mut off, mut recorded, mut last) = (Vec::new(), Vec::new(), None);
+    for _ in 0..REPS {
+        let (ms, sim) = timed(run);
+        off.push(ms);
+        last = Some(sim);
+        timeline::set_enabled(true);
         timeline::reset();
-        let t0 = Instant::now();
-        work();
-        best_on = best_on.min(t0.elapsed().as_secs_f64() * 1e3);
+        timeline::set_snapshot_stride(16);
+        recorded.push(timed(|| (run(), timeline::drain())).0);
+        timeline::set_enabled(false);
     }
-    let _ = timeline::drain();
-    timeline::set_enabled(false);
-    if best_off_ms > 0.0 {
-        (best_on - best_off_ms) / best_off_ms * 100.0
-    } else {
-        0.0
-    }
+    timeline::reset();
+    let sim = last.expect("REPS > 0");
+    let stats = sim.package().stats();
+    let complex = sim.package().complex_table_stats();
+    println!(
+        "sim       {name:>16}  {:>9.1} ms  timeline {:>9.1} ms  {} GC runs",
+        quartiles(&off)[1],
+        quartiles(&recorded)[1],
+        stats.gc_runs
+    );
+    format!(
+        "{{\"row\": \"sim/{name}\", \"qubits\": {}, \"gates\": {}, \
+         \"wall_ms\": {}, \"timeline_wall_ms\": {}, \"gc_runs\": {}, \
+         \"complex_lookups\": {}, \"complex_hits\": {}, \"complex_reclaimed\": {}, \
+         \"peak_live_nodes\": {}}}",
+        circuit.num_qubits(),
+        circuit.gate_count(),
+        spread(&off),
+        spread(&recorded),
+        stats.gc_runs,
+        complex.lookups,
+        complex.hits,
+        complex.reclaimed,
+        stats.peak_live_nodes
+    )
 }
 
-fn bench_sim(family: Family, n: usize, reps: usize) -> Record {
-    let circuit = family.circuit(n);
-    let mut best = f64::INFINITY;
-    let mut peak = 0usize;
-    let mut stats = qdd_core::PackageStats::default();
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let mut sim = DdSimulator::with_seed(circuit.clone(), 1);
-        sim.run().expect("simulation");
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        best = best.min(wall);
-        peak = sim.stats().peak_nodes;
-        stats = sim.package().stats();
-    }
-    let timeline_overhead_pct = timeline_overhead(best, reps, || {
-        let mut sim = DdSimulator::with_seed(circuit.clone(), 1);
-        sim.run().expect("simulation");
-    });
-    let metrics = collect_metrics(|| {
-        let mut sim = DdSimulator::with_seed(circuit.clone(), 1);
-        sim.run().expect("simulation");
-    })
-    .to_json();
-    Record {
-        family: family.name(),
-        phase: "sim",
-        n,
-        gates: circuit.gate_count(),
-        wall_ms: best,
-        peak_nodes: peak,
-        mat_peak_nodes: stats.mat_peak_nodes,
-        identity_nodes_skipped: stats.identity_nodes_skipped,
-        cache_lookups: stats.cache_lookups,
-        cache_hits: stats.cache_hits,
-        complex_entries: stats.complex_entries,
-        gate_cache_lookups: stats.gate_cache_lookups,
-        gate_cache_hits: stats.gate_cache_hits,
-        shots_per_sec: 0.0,
-        threads: 0,
-        speedup: 0.0,
-        fidelity: 1.0,
-        timeline_overhead_pct,
-        metrics,
-    }
+fn teleport_row(workers: usize) -> String {
+    let circuit = qdd_circuit::library::teleportation(0.3);
+    let mut opts = ShotOptions::new(TELEPORT_SHOTS, 1);
+    opts.threads = workers;
+    let per_s: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let (ms, report) = timed(|| qdd_sim::shots::run(&circuit, &opts).expect("shots"));
+            assert_eq!(report.histogram.values().sum::<u64>(), TELEPORT_SHOTS);
+            TELEPORT_SHOTS as f64 / (ms / 1e3)
+        })
+        .collect();
+    println!(
+        "teleport  {workers:>16}  {:>9.0} shots/s",
+        quartiles(&per_s)[1]
+    );
+    format!(
+        "{{\"row\": \"teleport/{workers}\", \"workers\": {workers}, \"shots\": {TELEPORT_SHOTS}, \
+         \"shots_per_s\": {}}}",
+        spread(&per_s)
+    )
 }
 
-fn bench_verify(family: Family, n: usize, reps: usize) -> Record {
-    let circuit = family.circuit(n);
-    let mut best = f64::INFINITY;
-    let mut peak = 0usize;
-    let mut stats = qdd_core::PackageStats::default();
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let mut checker = EquivalenceChecker::with_config(qdd_core::PackageConfig::default());
-        let report = checker
-            .check(&circuit, &circuit, Strategy::Construction)
-            .expect("verification");
-        assert!(report.result.is_equivalent(), "self-check must pass");
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        best = best.min(wall);
-        peak = report.peak_nodes;
-        stats = checker.package().stats();
-    }
-    let metrics = collect_metrics(|| {
-        let mut checker = EquivalenceChecker::with_config(qdd_core::PackageConfig::default());
-        let report = checker
-            .check(&circuit, &circuit, Strategy::Construction)
-            .expect("verification");
-        assert!(report.result.is_equivalent(), "self-check must pass");
-        checker.package().publish_telemetry();
-    })
-    .to_json();
-    Record {
-        family: family.name(),
-        phase: "verify",
-        n,
-        gates: circuit.gate_count(),
-        wall_ms: best,
-        peak_nodes: peak,
-        mat_peak_nodes: stats.mat_peak_nodes,
-        identity_nodes_skipped: stats.identity_nodes_skipped,
-        cache_lookups: stats.cache_lookups,
-        cache_hits: stats.cache_hits,
-        complex_entries: stats.complex_entries,
-        gate_cache_lookups: stats.gate_cache_lookups,
-        gate_cache_hits: stats.gate_cache_hits,
-        shots_per_sec: 0.0,
-        threads: 0,
-        speedup: 0.0,
-        fidelity: 1.0,
-        timeline_overhead_pct: 0.0,
-        metrics,
-    }
-}
-
-/// The `approx` family: workloads at node caps that exhaust the exact
-/// engine (the dense fallback is disabled so the run stands or falls with
-/// the approximation rung), recording the nodes saved against the fidelity
-/// paid. One timed repetition: the interesting outputs — fidelity bound,
-/// peak nodes, rounds — are deterministic, and wall time is secondary.
-fn bench_approx(
-    phase: &'static str,
-    circuit: qdd_circuit::QuantumCircuit,
-    cap: usize,
-    floor: f64,
-) -> Record {
+fn approx_row(name: &str, circuit: QuantumCircuit, cap: usize, floor: f64) -> String {
     let config = qdd_core::PackageConfig {
         limits: qdd_core::Limits {
             max_nodes: Some(cap),
@@ -350,240 +138,43 @@ fn bench_approx(
         },
         ..qdd_core::PackageConfig::default()
     };
-    let t0 = Instant::now();
-    let mut sim = DdSimulator::with_config(circuit.clone(), 1, config);
-    sim.set_dense_fallback(false);
-    sim.run().expect("approximation must complete this workload");
-    let wall = t0.elapsed().as_secs_f64() * 1e3;
+    let mut last = None;
+    let wall: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let (ms, sim) = timed(|| {
+                let mut sim = DdSimulator::with_config(circuit.clone(), 1, config);
+                sim.set_dense_fallback(false);
+                sim.run()
+                    .expect("approximation must complete this workload");
+                sim
+            });
+            last = Some(sim);
+            ms
+        })
+        .collect();
+    let sim = last.expect("REPS > 0");
+    let stats = sim.stats();
     assert!(
-        sim.stats().approx_rounds > 0,
-        "{phase}: the cap must actually trigger the approximation rung"
+        stats.approx_rounds > 0,
+        "{name}: the cap must actually trigger the approximation rung"
     );
-    assert!(sim.stats().fidelity_lower_bound >= floor);
-    let stats = sim.package().stats();
-    let metrics = collect_metrics(|| {
-        let mut sim = DdSimulator::with_config(circuit.clone(), 1, config);
-        sim.set_dense_fallback(false);
-        sim.run().expect("approximation must complete this workload");
-    })
-    .to_json();
-    Record {
-        family: "approx",
-        phase,
-        n: circuit.num_qubits(),
-        gates: circuit.gate_count(),
-        wall_ms: wall,
-        peak_nodes: sim.stats().peak_nodes,
-        mat_peak_nodes: stats.mat_peak_nodes,
-        identity_nodes_skipped: stats.identity_nodes_skipped,
-        cache_lookups: stats.cache_lookups,
-        cache_hits: stats.cache_hits,
-        complex_entries: stats.complex_entries,
-        gate_cache_lookups: stats.gate_cache_lookups,
-        gate_cache_hits: stats.gate_cache_hits,
-        shots_per_sec: 0.0,
-        threads: 0,
-        speedup: 0.0,
-        fidelity: sim.stats().fidelity_lower_bound,
-        timeline_overhead_pct: 0.0,
-        metrics,
-    }
-}
-
-/// Sampling throughput of the shared-state fast path on an unmeasured QFT:
-/// `memoized` runs the shot engine (one prefix run + tableau walks),
-/// `!memoized` the naive per-shot hash-path loop over the same diagram.
-fn bench_sampling_shared(n: usize, shots: u64, reps: usize, memoized: bool) -> Record {
-    let circuit = qdd_circuit::library::qft(n, true);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let drawn: u64 = if memoized {
-            let opts = qdd_sim::ShotOptions::new(shots, 1);
-            let report = qdd_sim::shots::run(&circuit, &opts).expect("sampling");
-            report.histogram.values().sum()
-        } else {
-            let mut sim = DdSimulator::with_seed(circuit.clone(), 1);
-            sim.run().expect("simulation");
-            sim.sample(shots).values().sum()
-        };
-        assert_eq!(drawn, shots);
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let snapshot = collect_metrics(|| {
-        let _ = qdd_sim::shots::run(&circuit, &qdd_sim::ShotOptions::new(shots.min(1000), 1));
-    });
-    let (cache_lookups, cache_hits, gate_cache_lookups, gate_cache_hits, complex_entries) =
-        cache_counters(&snapshot);
-    let (mat_peak_nodes, identity_nodes_skipped) = mat_counters(&snapshot);
-    Record {
-        family: "sampling",
-        phase: if memoized { "qft-memoized" } else { "qft-naive" },
-        n,
-        gates: circuit.gate_count(),
-        wall_ms: best,
-        peak_nodes: 0,
-        mat_peak_nodes,
-        identity_nodes_skipped,
-        cache_lookups,
-        cache_hits,
-        complex_entries,
-        gate_cache_lookups,
-        gate_cache_hits,
-        shots_per_sec: shots as f64 / (best / 1e3),
-        threads: 1,
-        speedup: 0.0,
-        fidelity: 1.0,
-        timeline_overhead_pct: 0.0,
-        metrics: snapshot.to_json(),
-    }
-}
-
-/// Sampling throughput of the mid-circuit regime on teleportation:
-/// `threads == 0` times the serial reference (`DdSimulator::run_shots`,
-/// fresh package per shot), otherwise the batched shot engine.
-fn bench_sampling_midcircuit(shots: u64, reps: usize, threads: usize) -> Record {
-    let circuit = qdd_circuit::library::teleportation(0.3);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let drawn: u64 = if threads == 0 {
-            DdSimulator::run_shots(&circuit, shots, 1)
-                .expect("shots")
-                .values()
-                .sum()
-        } else {
-            let mut opts = qdd_sim::ShotOptions::new(shots, 1);
-            opts.threads = threads;
-            qdd_sim::shots::run(&circuit, &opts)
-                .expect("shots")
-                .histogram
-                .values()
-                .sum()
-        };
-        assert_eq!(drawn, shots);
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let snapshot = collect_metrics(|| {
-        let mut opts = qdd_sim::ShotOptions::new(shots.min(100), 1);
-        opts.threads = threads.max(1);
-        let _ = qdd_sim::shots::run(&circuit, &opts);
-    });
-    let (cache_lookups, cache_hits, gate_cache_lookups, gate_cache_hits, complex_entries) =
-        cache_counters(&snapshot);
-    let (mat_peak_nodes, identity_nodes_skipped) = mat_counters(&snapshot);
-    Record {
-        family: "sampling",
-        phase: match threads {
-            0 => "teleport-serial",
-            1 => "teleport-engine1",
-            _ => "teleport-engine8",
-        },
-        n: circuit.num_qubits(),
-        gates: circuit.gate_count(),
-        wall_ms: best,
-        peak_nodes: 0,
-        mat_peak_nodes,
-        identity_nodes_skipped,
-        cache_lookups,
-        cache_hits,
-        complex_entries,
-        gate_cache_lookups,
-        gate_cache_hits,
-        shots_per_sec: shots as f64 / (best / 1e3),
-        threads: threads.max(1),
-        speedup: 0.0,
-        fidelity: 1.0,
-        timeline_overhead_pct: 0.0,
-        metrics: snapshot.to_json(),
-    }
-}
-
-/// The `scaling` family: the mid-circuit shot engine (one warm package per
-/// worker) at increasing worker-thread counts, recording each run's speedup
-/// over the 1-thread wall time. A leading measurement forces the per-shot
-/// re-execution regime without perturbing the workload (on |0…0⟩ it always
-/// reads 0); the trailing `measure_all` makes the histogram meaningful.
-/// Histograms are asserted bit-identical across thread counts.
-fn scaling_workload(family: Family, n: usize) -> qdd_circuit::QuantumCircuit {
-    let mut qc = qdd_circuit::QuantumCircuit::with_name(n, format!("scaling-{}", family.name()));
-    qc.add_creg("trigger", 1);
-    qc.measure(0, 0);
-    qc.extend(&family.circuit(n));
-    qc.measure_all();
-    qc
-}
-
-fn bench_scaling(
-    family: Family,
-    n: usize,
-    shots: u64,
-    reps: usize,
-    threads: usize,
-    baseline: Option<&(f64, std::collections::HashMap<u64, u64>)>,
-) -> (Record, (f64, std::collections::HashMap<u64, u64>)) {
-    let circuit = scaling_workload(family, n);
-    let phase: &'static str = match (family, threads) {
-        (Family::Qft, 1) => "qft-t1",
-        (Family::Qft, 2) => "qft-t2",
-        (Family::Qft, 4) => "qft-t4",
-        (Family::Qft, _) => "qft-t8",
-        (_, 1) => "clifford-t-t1",
-        (_, 2) => "clifford-t-t2",
-        (_, 4) => "clifford-t-t4",
-        (_, _) => "clifford-t-t8",
-    };
-    let mut best = f64::INFINITY;
-    let mut histogram = std::collections::HashMap::new();
-    for _ in 0..reps {
-        let mut opts = qdd_sim::ShotOptions::new(shots, 1);
-        opts.threads = threads;
-        let t0 = Instant::now();
-        let report = qdd_sim::shots::run(&circuit, &opts).expect("scaling shots");
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(report.threads_used, threads.min(shots as usize));
-        histogram = report.histogram.into_iter().collect();
-    }
-    if let Some((_, base_hist)) = baseline {
-        assert_eq!(
-            &histogram, base_hist,
-            "{phase}: histogram must be bit-identical to the 1-thread run"
-        );
-    }
-    let snapshot = collect_metrics(|| {
-        let mut opts = qdd_sim::ShotOptions::new(shots.min(4), 1);
-        opts.threads = threads;
-        let _ = qdd_sim::shots::run(&circuit, &opts);
-    });
-    let (cache_lookups, cache_hits, gate_cache_lookups, gate_cache_hits, complex_entries) =
-        cache_counters(&snapshot);
-    let (mat_peak_nodes, identity_nodes_skipped) = mat_counters(&snapshot);
-    let speedup = match baseline {
-        Some((wall_1, _)) => wall_1 / best,
-        None => 1.0,
-    };
-    let record = Record {
-        family: "scaling",
-        phase,
-        n,
-        gates: circuit.gate_count(),
-        wall_ms: best,
-        peak_nodes: 0,
-        mat_peak_nodes,
-        identity_nodes_skipped,
-        cache_lookups,
-        cache_hits,
-        complex_entries,
-        gate_cache_lookups,
-        gate_cache_hits,
-        shots_per_sec: shots as f64 / (best / 1e3),
-        threads,
-        speedup,
-        fidelity: 1.0,
-        timeline_overhead_pct: 0.0,
-        metrics: snapshot.to_json(),
-    };
-    (record, (best, histogram))
+    assert!(stats.fidelity_lower_bound >= floor);
+    println!(
+        "approx    {name:>16}  {:>9.1} ms  fidelity ≥ {:.4}, peak {} nodes",
+        quartiles(&wall)[1],
+        stats.fidelity_lower_bound,
+        stats.peak_nodes
+    );
+    format!(
+        "{{\"row\": \"approx/{name}\", \"qubits\": {}, \"node_cap\": {cap}, \"floor\": {floor}, \
+         \"wall_ms\": {}, \"fidelity_lower_bound\": {:.9}, \"approx_rounds\": {}, \
+         \"peak_nodes\": {}}}",
+        circuit.num_qubits(),
+        spread(&wall),
+        stats.fidelity_lower_bound,
+        stats.approx_rounds,
+        stats.peak_nodes
+    )
 }
 
 fn repo_root() -> PathBuf {
@@ -591,166 +182,37 @@ fn repo_root() -> PathBuf {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut label = "current".to_string();
-    let mut out: Option<PathBuf> = None;
-    let mut small = false;
-    let mut reps = 3usize;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--label" => label = it.next().expect("--label needs a value").clone(),
-            "--out" => out = Some(PathBuf::from(it.next().expect("--out needs a value"))),
-            "--small" => small = true,
-            "--reps" => {
-                reps = it
-                    .next()
-                    .expect("--reps needs a value")
-                    .parse()
-                    .expect("--reps needs a number");
-            }
-            other => panic!("unknown option `{other}`"),
-        }
+    if std::env::args().len() > 1 {
+        eprintln!("bench_suite takes no arguments");
+        std::process::exit(2);
     }
-    if small {
-        reps = 1;
+    let mut rows = Vec::new();
+    for name in ["cliffordt15", "qft16", "grover12"] {
+        rows.push(sim_row(name));
     }
-    // Without an explicit --out, the label names a tracked file in the repo
-    // root, so only the two canonical labels are allowed; any label goes
-    // when the caller picks the destination (e.g. CI smoke runs).
-    if out.is_none() {
-        assert!(
-            label == "baseline" || label == "current",
-            "--label must be `baseline` or `current` unless --out is given"
-        );
+    for workers in [1, 8] {
+        rows.push(teleport_row(workers));
     }
-    let path = out.unwrap_or_else(|| repo_root().join(format!("BENCH_{label}.json")));
-
-    let families = [Family::Ghz, Family::Qft, Family::Grover, Family::CliffordT];
-    let mut records = Vec::new();
-    let suite_t0 = Instant::now();
-    for family in families {
-        for &n in sim_widths(family, small) {
-            let r = bench_sim(family, n, reps);
-            println!(
-                "sim     {:>10}  n={:<2}  {:>10}  peak {} nodes",
-                r.family,
-                r.n,
-                fmt_duration(std::time::Duration::from_secs_f64(r.wall_ms / 1e3)),
-                r.peak_nodes
-            );
-            records.push(r);
-        }
-        for &n in verify_widths(family, small) {
-            let r = bench_verify(family, n, reps);
-            println!(
-                "verify  {:>10}  n={:<2}  {:>10}  peak {} nodes",
-                r.family,
-                r.n,
-                fmt_duration(std::time::Duration::from_secs_f64(r.wall_ms / 1e3)),
-                r.peak_nodes
-            );
-            records.push(r);
-        }
-    }
-
-    // Sampling workloads: the shot engine's two performance claims — the
-    // memoized terminal path beats naive per-shot diagram walks, and the
-    // batched engine beats serial per-shot re-execution.
-    let (qft_n, qft_shots, tele_shots) = if small {
-        (8, 20_000, 300)
-    } else {
-        (16, 100_000, 2_000)
-    };
-    for memoized in [false, true] {
-        let r = bench_sampling_shared(qft_n, qft_shots, reps, memoized);
-        println!(
-            "sample  {:>10}  n={:<2}  {:>10}  {:.0} shots/s",
-            r.phase,
-            r.n,
-            fmt_duration(std::time::Duration::from_secs_f64(r.wall_ms / 1e3)),
-            r.shots_per_sec
-        );
-        records.push(r);
-    }
-    for threads in [0, 8] {
-        let r = bench_sampling_midcircuit(tele_shots, reps, threads);
-        println!(
-            "sample  {:>10}  n={:<2}  {:>10}  {:.0} shots/s",
-            r.phase,
-            r.n,
-            fmt_duration(std::time::Duration::from_secs_f64(r.wall_ms / 1e3)),
-            r.shots_per_sec
-        );
-        records.push(r);
-    }
-
-    // The scaling family: the mid-circuit shot engine at increasing thread
-    // counts. On a single-core runner the speedups hover around 1.0 (and
-    // below, from thread overhead); the records keep the honest numbers,
-    // and `bench_diff.py` warns when the 4-thread speedup falls below 80%
-    // of the baseline's so scalability losses on real hardware surface.
-    // clifford-t-12 re-executes ~1 s of DD work per shot, so it runs few
-    // shots at a single rep; the cheap qft-16 rows carry timing fidelity.
-    let scaling_workloads: Vec<(Family, usize, u64, usize)> = if small {
-        vec![(Family::Qft, 8, 48, reps), (Family::CliffordT, 6, 48, reps)]
-    } else {
-        vec![(Family::Qft, 16, 96, reps), (Family::CliffordT, 12, 8, 1)]
-    };
-    let thread_counts: &[usize] = if small { &[1, 2] } else { &[1, 2, 4, 8] };
-    for &(family, n, shots, reps) in &scaling_workloads {
-        let mut baseline: Option<(f64, std::collections::HashMap<u64, u64>)> = None;
-        for &threads in thread_counts {
-            let (r, measured) = bench_scaling(family, n, shots, reps, threads, baseline.as_ref());
-            println!(
-                "scale   {:>13}  n={:<2}  {:>10}  {:.2}x vs 1 thread",
-                r.phase,
-                r.n,
-                fmt_duration(std::time::Duration::from_secs_f64(r.wall_ms / 1e3)),
-                r.speedup
-            );
-            records.push(r);
-            if threads == 1 {
-                baseline = Some(measured);
-            }
-        }
-    }
-
-    // The approx family: graceful-degradation quality tracking. Caps are
-    // pinned where the exact engine exhausts (see tests/robustness.rs and
-    // the CI gating step) so the records measure the approximation rung.
-    let approx_workloads: Vec<(&'static str, qdd_circuit::QuantumCircuit, usize, f64)> =
-        if small {
-            vec![("random-entangled", workloads::random_entangled(8, 3), 160, 0.5)]
-        } else {
-            vec![
-                ("random-entangled", workloads::random_entangled(8, 3), 160, 0.5),
-                ("clifford-t", Family::CliffordT.circuit(15), 88_000, 0.85),
-            ]
-        };
-    for (phase, qc, cap, floor) in approx_workloads {
-        let r = bench_approx(phase, qc, cap, floor);
-        println!(
-            "approx  {:>10}  n={:<2}  {:>10}  fidelity ≥ {:.4}, peak {} nodes",
-            r.phase,
-            r.n,
-            fmt_duration(std::time::Duration::from_secs_f64(r.wall_ms / 1e3)),
-            r.fidelity,
-            r.peak_nodes
-        );
-        records.push(r);
-    }
-
-    let body: Vec<String> = records.iter().map(Record::to_json).collect();
+    // Caps are pinned where the exact engine exhausts (see
+    // tests/robustness.rs and the CI approx-gating job).
+    rows.push(approx_row(
+        "random-entangled",
+        workloads::random_entangled(8, 3),
+        160,
+        0.5,
+    ));
+    rows.push(approx_row(
+        "clifford-t",
+        Family::CliffordT.circuit(15),
+        88_000,
+        0.85,
+    ));
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"label\": \"{label}\",\n  \"reps\": {reps},\n  \"small\": {small},\n  \
-         \"workloads\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
+        "{{\n  \"reps\": {REPS},\n  \"nproc\": {nproc},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        rows.join(",\n    ")
     );
-    std::fs::write(&path, json).expect("write benchmark JSON");
-    println!(
-        "\nsuite finished in {}; wrote {}",
-        fmt_duration(suite_t0.elapsed()),
-        path.display()
-    );
+    let path = repo_root().join("BENCH_current.json");
+    std::fs::write(&path, json).expect("write BENCH_current.json");
+    println!("wrote BENCH_current.json");
 }

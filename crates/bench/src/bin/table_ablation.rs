@@ -4,9 +4,50 @@
 
 use qdd_bench::workloads::Family;
 use qdd_bench::{fmt_duration, print_table};
-use qdd_core::PackageConfig;
+use qdd_core::{gates, Control, DdPackage, PackageConfig};
 use qdd_sim::DdSimulator;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Median wall time of one QFT(`n`) matrix × state multiplication from
+/// cleared compute tables, over `reps` repetitions: the single-operation
+/// view of paper footnote 4. The state is an entangled ry/cx ladder, so the
+/// product is not a basis-state shortcut.
+fn isolated_mat_vec(n: usize, compute_tables: bool, reps: usize) -> Duration {
+    let mut dd = DdPackage::with_config(PackageConfig {
+        compute_tables,
+        ..PackageConfig::default()
+    });
+    let mut u = dd.identity(n).expect("identity");
+    for op in qdd_circuit::library::qft(n, false).ops() {
+        for g in op.to_gate_sequence().expect("QFT ops are unitary") {
+            let m = dd
+                .gate_dd(g.gate.matrix(), &g.controls, g.target, n)
+                .expect("gate DD");
+            u = dd.mat_mat(m, u);
+        }
+    }
+    let mut s = dd.zero_state(n).expect("zero state");
+    for q in 0..n {
+        s = dd
+            .apply_gate(s, gates::ry(0.3 + q as f64 * 0.2), &[], q)
+            .expect("ry");
+        if q > 0 {
+            s = dd
+                .apply_gate(s, gates::X, &[Control::pos(q)], q - 1)
+                .expect("cx");
+        }
+    }
+    let mut times: Vec<Duration> = (0..reps)
+        .map(|_| {
+            dd.clear_compute_tables();
+            let t0 = Instant::now();
+            std::hint::black_box(dd.mat_vec(u, s));
+            t0.elapsed()
+        })
+        .collect();
+    times.sort();
+    times[reps / 2]
+}
 
 fn main() {
     // Compute tables on/off. Without memoization the recursive operations
@@ -52,6 +93,23 @@ fn main() {
         "T-D.1 — compute tables (paper footnote 4)",
         &["family", "n", "with caches", "without", "speedup", "hit rate"],
         &rows,
+    );
+
+    let (with_caches, without_caches) = (
+        isolated_mat_vec(8, true, 11),
+        isolated_mat_vec(8, false, 11),
+    );
+    print_table(
+        "T-D.1b — one QFT(8) matrix × state mat_vec, median of 11",
+        &["with caches", "without", "speedup"],
+        &[vec![
+            fmt_duration(with_caches),
+            fmt_duration(without_caches),
+            format!(
+                "{:.1}×",
+                without_caches.as_secs_f64() / with_caches.as_secs_f64().max(1e-9)
+            ),
+        ]],
     );
 
     // Complex-table interning pressure per workload.

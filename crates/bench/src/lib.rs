@@ -1,5 +1,5 @@
 //! Shared infrastructure for the experiment-regeneration binaries and
-//! criterion benchmarks.
+//! `bench_suite`.
 //!
 //! Every figure and worked example of the reproduced paper has a binary in
 //! `src/bin/` (see the experiment index in `DESIGN.md`); the helpers here

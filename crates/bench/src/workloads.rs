@@ -1,5 +1,5 @@
-//! Named workloads shared between the experiment binaries and the
-//! criterion benchmarks.
+//! Named workloads shared between the experiment binaries and
+//! `bench_suite`.
 
 use qdd_circuit::{compile, library, QuantumCircuit};
 use qdd_complex::Complex;

@@ -819,51 +819,6 @@ impl DdSimulator {
         Ok(sim)
     }
 
-    /// Repeats the full circuit `shots` times (fresh simulator each time)
-    /// and histograms each run's outcome — the serial reference
-    /// implementation the shot engine
-    /// ([`shots::run`](crate::shots::run)) is measured and verified
-    /// against. Circuits **with** measurements histogram the final
-    /// classical bits; circuits without histogram one basis-state draw from
-    /// each run's final state (previously every measurement-free run was
-    /// binned under classical value `0`).
-    ///
-    /// Shot `i` runs under [`shot_seed(seed, i)`](crate::shots::shot_seed),
-    /// giving every shot a decorrelated stream (the former `seed + i`
-    /// scheme made neighbouring base seeds share almost all of their
-    /// shots).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`].
-    pub fn run_shots(
-        circuit: &QuantumCircuit,
-        shots: u64,
-        seed: u64,
-    ) -> Result<FxHashMap<u64, u64>, SimError> {
-        let has_measurements = circuit
-            .ops()
-            .iter()
-            .any(|op| matches!(op, Operation::Measure { .. }));
-        let mut counts: FxHashMap<u64, u64> = FxHashMap::default();
-        for shot in 0..shots {
-            let mut sim =
-                Self::with_seed(circuit.clone(), crate::shots::shot_seed(seed, shot));
-            sim.run()?;
-            let value = if has_measurements {
-                creg_value(&sim.classical, 0, sim.classical.len())
-            } else {
-                sim.sample(1)
-                    .into_iter()
-                    .next()
-                    .map(|(basis, _)| basis)
-                    .unwrap_or(0)
-            };
-            *counts.entry(value).or_insert(0) += 1;
-        }
-        Ok(counts)
-    }
-
     /// Collects garbage in the underlying package, keeping the live state.
     pub fn collect_garbage(&mut self) {
         self.dd.garbage_collect();
@@ -1032,16 +987,6 @@ mod tests {
         sim.run().unwrap();
         let amps = sim.dense_state();
         assert!(amps[0b10].abs() > 0.999);
-    }
-
-    #[test]
-    fn run_shots_histograms_classical_outcomes() {
-        let mut qc = qdd_circuit::QuantumCircuit::new(1);
-        qc.add_creg("c", 1);
-        qc.h(0).measure(0, 0);
-        let counts = DdSimulator::run_shots(&qc, 400, 17).unwrap();
-        let ones = *counts.get(&1).unwrap_or(&0) as f64;
-        assert!((ones / 400.0 - 0.5).abs() < 0.1);
     }
 
     #[test]

@@ -2,11 +2,47 @@
 //! dispatch, statistical agreement of the fast paths with per-shot
 //! re-execution, and thread-count invariance of the mid-circuit path.
 
-use qdd_circuit::{library, Condition, MeasurementRegime, QuantumCircuit, StandardGate};
+use qdd_circuit::{library, Condition, MeasurementRegime, Operation, QuantumCircuit, StandardGate};
 use qdd_complex::FxHashMap;
 use qdd_core::{DdError, Limits, PackageConfig};
 use qdd_sim::shots::{self, HistogramKind, ShotOptions};
-use qdd_sim::{DdSimulator, SimError};
+use qdd_sim::{creg_value, DdSimulator, SimError};
+
+/// Repeats the full circuit `shots` times (fresh simulator each time)
+/// and histograms each run's outcome — the serial reference
+/// implementation the shot engine ([`shots::run`]) is verified against.
+/// Circuits **with** measurements histogram the final classical bits;
+/// circuits without histogram one basis-state draw from each run's final
+/// state.
+///
+/// Shot `i` runs under [`shots::shot_seed(seed, i)`](shots::shot_seed),
+/// giving every shot a decorrelated stream.
+fn run_shots(
+    circuit: &QuantumCircuit,
+    shots: u64,
+    seed: u64,
+) -> Result<FxHashMap<u64, u64>, SimError> {
+    let has_measurements = circuit
+        .ops()
+        .iter()
+        .any(|op| matches!(op, Operation::Measure { .. }));
+    let mut counts: FxHashMap<u64, u64> = FxHashMap::default();
+    for shot in 0..shots {
+        let mut sim = DdSimulator::with_seed(circuit.clone(), shots::shot_seed(seed, shot));
+        sim.run()?;
+        let value = if has_measurements {
+            creg_value(sim.classical_bits(), 0, sim.classical_bits().len())
+        } else {
+            sim.sample(1)
+                .into_iter()
+                .next()
+                .map(|(basis, _)| basis)
+                .unwrap_or(0)
+        };
+        *counts.entry(value).or_insert(0) += 1;
+    }
+    Ok(counts)
+}
 
 /// Teleportation with deferred (quantum-controlled) corrections: same
 /// outcome distribution as [`library::teleportation`], but every
@@ -71,7 +107,7 @@ fn terminal_fast_path_agrees_with_per_shot_reexecution() {
     let qc = deferred_teleportation(1.1);
     assert_eq!(qc.measurement_regime(), MeasurementRegime::TerminalMeasurement);
     let fast = shots::run(&qc, &ShotOptions::new(6000, 5)).unwrap();
-    let reference = DdSimulator::run_shots(&qc, 6000, 1234).unwrap();
+    let reference = run_shots(&qc, 6000, 1234).unwrap();
     // 8 outcomes → 7 degrees of freedom; χ² < 24.3 keeps p > 0.001.
     let x2 = chi_square(&fast.histogram, &reference);
     assert!(x2 < 24.3, "χ² = {x2} — fast path diverges from re-execution");
@@ -97,7 +133,7 @@ fn mid_circuit_engine_matches_run_shots_bit_for_bit() {
     // must reproduce the serial reference exactly, not just statistically.
     let qc = library::teleportation(0.7);
     assert_eq!(qc.measurement_regime(), MeasurementRegime::MidCircuit);
-    let reference = DdSimulator::run_shots(&qc, 500, 42).unwrap();
+    let reference = run_shots(&qc, 500, 42).unwrap();
     let mut opts = ShotOptions::new(500, 42);
     opts.threads = 1;
     let report = shots::run(&qc, &opts).unwrap();
@@ -199,15 +235,25 @@ fn reset_only_circuits_histogram_basis_states() {
     let ones = *report.histogram.get(&0b10).unwrap_or(&0) as f64;
     assert!((ones / 800.0 - 0.5).abs() < 0.06);
     // And it matches the serial reference bit-for-bit.
-    let reference = DdSimulator::run_shots(&qc, 800, 21).unwrap();
+    let reference = run_shots(&qc, 800, 21).unwrap();
     assert_eq!(report.histogram, reference);
+}
+
+#[test]
+fn run_shots_histograms_classical_outcomes() {
+    let mut qc = QuantumCircuit::new(1);
+    qc.add_creg("c", 1);
+    qc.h(0).measure(0, 0);
+    let counts = run_shots(&qc, 400, 17).unwrap();
+    let ones = *counts.get(&1).unwrap_or(&0) as f64;
+    assert!((ones / 400.0 - 0.5).abs() < 0.1);
 }
 
 #[test]
 fn run_shots_no_longer_bins_unmeasured_circuits_to_zero() {
     // Regression for the histogramming bug: a measurement-free circuit used
     // to have every shot counted under classical value 0.
-    let counts = DdSimulator::run_shots(&library::ghz(2), 200, 3).unwrap();
+    let counts = run_shots(&library::ghz(2), 200, 3).unwrap();
     assert!(counts.len() > 1, "all shots binned together: {counts:?}");
     assert!(counts.keys().all(|&k| k == 0b00 || k == 0b11));
 }
@@ -225,8 +271,8 @@ fn shot_streams_are_decorrelated_across_base_seeds() {
         0,
         qdd_circuit::Condition { creg: 0, value: 1 },
     );
-    let a = DdSimulator::run_shots(&qc, 400, 50).unwrap();
-    let b = DdSimulator::run_shots(&qc, 400, 51).unwrap();
+    let a = run_shots(&qc, 400, 50).unwrap();
+    let b = run_shots(&qc, 400, 51).unwrap();
     // Both fair-coin histograms; equality of full 400-draw sequences would
     // be astronomically unlikely under independence *per-shot*, but counts
     // are coarse — so check the underlying seeds directly too.

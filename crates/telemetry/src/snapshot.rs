@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A point-in-time copy of every recorded metric, suitable for embedding in
-/// reports (`--metrics-out`, `BENCH_current.json`).
+/// reports (`--metrics-out`, `qdd serve` responses).
 ///
 /// Construction sorts all names, so two snapshots of identical recordings
 /// serialize byte-identically regardless of recording order.

@@ -8,8 +8,7 @@ Usage:
 Each file's format is detected from its content:
 
 * **metrics snapshot** — a JSON object with ``"schema": "qdd-metrics-v1"``
-  (from ``--metrics-out`` or the ``metrics`` field embedded in
-  ``BENCH_*.json`` workloads);
+  (from ``--metrics-out``);
 * **Chrome trace** — a JSON object with a ``traceEvents`` array (from
   ``--trace-out foo.json``), loadable in ``chrome://tracing`` / Perfetto;
 * **JSONL event stream** — one JSON object per line (from
@@ -19,8 +18,8 @@ Each file's format is detected from its content:
   of ``qdd inspect``.
 
 Exits non-zero on the first malformed file, printing what was wrong and
-where. Unlike bench_diff.py this *is* a gate: the output formats are a
-published contract, not a noisy measurement. Validated-but-lossy artifacts
+where. The output formats are a published contract, not a noisy
+measurement, so a malformed file is an error. Validated-but-lossy artifacts
 (events or records dropped at a recording cap) emit a GitHub
 ``::warning::`` annotation without failing the check.
 """
