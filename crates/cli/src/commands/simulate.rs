@@ -18,9 +18,11 @@ OPTIONS:
                     Purely unitary and terminal-measurement circuits run
                     once and sample the final diagram; circuits with
                     mid-circuit measurement, reset, or classical control
-                    re-execute per shot. Measured circuits histogram the
+                    run per shot: a shot re-executes the circuit unless its
+                    worker already executed the same outcome path, which it
+                    then replays. Measured circuits histogram the
                     classical register values, unmeasured ones basis states.
-  --threads N       worker threads for per-shot re-execution (default: one
+  --threads N       worker threads for mid-circuit shots (default: one
                     per CPU); histograms are bit-identical for every thread
                     count.
   --state           print the amplitude table of the final state
@@ -291,7 +293,7 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
         // Shots run through the shot engine, not by sampling the final
         // state of the run above: for circuits with mid-circuit
         // measurement, reset, or classical control, sampling one final
-        // state is *wrong* — each shot must re-execute the circuit.
+        // state is *wrong* — each shot must follow its own outcome path.
         let mut opts = qdd_sim::ShotOptions::new(shots, seed);
         opts.threads = threads;
         opts.config = config;
@@ -330,14 +332,14 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
         }
         let mut entries: Vec<_> = report.histogram.into_iter().collect();
         entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut line = format!("{shots} shots: {} regime", report.regime);
         if report.threads_used > 1 {
-            println!(
-                "{shots} shots: {} regime, {} threads",
-                report.regime, report.threads_used
-            );
-        } else {
-            println!("{shots} shots: {} regime", report.regime);
+            line.push_str(&format!(", {} threads", report.threads_used));
         }
+        if report.regime == qdd_circuit::MeasurementRegime::MidCircuit {
+            line.push_str(&format!(", {} executed", report.executed_shots));
+        }
+        println!("{line}");
         let width = match report.kind {
             qdd_sim::HistogramKind::BasisStates => circuit.num_qubits(),
             qdd_sim::HistogramKind::ClassicalBits => circuit.num_clbits(),

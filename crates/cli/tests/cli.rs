@@ -92,6 +92,16 @@ fn simulate_shots_route_through_the_shot_engine() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("400 shots: mid-circuit regime"), "{text}");
+    // Two outcome paths: each of the two workers executes each path once at
+    // most and replays every other shot from its outcome trie.
+    let executed: u64 = text
+        .lines()
+        .find(|l| l.starts_with("400 shots:"))
+        .and_then(|l| l.strip_suffix(" executed"))
+        .and_then(|l| l.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no executed-shot count: {text}"));
+    assert!((2..=4).contains(&executed), "{executed} executed: {text}");
     // Both classical outcomes must appear with roughly fair frequency.
     let count_of = |bits: &str| -> u64 {
         text.lines()

@@ -188,7 +188,12 @@ impl DdPackage {
     }
 
     /// Measures `qubit`, choosing the outcome at random with the proper
-    /// probabilities, and returns `(outcome, probability, collapsed state)`.
+    /// probabilities, and returns `(outcome, p1, collapsed state)`.
+    ///
+    /// The outcome is `|1⟩` iff one uniform `rng.gen::<f64>()` draw falls
+    /// below `p1`, the probability of `|1⟩`; returning that `p1` lets a
+    /// caller replay the choice from the same draw (the shot engine's
+    /// outcome trie).
     ///
     /// # Errors
     ///
@@ -202,15 +207,10 @@ impl DdPackage {
         qubit: usize,
         rng: &mut R,
     ) -> Result<(MeasurementOutcome, f64, VecEdge), DdError> {
-        let (p0, p1) = self.qubit_probabilities(state, qubit);
-        let outcome = if rng.gen::<f64>() < p1 {
-            MeasurementOutcome::One
-        } else {
-            MeasurementOutcome::Zero
-        };
-        let p = if outcome.as_bool() { p1 } else { p0 };
+        let (_, p1) = self.qubit_probabilities(state, qubit);
+        let outcome = MeasurementOutcome::from(rng.gen::<f64>() < p1);
         let collapsed = self.collapse(state, qubit, outcome)?;
-        Ok((outcome, p, collapsed))
+        Ok((outcome, p1, collapsed))
     }
 
     /// Draws one basis state by a randomized single-path traversal
@@ -276,7 +276,9 @@ impl DdPackage {
         }
     }
 
-    /// Resets `qubit` to `|0⟩`, drawing the discarded branch at random.
+    /// Resets `qubit` to `|0⟩`, drawing the discarded branch at random, and
+    /// returns `(observed branch, p1, reset state)`. The branch is chosen
+    /// from one uniform draw exactly as in [`Self::measure`].
     ///
     /// # Errors
     ///
@@ -286,10 +288,11 @@ impl DdPackage {
         state: VecEdge,
         qubit: usize,
         rng: &mut R,
-    ) -> Result<VecEdge, DdError> {
+    ) -> Result<(MeasurementOutcome, f64, VecEdge), DdError> {
         let (_, p1) = self.qubit_probabilities(state, qubit);
         let observed = MeasurementOutcome::from(rng.gen::<f64>() < p1);
-        self.reset_with_outcome(state, qubit, observed)
+        let reset = self.reset_with_outcome(state, qubit, observed)?;
+        Ok((observed, p1, reset))
     }
 
     /// The full probability distribution over basis states (dense; only for
@@ -423,8 +426,8 @@ mod tests {
         let mut dd = DdPackage::new();
         let b = bell(&mut dd);
         let mut rng = SmallRng::seed_from_u64(1);
-        let (outcome, p, after) = dd.measure(b, 0, &mut rng).unwrap();
-        assert!((p - 0.5).abs() < 1e-12);
+        let (outcome, p1, after) = dd.measure(b, 0, &mut rng).unwrap();
+        assert!((p1 - 0.5).abs() < 1e-12);
         let expect = if outcome.as_bool() {
             dd.basis_state(2, 0b11).unwrap()
         } else {

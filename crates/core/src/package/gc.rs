@@ -70,6 +70,7 @@ impl DdPackage {
         self.vstore.collect_live_weights(&mut keep);
         self.mstore.collect_live_weights(&mut keep);
         report.freed_cvalues = self.ctable.retain_referenced(|idx| keep.contains(&idx));
+        self.complex_survivors = self.ctable.len();
         span.field("freed_vnodes", report.freed_vnodes);
         span.field("freed_mnodes", report.freed_mnodes);
         span.field("live_vnodes", report.live_vnodes);
@@ -103,13 +104,21 @@ impl DdPackage {
     /// True when a between-operations garbage collection would pay for
     /// itself: the live-node estimate crossed
     /// [`Limits::auto_gc_threshold`](crate::Limits::auto_gc_threshold), or
-    /// the complex table crossed
+    /// the complex table reached
     /// [`Limits::complex_gc_threshold`](crate::Limits::complex_gc_threshold)
-    /// (its probe index has outgrown the CPU caches). Long-running drivers
-    /// call this once per applied operation.
+    /// (its probe index has outgrown the CPU caches) *and* twice the
+    /// entries that survived the last collection. Without the second
+    /// condition a live state holding more weights than the threshold
+    /// would collect after every operation, each time reclaiming little.
+    /// Long-running drivers call this once per applied operation.
     pub fn wants_auto_gc(&self) -> bool {
+        let complex_trigger = self
+            .config
+            .limits
+            .complex_gc_threshold
+            .max(2 * self.complex_survivors);
         self.live_node_estimate() > self.config.limits.auto_gc_threshold
-            || self.ctable.len() >= self.config.limits.complex_gc_threshold
+            || self.ctable.len() >= complex_trigger
     }
 
     /// Drops all cached operation results without collecting nodes.
@@ -123,6 +132,7 @@ mod tests {
     use crate::gates::{self, Control};
     use crate::limits::Limits;
     use crate::package::{DdPackage, PackageConfig};
+    use qdd_complex::Complex;
 
     #[test]
     fn gc_reclaims_unreferenced_nodes() {
@@ -191,6 +201,52 @@ mod tests {
         let applied = dd.mat_vec(h_after, keep);
         assert!((dd.vec_norm(applied) - 1.0).abs() < 1e-10);
         dd.dec_ref_vec(keep);
+    }
+
+    /// Builds a live state whose weights alone exceed a 16-entry
+    /// threshold, then reports whether auto-GC wanted to fire before and
+    /// after one collection, and how many entries survived.
+    fn gc_trigger_run(dd: &mut DdPackage) -> (bool, bool, usize) {
+        let amps: Vec<Complex> = (0..64)
+            .map(|i| Complex::new(1.0 + 0.37 * i as f64, 0.1 * i as f64))
+            .collect();
+        let keep = dd.state_from_amplitudes(&amps).unwrap();
+        dd.inc_ref_vec(keep);
+        let before = dd.wants_auto_gc();
+        dd.garbage_collect();
+        (before, dd.wants_auto_gc(), dd.complex_entry_count())
+    }
+
+    #[test]
+    fn complex_gc_trigger_waits_for_twice_the_survivors() {
+        let mut dd = DdPackage::with_config(PackageConfig {
+            limits: Limits {
+                complex_gc_threshold: 16,
+                ..Limits::default()
+            },
+            ..PackageConfig::default()
+        });
+        dd.mark_warm();
+        let (before, after, survivors) = gc_trigger_run(&mut dd);
+        assert!(before, "past the threshold, nothing collected yet");
+        assert!(survivors > 16, "the live state keeps {survivors} entries");
+        assert!(
+            !after,
+            "a collection that kept {survivors} entries must not fire again at once"
+        );
+        // It fires again once the table holds twice the survivors.
+        let mut k = 0.0;
+        while dd.complex_entry_count() + 1 < 2 * survivors {
+            dd.intern(Complex::new(100.0 + k, 0.0));
+            k += 1.0;
+            assert!(!dd.wants_auto_gc(), "fired at {}", dd.complex_entry_count());
+        }
+        dd.intern(Complex::new(-7.5, 3.25));
+        assert!(dd.wants_auto_gc(), "silent at {}", dd.complex_entry_count());
+        // The survivor count rewinds with the warm mark: a replayed run
+        // sees the same trigger as the first one.
+        dd.reset_to_warm();
+        assert_eq!(gc_trigger_run(&mut dd), (before, after, survivors));
     }
 
     #[test]

@@ -129,6 +129,9 @@ pub struct DdPackage {
     /// Monotone node-creation counter backing `Node::birth`.
     births: u64,
     gc_runs: u64,
+    /// Complex-table entries that survived the last garbage collection;
+    /// [`Self::wants_auto_gc`] waits for the table to double past them.
+    complex_survivors: usize,
     governor: Governor,
     /// Package-level state at the warm mark (see [`Self::mark_warm`]).
     warm: WarmState,
@@ -145,6 +148,7 @@ pub struct DdPackage {
 #[derive(Clone, Debug, Default)]
 struct WarmState {
     births: u64,
+    complex_survivors: usize,
     gate_cache: FxHashMap<GateKey, MatEdge>,
     root_weights: FxHashMap<ComplexIdx, u32>,
 }
@@ -171,6 +175,7 @@ impl DdPackage {
             root_weights: FxHashMap::default(),
             births: 0,
             gc_runs: 0,
+            complex_survivors: 0,
             governor: Governor::default(),
             warm: WarmState::default(),
             budget_bypass: false,
@@ -196,6 +201,7 @@ impl DdPackage {
         self.caches.clear();
         self.warm = WarmState {
             births: self.births,
+            complex_survivors: self.complex_survivors,
             gate_cache: self.gate_cache.clone(),
             root_weights: self.root_weights.clone(),
         };
@@ -206,7 +212,8 @@ impl DdPackage {
     /// added since [`Self::mark_warm`] — or, without a mark, everything
     /// since construction. Node stores and the complex table are truncated
     /// back to their lengths at the mark; the gate-DD cache is restored if
-    /// it changed, and the birth counter rewinds.
+    /// it changed, and the birth counter and the auto-GC trigger's survivor
+    /// count rewind.
     ///
     /// Afterwards the package is bit-identical to its state at the mark, so
     /// replaying the same operations yields the same edge ids, the same
@@ -219,6 +226,7 @@ impl DdPackage {
         self.caches.clear();
         self.root_weights.clone_from(&self.warm.root_weights);
         self.births = self.warm.births;
+        self.complex_survivors = self.warm.complex_survivors;
         if self.gate_cache_dirty {
             self.gate_cache.clone_from(&self.warm.gate_cache);
             self.gate_cache_dirty = false;

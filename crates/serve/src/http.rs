@@ -237,19 +237,15 @@ pub fn drain_before_close(stream: &mut TcpStream) {
 /// Whether the peer has closed the connection (EOF on read). Used while a
 /// long job runs: the request was fully consumed, so any read yielding
 /// `Ok(0)` means the client went away and the job should be cancelled.
-/// Non-blocking via a short read timeout; stray pipelined bytes are
-/// ignored.
+/// The read is non-blocking, so the probe never delays noticing that the
+/// job finished; stray pipelined bytes are ignored.
 pub fn peer_disconnected(stream: &TcpStream) -> bool {
     let mut probe = [0u8; 16];
-    let previous = stream.read_timeout().ok().flatten();
-    if stream
-        .set_read_timeout(Some(std::time::Duration::from_millis(1)))
-        .is_err()
-    {
+    if stream.set_nonblocking(true).is_err() {
         return false;
     }
     let gone = matches!((&mut (&*stream)).read(&mut probe), Ok(0));
-    let _ = stream.set_read_timeout(previous);
+    let _ = stream.set_nonblocking(false);
     gone
 }
 

@@ -50,7 +50,8 @@ use qdd_verify::{Equivalence, EquivalenceChecker, Strategy, VerifyError};
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -89,6 +90,8 @@ struct ServerState {
     sessions: SessionStore,
     threads: usize,
     test_hooks: bool,
+    /// `/v1/shots` jobs whose engine thread has not returned yet.
+    shot_jobs_running: AtomicUsize,
 }
 
 /// The daemon: a bound listener plus shared state. [`Server::run`]
@@ -108,6 +111,7 @@ impl Server {
             threads: config.threads,
             test_hooks: config.enable_test_hooks,
             quota: config.quota,
+            shot_jobs_running: AtomicUsize::new(0),
         });
         Ok(Server { listener, state })
     }
@@ -189,9 +193,11 @@ fn route(
         ("GET", ["healthz"]) => Ok(Some((
             200,
             format!(
-                "{{\"ok\":true,\"cached_circuits\":{},\"live_sessions\":{}}}",
+                "{{\"ok\":true,\"cached_circuits\":{},\"live_sessions\":{},\
+                 \"shot_jobs_running\":{}}}",
                 state.cache.len(),
-                state.sessions.len()
+                state.sessions.len(),
+                state.shot_jobs_running.load(Ordering::Relaxed)
             ),
         ))),
         ("POST", ["v1", "simulate"]) => handle_simulate(&body_json(req)?, state).map(Some),
@@ -409,21 +415,25 @@ fn handle_shots(
     // Run the engine on its own thread (inside this request's telemetry
     // scope) while this thread watches for the client hanging up.
     let scope = qdd_telemetry::scope_id();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    state.shot_jobs_running.fetch_add(1, Ordering::Relaxed);
     let (result, client_gone) = thread::scope(|s| {
-        let handle = s.spawn(|| {
+        let handle = s.spawn(move || {
             qdd_telemetry::set_enabled(true);
             qdd_telemetry::set_scope(scope);
             let r = shots::run(&entry.circuit, &opts);
             qdd_telemetry::publish();
+            drop(done_tx);
             r
         });
+        // Wake as soon as the engine thread ends (its sender drops, also
+        // when it panics); probe for a hang-up every 2 ms until then.
         let mut gone = false;
-        while !handle.is_finished() {
+        while let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(Duration::from_millis(2)) {
             if !gone && http::peer_disconnected(stream) {
                 cancel.store(true, Ordering::Relaxed);
                 gone = true;
             }
-            thread::sleep(Duration::from_millis(2));
         }
         let result = handle.join().unwrap_or_else(|_| {
             Err(SimError::WorkerPanicked {
@@ -433,6 +443,7 @@ fn handle_shots(
         });
         (result, gone)
     });
+    state.shot_jobs_running.fetch_sub(1, Ordering::Relaxed);
     let report = match result {
         Ok(report) => report,
         // A cancelled job means the client hung up: nobody is listening,
@@ -457,8 +468,8 @@ fn handle_shots(
     let trailer = format!(
         "{{\"stats\":{{\"regime\":\"{}\",\"threads_used\":{},\"elapsed_ms\":{},\
          \"fidelity_lower_bound\":{},\"gate_cache_lookups\":{},\"gate_cache_hits\":{},\
-         \"gate_cache_hit_rate\":{},\"worker_shots\":[{}]}},\"degraded\":{},\
-         \"cache\":{{\"hit\":{},\"key\":\"{:016x}\"}},\"telemetry\":{}}}",
+         \"gate_cache_hit_rate\":{},\"worker_shots\":[{}],\"executed_shots\":{}}},\
+         \"degraded\":{},\"cache\":{{\"hit\":{},\"key\":\"{:016x}\"}},\"telemetry\":{}}}",
         report.regime.name(),
         report.threads_used,
         report.elapsed.as_millis(),
@@ -467,6 +478,7 @@ fn handle_shots(
         report.gate_cache_hits,
         num(report.gate_cache_hit_rate()),
         worker_shots.join(","),
+        report.executed_shots,
         degraded_field(report.is_approximate(), false),
         outcome.hit,
         outcome.key,

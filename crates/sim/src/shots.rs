@@ -16,18 +16,30 @@
 //!   from the final DD, and read each shot's classical bits directly off the
 //!   sampled index.
 //! * **Mid-circuit** — collapse feeds back into the evolution (conditioned
-//!   gates, resets, measure-then-evolve), so each shot re-executes the
-//!   circuit. Shots fan out across [`std::thread`] workers, each owning one
-//!   [`DdSimulator`] and its package. A worker builds `|0…0⟩` and every gate
-//!   DD of the circuit into its package once and marks them warm
-//!   ([`DdPackage::mark_warm`](qdd_core::DdPackage::mark_warm)); every shot
-//!   then starts with [`DdSimulator::restart`], which resets the package
-//!   to that mark. Each **shot** — not worker — gets its own RNG stream
-//!   derived with [`shot_seed`]. The warm state is a function of the
-//!   circuit and configuration alone, so shot `i` is a function of
-//!   `(circuit, config, shot_seed(seed, i))`: the merged histogram is
-//!   bit-identical at every thread count, with or without resource
-//!   budgets.
+//!   gates, resets, measure-then-evolve), so a shot's outcome path decides
+//!   what the circuit does. Shots fan out across [`std::thread`] workers,
+//!   each owning one [`DdSimulator`] and its package. A worker builds
+//!   `|0…0⟩` and every gate DD of the circuit into its package once and
+//!   marks them warm
+//!   ([`DdPackage::mark_warm`](qdd_core::DdPackage::mark_warm)); a shot
+//!   that executes the circuit starts with [`DdSimulator::restart`], which
+//!   resets the package to that mark. Each **shot** — not worker — gets
+//!   its own RNG stream derived with [`shot_seed`]. The warm state is a
+//!   function of the circuit and configuration alone, so shot `i` is a
+//!   function of `(circuit, config, shot_seed(seed, i))`: the merged
+//!   histogram is bit-identical at every thread count, with or without
+//!   resource budgets.
+//!
+//!   A shot that repeats an earlier shot's outcome path does not execute
+//!   at all. Each worker keeps an outcome trie of the runs it executed:
+//!   for every collapse on a recorded path it holds the `p1` that collapse
+//!   compared its one uniform draw against, and at the path's end the
+//!   shot's classical value. A shot walks the trie with its own stream, one draw per level,
+//!   and only re-executes the circuit when it steps off the recorded paths.
+//!   Every stored `p1` was computed by a run from the warm mark along that
+//!   outcome prefix, so it is a function of `(circuit, config, prefix)`,
+//!   and the walk draws exactly what the run would: a replayed shot counts
+//!   the value its execution would have produced.
 //!
 //! Resource governance propagates: the [`PackageConfig`] limits apply inside
 //! every worker, and [`Limits::deadline`](qdd_core::Limits::deadline) is
@@ -41,7 +53,7 @@ use qdd_circuit::{MeasurementAnalysis, MeasurementRegime, QuantumCircuit};
 use qdd_complex::FxHashMap;
 use qdd_core::{DdError, PackageConfig};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -149,6 +161,11 @@ pub struct ShotReport {
     pub threads_used: usize,
     /// Shots completed per worker (diagnostics; sums to `shots`).
     pub worker_shots: Vec<u64>,
+    /// Shots that executed the circuit. In the mid-circuit regime the rest
+    /// were replayed from a worker's outcome trie; in the other regimes no
+    /// shot executes it (one run of the unitary prefix serves them all), so
+    /// this is `0`.
+    pub executed_shots: u64,
     /// Wall time of the whole job.
     pub elapsed: Duration,
     /// Lower bound on the fidelity of the state(s) the histogram was drawn
@@ -225,6 +242,7 @@ pub fn run(circuit: &QuantumCircuit, opts: &ShotOptions) -> Result<ShotReport, S
     report.elapsed = t0.elapsed();
     span.field("threads", report.threads_used);
     qdd_telemetry::counter_add("shots.sampled", report.shots);
+    qdd_telemetry::counter_add("shots.executed", report.executed_shots);
     for (w, &n) in report.worker_shots.iter().enumerate() {
         qdd_telemetry::emit("shots.worker")
             .field("worker", w)
@@ -283,6 +301,7 @@ fn run_shared_state(
         shots: opts.shots,
         threads_used: 1,
         worker_shots: vec![opts.shots],
+        executed_shots: 0,
         elapsed: Duration::ZERO,
         // One shared state served every shot; its bound is the job's bound.
         fidelity_lower_bound: sim.stats().fidelity_lower_bound,
@@ -299,11 +318,12 @@ fn externally_cancelled(opts: &ShotOptions) -> bool {
 }
 
 /// What one worker returns on success: its partial histogram,
-/// completed-shot count, the weakest fidelity lower bound among its shots,
-/// and its package's gate-DD cache traffic.
+/// completed and executed shot counts, the weakest fidelity lower bound
+/// among its shots, and its package's gate-DD cache traffic.
 struct WorkerOutput {
     counts: FxHashMap<u64, u64>,
     done: u64,
+    executed: u64,
     bound: f64,
     gate_lookups: u64,
     gate_hits: u64,
@@ -391,6 +411,7 @@ fn run_mid_circuit(
 
     let mut histogram: FxHashMap<u64, u64> = FxHashMap::default();
     let mut worker_shots = Vec::with_capacity(results.len());
+    let mut executed_shots = 0;
     let mut first_error: Option<(u64, SimError)> = None;
     let mut fidelity_lower_bound = 1.0f64;
     let mut gate_cache_lookups = 0;
@@ -404,6 +425,7 @@ fn run_mid_circuit(
         match joined {
             Ok(Ok(out)) => {
                 worker_shots.push(out.done);
+                executed_shots += out.executed;
                 fidelity_lower_bound = fidelity_lower_bound.min(out.bound);
                 gate_cache_lookups += out.gate_lookups;
                 gate_cache_hits += out.gate_hits;
@@ -439,6 +461,7 @@ fn run_mid_circuit(
         shots: opts.shots,
         threads_used: threads,
         worker_shots,
+        executed_shots,
         elapsed: Duration::ZERO,
         fidelity_lower_bound,
         gate_cache_lookups,
@@ -471,9 +494,94 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One worker: re-executes the circuit for shots `lo..hi` on a single
-/// simulator it owns, restarting it to the package's warm mark before every
-/// shot (the first restart builds the warm state).
+/// Most trie nodes one worker keeps (24 bytes each). Once full, the trie
+/// stops recording and unseen paths keep re-executing.
+const TRIE_CAP: usize = 1 << 16;
+
+/// One worker's memo of the job's outcome tree, built from the runs it
+/// executed (module docs). Node 0 is the root; no node points back at it,
+/// so `0` marks a missing child.
+#[derive(Debug, Default)]
+struct OutcomeTrie {
+    nodes: Vec<TrieNode>,
+}
+
+#[derive(Copy, Clone, Debug)]
+enum TrieNode {
+    /// A measurement or reset: a draw `u` takes `next[(u < p1) as usize]`.
+    Collapse { p1: f64, next: [u32; 2] },
+    /// The end of a recorded run: the shot's classical value.
+    Leaf { value: u64 },
+}
+
+impl OutcomeTrie {
+    /// The value of the shot seeded with `seed`, if its outcome path is
+    /// recorded: the walk draws one `f64` per collapse from the shot's
+    /// stream, exactly as the run's `measure` and `reset` would.
+    fn replay(&self, seed: u64) -> Option<u64> {
+        let mut node = *self.nodes.first()?;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        loop {
+            match node {
+                TrieNode::Leaf { value } => return Some(value),
+                TrieNode::Collapse { p1, next } => {
+                    let child = next[usize::from(rng.gen::<f64>() < p1)];
+                    if child == 0 {
+                        return None;
+                    }
+                    node = self.nodes[child as usize];
+                }
+            }
+        }
+    }
+
+    /// Records the outcome path of a complete run from the warm mark
+    /// ([`DdSimulator::collapse_log`]) ending in `value`, unless that could
+    /// take the trie past [`TRIE_CAP`].
+    fn record(&mut self, log: &[(f64, bool)], value: u64) {
+        if self.nodes.len() + log.len() + 1 > TRIE_CAP {
+            return;
+        }
+        // `at` indexes this level's node; when it equals `nodes.len()` the
+        // node is new, and its parent already points at it.
+        let mut at = 0;
+        for &(p1, one) in log {
+            if at == self.nodes.len() {
+                self.nodes.push(TrieNode::Collapse { p1, next: [0; 2] });
+            }
+            let fresh = self.nodes.len() as u32;
+            // Every run of a circuit collapses at the same operations, so a
+            // recorded prefix never ends in a leaf.
+            let TrieNode::Collapse { p1: stored, next } = &mut self.nodes[at] else {
+                debug_assert!(false, "outcome path runs past a recorded leaf");
+                return;
+            };
+            debug_assert_eq!(
+                stored.to_bits(),
+                p1.to_bits(),
+                "two runs along one outcome prefix computed different p1"
+            );
+            let child = &mut next[usize::from(one)];
+            if *child == 0 {
+                *child = fresh;
+            }
+            at = *child as usize;
+        }
+        if at == self.nodes.len() {
+            self.nodes.push(TrieNode::Leaf { value });
+        }
+        debug_assert!(
+            matches!(self.nodes[at], TrieNode::Leaf { value: v } if v == value),
+            "one outcome path ended in two classical values"
+        );
+    }
+}
+
+/// One worker: produces shots `lo..hi` on a single simulator it owns.
+/// Each shot is replayed from the worker's outcome trie when its path is
+/// recorded; otherwise it restarts the simulator to the package's warm mark
+/// (the first restart builds the warm state), re-executes the circuit and
+/// records the run.
 fn shot_worker(
     circuit: &QuantumCircuit,
     analysis: &MeasurementAnalysis,
@@ -485,8 +593,10 @@ fn shot_worker(
 ) -> WorkerResult {
     let mut counts: FxHashMap<u64, u64> = FxHashMap::default();
     let mut done = 0u64;
+    let mut executed = 0u64;
     let mut bound = 1.0f64;
     let mut sim: Option<DdSimulator> = None;
+    let mut trie = OutcomeTrie::default();
     for shot in lo..hi {
         if cancel.load(Ordering::Relaxed) {
             break;
@@ -505,6 +615,12 @@ fn shot_worker(
             }
         }
         let seed = shot_seed(opts.seed, shot);
+        // Recorded runs were exact, so a replayed shot's bound is 1.
+        if let Some(value) = trie.replay(seed) {
+            *counts.entry(value).or_insert(0) += 1;
+            done += 1;
+            continue;
+        }
         let sim = sim.get_or_insert_with(|| {
             let mut s = DdSimulator::with_config(circuit.clone(), seed, opts.config);
             s.set_dense_fallback(opts.dense_fallback);
@@ -517,15 +633,20 @@ fn shot_worker(
         } else {
             // Reset-only circuits: the trajectory is random but the final
             // state still needs one basis-state draw from this shot's
-            // stream.
+            // stream. That draw voids the collapse log, so these shots are
+            // never recorded.
             sim.sample(1)
                 .into_iter()
                 .next()
                 .map(|(basis, _)| basis)
                 .unwrap_or(0)
         };
+        if let Some(log) = sim.collapse_log() {
+            trie.record(log, value);
+        }
         *counts.entry(value).or_insert(0) += 1;
         done += 1;
+        executed += 1;
         // restart() resets the per-run account, so fold each shot's bound
         // in before the next one wipes it.
         bound = bound.min(sim.stats().fidelity_lower_bound);
@@ -539,6 +660,7 @@ fn shot_worker(
     Ok(WorkerOutput {
         counts,
         done,
+        executed,
         bound,
         gate_lookups,
         gate_hits,
@@ -563,6 +685,48 @@ mod tests {
         let b: Vec<u64> = (0..64).map(|i| shot_seed(18, i)).collect();
         let overlap = a.iter().filter(|s| b.contains(s)).count();
         assert_eq!(overlap, 0, "adjacent base seeds must not share shot seeds");
+    }
+
+    #[test]
+    fn outcome_trie_replays_what_it_recorded_until_its_cap() {
+        // Run `seed`'s outcome path: one draw per collapse against a p1
+        // that varies by level, as `measure` and `reset` draw.
+        let depth = 200;
+        let path_of = |seed: u64| -> Vec<(f64, bool)> {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            (0..depth)
+                .map(|level| {
+                    let p1 = 0.1 + 0.8 * (level % 7) as f64 / 6.0;
+                    (p1, rng.gen::<f64>() < p1)
+                })
+                .collect()
+        };
+        let mut trie = OutcomeTrie::default();
+        let mut recorded = Vec::new();
+        for seed in 0..1000 {
+            // 200 draws: no two seeds share a path.
+            assert_eq!(
+                trie.replay(seed),
+                None,
+                "seed {seed} replayed an unseen path"
+            );
+            let before = trie.nodes.len();
+            trie.record(&path_of(seed), seed);
+            assert!(trie.nodes.len() <= TRIE_CAP);
+            if trie.nodes.len() > before {
+                recorded.push(seed);
+            }
+        }
+        // Each path adds about 190 nodes: the cap stops recording after a
+        // few hundred, and every recorded path still replays its value.
+        assert!(
+            (100..1000).contains(&recorded.len()),
+            "{} paths recorded",
+            recorded.len()
+        );
+        for seed in recorded {
+            assert_eq!(trie.replay(seed), Some(seed));
+        }
     }
 
     #[test]

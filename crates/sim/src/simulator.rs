@@ -169,6 +169,12 @@ pub struct DdSimulator {
     /// The pinned `|0…0⟩` at the package's warm mark, once the first
     /// [`Self::restart`] has built the warm state.
     warm_zero: Option<VecEdge>,
+    /// `(p1, outcome)` of every collapse of the current run, in order.
+    collapses: Vec<(f64, bool)>,
+    /// Whether `collapses` accounts for every random draw of the current
+    /// run: cleared by the degradation ladder, forced outcomes and
+    /// sampling; set again by [`Self::restart`].
+    collapses_complete: bool,
 }
 
 impl DdSimulator {
@@ -202,6 +208,8 @@ impl DdSimulator {
             dense_fallback_enabled: true,
             tl_run: qdd_telemetry::timeline::next_run(),
             warm_zero: None,
+            collapses: Vec::new(),
+            collapses_complete: true,
         }
     }
 
@@ -277,6 +285,22 @@ impl DdSimulator {
         &self.stats
     }
 
+    /// The `(p1, outcome)` pair of every measurement and reset of the run
+    /// so far, in order: the probability of `|1⟩` that the collapse's one
+    /// uniform `f64` draw was compared against, and the outcome it chose.
+    ///
+    /// `None` unless those draws were the run's only use of its RNG and the
+    /// run stayed exact: the degradation ladder (pressure GC, an
+    /// approximation round, the dense fallback, which draws a `u64`
+    /// seed), a forced outcome ([`Self::measure_with_outcome`]) or a
+    /// [`Self::sample`] call each void the log until the next
+    /// [`Self::restart`]. A complete log of a run from the warm mark is
+    /// what lets the shot engine replay that outcome path without
+    /// re-executing it.
+    pub(crate) fn collapse_log(&self) -> Option<&[(f64, bool)]> {
+        self.collapses_complete.then_some(self.collapses.as_slice())
+    }
+
     /// Runs the remainder of the circuit to completion, arming the
     /// configured wall-clock deadline (if any) for the duration.
     ///
@@ -342,6 +366,8 @@ impl DdSimulator {
         self.rng = SmallRng::seed_from_u64(seed);
         self.dense = None;
         self.stats = SimStats::default();
+        self.collapses.clear();
+        self.collapses_complete = true;
         if let Some(zero) = self.warm_zero {
             self.state = zero;
             return Ok(());
@@ -539,6 +565,7 @@ impl DdSimulator {
             Err(SimError::Dd(DdError::ResourceExhausted { .. })) => {}
             other => return other,
         }
+        self.collapses_complete = false;
         // Rung 1: reclaim dead nodes (the failed attempt's partial results
         // are unreferenced) and retry once.
         self.dd.gc_under_pressure();
@@ -712,8 +739,9 @@ impl DdSimulator {
                         num_bits: self.classical.len(),
                     });
                 }
-                let (outcome, _p, new_state) =
+                let (outcome, p1, new_state) =
                     self.dd.measure(self.state, *qubit, &mut self.rng)?;
+                self.collapses.push((p1, outcome.as_bool()));
                 self.classical[*bit] = outcome.as_bool();
                 qdd_telemetry::emit("sim.measure")
                     .field("qubit", *qubit)
@@ -722,7 +750,8 @@ impl DdSimulator {
                 self.set_state(new_state);
             }
             Operation::Reset { qubit } => {
-                let new_state = self.dd.reset(self.state, *qubit, &mut self.rng)?;
+                let (observed, p1, new_state) = self.dd.reset(self.state, *qubit, &mut self.rng)?;
+                self.collapses.push((p1, observed.as_bool()));
                 self.set_state(new_state);
             }
         }
@@ -748,6 +777,7 @@ impl DdSimulator {
                 num_bits: self.classical.len(),
             });
         }
+        self.collapses_complete = false;
         if let Some(dense) = self.dense.as_mut() {
             let want = outcome.as_bool();
             let p = if want {
@@ -777,6 +807,7 @@ impl DdSimulator {
     /// after a dense degradation, so a given seed yields the same stream
     /// position regardless of which backend ended up serving the run.
     pub fn sample(&mut self, shots: u64) -> FxHashMap<u64, u64> {
+        self.collapses_complete = false;
         if let Some(dense) = &self.dense {
             return dense.sample_with_rng(shots, &mut self.rng);
         }

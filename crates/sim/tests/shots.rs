@@ -1,7 +1,9 @@
 //! Integration tests of the shot engine: correctness of the regime
 //! dispatch, statistical agreement of the fast paths with per-shot
-//! re-execution, and thread-count invariance of the mid-circuit path.
+//! re-execution, thread-count invariance of the mid-circuit path, and
+//! bit-for-bit agreement of its outcome-trie replay with the serial oracle.
 
+use proptest::prelude::*;
 use qdd_circuit::{library, Condition, MeasurementRegime, Operation, QuantumCircuit, StandardGate};
 use qdd_complex::FxHashMap;
 use qdd_core::{DdError, Limits, PackageConfig};
@@ -22,13 +24,31 @@ fn run_shots(
     shots: u64,
     seed: u64,
 ) -> Result<FxHashMap<u64, u64>, SimError> {
+    run_shots_with(circuit, shots, seed, PackageConfig::default())
+}
+
+/// [`run_shots`] with every shot's simulator under `config`.
+///
+/// Under a resource budget each fresh simulator is first restarted to its
+/// warm mark ([`DdSimulator::restart`]), as the engine's are: the warm gate
+/// DDs count against the budget, so they decide when a shot degrades.
+fn run_shots_with(
+    circuit: &QuantumCircuit,
+    shots: u64,
+    seed: u64,
+    config: PackageConfig,
+) -> Result<FxHashMap<u64, u64>, SimError> {
     let has_measurements = circuit
         .ops()
         .iter()
         .any(|op| matches!(op, Operation::Measure { .. }));
     let mut counts: FxHashMap<u64, u64> = FxHashMap::default();
     for shot in 0..shots {
-        let mut sim = DdSimulator::with_seed(circuit.clone(), shots::shot_seed(seed, shot));
+        let shot_seed = shots::shot_seed(seed, shot);
+        let mut sim = DdSimulator::with_config(circuit.clone(), shot_seed, config);
+        if !config.limits.is_unlimited() {
+            sim.restart(shot_seed)?;
+        }
         sim.run()?;
         let value = if has_measurements {
             creg_value(sim.classical_bits(), 0, sim.classical_bits().len())
@@ -142,6 +162,136 @@ fn mid_circuit_engine_matches_run_shots_bit_for_bit() {
     assert_eq!(report.histogram, reference);
 }
 
+/// The engine's histogram of `circuit` at 1 and 2 threads, checked bit for
+/// bit against the serial [`run_shots_with`] oracle under the same
+/// configuration. Returns the single-thread report.
+fn assert_engine_matches_oracle(
+    circuit: &QuantumCircuit,
+    shots: u64,
+    seed: u64,
+    config: PackageConfig,
+) -> Result<shots::ShotReport, TestCaseError> {
+    let oracle = run_shots_with(circuit, shots, seed, config).unwrap();
+    let mut single = None;
+    for threads in [1, 2] {
+        let opts = ShotOptions {
+            threads,
+            config,
+            ..ShotOptions::new(shots, seed)
+        };
+        let report = shots::run(circuit, &opts).unwrap();
+        prop_assert!(
+            report.histogram == oracle,
+            "{threads}-thread histogram {:?} differs from the oracle's {oracle:?} on {circuit:?}",
+            report.histogram
+        );
+        prop_assert!(report.executed_shots <= shots);
+        single.get_or_insert(report);
+    }
+    Ok(single.unwrap())
+}
+
+/// Strategy: a random 2–5-qubit circuit of gates, mid-circuit `measure`
+/// and `reset`, and gates conditioned on a 2-bit register (`if (c==k)`),
+/// in the mid-circuit regime. A leading layer of random `ry` rotations
+/// makes most collapses genuinely random.
+fn mid_circuit_programs() -> impl Strategy<Value = QuantumCircuit> {
+    let op = (0usize..10, 0usize..5, 0usize..5, -3.0f64..3.0, 0u64..4);
+    let angles = prop::collection::vec(-3.0f64..3.0, 5);
+    (2usize..6, angles, prop::collection::vec(op, 4..24))
+        .prop_map(|(n, angles, ops)| {
+            let mut qc = QuantumCircuit::new(n);
+            let c = qc.add_creg("c", 2);
+            for (q, theta) in angles.into_iter().take(n).enumerate() {
+                qc.ry(theta, q);
+            }
+            for (kind, a, b, theta, k) in ops {
+                let (a, b) = (a % n, b % n);
+                let cond = Condition { creg: c, value: k };
+                match kind {
+                    0 => {
+                        qc.h(a);
+                    }
+                    1 => {
+                        qc.ry(theta, a);
+                    }
+                    2 => {
+                        qc.t(a);
+                    }
+                    3 if a != b => {
+                        qc.cx(a, b);
+                    }
+                    4 | 5 => {
+                        qc.measure(a, b % 2);
+                    }
+                    6 => {
+                        qc.reset(a);
+                    }
+                    7 => {
+                        qc.gate_if(StandardGate::X, vec![], a, cond);
+                    }
+                    8 => {
+                        qc.gate_if(StandardGate::Ry(theta), vec![], a, cond);
+                    }
+                    _ => {
+                        qc.rz(theta, a);
+                    }
+                }
+            }
+            qc
+        })
+        .prop_filter("mid-circuit regime", |qc| {
+            qc.measurement_regime() == MeasurementRegime::MidCircuit
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Replaying shots from the workers' outcome tries changes no bit of the
+    /// histogram: the engine at 1 and 2 threads equals the serial oracle,
+    /// which executes every shot in a fresh simulator.
+    #[test]
+    fn outcome_trie_replay_matches_the_serial_oracle(
+        qc in mid_circuit_programs(),
+        seed in 0u64..1_000_000,
+    ) {
+        assert_engine_matches_oracle(&qc, 150, seed, PackageConfig::default())?;
+    }
+}
+
+#[test]
+fn outcome_trie_replay_matches_the_serial_oracle_past_the_trie_cap() {
+    // 200 fair coin flips on one qubit: every shot takes a new outcome
+    // path, and each recorded path adds about 200 trie nodes, so every
+    // worker's trie fills up after a few hundred shots and stops
+    // recording. Shots past the cap must still come out right.
+    let mut qc = QuantumCircuit::new(1);
+    let c = qc.add_creg("c", 1);
+    for _ in 0..200 {
+        qc.h(0).measure(0, 0);
+    }
+    qc.gate_if(StandardGate::X, vec![], 0, Condition { creg: c, value: 1 });
+    qc.measure(0, 0);
+    let report = assert_engine_matches_oracle(&qc, 800, 3, PackageConfig::default()).unwrap();
+    assert_eq!(report.executed_shots, 800, "no two shots share a path");
+}
+
+#[test]
+fn outcome_trie_replay_matches_the_serial_oracle_under_a_node_budget() {
+    // At 60 nodes every shot goes through the degradation ladder, so no
+    // path is ever recorded and every shot executes.
+    let config = PackageConfig {
+        limits: Limits {
+            max_nodes: Some(60),
+            ..Limits::default()
+        },
+        ..PackageConfig::default()
+    };
+    let report = assert_engine_matches_oracle(&entangled_mid_circuit(), 200, 99, config).unwrap();
+    assert_eq!(report.executed_shots, 200);
+}
+
 /// A 5-qubit mid-circuit workload whose gate DDs and states are big enough
 /// for a node budget to bite: at `max_nodes = 60` shots go through pressure
 /// GC and dense fallback.
@@ -172,16 +322,33 @@ fn mid_circuit_histograms_are_thread_count_invariant() {
     // Every worker resets its own package to the same warm mark before each
     // shot, so shot i is a function of (circuit, config, shot_seed(seed, i))
     // alone: any worker partition gives the same bits, with or without a
-    // node budget — budgeted and unbudgeted jobs run one code path.
+    // node budget — budgeted and unbudgeted jobs run one code path — and
+    // with auto-GC firing inside shots, whose trigger rewinds with the mark.
     let qc = entangled_mid_circuit();
-    for max_nodes in [None, Some(60)] {
+    let gc_often = Limits {
+        complex_gc_threshold: 64,
+        ..Limits::default()
+    };
+    let mut probe = DdSimulator::with_config(
+        qc.clone(),
+        1,
+        PackageConfig {
+            limits: gc_often,
+            ..PackageConfig::default()
+        },
+    );
+    probe.restart(1).unwrap();
+    probe.run().unwrap();
+    assert!(probe.package().gc_runs() > 0, "auto-GC fires inside a shot");
+    let budgeted = Limits {
+        max_nodes: Some(60),
+        ..Limits::default()
+    };
+    for limits in [Limits::default(), budgeted, gc_often] {
         let opts = |threads| ShotOptions {
             threads,
             config: PackageConfig {
-                limits: Limits {
-                    max_nodes,
-                    ..Limits::default()
-                },
+                limits,
                 ..PackageConfig::default()
             },
             ..ShotOptions::new(600, 99)
@@ -192,7 +359,7 @@ fn mid_circuit_histograms_are_thread_count_invariant() {
             let multi = shots::run(&qc, &opts(threads)).unwrap();
             assert_eq!(
                 multi.histogram, single.histogram,
-                "{threads}-thread histogram differs from 1-thread (max_nodes {max_nodes:?})"
+                "{threads}-thread histogram differs from 1-thread ({limits:?})"
             );
             assert_eq!(multi.threads_used, threads);
             assert_eq!(multi.worker_shots.iter().sum::<u64>(), 600);
@@ -381,9 +548,11 @@ fn external_cancel_stops_the_job_early() {
     let err = shots::run(&qc, &opts).unwrap_err();
     let elapsed = t0.elapsed();
     killer.join().unwrap();
+    // Even with nearly every shot replayed from the outcome tries, 50M
+    // teleportation shots take about a second in an optimized build and
+    // far longer in a debug build, so a job that ignored the flag would
+    // return a report, not `Cancelled`.
     assert_eq!(err, SimError::Cancelled);
-    // 50M teleportation shots take minutes; cancellation must cut that to
-    // roughly the flag delay.
     assert!(
         elapsed < std::time::Duration::from_secs(30),
         "cancel did not stop the job promptly ({elapsed:?})"
@@ -393,8 +562,7 @@ fn external_cancel_stops_the_job_early() {
     qdd_telemetry::set_scope(0);
     let span = snap.span_stats("shots.engine").expect("span recorded");
     assert_eq!(span.count, 1);
-    // The span ended early: its wall time is nowhere near a full 50M-shot
-    // job (which would be minutes even on fast hardware).
+    // The engine span closes on the cancelled path too.
     assert!(span.total_ns < 30_000_000_000, "span ran too long: {}ns", span.total_ns);
 }
 

@@ -272,14 +272,39 @@ fn worker_panic_is_a_typed_500_and_the_daemon_survives() {
     assert_eq!(health.status, 200);
 }
 
+/// Twenty fair coin flips, then a classically controlled gate: 2²⁰ outcome
+/// paths, more than a worker's outcome trie holds, so nearly every shot
+/// re-executes the circuit.
+fn coin_flips() -> String {
+    let mut qasm =
+        String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[20];\ncreg c[20];\n");
+    for q in 0..20 {
+        qasm.push_str(&format!("h q[{q}];\nmeasure q[{q}] -> c[{q}];\n"));
+    }
+    qasm.push_str("if(c==1) x q[0];\n");
+    qasm
+}
+
+/// The `shot_jobs_running` count `/healthz` reports.
+fn shot_jobs_running(addr: SocketAddr) -> u64 {
+    let health = request(addr, "GET", "/healthz", "");
+    assert_eq!(health.status, 200);
+    health
+        .json()
+        .get("shot_jobs_running")
+        .and_then(JsonValue::as_u64)
+        .unwrap()
+}
+
 #[test]
 fn client_disconnect_cancels_the_job_and_frees_the_daemon() {
     let addr = default_server();
-    // A mid-circuit job big enough to run for minutes if nobody cancels
-    // it. Drop the connection right after sending the request: the
-    // handler's disconnect poll flips the engine's cooperative cancel
-    // flag and the job dies at the next shot boundary.
-    let body = shots_body(MID_CIRCUIT, 50_000_000, ",\"threads\":2");
+    // A mid-circuit job at the shot quota, about a minute of work on two
+    // threads if nobody cancels it. Drop the connection right after
+    // sending the request: the handler's disconnect poll flips the
+    // engine's cooperative cancel flag and the job dies at the next shot
+    // boundary.
+    let body = shots_body(&coin_flips(), 1_000_000, ",\"threads\":2");
     {
         let mut stream = TcpStream::connect(addr).unwrap();
         write!(
@@ -290,10 +315,20 @@ fn client_disconnect_cancels_the_job_and_frees_the_daemon() {
         .unwrap();
         stream.flush().unwrap();
         std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(shot_jobs_running(addr), 1, "the job is running");
         // Dropping the stream closes the socket mid-job.
     }
-    // The daemon answers a real request promptly — the abandoned job is
-    // not holding its worker threads to completion.
+    // The abandoned job stops within the disconnect poll and a shot, not
+    // after hours of shots.
+    let start = std::time::Instant::now();
+    while shot_jobs_running(addr) != 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "the abandoned job is still running"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // The daemon answers a real request promptly.
     let start = std::time::Instant::now();
     let resp = request(addr, "POST", "/v1/shots", &shots_body(MID_CIRCUIT, 100, ""));
     assert_eq!(resp.status, 200, "{}", resp.body);
@@ -301,6 +336,22 @@ fn client_disconnect_cancels_the_job_and_frees_the_daemon() {
         start.elapsed() < Duration::from_secs(30),
         "follow-up request took {:?}",
         start.elapsed()
+    );
+    // MID_CIRCUIT has two outcome paths: each worker executes each one at
+    // most once and replays the other shots.
+    let trailer = parse_json(resp.lines().last().unwrap()).unwrap();
+    let stat = |key| {
+        trailer
+            .get("stats")
+            .unwrap()
+            .get(key)
+            .and_then(JsonValue::as_u64)
+            .unwrap()
+    };
+    let executed = stat("executed_shots");
+    assert!(
+        (1..=2 * stat("threads_used")).contains(&executed),
+        "{executed} of 100 shots executed"
     );
 }
 

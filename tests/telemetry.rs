@@ -105,10 +105,18 @@ fn worker_threads_publish_into_the_merged_snapshot() {
     let report = qdd::sim::shots::run(&qc, &opts).expect("shot run");
     assert_eq!(report.threads_used, 4);
 
+    // Four outcome paths over four workers: each worker executes each path
+    // at most once and replays its other shots from its outcome trie.
+    assert!(
+        report.executed_shots < shots,
+        "{} of {shots} shots executed: nothing was replayed",
+        report.executed_shots
+    );
+
     // Workers record into their own thread-local registries and publish on
     // exit; the coordinating thread's local snapshot therefore has no
-    // per-shot spans, but the merged snapshot accounts for every shot on
-    // every worker.
+    // per-shot spans, but the merged snapshot accounts for every executed
+    // shot on every worker.
     let local = telemetry::snapshot();
     let merged = telemetry::merged_snapshot();
     telemetry::set_enabled(false);
@@ -117,7 +125,14 @@ fn worker_threads_publish_into_the_merged_snapshot() {
 
     assert!(local.span_stats("sim.run").is_none(), "shots run on workers");
     let runs = merged.span_stats("sim.run").expect("published run spans");
-    assert_eq!(runs.count, shots, "one sim.run span per shot, all threads");
+    assert_eq!(
+        runs.count, report.executed_shots,
+        "one sim.run span per executed shot, all threads"
+    );
+    assert_eq!(
+        merged.counter("shots.executed"),
+        Some(report.executed_shots)
+    );
     // Merged spans fold across workers: totals add, max is the global max.
     assert!(runs.total_ns >= runs.max_ns);
     // The coordinator's own recording (the shot-engine span) is still
