@@ -11,17 +11,9 @@ fn main() {
     let qft = library::qft(3, true);
     let compiled = compile::compiled_qft(3);
 
-    let strategies = [
-        Strategy::Construction,
-        Strategy::OneToOne,
-        Strategy::Proportional,
-        Strategy::BarrierGuided,
-        Strategy::Lookahead,
-    ];
-
     let mut rows = Vec::new();
     let mut traces: Vec<(Strategy, Vec<usize>)> = Vec::new();
-    for strategy in strategies {
+    for strategy in Strategy::ALL {
         let mut checker = EquivalenceChecker::new();
         let report = checker.check(&qft, &compiled, strategy).expect("valid");
         assert!(report.result.is_equivalent(), "{strategy}");

@@ -9,20 +9,12 @@ use qdd_circuit::library;
 use qdd_verify::{EquivalenceChecker, Strategy};
 use std::time::Instant;
 
-const STRATEGIES: [Strategy; 5] = [
-    Strategy::Construction,
-    Strategy::OneToOne,
-    Strategy::Proportional,
-    Strategy::BarrierGuided,
-    Strategy::Lookahead,
-];
-
 fn main() {
     // Positive cases: the compilation-flow verification of Fig. 5.
     let mut rows = Vec::new();
     for n in [3usize, 5, 7, 9] {
         let (qft, compiled) = qft_pair(n);
-        for strategy in STRATEGIES {
+        for strategy in Strategy::ALL {
             let mut checker = EquivalenceChecker::new();
             let t0 = Instant::now();
             let report = checker.check(&qft, &compiled, strategy).expect("valid");
@@ -49,7 +41,7 @@ fn main() {
         let good = library::random_circuit(n, 3 * n, 11);
         let mut bad = good.clone();
         bad.x(n / 2);
-        for strategy in STRATEGIES {
+        for strategy in Strategy::ALL {
             let mut checker = EquivalenceChecker::new();
             let t0 = Instant::now();
             let report = checker.check(&good, &bad, strategy).expect("valid");

@@ -159,22 +159,6 @@ pub fn parse_style(name: Option<&str>) -> Result<qdd_viz::VizStyle, String> {
     }
 }
 
-/// Resolves a `--strategy` name.
-pub fn parse_strategy(name: Option<&str>) -> Result<qdd_verify::Strategy, String> {
-    use qdd_verify::Strategy;
-    match name.unwrap_or("proportional") {
-        "construction" => Ok(Strategy::Construction),
-        "one-to-one" => Ok(Strategy::OneToOne),
-        "proportional" => Ok(Strategy::Proportional),
-        "barrier-guided" => Ok(Strategy::BarrierGuided),
-        "lookahead" => Ok(Strategy::Lookahead),
-        other => Err(format!(
-            "unknown strategy `{other}` (expected construction, one-to-one, \
-             proportional, barrier-guided, or lookahead)"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,11 +223,8 @@ mod tests {
     }
 
     #[test]
-    fn style_and_strategy_names() {
+    fn style_names() {
         assert!(parse_style(Some("colored")).is_ok());
         assert!(parse_style(Some("neon")).is_err());
-        assert!(parse_strategy(None).is_ok());
-        assert!(parse_strategy(Some("lookahead")).is_ok());
-        assert!(parse_strategy(Some("psychic")).is_err());
     }
 }

@@ -63,7 +63,8 @@ OPTIONS:
                     two paths can be diffed bit-for-bit
   --svg PATH        write the final diagram as SVG
   --dot PATH        write the final diagram as Graphviz DOT
-  --html PATH       write a step-by-step HTML explorer of the whole run
+  --html PATH       write a step-by-step HTML explorer of the whole run:
+                    the same seed gives the same run as the printed one
   --style STYLE     classic | colored | modern  (default classic)
 
 EXIT STATUS: 0 on success (exact result), 1 on bad input, 3 when a
@@ -112,24 +113,12 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
         circuit.depth()
     );
 
-    // The HTML explorer needs per-step frames; plain runs use the batch
-    // simulator.
+    // The HTML explorer needs per-step frames. Its dialogs resolve with the
+    // simulator's own draw from `seed`, so its frames show the run printed
+    // below.
     if let Some(html_path) = args.value("--html") {
-        let mut explorer = qdd_viz::SimulationExplorer::new(circuit.clone(), style);
-        // Resolve dialogs with seeded randomness, like the batch simulator.
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-        loop {
-            match explorer.step_forward().map_err(|e| e.to_string())? {
-                qdd_sim::StepOutcome::AtEnd => break,
-                qdd_sim::StepOutcome::NeedsChoice(p) => {
-                    let outcome = qdd_core::MeasurementOutcome::from(
-                        rand::Rng::gen::<f64>(&mut rng) < p.p1,
-                    );
-                    explorer.choose(outcome).map_err(|e| e.to_string())?;
-                }
-                qdd_sim::StepOutcome::Applied { .. } => {}
-            }
-        }
+        let mut explorer = qdd_viz::SimulationExplorer::with_seed(circuit.clone(), seed, style);
+        explorer.run_scripted(&[]).map_err(|e| e.to_string())?;
         qdd_viz::html::write_explorer(
             std::path::Path::new(html_path),
             &format!("qdd — {}", circuit.name()),

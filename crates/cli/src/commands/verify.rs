@@ -1,9 +1,9 @@
 //! `qdd verify` — equivalence checking of two circuit files.
 
-use crate::args::{parse_limits, parse_strategy, Args};
+use crate::args::{parse_limits, Args};
 use crate::commands::CmdError;
 use crate::load::load_circuit;
-use qdd_verify::{Equivalence, EquivalenceChecker};
+use qdd_verify::{Equivalence, EquivalenceChecker, Strategy};
 
 pub const HELP: &str = "\
 qdd verify <left.{qasm,real}> <right.{qasm,real}> [options]
@@ -43,7 +43,9 @@ pub fn run(argv: &[String]) -> Result<(), CmdError> {
     let telemetry_on = crate::telemetry::start(&args)?;
     let left = load_circuit(left_path)?;
     let right = load_circuit(right_path)?;
-    let strategy = parse_strategy(args.value("--strategy"))?;
+    let strategy = args
+        .value("--strategy")
+        .map_or(Ok(Strategy::default()), str::parse)?;
     let stimuli: usize = args.number("--stimuli", 0)?;
     let limits = parse_limits(&args)?;
 

@@ -139,6 +139,65 @@ fn simulate_writes_artifacts() {
     std::fs::remove_file(html).ok();
 }
 
+/// `--html` resolves its dialogs with the simulator's own draw from
+/// `--seed`, so the explorer's collapse frame shows the bit the command
+/// prints — also after a collapse whose outcome is certain, which draws
+/// like any other.
+#[test]
+fn simulate_html_frames_follow_the_printed_run() {
+    let cases = [
+        (
+            "reset_first",
+            "qreg q[1];\ncreg c[1];\nreset q[0];\nh q[0];\nmeasure q[0] -> c[0];\n",
+            1..=20u64,
+        ),
+        (
+            "measured_one",
+            "qreg q[2];\ncreg c[2];\nx q[0];\nmeasure q[0] -> c[0];\nh q[1];\n\
+             measure q[1] -> c[1];\n",
+            1..=8,
+        ),
+    ];
+    for (name, body, seeds) in cases {
+        let file = temp_file(
+            &format!("{name}.qasm"),
+            &format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n{body}"),
+        );
+        let html = std::env::temp_dir().join(format!("qdd_cli_{}_{name}.html", std::process::id()));
+        for seed in seeds {
+            let seed = seed.to_string();
+            let out = qdd(&[
+                "simulate",
+                file.to_str().unwrap(),
+                "--seed",
+                &seed,
+                "--html",
+                html.to_str().unwrap(),
+            ]);
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let text = String::from_utf8_lossy(&out.stdout);
+            // The one dialog measures the last bit, which is printed first.
+            let printed = text
+                .lines()
+                .find_map(|l| l.strip_prefix("classical bits: "))
+                .and_then(|bits| bits.chars().next())
+                .unwrap_or_else(|| panic!("no classical bits: {text}"));
+            let page = std::fs::read_to_string(&html).unwrap();
+            let shown: Vec<char> = page
+                .match_indices("collapsed to |")
+                .filter_map(|(at, m)| page[at + m.len()..].chars().next())
+                .collect();
+            assert_eq!(shown, [printed], "{name}, seed {seed}: {text}");
+        }
+        std::fs::remove_file(file).ok();
+        std::fs::remove_file(html).ok();
+    }
+}
+
 #[test]
 fn verify_equivalent_exits_zero() {
     let a = temp_file("va.qasm", "OPENQASM 2.0; qreg q[1]; h q[0]; h q[0];");

@@ -500,24 +500,13 @@ fn handle_shots(
 
 // --- /v1/verify -----------------------------------------------------------
 
-fn parse_strategy(name: Option<&str>) -> Result<Strategy, ApiError> {
-    match name.unwrap_or("proportional") {
-        "construction" => Ok(Strategy::Construction),
-        "one-to-one" => Ok(Strategy::OneToOne),
-        "proportional" => Ok(Strategy::Proportional),
-        "barrier-guided" => Ok(Strategy::BarrierGuided),
-        "lookahead" => Ok(Strategy::Lookahead),
-        other => Err(ApiError::bad_request(format!(
-            "unknown strategy '{other}' (expected construction, one-to-one, proportional, barrier-guided, or lookahead)"
-        ))),
-    }
-}
-
 /// Equivalence-checks two circuits under the request's (clamped) budgets.
 fn handle_verify(body: &JsonValue, state: &ServerState) -> Result<(u16, String), ApiError> {
     let left_src = require_qasm(body, "left")?;
     let right_src = require_qasm(body, "right")?;
-    let strategy = parse_strategy(get_str(body, "strategy"))?;
+    let strategy = get_str(body, "strategy")
+        .map_or(Ok(Strategy::default()), str::parse)
+        .map_err(ApiError::bad_request)?;
     let left = qdd_circuit::qasm::parse(left_src)
         .map_err(|e| ApiError::bad_request(format!("left circuit: QASM parse error: {e}")))?;
     let right = qdd_circuit::qasm::parse(right_src)
@@ -646,9 +635,9 @@ fn handle_session_step(
     Ok((200, format!("{{{fields},\"telemetry\":{}}}", snapshot_json(&snap))))
 }
 
-/// Plays the session to the end, resolving every choice dialog from a
-/// seeded random stream — the server-side analogue of the CLI's
-/// non-interactive run.
+/// Plays the session to the end, resolving every choice dialog with the
+/// simulator's draw from the request's seed — from the first operation,
+/// the run `/v1/simulate` takes with that seed.
 fn handle_session_play(
     id: u64,
     body: &JsonValue,
@@ -656,13 +645,12 @@ fn handle_session_play(
 ) -> Result<(u16, String), ApiError> {
     let seed = get_u64(body, "seed").unwrap_or(1);
     let fields = state.sessions.with(id, |s| -> Result<String, ApiError> {
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
+        s.reseed(seed);
         loop {
             match s.fast_forward().map_err(map_sim_error)? {
                 StepOutcome::AtEnd => break,
-                StepOutcome::NeedsChoice(p) => {
-                    let one = rand::Rng::gen::<f64>(&mut rng) < p.p1;
-                    s.choose(MeasurementOutcome::from(one)).map_err(map_sim_error)?;
+                StepOutcome::NeedsChoice(_) => {
+                    s.draw().map_err(map_sim_error)?;
                 }
                 StepOutcome::Applied { .. } => {}
             }
@@ -685,16 +673,6 @@ fn handle_session_play(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strategy_names_round_trip() {
-        for name in ["construction", "one-to-one", "proportional", "barrier-guided", "lookahead"] {
-            let s = parse_strategy(Some(name)).unwrap();
-            assert_eq!(s.to_string(), name);
-        }
-        assert!(parse_strategy(Some("bogus")).is_err());
-        assert!(matches!(parse_strategy(None), Ok(Strategy::Proportional)));
-    }
 
     #[test]
     fn degraded_field_prefers_approximate() {

@@ -3,12 +3,13 @@
 //!
 //! `POST /v1/sessions` opens a [`SteppableSimulation`]; `step` advances one
 //! operation (returning the tool's measurement/reset *choice dialog* when
-//! one opens), `play` runs to the end resolving dialogs with seeded
-//! randomness, and `DELETE` releases the slot. Sessions hold live decision
-//! diagrams, so the store enforces the `sessions` quota, runs each session
-//! under the request's quota-clamped [`PackageConfig`] (the same per-tenant
-//! resource leash as batch requests), and expires abandoned sessions to
-//! keep a long-lived daemon bounded.
+//! one opens), `play` runs to the end resolving dialogs with the
+//! simulator's draw from the request's seed, and `DELETE` releases the
+//! slot. Sessions hold live decision diagrams, so the store enforces the
+//! `sessions` quota, runs each session under the request's quota-clamped
+//! [`PackageConfig`] (the same per-tenant resource leash as batch
+//! requests), and expires abandoned sessions to keep a long-lived daemon
+//! bounded.
 //!
 //! Locking: the store-wide mutex guards only the id → session map; each
 //! session carries its own mutex. A long `play` on one session therefore
@@ -80,7 +81,9 @@ impl SessionStore {
         sessions.insert(
             id,
             Arc::new(Mutex::new(Session {
-                stepper: SteppableSimulation::with_config(circuit, config),
+                // `play` reseeds; before it, only certain collapses draw,
+                // and no seed changes their outcome.
+                stepper: SteppableSimulation::with_config(circuit, 1, config),
                 last_touch: now,
             })),
         );

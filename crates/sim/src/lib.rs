@@ -1,15 +1,17 @@
 //! Quantum-circuit simulation on decision diagrams (paper §III-B / §IV-B).
 //!
-//! Three simulation front-ends share the circuit substrate:
-//!
-//! * [`DdSimulator`] — batch simulation on decision diagrams: consecutive
-//!   matrix–vector products, randomized measurement/reset, classical bits;
-//! * [`SteppableSimulation`] — the paper tool's interactive model: step
-//!   forward/backward, run to the next barrier, and explicit
-//!   measurement/reset **choice points** mirroring the tool's pop-up
-//!   dialogs;
-//! * [`DenseSimulator`] — the exponential state-vector baseline the paper's
-//!   compactness argument is made against.
+//! * [`DdSimulator`] is the engine: consecutive matrix–vector products,
+//!   seeded measurement and reset, classical bits, and a degradation
+//!   ladder under resource budgets. Every operation goes through its one
+//!   op path.
+//! * [`SteppableSimulation`] is the paper tool's interactive session over
+//!   a `DdSimulator`: step forward and back, run to the next barrier, and
+//!   measurement/reset **choice dialogs**. A dialog resolved with the
+//!   engine's draw takes the batch run's outcome.
+//! * [`shots`] runs many shots of a circuit on worker-owned simulators.
+//! * [`DenseSimulator`] is the exponential state-vector baseline the
+//!   paper's compactness argument is made against, and the engine's last
+//!   degradation rung.
 //!
 //! # Examples
 //!

@@ -15,10 +15,8 @@ use rand::{Rng, SeedableRng};
 /// Per-run statistics of a [`DdSimulator`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimStats {
-    /// Node count of the state DD after each applied operation (not updated
-    /// after a dense fallback).
-    pub nodes_per_step: Vec<usize>,
-    /// Peak node count over the run.
+    /// Peak node count of the state DD over the run (not updated after a
+    /// dense fallback).
     pub peak_nodes: usize,
     /// Number of operations applied.
     pub applied_ops: usize,
@@ -48,7 +46,6 @@ pub struct SimStats {
 impl Default for SimStats {
     fn default() -> Self {
         SimStats {
-            nodes_per_step: Vec::new(),
             peak_nodes: 0,
             applied_ops: 0,
             gc_pressure_runs: 0,
@@ -127,8 +124,9 @@ impl TimelineProbe {
 /// discard a probabilistic branch, classically-controlled gates consult the
 /// classical bits.
 ///
-/// For interactive navigation (step back, choice dialogs) use
-/// [`SteppableSimulation`](crate::SteppableSimulation) instead.
+/// For interactive navigation (step back, choice dialogs) wrap it in a
+/// [`SteppableSimulation`](crate::SteppableSimulation), which applies every
+/// operation through [`Self::step`].
 ///
 /// # Resource governance
 ///
@@ -172,9 +170,24 @@ pub struct DdSimulator {
     /// `(p1, outcome)` of every collapse of the current run, in order.
     collapses: Vec<(f64, bool)>,
     /// Whether `collapses` accounts for every random draw of the current
-    /// run: cleared by the degradation ladder, forced outcomes and
-    /// sampling; set again by [`Self::restart`].
+    /// run: cleared by the degradation ladder, forced outcomes, reseeding
+    /// and sampling; set again by [`Self::restart`].
     collapses_complete: bool,
+    /// The outcome an interactive session chose for the collapse being
+    /// applied; `None` draws it.
+    forced: Option<MeasurementOutcome>,
+}
+
+/// A point of a run to rewind to: the pinned state, the classical bits, the
+/// cursor, the RNG and the collapse log's length, so a replay from here
+/// draws what the first pass drew.
+#[derive(Debug)]
+pub(crate) struct Checkpoint {
+    state: VecEdge,
+    classical: Vec<bool>,
+    cursor: usize,
+    rng: SmallRng,
+    collapses: usize,
 }
 
 impl DdSimulator {
@@ -210,6 +223,7 @@ impl DdSimulator {
             warm_zero: None,
             collapses: Vec::new(),
             collapses_complete: true,
+            forced: None,
         }
     }
 
@@ -292,13 +306,63 @@ impl DdSimulator {
     /// `None` unless those draws were the run's only use of its RNG and the
     /// run stayed exact: the degradation ladder (pressure GC, an
     /// approximation round, the dense fallback, which draws a `u64`
-    /// seed), a forced outcome ([`Self::measure_with_outcome`]) or a
+    /// seed), a forced outcome ([`Self::step_with`]), a reseed or a
     /// [`Self::sample`] call each void the log until the next
     /// [`Self::restart`]. A complete log of a run from the warm mark is
     /// what lets the shot engine replay that outcome path without
     /// re-executing it.
     pub(crate) fn collapse_log(&self) -> Option<&[(f64, bool)]> {
         self.collapses_complete.then_some(self.collapses.as_slice())
+    }
+
+    /// The outcome of the run's last drawn collapse.
+    pub(crate) fn last_draw(&self) -> Option<MeasurementOutcome> {
+        self.collapses
+            .last()
+            .map(|&(_, one)| MeasurementOutcome::from(one))
+    }
+
+    /// Restarts the RNG at `seed`: later collapses draw from the new stream.
+    pub(crate) fn reseed(&mut self, seed: u64) {
+        self.rng = SmallRng::seed_from_u64(seed);
+        self.collapses_complete = false;
+    }
+
+    /// Pins the current state and saves what [`Self::rewind`] restores.
+    pub(crate) fn checkpoint(&mut self) -> Checkpoint {
+        self.dd.inc_ref_vec(self.state);
+        Checkpoint {
+            state: self.state,
+            classical: self.classical.clone(),
+            cursor: self.cursor,
+            rng: self.rng.clone(),
+            collapses: self.collapses.len(),
+        }
+    }
+
+    /// Rewinds the run to `checkpoint`, taking over its pin on the state.
+    /// Statistics are not rewound.
+    pub(crate) fn rewind(&mut self, checkpoint: Checkpoint) {
+        self.dd.dec_ref_vec(self.state);
+        self.state = checkpoint.state;
+        self.classical = checkpoint.classical;
+        self.cursor = checkpoint.cursor;
+        self.rng = checkpoint.rng;
+        self.collapses.truncate(checkpoint.collapses);
+    }
+
+    /// [`Self::step`], with a measurement or reset collapsing onto
+    /// `forced` instead of drawing, if given: the choice of a session's
+    /// dialog.
+    pub(crate) fn step_with(
+        &mut self,
+        forced: Option<MeasurementOutcome>,
+    ) -> Result<bool, SimError> {
+        self.forced = forced;
+        self.collapses_complete &= forced.is_none();
+        let stepped = self.step();
+        self.forced = None;
+        stepped
     }
 
     /// Runs the remainder of the circuit to completion, arming the
@@ -427,7 +491,6 @@ impl DdSimulator {
                 self.dd.garbage_collect();
             }
             let nodes = self.dd.vec_node_count(self.state);
-            self.stats.nodes_per_step.push(nodes);
             self.stats.peak_nodes = self.stats.peak_nodes.max(nodes);
             qdd_telemetry::emit("sim.op")
                 .field("op_index", op_index)
@@ -739,9 +802,15 @@ impl DdSimulator {
                         num_bits: self.classical.len(),
                     });
                 }
-                let (outcome, p1, new_state) =
-                    self.dd.measure(self.state, *qubit, &mut self.rng)?;
-                self.collapses.push((p1, outcome.as_bool()));
+                let (outcome, new_state) = match self.forced {
+                    Some(outcome) => (outcome, self.dd.collapse(self.state, *qubit, outcome)?),
+                    None => {
+                        let (outcome, p1, new_state) =
+                            self.dd.measure(self.state, *qubit, &mut self.rng)?;
+                        self.collapses.push((p1, outcome.as_bool()));
+                        (outcome, new_state)
+                    }
+                };
                 self.classical[*bit] = outcome.as_bool();
                 qdd_telemetry::emit("sim.measure")
                     .field("qubit", *qubit)
@@ -750,53 +819,18 @@ impl DdSimulator {
                 self.set_state(new_state);
             }
             Operation::Reset { qubit } => {
-                let (observed, p1, new_state) = self.dd.reset(self.state, *qubit, &mut self.rng)?;
-                self.collapses.push((p1, observed.as_bool()));
+                let new_state = match self.forced {
+                    Some(outcome) => self.dd.reset_with_outcome(self.state, *qubit, outcome)?,
+                    None => {
+                        let (observed, p1, new_state) =
+                            self.dd.reset(self.state, *qubit, &mut self.rng)?;
+                        self.collapses.push((p1, observed.as_bool()));
+                        new_state
+                    }
+                };
                 self.set_state(new_state);
             }
         }
-        Ok(())
-    }
-
-    /// Forces a specific outcome for the next measurement-like collapse —
-    /// useful for scripting the paper's Fig. 8 walk-through.
-    ///
-    /// # Errors
-    ///
-    /// [`DdError::ImpossibleOutcome`](qdd_core::DdError::ImpossibleOutcome)
-    /// if the outcome has probability ≈ 0.
-    pub fn measure_with_outcome(
-        &mut self,
-        qubit: usize,
-        bit: usize,
-        outcome: MeasurementOutcome,
-    ) -> Result<(), SimError> {
-        if bit >= self.classical.len() {
-            return Err(SimError::BitOutOfRange {
-                bit,
-                num_bits: self.classical.len(),
-            });
-        }
-        self.collapses_complete = false;
-        if let Some(dense) = self.dense.as_mut() {
-            let want = outcome.as_bool();
-            let p = if want {
-                dense.prob_one(qubit)
-            } else {
-                1.0 - dense.prob_one(qubit)
-            };
-            if p <= 1e-12 {
-                return Err(SimError::Dd(DdError::ImpossibleOutcome {
-                    qubit,
-                    outcome: want,
-                }));
-            }
-            dense.collapse(qubit, want);
-        } else {
-            let new_state = self.dd.collapse(self.state, qubit, outcome)?;
-            self.set_state(new_state);
-        }
-        self.classical[bit] = outcome.as_bool();
         Ok(())
     }
 
@@ -927,15 +961,19 @@ mod tests {
 
     #[test]
     fn stats_track_peak_nodes() {
-        let mut sim = DdSimulator::with_seed(library::qft(4, true), 1);
+        let qc = library::qft(4, true);
+        let mut sim = DdSimulator::with_seed(qc.clone(), 1);
         sim.run().unwrap();
         let stats = sim.stats();
-        assert_eq!(stats.applied_ops, sim.circuit().len());
-        assert!(stats.peak_nodes >= 4);
-        assert_eq!(
-            stats.peak_nodes,
-            stats.nodes_per_step.iter().copied().max().unwrap()
-        );
+        assert_eq!(stats.applied_ops, qc.len());
+        // The peak is the largest state any prefix of the run reaches.
+        let mut prefix = DdSimulator::with_seed(qc.clone(), 1);
+        let mut largest = 0;
+        while prefix.step().unwrap() {
+            largest = largest.max(prefix.node_count());
+        }
+        assert!(largest >= 4);
+        assert_eq!(stats.peak_nodes, largest);
     }
 
     #[test]
@@ -951,16 +989,31 @@ mod tests {
     }
 
     #[test]
-    fn forced_measurement_reproduces_fig_8() {
-        let mut sim = DdSimulator::with_seed(library::bell(), 1);
-        sim.run().unwrap();
-        let mut qc_bits = library::bell();
-        qc_bits.add_creg("c", 1);
-        let mut sim = DdSimulator::with_seed(qc_bits, 1);
-        sim.run().unwrap();
-        sim.measure_with_outcome(0, 0, MeasurementOutcome::One).unwrap();
-        let amps = sim.dense_state();
-        assert!(amps[3].abs() > 0.999, "post-measurement state |11⟩");
+    fn forced_steps_collapse_onto_the_chosen_outcome() {
+        let mut qc = library::bell();
+        qc.add_creg("c", 1);
+        qc.measure(0, 0).reset(1);
+        let mut sim = DdSimulator::with_seed(qc, 1);
+        sim.step().unwrap();
+        sim.step().unwrap();
+        sim.step_with(Some(MeasurementOutcome::One)).unwrap();
+        assert!(
+            sim.dense_state()[3].abs() > 0.999,
+            "post-measurement state |11⟩"
+        );
+        assert!(sim.classical_bits()[0]);
+        assert_eq!(sim.last_draw(), None, "a forced outcome draws nothing");
+        assert_eq!(sim.collapse_log(), None);
+        // An impossible choice is a typed error; rewound, the reset keeps
+        // the chosen branch and relabels it |0⟩.
+        let before = sim.checkpoint();
+        assert!(matches!(
+            sim.step_with(Some(MeasurementOutcome::Zero)),
+            Err(SimError::Dd(DdError::ImpossibleOutcome { .. }))
+        ));
+        sim.rewind(before);
+        sim.step_with(Some(MeasurementOutcome::One)).unwrap();
+        assert!(sim.dense_state()[1].abs() > 0.999, "reset state |01⟩");
     }
 
     #[test]
@@ -1171,13 +1224,13 @@ mod tests {
     fn dense_mode_serves_sampling_and_measurement() {
         let mut qc = entangling_workload(6, 3);
         qc.add_creg("c", 1);
+        qc.measure(0, 0);
         let mut sim = limited_sim(qc, 16);
         sim.run().unwrap();
         assert!(sim.degraded_to_dense());
         let counts = sim.sample(64);
         assert_eq!(counts.values().sum::<u64>(), 64);
-        sim.measure_with_outcome(0, 0, MeasurementOutcome::Zero)
-            .unwrap();
+        // The measurement collapsed q0 onto the recorded bit.
         let p1: f64 = sim
             .dense_state()
             .iter()
@@ -1185,7 +1238,11 @@ mod tests {
             .filter(|(i, _)| i & 1 != 0)
             .map(|(_, a)| a.norm_sqr())
             .sum();
-        assert!(p1 < 1e-12, "collapse onto |0⟩ must zero the |1⟩ branch");
+        let expected = if sim.classical_bits()[0] { 1.0 } else { 0.0 };
+        assert!(
+            (p1 - expected).abs() < 1e-12,
+            "q0 is not collapsed: p1 = {p1}"
+        );
     }
 
     fn approx_sim(qc: QuantumCircuit, max_nodes: usize, min_fidelity: f64) -> DdSimulator {

@@ -4,22 +4,34 @@
 //! The web tool offers `→ / ←` single-stepping, `⏮ / ⏭` jumps (the latter
 //! stopping at *special operations*), a slide-show mode, and pop-up dialogs
 //! whenever a measurement or reset hits a qubit in superposition. This
-//! module models those controls as a state machine:
+//! module models those controls as a state machine over a [`DdSimulator`],
+//! which applies every operation; the session adds only the dialog, the
+//! step-back history and the cursor moves:
 //!
 //! * [`SteppableSimulation::step_forward`] applies one operation — or
 //!   returns [`StepOutcome::NeedsChoice`], the library form of the pop-up
 //!   dialog, holding both outcome probabilities;
-//! * [`SteppableSimulation::choose`] resolves the dialog and commits the
-//!   irreversible collapse;
-//! * [`SteppableSimulation::step_back`] walks history (snapshots of the
-//!   shared diagram, so this is cheap);
+//! * [`SteppableSimulation::choose`] resolves the dialog with the user's
+//!   outcome, [`SteppableSimulation::draw`] with the simulator's own seeded
+//!   draw;
+//! * [`SteppableSimulation::step_back`] walks history (pinned snapshots of
+//!   the shared diagram, so this is cheap);
 //! * [`SteppableSimulation::fast_forward`] runs to the next barrier,
 //!   choice point, or the end — the tool's `⏭`.
+//!
+//! Every collapse without an open dialog draws from the simulator's RNG
+//! exactly as a batch run does, so a session that resolves each dialog
+//! with [`SteppableSimulation::draw`] takes the run
+//! [`DdSimulator::with_seed`] takes for the same seed.
 
-use crate::creg_value;
 use crate::error::SimError;
+use crate::simulator::{Checkpoint, DdSimulator};
 use qdd_circuit::{Operation, QuantumCircuit};
 use qdd_core::{DdPackage, MeasurementOutcome, PackageConfig, VecEdge};
+
+/// A collapse probability below this opens no dialog: the outcome is
+/// certain.
+const CERTAIN: f64 = 1e-12;
 
 /// Why a choice is pending.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -55,7 +67,7 @@ pub enum StepOutcome {
         op_index: usize,
     },
     /// A dialog is open; resolve it with
-    /// [`SteppableSimulation::choose`].
+    /// [`SteppableSimulation::choose`] or [`SteppableSimulation::draw`].
     NeedsChoice(PendingChoice),
     /// The circuit is exhausted.
     AtEnd,
@@ -64,50 +76,37 @@ pub enum StepOutcome {
 /// An interactive simulation session over one circuit.
 #[derive(Debug)]
 pub struct SteppableSimulation {
-    dd: DdPackage,
-    circuit: QuantumCircuit,
-    cursor: usize,
-    state: VecEdge,
-    classical: Vec<bool>,
-    /// Pre-op snapshots, one per applied operation.
-    history: Vec<(VecEdge, Vec<bool>)>,
+    sim: DdSimulator,
+    /// One checkpoint per applied operation, taken before it.
+    history: Vec<Checkpoint>,
     pending: Option<PendingChoice>,
 }
 
 impl SteppableSimulation {
     /// Opens a session on `circuit`, positioned before the first operation
-    /// in state `|0…0⟩` (the tool's initial screen, Fig. 8(a)).
+    /// in state `|0…0⟩` (the tool's initial screen, Fig. 8(a)), with an
+    /// entropy-seeded RNG.
     pub fn new(circuit: QuantumCircuit) -> Self {
-        Self::with_config(circuit, PackageConfig::default())
+        Self::with_seed(circuit, rand::random())
+    }
+
+    /// Opens a session whose collapses draw from `seed`, as
+    /// [`DdSimulator::with_seed`] does.
+    pub fn with_seed(circuit: QuantumCircuit, seed: u64) -> Self {
+        Self::with_config(circuit, seed, PackageConfig::default())
     }
 
     /// Opens a session whose package runs under `config` — the budgeted
     /// form used by `qdd serve`, where interactive sessions must honor the
-    /// same per-tenant resource leashes as batch requests. The initial
-    /// `|0…0⟩` state is mandatory structure sized by the register width,
-    /// not governed "work": it is built with the memory budgets lifted
-    /// (matching `DdSimulator`), so a budget smaller than the register
-    /// surfaces as a typed error on the first step, not a panic here.
-    pub fn with_config(circuit: QuantumCircuit, config: PackageConfig) -> Self {
-        let mut dd = DdPackage::with_config(config);
-        let limits = *dd.limits();
-        dd.set_limits(qdd_core::Limits {
-            max_nodes: None,
-            max_complex_entries: None,
-            ..limits
-        });
-        let state = dd
-            .zero_state(circuit.num_qubits())
-            .expect("circuit widths are validated at construction");
-        dd.set_limits(limits);
-        dd.inc_ref_vec(state);
-        let classical = vec![false; circuit.num_clbits()];
+    /// same per-tenant resource leashes as batch requests. Operations climb
+    /// the simulator's degradation ladder without its dense rung: a
+    /// session draws and rewinds decision diagrams, so a budget the ladder
+    /// cannot meet is a typed error from the step that tripped it.
+    pub fn with_config(circuit: QuantumCircuit, seed: u64, config: PackageConfig) -> Self {
+        let mut sim = DdSimulator::with_config(circuit, seed, config);
+        sim.set_dense_fallback(false);
         SteppableSimulation {
-            dd,
-            circuit,
-            cursor: 0,
-            state,
-            classical,
+            sim,
             history: Vec::new(),
             pending: None,
         }
@@ -115,37 +114,37 @@ impl SteppableSimulation {
 
     /// The circuit under simulation.
     pub fn circuit(&self) -> &QuantumCircuit {
-        &self.circuit
+        self.sim.circuit()
     }
 
     /// The decision-diagram package, for visualization.
     pub fn package(&self) -> &DdPackage {
-        &self.dd
+        self.sim.package()
     }
 
     /// Mutable package access.
     pub fn package_mut(&mut self) -> &mut DdPackage {
-        &mut self.dd
+        self.sim.package_mut()
     }
 
     /// The current state diagram.
     pub fn state(&self) -> VecEdge {
-        self.state
+        self.sim.state()
     }
 
     /// The classical bits recorded so far.
     pub fn classical_bits(&self) -> &[bool] {
-        &self.classical
+        self.sim.classical_bits()
     }
 
     /// The number of operations applied so far.
     pub fn position(&self) -> usize {
-        self.cursor
+        self.history.len()
     }
 
     /// `true` once every operation has been applied.
     pub fn is_finished(&self) -> bool {
-        self.cursor >= self.circuit.len() && self.pending.is_none()
+        self.next_op().is_none() && self.pending.is_none()
     }
 
     /// The open dialog, if any.
@@ -155,97 +154,55 @@ impl SteppableSimulation {
 
     /// The next operation to be applied.
     pub fn next_op(&self) -> Option<&Operation> {
-        self.circuit.ops().get(self.cursor)
+        self.circuit().ops().get(self.position())
     }
 
-    fn set_state(&mut self, new_state: VecEdge) {
-        self.dd.inc_ref_vec(new_state);
-        self.dd.dec_ref_vec(self.state);
-        self.state = new_state;
-    }
-
-    fn snapshot(&mut self) {
-        self.dd.inc_ref_vec(self.state);
-        self.history.push((self.state, self.classical.clone()));
+    /// Restarts the simulator's random stream at `seed`: every later
+    /// collapse without a user choice draws from it.
+    pub fn reseed(&mut self, seed: u64) {
+        self.sim.reseed(seed);
     }
 
     /// Applies the next operation (the tool's `→`).
     ///
     /// Measurements and resets on qubits in superposition open a dialog
     /// instead of advancing; repeated calls return the same
-    /// [`StepOutcome::NeedsChoice`] until [`Self::choose`] is called.
+    /// [`StepOutcome::NeedsChoice`] until the dialog is resolved.
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from invalid operations.
+    /// Propagates [`SimError`] from the simulator; the session stays
+    /// before the failed operation.
     pub fn step_forward(&mut self) -> Result<StepOutcome, SimError> {
         if let Some(p) = self.pending {
             return Ok(StepOutcome::NeedsChoice(p));
         }
-        if self.cursor >= self.circuit.len() {
-            return Ok(StepOutcome::AtEnd);
+        let choice = match self.next_op() {
+            None => return Ok(StepOutcome::AtEnd),
+            Some(&Operation::Measure { qubit, bit }) => {
+                Some((qubit, ChoiceKind::Measurement { bit }))
+            }
+            Some(&Operation::Reset { qubit }) => Some((qubit, ChoiceKind::Reset)),
+            Some(_) => None,
+        };
+        if let Some((qubit, kind)) = choice {
+            let state = self.state();
+            let (p0, p1) = self.package_mut().qubit_probabilities(state, qubit);
+            // A qubit not in superposition opens no dialog: the tool applies
+            // the operation silently, and the simulator still draws.
+            if p0 >= CERTAIN && p1 >= CERTAIN {
+                let pending = PendingChoice {
+                    qubit,
+                    p0,
+                    p1,
+                    kind,
+                };
+                self.pending = Some(pending);
+                return Ok(StepOutcome::NeedsChoice(pending));
+            }
         }
-        qdd_telemetry::emit("sim.step").field("op_index", self.cursor);
-        let op = self.circuit.ops()[self.cursor].clone();
-        match &op {
-            Operation::Barrier => {
-                self.snapshot();
-                self.cursor += 1;
-                Ok(StepOutcome::Applied { op_index: self.cursor - 1 })
-            }
-            Operation::Gate(g) => {
-                if let Some(cond) = g.condition {
-                    let reg = &self.circuit.cregs()[cond.creg];
-                    if creg_value(&self.classical, reg.offset, reg.size) != cond.value {
-                        self.snapshot();
-                        self.cursor += 1;
-                        return Ok(StepOutcome::Applied { op_index: self.cursor - 1 });
-                    }
-                }
-                let new_state =
-                    self.dd
-                        .apply_gate(self.state, g.gate.matrix(), &g.controls, g.target)?;
-                self.snapshot();
-                self.set_state(new_state);
-                self.cursor += 1;
-                Ok(StepOutcome::Applied { op_index: self.cursor - 1 })
-            }
-            Operation::Swap { .. } => {
-                let mut s = self.state;
-                for g in crate::gate_sequence(&op)? {
-                    s = self.dd.apply_gate(s, g.gate.matrix(), &g.controls, g.target)?;
-                }
-                self.snapshot();
-                self.set_state(s);
-                self.cursor += 1;
-                Ok(StepOutcome::Applied { op_index: self.cursor - 1 })
-            }
-            Operation::Measure { qubit, bit } => {
-                if *bit >= self.classical.len() {
-                    return Err(SimError::BitOutOfRange {
-                        bit: *bit,
-                        num_bits: self.classical.len(),
-                    });
-                }
-                self.open_choice(*qubit, ChoiceKind::Measurement { bit: *bit })
-            }
-            Operation::Reset { qubit } => self.open_choice(*qubit, ChoiceKind::Reset),
-        }
-    }
-
-    fn open_choice(&mut self, qubit: usize, kind: ChoiceKind) -> Result<StepOutcome, SimError> {
-        let (p0, p1) = self.dd.qubit_probabilities(self.state, qubit);
-        const TOL: f64 = 1e-12;
-        if p1 < TOL || p0 < TOL {
-            // The qubit is not in superposition: the tool applies the
-            // operation silently, no dialog.
-            let outcome = MeasurementOutcome::from(p0 < TOL);
-            self.commit_choice(qubit, kind, outcome)?;
-            return Ok(StepOutcome::Applied { op_index: self.cursor - 1 });
-        }
-        let pending = PendingChoice { qubit, p0, p1, kind };
-        self.pending = Some(pending);
-        Ok(StepOutcome::NeedsChoice(pending))
+        let op_index = self.advance(None)?;
+        Ok(StepOutcome::Applied { op_index })
     }
 
     /// Resolves the open dialog with `outcome` (the user clicking `|0⟩` or
@@ -257,36 +214,56 @@ impl SteppableSimulation {
     /// [`DdError::ImpossibleOutcome`](qdd_core::DdError::ImpossibleOutcome)
     /// if the chosen branch has probability ≈ 0.
     pub fn choose(&mut self, outcome: MeasurementOutcome) -> Result<(), SimError> {
+        self.resolve(Some(outcome)).map(|_| ())
+    }
+
+    /// Resolves the open dialog with the simulator's seeded draw — the
+    /// outcome a batch run reaching this point with the same RNG takes —
+    /// and returns it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::choose`].
+    pub fn draw(&mut self) -> Result<MeasurementOutcome, SimError> {
+        self.resolve(None)
+    }
+
+    fn resolve(
+        &mut self,
+        forced: Option<MeasurementOutcome>,
+    ) -> Result<MeasurementOutcome, SimError> {
         let Some(p) = self.pending else {
             return Err(SimError::InvalidTransition {
                 reason: "no pending measurement or reset to resolve",
             });
         };
-        self.commit_choice(p.qubit, p.kind, outcome)?;
+        self.advance(forced)?;
         self.pending = None;
-        Ok(())
+        let outcome = forced
+            .or_else(|| self.sim.last_draw())
+            .expect("a measurement or reset collapses");
+        qdd_telemetry::emit("sim.choice")
+            .field("qubit", p.qubit)
+            .field("outcome", outcome.as_bool());
+        Ok(outcome)
     }
 
-    fn commit_choice(
-        &mut self,
-        qubit: usize,
-        kind: ChoiceKind,
-        outcome: MeasurementOutcome,
-    ) -> Result<(), SimError> {
-        qdd_telemetry::emit("sim.choice")
-            .field("qubit", qubit)
-            .field("outcome", outcome.as_bool());
-        let new_state = match kind {
-            ChoiceKind::Measurement { .. } => self.dd.collapse(self.state, qubit, outcome)?,
-            ChoiceKind::Reset => self.dd.reset_with_outcome(self.state, qubit, outcome)?,
-        };
-        self.snapshot();
-        if let ChoiceKind::Measurement { bit } = kind {
-            self.classical[bit] = outcome.as_bool();
+    /// Applies the next operation through the simulator, collapsing onto
+    /// `forced` if given, and returns its index. A failed operation leaves
+    /// the session where it was.
+    fn advance(&mut self, forced: Option<MeasurementOutcome>) -> Result<usize, SimError> {
+        let op_index = self.position();
+        let checkpoint = self.sim.checkpoint();
+        match self.sim.step_with(forced) {
+            Ok(_) => {
+                self.history.push(checkpoint);
+                Ok(op_index)
+            }
+            Err(e) => {
+                self.sim.rewind(checkpoint);
+                Err(e)
+            }
         }
-        self.set_state(new_state);
-        self.cursor += 1;
-        Ok(())
     }
 
     /// Steps one operation back (the tool's `←`). An open dialog is
@@ -295,14 +272,10 @@ impl SteppableSimulation {
         if self.pending.take().is_some() {
             return true;
         }
-        let Some((state, classical)) = self.history.pop() else {
+        let Some(checkpoint) = self.history.pop() else {
             return false;
         };
-        self.dd.dec_ref_vec(self.state);
-        // The popped snapshot already carries a reference.
-        self.state = state;
-        self.classical = classical;
-        self.cursor -= 1;
+        self.sim.rewind(checkpoint);
         true
     }
 
@@ -331,7 +304,7 @@ impl SteppableSimulation {
 
     /// Node count of the current state diagram.
     pub fn node_count(&self) -> usize {
-        self.dd.vec_node_count(self.state)
+        self.sim.node_count()
     }
 }
 
@@ -359,7 +332,7 @@ mod tests {
         assert!(matches!(s.step_forward().unwrap(), StepOutcome::Applied { op_index: 0 }));
         assert!(matches!(s.step_forward().unwrap(), StepOutcome::Applied { op_index: 1 }));
         // (b) Bell state
-        let amps = s.dd.to_dense_vector(s.state(), 2);
+        let amps = s.package().to_dense_vector(s.state(), 2);
         assert!(amps[0].approx_eq(Complex::real(FRAC_1_SQRT_2), 1e-12));
         // (c) measurement dialog with 50/50
         let out = s.step_forward().unwrap();
@@ -373,7 +346,7 @@ mod tests {
         }
         // (d) choose |1⟩ → |11⟩
         s.choose(MeasurementOutcome::One).unwrap();
-        let amps = s.dd.to_dense_vector(s.state(), 2);
+        let amps = s.package().to_dense_vector(s.state(), 2);
         assert!(amps[3].abs() > 0.999);
         assert!(s.classical_bits()[0]);
         assert!(s.is_finished());
@@ -494,8 +467,51 @@ mod tests {
                 StepOutcome::Applied { .. } => {}
             }
         }
-        let amps = s.dd.to_dense_vector(s.state(), 2);
+        let amps = s.package().to_dense_vector(s.state(), 2);
         assert!(amps[0b11].abs() > 0.999);
+    }
+
+    /// Stepping back rewinds the RNG too: a dialog replayed after `←`
+    /// draws the outcome it drew before.
+    #[test]
+    fn step_back_replays_the_same_draw() {
+        for seed in 1..=16 {
+            let mut s = SteppableSimulation::with_seed(bell_with_measure(), seed);
+            s.fast_forward().unwrap();
+            let first = s.draw().unwrap();
+            assert!(s.step_back());
+            s.step_forward().unwrap();
+            assert_eq!(s.draw().unwrap(), first, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn failed_step_leaves_the_session_in_place() {
+        let config = PackageConfig {
+            limits: qdd_core::Limits {
+                max_nodes: Some(2),
+                ..qdd_core::Limits::default()
+            },
+            ..PackageConfig::default()
+        };
+        let mut s = SteppableSimulation::with_config(library::ghz(8), 1, config);
+        let err = loop {
+            match s.step_forward() {
+                Ok(StepOutcome::AtEnd) => panic!("the budget never tripped"),
+                Ok(_) => {}
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(
+            err,
+            SimError::Dd(qdd_core::DdError::ResourceExhausted { .. })
+        ));
+        let at = s.position();
+        assert!(
+            s.step_forward().is_err(),
+            "the failed operation is retried, not skipped"
+        );
+        assert_eq!(s.position(), at);
     }
 
     use qdd_circuit::QuantumCircuit;

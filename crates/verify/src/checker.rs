@@ -1,5 +1,6 @@
 //! The equivalence checker.
 
+use crate::alternating::AlternatingCheck;
 use crate::error::VerifyError;
 use crate::result::{Counterexample, Equivalence, EquivalenceReport, Strategy};
 use qdd_circuit::{GateApplication, Operation, QuantumCircuit};
@@ -12,9 +13,18 @@ const DEFAULT_GC_THRESHOLD: usize = 500_000;
 
 /// One primitive step of a flattened circuit.
 #[derive(Clone, Debug)]
-enum Flat {
+pub(crate) enum Flat {
     Gate(GateApplication),
     Barrier,
+}
+
+impl Flat {
+    pub(crate) fn gate(&self) -> Option<&GateApplication> {
+        match self {
+            Flat::Gate(g) => Some(g),
+            Flat::Barrier => None,
+        }
+    }
 }
 
 /// Checks circuit equivalence on decision diagrams.
@@ -85,19 +95,14 @@ impl EquivalenceChecker {
         right: &QuantumCircuit,
         strategy: Strategy,
     ) -> Result<EquivalenceReport, VerifyError> {
-        if left.num_qubits() != right.num_qubits() {
-            return Err(VerifyError::WidthMismatch {
-                left: left.num_qubits(),
-                right: right.num_qubits(),
-            });
-        }
-        let n = left.num_qubits();
-        let lflat = flatten(left, 0)?;
-        let rflat = flatten(right, 1)?;
         self.dd.arm_deadline();
         let out = match strategy {
-            Strategy::Construction => self.check_construction(&lflat, &rflat, n),
-            _ => self.check_alternating(&lflat, &rflat, n, strategy),
+            Strategy::Construction => flatten(left, right)
+                .and_then(|(l, r)| self.check_construction(&l, &r, left.num_qubits())),
+            _ => AlternatingCheck::new(&mut self.dd, left, right).and_then(|mut alt| {
+                while alt.step(&mut self.dd, strategy)?.is_some() {}
+                Ok(alt.into_report(&self.dd, strategy))
+            }),
         };
         self.dd.disarm_deadline();
         out
@@ -122,7 +127,7 @@ impl EquivalenceChecker {
         // the interning tolerance and stop being pointer-equal even for
         // equivalent circuits — so the slow path decides numerically on
         // `U₂† · U₁ ≈ e^{iθ}·I`.
-        let mut counterexample = None;
+        let mut witness = None;
         let result = if u1 == u2 {
             Equivalence::Equivalent
         } else if u1.node == u2.node {
@@ -137,9 +142,9 @@ impl EquivalenceChecker {
         } else {
             let u2d = self.dd.try_adjoint_mat(u2)?;
             let m = self.dd.try_mat_mat(u2d, u1)?;
-            match self.find_magnitude_deviation(m) {
+            match counterexample(&self.dd, m) {
                 Some(cx) => {
-                    counterexample = Some(cx);
+                    witness = Some(cx);
                     Equivalence::NotEquivalent
                 }
                 None => {
@@ -159,245 +164,69 @@ impl EquivalenceChecker {
             peak_nodes: peak,
             applied_left: count_gates(lflat),
             applied_right: count_gates(rflat),
-            counterexample,
+            counterexample: witness,
         })
-    }
-
-    fn check_alternating(
-        &mut self,
-        lflat: &[Flat],
-        rflat: &[Flat],
-        n: usize,
-        strategy: Strategy,
-    ) -> Result<EquivalenceReport, VerifyError> {
-        let lgates: Vec<&GateApplication> = lflat
-            .iter()
-            .filter_map(|f| match f {
-                Flat::Gate(g) => Some(g),
-                Flat::Barrier => None,
-            })
-            .collect();
-        let m1 = lgates.len();
-        let m2 = count_gates(rflat);
-
-        let mut m = self.dd.identity(n)?;
-        let mut trace = vec![self.dd.mat_node_count(m)];
-        let mut i = 0usize; // applied left gates
-        let mut j = 0usize; // applied right gates
-        let mut r_cursor = 0usize; // position in rflat (includes barriers)
-
-        // Applies the next left gate: m ← U_i · m.
-        macro_rules! apply_left {
-            () => {{
-                let g = lgates[i];
-                let gate = self.dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
-                m = self.dd.try_mat_mat(gate, m)?;
-                i += 1;
-                trace.push(self.dd.mat_node_count(m));
-                self.maybe_gc(&mut [m]);
-            }};
-        }
-        // Applies the next right gate (skipping barriers): m ← m · V_j†.
-        macro_rules! apply_right {
-            () => {{
-                while matches!(rflat.get(r_cursor), Some(Flat::Barrier)) {
-                    r_cursor += 1;
-                }
-                if let Some(Flat::Gate(g)) = rflat.get(r_cursor) {
-                    let inv = g.gate.inverse();
-                    let gate = self.dd.gate_dd(inv.matrix(), &g.controls, g.target, n)?;
-                    m = self.dd.try_mat_mat(m, gate)?;
-                    j += 1;
-                    r_cursor += 1;
-                    trace.push(self.dd.mat_node_count(m));
-                    self.maybe_gc(&mut [m]);
-                }
-            }};
-        }
-
-        match strategy {
-            Strategy::OneToOne => {
-                while i < m1 || j < m2 {
-                    if i < m1 {
-                        apply_left!();
-                    }
-                    if j < m2 {
-                        apply_right!();
-                    }
-                }
-            }
-            Strategy::Proportional => {
-                while i < m1 {
-                    apply_left!();
-                    while j < m2 && j * m1 < i * m2 {
-                        apply_right!();
-                    }
-                }
-                while j < m2 {
-                    apply_right!();
-                }
-            }
-            Strategy::BarrierGuided => {
-                while i < m1 {
-                    apply_left!();
-                    // Right side: everything up to and including the next
-                    // barrier (Example 12).
-                    loop {
-                        match rflat.get(r_cursor) {
-                            Some(Flat::Barrier) => {
-                                r_cursor += 1;
-                                break;
-                            }
-                            Some(Flat::Gate(_)) => apply_right!(),
-                            None => break,
-                        }
-                    }
-                }
-                while j < m2 {
-                    apply_right!();
-                }
-            }
-            Strategy::Lookahead => {
-                while i < m1 && j < m2 {
-                    // Evaluate both candidates; keep the smaller diagram.
-                    let lg = lgates[i];
-                    let lgate =
-                        self.dd
-                            .gate_dd(lg.gate.matrix(), &lg.controls, lg.target, n)?;
-                    let cand_left = self.dd.try_mat_mat(lgate, m)?;
-                    let left_nodes = self.dd.mat_node_count(cand_left);
-
-                    let mut peek = r_cursor;
-                    while matches!(rflat.get(peek), Some(Flat::Barrier)) {
-                        peek += 1;
-                    }
-                    let (cand_right, right_nodes) = if let Some(Flat::Gate(g)) = rflat.get(peek) {
-                        let inv = g.gate.inverse();
-                        let gate =
-                            self.dd.gate_dd(inv.matrix(), &g.controls, g.target, n)?;
-                        let c = self.dd.try_mat_mat(m, gate)?;
-                        let nodes = self.dd.mat_node_count(c);
-                        (Some((c, peek)), nodes)
-                    } else {
-                        (None, usize::MAX)
-                    };
-
-                    if left_nodes <= right_nodes {
-                        m = cand_left;
-                        i += 1;
-                        trace.push(left_nodes);
-                    } else if let Some((c, peek)) = cand_right {
-                        m = c;
-                        j += 1;
-                        r_cursor = peek + 1;
-                        trace.push(right_nodes);
-                    }
-                    self.maybe_gc(&mut [m]);
-                }
-                while i < m1 {
-                    apply_left!();
-                }
-                while j < m2 {
-                    apply_right!();
-                }
-            }
-            Strategy::Construction => unreachable!("handled in check()"),
-        }
-
-        let peak = trace.iter().copied().max().unwrap_or(0);
-        let id = self.dd.identity(n)?;
-        let result = if m == id {
-            Equivalence::Equivalent
-        } else if m.node == id.node {
-            let w = self.dd.complex_value(m.weight);
-            if (w.abs() - 1.0).abs() < 1e-9 {
-                Equivalence::EquivalentUpToGlobalPhase { phase: w.arg() }
-            } else {
-                Equivalence::NotEquivalent
-            }
-        } else {
-            Equivalence::NotEquivalent
-        };
-        let counterexample = if result == Equivalence::NotEquivalent {
-            self.find_magnitude_deviation(m)
-        } else {
-            None
-        };
-        Ok(EquivalenceReport {
-            result,
-            strategy,
-            nodes_per_step: trace,
-            peak_nodes: peak,
-            applied_left: i,
-            applied_right: j,
-            counterexample,
-        })
-    }
-
-    fn maybe_gc(&mut self, roots: &mut [MatEdge]) {
-        maybe_gc(&mut self.dd, roots);
-    }
-
-    /// Finds a matrix entry deviating from `M[0][0] · δ_rc` — i.e. a
-    /// witness that `M` is not the identity up to a global phase. Catches
-    /// both magnitude deviations and phase-only deviations (e.g. `M = Z`).
-    fn find_magnitude_deviation(&self, m: MatEdge) -> Option<Counterexample> {
-        const TOL: f64 = 1e-9;
-        let reference = self.dd.matrix_entry(m, 0, 0);
-        fn rec(
-            dd: &DdPackage,
-            e: MatEdge,
-            acc: qdd_complex::Complex,
-            reference: qdd_complex::Complex,
-            row: u64,
-            col: u64,
-        ) -> Option<Counterexample> {
-            if e.is_zero() {
-                // An all-zero block deviates iff it intersects the diagonal
-                // (aligned blocks: iff row == col) and the reference phase
-                // is non-zero.
-                return if row == col && reference.abs() > TOL {
-                    Some(Counterexample { row, col })
-                } else {
-                    None
-                };
-            }
-            let acc = acc * dd.complex_value(e.weight);
-            if e.is_terminal() {
-                let expected = if row == col {
-                    reference
-                } else {
-                    qdd_complex::Complex::ZERO
-                };
-                return if (acc - expected).abs() > TOL {
-                    Some(Counterexample { row, col })
-                } else {
-                    None
-                };
-            }
-            let node = dd.mnode(e.node);
-            // Identity-skip edges may land strictly below `level - 1`; the
-            // gap reads as `diag(sub, sub)` per skipped level. The
-            // off-diagonal blocks are zero where row != col (never a
-            // deviation), and both diagonal blocks are the same subproblem,
-            // so descending straight to the node's own level — leaving the
-            // skipped row/col bits at equal zeros — searches a
-            // representative diagonal block without re-reading the weight.
-            let half = node.var as usize;
-            for (idx, child) in node.children.iter().enumerate() {
-                let (bi, bj) = ((idx >> 1) as u64, (idx & 1) as u64);
-                let r = row | (bi << half);
-                let c = col | (bj << half);
-                if let Some(cx) = rec(dd, *child, acc, reference, r, c) {
-                    return Some(cx);
-                }
-            }
-            None
-        }
-        rec(&self.dd, m, qdd_complex::Complex::ONE, reference, 0, 0)
     }
 }
 
+/// Finds a matrix entry deviating from `M[0][0] · δ_rc` — i.e. a witness
+/// that `M` is not the identity up to a global phase. Catches both
+/// magnitude deviations and phase-only deviations (e.g. `M = Z`).
+pub(crate) fn counterexample(dd: &DdPackage, m: MatEdge) -> Option<Counterexample> {
+    const TOL: f64 = 1e-9;
+    let reference = dd.matrix_entry(m, 0, 0);
+    fn rec(
+        dd: &DdPackage,
+        e: MatEdge,
+        acc: qdd_complex::Complex,
+        reference: qdd_complex::Complex,
+        row: u64,
+        col: u64,
+    ) -> Option<Counterexample> {
+        if e.is_zero() {
+            // An all-zero block deviates iff it intersects the diagonal
+            // (aligned blocks: iff row == col) and the reference phase
+            // is non-zero.
+            return if row == col && reference.abs() > TOL {
+                Some(Counterexample { row, col })
+            } else {
+                None
+            };
+        }
+        let acc = acc * dd.complex_value(e.weight);
+        if e.is_terminal() {
+            let expected = if row == col {
+                reference
+            } else {
+                qdd_complex::Complex::ZERO
+            };
+            return if (acc - expected).abs() > TOL {
+                Some(Counterexample { row, col })
+            } else {
+                None
+            };
+        }
+        let node = dd.mnode(e.node);
+        // Identity-skip edges may land strictly below `level - 1`; the
+        // gap reads as `diag(sub, sub)` per skipped level. The
+        // off-diagonal blocks are zero where row != col (never a
+        // deviation), and both diagonal blocks are the same subproblem,
+        // so descending straight to the node's own level — leaving the
+        // skipped row/col bits at equal zeros — searches a
+        // representative diagonal block without re-reading the weight.
+        let half = node.var as usize;
+        for (idx, child) in node.children.iter().enumerate() {
+            let (bi, bj) = ((idx >> 1) as u64, (idx & 1) as u64);
+            let r = row | (bi << half);
+            let c = col | (bj << half);
+            if let Some(cx) = rec(dd, *child, acc, reference, r, c) {
+                return Some(cx);
+            }
+        }
+        None
+    }
+    rec(dd, m, qdd_complex::Complex::ONE, reference, 0, 0)
+}
 
 /// Builds the full system matrix of a flattened circuit, recording node
 /// counts (Example 10/11's route).
@@ -413,51 +242,60 @@ fn build_system_matrix(
         let gate = dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
         u = dd.try_mat_mat(gate, u)?;
         trace.push(dd.mat_node_count(u));
-        maybe_gc(dd, &mut [u]);
+        maybe_gc(dd, u);
     }
     Ok(u)
 }
 
-fn maybe_gc(dd: &mut DdPackage, roots: &mut [MatEdge]) {
+/// Collects garbage if the package asks for it, keeping `root` alive.
+pub(crate) fn maybe_gc(dd: &mut DdPackage, root: MatEdge) {
     if !dd.wants_auto_gc() {
         return;
     }
-    for r in roots.iter() {
-        dd.inc_ref_mat(*r);
-    }
+    dd.inc_ref_mat(root);
     dd.garbage_collect();
-    for r in roots.iter() {
-        dd.dec_ref_mat(*r);
+    dd.dec_ref_mat(root);
+}
+
+pub(crate) fn count_gates(flat: &[Flat]) -> usize {
+    flat.iter().filter(|f| f.gate().is_some()).count()
+}
+
+/// Flattens two circuits of equal width into primitive gates and barriers
+/// — the one gate sequence every checking route multiplies out.
+///
+/// # Errors
+///
+/// [`VerifyError::WidthMismatch`] for circuits of different sizes,
+/// [`VerifyError::NonUnitary`] for the first measurement, reset or
+/// classically-conditioned gate, left circuit first.
+pub(crate) fn flatten(
+    left: &QuantumCircuit,
+    right: &QuantumCircuit,
+) -> Result<(Vec<Flat>, Vec<Flat>), VerifyError> {
+    if left.num_qubits() != right.num_qubits() {
+        return Err(VerifyError::WidthMismatch {
+            left: left.num_qubits(),
+            right: right.num_qubits(),
+        });
     }
-}
-
-fn count_gates(flat: &[Flat]) -> usize {
-    flat.iter()
-        .filter(|f| matches!(f, Flat::Gate(_)))
-        .count()
-}
-
-/// Flattens a circuit into primitive gates and barriers.
-fn flatten(qc: &QuantumCircuit, which: usize) -> Result<Vec<Flat>, VerifyError> {
-    let mut out = Vec::with_capacity(qc.len());
-    for (op_index, op) in qc.ops().iter().enumerate() {
-        match op {
-            Operation::Barrier => out.push(Flat::Barrier),
-            Operation::Gate(g) if g.condition.is_none() => out.push(Flat::Gate(g.clone())),
-            Operation::Swap { .. } => {
-                for g in op.to_gate_sequence().expect("swap is unitary") {
-                    out.push(Flat::Gate(g));
+    let flat = |qc: &QuantumCircuit, circuit| {
+        let mut out = Vec::with_capacity(qc.len());
+        for (op_index, op) in qc.ops().iter().enumerate() {
+            match op {
+                Operation::Barrier => out.push(Flat::Barrier),
+                Operation::Gate(g) if g.condition.is_none() => out.push(Flat::Gate(g.clone())),
+                Operation::Swap { .. } => {
+                    for g in op.to_gate_sequence().expect("swap is unitary") {
+                        out.push(Flat::Gate(g));
+                    }
                 }
-            }
-            _ => {
-                return Err(VerifyError::NonUnitary {
-                    circuit: which,
-                    op_index,
-                })
+                _ => return Err(VerifyError::NonUnitary { circuit, op_index }),
             }
         }
-    }
-    Ok(out)
+        Ok(out)
+    };
+    Ok((flat(left, 0)?, flat(right, 1)?))
 }
 
 #[cfg(test)]
@@ -465,21 +303,13 @@ mod tests {
     use super::*;
     use qdd_circuit::{compile, library, QuantumCircuit};
 
-    const ALL_STRATEGIES: [Strategy; 5] = [
-        Strategy::Construction,
-        Strategy::OneToOne,
-        Strategy::Proportional,
-        Strategy::BarrierGuided,
-        Strategy::Lookahead,
-    ];
-
     /// Paper Example 11: the QFT and its compiled form yield the same
     /// canonical diagram — equivalent under every strategy.
     #[test]
     fn qft_vs_compiled_equivalent_under_all_strategies() {
         let qft = library::qft(3, true);
         let compiled = compile::compiled_qft(3);
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let mut checker = EquivalenceChecker::new();
             let report = checker.check(&qft, &compiled, strategy).unwrap();
             assert!(
@@ -512,7 +342,7 @@ mod tests {
         let good = library::ghz(4);
         let mut bad = library::ghz(4);
         bad.z(2); // extra phase flip
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let mut checker = EquivalenceChecker::new();
             let report = checker.check(&good, &bad, strategy).unwrap();
             assert_eq!(report.result, Equivalence::NotEquivalent, "{strategy}");
@@ -592,7 +422,7 @@ mod tests {
     #[test]
     fn circuit_equals_itself() {
         let qc = library::random_circuit(4, 20, 13);
-        for strategy in ALL_STRATEGIES {
+        for strategy in Strategy::ALL {
             let mut checker = EquivalenceChecker::new();
             let report = checker.check(&qc, &qc, strategy).unwrap();
             assert_eq!(report.result, Equivalence::Equivalent, "{strategy}");

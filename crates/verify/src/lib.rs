@@ -17,7 +17,9 @@
 //!   [`Strategy::OneToOne`], [`Strategy::Proportional`],
 //!   [`Strategy::BarrierGuided`] (exactly Example 12's "apply one gate
 //!   from (a), then gates from (b) up to the next barrier"), and
-//!   [`Strategy::Lookahead`].
+//!   [`Strategy::Lookahead`]. [`AlternatingCheck`] runs the scheme one
+//!   gate at a time; [`EquivalenceChecker::check`] drives it to the end,
+//!   and the tool's verification tab steps it gate by gate.
 //!
 //! # Examples
 //!
@@ -37,11 +39,13 @@
 //! # }
 //! ```
 
+mod alternating;
 mod checker;
 mod error;
 mod result;
 mod stimuli;
 
+pub use alternating::{AlternatingCheck, Side};
 pub use checker::EquivalenceChecker;
 pub use error::VerifyError;
 pub use result::{Equivalence, EquivalenceReport, Strategy};

@@ -1,9 +1,10 @@
 //! Verification verdicts and reports.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// How the alternating product is scheduled (paper ref \[20\]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Build both full system matrices, compare the canonical root edges
     /// (Example 10/11).
@@ -12,13 +13,25 @@ pub enum Strategy {
     OneToOne,
     /// Keep the applied-gate counts proportional to the circuit lengths —
     /// the natural choice when one circuit is a compiled (longer) version
-    /// of the other.
+    /// of the other, and the default.
+    #[default]
     Proportional,
     /// One gate from the left circuit, then right-circuit gates up to the
     /// next barrier — Example 12's schedule for Fig. 5(b)'s barriers.
     BarrierGuided,
     /// Greedy: apply whichever side currently yields the smaller diagram.
     Lookahead,
+}
+
+impl Strategy {
+    /// Every strategy, in the order the CLI and the daemon list them.
+    pub const ALL: [Strategy; 5] = [
+        Strategy::Construction,
+        Strategy::OneToOne,
+        Strategy::Proportional,
+        Strategy::BarrierGuided,
+        Strategy::Lookahead,
+    ];
 }
 
 impl fmt::Display for Strategy {
@@ -31,6 +44,24 @@ impl fmt::Display for Strategy {
             Strategy::Lookahead => "lookahead",
         };
         write!(f, "{name}")
+    }
+}
+
+/// Parses the names [`Display`](fmt::Display) prints. An unknown name is
+/// an error message listing all five.
+impl FromStr for Strategy {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        Strategy::ALL
+            .into_iter()
+            .find(|s| s.to_string() == name)
+            .ok_or_else(|| {
+                format!(
+                    "unknown strategy `{name}` (expected construction, one-to-one, \
+                     proportional, barrier-guided, or lookahead)"
+                )
+            })
     }
 }
 
@@ -116,9 +147,23 @@ mod tests {
     }
 
     #[test]
-    fn strategy_display() {
-        assert_eq!(Strategy::BarrierGuided.to_string(), "barrier-guided");
-        assert_eq!(Strategy::Construction.to_string(), "construction");
+    fn strategy_names_round_trip() {
+        for (strategy, name) in Strategy::ALL.into_iter().zip([
+            "construction",
+            "one-to-one",
+            "proportional",
+            "barrier-guided",
+            "lookahead",
+        ]) {
+            assert_eq!(strategy.to_string(), name);
+            assert_eq!(name.parse::<Strategy>(), Ok(strategy));
+        }
+        let err = "psychic".parse::<Strategy>().unwrap_err();
+        assert!(err.contains("`psychic`"), "{err}");
+        for s in Strategy::ALL {
+            assert!(err.contains(&s.to_string()), "{err} omits {s}");
+        }
+        assert_eq!(Strategy::default(), Strategy::Proportional);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! stimulus is a definitive "not equivalent"; agreement on all of them is
 //! strong — but not conclusive — evidence of equivalence.
 
+use crate::checker::{flatten, Flat};
 use crate::error::VerifyError;
-use qdd_circuit::{Operation, QuantumCircuit};
+use qdd_circuit::QuantumCircuit;
 use qdd_core::{DdPackage, VecEdge};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,15 +42,8 @@ pub fn simulate_equivalence(
     count: usize,
     seed: u64,
 ) -> Result<StimuliReport, VerifyError> {
-    if left.num_qubits() != right.num_qubits() {
-        return Err(VerifyError::WidthMismatch {
-            left: left.num_qubits(),
-            right: right.num_qubits(),
-        });
-    }
+    let (lflat, rflat) = flatten(left, right)?;
     let n = left.num_qubits();
-    validate_unitary(left, 0)?;
-    validate_unitary(right, 1)?;
 
     let mut dd = DdPackage::new();
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -58,8 +52,8 @@ pub fn simulate_equivalence(
     for _ in 0..count {
         let input: u64 = if n >= 64 { rng.gen() } else { rng.gen_range(0..(1u64 << n)) };
         let start = dd.basis_state(n, input)?;
-        let out_l = apply_all(&mut dd, left, start)?;
-        let out_r = apply_all(&mut dd, right, start)?;
+        let out_l = apply_all(&mut dd, &lflat, start)?;
+        let out_r = apply_all(&mut dd, &rflat, start)?;
         run += 1;
         let f = dd.fidelity(out_l, out_r);
         min_fidelity = min_fidelity.min(f);
@@ -80,28 +74,10 @@ pub fn simulate_equivalence(
     })
 }
 
-fn validate_unitary(qc: &QuantumCircuit, which: usize) -> Result<(), VerifyError> {
-    for (op_index, op) in qc.ops().iter().enumerate() {
-        if !op.is_unitary() && !matches!(op, Operation::Barrier) {
-            return Err(VerifyError::NonUnitary { circuit: which, op_index });
-        }
-    }
-    Ok(())
-}
-
-fn apply_all(
-    dd: &mut DdPackage,
-    qc: &QuantumCircuit,
-    start: VecEdge,
-) -> Result<VecEdge, VerifyError> {
+fn apply_all(dd: &mut DdPackage, flat: &[Flat], start: VecEdge) -> Result<VecEdge, VerifyError> {
     let mut s = start;
-    for op in qc.ops() {
-        if matches!(op, Operation::Barrier) {
-            continue;
-        }
-        for g in op.to_gate_sequence().expect("validated unitary") {
-            s = dd.apply_gate(s, g.gate.matrix(), &g.controls, g.target)?;
-        }
+    for g in flat.iter().filter_map(Flat::gate) {
+        s = dd.apply_gate(s, g.gate.matrix(), &g.controls, g.target)?;
     }
     Ok(s)
 }
@@ -161,5 +137,29 @@ mod tests {
             simulate_equivalence(&a, &b, 4, 1),
             Err(VerifyError::NonUnitary { circuit: 0, op_index: 0 })
         ));
+    }
+
+    /// Stimuli and the checker walk the same flattened gates, so they
+    /// reject the same operation.
+    #[test]
+    fn conditioned_gate_rejected_like_the_checker() {
+        let a = library::ghz(2);
+        let mut b = library::ghz(2);
+        let c = b.add_creg("c", 1);
+        b.gate_if(
+            qdd_circuit::StandardGate::X,
+            vec![],
+            0,
+            qdd_circuit::Condition { creg: c, value: 1 },
+        );
+        let expected = VerifyError::NonUnitary {
+            circuit: 1,
+            op_index: 2,
+        };
+        assert_eq!(simulate_equivalence(&a, &b, 4, 1), Err(expected.clone()));
+        let mut checker = crate::EquivalenceChecker::new();
+        for strategy in [crate::Strategy::Construction, crate::Strategy::Proportional] {
+            assert_eq!(checker.check(&a, &b, strategy), Err(expected.clone()));
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! The simulation tab of the paper's tool (Fig. 8), as a library.
 //!
-//! A [`SimulationExplorer`] wraps the steppable simulator and renders one
-//! [`Frame`] per navigation event — exactly the sequence of pictures the
-//! web tool shows while a user clicks through a circuit. Frames can be
-//! bundled into an offline HTML explorer via [`crate::html`].
+//! A [`SimulationExplorer`] wraps a [`SteppableSimulation`] — a session over
+//! the batch simulator — and renders one [`Frame`] per navigation event:
+//! exactly the sequence of pictures the web tool shows while a user clicks
+//! through a circuit. Frames can be bundled into an offline HTML explorer
+//! via [`crate::html`].
 
 use crate::dot::vector_to_dot;
 use crate::style::VizStyle;
@@ -39,9 +40,20 @@ pub struct SimulationExplorer {
 
 impl SimulationExplorer {
     /// Opens a session and captures the initial `|0…0⟩` frame
-    /// (Fig. 8(a)).
+    /// (Fig. 8(a)). Collapses the user does not choose draw from an
+    /// entropy-seeded RNG.
     pub fn new(circuit: QuantumCircuit, style: VizStyle) -> Self {
-        let sim = SteppableSimulation::new(circuit);
+        Self::from_session(SteppableSimulation::new(circuit), style)
+    }
+
+    /// Opens a session whose collapses draw from `seed`: played with
+    /// [`Self::run_scripted`]`(&[])`, it shows the run
+    /// [`DdSimulator::with_seed`](qdd_sim::DdSimulator::with_seed) takes.
+    pub fn with_seed(circuit: QuantumCircuit, seed: u64, style: VizStyle) -> Self {
+        Self::from_session(SteppableSimulation::with_seed(circuit, seed), style)
+    }
+
+    fn from_session(sim: SteppableSimulation, style: VizStyle) -> Self {
         let mut explorer = SimulationExplorer {
             sim,
             style,
@@ -85,7 +97,7 @@ impl SimulationExplorer {
     ///
     /// Propagates [`SimError`].
     pub fn step_forward(&mut self) -> Result<StepOutcome, SimError> {
-        let before = self.sim.position();
+        let dialog_shown = self.sim.pending().is_some();
         let outcome = self.sim.step_forward()?;
         match outcome {
             StepOutcome::Applied { op_index } => {
@@ -99,7 +111,7 @@ impl SimulationExplorer {
                 self.capture(format!("after {desc}"));
             }
             StepOutcome::NeedsChoice(p) => {
-                if before == self.sim.position() && !self.already_showing_dialog() {
+                if !dialog_shown {
                     self.capture(format!(
                         "measurement dialog q{}: p(|0⟩)={:.3}, p(|1⟩)={:.3}",
                         p.qubit, p.p0, p.p1
@@ -109,12 +121,6 @@ impl SimulationExplorer {
             StepOutcome::AtEnd => {}
         }
         Ok(outcome)
-    }
-
-    fn already_showing_dialog(&self) -> bool {
-        self.frames
-            .last()
-            .is_some_and(|f| f.title.contains("dialog"))
     }
 
     /// Resolves an open dialog (Fig. 8(c)→(d)).
@@ -137,29 +143,9 @@ impl SimulationExplorer {
         moved
     }
 
-    /// The tool's `⏭`: run to the next barrier/dialog/end, capturing one
-    /// frame per applied operation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`].
-    pub fn fast_forward(&mut self) -> Result<StepOutcome, SimError> {
-        loop {
-            let was_barrier = matches!(
-                self.sim.next_op(),
-                Some(qdd_circuit::Operation::Barrier)
-            );
-            let outcome = self.step_forward()?;
-            match outcome {
-                StepOutcome::Applied { .. } if !was_barrier => continue,
-                other => return Ok(other),
-            }
-        }
-    }
-
-    /// Plays the whole circuit, resolving dialogs from `choices` in order
-    /// (entries beyond the script fall back to `|0⟩`). Returns the number
-    /// of dialogs resolved.
+    /// Plays the whole circuit, resolving dialogs from `choices` in order;
+    /// dialogs beyond the script resolve with the simulator's seeded draw.
+    /// Returns the number of dialogs resolved.
     ///
     /// # Errors
     ///
@@ -170,11 +156,13 @@ impl SimulationExplorer {
             match self.step_forward()? {
                 StepOutcome::AtEnd => return Ok(used),
                 StepOutcome::NeedsChoice(_) => {
-                    let outcome = choices
-                        .get(used)
-                        .copied()
-                        .unwrap_or(MeasurementOutcome::Zero);
-                    self.choose(outcome)?;
+                    match choices.get(used) {
+                        Some(&outcome) => self.choose(outcome)?,
+                        None => {
+                            let outcome = self.sim.draw()?;
+                            self.capture(format!("collapsed to {outcome}"));
+                        }
+                    }
                     used += 1;
                 }
                 StepOutcome::Applied { .. } => {}

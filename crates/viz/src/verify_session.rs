@@ -5,7 +5,8 @@
 //! the right circuit from the right, so the diagram equals `G'† · G` of
 //! whatever has been applied so far. If the circuits are equivalent and the
 //! interleaving is chosen well, the picture stays near the identity the
-//! whole time (Example 12).
+//! whole time (Example 12). The checking itself is the verifier's
+//! [`AlternatingCheck`]; the explorer adds one rendered frame per gate.
 
 use crate::dot::matrix_to_dot;
 use crate::session::Frame;
@@ -13,47 +14,15 @@ use crate::style::VizStyle;
 use crate::svg::matrix_to_svg;
 use qdd_circuit::{GateApplication, Operation, QuantumCircuit};
 use qdd_core::{DdPackage, MatEdge};
-use qdd_verify::VerifyError;
-
-/// A flattened circuit entry.
-#[derive(Clone, Debug)]
-enum Step {
-    Gate(GateApplication),
-    Barrier,
-}
-
-fn flatten(qc: &QuantumCircuit, which: usize) -> Result<Vec<Step>, VerifyError> {
-    let mut out = Vec::new();
-    for (op_index, op) in qc.ops().iter().enumerate() {
-        match op {
-            Operation::Barrier => out.push(Step::Barrier),
-            Operation::Gate(g) if g.condition.is_none() => out.push(Step::Gate(g.clone())),
-            Operation::Swap { .. } => {
-                for g in op.to_gate_sequence().expect("swap is unitary") {
-                    out.push(Step::Gate(g));
-                }
-            }
-            _ => return Err(VerifyError::NonUnitary { circuit: which, op_index }),
-        }
-    }
-    Ok(out)
-}
+use qdd_verify::{AlternatingCheck, Side, Strategy, VerifyError};
 
 /// Interactive two-circuit verification with frame capture.
 #[derive(Debug)]
 pub struct VerificationExplorer {
     dd: DdPackage,
-    n: usize,
-    left: Vec<Step>,
-    right: Vec<Step>,
-    li: usize,
-    ri: usize,
-    applied_left: usize,
-    applied_right: usize,
-    matrix: MatEdge,
+    check: AlternatingCheck,
     style: VizStyle,
     frames: Vec<Frame>,
-    peak_nodes: usize,
 }
 
 impl VerificationExplorer {
@@ -69,31 +38,13 @@ impl VerificationExplorer {
         right: &QuantumCircuit,
         style: VizStyle,
     ) -> Result<Self, VerifyError> {
-        if left.num_qubits() != right.num_qubits() {
-            return Err(VerifyError::WidthMismatch {
-                left: left.num_qubits(),
-                right: right.num_qubits(),
-            });
-        }
-        let n = left.num_qubits();
-        let lflat = flatten(left, 0)?;
-        let rflat = flatten(right, 1)?;
         let mut dd = DdPackage::new();
-        let matrix = dd.identity(n)?;
-        dd.inc_ref_mat(matrix);
+        let check = AlternatingCheck::new(&mut dd, left, right)?;
         let mut explorer = VerificationExplorer {
             dd,
-            n,
-            left: lflat,
-            right: rflat,
-            li: 0,
-            ri: 0,
-            applied_left: 0,
-            applied_right: 0,
-            matrix,
+            check,
             style,
             frames: Vec::new(),
-            peak_nodes: 0,
         };
         explorer.capture("identity (nothing applied)".to_string());
         Ok(explorer)
@@ -101,7 +52,7 @@ impl VerificationExplorer {
 
     /// The working diagram `G'†·G` of everything applied so far.
     pub fn matrix(&self) -> MatEdge {
-        self.matrix
+        self.check.matrix()
     }
 
     /// The package, for custom rendering.
@@ -116,53 +67,40 @@ impl VerificationExplorer {
 
     /// Node count of the working diagram.
     pub fn node_count(&self) -> usize {
-        self.dd.mat_node_count(self.matrix)
+        self.dd.mat_node_count(self.matrix())
     }
 
     /// Peak node count since the session opened (Example 12's metric).
     pub fn peak_nodes(&self) -> usize {
-        self.peak_nodes
+        self.check.peak_nodes()
     }
 
     /// `(applied_left, applied_right)` gate counts (barriers excluded).
     pub fn position(&self) -> (usize, usize) {
-        (self.applied_left, self.applied_right)
+        self.check.applied()
     }
 
     /// `true` when both circuits are exhausted.
     pub fn is_finished(&self) -> bool {
-        self.li >= self.left.len() && self.ri >= self.right.len()
+        self.check.is_finished()
     }
 
     /// `true` if the working diagram currently equals the identity
     /// (possibly times a global phase) — the tool's green light.
-    pub fn resembles_identity(&mut self) -> bool {
-        let id = self.dd.identity(self.n).expect("n validated");
-        if self.matrix.node != id.node {
-            return false;
-        }
-        let w = self.dd.complex_value(self.matrix.weight);
-        (w.abs() - 1.0).abs() < 1e-9
+    pub fn resembles_identity(&self) -> bool {
+        self.check.verdict(&self.dd).is_equivalent()
     }
 
     fn capture(&mut self, title: String) {
-        let nodes = self.node_count();
-        self.peak_nodes = self.peak_nodes.max(nodes);
-        let svg = matrix_to_svg(&self.dd, self.matrix, &self.style);
-        let dot = matrix_to_dot(&self.dd, self.matrix, &self.style);
+        let svg = matrix_to_svg(&self.dd, self.matrix(), &self.style);
+        let dot = matrix_to_dot(&self.dd, self.matrix(), &self.style);
         self.frames.push(Frame {
             index: self.frames.len(),
             title,
             svg,
             dot,
-            node_count: nodes,
+            node_count: self.node_count(),
         });
-    }
-
-    fn set_matrix(&mut self, m: MatEdge) {
-        self.dd.inc_ref_mat(m);
-        self.dd.dec_ref_mat(self.matrix);
-        self.matrix = m;
     }
 
     /// Applies the next gate of the **left** circuit (`M ← U·M`); skips
@@ -172,19 +110,7 @@ impl VerificationExplorer {
     ///
     /// Propagates package errors.
     pub fn apply_left(&mut self) -> Result<bool, VerifyError> {
-        while matches!(self.left.get(self.li), Some(Step::Barrier)) {
-            self.li += 1;
-        }
-        let Some(Step::Gate(g)) = self.left.get(self.li).cloned() else {
-            return Ok(false);
-        };
-        let gate = self.dd.gate_dd(g.gate.matrix(), &g.controls, g.target, self.n)?;
-        let m = self.dd.mat_mat(gate, self.matrix);
-        self.set_matrix(m);
-        self.li += 1;
-        self.applied_left += 1;
-        self.capture(format!("G: applied {}", Operation::Gate(g)));
-        Ok(true)
+        self.apply(Side::Left)
     }
 
     /// Applies the inverse of the next gate of the **right** circuit
@@ -194,19 +120,15 @@ impl VerificationExplorer {
     ///
     /// Propagates package errors.
     pub fn apply_right(&mut self) -> Result<bool, VerifyError> {
-        while matches!(self.right.get(self.ri), Some(Step::Barrier)) {
-            self.ri += 1;
-        }
-        let Some(Step::Gate(g)) = self.right.get(self.ri).cloned() else {
+        self.apply(Side::Right)
+    }
+
+    fn apply(&mut self, side: Side) -> Result<bool, VerifyError> {
+        let Some(gate) = self.check.apply(&mut self.dd, side)? else {
             return Ok(false);
         };
-        let inv = g.gate.inverse();
-        let gate = self.dd.gate_dd(inv.matrix(), &g.controls, g.target, self.n)?;
-        let m = self.dd.mat_mat(self.matrix, gate);
-        self.set_matrix(m);
-        self.ri += 1;
-        self.applied_right += 1;
-        self.capture(format!("G': applied inverse of {}", Operation::Gate(g)));
+        let title = frame_title(side, gate);
+        self.capture(title);
         Ok(true)
     }
 
@@ -217,33 +139,31 @@ impl VerificationExplorer {
     ///
     /// Propagates package errors.
     pub fn right_to_next_barrier(&mut self) -> Result<(), VerifyError> {
-        loop {
-            match self.right.get(self.ri) {
-                Some(Step::Barrier) => {
-                    self.ri += 1;
-                    return Ok(());
-                }
-                Some(Step::Gate(_)) => {
-                    self.apply_right()?;
-                }
-                None => return Ok(()),
-            }
-        }
+        while !self.check.pass_barrier(Side::Right) && self.apply_right()? {}
+        Ok(())
     }
 
-    /// Runs Example 12's schedule to completion: one gate from `G`, then
-    /// right-circuit gates up to the next barrier, repeating; drains
-    /// leftovers. Returns whether the result resembles the identity.
+    /// Runs Example 12's schedule ([`Strategy::BarrierGuided`]) to
+    /// completion, one frame per gate. Returns whether the result
+    /// resembles the identity.
     ///
     /// # Errors
     ///
     /// Propagates package errors.
     pub fn run_barrier_guided(&mut self) -> Result<bool, VerifyError> {
-        while self.apply_left()? {
-            self.right_to_next_barrier()?;
+        while let Some((side, gate)) = self.check.step(&mut self.dd, Strategy::BarrierGuided)? {
+            let title = frame_title(side, gate);
+            self.capture(title);
         }
-        while self.apply_right()? {}
         Ok(self.resembles_identity())
+    }
+}
+
+fn frame_title(side: Side, gate: &GateApplication) -> String {
+    let op = Operation::Gate(gate.clone());
+    match side {
+        Side::Left => format!("G: applied {op}"),
+        Side::Right => format!("G': applied inverse of {op}"),
     }
 }
 

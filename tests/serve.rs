@@ -169,6 +169,52 @@ fn session_lifecycle_mirrors_the_step_play_state_machine() {
     );
 }
 
+/// `play` resolves dialogs with the session simulator's draw from the
+/// request's seed, so played from the start it is the `/v1/simulate` run
+/// of that seed — also when a collapse with a certain outcome (the reset
+/// of a fresh qubit) comes before the dialog.
+#[test]
+fn session_play_from_the_start_is_the_simulate_run() {
+    let addr = default_server();
+    let qasm = json_escape(
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ncreg c[1];\n\
+         reset q[0];\nh q[0];\nmeasure q[0] -> c[0];\n",
+    );
+    for seed in 1..=12 {
+        let simulated = request(
+            addr,
+            "POST",
+            "/v1/simulate",
+            &format!("{{\"qasm\":\"{qasm}\",\"seed\":{seed}}}"),
+        );
+        assert_eq!(simulated.status, 200, "{}", simulated.body);
+        let created = request(
+            addr,
+            "POST",
+            "/v1/sessions",
+            &format!("{{\"qasm\":\"{qasm}\"}}"),
+        );
+        let id = created
+            .json()
+            .get("session")
+            .and_then(JsonValue::as_u64)
+            .unwrap();
+        let played = request(
+            addr,
+            "POST",
+            &format!("/v1/sessions/{id}/play"),
+            &format!("{{\"seed\":{seed}}}"),
+        );
+        assert_eq!(played.status, 200, "{}", played.body);
+        assert_eq!(
+            played.json().get("classical_bits"),
+            simulated.json().get("classical_bits"),
+            "seed {seed}"
+        );
+        request(addr, "DELETE", &format!("/v1/sessions/{id}"), "");
+    }
+}
+
 #[test]
 fn concurrent_warm_requests_beat_the_cold_request_hit_rate() {
     let addr = default_server();

@@ -4,14 +4,6 @@
 use qdd::circuit::{compile, library, QuantumCircuit, StandardGate};
 use qdd::verify::{simulate_equivalence, EquivalenceChecker, Strategy};
 
-const STRATEGIES: [Strategy; 5] = [
-    Strategy::Construction,
-    Strategy::OneToOne,
-    Strategy::Proportional,
-    Strategy::BarrierGuided,
-    Strategy::Lookahead,
-];
-
 #[test]
 fn qft_compile_flow_verifies_at_multiple_sizes() {
     for n in 2..=6 {
@@ -84,7 +76,7 @@ fn every_strategy_catches_every_single_gate_fault() {
         }),
     ];
     for (name, faulty) in &faults {
-        for strategy in STRATEGIES {
+        for strategy in Strategy::ALL {
             let mut checker = EquivalenceChecker::new();
             let report = checker.check(&base, faulty, strategy).unwrap();
             assert!(
