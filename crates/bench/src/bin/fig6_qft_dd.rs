@@ -4,8 +4,9 @@
 
 use qdd_bench::out_dir;
 use qdd_circuit::library;
+use qdd_core::graph::DdGraph;
 use qdd_core::DdPackage;
-use qdd_viz::{dot, graph::DdGraph, json, style::VizStyle, svg};
+use qdd_viz::{dot, style::VizStyle, svg};
 
 fn main() {
     let mut dd = DdPackage::new();
@@ -37,6 +38,6 @@ fn main() {
     let style = VizStyle::colored();
     std::fs::write(out.join("fig6_qft_dd.dot"), dot::matrix_to_dot(&dd, u, &style)).unwrap();
     std::fs::write(out.join("fig6_qft_dd.svg"), svg::matrix_to_svg(&dd, u, &style)).unwrap();
-    std::fs::write(out.join("fig6_qft_dd.json"), json::graph_to_json(&graph)).unwrap();
+    std::fs::write(out.join("fig6_qft_dd.json"), graph.to_json()).unwrap();
     println!("\nArtifacts written to {}", out.display());
 }

@@ -3,6 +3,7 @@
 
 use crate::args::{parse_style, Args};
 use crate::load::load_circuit;
+use qdd_core::graph::DdGraph;
 use std::path::Path;
 
 pub const HELP: &str = "\
@@ -48,12 +49,12 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 u = dd.mat_mat(m, u);
             }
         }
-        (qdd_viz::DdGraph::from_matrix(&dd, u), dd.mat_node_count(u))
+        (DdGraph::from_matrix(&dd, u), dd.mat_node_count(u))
     } else {
         let mut sim = qdd_sim::DdSimulator::with_seed(circuit.clone(), 1);
         sim.run().map_err(|e| e.to_string())?;
         (
-            qdd_viz::DdGraph::from_vector(sim.package(), sim.state()),
+            DdGraph::from_vector(sim.package(), sim.state()),
             sim.node_count(),
         )
     };
@@ -66,7 +67,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let content = match ext {
         "svg" => qdd_viz::svg::graph_to_svg(&graph, &style),
         "dot" => qdd_viz::dot::graph_to_dot(&graph, &style),
-        "json" => qdd_viz::json::graph_to_json(&graph),
+        "json" => graph.to_json(),
         "html" => {
             let frame = qdd_viz::Frame {
                 index: 0,

@@ -39,14 +39,15 @@ OPTIONS:
                     cheapest subtrees within the fidelity budget) or
                     threshold:EPS (zero edges contributing < EPS).
                     Requires --min-fidelity
-  --stats           print the full engine statistics snapshot (per-table
-                    hit rates, gate-DD cache, complex-table interning,
-                    GC activity, peak nodes)
-  --stats-json      print the same snapshot as one JSON object on stdout
-  --profile         print a per-phase wall-time profile table on stderr
-  --metrics-out P   write the telemetry metrics snapshot as JSON to P
-  --trace-out P     write the telemetry event stream to P (Chrome
-                    trace_event JSON for .json paths, JSONL otherwise)
+  --stats           print the run's statistics when it ends: every counter,
+                    gauge and histogram of the telemetry snapshot (the
+                    numbers --metrics-out writes: node counts, per-table
+                    cache traffic, gate-DD cache, complex-table interning,
+                    GC, approximation) and the per-phase wall-time table
+  --metrics-out P   write the telemetry snapshot to P as one line of
+                    qdd-metrics-v1 JSON
+  --trace-out P     write the telemetry event stream to P as Chrome
+                    trace_event JSON
   --record-timeline P
                     record a per-op execution timeline (live/peak nodes,
                     allocation and cache-hit deltas, GC/approximation/
@@ -73,10 +74,9 @@ completed but the result is approximate (--min-fidelity pruning fired).";
 
 const FLAGS: &[&str] = &[
     "--seed", "--shots", "--threads", "--state", "--threshold", "--node-limit",
-    "--timeout-ms", "--stats", "--stats-json", "--svg", "--dot", "--html",
-    "--style", "--profile", "--metrics-out", "--trace-out", "--min-fidelity",
-    "--approx-policy", "--record-timeline",
-    "--snapshot-stride", "--histogram-out",
+    "--timeout-ms", "--stats", "--svg", "--dot", "--html", "--style",
+    "--metrics-out", "--trace-out", "--min-fidelity", "--approx-policy",
+    "--record-timeline", "--snapshot-stride", "--histogram-out",
 ];
 
 /// Exit code reported to `main` when the run finished but the state was
@@ -161,7 +161,7 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
             "node limit hit: degraded to dense simulation after {} operations \
              ({} pressure GCs)",
             sim.stats().applied_ops,
-            sim.stats().gc_pressure_runs
+            sim.package().gc_pressure_runs()
         );
     } else {
         println!(
@@ -170,78 +170,11 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
             sim.stats().peak_nodes
         );
     }
-    if sim.stats().gc_pressure_runs > 0 && !sim.degraded_to_dense() {
+    if sim.package().gc_pressure_runs() > 0 && !sim.degraded_to_dense() {
         println!(
             "budget pressure: {} forced garbage collections",
-            sim.stats().gc_pressure_runs
+            sim.package().gc_pressure_runs()
         );
-    }
-    if args.has("--stats") {
-        let pkg = sim.package().stats();
-        let ct = sim.package().complex_table_stats();
-        println!("engine statistics:");
-        println!(
-            "  nodes: {} vector + {} matrix alive, peak live {}",
-            pkg.vnodes_alive, pkg.mnodes_alive, pkg.peak_live_nodes
-        );
-        println!("  compute tables ({} lookups total):", pkg.cache_lookups);
-        for t in sim.package().compute_table_stats() {
-            if t.lookups == 0 {
-                continue;
-            }
-            println!(
-                "    {:<9} {:>10} lookups  {:>6.1}% hit  {} dropped",
-                t.name,
-                t.lookups,
-                100.0 * t.hit_rate(),
-                t.dropped
-            );
-        }
-        let gate_rate = if pkg.gate_cache_lookups == 0 {
-            0.0
-        } else {
-            100.0 * pkg.gate_cache_hits as f64 / pkg.gate_cache_lookups as f64
-        };
-        println!(
-            "  gate-DD cache: {} lookups, {} hits ({gate_rate:.1}%)",
-            pkg.gate_cache_lookups, pkg.gate_cache_hits
-        );
-        let complex_rate = if ct.lookups == 0 {
-            0.0
-        } else {
-            100.0 * ct.hits as f64 / ct.lookups as f64
-        };
-        println!(
-            "  complex table: {} interned values, {} lookups ({complex_rate:.1}% hit, \
-             {} from the front cache), {} reclaimed by GC",
-            ct.entries, ct.lookups, ct.front_hits, ct.reclaimed
-        );
-        println!(
-            "  GC: {} runs ({} under pressure)",
-            pkg.gc_runs, pkg.gc_pressure_runs
-        );
-        println!(
-            "  telemetry: {} events dropped at the buffer cap",
-            qdd_telemetry::merged_snapshot().dropped_events
-        );
-        if sim.stats().approx_rounds > 0 {
-            println!(
-                "  approximation: {} rounds, {} nodes pruned, \
-                 fidelity lower bound {:.6}",
-                sim.stats().approx_rounds,
-                sim.stats().approx_nodes_removed,
-                sim.stats().fidelity_lower_bound
-            );
-        }
-        if pkg.compute_evictions > 0 || pkg.compute_clears > 0 {
-            println!(
-                "  pressure: {} entries dropped by collisions, {} table clears",
-                pkg.compute_evictions, pkg.compute_clears
-            );
-        }
-    }
-    if args.has("--stats-json") {
-        println!("{}", stats_json(&circuit, &sim));
     }
     if !sim.classical_bits().is_empty() {
         let bits: String = sim
@@ -374,11 +307,11 @@ fn print_degradation_trail(
     limits: &qdd_core::Limits,
 ) {
     let stats = sim.stats();
+    let pressure_runs = sim.package().gc_pressure_runs();
     eprintln!("degradation ladder exhausted:");
     eprintln!(
-        "  1. pressure GC: {} forced collection{}",
-        stats.gc_pressure_runs,
-        if stats.gc_pressure_runs == 1 { "" } else { "s" }
+        "  1. pressure GC: {pressure_runs} forced collection{}",
+        if pressure_runs == 1 { "" } else { "s" }
     );
     match limits.min_fidelity {
         Some(f) if stats.approx_rounds > 0 => eprintln!(
@@ -401,85 +334,4 @@ fn print_degradation_trail(
     } else {
         eprintln!("  3. dense fallback: failed");
     }
-}
-
-/// Serializes the full post-run statistics snapshot (`--stats-json`) as one
-/// JSON object: circuit shape, simulator run stats, package counters,
-/// per-compute-table rates, and complex-table health.
-fn stats_json(circuit: &qdd_circuit::QuantumCircuit, sim: &qdd_sim::DdSimulator) -> String {
-    use std::fmt::Write as _;
-    let pkg = sim.package().stats();
-    let ct = sim.package().complex_table_stats();
-    let run = sim.stats();
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\"schema\":\"qdd-stats-v1\",\"circuit\":{\"name\":");
-    qdd_telemetry::json::write_json_string(&mut out, circuit.name());
-    let _ = write!(
-        out,
-        ",\"qubits\":{},\"ops\":{},\"depth\":{}}}",
-        circuit.num_qubits(),
-        circuit.len(),
-        circuit.depth()
-    );
-    let _ = write!(
-        out,
-        ",\"run\":{{\"applied_ops\":{},\"peak_nodes\":{},\"final_nodes\":{},\
-         \"dense_fallback\":{},\"gc_pressure_runs\":{},\
-         \"fidelity_lower_bound\":{:.9},\"approx_rounds\":{},\
-         \"approx_nodes_removed\":{}}}",
-        run.applied_ops,
-        run.peak_nodes,
-        sim.node_count(),
-        run.dense_fallback,
-        run.gc_pressure_runs,
-        run.fidelity_lower_bound,
-        run.approx_rounds,
-        run.approx_nodes_removed
-    );
-    let _ = write!(
-        out,
-        ",\"package\":{{\"vnodes_alive\":{},\"mnodes_alive\":{},\"peak_live_nodes\":{},\
-         \"cache_lookups\":{},\"cache_hits\":{},\"cache_entries\":{},\"gc_runs\":{},\
-         \"compute_evictions\":{},\"compute_clears\":{},\
-         \"gate_cache_lookups\":{},\"gate_cache_hits\":{},\
-         \"mat_peak_nodes\":{},\"identity_nodes_skipped\":{}}}",
-        pkg.vnodes_alive,
-        pkg.mnodes_alive,
-        pkg.peak_live_nodes,
-        pkg.cache_lookups,
-        pkg.cache_hits,
-        pkg.cache_entries,
-        pkg.gc_runs,
-        pkg.compute_evictions,
-        pkg.compute_clears,
-        pkg.gate_cache_lookups,
-        pkg.gate_cache_hits,
-        pkg.mat_peak_nodes,
-        pkg.identity_nodes_skipped
-    );
-    out.push_str(",\"compute_tables\":[");
-    for (i, t) in sim.package().compute_table_stats().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"lookups\":{},\"hits\":{},\"hit_rate\":{:.6},\
-             \"dropped\":{},\"clears\":{},\"entries\":{}}}",
-            t.name, t.lookups, t.hits, t.hit_rate(), t.dropped, t.clears, t.entries
-        );
-    }
-    out.push(']');
-    let _ = write!(
-        out,
-        ",\"complex_table\":{{\"entries\":{},\"lookups\":{},\"hits\":{},\
-         \"front_hits\":{},\"reclaimed\":{},\"approx_bytes\":{}}}",
-        ct.entries, ct.lookups, ct.hits, ct.front_hits, ct.reclaimed, ct.approx_bytes
-    );
-    let _ = write!(
-        out,
-        ",\"telemetry\":{{\"dropped_events\":{}}}}}",
-        qdd_telemetry::merged_snapshot().dropped_events
-    );
-    out
 }

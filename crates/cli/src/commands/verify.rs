@@ -19,16 +19,20 @@ OPTIONS:
                    circuits and compare the outputs (default 0)
   --node-limit N   cap live DD nodes during the check
   --timeout-ms N   wall-clock budget for the check
-  --profile        print a per-phase wall-time profile table on stderr
-  --metrics-out P  write the telemetry metrics snapshot as JSON to P
-  --trace-out P    write the telemetry event stream to P (Chrome
-                   trace_event JSON for .json paths, JSONL otherwise)
+  --stats          print the check's statistics when it ends: every
+                   counter, gauge and histogram of the telemetry snapshot
+                   (the numbers --metrics-out writes) and the per-phase
+                   wall-time table
+  --metrics-out P  write the telemetry snapshot to P as one line of
+                   qdd-metrics-v1 JSON
+  --trace-out P    write the telemetry event stream to P as Chrome
+                   trace_event JSON
 
 EXIT STATUS: 0 when equivalent (incl. up to global phase), 1 otherwise,
 3 when a resource budget (--node-limit, --timeout-ms) is exhausted.";
 
 const FLAGS: &[&str] = &[
-    "--strategy", "--stimuli", "--node-limit", "--timeout-ms", "--profile",
+    "--strategy", "--stimuli", "--node-limit", "--timeout-ms", "--stats",
     "--metrics-out", "--trace-out",
 ];
 

@@ -1,6 +1,7 @@
-//! Shared handling of the telemetry flags (`--profile`, `--metrics-out`,
+//! Shared handling of the reporting flags (`--stats`, `--metrics-out`,
 //! `--trace-out`, `--record-timeline`, `--snapshot-stride`) for the
-//! subcommands that run the engine.
+//! subcommands that run the engine. `--stats` and `--metrics-out` report
+//! the same merged telemetry snapshot, as text and as JSON.
 
 use crate::args::Args;
 
@@ -24,7 +25,7 @@ pub struct Workload {
 /// Reports an unparsable `--snapshot-stride`.
 pub fn start(args: &Args) -> Result<bool, String> {
     let timeline = args.value("--record-timeline").is_some();
-    let wanted = args.has("--profile")
+    let wanted = args.has("--stats")
         || args.value("--metrics-out").is_some()
         || args.value("--trace-out").is_some()
         || timeline;
@@ -32,7 +33,6 @@ pub fn start(args: &Args) -> Result<bool, String> {
         qdd_telemetry::set_enabled(true);
         qdd_telemetry::reset();
         qdd_telemetry::reset_published();
-        qdd_telemetry::reset_worker_names();
     }
     if timeline {
         let stride: u32 = args.number("--snapshot-stride", 0)?;
@@ -52,10 +52,10 @@ pub fn start(args: &Args) -> Result<bool, String> {
 }
 
 /// Writes the requested telemetry outputs: the metrics snapshot to
-/// `--metrics-out` (JSON), the event stream to `--trace-out` (Chrome
-/// `trace_event` JSON for `.json` paths, JSONL otherwise), the merged
-/// per-op timeline to `--record-timeline` (`qdd-timeline-v1` JSONL), and
-/// the per-phase profile table to stderr under `--profile`.
+/// `--metrics-out` (`qdd-metrics-v1` JSON), the event stream to
+/// `--trace-out` (Chrome `trace_event` JSON), the merged per-op timeline to
+/// `--record-timeline` (`qdd-timeline-v1` JSONL), and the same snapshot as
+/// text to stdout under `--stats`.
 ///
 /// # Errors
 ///
@@ -70,20 +70,15 @@ pub fn finish(args: &Args, enabled: bool, workload: Option<&Workload>) -> Result
     let snapshot = qdd_telemetry::merged_snapshot();
     let events = qdd_telemetry::drain_events();
     if let Some(path) = args.value("--metrics-out") {
-        std::fs::write(path, snapshot.to_json())
+        std::fs::write(path, snapshot.to_json() + "\n")
             .map_err(|e| format!("writing `{path}`: {e}"))?;
         eprintln!("wrote metrics snapshot to {path}");
     }
     if let Some(path) = args.value("--trace-out") {
-        let payload = if path.ends_with(".json") {
-            qdd_telemetry::sink::events_to_chrome_trace_named(
-                &events,
-                workload.map(|w| w.name.as_str()),
-                &qdd_telemetry::worker_names(),
-            )
-        } else {
-            qdd_telemetry::sink::events_to_jsonl(&events)
-        };
+        let payload = qdd_telemetry::sink::events_to_chrome_trace_named(
+            &events,
+            workload.map(|w| w.name.as_str()),
+        );
         std::fs::write(path, payload).map_err(|e| format!("writing `{path}`: {e}"))?;
         let dropped = snapshot.dropped_events;
         if dropped > 0 {
@@ -120,8 +115,8 @@ pub fn finish(args: &Args, enabled: bool, workload: Option<&Workload>) -> Result
         }
         timeline::set_enabled(false);
     }
-    if args.has("--profile") {
-        eprint!("{}", qdd_telemetry::sink::render_profile(&snapshot));
+    if args.has("--stats") {
+        print!("{}", qdd_telemetry::sink::render_stats(&snapshot));
     }
     qdd_telemetry::set_enabled(false);
     Ok(())

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `qdd` binary.
 
+use qdd_telemetry::json::{parse_json, JsonValue};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -10,10 +11,21 @@ fn qdd(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("qdd_cli_test_{}_{name}", std::process::id()))
+}
+
 fn temp_file(name: &str, content: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("qdd_cli_test_{}_{name}", std::process::id()));
+    let path = temp_path(name);
     std::fs::write(&path, content).unwrap();
     path
+}
+
+/// Reads and parses a JSON file the binary wrote, then deletes it.
+fn read_json(path: &PathBuf) -> JsonValue {
+    let text = std::fs::read_to_string(path).unwrap();
+    std::fs::remove_file(path).ok();
+    parse_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
 fn bell_qasm() -> PathBuf {
@@ -287,6 +299,7 @@ fn adversarial_qasm(n: usize, layers: usize) -> String {
 #[test]
 fn simulate_exits_four_when_approximated() {
     let file = temp_file("approx.qasm", &adversarial_qasm(8, 3));
+    let metrics = temp_path("approx.json");
     let out = qdd(&[
         "simulate",
         file.to_str().unwrap(),
@@ -294,7 +307,8 @@ fn simulate_exits_four_when_approximated() {
         "160",
         "--min-fidelity",
         "0.5",
-        "--stats-json",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
     ]);
     assert_eq!(
         out.status.code(),
@@ -305,19 +319,161 @@ fn simulate_exits_four_when_approximated() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("approximated in"), "{text}");
-    // The stats JSON carries the bound; it must sit in [0.5, 1).
-    let json = text
-        .lines()
-        .find(|l| l.starts_with("{\"schema\":\"qdd-stats-v1\""))
-        .expect("stats JSON line");
-    let bound: f64 = json
-        .split("\"fidelity_lower_bound\":")
-        .nth(1)
-        .and_then(|rest| rest.split(&[',', '}'][..]).next())
-        .and_then(|v| v.trim().parse().ok())
-        .expect("fidelity_lower_bound in stats JSON");
+    // The metrics snapshot carries the bound, which must sit in [0.5, 1),
+    // the rounds, and no dense fallback.
+    let doc = read_json(&metrics);
+    let metric = |section: &str, name: &str| doc.get(section).and_then(|m| m.get(name));
+    let bound = metric("gauges", "approx.fidelity_lower_bound")
+        .and_then(JsonValue::as_f64)
+        .expect("approx.fidelity_lower_bound gauge");
     assert!((0.5..1.0).contains(&bound), "bound {bound} out of range");
-    assert!(json.contains("\"dense_fallback\":false"), "{json}");
+    let rounds = metric("counters", "approx.rounds").and_then(JsonValue::as_u64);
+    assert!(rounds > Some(0), "approx.rounds {rounds:?}");
+    assert_eq!(metric("counters", "sim.dense_fallbacks"), None);
+    std::fs::remove_file(file).ok();
+}
+
+/// `--stats` is the text form of the snapshot `--metrics-out` writes, for
+/// the whole command: every counter, gauge, histogram and span of the file
+/// appears in the report with the same value (durations as the phase table
+/// formats them).
+#[test]
+fn stats_text_reports_the_metrics_out_snapshot() {
+    let circuit = concat!(env!("CARGO_MANIFEST_DIR"), "/../../circuits/qft16.qasm");
+    let metrics = temp_path("parity.json");
+    let out = qdd(&[
+        "simulate",
+        circuit,
+        "--shots",
+        "64",
+        "--stats",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    // The report's rows, keyed by section header and metric name.
+    let mut rows = std::collections::HashMap::new();
+    let mut section = "";
+    for line in text.lines() {
+        if let Some(row) = line.strip_prefix("  ") {
+            let cells: Vec<_> = row.split_whitespace().map(str::to_string).collect();
+            rows.insert(format!("{section} {}", cells[0]), cells[1..].to_vec());
+        } else {
+            section = line.split_whitespace().next().unwrap_or_default();
+        }
+    }
+    let row = |section: &str, name: &str| {
+        rows.get(&format!("{section} {name}"))
+            .cloned()
+            .unwrap_or_else(|| panic!("`--stats` has no {section} row {name}:\n{text}"))
+    };
+    let doc = read_json(&metrics);
+    let members = |key: &str| match doc.get(key) {
+        Some(JsonValue::Object(m)) => m.clone(),
+        other => panic!("`{key}` is not an object: {other:?}"),
+    };
+    let int = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_u64).unwrap();
+    let counters = members("counters");
+    assert!(counters.iter().any(|(name, _)| name == "shots.sampled"), "the shot job is reported");
+    for (name, v) in &counters {
+        assert_eq!(row("counters:", name), &[v.as_u64().unwrap().to_string()], "{name}");
+    }
+    let gauges = members("gauges");
+    for (name, v) in &gauges {
+        let shown: f64 = row("gauges:", name)[0].parse().unwrap();
+        assert_eq!(Some(shown), v.as_f64(), "{name}");
+    }
+    // The figures the hand-written report used to print stay in the snapshot.
+    for name in [
+        "core.nodes.vec_alive",
+        "core.nodes.mat_alive",
+        "core.nodes.peak_live",
+        "core.compute.lookups",
+        "core.table.mat_vec.lookups",
+        "core.table.mat_vec.dropped",
+        "core.gate_cache.lookups",
+        "core.gate_cache.hits",
+        "core.complex.entries",
+        "core.complex.lookups",
+        "core.complex.front_hits",
+    ] {
+        assert!(gauges.iter().any(|(n, _)| n == name), "no gauge {name}");
+    }
+    for (name, h) in &members("histograms") {
+        let expected = ["count", "min", "max"].map(|key| int(h, key).to_string());
+        assert_eq!(row("histograms:", name), &expected, "{name}");
+    }
+    let spans = members("spans");
+    assert!(spans.iter().any(|(name, _)| name == "sim.run"), "{spans:?}");
+    for (name, s) in &spans {
+        let cells = row("phases:", name);
+        let fmt_ns = qdd_telemetry::sink::fmt_ns;
+        assert_eq!(cells[0], int(s, "count").to_string(), "{name}");
+        assert_eq!(cells[1], fmt_ns(int(s, "total_ns")), "{name}");
+        assert_eq!(cells[3], fmt_ns(int(s, "max_ns")), "{name}");
+    }
+}
+
+/// `--stats` replaced `--stats-json` and `--profile`.
+#[test]
+fn removed_report_flags_are_unknown_options() {
+    let file = bell_qasm();
+    let f = file.to_str().unwrap();
+    for argv in [
+        vec!["simulate", f, "--stats-json"],
+        vec!["simulate", f, "--profile"],
+        vec!["verify", f, f, "--profile"],
+    ] {
+        let out = qdd(&argv);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}");
+        let flag = argv.last().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option `{flag}`")), "{argv:?}: {err}");
+    }
+    std::fs::remove_file(file).ok();
+}
+
+/// Worker threads keep their events, so a multi-threaded shot run's Chrome
+/// trace names only the lane that carries events.
+#[test]
+fn chrome_trace_names_only_lanes_with_events() {
+    let file = temp_file(
+        "lanes.qasm",
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
+         h q[0];\nmeasure q[0] -> c[0];\nif (c==1) x q[1];\nh q[1];\nmeasure q[1] -> c[1];\n",
+    );
+    let trace = temp_path("lanes.json");
+    let out = qdd(&[
+        "simulate",
+        file.to_str().unwrap(),
+        "--shots",
+        "2000",
+        "--threads",
+        "2",
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("2 threads"));
+    let doc = read_json(&trace);
+    let events = doc.get("traceEvents").and_then(JsonValue::as_array).unwrap();
+    let str_of = |e: &JsonValue, key: &str| e.get(key).and_then(JsonValue::as_str).map(str::to_string);
+    let tid = |e: &JsonValue| e.get("tid").and_then(JsonValue::as_u64);
+    let named: Vec<_> = events
+        .iter()
+        .filter(|e| str_of(e, "name").as_deref() == Some("thread_name"))
+        .map(tid)
+        .collect();
+    assert!(!named.is_empty(), "the coordinator's lane is named");
+    for lane in named {
+        assert!(
+            events
+                .iter()
+                .any(|e| str_of(e, "ph").as_deref() != Some("M") && tid(e) == lane),
+            "lane {lane:?} is named but carries no event"
+        );
+    }
     std::fs::remove_file(file).ok();
 }
 

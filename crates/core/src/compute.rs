@@ -212,40 +212,30 @@ pub(crate) struct ComputeTables {
     pub prob_one: Cache<(VNodeId, Qubit), f64>,
 }
 
-/// Number of caches in [`ComputeTables`]; a total-entry budget is split
-/// evenly across them.
+/// Number of caches in [`ComputeTables`].
 const CACHE_COUNT: usize = 9;
 
-/// Default slot count of the four hot tables (addition and multiplication
-/// carry almost all traffic in simulation and verification).
-const DEFAULT_HOT_CAP: usize = 1 << 15;
+/// Slot count of the four hot tables (addition and multiplication carry
+/// almost all traffic in simulation and verification).
+const HOT_CAP: usize = 1 << 15;
 
-/// Default slot count of the remaining tables.
-const DEFAULT_COLD_CAP: usize = 1 << 12;
+/// Slot count of the remaining tables.
+const COLD_CAP: usize = 1 << 12;
 
 impl ComputeTables {
-    /// Tables whose combined slot count stays at or under
-    /// `max_total_entries` (each cache gets an even power-of-two share,
-    /// floored at [`MIN_CACHE_CAP`]); `None` selects the default
-    /// capacities.
-    pub(crate) fn bounded(max_total_entries: Option<usize>) -> Self {
-        let (hot, cold) = match max_total_entries {
-            Some(total) => {
-                let share = (total / CACHE_COUNT).max(MIN_CACHE_CAP);
-                (share, share)
-            }
-            None => (DEFAULT_HOT_CAP, DEFAULT_COLD_CAP),
-        };
+    /// Empty tables: [`HOT_CAP`] slots for addition and multiplication,
+    /// [`COLD_CAP`] for the rest.
+    pub(crate) fn new() -> Self {
         ComputeTables {
-            add_vec: Cache::with_cap(hot),
-            add_mat: Cache::with_cap(hot),
-            mat_vec: Cache::with_cap(hot),
-            mat_mat: Cache::with_cap(hot),
-            kron_vec: Cache::with_cap(cold),
-            kron_mat: Cache::with_cap(cold),
-            adjoint: Cache::with_cap(cold),
-            inner: Cache::with_cap(cold),
-            prob_one: Cache::with_cap(cold),
+            add_vec: Cache::with_cap(HOT_CAP),
+            add_mat: Cache::with_cap(HOT_CAP),
+            mat_vec: Cache::with_cap(HOT_CAP),
+            mat_mat: Cache::with_cap(HOT_CAP),
+            kron_vec: Cache::with_cap(COLD_CAP),
+            kron_mat: Cache::with_cap(COLD_CAP),
+            adjoint: Cache::with_cap(COLD_CAP),
+            inner: Cache::with_cap(COLD_CAP),
+            prob_one: Cache::with_cap(COLD_CAP),
         }
     }
 
@@ -372,20 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn bounded_tables_split_budget_with_floor() {
-        let t = ComputeTables::bounded(Some(9));
-        // 9 entries / 9 caches = 1, floored at MIN_CACHE_CAP.
-        assert_eq!(t.add_vec.capacity(), MIN_CACHE_CAP);
-        let t = ComputeTables::bounded(Some(9 * 1024));
-        assert_eq!(t.mat_vec.capacity(), 1024);
-        let t = ComputeTables::bounded(None);
-        assert_eq!(t.mat_vec.capacity(), DEFAULT_HOT_CAP);
-        assert_eq!(t.adjoint.capacity(), DEFAULT_COLD_CAP);
-    }
-
-    #[test]
     fn compute_tables_clear_all() {
-        let mut t = ComputeTables::bounded(None);
+        let mut t = ComputeTables::new();
         t.mat_vec
             .insert((MNodeId::from_index(0), VNodeId::from_index(0)), VecEdge::ZERO);
         assert_eq!(t.total_entries(), 1);
@@ -396,7 +374,7 @@ mod tests {
 
     #[test]
     fn per_table_stats_name_every_cache() {
-        let t = ComputeTables::bounded(None);
+        let t = ComputeTables::new();
         let stats = t.per_table();
         assert_eq!(stats.len(), CACHE_COUNT);
         let names: std::collections::HashSet<&str> =

@@ -11,12 +11,6 @@ pub enum ResourceKind {
     Nodes,
     /// Interned complex values ([`Limits::max_complex_entries`](crate::Limits::max_complex_entries)).
     ComplexEntries,
-    /// Operation recursion depth ([`Limits::recursion_depth`](crate::Limits::recursion_depth)).
-    RecursionDepth,
-    /// Memoized operation results ([`Limits::max_compute_entries`](crate::Limits::max_compute_entries)).
-    /// Caches normally evict instead of erroring; reserved for drivers that
-    /// treat eviction pressure as a hard failure.
-    ComputeEntries,
 }
 
 impl ResourceKind {
@@ -26,8 +20,6 @@ impl ResourceKind {
         match self {
             ResourceKind::Nodes => "max_nodes",
             ResourceKind::ComplexEntries => "max_complex_entries",
-            ResourceKind::RecursionDepth => "recursion_depth",
-            ResourceKind::ComputeEntries => "max_compute_entries",
         }
     }
 }
@@ -37,8 +29,6 @@ impl fmt::Display for ResourceKind {
         f.write_str(match self {
             ResourceKind::Nodes => "node budget",
             ResourceKind::ComplexEntries => "complex-table budget",
-            ResourceKind::RecursionDepth => "recursion depth limit",
-            ResourceKind::ComputeEntries => "compute-table budget",
         })
     }
 }
@@ -203,8 +193,6 @@ mod tests {
         for (kind, name) in [
             (ResourceKind::Nodes, "max_nodes"),
             (ResourceKind::ComplexEntries, "max_complex_entries"),
-            (ResourceKind::RecursionDepth, "recursion_depth"),
-            (ResourceKind::ComputeEntries, "max_compute_entries"),
         ] {
             assert_eq!(kind.limit_name(), name);
             let msg = DdError::ResourceExhausted { kind, limit: 1, used: 2 }.to_string();

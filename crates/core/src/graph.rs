@@ -368,9 +368,27 @@ mod tests {
     fn to_json_is_balanced_and_tagged() {
         let g = bell_graph();
         let json = g.to_json();
+        assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"kind\":\"vector\""));
+        assert!(json.contains("\"numLevels\":2"));
+        assert!(json.contains("\"rootWeight\":{\"re\":1"));
+        assert!(
+            json.contains("0.7071067811865476"),
+            "child weights carry 1/sqrt(2)"
+        );
         assert!(json.contains("\"skip\":0"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+        // 3 nodes, 6 edges.
+        assert_eq!(json.matches("\"key\":").count(), 3);
+        assert_eq!(json.matches("\"from\":").count(), 6);
+
+        let mut dd = DdPackage::new();
+        let z = dd.zero_state(1).unwrap();
+        assert!(DdGraph::from_vector(&dd, z).to_json().contains("\"to\":null"));
+        let h = dd.gate_dd(gates::H, &[], 0, 1).unwrap();
+        let json = DdGraph::from_matrix(&dd, h).to_json();
+        assert!(json.contains("\"kind\":\"matrix\""));
+        assert_eq!(json.matches("\"slot\":").count(), 4);
     }
 }

@@ -4,27 +4,28 @@
 //! decision diagram; driven interactively or by untrusted circuit files, the
 //! package must fail *gracefully* — bounded memory, bounded time, structured
 //! errors — instead of exhausting the host. [`Limits`] declares the budgets;
-//! the package enforces them at three chokepoints:
+//! the package enforces them at two chokepoints:
 //!
 //! 1. **Node allocation** (`try_make_vec_node` / `try_make_mat_node`): a new
 //!    unique-table entry is refused once the live-node estimate reaches
 //!    [`Limits::max_nodes`], and complex-weight interning growth is checked
 //!    against [`Limits::max_complex_entries`].
-//! 2. **Recursive operation entry** (`add`/`multiply`/`kron`/`inner`): each
-//!    recursion level checks [`Limits::recursion_depth`] and, periodically,
-//!    the armed [`Limits::deadline`].
-//! 3. **Compute-table insert**: each cache is a fixed slot array sized by
-//!    its share of [`Limits::max_compute_entries`]. An insert that collides
-//!    overwrites the one entry in its slot (counted in
-//!    `PackageStats::compute_evictions`); a table never grows and is never
-//!    cleared under pressure.
+//! 2. **Recursive operation entry** (`add`/`multiply`/`kron`/`inner`/
+//!    `adjoint`): every 256th entry compares the armed
+//!    [`Limits::deadline`] against the clock.
+//!
+//! Recursion depth needs no budget of its own: it is the qubit count, which
+//! the QASM parser and `zero_state` cap at [`MAX_QUBITS`](crate::MAX_QUBITS).
+//! Compute tables need none either: each is a fixed slot array in which a
+//! colliding insert overwrites the one entry in its slot (counted in
+//! `PackageStats::compute_evictions`).
 //!
 //! All limits default to *unlimited*; a default-configured package behaves
 //! byte-identically to one without the governor.
 
 use std::time::{Duration, Instant};
 
-use crate::error::{DdError, ResourceKind};
+use crate::error::DdError;
 
 /// Live-node estimate beyond which long-running drivers (simulator,
 /// equivalence checker) garbage-collect between operations when no explicit
@@ -48,23 +49,15 @@ pub const DEFAULT_COMPLEX_GC_THRESHOLD: usize = 1 << 15;
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Limits {
     /// Ceiling on live decision-diagram nodes (vector + matrix). Exceeding
-    /// it makes node construction return
-    /// [`DdError::ResourceExhausted`] with [`ResourceKind::Nodes`].
+    /// it makes node construction return [`DdError::ResourceExhausted`]
+    /// with [`ResourceKind::Nodes`](crate::ResourceKind::Nodes).
     pub max_nodes: Option<usize>,
     /// Ceiling on distinct interned complex values.
     pub max_complex_entries: Option<usize>,
-    /// Ceiling on total memoized operation results. Unlike the other limits
-    /// this one degrades silently: it sizes the caches' fixed slot arrays,
-    /// and an insert into an occupied slot overwrites that one entry instead
-    /// of erroring, counted in `PackageStats::compute_evictions`.
-    pub max_compute_entries: Option<usize>,
     /// Wall-clock budget for governed work. The clock starts when a driver
     /// arms it (`DdPackage::arm_deadline`); once elapsed, governed
     /// operations return [`DdError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
-    /// Ceiling on operation recursion depth (≈ qubit count for DD ops;
-    /// mainly a guard against pathological inputs).
-    pub recursion_depth: Option<usize>,
     /// Live-node estimate at which long-running drivers auto-GC between
     /// operations (previously a hardcoded constant in the simulator).
     pub auto_gc_threshold: usize,
@@ -110,9 +103,7 @@ impl Default for Limits {
         Limits {
             max_nodes: None,
             max_complex_entries: None,
-            max_compute_entries: None,
             deadline: None,
-            recursion_depth: None,
             auto_gc_threshold: DEFAULT_AUTO_GC_THRESHOLD,
             complex_gc_threshold: DEFAULT_COMPLEX_GC_THRESHOLD,
             min_fidelity: None,
@@ -125,11 +116,7 @@ impl Limits {
     /// True when no limit is set (the default): the governor is inert and
     /// every fast path stays on its pre-governor behavior.
     pub fn is_unlimited(&self) -> bool {
-        self.max_nodes.is_none()
-            && self.max_complex_entries.is_none()
-            && self.max_compute_entries.is_none()
-            && self.deadline.is_none()
-            && self.recursion_depth.is_none()
+        self.max_nodes.is_none() && self.max_complex_entries.is_none() && self.deadline.is_none()
     }
 }
 
@@ -170,19 +157,10 @@ impl Governor {
         self.deadline_at.is_some()
     }
 
-    /// Per-recursion-entry check: recursion depth always, deadline every
+    /// Per-recursion-entry check: the armed deadline, every
     /// [`DEADLINE_CHECK_INTERVAL`] entries.
     #[inline]
-    pub(crate) fn check(&mut self, depth: usize, limits: &Limits) -> Result<(), DdError> {
-        if let Some(max) = limits.recursion_depth {
-            if depth > max {
-                return Err(DdError::ResourceExhausted {
-                    kind: ResourceKind::RecursionDepth,
-                    limit: max,
-                    used: depth,
-                });
-            }
-        }
+    pub(crate) fn check(&mut self) -> Result<(), DdError> {
         if self.deadline_at.is_some() {
             self.tick = self.tick.wrapping_add(1);
             if self.tick.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
@@ -224,9 +202,7 @@ mod tests {
         for l in [
             Limits { max_nodes: Some(1), ..Limits::default() },
             Limits { max_complex_entries: Some(1), ..Limits::default() },
-            Limits { max_compute_entries: Some(1), ..Limits::default() },
             Limits { deadline: Some(Duration::from_millis(1)), ..Limits::default() },
-            Limits { recursion_depth: Some(1), ..Limits::default() },
         ] {
             assert!(!l.is_unlimited());
         }
@@ -237,17 +213,6 @@ mod tests {
         // the approximation rung never fires.
         let approx = Limits { min_fidelity: Some(0.9), ..Limits::default() };
         assert!(approx.is_unlimited());
-    }
-
-    #[test]
-    fn governor_depth_limit_fires() {
-        let mut g = Governor::default();
-        let limits = Limits { recursion_depth: Some(4), ..Limits::default() };
-        assert!(g.check(4, &limits).is_ok());
-        assert!(matches!(
-            g.check(5, &limits),
-            Err(DdError::ResourceExhausted { kind: ResourceKind::RecursionDepth, limit: 4, used: 5 })
-        ));
     }
 
     #[test]
@@ -266,11 +231,10 @@ mod tests {
     #[test]
     fn paced_check_eventually_sees_deadline() {
         let mut g = Governor::default();
-        let limits = Limits { deadline: Some(Duration::ZERO), ..Limits::default() };
         g.arm(Duration::ZERO);
         let mut fired = false;
         for _ in 0..2 * DEADLINE_CHECK_INTERVAL {
-            if g.check(0, &limits).is_err() {
+            if g.check().is_err() {
                 fired = true;
                 break;
             }

@@ -30,16 +30,11 @@ impl DdPackage {
     /// nodes it created are unreferenced and reclaimed by the next GC).
     pub fn try_add_vec(&mut self, a: VecEdge, b: VecEdge) -> Result<VecEdge, DdError> {
         let _span = qdd_telemetry::span("core.add_vec");
-        self.add_vec_go(a, b, 0)
+        self.add_vec_go(a, b)
     }
 
-    pub(crate) fn add_vec_go(
-        &mut self,
-        a: VecEdge,
-        b: VecEdge,
-        depth: usize,
-    ) -> Result<VecEdge, DdError> {
-        self.governor_check(depth)?;
+    pub(crate) fn add_vec_go(&mut self, a: VecEdge, b: VecEdge) -> Result<VecEdge, DdError> {
+        self.governor_check()?;
         if a.is_zero() {
             return Ok(b);
         }
@@ -84,7 +79,7 @@ impl DdPackage {
         let mut rc = [VecEdge::ZERO; 2];
         for i in 0..2 {
             let ye = self.scale_vec(yc[i], beta);
-            rc[i] = self.add_vec_go(xc[i], ye, depth + 1)?;
+            rc[i] = self.add_vec_go(xc[i], ye)?;
         }
         let r = self.try_make_vec_node(var, rc)?;
         if self.config.compute_tables {
@@ -113,16 +108,11 @@ impl DdPackage {
     /// a configured budget runs out.
     pub fn try_add_mat(&mut self, a: MatEdge, b: MatEdge) -> Result<MatEdge, DdError> {
         let _span = qdd_telemetry::span("core.add_mat");
-        self.add_mat_go(a, b, 0)
+        self.add_mat_go(a, b)
     }
 
-    pub(crate) fn add_mat_go(
-        &mut self,
-        a: MatEdge,
-        b: MatEdge,
-        depth: usize,
-    ) -> Result<MatEdge, DdError> {
-        self.governor_check(depth)?;
+    pub(crate) fn add_mat_go(&mut self, a: MatEdge, b: MatEdge) -> Result<MatEdge, DdError> {
+        self.governor_check()?;
         if a.is_zero() {
             return Ok(b);
         }
@@ -184,15 +174,15 @@ impl DdPackage {
             // `y` skips this level: it contributes `β·y` on both diagonal
             // blocks and nothing off-diagonal.
             let ye = MatEdge::new(y.node, beta);
-            rc[0] = self.add_mat_go(xc[0], ye, depth + 1)?;
+            rc[0] = self.add_mat_go(xc[0], ye)?;
             rc[1] = xc[1];
             rc[2] = xc[2];
-            rc[3] = self.add_mat_go(xc[3], ye, depth + 1)?;
+            rc[3] = self.add_mat_go(xc[3], ye)?;
         } else {
             let yc = self.mnode(y.node).children;
             for i in 0..4 {
                 let ye = self.scale_mat(yc[i], beta);
-                rc[i] = self.add_mat_go(xc[i], ye, depth + 1)?;
+                rc[i] = self.add_mat_go(xc[i], ye)?;
             }
         }
         let r = self.try_make_mat_node(var, rc)?;

@@ -27,20 +27,20 @@ impl DdPackage {
     /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
     /// a configured budget runs out.
     pub fn try_adjoint_mat(&mut self, m: MatEdge) -> Result<MatEdge, DdError> {
-        self.adjoint_go(m, 0)
+        self.adjoint_go(m)
     }
 
-    fn adjoint_go(&mut self, m: MatEdge, depth: usize) -> Result<MatEdge, DdError> {
+    fn adjoint_go(&mut self, m: MatEdge) -> Result<MatEdge, DdError> {
         if m.is_zero() {
             return Ok(MatEdge::ZERO);
         }
         let w = self.ctable.conj(m.weight);
-        let r = self.adjoint_unit(m.node, depth)?;
+        let r = self.adjoint_unit(m.node)?;
         Ok(self.scale_mat(r, w))
     }
 
-    fn adjoint_unit(&mut self, mn: MNodeId, depth: usize) -> Result<MatEdge, DdError> {
-        self.governor_check(depth)?;
+    fn adjoint_unit(&mut self, mn: MNodeId) -> Result<MatEdge, DdError> {
+        self.governor_check()?;
         if mn.is_terminal() {
             return Ok(MatEdge::ONE);
         }
@@ -53,10 +53,10 @@ impl DdPackage {
         let var = node.var;
         let c = node.children;
         // Transpose swaps the off-diagonal blocks; conjugation recurses.
-        let r00 = self.adjoint_go(c[0], depth + 1)?;
-        let r01 = self.adjoint_go(c[2], depth + 1)?;
-        let r10 = self.adjoint_go(c[1], depth + 1)?;
-        let r11 = self.adjoint_go(c[3], depth + 1)?;
+        let r00 = self.adjoint_go(c[0])?;
+        let r01 = self.adjoint_go(c[2])?;
+        let r10 = self.adjoint_go(c[1])?;
+        let r11 = self.adjoint_go(c[3])?;
         let r = self.try_make_mat_node(var, [r00, r01, r10, r11])?;
         if self.config.compute_tables {
             self.caches.adjoint.insert(mn, r);

@@ -24,19 +24,19 @@ impl DdPackage {
     ///
     /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
     /// a configured budget runs out. Inner products allocate no DD nodes,
-    /// so only the depth and deadline budgets apply.
+    /// so only the deadline applies.
     pub fn try_inner_product(&mut self, a: VecEdge, b: VecEdge) -> Result<Complex, DdError> {
         let _span = qdd_telemetry::span("core.inner");
         if a.is_zero() || b.is_zero() {
             return Ok(Complex::ZERO);
         }
         let factor = self.complex_value(a.weight).conj() * self.complex_value(b.weight);
-        let unit = self.inner_unit(a.node, b.node, 0)?;
+        let unit = self.inner_unit(a.node, b.node)?;
         Ok(factor * self.complex_value(unit))
     }
 
-    fn inner_unit(&mut self, an: VNodeId, bn: VNodeId, depth: usize) -> Result<ComplexIdx, DdError> {
-        self.governor_check(depth)?;
+    fn inner_unit(&mut self, an: VNodeId, bn: VNodeId) -> Result<ComplexIdx, DdError> {
+        self.governor_check()?;
         if an.is_terminal() && bn.is_terminal() {
             return Ok(C_ONE);
         }
@@ -60,7 +60,7 @@ impl DdPackage {
             if ac[i].is_zero() || bc[i].is_zero() {
                 continue;
             }
-            let sub = self.inner_unit(ac[i].node, bc[i].node, depth + 1)?;
+            let sub = self.inner_unit(ac[i].node, bc[i].node)?;
             sum += self.complex_value(ac[i].weight).conj()
                 * self.complex_value(bc[i].weight)
                 * self.complex_value(sub);

@@ -31,25 +31,20 @@ impl DdPackage {
     /// a configured budget runs out.
     pub fn try_kron_vec(&mut self, a: VecEdge, b: VecEdge) -> Result<VecEdge, DdError> {
         let _span = qdd_telemetry::span("core.kron_vec");
-        self.kron_vec_go(a, b, 0)
+        self.kron_vec_go(a, b)
     }
 
-    pub(crate) fn kron_vec_go(
-        &mut self,
-        a: VecEdge,
-        b: VecEdge,
-        depth: usize,
-    ) -> Result<VecEdge, DdError> {
+    pub(crate) fn kron_vec_go(&mut self, a: VecEdge, b: VecEdge) -> Result<VecEdge, DdError> {
         if a.is_zero() || b.is_zero() {
             return Ok(VecEdge::ZERO);
         }
         let alpha = self.ctable.mul(a.weight, b.weight);
-        let r = self.kron_vec_unit(a.node, b.node, depth)?;
+        let r = self.kron_vec_unit(a.node, b.node)?;
         Ok(self.scale_vec(r, alpha))
     }
 
-    fn kron_vec_unit(&mut self, an: VNodeId, bn: VNodeId, depth: usize) -> Result<VecEdge, DdError> {
-        self.governor_check(depth)?;
+    fn kron_vec_unit(&mut self, an: VNodeId, bn: VNodeId) -> Result<VecEdge, DdError> {
+        self.governor_check()?;
         if an.is_terminal() {
             // Terminal replacement: the unit edge into b's root.
             return Ok(VecEdge::new(bn, C_ONE));
@@ -71,7 +66,7 @@ impl DdPackage {
         let b_unit = VecEdge::new(bn, C_ONE);
         let mut rc = [VecEdge::ZERO; 2];
         for (i, slot) in rc.iter_mut().enumerate() {
-            *slot = self.kron_vec_go(ac[i], b_unit, depth + 1)?;
+            *slot = self.kron_vec_go(ac[i], b_unit)?;
         }
         let r = self.try_make_vec_node(var, rc)?;
         if self.config.compute_tables {
@@ -147,7 +142,7 @@ impl DdPackage {
                 "kron_mat span smaller than b's root variable"
             );
         }
-        self.kron_mat_go(a, b, b_levels as Qubit, 0)
+        self.kron_mat_go(a, b, b_levels as Qubit)
     }
 
     pub(crate) fn kron_mat_go(
@@ -155,13 +150,12 @@ impl DdPackage {
         a: MatEdge,
         b: MatEdge,
         shift: Qubit,
-        depth: usize,
     ) -> Result<MatEdge, DdError> {
         if a.is_zero() || b.is_zero() {
             return Ok(MatEdge::ZERO);
         }
         let alpha = self.ctable.mul(a.weight, b.weight);
-        let r = self.kron_mat_unit(a.node, b.node, shift, depth)?;
+        let r = self.kron_mat_unit(a.node, b.node, shift)?;
         Ok(self.scale_mat(r, alpha))
     }
 
@@ -170,9 +164,8 @@ impl DdPackage {
         an: MNodeId,
         bn: MNodeId,
         shift: Qubit,
-        depth: usize,
     ) -> Result<MatEdge, DdError> {
-        self.governor_check(depth)?;
+        self.governor_check()?;
         if an.is_terminal() {
             // Terminal replacement; under identity skip a terminal in `A`
             // is identity on `A`'s remaining levels, which stays implicit
@@ -191,7 +184,7 @@ impl DdPackage {
         let b_unit = MatEdge::new(bn, C_ONE);
         let mut rc = [MatEdge::ZERO; 4];
         for (i, slot) in rc.iter_mut().enumerate() {
-            *slot = self.kron_mat_go(ac[i], b_unit, shift, depth + 1)?;
+            *slot = self.kron_mat_go(ac[i], b_unit, shift)?;
         }
         let r = self.try_make_mat_node(var, rc)?;
         if self.config.compute_tables {

@@ -30,25 +30,20 @@ impl DdPackage {
     /// a configured budget runs out.
     pub fn try_mat_vec(&mut self, m: MatEdge, v: VecEdge) -> Result<VecEdge, DdError> {
         let _span = qdd_telemetry::span("core.mat_vec");
-        self.mat_vec_go(m, v, 0)
+        self.mat_vec_go(m, v)
     }
 
-    pub(crate) fn mat_vec_go(
-        &mut self,
-        m: MatEdge,
-        v: VecEdge,
-        depth: usize,
-    ) -> Result<VecEdge, DdError> {
+    pub(crate) fn mat_vec_go(&mut self, m: MatEdge, v: VecEdge) -> Result<VecEdge, DdError> {
         if m.is_zero() || v.is_zero() {
             return Ok(VecEdge::ZERO);
         }
         let alpha = self.ctable.mul(m.weight, v.weight);
-        let r = self.mat_vec_unit(m.node, v.node, depth)?;
+        let r = self.mat_vec_unit(m.node, v.node)?;
         Ok(self.scale_vec(r, alpha))
     }
 
-    fn mat_vec_unit(&mut self, mn: MNodeId, vn: VNodeId, depth: usize) -> Result<VecEdge, DdError> {
-        self.governor_check(depth)?;
+    fn mat_vec_unit(&mut self, mn: MNodeId, vn: VNodeId) -> Result<VecEdge, DdError> {
+        self.governor_check()?;
         // Identity skip: a terminal matrix operand is the identity on every
         // remaining level (the scalar weight was peeled off in
         // `mat_vec_go`), so `I·v = v` prunes the whole sub-diagram below a
@@ -75,14 +70,14 @@ impl DdPackage {
             // matrix into both vector children.
             let m = MatEdge::new(mn, qdd_complex::C_ONE);
             for (i, slot) in rc.iter_mut().enumerate() {
-                *slot = self.mat_vec_go(m, vc[i], depth + 1)?;
+                *slot = self.mat_vec_go(m, vc[i])?;
             }
         } else {
             let mc = mnode.children;
             for (i, slot) in rc.iter_mut().enumerate() {
-                let p0 = self.mat_vec_go(mc[2 * i], vc[0], depth + 1)?;
-                let p1 = self.mat_vec_go(mc[2 * i + 1], vc[1], depth + 1)?;
-                *slot = self.add_vec_go(p0, p1, depth + 1)?;
+                let p0 = self.mat_vec_go(mc[2 * i], vc[0])?;
+                let p1 = self.mat_vec_go(mc[2 * i + 1], vc[1])?;
+                *slot = self.add_vec_go(p0, p1)?;
             }
         }
         let r = self.try_make_vec_node(var, rc)?;
@@ -115,25 +110,20 @@ impl DdPackage {
     /// a configured budget runs out.
     pub fn try_mat_mat(&mut self, a: MatEdge, b: MatEdge) -> Result<MatEdge, DdError> {
         let _span = qdd_telemetry::span("core.mat_mat");
-        self.mat_mat_go(a, b, 0)
+        self.mat_mat_go(a, b)
     }
 
-    pub(crate) fn mat_mat_go(
-        &mut self,
-        a: MatEdge,
-        b: MatEdge,
-        depth: usize,
-    ) -> Result<MatEdge, DdError> {
+    pub(crate) fn mat_mat_go(&mut self, a: MatEdge, b: MatEdge) -> Result<MatEdge, DdError> {
         if a.is_zero() || b.is_zero() {
             return Ok(MatEdge::ZERO);
         }
         let alpha = self.ctable.mul(a.weight, b.weight);
-        let r = self.mat_mat_unit(a.node, b.node, depth)?;
+        let r = self.mat_mat_unit(a.node, b.node)?;
         Ok(self.scale_mat(r, alpha))
     }
 
-    fn mat_mat_unit(&mut self, an: MNodeId, bn: MNodeId, depth: usize) -> Result<MatEdge, DdError> {
-        self.governor_check(depth)?;
+    fn mat_mat_unit(&mut self, an: MNodeId, bn: MNodeId) -> Result<MatEdge, DdError> {
+        self.governor_check()?;
         // Identity skip on either operand: a terminal matrix is the
         // identity on every remaining level, so `I·B = B` and `A·I = A`
         // (weights were peeled off in `mat_mat_go`).
@@ -160,21 +150,21 @@ impl DdPackage {
             // B skips this level: (A·(I⊗B))_{ij} = A_{ij}·B.
             let b = MatEdge::new(bn, qdd_complex::C_ONE);
             for (c, slot) in rc.iter_mut().enumerate() {
-                *slot = self.mat_mat_go(ac[c], b, depth + 1)?;
+                *slot = self.mat_mat_go(ac[c], b)?;
             }
         } else if bvar > avar {
             // A skips this level: ((I⊗A)·B)_{ij} = A·B_{ij}.
             let a = MatEdge::new(an, qdd_complex::C_ONE);
             for (c, slot) in rc.iter_mut().enumerate() {
-                *slot = self.mat_mat_go(a, bc[c], depth + 1)?;
+                *slot = self.mat_mat_go(a, bc[c])?;
             }
         } else {
             for i in 0..2 {
                 for j in 0..2 {
                     // (A·B)_{ij} = Σ_k A_{ik} · B_{kj}
-                    let p0 = self.mat_mat_go(ac[2 * i], bc[j], depth + 1)?;
-                    let p1 = self.mat_mat_go(ac[2 * i + 1], bc[2 + j], depth + 1)?;
-                    rc[2 * i + j] = self.add_mat_go(p0, p1, depth + 1)?;
+                    let p0 = self.mat_mat_go(ac[2 * i], bc[j])?;
+                    let p1 = self.mat_mat_go(ac[2 * i + 1], bc[2 + j])?;
+                    rc[2 * i + j] = self.add_mat_go(p0, p1)?;
                 }
             }
         }

@@ -63,9 +63,8 @@ impl DdPackage {
     /// # Errors
     ///
     /// Returns [`DdError::QubitIndexOutOfRange`], [`DdError::ControlOnTarget`],
-    /// [`DdError::DuplicateControl`], or [`DdError::NotUnitary`] (the latter
-    /// only when [`PackageConfig::check_unitarity`](crate::PackageConfig::check_unitarity)
-    /// is set) for invalid inputs.
+    /// [`DdError::DuplicateControl`], or [`DdError::NotUnitary`] for invalid
+    /// inputs.
     pub fn gate_dd(
         &mut self,
         u: GateMatrix,
@@ -97,7 +96,7 @@ impl DdPackage {
             }
             seen[c.qubit] = true;
         }
-        if self.config.check_unitarity && !gates::is_unitary(&u, 1e-9) {
+        if !gates::is_unitary(&u, 1e-9) {
             return Err(DdError::NotUnitary);
         }
 
@@ -321,16 +320,6 @@ mod tests {
         ));
         let bad = [[Complex::ONE, Complex::ONE], [Complex::ZERO, Complex::ONE]];
         assert!(matches!(dd.gate_dd(bad, &[], 0, 1), Err(DdError::NotUnitary)));
-    }
-
-    #[test]
-    fn unitarity_check_can_be_disabled() {
-        let mut dd = DdPackage::with_config(PackageConfig {
-            check_unitarity: false,
-            ..PackageConfig::default()
-        });
-        let not_unitary = [[Complex::ONE, Complex::ONE], [Complex::ZERO, Complex::ONE]];
-        assert!(dd.gate_dd(not_unitary, &[], 0, 1).is_ok());
     }
 
     #[test]

@@ -52,8 +52,6 @@ pub struct PackageConfig {
     /// only useful for the ablation experiments — expect exponential
     /// slowdowns on anything non-trivial.
     pub compute_tables: bool,
-    /// Validates 2×2 gate matrices for unitarity in [`DdPackage::gate_dd`].
-    pub check_unitarity: bool,
     /// Normalization rule for vector nodes. Measurement and sampling
     /// require the default [`VectorNormalization::L2`]; the alternative is
     /// for the ablation experiments.
@@ -67,7 +65,6 @@ impl Default for PackageConfig {
         PackageConfig {
             tolerance: DEFAULT_TOLERANCE,
             compute_tables: true,
-            check_unitarity: true,
             vector_normalization: VectorNormalization::default(),
             limits: Limits::default(),
         }
@@ -165,7 +162,7 @@ impl DdPackage {
             vstore: NodeStore::new(),
             mstore: NodeStore::new(),
             ctable: ComplexTable::with_tolerance(config.tolerance),
-            caches: ComputeTables::bounded(config.limits.max_compute_entries),
+            caches: ComputeTables::new(),
             config,
             gate_cache: FxHashMap::default(),
             gate_cache_dirty: false,
@@ -246,8 +243,7 @@ impl DdPackage {
     /// Replaces the active resource limits. Drivers use this to exempt
     /// mandatory setup (e.g. the initial `|0…0⟩` state, whose size is the
     /// register width, not "work") from a node budget, restoring the
-    /// budget before governed operations begin. The compute-table bound is
-    /// fixed at construction and is not affected.
+    /// budget before governed operations begin.
     pub fn set_limits(&mut self, limits: Limits) {
         self.config.limits = limits;
     }
@@ -284,12 +280,11 @@ impl DdPackage {
         self.governor.check_deadline_now()
     }
 
-    /// Per-recursion-level governor check used by the DD operations:
-    /// recursion depth always, the armed deadline periodically.
+    /// Per-recursion-level governor check used by the DD operations: the
+    /// armed deadline, periodically.
     #[inline]
-    pub(crate) fn governor_check(&mut self, depth: usize) -> Result<(), DdError> {
-        let limits = self.config.limits;
-        self.governor.check(depth, &limits)
+    pub(crate) fn governor_check(&mut self) -> Result<(), DdError> {
+        self.governor.check()
     }
 
     // ------------------------------------------------------------------

@@ -256,24 +256,27 @@ impl DdPackage {
 
         // Static gauge names per compute table, in the reporting order of
         // `compute_table_stats` (gauge keys must be `&'static str`).
-        const TABLE_KEYS: [(&str, &str, &str, &str); 9] = [
-            ("add-vec", "core.table.add_vec.lookups", "core.table.add_vec.hits", "core.table.add_vec.hit_rate"),
-            ("add-mat", "core.table.add_mat.lookups", "core.table.add_mat.hits", "core.table.add_mat.hit_rate"),
-            ("mat-vec", "core.table.mat_vec.lookups", "core.table.mat_vec.hits", "core.table.mat_vec.hit_rate"),
-            ("mat-mat", "core.table.mat_mat.lookups", "core.table.mat_mat.hits", "core.table.mat_mat.hit_rate"),
-            ("kron-vec", "core.table.kron_vec.lookups", "core.table.kron_vec.hits", "core.table.kron_vec.hit_rate"),
-            ("kron-mat", "core.table.kron_mat.lookups", "core.table.kron_mat.hits", "core.table.kron_mat.hit_rate"),
-            ("adjoint", "core.table.adjoint.lookups", "core.table.adjoint.hits", "core.table.adjoint.hit_rate"),
-            ("inner", "core.table.inner.lookups", "core.table.inner.hits", "core.table.inner.hit_rate"),
-            ("prob-one", "core.table.prob_one.lookups", "core.table.prob_one.hits", "core.table.prob_one.hit_rate"),
-        ];
-        for (t, (name, lookups_key, hits_key, rate_key)) in
+        macro_rules! table_keys {
+            ($($name:literal => $key:literal),*) => {
+                [$(($name, concat!("core.table.", $key, ".lookups"),
+                    concat!("core.table.", $key, ".hits"),
+                    concat!("core.table.", $key, ".hit_rate"),
+                    concat!("core.table.", $key, ".dropped"))),*]
+            };
+        }
+        const TABLE_KEYS: [(&str, &str, &str, &str, &str); 9] = table_keys!(
+            "add-vec" => "add_vec", "add-mat" => "add_mat", "mat-vec" => "mat_vec",
+            "mat-mat" => "mat_mat", "kron-vec" => "kron_vec", "kron-mat" => "kron_mat",
+            "adjoint" => "adjoint", "inner" => "inner", "prob-one" => "prob_one"
+        );
+        for (t, (name, lookups_key, hits_key, rate_key, dropped_key)) in
             self.compute_table_stats().iter().zip(TABLE_KEYS)
         {
             debug_assert_eq!(t.name, name, "table reporting order changed");
             qdd_telemetry::gauge_set(lookups_key, t.lookups as f64);
             qdd_telemetry::gauge_set(hits_key, t.hits as f64);
             qdd_telemetry::gauge_set(rate_key, t.hit_rate());
+            qdd_telemetry::gauge_set(dropped_key, t.dropped as f64);
         }
     }
 

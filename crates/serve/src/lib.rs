@@ -41,7 +41,7 @@ pub mod session;
 
 use crate::cache::CircuitCache;
 use crate::http::{ChunkedWriter, ParseError, Request};
-use crate::json::{get_bool, get_str, get_u64, num, parse_json, snapshot_json, JsonValue};
+use crate::json::{get_bool, get_str, get_u64, num, parse_json, JsonValue};
 use crate::quota::{ApiError, Quota};
 use crate::session::SessionStore;
 use qdd_core::{Limits, MeasurementOutcome, PackageConfig};
@@ -364,7 +364,7 @@ fn handle_simulate(body: &JsonValue, state: &ServerState) -> Result<(u16, String
         sim.package().gate_cache_lookups(),
         sim.package().gate_cache_hits(),
         amplitudes,
-        snapshot_json(&snap),
+        snap.to_json(),
     );
     Ok((200, body))
 }
@@ -482,7 +482,7 @@ fn handle_shots(
         degraded_field(report.is_approximate(), false),
         outcome.hit,
         outcome.key,
-        snapshot_json(&snap),
+        snap.to_json(),
     );
     // From here any write failure means the client vanished mid-stream;
     // there is nothing useful to do but stop.
@@ -538,7 +538,7 @@ fn handle_verify(body: &JsonValue, state: &ServerState) -> Result<(u16, String),
         report.applied_left,
         report.applied_right,
         counterexample,
-        snapshot_json(&snap),
+        snap.to_json(),
     );
     Ok((200, body))
 }
@@ -568,7 +568,7 @@ fn handle_session_create(body: &JsonValue, state: &ServerState) -> Result<(u16, 
         201,
         format!(
             "{{\"session\":{id},\"qubits\":{qubits},\"ops\":{ops},\"telemetry\":{}}}",
-            snapshot_json(&snap)
+            snap.to_json()
         ),
     ))
 }
@@ -632,7 +632,7 @@ fn handle_session_step(
         ))
     })??;
     let snap = qdd_telemetry::take_merged_snapshot();
-    Ok((200, format!("{{{fields},\"telemetry\":{}}}", snapshot_json(&snap))))
+    Ok((200, format!("{{{fields},\"telemetry\":{}}}", snap.to_json())))
 }
 
 /// Plays the session to the end, resolving every choice dialog with the
@@ -667,7 +667,7 @@ fn handle_session_play(
         ))
     })??;
     let snap = qdd_telemetry::take_merged_snapshot();
-    Ok((200, format!("{{{fields},\"telemetry\":{}}}", snapshot_json(&snap))))
+    Ok((200, format!("{{{fields},\"telemetry\":{}}}", snap.to_json())))
 }
 
 #[cfg(test)]

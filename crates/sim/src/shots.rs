@@ -382,12 +382,6 @@ fn run_mid_circuit(
                         let _panic_guard = PanicCancel(cancel);
                         qdd_telemetry::set_enabled(telemetry);
                         qdd_telemetry::set_scope(telemetry_scope);
-                        if telemetry {
-                            qdd_telemetry::register_worker_name(
-                                w as u32 + 1,
-                                format!("shot-worker-{}", w + 1),
-                            );
-                        }
                         if timeline {
                             qdd_telemetry::timeline::set_enabled(true);
                             qdd_telemetry::timeline::set_worker(w as u32 + 1);

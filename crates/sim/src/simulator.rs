@@ -6,13 +6,14 @@ use crate::error::SimError;
 use qdd_circuit::{Operation, QuantumCircuit};
 use qdd_complex::{Complex, FxHashMap};
 use qdd_core::{
-    ApproxPolicy, DdError, DdPackage, Limits, MeasurementOutcome, PackageConfig, ResourceKind,
-    VecEdge,
+    ApproxPolicy, DdError, DdPackage, Limits, MeasurementOutcome, PackageConfig, VecEdge,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Per-run statistics of a [`DdSimulator`].
+/// Per-run statistics of a [`DdSimulator`]: what the run alone knows.
+/// Package counters (GC runs, cache traffic, live-node peaks) are read from
+/// [`DdSimulator::package`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimStats {
     /// Peak node count of the state DD over the run (not updated after a
@@ -20,17 +21,6 @@ pub struct SimStats {
     pub peak_nodes: usize,
     /// Number of operations applied.
     pub applied_ops: usize,
-    /// Garbage collections forced by node-budget pressure.
-    pub gc_pressure_runs: u64,
-    /// Compute-table entries dropped by colliding inserts (capacity
-    /// pressure in the direct-mapped tables).
-    pub compute_evictions: u64,
-    /// Gate-DD cache probes over the run.
-    pub gate_cache_lookups: u64,
-    /// Gate-DD cache probes answered without rebuilding the operator.
-    pub gate_cache_hits: u64,
-    /// High-water mark of the package's live-node estimate.
-    pub peak_live_nodes: usize,
     /// Whether the run degraded to dense state-vector simulation after the
     /// node budget stayed exhausted through a pressure GC.
     pub dense_fallback: bool,
@@ -48,11 +38,6 @@ impl Default for SimStats {
         SimStats {
             peak_nodes: 0,
             applied_ops: 0,
-            gc_pressure_runs: 0,
-            compute_evictions: 0,
-            gate_cache_lookups: 0,
-            gate_cache_hits: 0,
-            peak_live_nodes: 0,
             dense_fallback: false,
             approx_rounds: 0,
             approx_nodes_removed: 0,
@@ -480,10 +465,6 @@ impl DdSimulator {
             if matches!(e, SimError::Dd(DdError::DeadlineExceeded { .. })) {
                 qdd_telemetry::emit("sim.deadline").field("op_index", op_index);
             }
-            // Keep the stats faithful even when the operation failed: a
-            // pressure GC attempted during the failed application must be
-            // visible to callers inspecting the wreckage.
-            self.sync_governor_stats();
             return Err(e);
         }
         if self.dense.is_none() {
@@ -510,7 +491,6 @@ impl DdSimulator {
             }
         }
         self.stats.applied_ops += 1;
-        self.sync_governor_stats();
         Ok(true)
     }
 
@@ -612,14 +592,6 @@ impl DdSimulator {
         });
     }
 
-    fn sync_governor_stats(&mut self) {
-        self.stats.gc_pressure_runs = self.dd.gc_pressure_runs();
-        self.stats.compute_evictions = self.dd.compute_evictions();
-        self.stats.gate_cache_lookups = self.dd.gate_cache_lookups();
-        self.stats.gate_cache_hits = self.dd.gate_cache_hits();
-        self.stats.peak_live_nodes = self.dd.peak_live_nodes();
-    }
-
     /// One operation through the degradation ladder: apply, and on node
     /// exhaustion GC-under-pressure + retry, then fidelity-bounded
     /// approximation (when authorized), then fall back to dense.
@@ -640,7 +612,7 @@ impl DdSimulator {
         // cumulative fidelity bound has budget left and each round makes
         // progress. Each round targets half the current node count, so the
         // loop is finitely bounded even under a generous fidelity budget.
-        while self.approximation_applies(&err) {
+        while self.approximation_applies() {
             if !self.approximate_round() {
                 break;
             }
@@ -667,22 +639,14 @@ impl DdSimulator {
         Ok(())
     }
 
-    /// Whether the approximation rung may fire for this failure: it needs
-    /// an authorized fidelity budget, and only helps against budgets that
-    /// scale with diagram size (nodes, interned weights) — recursion-depth
-    /// exhaustion is immune to a smaller state of the same width.
-    fn approximation_applies(&self, err: &DdError) -> bool {
+    /// Whether the approximation rung may fire: it needs an authorized
+    /// fidelity budget. Both memory budgets (nodes, interned weights) scale
+    /// with diagram size, so a smaller state helps against either.
+    fn approximation_applies(&self) -> bool {
         self.dd.limits().min_fidelity.is_some()
             // Node contributions are probability masses only under L2; the
             // ablation rules opt out of the approximation rung.
             && self.dd.config().vector_normalization == qdd_core::VectorNormalization::L2
-            && matches!(
-                err,
-                DdError::ResourceExhausted {
-                    kind: ResourceKind::Nodes | ResourceKind::ComplexEntries,
-                    ..
-                }
-            )
     }
 
     /// One approximation round: prune per policy, adopt the smaller state,
@@ -1196,7 +1160,7 @@ mod tests {
             other => panic!("expected ResourceExhausted, got {other:?}"),
         }
         assert!(
-            sim.stats().gc_pressure_runs > 0,
+            sim.package().gc_pressure_runs() > 0,
             "pressure GC must have been attempted before giving up"
         );
         assert!(!sim.degraded_to_dense());
@@ -1213,7 +1177,7 @@ mod tests {
         sim.run().unwrap();
         assert!(sim.degraded_to_dense());
         assert!(sim.stats().dense_fallback);
-        assert!(sim.stats().gc_pressure_runs > 0);
+        assert!(sim.package().gc_pressure_runs() > 0);
         let got = sim.dense_state();
         for (a, b) in expected.iter().zip(got.iter()) {
             assert!(a.approx_eq(*b, 1e-9), "dense fallback diverged: {a:?} vs {b:?}");

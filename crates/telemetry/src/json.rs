@@ -1,8 +1,8 @@
 //! The workspace's one JSON reader and string escaper.
 //!
-//! Every writer in the workspace (metrics snapshots, event streams,
-//! timelines, `qdd serve` responses, the CLI's `--stats-json`) escapes
-//! strings with [`write_json_string`]. [`parse_json`] is a minimal
+//! Every writer in the workspace (metrics snapshots, Chrome traces,
+//! timelines, `qdd serve` responses) escapes strings with
+//! [`write_json_string`]. [`parse_json`] is a minimal
 //! recursive-descent parser for the documents they produce — objects,
 //! arrays, strings with standard escapes, finite numbers, booleans, null —
 //! and for the request bodies `qdd serve` receives. It rejects everything

@@ -11,9 +11,10 @@
 //!   aggregate per-phase wall time and emit structured events
 //!   ([`span()`]);
 //! * structured **events** with typed fields ([`emit`]), drained into
-//!   pluggable sinks: JSONL ([`sink::events_to_jsonl`]), Chrome
-//!   `trace_event` JSON ([`sink::events_to_chrome_trace`]), and a
-//!   human-readable profile table ([`sink::render_profile`]).
+//!   Chrome `trace_event` JSON ([`sink::events_to_chrome_trace_named`]);
+//! * one **report** of a run, the merged [`Snapshot`]: written as
+//!   `qdd-metrics-v1` JSON ([`Snapshot::to_json`]) or as the `--stats` text
+//!   ([`sink::render_stats`]).
 //!
 //! # Runtime toggle and overhead
 //!
@@ -432,37 +433,6 @@ pub fn drain_events() -> Vec<Event> {
 /// Number of events dropped after the [`MAX_EVENTS`] buffer cap was hit.
 pub fn dropped_events() -> u64 {
     COLLECTOR.with(|c| c.borrow().dropped_events)
-}
-
-/// Worker-thread names registered for trace metadata, keyed by worker
-/// index. Off the hot path: written once per worker at spawn.
-static WORKER_NAMES: Mutex<Vec<(u32, String)>> = Mutex::new(Vec::new());
-
-/// Registers a human-readable name for worker `index` (1-based; the
-/// coordinator is implicitly index 0). The Chrome trace sink emits these as
-/// `thread_name` metadata records so multi-threaded traces are readable in
-/// `chrome://tracing`. Re-registering an index overwrites its name.
-pub fn register_worker_name(index: u32, name: impl Into<String>) {
-    let name = name.into();
-    let mut names = WORKER_NAMES.lock().unwrap();
-    if let Some(slot) = names.iter_mut().find(|(i, _)| *i == index) {
-        slot.1 = name;
-    } else {
-        names.push((index, name));
-    }
-}
-
-/// All registered worker names, sorted by worker index (deterministic
-/// regardless of registration order).
-pub fn worker_names() -> Vec<(u32, String)> {
-    let mut names = WORKER_NAMES.lock().unwrap().clone();
-    names.sort_by_key(|(i, _)| *i);
-    names
-}
-
-/// Clears the registered worker names (fresh-run hygiene, with [`reset`]).
-pub fn reset_worker_names() {
-    WORKER_NAMES.lock().unwrap().clear();
 }
 
 #[cfg(test)]

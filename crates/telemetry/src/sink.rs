@@ -1,82 +1,37 @@
-//! Output sinks: JSONL event streams, Chrome `trace_event` JSON, and the
-//! human-readable profile table.
+//! Output sinks: Chrome `trace_event` JSON for the event stream, and the
+//! `--stats` text rendering of a metrics snapshot.
 
 use crate::event::Event;
 use crate::json::write_json_string;
 use crate::snapshot::Snapshot;
 use std::fmt::Write as _;
 
-/// Renders events as JSON Lines: one self-contained JSON object per line,
-/// suitable for `jq`, log shippers, or incremental parsing.
-///
-/// Line layout (checked by `scripts/check_trace.py`):
-///
-/// ```json
-/// {"ts_us":12,"kind":"span","name":"core.mat_vec","depth":1,"dur_us":3,"args":{}}
-/// {"ts_us":15,"kind":"instant","name":"sim.op","depth":0,"args":{"op_index":2}}
-/// ```
-pub fn events_to_jsonl(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
-    for ev in events {
-        out.push_str("{\"ts_us\":");
-        let _ = write!(out, "{}", ev.ts_us);
-        out.push_str(",\"kind\":");
-        out.push_str(if ev.dur_us.is_some() {
-            "\"span\""
-        } else {
-            "\"instant\""
-        });
-        out.push_str(",\"name\":");
-        write_json_string(&mut out, ev.name);
-        let _ = write!(out, ",\"depth\":{}", ev.depth);
-        if let Some(dur) = ev.dur_us {
-            let _ = write!(out, ",\"dur_us\":{dur}");
-        }
-        out.push_str(",\"args\":");
-        write_args(&mut out, ev);
-        out.push_str("}\n");
-    }
-    out
-}
-
 /// Renders events in the Chrome `trace_event` format (the
 /// `{"traceEvents": […]}` object form), loadable in `chrome://tracing`,
 /// Perfetto, or Speedscope for flamegraph-style inspection.
 ///
 /// Spans become complete (`"ph":"X"`) events; instants become
-/// thread-scoped instant (`"ph":"i"`) events.
-pub fn events_to_chrome_trace(events: &[Event]) -> String {
-    events_to_chrome_trace_named(events, None, &[])
-}
-
-/// [`events_to_chrome_trace`] plus Chrome metadata (`"ph":"M"`) records:
-/// a `process_name` record naming the workload and `thread_name` records
-/// for the coordinator (tid 1) and each registered worker (worker index
-/// `i` becomes tid `i + 1`), so multi-threaded traces read with labelled
-/// lanes in `chrome://tracing` / Perfetto.
-pub fn events_to_chrome_trace_named(
-    events: &[Event],
-    process_name: Option<&str>,
-    workers: &[(u32, String)],
-) -> String {
+/// thread-scoped instant (`"ph":"i"`) events. Every event sits on tid 1:
+/// events stay on the thread that recorded them, so only the draining
+/// thread's events reach the trace. With a `process_name`, metadata
+/// (`"ph":"M"`) records name the process and that thread (`coordinator`).
+pub fn events_to_chrome_trace_named(events: &[Event], process_name: Option<&str>) -> String {
     let mut out = String::with_capacity(events.len() * 112 + 64);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
-    let meta = |out: &mut String, name: &str, tid: u64, value: &str, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        let _ = write!(out, "\n{{\"name\":\"{name}\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":");
-        write_json_string(out, value);
-        out.push_str("}}");
-    };
     if let Some(process) = process_name {
-        meta(&mut out, "process_name", 1, process, &mut first);
-        meta(&mut out, "thread_name", 1, "coordinator", &mut first);
-    }
-    for (index, worker) in workers {
-        meta(&mut out, "thread_name", u64::from(*index) + 1, worker, &mut first);
+        for (name, value) in [("process_name", process), ("thread_name", "coordinator")] {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            let _ = write!(
+                out,
+                "\n{{\"name\":\"{name}\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{{\"name\":"
+            );
+            write_json_string(&mut out, value);
+            out.push_str("}}");
+        }
     }
     for ev in events {
         if !first {
@@ -114,7 +69,7 @@ fn write_args(out: &mut String, ev: &Event) {
     out.push('}');
 }
 
-/// Formats a nanosecond duration for the profile table (aligned, 4
+/// Formats a nanosecond duration for the phase table (aligned, 4
 /// significant-ish digits: `431ns`, `12.3µs`, `45.6ms`, `1.23s`).
 pub fn fmt_ns(ns: u64) -> String {
     if ns < 1_000 {
@@ -128,38 +83,79 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Renders the per-phase profile summary table (`--profile`): span names
-/// sorted by total wall time, with call counts, total, mean, and max.
-pub fn render_profile(snapshot: &Snapshot) -> String {
-    let mut rows: Vec<_> = snapshot.spans.iter().collect();
-    rows.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then(a.0.cmp(&b.0)));
-    let name_w = rows
-        .iter()
-        .map(|(n, _)| n.len())
-        .chain(std::iter::once("phase".len()))
-        .max()
-        .unwrap_or(5)
-        .min(40);
+/// Renders a snapshot as the `--stats` report: every counter and gauge
+/// with the value [`Snapshot::to_json`] writes, every histogram's count,
+/// min and max, the per-phase table of span aggregates sorted by total
+/// wall time (calls, then total, mean and max in [`fmt_ns`] units), and the
+/// number of dropped events. Empty sections are left out.
+pub fn render_stats(snapshot: &Snapshot) -> String {
+    let names = snapshot.counters.iter().map(|(n, _)| n.len());
+    let names = names.chain(snapshot.gauges.iter().map(|(n, _)| n.len()));
+    let names = names.chain(snapshot.histograms.iter().map(|(n, _)| n.len()));
+    let names = names.chain(snapshot.spans.iter().map(|(n, _)| n.len()));
+    let w = names.max().unwrap_or(0).clamp(10, 40);
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<name_w$} {:>9} {:>10} {:>10} {:>10}",
-        "phase", "calls", "total", "mean", "max"
-    );
-    for (name, agg) in rows {
+    if !snapshot.counters.is_empty() {
+        out.push_str("counters:\n");
+        for (name, v) in &snapshot.counters {
+            let _ = writeln!(out, "  {name:<w$} {v}");
+        }
+    }
+    if !snapshot.gauges.is_empty() {
+        out.push_str("gauges:\n");
+        for (name, v) in &snapshot.gauges {
+            let _ = write!(out, "  {name:<w$} ");
+            crate::Value::F64(*v).write_json(&mut out);
+            out.push('\n');
+        }
+    }
+    if !snapshot.histograms.is_empty() {
         let _ = writeln!(
             out,
-            "{:<name_w$} {:>9} {:>10} {:>10} {:>10}",
-            name,
-            agg.count,
-            fmt_ns(agg.total_ns),
-            fmt_ns(agg.mean_ns()),
-            fmt_ns(agg.max_ns),
+            "{:<pad$} {:>10} {:>10} {:>10}",
+            "histograms:",
+            "count",
+            "min",
+            "max",
+            pad = w + 2
         );
+        for (name, h) in &snapshot.histograms {
+            let _ = writeln!(
+                out,
+                "  {name:<w$} {:>10} {:>10} {:>10}",
+                h.count, h.min, h.max
+            );
+        }
     }
-    if snapshot.spans.is_empty() {
-        out.push_str("(no spans recorded)\n");
+    if !snapshot.spans.is_empty() {
+        let mut rows: Vec<_> = snapshot.spans.iter().collect();
+        rows.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then(a.0.cmp(&b.0)));
+        let _ = writeln!(
+            out,
+            "{:<pad$} {:>9} {:>10} {:>10} {:>10}",
+            "phases:",
+            "calls",
+            "total",
+            "mean",
+            "max",
+            pad = w + 2
+        );
+        for (name, agg) in rows {
+            let _ = writeln!(
+                out,
+                "  {name:<w$} {:>9} {:>10} {:>10} {:>10}",
+                agg.count,
+                fmt_ns(agg.total_ns),
+                fmt_ns(agg.mean_ns()),
+                fmt_ns(agg.max_ns),
+            );
+        }
     }
+    let _ = writeln!(
+        out,
+        "telemetry: {} events dropped at the buffer cap",
+        snapshot.dropped_events
+    );
     out
 }
 
@@ -189,38 +185,26 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_one_object_per_line() {
-        let text = events_to_jsonl(&sample_events());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"kind\":\"span\""));
-        assert!(lines[0].contains("\"dur_us\":5"));
-        assert!(lines[1].contains("\"kind\":\"instant\""));
-        assert!(lines[1].contains("\"gate\":\"h\""));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
-    }
-
-    #[test]
     fn chrome_trace_has_required_keys() {
-        let text = events_to_chrome_trace(&sample_events());
+        let text = events_to_chrome_trace_named(&sample_events(), None);
         assert!(text.starts_with("{\"traceEvents\":["));
         assert!(text.contains("\"ph\":\"X\""));
         assert!(text.contains("\"ph\":\"i\""));
         assert!(text.contains("\"pid\":1"));
         assert!(text.contains("\"ts\":10"));
         assert!(text.contains("\"dur\":5"));
+        assert!(
+            !text.contains("\"ph\":\"M\""),
+            "no metadata without a process name"
+        );
     }
 
     #[test]
     fn chrome_trace_metadata_records_name_threads() {
-        let workers = vec![(1, "shot-worker-1".to_string()), (2, "shot-worker-2".to_string())];
-        let text = events_to_chrome_trace_named(&sample_events(), Some("qft16"), &workers);
+        let text = events_to_chrome_trace_named(&sample_events(), Some("qft16"));
         assert!(text.contains("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"qft16\"}"));
         assert!(text.contains("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"coordinator\"}"));
-        assert!(text.contains("\"tid\":2,\"args\":{\"name\":\"shot-worker-1\"}"));
-        assert!(text.contains("\"tid\":3,\"args\":{\"name\":\"shot-worker-2\"}"));
+        assert_eq!(text.matches("\"ph\":\"M\"").count(), 2);
         // Span/instant events still present after the metadata prologue.
         assert!(text.contains("\"ph\":\"X\""));
         assert!(text.contains("\"ph\":\"i\""));
@@ -235,24 +219,50 @@ mod tests {
     }
 
     #[test]
-    fn profile_table_sorts_by_total_time() {
+    fn stats_report_lists_every_metric_and_sorts_phases_by_total_time() {
         let snap = Snapshot {
+            counters: vec![("approx.rounds".to_string(), 3)],
+            gauges: vec![("core.compute.hit_rate".to_string(), 0.5)],
             spans: vec![
                 (
                     "fast".to_string(),
-                    SpanAgg { count: 10, total_ns: 1_000, max_ns: 200 },
+                    SpanAgg {
+                        count: 10,
+                        total_ns: 1_000,
+                        max_ns: 200,
+                    },
                 ),
                 (
                     "slow".to_string(),
-                    SpanAgg { count: 1, total_ns: 9_000_000, max_ns: 9_000_000 },
+                    SpanAgg {
+                        count: 1,
+                        total_ns: 9_000_000,
+                        max_ns: 9_000_000,
+                    },
                 ),
             ],
             ..Snapshot::default()
         };
-        let table = render_profile(&snap);
-        let slow_at = table.find("slow").unwrap();
-        let fast_at = table.find("fast").unwrap();
-        assert!(slow_at < fast_at, "slowest phase first:\n{table}");
-        assert!(table.contains("calls"));
+        let report = render_stats(&snap);
+        let row = |name: &str| {
+            report
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name))
+                .unwrap_or_else(|| panic!("no row for {name}:\n{report}"))
+                .split_whitespace()
+                .skip(1)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(row("approx.rounds"), ["3"]);
+        assert_eq!(row("core.compute.hit_rate"), ["0.5"]);
+        assert_eq!(row("slow"), ["1", "9.0ms", "9.0ms", "9.0ms"]);
+        let slow_at = report.find("slow").unwrap();
+        let fast_at = report.find("fast").unwrap();
+        assert!(slow_at < fast_at, "slowest phase first:\n{report}");
+        assert!(
+            !report.contains("histograms:"),
+            "empty sections are left out"
+        );
+        assert!(report.ends_with("telemetry: 0 events dropped at the buffer cap\n"));
     }
 }

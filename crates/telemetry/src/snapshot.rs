@@ -87,52 +87,34 @@ impl Snapshot {
         self.spans.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
-    /// Serializes the snapshot as a self-contained JSON document.
+    /// Serializes the snapshot as one line of JSON, without a trailing
+    /// newline: the `qdd-metrics-v1` document `--metrics-out` writes and
+    /// `qdd serve` embeds in every response.
     ///
-    /// Layout (stable, checked by `scripts/check_trace.py`):
+    /// Layout (stable, checked by `scripts/check_trace.py`; shown wrapped):
     ///
     /// ```json
-    /// {
-    ///   "schema": "qdd-metrics-v1",
-    ///   "counters": {"name": 3},
-    ///   "gauges": {"name": 0.97},
-    ///   "histograms": {"name": {"count":2,"sum":9,"min":4,"max":5,
-    ///                           "buckets":[[4,7,2]]}},
-    ///   "spans": {"name": {"count":1,"total_ns":1200,"max_ns":1200}},
-    ///   "dropped_events": 0
-    /// }
+    /// {"schema":"qdd-metrics-v1","counters":{"name":3},"gauges":{"name":0.97},
+    ///  "histograms":{"name":{"count":2,"sum":9,"min":4,"max":5,"buckets":[[4,7,2]]}},
+    ///  "spans":{"name":{"count":1,"total_ns":1200,"max_ns":1200}},"dropped_events":0}
     /// ```
+    ///
+    /// Gauges that are not finite are written as `null`.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"schema\": \"qdd-metrics-v1\",\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            write_json_string(&mut s, name);
-            let _ = write!(s, ": {v}");
-        }
-        s.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            write_json_string(&mut s, name);
-            s.push_str(": ");
-            crate::Value::F64(*v).write_json(&mut s);
-        }
-        s.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            write_json_string(&mut s, name);
+        s.push_str("{\"schema\":\"qdd-metrics-v1\",\"counters\":");
+        write_object(&mut s, &self.counters, |s, v| {
+            let _ = write!(s, "{v}");
+        });
+        s.push_str(",\"gauges\":");
+        write_object(&mut s, &self.gauges, |s, v| {
+            crate::Value::F64(*v).write_json(s)
+        });
+        s.push_str(",\"histograms\":");
+        write_object(&mut s, &self.histograms, |s, h| {
             let _ = write!(
                 s,
-                ": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
+                "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
                 h.count, h.sum, h.min, h.max
             );
             for (j, (lo, hi, c)) in h.buckets.iter().enumerate() {
@@ -142,27 +124,33 @@ impl Snapshot {
                 let _ = write!(s, "[{lo},{hi},{c}]");
             }
             s.push_str("]}");
-        }
-        s.push_str("\n  },\n  \"spans\": {");
-        for (i, (name, a)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            write_json_string(&mut s, name);
+        });
+        s.push_str(",\"spans\":");
+        write_object(&mut s, &self.spans, |s, a| {
             let _ = write!(
                 s,
-                ": {{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
+                "{{\"count\":{},\"total_ns\":{},\"max_ns\":{}}}",
                 a.count, a.total_ns, a.max_ns
             );
-        }
-        let _ = write!(
-            s,
-            "\n  }},\n  \"dropped_events\": {}\n}}\n",
-            self.dropped_events
-        );
+        });
+        let _ = write!(s, ",\"dropped_events\":{}}}", self.dropped_events);
         s
     }
+}
+
+/// Writes a sorted name/value list as one JSON object, each value by
+/// `value`.
+fn write_object<V>(out: &mut String, entries: &[(String, V)], value: impl Fn(&mut String, &V)) {
+    out.push('{');
+    for (i, (name, v)) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_json_string(out, name);
+        out.push(':');
+        value(out, v);
+    }
+    out.push('}');
 }
 
 /// Merges the sorted name/value list `src` into the sorted list `dst`,
@@ -187,11 +175,66 @@ mod tests {
 
     #[test]
     fn empty_snapshot_serializes() {
-        let snap = Snapshot::default();
+        assert_eq!(
+            Snapshot::default().to_json(),
+            "{\"schema\":\"qdd-metrics-v1\",\"counters\":{},\"gauges\":{},\
+             \"histograms\":{},\"spans\":{},\"dropped_events\":0}"
+        );
+    }
+
+    #[test]
+    fn to_json_is_single_line_and_parseable() {
+        use crate::json::{parse_json, JsonValue};
+        let mut hist = Histogram::default();
+        for v in [0, 3, 5, 1000] {
+            hist.record(v);
+        }
+        let snap = Snapshot {
+            counters: vec![("a.b".into(), 3)],
+            gauges: vec![("g".into(), 1.5), ("inf".into(), f64::INFINITY)],
+            histograms: vec![("h\"q".into(), hist.snapshot())],
+            spans: vec![(
+                "s".into(),
+                SpanAgg {
+                    count: 2,
+                    total_ns: 30,
+                    max_ns: 20,
+                },
+            )],
+            dropped_events: 1,
+        };
         let json = snap.to_json();
-        assert!(json.contains("\"schema\": \"qdd-metrics-v1\""));
-        assert!(json.contains("\"counters\": {"));
-        assert!(json.contains("\"dropped_events\": 0"));
+        assert!(!json.contains('\n'));
+        let parsed = parse_json(&json).unwrap();
+        assert_eq!(
+            parsed.get("schema").and_then(JsonValue::as_str),
+            Some("qdd-metrics-v1")
+        );
+        let member =
+            |section: &str, name: &str| parsed.get(section).unwrap().get(name).unwrap().clone();
+        assert_eq!(member("counters", "a.b").as_u64(), Some(3));
+        assert_eq!(member("gauges", "g").as_f64(), Some(1.5));
+        assert_eq!(member("gauges", "inf"), JsonValue::Null);
+        assert_eq!(
+            member("spans", "s")
+                .get("total_ns")
+                .and_then(JsonValue::as_u64),
+            Some(30)
+        );
+        assert_eq!(
+            parsed.get("dropped_events").and_then(JsonValue::as_u64),
+            Some(1)
+        );
+        // The buckets account for every observation.
+        let h = member("histograms", "h\"q");
+        let buckets = h.get("buckets").and_then(JsonValue::as_array).unwrap();
+        let bucket_sum: u64 = buckets
+            .iter()
+            .map(|b| b.as_array().unwrap()[2].as_u64().unwrap())
+            .sum();
+        assert_eq!(buckets.len(), 4);
+        assert_eq!(Some(bucket_sum), h.get("count").and_then(JsonValue::as_u64));
+        assert_eq!(bucket_sum, 4);
     }
 
     #[test]

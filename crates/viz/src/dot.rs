@@ -1,9 +1,9 @@
 //! Graphviz DOT export.
 
 use crate::color::{weight_color, weight_thickness};
-use crate::graph::{DdGraph, NodeKind};
 use crate::style::{EdgeWeightDisplay, NodeLook, VizStyle};
 use qdd_complex::Complex;
+use qdd_core::graph::{DdGraph, NodeKind};
 use qdd_core::{DdPackage, MatEdge, VecEdge};
 use std::fmt::Write as _;
 

@@ -511,7 +511,7 @@ mod tests {
         let z = dd.zero_state(2).unwrap();
         let s = dd.apply_gate(z, gates::H, &[], 1).unwrap();
         let bell = dd.apply_gate(s, gates::X, &[Control::pos(1)], 0).unwrap();
-        let graph = crate::graph::DdGraph::from_vector(&dd, bell).to_json();
+        let graph = qdd_core::graph::DdGraph::from_vector(&dd, bell).to_json();
         let text = format!(
             "{{\"schema\":\"qdd-timeline-v1\",\"circuit\":\"bell<1>\",\"qubits\":2,\"ops\":2,\
              \"snapshot_stride\":1,\"workers\":1,\"records\":2,\"dropped_records\":0}}\n\

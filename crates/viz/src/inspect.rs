@@ -3,8 +3,8 @@
 //! inspector ([`crate::html::timeline_report`]). Lines are read with the
 //! workspace's JSON parser, [`qdd_telemetry::json::parse_json`].
 
-use crate::graph::{DdGraph, GraphEdge, GraphNode, NodeKind};
 use qdd_complex::Complex;
+use qdd_core::graph::{DdGraph, GraphEdge, GraphNode, NodeKind};
 use qdd_telemetry::json::{parse_json, JsonValue};
 
 /// The header line of a timeline stream.

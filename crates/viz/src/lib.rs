@@ -9,10 +9,10 @@
 //!   edge-weight labels or the label-free encoding where **line thickness
 //!   carries magnitude** and **color carries phase**;
 //! * [`color`] — the HLS color wheel of Fig. 7(b);
-//! * [`graph`] — a renderer-independent extraction of a diagram's nodes,
-//!   edges and 0-stubs;
-//! * [`dot`] / [`svg`] / [`json`] — Graphviz, standalone-SVG and JSON
-//!   exporters;
+//! * [`dot`] / [`svg`] — Graphviz and standalone-SVG renderings of a
+//!   [`qdd_core::graph::DdGraph`], the renderer-independent extraction of a
+//!   diagram's nodes, edges and 0-stubs (whose `to_json` is the JSON
+//!   export);
 //! * [`session`] — the simulation tab (Fig. 8): navigate a circuit and
 //!   collect one rendered frame per step, including measurement dialogs;
 //! * [`verify_session`] — the verification tab (Fig. 9): two circuits,
@@ -50,10 +50,8 @@
 
 pub mod color;
 pub mod dot;
-pub mod graph;
 pub mod html;
 pub mod inspect;
-pub mod json;
 pub mod session;
 pub mod style;
 pub mod svg;
@@ -61,7 +59,6 @@ pub mod text;
 pub mod verify_session;
 
 pub use color::{phase_to_color, Rgb};
-pub use graph::{DdGraph, GraphEdge, GraphNode, NodeKind};
 pub use session::{Frame, SimulationExplorer};
 pub use style::{EdgeWeightDisplay, NodeLook, VizStyle};
 pub use verify_session::VerificationExplorer;

@@ -6,9 +6,9 @@
 #![allow(clippy::write_with_newline)] // SVG fragments embed their newlines
 
 use crate::color::{phase_to_color, weight_color, weight_thickness};
-use crate::graph::DdGraph;
 use crate::style::{EdgeWeightDisplay, NodeLook, VizStyle};
 use qdd_complex::{Complex, FxHashMap};
+use qdd_core::graph::DdGraph;
 use qdd_core::{DdPackage, MatEdge, VecEdge};
 use std::fmt::Write as _;
 

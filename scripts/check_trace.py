@@ -10,9 +10,7 @@ Each file's format is detected from its content:
 * **metrics snapshot** — a JSON object with ``"schema": "qdd-metrics-v1"``
   (from ``--metrics-out``);
 * **Chrome trace** — a JSON object with a ``traceEvents`` array (from
-  ``--trace-out foo.json``), loadable in ``chrome://tracing`` / Perfetto;
-* **JSONL event stream** — one JSON object per line (from
-  ``--trace-out foo.jsonl``);
+  ``--trace-out``), loadable in ``chrome://tracing`` / Perfetto;
 * **execution timeline** — JSONL whose first line carries
   ``"schema": "qdd-timeline-v1"`` (from ``--record-timeline``), the input
   of ``qdd inspect``.
@@ -74,36 +72,6 @@ def check_metrics(path, doc):
     return (f"metrics snapshot: {len(doc['counters'])} counters, "
             f"{len(doc['gauges'])} gauges, {len(doc['spans'])} spans, "
             f"{doc['dropped_events']} dropped")
-
-
-def check_event(path, where, ev):
-    """One event record (a JSONL line or a Chrome trace entry's source)."""
-    if not isinstance(ev, dict):
-        fail(path, f"{where}: expected an object, got {type(ev).__name__}")
-    kind = ev.get("kind")
-    if kind not in ("span", "instant"):
-        fail(path, f"{where}: bad `kind` {kind!r}")
-    if not isinstance(ev.get("name"), str) or not ev["name"]:
-        fail(path, f"{where}: missing `name`")
-    for field in ("ts_us", "depth") + (("dur_us",) if kind == "span" else ()):
-        if not isinstance(ev.get(field), int) or ev[field] < 0:
-            fail(path, f"{where}: bad `{field}`: {ev.get(field)!r}")
-    if not isinstance(ev.get("args"), dict):
-        fail(path, f"{where}: `args` must be an object")
-
-
-def check_jsonl(path, text):
-    lines = [l for l in text.splitlines() if l.strip()]
-    kinds = {"span": 0, "instant": 0}
-    for i, line in enumerate(lines, 1):
-        try:
-            ev = json.loads(line)
-        except json.JSONDecodeError as e:
-            fail(path, f"line {i}: not JSON ({e})")
-        check_event(path, f"line {i}", ev)
-        kinds[ev["kind"]] += 1
-    return (f"JSONL stream: {len(lines)} events "
-            f"({kinds['span']} spans, {kinds['instant']} instants)")
 
 
 def check_chrome(path, doc):
@@ -222,8 +190,8 @@ def check_file(path):
         return check_timeline(path, text)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError:
-        return check_jsonl(path, text)
+    except json.JSONDecodeError as e:
+        fail(path, f"not JSON ({e})")
     if isinstance(doc, dict) and doc.get("schema") == METRICS_SCHEMA:
         return check_metrics(path, doc)
     if isinstance(doc, dict) and "traceEvents" in doc:
@@ -231,11 +199,8 @@ def check_file(path):
     if isinstance(doc, dict) and "schema" in doc:
         fail(path, f"unknown schema {doc['schema']!r} (this checker knows "
                    f"{METRICS_SCHEMA!r} and {TIMELINE_SCHEMA!r})")
-    # A one-event JSONL file parses as a single JSON object; accept it.
-    if isinstance(doc, dict) and "kind" in doc:
-        return check_jsonl(path, text)
     fail(path, "unrecognized format: neither a metrics snapshot, a Chrome "
-               "trace, a JSONL event stream, nor an execution timeline")
+               "trace, nor an execution timeline")
 
 
 def main():

@@ -53,6 +53,7 @@ fn enabled_telemetry_is_bit_identical_to_disabled() {
     }
     assert_eq!(plain.node_count(), traced.node_count());
     assert_eq!(plain.stats(), traced.stats());
+    assert_eq!(plain.package().stats(), traced.package().stats());
 }
 
 #[test]

@@ -83,6 +83,7 @@ fn recording_is_bit_identical_to_off() {
     }
     assert_eq!(plain.node_count(), recorded.node_count());
     assert_eq!(plain.stats(), recorded.stats());
+    assert_eq!(plain.package().stats(), recorded.package().stats());
 
     // One record per applied operation, none dropped.
     assert_eq!(records.len(), recorded.stats().applied_ops);

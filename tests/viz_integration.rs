@@ -5,10 +5,8 @@
 use qdd::circuit::{compile, library};
 use qdd::core::MeasurementOutcome;
 use qdd::sim::DdSimulator;
-use qdd::viz::{
-    dot, graph::DdGraph, html, json, style::VizStyle, svg, SimulationExplorer,
-    VerificationExplorer,
-};
+use qdd::core::graph::DdGraph;
+use qdd::viz::{dot, html, style::VizStyle, svg, SimulationExplorer, VerificationExplorer};
 
 fn styles() -> [VizStyle; 3] {
     [VizStyle::classic(), VizStyle::colored(), VizStyle::modern()]
@@ -44,7 +42,7 @@ fn all_formats_well_formed_for_library_states() {
                 );
             }
         }
-        let j = json::graph_to_json(&graph);
+        let j = graph.to_json();
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches("\"key\":").count(), graph.node_count());
     }
