@@ -6,9 +6,10 @@
 //! ```
 //!
 //! * `sim/<circuit>`: `circuits/{cliffordt15,qft16,grover12}.qasm` through
-//!   `DdSimulator::run`, timed with the execution-timeline recorder off and
-//!   at snapshot stride 16 (the recorder's overhead claim, DESIGN §17), plus
-//!   the run's exact GC and complex-table counts. perfbench's states stay
+//!   `DdSimulator::run`, timed with recording off and with what
+//!   `--record-timeline --snapshot-stride 16` turns on (the timeline's
+//!   overhead claim, DESIGN §17), plus the run's exact GC and
+//!   complex-table counts. perfbench's states stay
 //!   at n ≤ 9; these are the circuits where GC thrash shows.
 //! * `teleport/<workers>`: mid-circuit shots per second of the shot engine
 //!   on teleportation at 1 and 8 workers.
@@ -22,7 +23,6 @@
 use qdd_bench::workloads::{self, Family};
 use qdd_circuit::QuantumCircuit;
 use qdd_sim::{DdSimulator, ShotOptions};
-use qdd_telemetry::timeline;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -66,21 +66,24 @@ fn sim_row(name: &str) -> String {
         sim.run().expect("simulation");
         sim
     };
-    // Runs with the recorder off and on alternate, so drift in the host's
-    // speed falls on both. Records are drained inside the timed region (a
-    // buffer swap) and dropped outside it with the run's simulator.
+    // Runs with recording off and on alternate, so drift in the host's
+    // speed falls on both. "On" is what `--record-timeline` with
+    // `--snapshot-stride 16` turns on: telemetry plus the armed timeline.
+    // Events are drained inside the timed region and dropped outside it
+    // with the run's simulator.
     let (mut off, mut recorded, mut last) = (Vec::new(), Vec::new(), None);
     for _ in 0..REPS {
         let (ms, sim) = timed(run);
         off.push(ms);
         last = Some(sim);
-        timeline::set_enabled(true);
-        timeline::reset();
-        timeline::set_snapshot_stride(16);
-        recorded.push(timed(|| (run(), timeline::drain())).0);
-        timeline::set_enabled(false);
+        qdd_telemetry::set_enabled(true);
+        qdd_telemetry::reset();
+        qdd_telemetry::set_timeline(Some(16));
+        recorded.push(timed(|| (run(), qdd_telemetry::drain_events())).0);
+        qdd_telemetry::set_timeline(None);
+        qdd_telemetry::set_enabled(false);
     }
-    timeline::reset();
+    qdd_telemetry::reset();
     let sim = last.expect("REPS > 0");
     let stats = sim.package().stats();
     let complex = sim.package().complex_table_stats();

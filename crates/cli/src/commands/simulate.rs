@@ -47,13 +47,16 @@ OPTIONS:
   --metrics-out P   write the telemetry snapshot to P as one line of
                     qdd-metrics-v1 JSON
   --trace-out P     write the telemetry event stream to P as Chrome
-                    trace_event JSON
+                    trace_event JSON: one lane for the run, one per
+                    mid-circuit shot worker, all on one clock
   --record-timeline P
-                    record a per-op execution timeline (live/peak nodes,
-                    allocation and cache-hit deltas, GC/approximation/
-                    fallback events) and write it to P as qdd-timeline-v1
-                    JSONL; render it with `qdd inspect P`. Multi-threaded
-                    shot runs merge worker timelines deterministically
+                    add per-op detail to the event stream (live/peak
+                    nodes, allocation and cache-hit deltas, level profile)
+                    and write it to P as a qdd-timeline-v1 JSONL execution
+                    timeline, with GC/approximation/fallback events folded
+                    into the op they fell in; render it with
+                    `qdd inspect P`. Shot workers appear as workers 1..N,
+                    merged in a thread-schedule-independent order
   --snapshot-stride K
                     with --record-timeline: every K-th op embeds a full
                     structural snapshot of the diagram (0 = off, default)
@@ -236,14 +239,7 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
         if let Some(hist_path) = args.value("--histogram-out") {
             // Same header and line bytes as `qdd serve`'s /v1/shots stream,
             // so CLI and daemon histograms diff bit-for-bit.
-            let kind = match report.kind {
-                qdd_sim::HistogramKind::BasisStates => "basis_states",
-                qdd_sim::HistogramKind::ClassicalBits => "classical_bits",
-            };
-            let mut out = format!(
-                "{{\"schema\":\"qdd-histogram-v1\",\"kind\":\"{kind}\",\"shots\":{}}}\n",
-                report.shots
-            );
+            let mut out = report.histogram_header() + "\n";
             for line in report.histogram_lines() {
                 out.push_str(&line);
                 out.push('\n');

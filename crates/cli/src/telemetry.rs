@@ -4,6 +4,8 @@
 //! the same merged telemetry snapshot, as text and as JSON.
 
 use crate::args::Args;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 
 /// What ran, for the timeline header and the Chrome-trace `process_name`
 /// metadata. Built by the subcommand once the circuit is loaded.
@@ -16,9 +18,9 @@ pub struct Workload {
 /// Turns recording on when any telemetry output was requested. Returns
 /// `true` if recording was enabled (callers pass it to [`finish`]).
 ///
-/// `--record-timeline` additionally arms the per-op timeline recorder on
-/// the calling thread (worker threads arm themselves from the flag the
-/// shot engine captures) and applies `--snapshot-stride`.
+/// `--record-timeline` additionally arms the timeline on the calling
+/// thread with the `--snapshot-stride` (the shot engine hands the switch
+/// on to its workers), so `sim.op` events carry the per-op fields.
 ///
 /// # Errors
 ///
@@ -35,12 +37,7 @@ pub fn start(args: &Args) -> Result<bool, String> {
         qdd_telemetry::reset_published();
     }
     if timeline {
-        let stride: u32 = args.number("--snapshot-stride", 0)?;
-        qdd_telemetry::timeline::set_enabled(true);
-        qdd_telemetry::timeline::reset();
-        qdd_telemetry::timeline::reset_published();
-        qdd_telemetry::timeline::set_worker(0);
-        qdd_telemetry::timeline::set_snapshot_stride(stride);
+        qdd_telemetry::set_timeline(Some(args.number("--snapshot-stride", 0)?));
     } else if args.value("--snapshot-stride").is_some() {
         return Err(
             "option `--snapshot-stride` requires `--record-timeline` \
@@ -53,9 +50,11 @@ pub fn start(args: &Args) -> Result<bool, String> {
 
 /// Writes the requested telemetry outputs: the metrics snapshot to
 /// `--metrics-out` (`qdd-metrics-v1` JSON), the event stream to
-/// `--trace-out` (Chrome `trace_event` JSON), the merged per-op timeline to
-/// `--record-timeline` (`qdd-timeline-v1` JSONL), and the same snapshot as
-/// text to stdout under `--stats`.
+/// `--trace-out` (Chrome `trace_event` JSON) and to `--record-timeline`
+/// (`qdd-timeline-v1` JSONL), and the same snapshot as text to stdout
+/// under `--stats`. Both readings merge this thread's recordings with
+/// everything worker threads published, so all three files count the same
+/// work.
 ///
 /// # Errors
 ///
@@ -64,60 +63,52 @@ pub fn finish(args: &Args, enabled: bool, workload: Option<&Workload>) -> Result
     if !enabled {
         return Ok(());
     }
-    // Merged view: this thread's recordings plus everything worker threads
-    // published, so multi-threaded runs report all threads' work. Events
-    // stay thread-local (worker event clocks are not comparable).
     let snapshot = qdd_telemetry::merged_snapshot();
     let events = qdd_telemetry::drain_events();
+    let dropped = snapshot.dropped_events;
+    let at_cap = if dropped > 0 {
+        format!(" ({dropped} events dropped at the buffer cap)")
+    } else {
+        String::new()
+    };
     if let Some(path) = args.value("--metrics-out") {
         std::fs::write(path, snapshot.to_json() + "\n")
             .map_err(|e| format!("writing `{path}`: {e}"))?;
         eprintln!("wrote metrics snapshot to {path}");
     }
     if let Some(path) = args.value("--trace-out") {
-        let payload = qdd_telemetry::sink::events_to_chrome_trace_named(
-            &events,
-            workload.map(|w| w.name.as_str()),
-        );
-        std::fs::write(path, payload).map_err(|e| format!("writing `{path}`: {e}"))?;
-        let dropped = snapshot.dropped_events;
-        if dropped > 0 {
-            eprintln!("wrote {} events to {path} ({dropped} dropped at the buffer cap)", events.len());
-        } else {
-            eprintln!("wrote {} events to {path}", events.len());
-        }
+        let process = workload.map(|w| w.name.as_str());
+        write_file(path, |out| {
+            qdd_telemetry::sink::write_chrome_trace(out, &events, process)
+        })?;
+        eprintln!("wrote {} events to {path}{at_cap}", events.len());
     }
     if let Some(path) = args.value("--record-timeline") {
-        use qdd_telemetry::timeline;
-        let (records, dropped) = timeline::merged_drain();
-        let workers = {
-            let mut ids: Vec<u32> = records.iter().map(|r| r.worker).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids.len() as u32
-        };
-        let meta = timeline::TimelineMeta {
+        let meta = qdd_telemetry::timeline::TimelineMeta {
             circuit: workload.map(|w| w.name.clone()).unwrap_or_default(),
             qubits: workload.map_or(0, |w| w.qubits),
             ops: workload.map_or(0, |w| w.ops),
-            snapshot_stride: timeline::snapshot_stride(),
-            workers: workers.max(1),
+            snapshot_stride: qdd_telemetry::timeline_stride().unwrap_or(0),
         };
-        std::fs::write(path, timeline::to_jsonl(&meta, &records, dropped, &events))
-            .map_err(|e| format!("writing `{path}`: {e}"))?;
-        if dropped > 0 {
-            eprintln!(
-                "wrote {} timeline records to {path} ({dropped} dropped at the buffer cap)",
-                records.len()
-            );
-        } else {
-            eprintln!("wrote {} timeline records to {path}", records.len());
-        }
-        timeline::set_enabled(false);
+        let records = write_file(path, |out| {
+            qdd_telemetry::timeline::write_jsonl(out, &meta, &events, dropped)
+        })?;
+        eprintln!("wrote {records} timeline records to {path}{at_cap}");
+        qdd_telemetry::set_timeline(None);
     }
     if args.has("--stats") {
         print!("{}", qdd_telemetry::sink::render_stats(&snapshot));
     }
     qdd_telemetry::set_enabled(false);
     Ok(())
+}
+
+/// Creates `path` and streams `write` into it through a buffer.
+fn write_file<T>(
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<T>,
+) -> Result<T, String> {
+    let mut out = BufWriter::new(File::create(path).map_err(|e| format!("writing `{path}`: {e}"))?);
+    let written = write(&mut out).and_then(|t| out.flush().map(|()| t));
+    written.map_err(|e| format!("writing `{path}`: {e}"))
 }

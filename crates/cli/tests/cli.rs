@@ -434,8 +434,10 @@ fn removed_report_flags_are_unknown_options() {
     std::fs::remove_file(file).ok();
 }
 
-/// Worker threads keep their events, so a multi-threaded shot run's Chrome
-/// trace names only the lane that carries events.
+/// A multi-threaded shot run reports one set of statistics: its metrics,
+/// trace and timeline count the same `sim.run` spans, every worker that
+/// executed a shot has a named trace lane, only lanes with events are
+/// named, and all threads stamp events on one clock.
 #[test]
 fn chrome_trace_names_only_lanes_with_events() {
     let file = temp_file(
@@ -444,6 +446,8 @@ fn chrome_trace_names_only_lanes_with_events() {
          h q[0];\nmeasure q[0] -> c[0];\nif (c==1) x q[1];\nh q[1];\nmeasure q[1] -> c[1];\n",
     );
     let trace = temp_path("lanes.json");
+    let metrics = temp_path("lanes-metrics.json");
+    let timeline = temp_path("lanes-timeline.jsonl");
     let out = qdd(&[
         "simulate",
         file.to_str().unwrap(),
@@ -453,25 +457,89 @@ fn chrome_trace_names_only_lanes_with_events() {
         "2",
         "--trace-out",
         trace.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+        "--record-timeline",
+        timeline.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("2 threads"));
     let doc = read_json(&trace);
     let events = doc.get("traceEvents").and_then(JsonValue::as_array).unwrap();
     let str_of = |e: &JsonValue, key: &str| e.get(key).and_then(JsonValue::as_str).map(str::to_string);
-    let tid = |e: &JsonValue| e.get("tid").and_then(JsonValue::as_u64);
-    let named: Vec<_> = events
+    let num = |e: &JsonValue, key: &str| e.get(key).and_then(JsonValue::as_u64);
+    let is = |e: &JsonValue, name: &str| str_of(e, "name").as_deref() == Some(name);
+    let recorded: Vec<&JsonValue> = events
         .iter()
-        .filter(|e| str_of(e, "name").as_deref() == Some("thread_name"))
-        .map(tid)
+        .filter(|e| str_of(e, "ph").as_deref() != Some("M"))
         .collect();
-    assert!(!named.is_empty(), "the coordinator's lane is named");
-    for lane in named {
+    let lanes: Vec<_> = events
+        .iter()
+        .filter(|e| is(e, "thread_name"))
+        .map(|e| num(e, "tid"))
+        .collect();
+    assert!(!lanes.is_empty(), "the coordinator's lane is named");
+    for lane in lanes {
         assert!(
-            events
-                .iter()
-                .any(|e| str_of(e, "ph").as_deref() != Some("M") && tid(e) == lane),
+            recorded.iter().any(|e| num(e, "tid") == lane),
             "lane {lane:?} is named but carries no event"
+        );
+    }
+
+    // One count of sim.run spans in all three files.
+    let trace_runs = recorded.iter().filter(|e| is(e, "sim.run")).count() as u64;
+    let metrics_doc = read_json(&metrics);
+    let metric_runs = metrics_doc
+        .get("spans")
+        .and_then(|s| s.get("sim.run"))
+        .and_then(|s| num(s, "count"))
+        .unwrap();
+    let text = std::fs::read_to_string(&timeline).unwrap();
+    std::fs::remove_file(&timeline).ok();
+    let timeline_runs = text
+        .lines()
+        .map(|l| parse_json(l).unwrap())
+        .filter(|l| str_of(l, "type").as_deref() == Some("span"))
+        .filter(|l| str_of(l, "name").as_deref() == Some("sim.run"))
+        .count() as u64;
+    assert!(trace_runs > 1, "worker runs reach the trace");
+    assert_eq!((trace_runs, timeline_runs), (metric_runs, metric_runs));
+
+    // A worker with shots executed its first one: its lane (tid w + 2)
+    // carries its runs and is named.
+    let workers: Vec<_> = recorded
+        .iter()
+        .filter(|e| is(e, "shots.worker"))
+        .map(|e| {
+            let args = e.get("args").unwrap();
+            (num(args, "worker").unwrap(), num(args, "shots").unwrap())
+        })
+        .collect();
+    assert_eq!(workers.len(), 2);
+    for (worker, shots) in workers {
+        assert!(shots > 0);
+        let tid = Some(worker + 2);
+        assert!(
+            recorded
+                .iter()
+                .any(|e| is(e, "sim.run") && num(e, "tid") == tid),
+            "worker {worker} has no lane"
+        );
+        assert!(events
+            .iter()
+            .any(|e| is(e, "thread_name") && num(e, "tid") == tid));
+    }
+
+    // One clock: every worker event falls inside the coordinator's
+    // shots.engine span, within a microsecond of rounding.
+    let engine = recorded.iter().find(|e| is(e, "shots.engine")).unwrap();
+    let (start, dur) = (num(engine, "ts").unwrap(), num(engine, "dur").unwrap());
+    for e in recorded.iter().filter(|e| num(e, "tid") != Some(1)) {
+        let ts = num(e, "ts").unwrap();
+        assert!(
+            start.saturating_sub(1) <= ts && ts <= start + dur + 1,
+            "worker event at {ts} outside shots.engine [{start}, {}]: {e:?}",
+            start + dur
         );
     }
     std::fs::remove_file(file).ok();

@@ -1,8 +1,8 @@
 //! Renderer-independent graph extraction from decision diagrams.
 //!
 //! Lives in the core crate (rather than the viz layer) so lower layers —
-//! the simulator's timeline recorder in particular — can capture structural
-//! snapshots without depending on rendering code. `qdd-viz` re-exports the
+//! the simulator's execution timeline in particular — can capture
+//! structural snapshots without depending on rendering code. `qdd-viz` re-exports the
 //! types for backwards compatibility.
 
 use crate::{DdPackage, Edge, MatEdge, Traversable, VecEdge};

@@ -53,6 +53,9 @@ pub struct PackageStats {
     /// Matrix-node constructions elided by the identity-skip collapse rule
     /// (would-be `[e 0; 0 e]` nodes turned into pass-through edges).
     pub identity_nodes_skipped: u64,
+    /// Node creations (vector + matrix) since the package was built; the
+    /// difference of two readings is what happened in between.
+    pub node_births: u64,
 }
 
 impl Traversable<2> for DdPackage {
@@ -119,16 +122,6 @@ impl DdPackage {
         self.governor.gc_pressure_runs
     }
 
-    /// High-water mark of [`Self::live_node_estimate`] (constant time).
-    pub fn peak_live_nodes(&self) -> usize {
-        self.governor.peak_live_nodes
-    }
-
-    /// Compute-table entries dropped by colliding inserts so far.
-    pub fn compute_evictions(&self) -> u64 {
-        self.caches.total_dropped()
-    }
-
     /// Per-table compute-table statistics (name, lookups, hits, dropped
     /// entries, clears, occupancy) in reporting order.
     pub fn compute_table_stats(&self) -> [ComputeTableStat; 9] {
@@ -145,37 +138,9 @@ impl DdPackage {
         self.gate_hits
     }
 
-    /// High-water mark of live matrix nodes (constant time).
-    pub fn mat_peak_nodes(&self) -> usize {
-        self.mstore.peak_live()
-    }
-
-    /// Matrix-node constructions elided by the identity-skip collapse rule
-    /// so far (constant time).
-    pub fn identity_nodes_skipped(&self) -> u64 {
-        self.identity_collapses
-    }
-
     /// Statistics of the complex-weight interning table (constant time).
     pub fn complex_table_stats(&self) -> qdd_complex::ComplexTableStats {
         self.ctable.stats()
-    }
-
-    /// Monotone count of node creations (vector + matrix) since the package
-    /// was built — the birth-stamp counter, read in constant time. Deltas of
-    /// this counter attribute allocations to individual operations.
-    pub fn node_births(&self) -> u64 {
-        self.births
-    }
-
-    /// Total compute-table lookups so far (constant time).
-    pub fn compute_lookups(&self) -> u64 {
-        self.caches.total_lookups()
-    }
-
-    /// Compute-table lookups answered from cache so far (constant time).
-    pub fn compute_hits(&self) -> u64 {
-        self.caches.total_hits()
     }
 
     /// Distinct interned complex values (constant time).
@@ -183,21 +148,11 @@ impl DdPackage {
         self.ctable.len()
     }
 
-    /// Constant-time estimate of live matrix nodes (allocated minus
-    /// free-listed slots in the matrix store).
-    pub fn mat_live_estimate(&self) -> usize {
-        self.mstore.live_len()
-    }
-
-    /// Garbage-collection runs so far (constant time).
-    pub fn gc_runs(&self) -> u64 {
-        self.gc_runs
-    }
-
     /// Per-level node counts of the diagram reachable from `e`: entry `i`
-    /// is the number of distinct nodes labelled with qubit variable `i`.
-    /// One allocation-free preorder walk plus one `Vec` of `n` counters —
-    /// cheap enough for per-op timeline capture.
+    /// is the number of distinct nodes labelled with qubit variable `i`, so
+    /// for a state over `num_qubits` qubits they sum to
+    /// [`Self::vec_node_count`]. One allocation-free preorder walk plus one
+    /// `Vec` of `n` counters — cheap enough for per-op timeline capture.
     pub fn vec_level_profile(&self, e: VecEdge, num_qubits: usize) -> Vec<u32> {
         let mut levels = vec![0u32; num_qubits];
         self.visit_preorder(e, |_, node| {
@@ -300,6 +255,7 @@ impl DdPackage {
             gate_cache_hits: self.gate_hits,
             mat_peak_nodes: self.mstore.peak_live(),
             identity_nodes_skipped: self.identity_collapses,
+            node_births: self.births,
         }
     }
 }

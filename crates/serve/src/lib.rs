@@ -165,8 +165,9 @@ fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
     qdd_telemetry::set_enabled(true);
     qdd_telemetry::set_scope(qdd_telemetry::next_scope_id());
     let result = route(&req, &mut stream, &state);
-    if result.is_err() {
-        // Drain the request scope so error paths do not leak snapshots.
+    if !matches!(result, Ok(Some(_))) {
+        // Drain the request scope so error paths and jobs whose client hung
+        // up do not leak what their threads published.
         let _ = qdd_telemetry::take_merged_snapshot();
     }
     qdd_telemetry::set_scope(0);
@@ -456,14 +457,7 @@ fn handle_shots(
     }
 
     let snap = qdd_telemetry::take_merged_snapshot();
-    let kind = match report.kind {
-        qdd_sim::HistogramKind::BasisStates => "basis_states",
-        qdd_sim::HistogramKind::ClassicalBits => "classical_bits",
-    };
-    let header = format!(
-        "{{\"schema\":\"qdd-histogram-v1\",\"kind\":\"{kind}\",\"shots\":{}}}",
-        report.shots
-    );
+    let header = report.histogram_header();
     let worker_shots: Vec<String> = report.worker_shots.iter().map(|n| n.to_string()).collect();
     let trailer = format!(
         "{{\"stats\":{{\"regime\":\"{}\",\"threads_used\":{},\"elapsed_ms\":{},\

@@ -196,10 +196,24 @@ impl ShotReport {
         }
     }
 
+    /// The `qdd-histogram-v1` header line (without a newline): what the
+    /// keys mean and how many shots the counts sum to.
+    pub fn histogram_header(&self) -> String {
+        let kind = match self.kind {
+            HistogramKind::BasisStates => "basis_states",
+            HistogramKind::ClassicalBits => "classical_bits",
+        };
+        format!(
+            "{{\"schema\":\"qdd-histogram-v1\",\"kind\":\"{kind}\",\"shots\":{}}}",
+            self.shots
+        )
+    }
+
     /// The histogram as deterministic JSONL lines (`qdd-histogram-v1`
-    /// entries), sorted by outcome value. The CLI `--histogram-out` path and
-    /// the `qdd-serve` `/v1/shots` stream both emit exactly these lines, so
-    /// the two transports are byte-comparable.
+    /// entries after [`Self::histogram_header`]), sorted by outcome value.
+    /// The CLI `--histogram-out` path and the `qdd-serve` `/v1/shots`
+    /// stream both emit exactly this header and these lines, so the two
+    /// transports are byte-comparable.
     pub fn histogram_lines(&self) -> Vec<String> {
         let mut entries: Vec<(u64, u64)> = self.histogram.iter().map(|(&v, &c)| (v, c)).collect();
         entries.sort_unstable();
@@ -356,16 +370,15 @@ fn run_mid_circuit(
         })
         .collect();
 
-    // Workers inherit the coordinator's telemetry and timeline toggles,
-    // record into their own thread-local registries (no shared state on the
-    // hot path), and publish into the process-wide merged registries before
-    // exiting, so `--stats`/`--metrics-out`/`--record-timeline` reflect
-    // every thread's work. Worker ids follow the shot-range order, so the
-    // merged timeline is deterministic for any thread schedule.
+    // Workers inherit the coordinator's telemetry toggle, scope and
+    // timeline switch, record into their own thread-local registries (no
+    // shared state on the hot path), and publish into the coordinator's
+    // scope before exiting, so every report reflects every thread's work.
+    // Lanes follow the shot-range order, so the merged event stream is
+    // deterministic for any thread schedule.
     let telemetry = qdd_telemetry::enabled();
     let telemetry_scope = qdd_telemetry::scope_id();
-    let timeline = qdd_telemetry::timeline::enabled();
-    let snapshot_stride = qdd_telemetry::timeline::snapshot_stride();
+    let timeline = qdd_telemetry::timeline_stride();
     // `join()` errors (worker panics) are captured, not propagated: one bad
     // request must not abort a long-lived process. The drop guard flips the
     // cancel flag *during unwinding*, so surviving workers stop at their
@@ -382,16 +395,10 @@ fn run_mid_circuit(
                         let _panic_guard = PanicCancel(cancel);
                         qdd_telemetry::set_enabled(telemetry);
                         qdd_telemetry::set_scope(telemetry_scope);
-                        if timeline {
-                            qdd_telemetry::timeline::set_enabled(true);
-                            qdd_telemetry::timeline::set_worker(w as u32 + 1);
-                            qdd_telemetry::timeline::set_snapshot_stride(snapshot_stride);
-                        }
+                        qdd_telemetry::set_lane(w as u32 + 1);
+                        qdd_telemetry::set_timeline(timeline);
                         let result = shot_worker(circuit, analysis, opts, lo, hi, cancel, start);
                         qdd_telemetry::publish();
-                        if timeline {
-                            qdd_telemetry::timeline::publish();
-                        }
                         result
                     });
                     (w, lo, handle)

@@ -6,10 +6,12 @@ use crate::error::SimError;
 use qdd_circuit::{Operation, QuantumCircuit};
 use qdd_complex::{Complex, FxHashMap};
 use qdd_core::{
-    ApproxPolicy, DdError, DdPackage, Limits, MeasurementOutcome, PackageConfig, VecEdge,
+    ApproxPolicy, DdError, DdPackage, Limits, MeasurementOutcome, PackageConfig, PackageStats,
+    VecEdge,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 
 /// Per-run statistics of a [`DdSimulator`]: what the run alone knows.
 /// Package counters (GC runs, cache traffic, live-node peaks) are read from
@@ -67,42 +69,6 @@ pub(crate) fn op_name(op: &Operation) -> &'static str {
     }
 }
 
-/// Counter baseline captured at an op's start so the timeline can attribute
-/// deltas (allocations, cache hits, GC/approx activity) to that op. All
-/// reads are constant-time package getters; the probe only exists while
-/// timeline recording is enabled.
-struct TimelineProbe {
-    start: std::time::Instant,
-    births: u64,
-    compute_lookups: u64,
-    compute_hits: u64,
-    gate_lookups: u64,
-    gate_hits: u64,
-    live_nodes: usize,
-    gc_runs: u64,
-    gc_pressure_runs: u64,
-    approx_rounds: u64,
-    dense_fallback: bool,
-}
-
-impl TimelineProbe {
-    fn begin(sim: &DdSimulator) -> Self {
-        TimelineProbe {
-            start: std::time::Instant::now(),
-            births: sim.dd.node_births(),
-            compute_lookups: sim.dd.compute_lookups(),
-            compute_hits: sim.dd.compute_hits(),
-            gate_lookups: sim.dd.gate_cache_lookups(),
-            gate_hits: sim.dd.gate_cache_hits(),
-            live_nodes: sim.dd.live_node_estimate(),
-            gc_runs: sim.dd.gc_runs(),
-            gc_pressure_runs: sim.dd.gc_pressure_runs(),
-            approx_rounds: sim.stats.approx_rounds,
-            dense_fallback: sim.stats.dense_fallback,
-        }
-    }
-}
-
 /// Simulates a [`QuantumCircuit`] by consecutive matrix–vector products on
 /// decision diagrams (paper Example 9), handling the tool's special
 /// operations — measurements collapse with seeded randomness, resets
@@ -146,9 +112,6 @@ pub struct DdSimulator {
     dense: Option<DenseSimulator>,
     /// Gates the dense rung of the degradation ladder.
     dense_fallback_enabled: bool,
-    /// Run (restart) index stamped onto timeline records, so shot replays
-    /// of the same circuit stay distinguishable in a merged timeline.
-    tl_run: u32,
     /// The pinned `|0…0⟩` at the package's warm mark, once the first
     /// [`Self::restart`] has built the warm state.
     warm_zero: Option<VecEdge>,
@@ -204,7 +167,6 @@ impl DdSimulator {
             stats: SimStats::default(),
             dense: None,
             dense_fallback_enabled: true,
-            tl_run: qdd_telemetry::timeline::next_run(),
             warm_zero: None,
             collapses: Vec::new(),
             collapses_complete: true,
@@ -408,7 +370,6 @@ impl DdSimulator {
     /// Propagates [`SimError`] from building the warm gate DDs (e.g. a
     /// non-decomposable operation).
     pub fn restart(&mut self, seed: u64) -> Result<(), SimError> {
-        self.tl_run = qdd_telemetry::timeline::next_run();
         self.dd.reset_to_warm();
         self.classical.iter_mut().for_each(|b| *b = false);
         self.cursor = 0;
@@ -448,14 +409,11 @@ impl DdSimulator {
         let op = self.circuit.ops()[self.cursor].clone();
         let op_index = self.cursor;
         self.cursor += 1;
-        // Timeline delta capture: one branch when recording is off. The
-        // probe window closes after auto-GC and the node count below, so
-        // GC an op provokes is attributed to that op.
-        let tl_probe = if qdd_telemetry::timeline::enabled() {
-            Some(TimelineProbe::begin(self))
-        } else {
-            None
-        };
+        // The armed timeline reads the package before and after the op:
+        // one branch when it is off. The window closes after auto-GC and
+        // the node count below, so GC an op provokes is attributed to it.
+        let armed = qdd_telemetry::timeline_stride()
+            .map(|stride| (stride, Instant::now(), self.dd.stats()));
         let applied = if self.dense.is_some() {
             self.apply_dense(&op)
         } else {
@@ -467,129 +425,92 @@ impl DdSimulator {
             }
             return Err(e);
         }
-        if self.dense.is_none() {
+        let mut levels = None;
+        let nodes = if self.dense.is_none() {
             if self.dd.wants_auto_gc() {
                 self.dd.garbage_collect();
             }
-            let nodes = self.dd.vec_node_count(self.state);
+            // One walk: the level profile when armed, its sum is the count.
+            let nodes = if armed.is_some() {
+                let profile = self
+                    .dd
+                    .vec_level_profile(self.state, self.circuit.num_qubits());
+                let nodes = profile.iter().map(|&n| n as usize).sum();
+                levels = Some(profile);
+                nodes
+            } else {
+                self.dd.vec_node_count(self.state)
+            };
             self.stats.peak_nodes = self.stats.peak_nodes.max(nodes);
-            qdd_telemetry::emit("sim.op")
-                .field("op_index", op_index)
-                .field("op", op_name(&op))
-                .field("nodes", nodes);
-            qdd_telemetry::observe("sim.nodes_after_op", nodes as u64);
-            if let Some(probe) = tl_probe {
-                self.record_timeline(probe, op_index, &op, nodes);
-            }
+            Some(nodes)
         } else {
-            qdd_telemetry::emit("sim.op")
-                .field("op_index", op_index)
-                .field("op", op_name(&op))
-                .field("dense", true);
-            if let Some(probe) = tl_probe {
-                self.record_timeline(probe, op_index, &op, 0);
+            None
+        };
+        let mut event = qdd_telemetry::emit("sim.op")
+            .field("op_index", op_index)
+            .field("op", op_name(&op));
+        event = match nodes {
+            Some(nodes) => event.field("nodes", nodes),
+            None => event.field("dense", true),
+        };
+        if let Some((stride, start, before)) = armed {
+            event = self.timeline_fields(event, &op, start, &before, levels);
+            if stride > 0 && op_index.is_multiple_of(stride as usize) && nodes.is_some() {
+                let graph = qdd_core::graph::DdGraph::from_vector(&self.dd, self.state);
+                event = event.field("snapshot", graph.to_json());
             }
+        }
+        drop(event);
+        if let Some(nodes) = nodes {
+            qdd_telemetry::observe("sim.nodes_after_op", nodes as u64);
         }
         self.stats.applied_ops += 1;
         Ok(true)
     }
 
-    /// Closes a timeline probe into one [`TimelineRecord`] and buffers it:
-    /// deltas of the constant-time package counters over the op window,
-    /// absolute gauges at the op's end, folded-in GC/approx/fallback
-    /// events, the per-level node histogram, and — every
-    /// `snapshot_stride`-th op — a full structural snapshot of the state
-    /// diagram. Only called while timeline recording is enabled.
-    fn record_timeline(
+    /// The `sim.op` fields of the armed execution timeline
+    /// (`qdd_telemetry::timeline`): the op's qubits and wall time, the
+    /// package counters it moved (the difference of the readings before
+    /// and after it), gauges at its end and the state's level profile.
+    fn timeline_fields(
         &self,
-        probe: TimelineProbe,
-        op_index: usize,
+        event: qdd_telemetry::EventBuilder,
         op: &Operation,
-        vec_nodes: usize,
-    ) {
-        use qdd_telemetry::timeline::{self, TimelineEvent, TimelineRecord};
-        let dur_us = probe.start.elapsed().as_micros() as u64;
-        let allocated = self.dd.node_births() - probe.births;
-        let live_after = self.dd.live_node_estimate() as u64;
+        start: Instant,
+        before: &PackageStats,
+        levels: Option<Vec<u32>>,
+    ) -> qdd_telemetry::EventBuilder {
+        let after = self.dd.stats();
+        let allocated = after.node_births - before.node_births;
+        let live = |s: &PackageStats| (s.vnodes_alive + s.mnodes_alive) as u64;
         // Freed = births minus net live growth; GC inside the window makes
-        // the live estimate shrink, which shows up here as extra frees.
-        let freed = (allocated + probe.live_nodes as u64).saturating_sub(live_after);
-        let compute_lookups = self.dd.compute_lookups() - probe.compute_lookups;
-        let compute_hits = self.dd.compute_hits() - probe.compute_hits;
-        let gate_lookups = self.dd.gate_cache_lookups() - probe.gate_lookups;
-        let gate_hits = self.dd.gate_cache_hits() - probe.gate_hits;
-        let mut events = Vec::new();
-        let gc_delta = self.dd.gc_runs() - probe.gc_runs;
-        if gc_delta > 0 {
-            events.push(TimelineEvent {
-                kind: "gc",
-                fields: vec![
-                    ("runs", gc_delta.into()),
-                    (
-                        "pressure_runs",
-                        (self.dd.gc_pressure_runs() - probe.gc_pressure_runs).into(),
-                    ),
-                ],
-            });
-        }
-        let approx_delta = self.stats.approx_rounds - probe.approx_rounds;
-        if approx_delta > 0 {
-            events.push(TimelineEvent {
-                kind: "approx",
-                fields: vec![
-                    ("rounds", approx_delta.into()),
-                    ("nodes_removed", self.stats.approx_nodes_removed.into()),
-                    (
-                        "fidelity_lower_bound",
-                        self.stats.fidelity_lower_bound.into(),
-                    ),
-                ],
-            });
-        }
-        if self.stats.dense_fallback && !probe.dense_fallback {
-            events.push(TimelineEvent {
-                kind: "dense_fallback",
-                fields: vec![("qubits", (self.circuit.num_qubits() as u64).into())],
-            });
-        }
-        let (levels, snapshot) = if self.dense.is_some() {
-            (Vec::new(), None)
-        } else {
-            let stride = timeline::snapshot_stride();
-            let snapshot = if stride > 0 && (op_index as u64).is_multiple_of(u64::from(stride)) {
-                Some(qdd_core::graph::DdGraph::from_vector(&self.dd, self.state).to_json())
-            } else {
-                None
-            };
-            (
-                self.dd
-                    .vec_level_profile(self.state, self.circuit.num_qubits()),
-                snapshot,
+        // the live count shrink, which shows up here as extra frees.
+        let freed = (allocated + live(before)).saturating_sub(live(&after));
+        let compute_hits = after.cache_hits - before.cache_hits;
+        let gate_hits = after.gate_cache_hits - before.gate_cache_hits;
+        let qubits: Vec<u32> = op.qubits().iter().map(|&q| q as u32).collect();
+        let event = event
+            .field("qubits", qubits)
+            .field("dur_us", start.elapsed().as_micros() as u64)
+            .field("mat_nodes", after.mnodes_alive)
+            .field("peak_nodes", after.peak_live_nodes)
+            .field("nodes_allocated", allocated)
+            .field("nodes_freed", freed)
+            .field("complex_entries", after.complex_entries)
+            .field("compute_hits", compute_hits)
+            .field(
+                "compute_misses",
+                after.cache_lookups - before.cache_lookups - compute_hits,
             )
-        };
-        timeline::record(TimelineRecord {
-            seq: 0,    // stamped by record()
-            worker: 0, // stamped by record()
-            run: self.tl_run,
-            op_index: op_index as u64,
-            op: op_name(op),
-            qubits: op.qubits().iter().map(|&q| q as u16).collect(),
-            ts_us: 0, // stamped by record()
-            dur_us,
-            vec_nodes: vec_nodes as u64,
-            mat_nodes: self.dd.mat_live_estimate() as u64,
-            peak_nodes: self.dd.peak_live_nodes() as u64,
-            nodes_allocated: allocated,
-            nodes_freed: freed,
-            complex_entries: self.dd.complex_entry_count() as u64,
-            compute_hits,
-            compute_misses: compute_lookups - compute_hits,
-            gate_hits,
-            gate_misses: gate_lookups - gate_hits,
-            levels,
-            events,
-            snapshot,
-        });
+            .field("gate_hits", gate_hits)
+            .field(
+                "gate_misses",
+                after.gate_cache_lookups - before.gate_cache_lookups - gate_hits,
+            );
+        match levels {
+            Some(levels) => event.field("levels", levels),
+            None => event,
+        }
     }
 
     /// One operation through the degradation ladder: apply, and on node
@@ -696,6 +617,7 @@ impl DdSimulator {
             .field("nodes_before", report.nodes_before)
             .field("nodes_after", report.nodes_after)
             .field("round_bound", report.fidelity_lower_bound)
+            .field("nodes_removed", self.stats.approx_nodes_removed)
             .field("fidelity_lower_bound", self.stats.fidelity_lower_bound);
         qdd_telemetry::counter_add("approx.rounds", 1);
         qdd_telemetry::gauge_set(

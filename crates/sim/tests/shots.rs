@@ -339,7 +339,10 @@ fn mid_circuit_histograms_are_thread_count_invariant() {
     );
     probe.restart(1).unwrap();
     probe.run().unwrap();
-    assert!(probe.package().gc_runs() > 0, "auto-GC fires inside a shot");
+    assert!(
+        probe.package().stats().gc_runs > 0,
+        "auto-GC fires inside a shot"
+    );
     let budgeted = Limits {
         max_nodes: Some(60),
         ..Limits::default()

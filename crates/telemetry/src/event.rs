@@ -13,6 +13,9 @@ pub enum Value {
     Bool(bool),
     /// Short string (gate names, outcome labels).
     Str(String),
+    /// Short list of small integers (an op's qubits, per-level node
+    /// counts).
+    List(Vec<u32>),
 }
 
 impl Value {
@@ -36,6 +39,16 @@ impl Value {
                 let _ = write!(out, "{v}");
             }
             Value::Str(s) => crate::json::write_json_string(out, s),
+            Value::List(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "{v}");
+                }
+                out.push(']');
+            }
         }
     }
 }
@@ -88,11 +101,18 @@ impl From<String> for Value {
     }
 }
 
+impl From<Vec<u32>> for Value {
+    fn from(v: Vec<u32>) -> Self {
+        Value::List(v)
+    }
+}
+
 /// One recorded occurrence: an instant (measurement outcome, pressure GC)
 /// or a closed span (with duration).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Event {
-    /// Microseconds since the collector epoch (start of recording).
+    /// Microseconds since the process-wide telemetry epoch, the one clock
+    /// every thread stamps with.
     pub ts_us: u64,
     /// `Some(duration)` for span events, `None` for instants.
     pub dur_us: Option<u64>,
@@ -100,6 +120,9 @@ pub struct Event {
     pub name: &'static str,
     /// Span nesting depth at emission.
     pub depth: u16,
+    /// The recording thread's lane ([`crate::set_lane`]): 0 for the
+    /// coordinator, `w + 1` for shot worker `w`.
+    pub lane: u32,
     /// Typed payload fields, in insertion order.
     pub fields: Vec<(&'static str, Value)>,
 }
@@ -157,6 +180,8 @@ mod tests {
             (Value::F64(f64::NAN), "null"),
             (Value::Bool(true), "true"),
             (Value::Str("a\"b".into()), "\"a\\\"b\""),
+            (Value::List(vec![3, 0]), "[3,0]"),
+            (Value::List(Vec::new()), "[]"),
         ];
         for (v, want) in cases {
             let mut out = String::new();
@@ -172,6 +197,7 @@ mod tests {
             dur_us: None,
             name: "e",
             depth: 0,
+            lane: 0,
             fields: vec![("a", Value::U64(1)), ("b", Value::Bool(false))],
         };
         assert_eq!(ev.field("a"), Some(&Value::U64(1)));

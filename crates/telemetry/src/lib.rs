@@ -10,8 +10,10 @@
 //! * lightweight **spans** — RAII guards over a monotonic clock that
 //!   aggregate per-phase wall time and emit structured events
 //!   ([`span()`]);
-//! * structured **events** with typed fields ([`emit`]), drained into
-//!   Chrome `trace_event` JSON ([`sink::events_to_chrome_trace_named`]);
+//! * structured **events** with typed fields ([`emit`]), written as
+//!   Chrome `trace_event` JSON ([`sink::write_chrome_trace`]) or, with the
+//!   per-op fields the armed timeline adds ([`set_timeline`]), as the
+//!   `qdd-timeline-v1` execution timeline ([`timeline::write_jsonl`]);
 //! * one **report** of a run, the merged [`Snapshot`]: written as
 //!   `qdd-metrics-v1` JSON ([`Snapshot::to_json`]) or as the `--stats` text
 //!   ([`sink::render_stats`]).
@@ -27,14 +29,16 @@
 //! # Multi-threaded runs
 //!
 //! Worker threads record into their own thread-local registries — no locks
-//! or shared state on the hot path. Before exiting, a worker calls
-//! [`publish`] to fold its metrics into a process-wide merged registry; the
-//! coordinating thread then reads [`merged_snapshot`], which combines the
-//! published registry with its own thread-local recordings. Counters and
-//! histogram/span aggregates add across threads, gauges take the maximum
-//! (see [`Snapshot::merge`]). Events stay thread-local: their timestamps
-//! are relative to each thread's own epoch and cannot be interleaved
-//! meaningfully.
+//! or shared state on the hot path — each on its own lane ([`set_lane`]).
+//! Before exiting, a worker calls [`publish`] to fold its metrics and move
+//! its events into its scope of a process-wide registry; the coordinating
+//! thread then reads [`merged_snapshot`] and [`drain_events`], which
+//! combine the published registry with its own thread-local recordings.
+//! Counters and histogram/span aggregates add across threads, gauges take
+//! the maximum (see [`Snapshot::merge`]). Every thread stamps events with
+//! one process-wide clock, and a drain orders them by lane, then by
+//! recording order within the lane, so the merged stream does not depend
+//! on thread scheduling.
 //!
 //! # Example
 //!
@@ -66,19 +70,32 @@ pub use snapshot::Snapshot;
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Hard cap on buffered events; beyond it events are counted as dropped
 /// instead of stored, bounding memory on very long traced runs.
 pub const MAX_EVENTS: usize = 1 << 20;
 
-/// Process-wide registry of metrics published by finished worker threads,
-/// keyed by publication **scope** (see [`set_scope`]). Scope `0` is the
-/// default process-wide scope; servers give each request its own scope so
-/// concurrent jobs' metrics never bleed into each other's snapshots. Off
-/// the hot path: touched only by [`publish`] and the snapshot readers.
-static PUBLISHED: Mutex<BTreeMap<u64, Snapshot>> = Mutex::new(BTreeMap::new());
+/// Process-wide registry of what finished worker threads published, keyed
+/// by publication **scope** (see [`set_scope`]). Scope `0` is the default
+/// process-wide scope; servers give each request its own scope so
+/// concurrent jobs' metrics and events never bleed into each other's
+/// reports. Off the hot path: touched only by [`publish`] and the readers.
+static PUBLISHED: Mutex<BTreeMap<u64, Published>> = Mutex::new(BTreeMap::new());
+
+/// The zero of every event timestamp, shared by all threads so their
+/// events interleave on one time axis.
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+
+/// What one scope's threads published: their merged metrics, and their
+/// event buffers in publication order (each buffer one thread's events, in
+/// recording order).
+#[derive(Default)]
+struct Published {
+    snapshot: Snapshot,
+    events: Vec<Vec<Event>>,
+}
 
 /// Source of fresh scope ids ([`next_scope_id`]); `0` stays the default.
 static NEXT_SCOPE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
@@ -90,13 +107,15 @@ thread_local! {
     /// The scope this thread publishes into and reads merged snapshots
     /// from. Coordinators propagate it to their workers.
     static SCOPE: Cell<u64> = const { Cell::new(0) };
+    /// The armed execution timeline's snapshot stride ([`set_timeline`]).
+    static TIMELINE: Cell<Option<u32>> = const { Cell::new(None) };
     static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::new());
 }
 
 /// Per-thread telemetry state: metric maps, span aggregates, event buffer.
 struct Collector {
-    /// Zero point of all event timestamps.
-    epoch: Instant,
+    /// Lane stamped onto this thread's events ([`set_lane`]).
+    lane: u32,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
@@ -110,7 +129,7 @@ struct Collector {
 impl Collector {
     fn new() -> Self {
         Collector {
-            epoch: Instant::now(),
+            lane: 0,
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
@@ -121,13 +140,27 @@ impl Collector {
         }
     }
 
-    fn push_event(&mut self, ev: Event) {
+    fn push_event(&mut self, mut ev: Event) {
         if self.events.len() < MAX_EVENTS {
+            ev.lane = self.lane;
             self.events.push(ev);
         } else {
             self.dropped_events += 1;
         }
     }
+}
+
+/// The published registry, locked.
+fn registry() -> MutexGuard<'static, BTreeMap<u64, Published>> {
+    PUBLISHED
+        .lock()
+        .expect("no thread panics while it holds the telemetry registry")
+}
+
+/// Microseconds from the process-wide epoch to `t`.
+fn micros_since_epoch(t: Instant) -> u64 {
+    t.saturating_duration_since(*EPOCH.get_or_init(Instant::now))
+        .as_micros() as u64
 }
 
 /// Turns recording on or off for the current thread.
@@ -146,9 +179,37 @@ pub fn enabled() -> bool {
 }
 
 /// Clears all recorded metrics, span aggregates, and buffered events, and
-/// restarts the event clock. The enabled flag is untouched.
+/// puts the thread back on lane 0. The enabled flag, the timeline switch
+/// and the process-wide clock are untouched.
 pub fn reset() {
     COLLECTOR.with(|c| *c.borrow_mut() = Collector::new());
+}
+
+/// Sets the lane this thread's events are stamped with: 0 (the default) is
+/// the coordinator; the shot engine puts worker `w` on lane `w + 1`, its
+/// position in shot-range order, so the lanes of a run do not depend on
+/// thread scheduling. Trace viewers show one lane per thread.
+pub fn set_lane(lane: u32) {
+    COLLECTOR.with(|c| c.borrow_mut().lane = lane);
+}
+
+/// Arms (`Some(stride)`) or disarms (`None`) the execution timeline on
+/// this thread. While it is armed and recording is on, every `sim.op`
+/// event also carries the per-op fields [`timeline::write_jsonl`] writes,
+/// and every `stride`-th op (0 = none) a structural snapshot of the
+/// diagram. The shot engine hands the switch on to its workers.
+pub fn set_timeline(stride: Option<u32>) {
+    TIMELINE.with(|t| t.set(stride));
+}
+
+/// The armed timeline's snapshot stride: `None` while the timeline is
+/// disarmed or recording is off, which costs the caller one branch.
+#[inline]
+pub fn timeline_stride() -> Option<u32> {
+    if !enabled() {
+        return None;
+    }
+    TIMELINE.with(|t| t.get())
 }
 
 /// Adds `delta` to the named counter (creating it at zero).
@@ -227,18 +288,18 @@ pub fn span(name: &'static str) -> Span {
     if !enabled() {
         return Span { active: None };
     }
-    let (ts_us, depth) = COLLECTOR.with(|c| {
+    let depth = COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
-        let ts = c.epoch.elapsed().as_micros() as u64;
         let depth = c.depth;
         c.depth = c.depth.saturating_add(1);
-        (ts, depth)
+        depth
     });
+    let start = Instant::now();
     Span {
         active: Some(ActiveSpan {
             name,
-            start: Instant::now(),
-            ts_us,
+            start,
+            ts_us: micros_since_epoch(start),
             depth,
             fields: Vec::new(),
         }),
@@ -260,16 +321,21 @@ impl Drop for Span {
         let Some(a) = self.active.take() else {
             return;
         };
-        let elapsed_ns = a.start.elapsed().as_nanos() as u64;
+        let end = Instant::now();
+        let elapsed_ns = end.duration_since(a.start).as_nanos() as u64;
+        // The duration is taken on the epoch clock too, so every event
+        // recorded inside the span has a `ts_us` within it.
+        let dur_us = micros_since_epoch(end) - a.ts_us;
         COLLECTOR.with(|c| {
             let mut c = c.borrow_mut();
             c.depth = c.depth.saturating_sub(1);
             c.spans.entry(a.name).or_default().record(elapsed_ns);
             c.push_event(Event {
                 ts_us: a.ts_us,
-                dur_us: Some(elapsed_ns / 1_000),
+                dur_us: Some(dur_us),
                 name: a.name,
                 depth: a.depth,
+                lane: 0,
                 fields: a.fields,
             });
         });
@@ -300,15 +366,13 @@ pub fn emit(name: &'static str) -> EventBuilder {
     if !enabled() {
         return EventBuilder::inert();
     }
-    let (ts_us, depth) = COLLECTOR.with(|c| {
-        let c = c.borrow();
-        (c.epoch.elapsed().as_micros() as u64, c.depth)
-    });
+    let depth = COLLECTOR.with(|c| c.borrow().depth);
     EventBuilder::new(Event {
-        ts_us,
+        ts_us: micros_since_epoch(Instant::now()),
         dur_us: None,
         name,
         depth,
+        lane: 0,
         fields: Vec::new(),
     })
 }
@@ -333,15 +397,13 @@ pub fn snapshot() -> Snapshot {
     })
 }
 
-/// Publishes this thread's recorded metrics into the process-wide merged
-/// registry and clears them from the thread-local collector, so repeated
-/// publishing never double-counts. Worker threads call this before exiting;
-/// the coordinating thread then sees their work via [`merged_snapshot`].
-///
-/// Buffered events are *not* published — their timestamps are relative to
-/// this thread's own epoch — and stay drainable locally.
+/// Publishes this thread's recorded metrics and buffered events into its
+/// scope of the process-wide registry and clears them from the
+/// thread-local collector, so repeated publishing never double-counts.
+/// Worker threads call this before exiting; the coordinating thread then
+/// sees their work via [`merged_snapshot`] and [`drain_events`].
 pub fn publish() {
-    let snap = COLLECTOR.with(|c| {
+    let (snap, events) = COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
         let snap = Snapshot::build(
             &c.counters,
@@ -355,17 +417,17 @@ pub fn publish() {
         c.histograms.clear();
         c.spans.clear();
         c.dropped_events = 0;
-        snap
+        (snap, std::mem::take(&mut c.events))
     });
-    if snap == Snapshot::default() {
+    if snap == Snapshot::default() && events.is_empty() {
         return;
     }
-    PUBLISHED
-        .lock()
-        .unwrap()
-        .entry(scope_id())
-        .or_default()
-        .merge(&snap);
+    let mut published = registry();
+    let scope = published.entry(scope_id()).or_default();
+    scope.snapshot.merge(&snap);
+    if !events.is_empty() {
+        scope.events.push(events);
+    }
 }
 
 /// A snapshot combining everything published into this thread's scope by
@@ -374,29 +436,25 @@ pub fn publish() {
 /// Deterministic: names stay sorted and all merge operations are
 /// commutative.
 pub fn merged_snapshot() -> Snapshot {
-    let mut snap = PUBLISHED
-        .lock()
-        .unwrap()
+    let mut snap = registry()
         .get(&scope_id())
-        .cloned()
+        .map(|p| p.snapshot.clone())
         .unwrap_or_default();
     snap.merge(&snapshot());
     snap
 }
 
 /// Consumes and returns this thread's scope: the local collector is folded
-/// in (and cleared) and the scope's published entry is removed from the
-/// process-wide registry. This is the per-request read a server makes once
-/// a job finishes — the returned snapshot covers exactly that request's
-/// coordinator and workers, and the registry does not leak per-request
-/// entries.
+/// in (and cleared) and the scope's published entry, events included, is
+/// removed from the process-wide registry. This is the per-request read a
+/// server makes once a job finishes — the returned snapshot covers exactly
+/// that request's coordinator and workers, and the registry does not leak
+/// per-request entries.
 pub fn take_merged_snapshot() -> Snapshot {
     publish();
-    PUBLISHED
-        .lock()
-        .unwrap()
-        .remove(&scope_id())
-        .unwrap_or_default()
+    // Unlocked before the scope's events are freed.
+    let taken = registry().remove(&scope_id());
+    taken.map(|p| p.snapshot).unwrap_or_default()
 }
 
 /// The publication scope of the current thread (`0` = process-wide
@@ -417,17 +475,29 @@ pub fn next_scope_id() -> u64 {
     NEXT_SCOPE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Clears the process-wide published registry — every scope. The
-/// thread-local collector is untouched; pair with [`reset`] for a fully
-/// fresh start.
+/// Clears the process-wide published registry — metrics and events of
+/// every scope. The thread-local collector is untouched; pair with
+/// [`reset`] for a fully fresh start.
 pub fn reset_published() {
-    PUBLISHED.lock().unwrap().clear();
+    registry().clear();
 }
 
-/// Removes and returns all buffered events (oldest first, in completion
-/// order for spans).
+/// Removes and returns every event published into this thread's scope
+/// ([`publish`]) together with the thread's own buffer, ordered by lane and,
+/// within a lane, by recording order (spans in completion order).
 pub fn drain_events() -> Vec<Event> {
-    COLLECTOR.with(|c| std::mem::take(&mut c.borrow_mut().events))
+    let local = COLLECTOR.with(|c| std::mem::take(&mut c.borrow_mut().events));
+    let published = registry()
+        .get_mut(&scope_id())
+        .map(|p| std::mem::take(&mut p.events))
+        .unwrap_or_default();
+    if published.is_empty() {
+        return local;
+    }
+    let mut events: Vec<Event> = published.into_iter().flatten().chain(local).collect();
+    // Stable: each lane keeps its recording order.
+    events.sort_by_key(|e| e.lane);
+    events
 }
 
 /// Number of events dropped after the [`MAX_EVENTS`] buffer cap was hit.
@@ -574,10 +644,13 @@ mod tests {
     #[test]
     fn publish_feeds_merged_snapshot_without_double_counting() {
         fresh();
+        set_scope(next_scope_id());
+        let scope = scope_id();
         let handles: Vec<_> = (0..3)
             .map(|_| {
-                std::thread::spawn(|| {
+                std::thread::spawn(move || {
                     set_enabled(true);
+                    set_scope(scope);
                     counter_add("pubtest.work", 10);
                     gauge_set("pubtest.peak", 2.0);
                     publish();
@@ -596,8 +669,75 @@ mod tests {
         assert_eq!(merged.gauge("pubtest.peak"), Some(2.0));
         // Reading again is consistent (merged_snapshot does not consume).
         assert_eq!(merged_snapshot().counter("pubtest.work"), Some(31));
+        take_merged_snapshot();
+        set_scope(0);
+        set_enabled(false);
+    }
+
+    #[test]
+    fn published_events_drain_by_lane_on_one_clock() {
+        fresh();
+        set_scope(next_scope_id());
+        let scope = scope_id();
+        let outer = span("lanetest.job");
+        // Workers finish in reverse lane order; the drain still orders by
+        // lane, each lane in recording order.
+        for lane in [2u32, 1] {
+            std::thread::spawn(move || {
+                set_enabled(true);
+                set_scope(scope);
+                set_lane(lane);
+                emit("lanetest.first");
+                emit("lanetest.second");
+                publish();
+            })
+            .join()
+            .unwrap();
+        }
+        drop(outer);
+        emit("lanetest.after");
+        let events = drain_events();
+        let order: Vec<(u32, &str)> = events.iter().map(|e| (e.lane, e.name)).collect();
+        assert_eq!(
+            order,
+            [
+                (0, "lanetest.job"),
+                (0, "lanetest.after"),
+                (1, "lanetest.first"),
+                (1, "lanetest.second"),
+                (2, "lanetest.first"),
+                (2, "lanetest.second"),
+            ]
+        );
+        // Worker events fall inside the coordinator's span on the shared
+        // clock.
+        let job = &events[0];
+        let end = job.ts_us + job.dur_us.unwrap();
+        for ev in &events[2..] {
+            assert!(
+                (job.ts_us..=end).contains(&ev.ts_us),
+                "{ev:?} outside {job:?}"
+            );
+        }
+        assert!(
+            drain_events().is_empty(),
+            "draining consumes the scope's events"
+        );
+        take_merged_snapshot();
+        set_scope(0);
         reset();
-        reset_published();
+        set_enabled(false);
+    }
+
+    #[test]
+    fn timeline_switch_reads_off_while_recording_is_off() {
+        set_timeline(Some(4));
+        set_enabled(false);
+        assert_eq!(timeline_stride(), None);
+        set_enabled(true);
+        assert_eq!(timeline_stride(), Some(4));
+        set_timeline(None);
+        assert_eq!(timeline_stride(), None);
         set_enabled(false);
     }
 
@@ -642,6 +782,7 @@ mod tests {
                     dur_us: None,
                     name: "x",
                     depth: 0,
+                    lane: 0,
                     fields: Vec::new(),
                 };
                 c.push_event(ev);

@@ -5,68 +5,87 @@ use crate::event::Event;
 use crate::json::write_json_string;
 use crate::snapshot::Snapshot;
 use std::fmt::Write as _;
+use std::io::{self, Write};
 
-/// Renders events in the Chrome `trace_event` format (the
+/// Writes events in the Chrome `trace_event` format (the
 /// `{"traceEvents": […]}` object form), loadable in `chrome://tracing`,
-/// Perfetto, or Speedscope for flamegraph-style inspection.
+/// Perfetto, or Speedscope for flamegraph-style inspection, one event per
+/// line.
 ///
 /// Spans become complete (`"ph":"X"`) events; instants become
-/// thread-scoped instant (`"ph":"i"`) events. Every event sits on tid 1:
-/// events stay on the thread that recorded them, so only the draining
-/// thread's events reach the trace. With a `process_name`, metadata
-/// (`"ph":"M"`) records name the process and that thread (`coordinator`).
-pub fn events_to_chrome_trace_named(events: &[Event], process_name: Option<&str>) -> String {
-    let mut out = String::with_capacity(events.len() * 112 + 64);
-    out.push_str("{\"traceEvents\":[");
+/// thread-scoped instant (`"ph":"i"`) events. Lane `l` is tid `l + 1`, so
+/// each shot worker gets a row of its own beside the coordinator. With a
+/// `process_name`, metadata (`"ph":"M"`) records name the process and each
+/// lane that carries an event (`coordinator`, `worker N`). The armed
+/// timeline's diagram snapshots (`sim.op`'s `snapshot` field) stay out of
+/// the trace.
+///
+/// # Errors
+///
+/// Propagates write errors of `out`.
+pub fn write_chrome_trace(
+    out: &mut impl Write,
+    events: &[Event],
+    process_name: Option<&str>,
+) -> io::Result<()> {
+    let mut line = String::with_capacity(256);
     let mut first = true;
+    let mut emit = |out: &mut dyn Write, line: &str| -> io::Result<()> {
+        out.write_all(if first { b"\n" } else { b",\n" })?;
+        first = false;
+        out.write_all(line.as_bytes())
+    };
+    out.write_all(b"{\"traceEvents\":[")?;
     if let Some(process) = process_name {
-        for (name, value) in [("process_name", process), ("thread_name", "coordinator")] {
-            if !first {
-                out.push(',');
-            }
-            first = false;
+        let mut lanes: Vec<u32> = events.iter().map(|e| e.lane).collect();
+        lanes.sort_unstable();
+        lanes.dedup();
+        let threads = lanes.into_iter().map(|lane| {
+            let name = match lane {
+                0 => "coordinator".to_string(),
+                w => format!("worker {w}"),
+            };
+            ("thread_name", lane + 1, name)
+        });
+        for (kind, tid, name) in
+            std::iter::once(("process_name", 1, process.to_string())).chain(threads)
+        {
+            line.clear();
             let _ = write!(
-                out,
-                "\n{{\"name\":\"{name}\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{{\"name\":"
+                line,
+                "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":"
             );
-            write_json_string(&mut out, value);
-            out.push_str("}}");
+            write_json_string(&mut line, &name);
+            line.push_str("}}");
+            emit(out, &line)?;
         }
     }
     for ev in events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n{\"name\":");
-        write_json_string(&mut out, ev.name);
+        line.clear();
+        line.push_str("{\"name\":");
+        write_json_string(&mut line, ev.name);
         match ev.dur_us {
             Some(dur) => {
-                let _ = write!(out, ",\"ph\":\"X\",\"ts\":{},\"dur\":{}", ev.ts_us, dur);
+                let _ = write!(line, ",\"ph\":\"X\",\"ts\":{},\"dur\":{}", ev.ts_us, dur);
             }
             None => {
-                let _ = write!(out, ",\"ph\":\"i\",\"ts\":{},\"s\":\"t\"", ev.ts_us);
+                let _ = write!(line, ",\"ph\":\"i\",\"ts\":{},\"s\":\"t\"", ev.ts_us);
             }
         }
-        out.push_str(",\"pid\":1,\"tid\":1,\"args\":");
-        write_args(&mut out, ev);
-        out.push('}');
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-fn write_args(out: &mut String, ev: &Event) {
-    out.push('{');
-    for (i, (key, value)) in ev.fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        let _ = write!(line, ",\"pid\":1,\"tid\":{},\"args\":{{", ev.lane + 1);
+        let args = ev.fields.iter().filter(|(key, _)| *key != "snapshot");
+        for (i, (key, value)) in args.enumerate() {
+            if i > 0 {
+                line.push(',');
+            }
+            write_json_string(&mut line, key);
+            line.push(':');
+            value.write_json(&mut line);
         }
-        write_json_string(out, key);
-        out.push(':');
-        value.write_json(out);
+        line.push_str("}}");
+        emit(out, &line)?;
     }
-    out.push('}');
+    out.write_all(b"\n]}\n")
 }
 
 /// Formats a nanosecond duration for the phase table (aligned, 4
@@ -172,6 +191,7 @@ mod tests {
                 dur_us: Some(5),
                 name: "core.mat_vec",
                 depth: 1,
+                lane: 0,
                 fields: vec![("n", Value::U64(4))],
             },
             Event {
@@ -179,14 +199,21 @@ mod tests {
                 dur_us: None,
                 name: "sim.op",
                 depth: 0,
+                lane: 0,
                 fields: vec![("gate", Value::Str("h".into()))],
             },
         ]
     }
 
+    fn chrome_trace(events: &[Event], process_name: Option<&str>) -> String {
+        let mut out = Vec::new();
+        write_chrome_trace(&mut out, events, process_name).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn chrome_trace_has_required_keys() {
-        let text = events_to_chrome_trace_named(&sample_events(), None);
+        let text = chrome_trace(&sample_events(), None);
         assert!(text.starts_with("{\"traceEvents\":["));
         assert!(text.contains("\"ph\":\"X\""));
         assert!(text.contains("\"ph\":\"i\""));
@@ -201,13 +228,39 @@ mod tests {
 
     #[test]
     fn chrome_trace_metadata_records_name_threads() {
-        let text = events_to_chrome_trace_named(&sample_events(), Some("qft16"));
+        let text = chrome_trace(&sample_events(), Some("qft16"));
         assert!(text.contains("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"qft16\"}"));
         assert!(text.contains("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"coordinator\"}"));
         assert_eq!(text.matches("\"ph\":\"M\"").count(), 2);
         // Span/instant events still present after the metadata prologue.
         assert!(text.contains("\"ph\":\"X\""));
         assert!(text.contains("\"ph\":\"i\""));
+    }
+
+    #[test]
+    fn chrome_trace_puts_each_lane_on_its_own_named_tid() {
+        let mut events = sample_events();
+        events[1].lane = 2;
+        events[1]
+            .fields
+            .push(("snapshot", Value::Str("{\"kind\":\"vector\"}".into())));
+        let text = chrome_trace(&events, Some("run"));
+        assert!(text.contains("\"tid\":3,\"args\":{\"name\":\"worker 2\"}"));
+        assert_eq!(
+            text.matches("\"ph\":\"M\"").count(),
+            3,
+            "no name for the empty lane 1"
+        );
+        assert!(text.contains("\"pid\":1,\"tid\":3,\"args\":{\"gate\":\"h\"}}"));
+        assert!(
+            !text.contains("vector"),
+            "diagram snapshots stay out of the trace"
+        );
+        // One object per line between the array brackets.
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2 + 3 + events.len());
+        assert_eq!(lines[0], "{\"traceEvents\":[");
+        assert_eq!(*lines.last().unwrap(), "]}");
     }
 
     #[test]

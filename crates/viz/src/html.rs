@@ -10,6 +10,7 @@ use crate::inspect::{OpLine, SpanLine, TimelineDoc};
 use crate::session::Frame;
 use crate::style::VizStyle;
 use crate::svg::graph_to_svg;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -413,6 +414,8 @@ fn level_curves_svg(ops: &[OpLine]) -> Option<String> {
     Some(svg)
 }
 
+/// The span tree, one band of rows per worker: workers run concurrently,
+/// so their spans would overlay each other on a shared band.
 fn flamegraph_html(spans: &[SpanLine]) -> String {
     let t0 = spans.iter().map(|s| s.ts_us).min().unwrap_or(0);
     let t1 = spans
@@ -422,13 +425,25 @@ fn flamegraph_html(spans: &[SpanLine]) -> String {
         .unwrap_or(t0 + 1)
         .max(t0 + 1);
     let total = (t1 - t0) as f64;
-    let depth = spans.iter().map(|s| s.depth).max().unwrap_or(0) as usize + 1;
+    // Worker → its band's first row, bands stacked in worker order.
+    let mut depths: BTreeMap<u32, usize> = BTreeMap::new();
+    for span in spans {
+        let rows = depths.entry(span.worker).or_default();
+        *rows = (*rows).max(span.depth as usize + 1);
+    }
+    let mut band = BTreeMap::new();
+    let mut rows = 0;
+    for (&worker, &depth) in &depths {
+        band.insert(worker, rows);
+        rows += depth;
+    }
     let mut out = format!(
-        "<div class=\"legend\">{} span(s), {:.1} ms total</div>\n\
+        "<div class=\"legend\">{} span(s) on {} worker(s), {:.1} ms total</div>\n\
          <div id=\"flame\" style=\"height: {}px\">\n",
         spans.len(),
+        depths.len(),
         total / 1000.0,
-        depth * 22 + 4,
+        rows * 22 + 4,
     );
     for span in spans {
         let left = (span.ts_us - t0) as f64 / total * 100.0;
@@ -436,12 +451,12 @@ fn flamegraph_html(spans: &[SpanLine]) -> String {
         // Stable name-derived color so repeated spans read as one family.
         let hash: usize = span.name.bytes().map(usize::from).sum();
         let color = CURVE_COLORS[hash % CURVE_COLORS.len()];
-        let label = format!("{} ({} µs)", span.name, span.dur_us);
+        let label = format!("{} ({} µs, worker {})", span.name, span.dur_us, span.worker);
         let _ = writeln!(
             out,
             "<div class=\"span\" style=\"left:{left:.2}%;width:{width:.2}%;\
              top:{}px;background:{color}\" title=\"{}\">{}</div>",
-            span.depth as usize * 22 + 2,
+            (band[&span.worker] + span.depth as usize) * 22 + 2,
             escape_html(&label),
             escape_html(&span.name),
         );
@@ -551,6 +566,39 @@ mod tests {
             );
         }
         assert!(html.trim_end().ends_with("</html>"));
+    }
+
+    #[test]
+    fn flamegraph_gives_each_worker_its_own_band() {
+        let span = |worker, name: &str, depth| SpanLine {
+            worker,
+            name: name.to_string(),
+            ts_us: 0,
+            dur_us: 9,
+            depth,
+        };
+        let html = flamegraph_html(&[
+            span(0, "sim.run", 0),
+            span(0, "sim.apply", 1),
+            span(2, "sim.run", 0),
+        ]);
+        assert!(html.contains("3 span(s) on 2 worker(s)"));
+        let top = |title: &str| {
+            let at = html.find(&format!("title=\"{title}")).unwrap();
+            let tag = &html[html[..at].rfind("<div").unwrap()..at];
+            tag.split("top:")
+                .nth(1)
+                .unwrap()
+                .split("px")
+                .next()
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(top("sim.run (9 µs, worker 0)"), "2");
+        assert_eq!(top("sim.apply (9 µs, worker 0)"), "24");
+        // Worker 2's run starts below worker 0's two rows, not on top of them.
+        assert_eq!(top("sim.run (9 µs, worker 2)"), "46");
+        assert!(html.contains("height: 70px"));
     }
 
     #[test]

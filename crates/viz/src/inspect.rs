@@ -1,5 +1,5 @@
 //! Parsing of `qdd-timeline-v1` JSONL streams back into an inspectable
-//! model — the read side of the timeline recorder, feeding the HTML
+//! model — the read side of the execution timeline, feeding the HTML
 //! inspector ([`crate::html::timeline_report`]). Lines are read with the
 //! workspace's JSON parser, [`qdd_telemetry::json::parse_json`].
 
@@ -39,7 +39,7 @@ pub struct OpLine {
     pub op: String,
     /// Qubits the op touches.
     pub qubits: Vec<u16>,
-    /// Microseconds since the recording thread's epoch.
+    /// Microseconds since the process-wide telemetry epoch.
     pub ts_us: u64,
     /// Wall time of the op in microseconds.
     pub dur_us: u64,
@@ -88,9 +88,11 @@ pub struct SnapshotLine {
 /// One `"type":"span"` line (the flamegraph source).
 #[derive(Clone, Debug, Default)]
 pub struct SpanLine {
+    /// Worker (lane) that recorded the span (0 = coordinator).
+    pub worker: u32,
     /// Span name.
     pub name: String,
-    /// Start, microseconds since the coordinator's epoch.
+    /// Start, microseconds since the process-wide telemetry epoch.
     pub ts_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
@@ -227,6 +229,7 @@ pub fn parse_timeline(text: &str) -> Result<TimelineDoc, String> {
             }
             Some("span") => {
                 doc.spans.push(SpanLine {
+                    worker: opt_u64(&v, "worker") as u32,
                     name: v
                         .get("name")
                         .and_then(JsonValue::as_str)

@@ -20,7 +20,13 @@ where. The output formats are a published contract, not a noisy
 measurement, so a malformed file is an error. Validated-but-lossy artifacts
 (events or records dropped at a recording cap) emit a GitHub
 ``::warning::`` annotation without failing the check.
+
+Files given together are taken to come from one run, which all three
+formats report from one event stream: their span counts must agree name by
+name (unless events were dropped at the cap).
 """
+
+from collections import Counter
 
 import json
 import sys
@@ -69,9 +75,11 @@ def check_metrics(path, doc):
                        f"total_ns {s['total_ns']}")
         if s["count"] == 0 and s["total_ns"] > 0:
             fail(path, f"span {name!r}: time recorded with zero closings")
-    return (f"metrics snapshot: {len(doc['counters'])} counters, "
-            f"{len(doc['gauges'])} gauges, {len(doc['spans'])} spans, "
-            f"{doc['dropped_events']} dropped")
+    spans = Counter({name: s["count"] for name, s in doc["spans"].items()})
+    return spans, doc["dropped_events"], (
+        f"metrics snapshot: {len(doc['counters'])} counters, "
+        f"{len(doc['gauges'])} gauges, {len(doc['spans'])} spans, "
+        f"{doc['dropped_events']} dropped")
 
 
 def check_chrome(path, doc):
@@ -99,7 +107,8 @@ def check_chrome(path, doc):
         for field in ("ts", "pid", "tid") + (("dur",) if ph == "X" else ()):
             if not isinstance(ev.get(field), (int, float)) or ev[field] < 0:
                 fail(path, f"{where}: bad `{field}`: {ev.get(field)!r}")
-    return f"Chrome trace: {len(events)} trace events"
+    spans = Counter(ev["name"] for ev in events if ev["ph"] == "X")
+    return spans, 0, f"Chrome trace: {len(events)} trace events"
 
 
 # Per-op delta fields that must never go negative in a timeline record.
@@ -121,7 +130,7 @@ def check_timeline(path, text):
         if field not in header:
             fail(path, f"header: missing `{field}`")
     ops = 0            # op lines seen
-    spans = 0
+    spans = Counter()  # span name -> lines
     snapshots = 0
     last_index = {}    # (worker, run) -> last op_index
     seen_ops = set()   # (worker, run, op_index) valid snapshot targets
@@ -158,7 +167,7 @@ def check_timeline(path, text):
             if not isinstance(rec.get("graph"), dict):
                 fail(path, f"line {i}: snapshot without an inline `graph`")
         elif kind == "span":
-            spans += 1
+            spans[rec.get("name")] += 1
             for field in ("ts_us", "dur_us"):
                 v = rec.get(field)
                 if not isinstance(v, int) or v < 0:
@@ -171,9 +180,10 @@ def check_timeline(path, text):
     if header["dropped_records"] > 0:
         warn(path, f"timeline dropped {header['dropped_records']} records at "
                    f"the recording cap; per-op attribution is incomplete")
-    return (f"timeline: {ops} ops over {len(last_index)} worker/run passes, "
-            f"{snapshots} snapshots, {spans} spans, "
-            f"{header['dropped_records']} dropped")
+    return spans, header["dropped_records"], (
+        f"timeline: {ops} ops over {len(last_index)} worker/run passes, "
+        f"{snapshots} snapshots, {sum(spans.values())} spans, "
+        f"{header['dropped_records']} dropped")
 
 
 def check_file(path):
@@ -206,8 +216,18 @@ def check_file(path):
 def main():
     if len(sys.argv) < 2:
         raise SystemExit(__doc__.strip().splitlines()[3].strip())
+    counts = []  # (path, span counts) of files that dropped nothing
     for path in sys.argv[1:]:
-        print(f"{path}: OK ({check_file(path)})")
+        spans, dropped, summary = check_file(path)
+        print(f"{path}: OK ({summary})")
+        if dropped == 0:
+            counts.append((path, spans))
+    for path, spans in counts[1:]:
+        first, expected = counts[0]
+        if spans != expected:
+            names = sorted(n for n in set(spans) | set(expected) if spans[n] != expected[n])
+            fail(path, "span counts disagree with " + first + ": " + ", ".join(
+                f"{n} {spans[n]} vs {expected[n]}" for n in names))
     return 0
 
 

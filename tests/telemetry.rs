@@ -83,9 +83,11 @@ fn enabled_run_records_the_expected_shape() {
 
 #[test]
 fn worker_threads_publish_into_the_merged_snapshot() {
+    // A scope of its own: workers also publish their events, which the
+    // other tests' drains must not pick up.
+    telemetry::set_scope(telemetry::next_scope_id());
     telemetry::set_enabled(true);
     telemetry::reset();
-    telemetry::reset_published();
 
     // A mid-circuit-measurement circuit forces the per-shot re-execution
     // regime, which fans out over worker threads.
@@ -119,10 +121,10 @@ fn worker_threads_publish_into_the_merged_snapshot() {
     // per-shot spans, but the merged snapshot accounts for every executed
     // shot on every worker.
     let local = telemetry::snapshot();
-    let merged = telemetry::merged_snapshot();
+    let merged = telemetry::take_merged_snapshot();
+    telemetry::set_scope(0);
     telemetry::set_enabled(false);
     telemetry::reset();
-    telemetry::reset_published();
 
     assert!(local.span_stats("sim.run").is_none(), "shots run on workers");
     let runs = merged.span_stats("sim.run").expect("published run spans");
