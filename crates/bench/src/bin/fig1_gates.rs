@@ -33,7 +33,7 @@ fn main() {
 
     let h2 = dd.gate_dd(gates::H, &[], 1, 2).expect("H on q1");
     print_matrix("  H ⊗ I₂ (Example 3)", &dd.to_dense_matrix(h2, 2));
-    let system = dd.mat_mat(cx, h2);
+    let system = dd.mat_mat(cx, h2).expect("CNOT · (H ⊗ I₂)");
     print_matrix("  System matrix U = CNOT · (H ⊗ I₂)", &dd.to_dense_matrix(system, 2));
 
     println!(

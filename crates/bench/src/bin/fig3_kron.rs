@@ -14,7 +14,7 @@ fn main() {
     let i2 = dd.identity(1).expect("I2");
     println!("operand sizes: H = {} node, I₂ = {} node", dd.mat_node_count(h), dd.mat_node_count(i2));
 
-    let kron = dd.kron_mat_spanned(h, i2, 1);
+    let kron = dd.kron_mat(h, i2, 1).expect("H ⊗ I₂");
     println!("H ⊗ I₂ = {} nodes", dd.mat_node_count(kron));
 
     // Canonicity: the same operator built directly is the identical edge.

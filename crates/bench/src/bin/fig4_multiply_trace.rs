@@ -24,11 +24,11 @@ fn main() {
     record(&dd, "|00⟩", state);
 
     let h = dd.gate_dd(gates::H, &[], 1, 2).expect("H ⊗ I₂");
-    state = dd.mat_vec(h, state);
+    state = dd.mat_vec(h, state).expect("(H ⊗ I₂)·|ϕ⟩");
     record(&dd, "after (H ⊗ I₂)·|ϕ⟩", state);
 
     let cx = dd.gate_dd(gates::X, &[Control::pos(1)], 0, 2).expect("CNOT");
-    state = dd.mat_vec(cx, state);
+    state = dd.mat_vec(cx, state).expect("CNOT·|ϕ⟩");
     record(&dd, "after CNOT·|ϕ⟩", state);
 
     print_table(

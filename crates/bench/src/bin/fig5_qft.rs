@@ -43,17 +43,7 @@ fn main() {
 
     // Rebuild one system matrix for the printout.
     let mut dd = qdd_core::DdPackage::new();
-    let mut u = dd.identity(3).expect("I");
-    for op in qft.ops() {
-        if let Some(gates) = op.to_gate_sequence() {
-            for g in gates {
-                let m = dd
-                    .gate_dd(g.gate.matrix(), &g.controls, g.target, 3)
-                    .expect("gate");
-                u = dd.mat_mat(m, u);
-            }
-        }
-    }
+    let (u, _) = qdd_verify::functionality(&mut dd, &qft).expect("QFT is unitary");
     println!("\nFig. 5(c)  Functionality 1/√8 · [ωʲᵏ] with ω = e^{{iπ/4}} = √i:");
     for row in dd.to_dense_matrix(u, 3) {
         let cells: Vec<String> = row.iter().map(|c| format!("{:>3}", omega_power(*c))).collect();

@@ -11,17 +11,7 @@ use qdd_viz::{dot, style::VizStyle, svg};
 fn main() {
     let mut dd = DdPackage::new();
     let qft = library::qft(3, true);
-    let mut u = dd.identity(3).expect("I");
-    for op in qft.ops() {
-        if let Some(gates) = op.to_gate_sequence() {
-            for g in gates {
-                let m = dd
-                    .gate_dd(g.gate.matrix(), &g.controls, g.target, 3)
-                    .expect("gate");
-                u = dd.mat_mat(m, u);
-            }
-        }
-    }
+    let (u, _) = qdd_verify::functionality(&mut dd, &qft).expect("QFT is unitary");
 
     let graph = DdGraph::from_matrix(&dd, u);
     println!("Fig. 6  QFT(3) functionality DD");

@@ -17,15 +17,8 @@ fn isolated_mat_vec(n: usize, compute_tables: bool, reps: usize) -> Duration {
         compute_tables,
         ..PackageConfig::default()
     });
-    let mut u = dd.identity(n).expect("identity");
-    for op in qdd_circuit::library::qft(n, false).ops() {
-        for g in op.to_gate_sequence().expect("QFT ops are unitary") {
-            let m = dd
-                .gate_dd(g.gate.matrix(), &g.controls, g.target, n)
-                .expect("gate DD");
-            u = dd.mat_mat(m, u);
-        }
-    }
+    let (u, _) = qdd_verify::functionality(&mut dd, &qdd_circuit::library::qft(n, false))
+        .expect("QFT is unitary");
     let mut s = dd.zero_state(n).expect("zero state");
     for q in 0..n {
         s = dd
@@ -41,7 +34,7 @@ fn isolated_mat_vec(n: usize, compute_tables: bool, reps: usize) -> Duration {
         .map(|_| {
             dd.clear_compute_tables();
             let t0 = Instant::now();
-            std::hint::black_box(dd.mat_vec(u, s));
+            std::hint::black_box(dd.mat_vec(u, s).expect("unlimited package"));
             t0.elapsed()
         })
         .collect();
@@ -130,38 +123,6 @@ fn main() {
     print_table(
         "T-D.2 — complex-table interning (paper ref [14])",
         &["family", "n", "distinct weights", "vec nodes alive", "mat nodes alive"],
-        &rows,
-    );
-
-    // Vector-normalization rule ablation: L2 (paper footnote 3) vs the
-    // QMDD-style max-magnitude rule. Both are canonical; compare node
-    // counts and wall time on measurement-free workloads.
-    let mut rows = Vec::new();
-    for family in [Family::Ghz, Family::W, Family::Qft, Family::Random] {
-        let n = 10;
-        let mut cells = vec![family.name().to_string(), n.to_string()];
-        for rule in [
-            qdd_core::VectorNormalization::L2,
-            qdd_core::VectorNormalization::MaxMagnitude,
-        ] {
-            let cfg = PackageConfig {
-                vector_normalization: rule,
-                ..PackageConfig::default()
-            };
-            let t0 = Instant::now();
-            let mut sim = DdSimulator::with_config(family.circuit(n), 1, cfg);
-            sim.run().expect("simulation");
-            cells.push(format!(
-                "{} / {}",
-                sim.node_count(),
-                fmt_duration(t0.elapsed())
-            ));
-        }
-        rows.push(cells);
-    }
-    print_table(
-        "T-D.3 — vector normalization rule (L2 vs max-magnitude)",
-        &["family", "n", "L2 nodes/time", "max-mag nodes/time"],
         &rows,
     );
 

@@ -63,15 +63,7 @@ fn main() {
         let mut dd = DdPackage::new();
         let id = dd.identity(n).expect("identity");
         let qft = qdd_circuit::library::qft(n, false);
-        let mut u = dd.identity(n).expect("identity");
-        for op in qft.ops() {
-            for g in op.to_gate_sequence().expect("unitary") {
-                let m = dd
-                    .gate_dd(g.gate.matrix(), &g.controls, g.target, n)
-                    .expect("gate");
-                u = dd.mat_mat(m, u);
-            }
-        }
+        let (u, _) = qdd_verify::functionality(&mut dd, &qft).expect("QFT is unitary");
         rows.push(vec![
             n.to_string(),
             format!("{}", 1u128 << (2 * n)),

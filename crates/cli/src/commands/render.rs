@@ -30,25 +30,15 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("missing `-o OUT`\n\n{HELP}"))?;
     let style = parse_style(args.value("--style").or(Some("colored")))?;
     let circuit = load_circuit(path)?;
-    let n = circuit.num_qubits();
 
     let mut dd = qdd_core::DdPackage::new();
     let (graph, nodes) = if args.has("--matrix") {
-        let mut u = dd.identity(n).map_err(|e| e.to_string())?;
-        for op in circuit.ops() {
-            if matches!(op, qdd_circuit::Operation::Barrier) {
-                continue;
-            }
-            let gates = op.to_gate_sequence().ok_or_else(|| {
+        let (u, _) = qdd_verify::functionality(&mut dd, &circuit).map_err(|e| match e {
+            qdd_verify::VerifyError::NonUnitary { .. } => {
                 "functionality rendering needs a measurement-free circuit".to_string()
-            })?;
-            for g in gates {
-                let m = dd
-                    .gate_dd(g.gate.matrix(), &g.controls, g.target, n)
-                    .map_err(|e| e.to_string())?;
-                u = dd.mat_mat(m, u);
             }
-        }
+            e => e.to_string(),
+        })?;
         (DdGraph::from_matrix(&dd, u), dd.mat_node_count(u))
     } else {
         let mut sim = qdd_sim::DdSimulator::with_seed(circuit.clone(), 1);

@@ -13,8 +13,8 @@ Endpoints (all JSON; see DESIGN.md §18 for schemas):
 
   GET    /healthz                     liveness + cache/session gauges
   POST   /v1/simulate                 run a circuit once, return state facts
-  POST   /v1/shots                    sampling job; streams the histogram
-                                      as chunked JSONL lines
+  POST   /v1/shots                    sampling job; returns the histogram
+                                      as JSONL lines
   POST   /v1/verify                   equivalence-check two circuits
   POST   /v1/sessions                 open an interactive step/play session
   POST   /v1/sessions/{id}/step       advance one op / resolve a choice

@@ -530,16 +530,6 @@ impl ComplexTable {
         }
         self.lookup(v.conj())
     }
-
-    /// Returns `true` if the two handles denote values within tolerance.
-    ///
-    /// Because interning already collapses such values, this is simply
-    /// handle equality — exposed as a named method for readability at call
-    /// sites that check canonicity.
-    #[inline]
-    pub fn approx_equal(&self, a: ComplexIdx, b: ComplexIdx) -> bool {
-        a == b
-    }
 }
 
 impl Default for ComplexTable {

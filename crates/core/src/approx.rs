@@ -20,11 +20,11 @@
 //!
 //! # Soundness of the bound
 //!
-//! Under [`VectorNormalization::L2`](crate::VectorNormalization::L2) every
-//! node's sub-vector has unit norm, so the mass routed through a node equals
-//! its *contribution*: the sum over root→node path prefixes of the squared
-//! prefix-weight products. Each computational basis state follows exactly
-//! one root→terminal path, so pruning a node (or zeroing an edge) deletes
+//! Vector nodes are L2-normalized: every node's sub-vector has unit norm,
+//! so the mass routed through a node equals its *contribution*: the sum
+//! over root→node path prefixes of the squared prefix-weight products.
+//! Each computational basis state follows exactly one root→terminal path,
+//! so pruning a node (or zeroing an edge) deletes
 //! the amplitudes of a *disjoint* set of basis states — an orthogonal
 //! component of the state whose total mass is at most the summed
 //! contributions of everything pruned. Selection therefore budgets against
@@ -96,12 +96,6 @@ impl DdPackage {
     /// [`DdError::ResourceExhausted`] when rebuilding the pruned diagram
     /// itself runs out of node budget (callers under pressure should GC and
     /// fall through to their next degradation rung).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the package uses
-    /// [`VectorNormalization::L2`](crate::VectorNormalization::L2) — node
-    /// contributions are only probability masses under the L2 rule.
     pub fn prune_to_fidelity(
         &mut self,
         state: VecEdge,
@@ -189,11 +183,6 @@ impl DdPackage {
     /// surviving path (choose `epsilon < 0.5` to make the root always keep
     /// its heavier branch), and [`DdError::ResourceExhausted`] as for
     /// [`Self::prune_to_fidelity`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the package uses
-    /// [`VectorNormalization::L2`](crate::VectorNormalization::L2).
     pub fn contract_threshold(
         &mut self,
         state: VecEdge,
@@ -247,11 +236,6 @@ impl DdPackage {
     /// down), so a BFS visits every parent before any child and each node's
     /// accumulated sum is final when its own edges are expanded.
     fn vec_contributions(&self, state: VecEdge) -> FxHashMap<u32, f64> {
-        assert!(
-            self.config.vector_normalization == crate::normalize::VectorNormalization::L2,
-            "approximation requires VectorNormalization::L2 (the ablation \
-             rule does not keep local weights as probability amplitudes)"
-        );
         let mut contribution: FxHashMap<u32, f64> = FxHashMap::default();
         contribution.insert(state.node.raw(), 1.0);
         self.visit_bfs(state, |id, n| {
@@ -306,7 +290,7 @@ impl DdPackage {
                     },
                 };
             }
-            match self.try_make_vec_node(var, new_children) {
+            match self.make_vec_node(var, new_children) {
                 Ok(e) if !e.is_zero() => {
                     rebuilt.insert(raw, e);
                 }
@@ -420,14 +404,14 @@ mod tests {
         assert!(report.nodes_after < report.nodes_before, "{report:?}");
         assert!(report.fidelity_lower_bound >= 0.8, "{report:?}");
         // The bound never overstates the true fidelity.
-        let exact = dd.fidelity(s, pruned);
+        let exact = dd.fidelity(s, pruned).unwrap();
         assert!(
             report.fidelity_lower_bound <= exact + 1e-9,
             "bound {} exceeds exact fidelity {exact}",
             report.fidelity_lower_bound
         );
         // Pruned states stay normalized.
-        assert!((dd.vec_norm(pruned) - 1.0).abs() < 1e-9);
+        assert!((dd.vec_norm(pruned).unwrap() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -450,13 +434,13 @@ mod tests {
         dd.inc_ref_vec(s);
         let (contracted, report) = dd.contract_threshold(s, 0.02).unwrap();
         assert!(report.nodes_after <= report.nodes_before);
-        let exact = dd.fidelity(s, contracted);
+        let exact = dd.fidelity(s, contracted).unwrap();
         assert!(
             report.fidelity_lower_bound <= exact + 1e-9,
             "bound {} exceeds exact fidelity {exact}",
             report.fidelity_lower_bound
         );
-        assert!((dd.vec_norm(contracted) - 1.0).abs() < 1e-9);
+        assert!((dd.vec_norm(contracted).unwrap() - 1.0).abs() < 1e-9);
         // A threshold below every edge mass is a no-op.
         let (same, noop) = dd.contract_threshold(s, 1e-30).unwrap();
         assert_eq!(same, s);

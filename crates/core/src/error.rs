@@ -78,13 +78,6 @@ pub enum DdError {
         /// The requested outcome.
         outcome: bool,
     },
-    /// Dense export requested for a register too large to materialize.
-    TooLargeForDense {
-        /// The register size.
-        num_qubits: usize,
-        /// The largest register `to_dense_*` accepts.
-        max: usize,
-    },
     /// A configured resource budget ([`Limits`](crate::Limits)) was exhausted
     /// even after garbage collection under pressure.
     ResourceExhausted {
@@ -140,9 +133,6 @@ impl fmt::Display for DdError {
                     "qubit {qubit} has probability 0 of outcome |{}⟩",
                     u8::from(*outcome)
                 )
-            }
-            DdError::TooLargeForDense { num_qubits, max } => {
-                write!(f, "dense export of {num_qubits} qubits exceeds the {max}-qubit limit")
             }
             DdError::ResourceExhausted { kind, limit, used } => {
                 write!(

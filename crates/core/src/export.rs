@@ -54,29 +54,6 @@ impl DdPackage {
         w
     }
 
-    /// [`Self::to_dense_vector`] with the qubit cap as a typed error instead
-    /// of a panic — checked *before* any allocation, so a driver probing the
-    /// dense fallback on a wide register fails structurally rather than
-    /// attempting a doomed `2ⁿ` buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`DdError::TooLargeForDense`](crate::DdError::TooLargeForDense) when
-    /// `n` exceeds 24 qubits.
-    pub fn try_to_dense_vector(
-        &self,
-        state: VecEdge,
-        n: usize,
-    ) -> Result<Vec<Complex>, crate::DdError> {
-        if n > MAX_DENSE_VECTOR_QUBITS {
-            return Err(crate::DdError::TooLargeForDense {
-                num_qubits: n,
-                max: MAX_DENSE_VECTOR_QUBITS,
-            });
-        }
-        Ok(self.to_dense_vector(state, n))
-    }
-
     /// Materializes the full `2ⁿ` state vector.
     ///
     /// # Panics

@@ -20,7 +20,20 @@
 //! [`ComplexTable`](qdd_complex::ComplexTable). Together with deterministic
 //! normalization this makes the diagrams **canonical**: two circuits are
 //! equivalent iff their matrix DDs are the *same edge* —
-//! the property the paper's verification scheme relies on.
+//! the property the paper's verification scheme relies on. Vector nodes
+//! are L2-normalized, so squared local weights are measurement
+//! probabilities (paper footnote 3): measurement and sampling are single
+//! root→terminal walks.
+//!
+//! # Errors
+//!
+//! Every DD operation — `add_vec`/`add_mat`, `mat_vec`/`mat_mat`,
+//! `kron_vec`/`kron_mat`, `adjoint_mat`, `inner_product` and the node
+//! constructors `make_vec_node`/`make_mat_node` — has one public form
+//! returning `Result<_, DdError>`. Under a [`Limits`] budget an operation
+//! that runs out returns [`DdError::ResourceExhausted`] or
+//! [`DdError::DeadlineExceeded`]; it never panics. With the default,
+//! unlimited limits no budget applies.
 //!
 //! # Example
 //!
@@ -34,8 +47,8 @@
 //! let zero = dd.zero_state(2)?;             // |00⟩
 //! let h = dd.gate_dd(gates::H, &[], 1, 2)?; // H on the most-significant qubit
 //! let cx = dd.gate_dd(gates::X, &[qdd_core::Control::pos(1)], 0, 2)?;
-//! let state = dd.mat_vec(h, zero);
-//! let bell = dd.mat_vec(cx, state);
+//! let state = dd.mat_vec(h, zero)?;
+//! let bell = dd.mat_vec(cx, state)?;
 //! // 1/√2 |00⟩ + 1/√2 |11⟩, a 2-node diagram (Fig. 2(a) of the paper):
 //! assert_eq!(dd.vec_node_count(bell), 3); // paper counts 3 incl. both q0 nodes
 //! let amps = dd.to_dense_vector(bell, 2);
@@ -73,7 +86,7 @@ pub use limits::{ApproxPolicy, Limits, DEFAULT_AUTO_GC_THRESHOLD, DEFAULT_COMPLE
 pub use measure::MeasurementOutcome;
 pub use node::{MNode, Node, VNode};
 pub use observable::{ParsePauliError, Pauli, PauliString};
-pub use package::{DdPackage, GcReport, PackageConfig, PackageStats, VectorNormalization};
+pub use package::{DdPackage, GcReport, PackageConfig, PackageStats};
 pub use sample::SamplingTableau;
 pub use serialize::SerializeError;
 pub use traverse::Traversable;

@@ -6,7 +6,7 @@
 //! errors — instead of exhausting the host. [`Limits`] declares the budgets;
 //! the package enforces them at two chokepoints:
 //!
-//! 1. **Node allocation** (`try_make_vec_node` / `try_make_mat_node`): a new
+//! 1. **Node allocation** (`make_vec_node` / `make_mat_node`): a new
 //!    unique-table entry is refused once the live-node estimate reaches
 //!    [`Limits::max_nodes`], and complex-weight interning growth is checked
 //!    against [`Limits::max_complex_entries`].
@@ -20,8 +20,10 @@
 //! colliding insert overwrites the one entry in its slot (counted in
 //! `PackageStats::compute_evictions`).
 //!
-//! All limits default to *unlimited*; a default-configured package behaves
-//! byte-identically to one without the governor.
+//! Every public DD operation returns the resulting [`DdError`] to its
+//! caller; none panics when a budget runs out. All limits default to
+//! *unlimited*; a default-configured package behaves byte-identically to
+//! one without the governor.
 
 use std::time::{Duration, Instant};
 

@@ -53,17 +53,6 @@ impl std::fmt::Display for MeasurementOutcome {
 }
 
 impl DdPackage {
-    /// Measurement relies on the L2 invariant (unit-norm sub-vectors);
-    /// refuse to produce wrong probabilities under the ablation rule.
-    fn require_l2(&self, what: &str) {
-        assert!(
-            self.config.vector_normalization
-                == crate::normalize::VectorNormalization::L2,
-            "{what} requires VectorNormalization::L2 (the ablation rule does \
-             not keep local weights as probability amplitudes)"
-        );
-    }
-
     /// The probability of measuring `|1⟩` on `qubit`, assuming `state` is
     /// normalized.
     ///
@@ -71,7 +60,6 @@ impl DdPackage {
     ///
     /// Panics if `qubit` exceeds the state's most significant variable.
     pub fn prob_one(&mut self, state: VecEdge, qubit: usize) -> f64 {
-        self.require_l2("prob_one");
         if state.is_zero() {
             return 0.0;
         }
@@ -177,11 +165,11 @@ impl DdPackage {
             } else {
                 [kept, VecEdge::ZERO]
             };
-            self.try_make_vec_node(var, children)?
+            self.make_vec_node(var, children)?
         } else {
             let r0 = self.project(c[0], q, one, memo)?;
             let r1 = self.project(c[1], q, one, memo)?;
-            self.try_make_vec_node(var, [r0, r1])?
+            self.make_vec_node(var, [r0, r1])?
         };
         memo.insert(e.node, r);
         Ok(self.scale_vec(r, e.weight))
@@ -218,7 +206,6 @@ impl DdPackage {
     ///
     /// Returns the sampled basis index (big-endian, bit `q` ↔ qubit `q`).
     pub fn sample_once<R: Rng + ?Sized>(&self, state: VecEdge, rng: &mut R) -> u64 {
-        self.require_l2("sample_once");
         let mut index = 0u64;
         let mut node = state.node;
         while !node.is_terminal() {
@@ -394,7 +381,7 @@ mod tests {
             s = dd.apply_gate(s, gates::ry(0.3 + q as f64), &[], q).unwrap();
         }
         let c = dd.collapse(s, 1, MeasurementOutcome::Zero).unwrap();
-        assert!((dd.vec_norm(c) - 1.0).abs() < 1e-10);
+        assert!((dd.vec_norm(c).unwrap() - 1.0).abs() < 1e-10);
     }
 
     #[test]

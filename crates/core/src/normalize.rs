@@ -16,25 +16,6 @@
 
 use qdd_complex::{ComplexIdx, ComplexTable, C_ZERO};
 
-/// Which normalization rule vector nodes use.
-///
-/// The default [`L2`](VectorNormalization::L2) is what enables the paper's
-/// single-path measurement sampling (footnote 3);
-/// [`MaxMagnitude`](VectorNormalization::MaxMagnitude) is the QMDD-style
-/// alternative kept for the ablation experiments — equally canonical, but
-/// local weights are no longer probability amplitudes, so the measurement
-/// APIs refuse to run under it.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub enum VectorNormalization {
-    /// Outgoing weights scaled to `|w₀|² + |w₁|² = 1`, first non-zero
-    /// weight real-positive.
-    #[default]
-    L2,
-    /// Divide by the first entry of maximal magnitude (which becomes 1) —
-    /// the rule matrix nodes always use.
-    MaxMagnitude,
-}
-
 /// Result of normalizing a prospective node's outgoing weights.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Normalized<const W: usize> {
@@ -44,23 +25,11 @@ pub(crate) struct Normalized<const W: usize> {
     pub weights: [ComplexIdx; W],
 }
 
-/// Normalizes the two outgoing weights of a vector node with the given
-/// rule. Returns `None` when both weights are zero (the node vanishes
-/// into a 0-stub).
+/// Normalizes the two outgoing weights of a vector node by the L2 rule
+/// (paper footnote 3): unit local norm, first non-zero weight
+/// real-positive. Returns `None` when both weights are zero (the node
+/// vanishes into a 0-stub).
 pub(crate) fn normalize_vector(
-    table: &mut ComplexTable,
-    weights: [ComplexIdx; 2],
-    rule: VectorNormalization,
-) -> Option<Normalized<2>> {
-    match rule {
-        VectorNormalization::L2 => normalize_vector_l2(table, weights),
-        VectorNormalization::MaxMagnitude => normalize_vector_max(table, weights),
-    }
-}
-
-/// L2 rule (paper footnote 3): unit local norm, first non-zero weight
-/// real-positive.
-fn normalize_vector_l2(
     table: &mut ComplexTable,
     weights: [ComplexIdx; 2],
 ) -> Option<Normalized<2>> {
@@ -80,31 +49,6 @@ fn normalize_vector_l2(
     for (i, slot) in out.iter_mut().enumerate() {
         if !weights[i].is_zero() {
             *slot = table.lookup(w[i] / factor);
-        }
-    }
-    Some(Normalized { top, weights: out })
-}
-
-/// QMDD-style max-magnitude rule for vectors (ablation alternative).
-fn normalize_vector_max(
-    table: &mut ComplexTable,
-    weights: [ComplexIdx; 2],
-) -> Option<Normalized<2>> {
-    if weights.iter().all(|i| i.is_zero()) {
-        return None;
-    }
-    let w = [table.value(weights[0]), table.value(weights[1])];
-    let best = if w[1].norm_sqr() > w[0].norm_sqr() { 1 } else { 0 };
-    let factor = w[best];
-    let top = table.lookup(factor);
-    let mut out = [C_ZERO; 2];
-    for (i, slot) in out.iter_mut().enumerate() {
-        if !weights[i].is_zero() {
-            *slot = if i == best {
-                qdd_complex::C_ONE
-            } else {
-                table.lookup(w[i] / factor)
-            };
         }
     }
     Some(Normalized { top, weights: out })
@@ -167,7 +111,7 @@ mod tests {
     #[test]
     fn vector_all_zero_vanishes() {
         let mut t = table();
-        assert!(normalize_vector(&mut t, [C_ZERO, C_ZERO], VectorNormalization::L2).is_none());
+        assert!(normalize_vector(&mut t, [C_ZERO, C_ZERO]).is_none());
     }
 
     #[test]
@@ -175,7 +119,7 @@ mod tests {
         let mut t = table();
         let a = t.lookup(Complex::new(3.0, 0.0));
         let b = t.lookup(Complex::new(0.0, 4.0));
-        let n = normalize_vector(&mut t, [a, b], VectorNormalization::L2).unwrap();
+        let n = normalize_vector(&mut t, [a, b]).unwrap();
         let w0 = t.value(n.weights[0]);
         let w1 = t.value(n.weights[1]);
         assert!((w0.norm_sqr() + w1.norm_sqr() - 1.0).abs() < 1e-12);
@@ -194,8 +138,8 @@ mod tests {
         let c = Complex::new(-1.3, 0.7);
         let idx: Vec<_> = w.iter().map(|&v| t.lookup(v)).collect();
         let scaled: Vec<_> = w.iter().map(|&v| t.lookup(v * c)).collect();
-        let n1 = normalize_vector(&mut t, [idx[0], idx[1]], VectorNormalization::L2).unwrap();
-        let n2 = normalize_vector(&mut t, [scaled[0], scaled[1]], VectorNormalization::L2).unwrap();
+        let n1 = normalize_vector(&mut t, [idx[0], idx[1]]).unwrap();
+        let n2 = normalize_vector(&mut t, [scaled[0], scaled[1]]).unwrap();
         assert_eq!(n1.weights, n2.weights, "canonicity under scaling");
     }
 
@@ -203,7 +147,7 @@ mod tests {
     fn vector_zero_first_child() {
         let mut t = table();
         let b = t.lookup(Complex::new(0.0, -2.0));
-        let n = normalize_vector(&mut t, [C_ZERO, b], VectorNormalization::L2).unwrap();
+        let n = normalize_vector(&mut t, [C_ZERO, b]).unwrap();
         assert_eq!(n.weights[0], C_ZERO);
         // Sole weight normalizes to exactly 1.
         assert_eq!(n.weights[1], C_ONE);
@@ -264,89 +208,5 @@ mod tests {
         let n2 =
             normalize_matrix(&mut t, [scaled[0], scaled[1], scaled[2], scaled[3]]).unwrap();
         assert_eq!(n1.weights, n2.weights);
-    }
-}
-
-#[cfg(test)]
-mod max_magnitude_tests {
-    use super::VectorNormalization;
-    use crate::{gates, Control, DdPackage, PackageConfig};
-    use qdd_complex::Complex;
-
-    fn max_package() -> DdPackage {
-        DdPackage::with_config(PackageConfig {
-            vector_normalization: VectorNormalization::MaxMagnitude,
-            ..PackageConfig::default()
-        })
-    }
-
-    #[test]
-    fn dense_round_trip_under_max_rule() {
-        let mut dd = max_package();
-        let amps = [
-            Complex::new(0.1, 0.4),
-            Complex::new(-0.3, 0.2),
-            Complex::new(0.6, 0.0),
-            Complex::new(0.0, -0.5),
-        ];
-        let e = dd.state_from_amplitudes(&amps).unwrap();
-        let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
-        for (i, back) in dd.to_dense_vector(e, 2).iter().enumerate() {
-            assert!(back.approx_eq(amps[i] / norm, 1e-12), "entry {i}");
-        }
-    }
-
-    #[test]
-    fn canonicity_under_max_rule() {
-        let mut dd = max_package();
-        let z = dd.zero_state(2).unwrap();
-        let s = dd.apply_gate(z, gates::H, &[], 1).unwrap();
-        let bell_a = dd.apply_gate(s, gates::X, &[Control::pos(1)], 0).unwrap();
-        let h = std::f64::consts::FRAC_1_SQRT_2;
-        let bell_b = dd
-            .state_from_amplitudes(&[
-                Complex::real(h),
-                Complex::ZERO,
-                Complex::ZERO,
-                Complex::real(h),
-            ])
-            .unwrap();
-        assert_eq!(bell_a.node, bell_b.node, "same canonical node");
-    }
-
-    #[test]
-    fn max_rule_puts_unit_weight_on_largest_child() {
-        let mut dd = max_package();
-        let amps = [Complex::real(0.6), Complex::real(0.8)];
-        let e = dd.state_from_amplitudes(&amps).unwrap();
-        let node = dd.vnode(e.node);
-        assert!(node.children[1].weight.is_one(), "0.8 branch becomes 1");
-    }
-
-    #[test]
-    #[should_panic(expected = "requires VectorNormalization::L2")]
-    fn measurement_refuses_max_rule() {
-        let mut dd = max_package();
-        let z = dd.zero_state(2).unwrap();
-        let s = dd.apply_gate(z, gates::H, &[], 0).unwrap();
-        let _ = dd.prob_one(s, 0);
-    }
-
-    #[test]
-    fn simulation_agrees_across_rules() {
-        let mut l2 = DdPackage::new();
-        let mut mx = max_package();
-        let build = |dd: &mut DdPackage| {
-            let z = dd.zero_state(3).unwrap();
-            let s = dd.apply_gate(z, gates::H, &[], 2).unwrap();
-            let s = dd.apply_gate(s, gates::t(), &[Control::pos(2)], 1).unwrap();
-            let s = dd.apply_gate(s, gates::ry(0.9), &[], 0).unwrap();
-            dd.to_dense_vector(s, 3)
-        };
-        let a = build(&mut l2);
-        let b = build(&mut mx);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!(x.approx_eq(*y, 1e-12));
-        }
     }
 }

@@ -164,7 +164,9 @@ impl DdPackage {
     /// # Errors
     ///
     /// [`DdError::QubitIndexOutOfRange`] if the string spans more qubits
-    /// than the state.
+    /// than the state; [`DdError::ResourceExhausted`] or
+    /// [`DdError::DeadlineExceeded`] when a configured budget runs out
+    /// while applying the string.
     pub fn expectation_value(
         &mut self,
         state: VecEdge,
@@ -182,7 +184,7 @@ impl DdPackage {
             transformed =
                 self.apply_gate(transformed, observable.factor(q).matrix(), &[], q)?;
         }
-        Ok(self.inner_product(state, transformed).re)
+        Ok(self.inner_product(state, transformed)?.re)
     }
 
     /// The 2×2 reduced density matrix of `qubit`:
@@ -192,36 +194,35 @@ impl DdPackage {
     /// This is the partial trace the paper mentions for `reset` (§IV-B):
     /// resets map pure states to mixed states in general, which is exactly
     /// what this matrix exposes.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::bloch_vector`].
     pub fn reduced_density_matrix(
         &mut self,
         state: VecEdge,
         qubit: usize,
-    ) -> [[Complex; 2]; 2] {
+    ) -> Result<[[Complex; 2]; 2], DdError> {
         // ⟨ψ|(|i⟩⟨j| ⊗ I)|ψ⟩ through Pauli expectations:
         //   ρ01 + ρ10 = ⟨X⟩,  i(ρ01 − ρ10) = ⟨Y⟩,  ρ00 − ρ11 = ⟨Z⟩.
-        let n = self.vec_var(state).map_or(0, |v| v as usize + 1);
-        let x = self
-            .expectation_value(state, &PauliString::single(n, qubit, Pauli::X))
-            .expect("qubit validated");
-        let y = self
-            .expectation_value(state, &PauliString::single(n, qubit, Pauli::Y))
-            .expect("qubit validated");
-        let z = self
-            .expectation_value(state, &PauliString::single(n, qubit, Pauli::Z))
-            .expect("qubit validated");
+        let (x, y, z) = self.bloch_vector(state, qubit)?;
         let rho00 = (1.0 + z) / 2.0;
         let rho11 = (1.0 - z) / 2.0;
         let rho01 = Complex::new(x / 2.0, -y / 2.0);
-        [
+        Ok([
             [Complex::real(rho00), rho01],
             [rho01.conj(), Complex::real(rho11)],
-        ]
+        ])
     }
 
     /// The purity `tr(ρ²)` of one qubit's reduced state: 1 for a product
     /// state, ½ for a maximally entangled qubit (Example 1's Bell pair).
-    pub fn qubit_purity(&mut self, state: VecEdge, qubit: usize) -> f64 {
-        let rho = self.reduced_density_matrix(state, qubit);
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::bloch_vector`].
+    pub fn qubit_purity(&mut self, state: VecEdge, qubit: usize) -> Result<f64, DdError> {
+        let rho = self.reduced_density_matrix(state, qubit)?;
         let mut tr = 0.0;
         #[allow(clippy::needless_range_loop)] // tr(ρ²) is clearest with indices
         for i in 0..2 {
@@ -229,22 +230,27 @@ impl DdPackage {
                 tr += (rho[i][j] * rho[j][i]).re;
             }
         }
-        tr
+        Ok(tr)
     }
 
     /// The Bloch vector `(⟨X⟩, ⟨Y⟩, ⟨Z⟩)` of one qubit.
-    pub fn bloch_vector(&mut self, state: VecEdge, qubit: usize) -> (f64, f64, f64) {
+    ///
+    /// # Errors
+    ///
+    /// [`DdError::QubitIndexOutOfRange`] if `qubit` lies outside the state;
+    /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
+    /// a configured budget runs out while applying the Paulis.
+    pub fn bloch_vector(
+        &mut self,
+        state: VecEdge,
+        qubit: usize,
+    ) -> Result<(f64, f64, f64), DdError> {
         let n = self.vec_var(state).map_or(0, |v| v as usize + 1);
-        let x = self
-            .expectation_value(state, &PauliString::single(n, qubit, Pauli::X))
-            .expect("qubit validated");
-        let y = self
-            .expectation_value(state, &PauliString::single(n, qubit, Pauli::Y))
-            .expect("qubit validated");
-        let z = self
-            .expectation_value(state, &PauliString::single(n, qubit, Pauli::Z))
-            .expect("qubit validated");
-        (x, y, z)
+        if qubit >= n {
+            return Err(DdError::QubitIndexOutOfRange { qubit, num_qubits: n });
+        }
+        let mut expect = |p| self.expectation_value(state, &PauliString::single(n, qubit, p));
+        Ok((expect(Pauli::X)?, expect(Pauli::Y)?, expect(Pauli::Z)?))
     }
 }
 
@@ -326,11 +332,11 @@ mod tests {
     fn bell_qubit_is_maximally_mixed() {
         let mut dd = DdPackage::new();
         let b = bell(&mut dd);
-        let rho = dd.reduced_density_matrix(b, 0);
+        let rho = dd.reduced_density_matrix(b, 0).unwrap();
         assert!((rho[0][0].re - 0.5).abs() < 1e-12);
         assert!((rho[1][1].re - 0.5).abs() < 1e-12);
         assert!(rho[0][1].abs() < 1e-12, "no coherence in a Bell qubit");
-        assert!((dd.qubit_purity(b, 0) - 0.5).abs() < 1e-12);
+        assert!((dd.qubit_purity(b, 0).unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -338,23 +344,27 @@ mod tests {
         let mut dd = DdPackage::new();
         let z = dd.zero_state(2).unwrap();
         let s = dd.apply_gate(z, gates::ry(0.9), &[], 0).unwrap();
-        assert!((dd.qubit_purity(s, 0) - 1.0).abs() < 1e-12);
-        assert!((dd.qubit_purity(s, 1) - 1.0).abs() < 1e-12);
+        assert!((dd.qubit_purity(s, 0).unwrap() - 1.0).abs() < 1e-12);
+        assert!((dd.qubit_purity(s, 1).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn bloch_vector_tracks_rotations() {
         let mut dd = DdPackage::new();
         let z = dd.zero_state(1).unwrap();
-        let (x0, y0, z0) = dd.bloch_vector(z, 0);
+        let (x0, y0, z0) = dd.bloch_vector(z, 0).unwrap();
         assert!((z0 - 1.0).abs() < 1e-12 && x0.abs() < 1e-12 && y0.abs() < 1e-12);
         let theta = 0.7;
         let rotated = dd.apply_gate(z, gates::ry(theta), &[], 0).unwrap();
-        let (x, _, zc) = dd.bloch_vector(rotated, 0);
+        let (x, _, zc) = dd.bloch_vector(rotated, 0).unwrap();
         assert!((x - theta.sin()).abs() < 1e-12);
         assert!((zc - theta.cos()).abs() < 1e-12);
         // Unit Bloch vector for pure states.
         assert!((x * x + zc * zc - 1.0).abs() < 1e-12);
+        assert_eq!(
+            dd.bloch_vector(rotated, 1),
+            Err(DdError::QubitIndexOutOfRange { qubit: 1, num_qubits: 1 })
+        );
     }
 
     #[test]
@@ -365,7 +375,7 @@ mod tests {
         let s = dd.apply_gate(s, gates::t(), &[Control::pos(2)], 1).unwrap();
         let s = dd.apply_gate(s, gates::rx(0.4), &[], 0).unwrap();
         for q in 0..3 {
-            let rho = dd.reduced_density_matrix(s, q);
+            let rho = dd.reduced_density_matrix(s, q).unwrap();
             assert!((rho[0][0].re + rho[1][1].re - 1.0).abs() < 1e-12, "trace");
             assert!(rho[0][1].approx_eq(rho[1][0].conj(), 1e-12), "hermitian");
             assert!(rho[0][0].im.abs() < 1e-12 && rho[1][1].im.abs() < 1e-12);

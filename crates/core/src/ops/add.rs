@@ -11,24 +11,16 @@ impl DdPackage {
     /// publicly because linear combinations of states are useful on their
     /// own (e.g. constructing superpositions for tests).
     ///
-    /// # Panics
-    ///
-    /// Panics if the operands have different qubit counts, or when a
-    /// configured resource budget runs out mid-operation (use
-    /// [`Self::try_add_vec`] under [`Limits`](crate::Limits)).
-    pub fn add_vec(&mut self, a: VecEdge, b: VecEdge) -> VecEdge {
-        self.try_add_vec(a, b)
-            .unwrap_or_else(|e| panic!("ungoverned add_vec failed: {e}"))
-    }
-
-    /// Governed form of [`Self::add_vec`].
-    ///
     /// # Errors
     ///
     /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
     /// a configured budget runs out; the partial result is dropped (any
     /// nodes it created are unreferenced and reclaimed by the next GC).
-    pub fn try_add_vec(&mut self, a: VecEdge, b: VecEdge) -> Result<VecEdge, DdError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands have different qubit counts.
+    pub fn add_vec(&mut self, a: VecEdge, b: VecEdge) -> Result<VecEdge, DdError> {
         let _span = qdd_telemetry::span("core.add_vec");
         self.add_vec_go(a, b)
     }
@@ -81,7 +73,7 @@ impl DdPackage {
             let ye = self.scale_vec(yc[i], beta);
             rc[i] = self.add_vec_go(xc[i], ye)?;
         }
-        let r = self.try_make_vec_node(var, rc)?;
+        let r = self.make_vec_node(var, rc)?;
         if self.config.compute_tables {
             self.caches.add_vec.insert(key, r);
         }
@@ -90,23 +82,11 @@ impl DdPackage {
 
     /// Adds two matrix DDs.
     ///
-    /// # Panics
-    ///
-    /// Panics if the operands have different qubit counts, or when a
-    /// configured resource budget runs out mid-operation (use
-    /// [`Self::try_add_mat`] under [`Limits`](crate::Limits)).
-    pub fn add_mat(&mut self, a: MatEdge, b: MatEdge) -> MatEdge {
-        self.try_add_mat(a, b)
-            .unwrap_or_else(|e| panic!("ungoverned add_mat failed: {e}"))
-    }
-
-    /// Governed form of [`Self::add_mat`].
-    ///
     /// # Errors
     ///
     /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
     /// a configured budget runs out.
-    pub fn try_add_mat(&mut self, a: MatEdge, b: MatEdge) -> Result<MatEdge, DdError> {
+    pub fn add_mat(&mut self, a: MatEdge, b: MatEdge) -> Result<MatEdge, DdError> {
         let _span = qdd_telemetry::span("core.add_mat");
         self.add_mat_go(a, b)
     }
@@ -185,7 +165,7 @@ impl DdPackage {
                 rc[i] = self.add_mat_go(xc[i], ye)?;
             }
         }
-        let r = self.try_make_mat_node(var, rc)?;
+        let r = self.make_mat_node(var, rc)?;
         if self.config.compute_tables {
             self.caches.add_mat.insert(key, r);
         }
@@ -203,8 +183,8 @@ mod tests {
         let mut dd = DdPackage::new();
         let a = dd.basis_state(3, 1).unwrap();
         let b = dd.basis_state(3, 6).unwrap();
-        let ab = dd.add_vec(a, b);
-        let ba = dd.add_vec(b, a);
+        let ab = dd.add_vec(a, b).unwrap();
+        let ba = dd.add_vec(b, a).unwrap();
         assert_eq!(ab, ba);
     }
 
@@ -212,8 +192,8 @@ mod tests {
     fn add_with_zero_is_identity() {
         let mut dd = DdPackage::new();
         let a = dd.basis_state(2, 3).unwrap();
-        assert_eq!(dd.add_vec(a, crate::VecEdge::ZERO), a);
-        assert_eq!(dd.add_vec(crate::VecEdge::ZERO, a), a);
+        assert_eq!(dd.add_vec(a, crate::VecEdge::ZERO).unwrap(), a);
+        assert_eq!(dd.add_vec(crate::VecEdge::ZERO, a).unwrap(), a);
     }
 
     #[test]
@@ -222,7 +202,7 @@ mod tests {
         let a = dd.basis_state(2, 2).unwrap();
         let neg_w = dd.intern(Complex::real(-1.0));
         let minus_a = dd.scale_vec(a, neg_w);
-        assert!(dd.add_vec(a, minus_a).is_zero());
+        assert!(dd.add_vec(a, minus_a).unwrap().is_zero());
     }
 
     #[test]
@@ -242,7 +222,7 @@ mod tests {
         ];
         let a = dd.state_from_amplitudes(&amps_a).unwrap();
         let b = dd.state_from_amplitudes(&amps_b).unwrap();
-        let sum = dd.add_vec(a, b);
+        let sum = dd.add_vec(a, b).unwrap();
         let dense_a = dd.to_dense_vector(a, 2);
         let dense_b = dd.to_dense_vector(b, 2);
         let dense_sum = dd.to_dense_vector(sum, 2);
@@ -273,7 +253,7 @@ mod tests {
                 vec![z, z, o, z],
             ])
             .unwrap();
-        let sum = dd.add_mat(p0, p1x);
+        let sum = dd.add_mat(p0, p1x).unwrap();
         let cx = dd
             .gate_dd(crate::gates::X, &[crate::Control::pos(1)], 0, 2)
             .unwrap();
@@ -285,12 +265,12 @@ mod tests {
         let mut dd = DdPackage::new();
         let a = dd.basis_state(2, 0).unwrap();
         let b = dd.basis_state(2, 3).unwrap();
-        let _ = dd.add_vec(a, b);
+        let _ = dd.add_vec(a, b).unwrap();
         let before = dd.stats().cache_hits;
         let w = dd.intern(Complex::new(0.0, 2.0));
         let a2 = dd.scale_vec(a, w);
         let b2 = dd.scale_vec(b, w);
-        let _ = dd.add_vec(a2, b2);
+        let _ = dd.add_vec(a2, b2).unwrap();
         assert!(
             dd.stats().cache_hits > before,
             "scale-invariant keys should hit the cache"

@@ -11,22 +11,11 @@ use crate::types::{MatEdge, MNodeId};
 impl DdPackage {
     /// The conjugate transpose `M†` of an operator DD.
     ///
-    /// # Panics
-    ///
-    /// Panics when a configured resource budget runs out mid-operation (use
-    /// [`Self::try_adjoint_mat`] under [`Limits`](crate::Limits)).
-    pub fn adjoint_mat(&mut self, m: MatEdge) -> MatEdge {
-        self.try_adjoint_mat(m)
-            .unwrap_or_else(|e| panic!("ungoverned adjoint_mat failed: {e}"))
-    }
-
-    /// Governed form of [`Self::adjoint_mat`].
-    ///
     /// # Errors
     ///
     /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
     /// a configured budget runs out.
-    pub fn try_adjoint_mat(&mut self, m: MatEdge) -> Result<MatEdge, DdError> {
+    pub fn adjoint_mat(&mut self, m: MatEdge) -> Result<MatEdge, DdError> {
         self.adjoint_go(m)
     }
 
@@ -57,7 +46,7 @@ impl DdPackage {
         let r01 = self.adjoint_go(c[2])?;
         let r10 = self.adjoint_go(c[1])?;
         let r11 = self.adjoint_go(c[3])?;
-        let r = self.try_make_mat_node(var, [r00, r01, r10, r11])?;
+        let r = self.make_mat_node(var, [r00, r01, r10, r11])?;
         if self.config.compute_tables {
             self.caches.adjoint.insert(mn, r);
         }
@@ -73,8 +62,8 @@ mod tests {
     fn adjoint_is_involution() {
         let mut dd = DdPackage::new();
         let g = dd.gate_dd(gates::t(), &[Control::pos(1)], 0, 3).unwrap();
-        let gdd = dd.adjoint_mat(g);
-        let back = dd.adjoint_mat(gdd);
+        let gdd = dd.adjoint_mat(g).unwrap();
+        let back = dd.adjoint_mat(gdd).unwrap();
         assert_eq!(back, g);
     }
 
@@ -83,7 +72,7 @@ mod tests {
         let mut dd = DdPackage::new();
         let u = gates::u3(0.7, -0.4, 1.9);
         let g = dd.gate_dd(u, &[], 1, 2).unwrap();
-        let via_dd = dd.adjoint_mat(g);
+        let via_dd = dd.adjoint_mat(g).unwrap();
         let via_matrix = dd.gate_dd(gates::adjoint(&u), &[], 1, 2).unwrap();
         assert_eq!(via_dd, via_matrix);
     }
@@ -94,8 +83,8 @@ mod tests {
         let g = dd
             .gate_dd(gates::phase(0.3), &[Control::pos(2)], 0, 3)
             .unwrap();
-        let gd = dd.adjoint_mat(g);
-        let prod = dd.mat_mat(g, gd);
+        let gd = dd.adjoint_mat(g).unwrap();
+        let prod = dd.mat_mat(g, gd).unwrap();
         let id = dd.identity(3).unwrap();
         assert_eq!(prod, id);
     }
@@ -105,13 +94,13 @@ mod tests {
         let mut dd = DdPackage::new();
         for u in [gates::H, gates::X, gates::Y, gates::Z] {
             let g = dd.gate_dd(u, &[], 0, 2).unwrap();
-            assert_eq!(dd.adjoint_mat(g), g);
+            assert_eq!(dd.adjoint_mat(g).unwrap(), g);
         }
     }
 
     #[test]
     fn adjoint_of_zero_is_zero() {
         let mut dd = DdPackage::new();
-        assert!(dd.adjoint_mat(crate::MatEdge::ZERO).is_zero());
+        assert!(dd.adjoint_mat(crate::MatEdge::ZERO).unwrap().is_zero());
     }
 }

@@ -8,24 +8,15 @@ use qdd_complex::{Complex, ComplexIdx, C_ONE};
 impl DdPackage {
     /// The inner product `⟨a|b⟩` (conjugate-linear in `a`).
     ///
-    /// # Panics
-    ///
-    /// Panics if the operands span different qubit counts, or when a
-    /// configured resource budget runs out mid-operation (use
-    /// [`Self::try_inner_product`] under [`Limits`](crate::Limits)).
-    pub fn inner_product(&mut self, a: VecEdge, b: VecEdge) -> Complex {
-        self.try_inner_product(a, b)
-            .unwrap_or_else(|e| panic!("ungoverned inner_product failed: {e}"))
-    }
-
-    /// Governed form of [`Self::inner_product`].
-    ///
     /// # Errors
     ///
-    /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
-    /// a configured budget runs out. Inner products allocate no DD nodes,
-    /// so only the deadline applies.
-    pub fn try_inner_product(&mut self, a: VecEdge, b: VecEdge) -> Result<Complex, DdError> {
+    /// [`DdError::DeadlineExceeded`] when the armed deadline runs out.
+    /// Inner products allocate no DD nodes, so no node budget applies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands span different qubit counts.
+    pub fn inner_product(&mut self, a: VecEdge, b: VecEdge) -> Result<Complex, DdError> {
         let _span = qdd_telemetry::span("core.inner");
         if a.is_zero() || b.is_zero() {
             return Ok(Complex::ZERO);
@@ -73,13 +64,21 @@ impl DdPackage {
     }
 
     /// The Euclidean norm `‖a‖ = √⟨a|a⟩`.
-    pub fn vec_norm(&mut self, a: VecEdge) -> f64 {
-        self.inner_product(a, a).re.max(0.0).sqrt()
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::inner_product`].
+    pub fn vec_norm(&mut self, a: VecEdge) -> Result<f64, DdError> {
+        Ok(self.inner_product(a, a)?.re.max(0.0).sqrt())
     }
 
     /// The fidelity `|⟨a|b⟩|²` between two (normalized) states.
-    pub fn fidelity(&mut self, a: VecEdge, b: VecEdge) -> f64 {
-        self.inner_product(a, b).norm_sqr()
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::inner_product`].
+    pub fn fidelity(&mut self, a: VecEdge, b: VecEdge) -> Result<f64, DdError> {
+        Ok(self.inner_product(a, b)?.norm_sqr())
     }
 
     /// The trace of an operator DD spanning `n` qubits.
@@ -119,8 +118,14 @@ mod tests {
         let mut dd = DdPackage::new();
         let a = dd.basis_state(3, 2).unwrap();
         let b = dd.basis_state(3, 5).unwrap();
-        assert!(dd.inner_product(a, a).approx_eq(Complex::ONE, 1e-12));
-        assert!(dd.inner_product(a, b).approx_eq(Complex::ZERO, 1e-12));
+        assert!(dd
+            .inner_product(a, a)
+            .unwrap()
+            .approx_eq(Complex::ONE, 1e-12));
+        assert!(dd
+            .inner_product(a, b)
+            .unwrap()
+            .approx_eq(Complex::ZERO, 1e-12));
     }
 
     #[test]
@@ -142,8 +147,8 @@ mod tests {
                 Complex::new(0.0, 0.2),
             ])
             .unwrap();
-        let ab = dd.inner_product(a, b);
-        let ba = dd.inner_product(b, a);
+        let ab = dd.inner_product(a, b).unwrap();
+        let ba = dd.inner_product(b, a).unwrap();
         assert!(ab.approx_eq(ba.conj(), 1e-12));
     }
 
@@ -153,7 +158,7 @@ mod tests {
         let mut s = dd.zero_state(4).unwrap();
         s = dd.apply_gate(s, gates::H, &[], 3).unwrap();
         s = dd.apply_gate(s, gates::ry(1.1), &[], 2).unwrap();
-        assert!((dd.vec_norm(s) - 1.0).abs() < 1e-12);
+        assert!((dd.vec_norm(s).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -161,8 +166,8 @@ mod tests {
         let mut dd = DdPackage::new();
         let a = dd.basis_state(2, 0).unwrap();
         let b = dd.basis_state(2, 3).unwrap();
-        assert!(dd.fidelity(a, b) < 1e-15);
-        assert!((dd.fidelity(a, a) - 1.0).abs() < 1e-12);
+        assert!(dd.fidelity(a, b).unwrap() < 1e-15);
+        assert!((dd.fidelity(a, a).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -171,7 +176,7 @@ mod tests {
         let a = dd.basis_state(2, 1).unwrap();
         let w = dd.intern(Complex::cis(0.7));
         let phased = dd.scale_vec(a, w);
-        assert!((dd.fidelity(a, phased) - 1.0).abs() < 1e-12);
+        assert!((dd.fidelity(a, phased).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -201,8 +206,8 @@ mod tests {
         let b = dd
             .gate_dd(gates::phase(0.9), &[crate::Control::pos(0)], 1, 2)
             .unwrap();
-        let ab = dd.mat_mat(a, b);
-        let ba = dd.mat_mat(b, a);
+        let ab = dd.mat_mat(a, b).unwrap();
+        let ba = dd.mat_mat(b, a).unwrap();
         let tab = dd.mat_trace(ab, 2);
         let tba = dd.mat_trace(ba, 2);
         assert!(tab.approx_eq(tba, 1e-10));

@@ -14,22 +14,11 @@ impl DdPackage {
     /// Tensor product of two states: `|a⟩ ⊗ |b⟩` with `a` as the
     /// more-significant register.
     ///
-    /// # Panics
-    ///
-    /// Panics when a configured resource budget runs out mid-operation (use
-    /// [`Self::try_kron_vec`] under [`Limits`](crate::Limits)).
-    pub fn kron_vec(&mut self, a: VecEdge, b: VecEdge) -> VecEdge {
-        self.try_kron_vec(a, b)
-            .unwrap_or_else(|e| panic!("ungoverned kron_vec failed: {e}"))
-    }
-
-    /// Governed form of [`Self::kron_vec`].
-    ///
     /// # Errors
     ///
     /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
     /// a configured budget runs out.
-    pub fn try_kron_vec(&mut self, a: VecEdge, b: VecEdge) -> Result<VecEdge, DdError> {
+    pub fn kron_vec(&mut self, a: VecEdge, b: VecEdge) -> Result<VecEdge, DdError> {
         let _span = qdd_telemetry::span("core.kron_vec");
         self.kron_vec_go(a, b)
     }
@@ -68,7 +57,7 @@ impl DdPackage {
         for (i, slot) in rc.iter_mut().enumerate() {
             *slot = self.kron_vec_go(ac[i], b_unit)?;
         }
-        let r = self.try_make_vec_node(var, rc)?;
+        let r = self.make_vec_node(var, rc)?;
         if self.config.compute_tables {
             self.caches.kron_vec.insert(key, r);
         }
@@ -76,60 +65,22 @@ impl DdPackage {
     }
 
     /// Tensor product of two operators: `A ⊗ B` with `A` acting on the
-    /// more-significant qubits (the paper's `H ⊗ I₂`, Fig. 3).
+    /// more-significant qubits (the paper's `H ⊗ I₂`, Fig. 3), where `B`
+    /// spans `b_levels` qubit levels.
     ///
-    /// `B`'s span is inferred from its root variable. Under identity skip a
-    /// root can sit below its logical span (skipped identity levels carry
-    /// no node), in which case the inferred span under-counts — use
-    /// [`Self::kron_mat_spanned`] to state `B`'s span explicitly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a configured resource budget runs out mid-operation (use
-    /// [`Self::try_kron_mat`] under [`Limits`](crate::Limits)).
-    pub fn kron_mat(&mut self, a: MatEdge, b: MatEdge) -> MatEdge {
-        self.try_kron_mat(a, b)
-            .unwrap_or_else(|e| panic!("ungoverned kron_mat failed: {e}"))
-    }
-
-    /// Governed form of [`Self::kron_mat`].
-    ///
-    /// # Errors
-    ///
-    /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
-    /// a configured budget runs out.
-    pub fn try_kron_mat(&mut self, a: MatEdge, b: MatEdge) -> Result<MatEdge, DdError> {
-        let b_levels = if b.is_terminal() {
-            0
-        } else {
-            self.mnode(b.node).var as usize + 1
-        };
-        self.try_kron_mat_spanned(a, b, b_levels)
-    }
-
-    /// Tensor product `A ⊗ B` where `B` spans `b_levels` qubit levels.
-    ///
-    /// The explicit span matters under identity skip: `H ⊗ I₂` needs `A`'s
+    /// The span is explicit because of identity skip: `H ⊗ I₂` needs `A`'s
     /// variables shifted past the (nodeless) identity register, which the
     /// edge itself cannot reveal.
     ///
-    /// # Panics
-    ///
-    /// Panics when a configured resource budget runs out mid-operation (use
-    /// [`Self::try_kron_mat_spanned`] under [`Limits`](crate::Limits)) or
-    /// when `b`'s root variable does not fit in `b_levels`.
-    pub fn kron_mat_spanned(&mut self, a: MatEdge, b: MatEdge, b_levels: usize) -> MatEdge {
-        self.try_kron_mat_spanned(a, b, b_levels)
-            .unwrap_or_else(|e| panic!("ungoverned kron_mat failed: {e}"))
-    }
-
-    /// Governed form of [`Self::kron_mat_spanned`].
-    ///
     /// # Errors
     ///
     /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
     /// a configured budget runs out.
-    pub fn try_kron_mat_spanned(
+    ///
+    /// # Panics
+    ///
+    /// Panics when `b`'s root variable does not fit in `b_levels`.
+    pub fn kron_mat(
         &mut self,
         a: MatEdge,
         b: MatEdge,
@@ -186,7 +137,7 @@ impl DdPackage {
         for (i, slot) in rc.iter_mut().enumerate() {
             *slot = self.kron_mat_go(ac[i], b_unit, shift)?;
         }
-        let r = self.try_make_mat_node(var, rc)?;
+        let r = self.make_mat_node(var, rc)?;
         if self.config.compute_tables {
             self.caches.kron_mat.insert(key, r);
         }
@@ -208,7 +159,7 @@ mod tests {
         let i1 = dd.identity(1).unwrap();
         // Under identity skip `I₂` is a nodeless terminal edge, so the
         // one-level span must be stated explicitly.
-        let via_kron = dd.kron_mat_spanned(h1, i1, 1);
+        let via_kron = dd.kron_mat(h1, i1, 1).unwrap();
         let direct = dd.gate_dd(gates::H, &[], 1, 2).unwrap();
         assert_eq!(via_kron, direct, "H ⊗ I₂ is canonical");
     }
@@ -221,7 +172,7 @@ mod tests {
             dd.apply_gate(z, gates::H, &[], 0).unwrap()
         };
         let one = dd.basis_state(1, 1).unwrap();
-        let prod = dd.kron_vec(plus, one);
+        let prod = dd.kron_vec(plus, one).unwrap();
         // |+⟩ ⊗ |1⟩ = 1/√2 (|01⟩ + |11⟩)
         let dense = dd.to_dense_vector(prod, 2);
         let h = std::f64::consts::FRAC_1_SQRT_2;
@@ -236,7 +187,7 @@ mod tests {
         let mut dd = DdPackage::new();
         let a = dd.gate_dd(gates::S, &[], 0, 1).unwrap();
         let b = dd.gate_dd(gates::H, &[], 0, 1).unwrap();
-        let prod = dd.kron_mat(a, b);
+        let prod = dd.kron_mat(a, b, 1).unwrap();
         let da = dd.to_dense_matrix(a, 1);
         let db = dd.to_dense_matrix(b, 1);
         let dp = dd.to_dense_matrix(prod, 2);
@@ -254,7 +205,7 @@ mod tests {
         let s = dd.basis_state(2, 1).unwrap();
         let half = dd.intern(Complex::real(0.5));
         let scalar = crate::VecEdge::terminal(half);
-        let scaled = dd.kron_vec(s, scalar);
+        let scaled = dd.kron_vec(s, scalar).unwrap();
         assert_eq!(scaled.node, s.node);
         let w = dd.complex_value(scaled.weight);
         assert!(w.approx_eq(Complex::real(0.5), 1e-12));
@@ -269,10 +220,10 @@ mod tests {
             dd.apply_gate(z, gates::H, &[], 0).unwrap()
         };
         let c = dd.basis_state(1, 0).unwrap();
-        let ab = dd.kron_vec(a, b);
-        let ab_c = dd.kron_vec(ab, c);
-        let bc = dd.kron_vec(b, c);
-        let a_bc = dd.kron_vec(a, bc);
+        let ab = dd.kron_vec(a, b).unwrap();
+        let ab_c = dd.kron_vec(ab, c).unwrap();
+        let bc = dd.kron_vec(b, c).unwrap();
+        let a_bc = dd.kron_vec(a, bc).unwrap();
         assert_eq!(ab_c, a_bc);
     }
 
@@ -280,7 +231,7 @@ mod tests {
     fn kron_zero_annihilates() {
         let mut dd = DdPackage::new();
         let a = dd.basis_state(2, 0).unwrap();
-        assert!(dd.kron_vec(a, crate::VecEdge::ZERO).is_zero());
-        assert!(dd.kron_vec(crate::VecEdge::ZERO, a).is_zero());
+        assert!(dd.kron_vec(a, crate::VecEdge::ZERO).unwrap().is_zero());
+        assert!(dd.kron_vec(crate::VecEdge::ZERO, a).unwrap().is_zero());
     }
 }

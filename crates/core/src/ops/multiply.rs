@@ -12,23 +12,15 @@ impl DdPackage {
     /// decomposed block-wise into the four sub-matrices and two sub-vectors
     /// and recursed with memoization.
     ///
-    /// # Panics
-    ///
-    /// Panics if the operands span different qubit counts, or when a
-    /// configured resource budget runs out mid-operation (use
-    /// [`Self::try_mat_vec`] under [`Limits`](crate::Limits)).
-    pub fn mat_vec(&mut self, m: MatEdge, v: VecEdge) -> VecEdge {
-        self.try_mat_vec(m, v)
-            .unwrap_or_else(|e| panic!("ungoverned mat_vec failed: {e}"))
-    }
-
-    /// Governed form of [`Self::mat_vec`].
-    ///
     /// # Errors
     ///
     /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
     /// a configured budget runs out.
-    pub fn try_mat_vec(&mut self, m: MatEdge, v: VecEdge) -> Result<VecEdge, DdError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands span different qubit counts.
+    pub fn mat_vec(&mut self, m: MatEdge, v: VecEdge) -> Result<VecEdge, DdError> {
         let _span = qdd_telemetry::span("core.mat_vec");
         self.mat_vec_go(m, v)
     }
@@ -80,7 +72,7 @@ impl DdPackage {
                 *slot = self.add_vec_go(p0, p1)?;
             }
         }
-        let r = self.try_make_vec_node(var, rc)?;
+        let r = self.make_vec_node(var, rc)?;
         if self.config.compute_tables {
             self.caches.mat_vec.insert(key, r);
         }
@@ -92,23 +84,15 @@ impl DdPackage {
     /// This is the verification primitive: a circuit's system matrix is the
     /// product of its gate matrices (paper §II, Example 10/11).
     ///
-    /// # Panics
-    ///
-    /// Panics if the operands span different qubit counts, or when a
-    /// configured resource budget runs out mid-operation (use
-    /// [`Self::try_mat_mat`] under [`Limits`](crate::Limits)).
-    pub fn mat_mat(&mut self, a: MatEdge, b: MatEdge) -> MatEdge {
-        self.try_mat_mat(a, b)
-            .unwrap_or_else(|e| panic!("ungoverned mat_mat failed: {e}"))
-    }
-
-    /// Governed form of [`Self::mat_mat`].
-    ///
     /// # Errors
     ///
     /// [`DdError::ResourceExhausted`] or [`DdError::DeadlineExceeded`] when
     /// a configured budget runs out.
-    pub fn try_mat_mat(&mut self, a: MatEdge, b: MatEdge) -> Result<MatEdge, DdError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands span different qubit counts.
+    pub fn mat_mat(&mut self, a: MatEdge, b: MatEdge) -> Result<MatEdge, DdError> {
         let _span = qdd_telemetry::span("core.mat_mat");
         self.mat_mat_go(a, b)
     }
@@ -168,7 +152,7 @@ impl DdPackage {
                 }
             }
         }
-        let r = self.try_make_mat_node(var, rc)?;
+        let r = self.make_mat_node(var, rc)?;
         if self.config.compute_tables {
             self.caches.mat_mat.insert(key, r);
         }
@@ -182,7 +166,7 @@ impl DdPackage {
     ///
     /// Propagates the validation errors of [`DdPackage::gate_dd`] (the
     /// register size is taken from the state itself) and the governor
-    /// errors of [`Self::try_mat_vec`].
+    /// errors of [`Self::mat_vec`].
     pub fn apply_gate(
         &mut self,
         state: VecEdge,
@@ -202,7 +186,7 @@ impl DdPackage {
             }
         };
         let g = self.gate_dd(u, controls, target, n)?;
-        self.try_mat_vec(g, state)
+        self.mat_vec(g, state)
     }
 }
 
@@ -218,7 +202,7 @@ mod tests {
         let mut dd = DdPackage::new();
         let zero = dd.zero_state(2).unwrap();
         let h = dd.gate_dd(gates::H, &[], 1, 2).unwrap();
-        let after_h = dd.mat_vec(h, zero);
+        let after_h = dd.mat_vec(h, zero).unwrap();
         let dense = dd.to_dense_vector(after_h, 2);
         // 1/√2 [1, 0, 1, 0]  (Example 3)
         assert!(dense[0].approx_eq(Complex::real(FRAC_1_SQRT_2), 1e-12));
@@ -226,7 +210,7 @@ mod tests {
         assert!(dense[2].approx_eq(Complex::real(FRAC_1_SQRT_2), 1e-12));
 
         let cx = dd.gate_dd(gates::X, &[Control::pos(1)], 0, 2).unwrap();
-        let bell = dd.mat_vec(cx, after_h);
+        let bell = dd.mat_vec(cx, after_h).unwrap();
         let dense = dd.to_dense_vector(bell, 2);
         // 1/√2 [1, 0, 0, 1]  (Example 1/5)
         assert!(dense[0].approx_eq(Complex::real(FRAC_1_SQRT_2), 1e-12));
@@ -240,10 +224,10 @@ mod tests {
         let mut dd = DdPackage::new();
         let id = dd.identity(3).unwrap();
         let s = dd.basis_state(3, 5).unwrap();
-        assert_eq!(dd.mat_vec(id, s), s);
+        assert_eq!(dd.mat_vec(id, s).unwrap(), s);
         let h = dd.gate_dd(gates::H, &[], 1, 3).unwrap();
-        assert_eq!(dd.mat_mat(id, h), h);
-        assert_eq!(dd.mat_mat(h, id), h);
+        assert_eq!(dd.mat_mat(id, h).unwrap(), h);
+        assert_eq!(dd.mat_mat(h, id).unwrap(), h);
     }
 
     #[test]
@@ -252,7 +236,7 @@ mod tests {
         for u in [gates::H, gates::S, gates::t(), gates::rx(0.7)] {
             let g = dd.gate_dd(u, &[], 0, 2).unwrap();
             let gd = dd.gate_dd(gates::adjoint(&u), &[], 0, 2).unwrap();
-            let prod = dd.mat_mat(gd, g);
+            let prod = dd.mat_mat(gd, g).unwrap();
             let id = dd.identity(2).unwrap();
             assert_eq!(prod, id, "canonical identity after U†U");
         }
@@ -263,7 +247,7 @@ mod tests {
         let mut dd = DdPackage::new();
         let a = dd.gate_dd(gates::H, &[], 0, 2).unwrap();
         let b = dd.gate_dd(gates::S, &[Control::pos(0)], 1, 2).unwrap();
-        let prod = dd.mat_mat(a, b);
+        let prod = dd.mat_mat(a, b).unwrap();
         let da = dd.to_dense_matrix(a, 2);
         let db = dd.to_dense_matrix(b, 2);
         let dp = dd.to_dense_matrix(prod, 2);
@@ -284,12 +268,12 @@ mod tests {
         let zero = dd.zero_state(2).unwrap();
         // X on q0, negative control on q1: fires because q1 = |0⟩.
         let g = dd.gate_dd(gates::X, &[Control::neg(1)], 0, 2).unwrap();
-        let out = dd.mat_vec(g, zero);
+        let out = dd.mat_vec(g, zero).unwrap();
         let expect = dd.basis_state(2, 1).unwrap();
         assert_eq!(out, expect);
         // Positive control does not fire on |00⟩.
         let g = dd.gate_dd(gates::X, &[Control::pos(1)], 0, 2).unwrap();
-        let out = dd.mat_vec(g, zero);
+        let out = dd.mat_vec(g, zero).unwrap();
         let expect = dd.zero_state(2).unwrap();
         assert_eq!(out, expect);
     }
@@ -302,12 +286,12 @@ mod tests {
             .unwrap();
         // |110⟩ → |111⟩
         let s = dd.basis_state(3, 0b110).unwrap();
-        let out = dd.mat_vec(g, s);
+        let out = dd.mat_vec(g, s).unwrap();
         let expect = dd.basis_state(3, 0b111).unwrap();
         assert_eq!(out, expect);
         // |010⟩ unchanged
         let s = dd.basis_state(3, 0b010).unwrap();
-        assert_eq!(dd.mat_vec(g, s), s);
+        assert_eq!(dd.mat_vec(g, s).unwrap(), s);
     }
 
     #[test]
@@ -331,7 +315,7 @@ mod tests {
         ] {
             s = dd.apply_gate(s, u, &[], t).unwrap();
         }
-        let norm = dd.vec_norm(s);
+        let norm = dd.vec_norm(s).unwrap();
         assert!((norm - 1.0).abs() < 1e-10);
     }
 }

@@ -1,7 +1,7 @@
 //! Node construction: normalization, unique-table interning, and the
 //! allocation-budget chokepoint — written once, generically over the
-//! diagram arity, with thin concrete wrappers preserving the public
-//! `*_vec` / `*_mat` API.
+//! diagram arity, behind the concrete `make_vec_node` / `make_mat_node`
+//! entries.
 
 use crate::error::{DdError, ResourceKind};
 use crate::node::Node;
@@ -14,7 +14,7 @@ impl DdPackage {
     /// Creates (or finds) the canonical node `var → children` and returns
     /// the normalized edge pointing at it — the single implementation
     /// behind [`Self::make_vec_node`] and [`Self::make_mat_node`].
-    pub(crate) fn try_make_node_generic<const N: usize>(
+    pub(crate) fn make_node_generic<const N: usize>(
         &mut self,
         var: Qubit,
         children: [Edge<N>; N],
@@ -24,7 +24,7 @@ impl DdPackage {
     {
         debug_assert!(self.children_well_formed(var, &children));
         let weights = std::array::from_fn(|i| children[i].weight);
-        let Some(norm) = Self::normalize(&mut self.ctable, &self.config, weights) else {
+        let Some(norm) = Self::normalize(&mut self.ctable, weights) else {
             return Ok(Edge::ZERO);
         };
         let canon: [Edge<N>; N] = std::array::from_fn(|i| {
@@ -152,68 +152,44 @@ impl DdPackage {
     }
 
     // ------------------------------------------------------------------
-    // Concrete wrappers (the public API)
+    // Concrete entries (the public API)
     // ------------------------------------------------------------------
 
     /// Creates (or finds) the canonical vector node `var → children` and
-    /// returns the normalized edge pointing at it.
+    /// returns the normalized edge pointing at it — the node-budget
+    /// chokepoint of the governor.
     ///
     /// This is the paper's recursive state-vector decomposition step: both
     /// children must represent the `var`-lower sub-vectors. Returns the
-    /// 0-stub when both children are zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a configured resource budget is exhausted. With the
-    /// default (unlimited) [`Limits`](crate::Limits) this never happens;
-    /// governed callers use [`Self::try_make_vec_node`].
-    pub fn make_vec_node(&mut self, var: Qubit, children: [VecEdge; 2]) -> VecEdge {
-        self.try_make_vec_node(var, children)
-            .unwrap_or_else(|e| panic!("ungoverned node construction failed: {e}"))
-    }
-
-    /// Fallible form of [`Self::make_vec_node`]: node-budget chokepoint of
-    /// the governor.
-    ///
-    /// Finding an existing node never fails; only allocating a *new* one is
-    /// checked against [`Limits::max_nodes`](crate::Limits::max_nodes) and
+    /// 0-stub when both children are zero. Finding an existing node never
+    /// fails; only allocating a *new* one is checked against
+    /// [`Limits::max_nodes`](crate::Limits::max_nodes) and
     /// [`Limits::max_complex_entries`](crate::Limits::max_complex_entries).
     ///
     /// # Errors
     ///
     /// [`DdError::ResourceExhausted`] when a budget is spent.
-    pub fn try_make_vec_node(
+    pub fn make_vec_node(
         &mut self,
         var: Qubit,
         children: [VecEdge; 2],
     ) -> Result<VecEdge, DdError> {
-        self.try_make_node_generic(var, children)
+        self.make_node_generic(var, children)
     }
 
     /// Creates (or finds) the canonical matrix node `var → children`
-    /// (`[U₀₀, U₀₁, U₁₀, U₁₁]`) and returns the normalized edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a configured resource budget is exhausted (see
+    /// (`[U₀₀, U₀₁, U₁₀, U₁₁]`) and returns the normalized edge (see
     /// [`Self::make_vec_node`]).
-    pub fn make_mat_node(&mut self, var: Qubit, children: [MatEdge; 4]) -> MatEdge {
-        self.try_make_mat_node(var, children)
-            .unwrap_or_else(|e| panic!("ungoverned node construction failed: {e}"))
-    }
-
-    /// Fallible form of [`Self::make_mat_node`] (see
-    /// [`Self::try_make_vec_node`]).
     ///
     /// # Errors
     ///
     /// [`DdError::ResourceExhausted`] when a budget is spent.
-    pub fn try_make_mat_node(
+    pub fn make_mat_node(
         &mut self,
         var: Qubit,
         children: [MatEdge; 4],
     ) -> Result<MatEdge, DdError> {
-        self.try_make_node_generic(var, children)
+        self.make_node_generic(var, children)
     }
 
     /// Rescales a vector edge by an interned factor.

@@ -137,7 +137,7 @@ impl DdPackage {
         n: usize,
     ) -> Result<MatEdge, DdError> {
         // The uncontrolled wrapping levels below collapse in
-        // `try_make_mat_node`, and an idle identity is the terminal unit,
+        // `make_mat_node`, and an idle identity is the terminal unit,
         // so a k-controlled gate costs O(k) nodes regardless of the
         // register width.
         let pol_at = |q: usize| controls.iter().find(|c| c.qubit == q).map(|c| c.polarity);
@@ -156,10 +156,8 @@ impl DdPackage {
             for b in 0..4 {
                 let (i, j) = (b >> 1, b & 1);
                 em[b] = match pol {
-                    None => self.try_make_mat_node(
-                        q as Qubit,
-                        [em[b], MatEdge::ZERO, MatEdge::ZERO, em[b]],
-                    )?,
+                    None => self
+                        .make_mat_node(q as Qubit, [em[b], MatEdge::ZERO, MatEdge::ZERO, em[b]])?,
                     Some(p) => {
                         // On the non-firing branch an identity must act on
                         // the target sub-space: diagonal blocks get the
@@ -170,29 +168,24 @@ impl DdPackage {
                             Polarity::Positive => (idle, em[b]),
                             Polarity::Negative => (em[b], idle),
                         };
-                        self.try_make_mat_node(
-                            q as Qubit,
-                            [c00, MatEdge::ZERO, MatEdge::ZERO, c11],
-                        )?
+                        self.make_mat_node(q as Qubit, [c00, MatEdge::ZERO, MatEdge::ZERO, c11])?
                     }
                 };
             }
         }
 
-        let mut e = self.try_make_mat_node(target as Qubit, em)?;
+        let mut e = self.make_mat_node(target as Qubit, em)?;
 
         // Levels above the target.
         for q in target + 1..n {
             e = match pol_at(q) {
-                None => {
-                    self.try_make_mat_node(q as Qubit, [e, MatEdge::ZERO, MatEdge::ZERO, e])?
-                }
+                None => self.make_mat_node(q as Qubit, [e, MatEdge::ZERO, MatEdge::ZERO, e])?,
                 Some(p) => {
                     let (c00, c11) = match p {
                         Polarity::Positive => (MatEdge::ONE, e),
                         Polarity::Negative => (e, MatEdge::ONE),
                     };
-                    self.try_make_mat_node(q as Qubit, [c00, MatEdge::ZERO, MatEdge::ZERO, c11])?
+                    self.make_mat_node(q as Qubit, [c00, MatEdge::ZERO, MatEdge::ZERO, c11])?
                 }
             };
         }
@@ -235,7 +228,7 @@ impl DdPackage {
         let e01 = self.mat_from_region(rows, r0, c0 + h, h)?;
         let e10 = self.mat_from_region(rows, r0 + h, c0, h)?;
         let e11 = self.mat_from_region(rows, r0 + h, c0 + h, h)?;
-        self.try_make_mat_node(var, [e00, e01, e10, e11])
+        self.make_mat_node(var, [e00, e01, e10, e11])
     }
 }
 

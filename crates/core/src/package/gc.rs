@@ -179,7 +179,7 @@ mod tests {
         // An unrooted intermediate product is genuine garbage.
         let a = dd.gate_dd(gates::H, &[], 0, 4).unwrap();
         let b = dd.gate_dd(gates::X, &[Control::pos(1)], 0, 4).unwrap();
-        let _garbage = dd.mat_mat(a, b);
+        let _garbage = dd.mat_mat(a, b).unwrap();
         let keep = dd.zero_state(4).unwrap();
         dd.inc_ref_vec(keep);
         let report = dd.garbage_collect();
@@ -198,8 +198,8 @@ mod tests {
         let expect = fresh.gate_dd(gates::H, &[], 2, 4).unwrap();
         assert_eq!(dd.mat_node_count(h_after), fresh.mat_node_count(expect));
         // Applying the cached operator after GC produces a valid state.
-        let applied = dd.mat_vec(h_after, keep);
-        assert!((dd.vec_norm(applied) - 1.0).abs() < 1e-10);
+        let applied = dd.mat_vec(h_after, keep).unwrap();
+        assert!((dd.vec_norm(applied).unwrap() - 1.0).abs() < 1e-10);
         dd.dec_ref_vec(keep);
     }
 

@@ -29,7 +29,6 @@ mod store;
 
 pub use self::gc::GcReport;
 pub use self::stats::PackageStats;
-pub use crate::normalize::VectorNormalization;
 
 pub(crate) use self::store::HasStore;
 
@@ -41,7 +40,6 @@ use crate::limits::{Governor, Limits};
 use crate::node::{MNode, VNode};
 use crate::types::{MatEdge, MNodeId, Qubit, VecEdge, VNodeId};
 use qdd_complex::{Complex, ComplexIdx, ComplexTable, FxHashMap, DEFAULT_TOLERANCE};
-use std::time::Duration;
 
 /// Tunable parameters of a [`DdPackage`].
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -52,10 +50,6 @@ pub struct PackageConfig {
     /// only useful for the ablation experiments — expect exponential
     /// slowdowns on anything non-trivial.
     pub compute_tables: bool,
-    /// Normalization rule for vector nodes. Measurement and sampling
-    /// require the default [`VectorNormalization::L2`]; the alternative is
-    /// for the ablation experiments.
-    pub vector_normalization: VectorNormalization,
     /// Resource budgets enforced by the package (all unlimited by default).
     pub limits: Limits,
 }
@@ -65,7 +59,6 @@ impl Default for PackageConfig {
         PackageConfig {
             tolerance: DEFAULT_TOLERANCE,
             compute_tables: true,
-            vector_normalization: VectorNormalization::default(),
             limits: Limits::default(),
         }
     }
@@ -261,12 +254,6 @@ impl DdPackage {
             self.governor.arm(budget);
         }
         self.governor.armed()
-    }
-
-    /// Starts an explicit wall-clock budget, overriding
-    /// [`Limits::deadline`] for this arming.
-    pub fn arm_deadline_for(&mut self, budget: Duration) {
-        self.governor.arm(budget);
     }
 
     /// Stops deadline enforcement (e.g. when a run completes).

@@ -48,7 +48,7 @@ impl DdPackage {
             } else {
                 [VecEdge::ZERO, e]
             };
-            e = self.try_make_vec_node(q as Qubit, children)?;
+            e = self.make_vec_node(q as Qubit, children)?;
         }
         Ok(e)
     }
@@ -91,7 +91,7 @@ impl DdPackage {
         let var = (amps.len().trailing_zeros() - 1) as Qubit;
         let lo = self.vec_from_slice(&amps[..half])?;
         let hi = self.vec_from_slice(&amps[half..])?;
-        self.try_make_vec_node(var, [lo, hi])
+        self.make_vec_node(var, [lo, hi])
     }
 }
 

@@ -292,7 +292,7 @@ mod tests {
         let a = dd.basis_state(4, 0).unwrap();
         let b = dd.basis_state(4, 8).unwrap();
         // `sum` shares the |000⟩ suffix chain with `a` and `b`.
-        let sum = dd.add_vec(a, b);
+        let sum = dd.add_vec(a, b).unwrap();
         let (ca, cs) = (dd.vec_node_count(a), dd.vec_node_count(sum));
         for _ in 0..3 {
             assert_eq!(dd.vec_node_count(a), ca, "overlap with prior walk");

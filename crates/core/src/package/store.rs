@@ -11,7 +11,7 @@ use crate::normalize::{normalize_matrix, normalize_vector, Normalized};
 use crate::types::{Edge, NodeId, Qubit};
 use qdd_complex::{ComplexIdx, ComplexTable, FxHashMap, FxHashSet, ScratchGuard, ScratchPool};
 
-use super::{DdPackage, PackageConfig};
+use super::DdPackage;
 
 /// What [`NodeStore::reset_to_warm`] rewinds to.
 #[derive(Clone, Debug, Default)]
@@ -253,13 +253,9 @@ impl<const N: usize> NodeStore<N> {
 pub(crate) trait HasStore<const N: usize> {
     fn store(&self) -> &NodeStore<N>;
     fn store_mut(&mut self) -> &mut NodeStore<N>;
-    /// Arity-specific edge-weight normalization (vector rule is
-    /// configurable, matrix rule is fixed — paper §III).
-    fn normalize(
-        ctable: &mut ComplexTable,
-        config: &PackageConfig,
-        weights: [ComplexIdx; N],
-    ) -> Option<Normalized<N>>;
+    /// Arity-specific edge-weight normalization (L2 for vectors, first
+    /// maximal entry for matrices — paper §III).
+    fn normalize(ctable: &mut ComplexTable, weights: [ComplexIdx; N]) -> Option<Normalized<N>>;
 }
 
 impl HasStore<2> for DdPackage {
@@ -274,12 +270,8 @@ impl HasStore<2> for DdPackage {
     }
 
     #[inline]
-    fn normalize(
-        ctable: &mut ComplexTable,
-        config: &PackageConfig,
-        weights: [ComplexIdx; 2],
-    ) -> Option<Normalized<2>> {
-        normalize_vector(ctable, weights, config.vector_normalization)
+    fn normalize(ctable: &mut ComplexTable, weights: [ComplexIdx; 2]) -> Option<Normalized<2>> {
+        normalize_vector(ctable, weights)
     }
 }
 
@@ -295,11 +287,7 @@ impl HasStore<4> for DdPackage {
     }
 
     #[inline]
-    fn normalize(
-        ctable: &mut ComplexTable,
-        _config: &PackageConfig,
-        weights: [ComplexIdx; 4],
-    ) -> Option<Normalized<4>> {
+    fn normalize(ctable: &mut ComplexTable, weights: [ComplexIdx; 4]) -> Option<Normalized<4>> {
         normalize_matrix(ctable, weights)
     }
 }

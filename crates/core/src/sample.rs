@@ -101,18 +101,7 @@ impl DdPackage {
     /// Flattens the diagram under `state` into a [`SamplingTableau`]: one
     /// post-order pass computes every reachable node's 1-branch probability
     /// `|w₁|²` so per-shot walks touch only the tableau.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the package uses
-    /// [`VectorNormalization::L2`](crate::VectorNormalization::L2) — local
-    /// weights are only probability amplitudes under the L2 rule.
     pub fn sampling_tableau(&self, state: VecEdge) -> SamplingTableau {
-        assert!(
-            self.config.vector_normalization == crate::normalize::VectorNormalization::L2,
-            "sampling_tableau requires VectorNormalization::L2 (the ablation \
-             rule does not keep local weights as probability amplitudes)"
-        );
         if state.is_terminal() {
             return SamplingTableau {
                 nodes: Vec::new(),

@@ -223,7 +223,7 @@ impl DdPackage {
                         ));
                     }
                     let edge = self
-                        .try_make_node_generic(var, children)
+                        .make_node_generic(var, children)
                         .map_err(|e| parse_err(lineno, format!("node {id}: {e}")))?;
                     nodes.insert(id, edge);
                 }
@@ -420,10 +420,10 @@ mod tests {
                 let g = dd
                     .gate_dd(gates::phase(theta), &[Control::pos(2)], 0, 3)
                     .unwrap();
-                u = dd.mat_mat(g, u);
+                u = dd.mat_mat(g, u).unwrap();
             }
             let h = dd.gate_dd(gates::H, &[], 1, 3).unwrap();
-            dd.mat_mat(h, u)
+            dd.mat_mat(h, u).unwrap()
         };
         let mut buffer = Vec::new();
         dd.write_matrix(qft, &mut buffer).unwrap();

@@ -172,7 +172,7 @@ mod tests {
         // GHZ-like sharing: two distinct q0 nodes below one q1 node.
         let a = dd.basis_state(2, 0).unwrap();
         let b = dd.basis_state(2, 3).unwrap();
-        let e = dd.add_vec(a, b);
+        let e = dd.add_vec(a, b).unwrap();
         let mut vars = Vec::new();
         dd.visit_bfs(e, |_, n| vars.push(n.var));
         assert_eq!(vars, vec![1, 0, 0]);
@@ -184,7 +184,7 @@ mod tests {
         // H ⊗ H: all four children of the root are the same H node.
         let h1 = dd.gate_dd(crate::gates::H, &[], 1, 2).unwrap();
         let h0 = dd.gate_dd(crate::gates::H, &[], 0, 2).unwrap();
-        let hh = dd.mat_mat(h1, h0);
+        let hh = dd.mat_mat(h1, h0).unwrap();
         let mut count = 0;
         dd.visit_postorder(hh, |_, _| count += 1);
         // One root plus one shared H node — not four H copies.

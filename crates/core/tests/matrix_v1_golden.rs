@@ -22,10 +22,10 @@ fn build_operator(dd: &mut DdPackage) -> MatEdge {
         let g = dd
             .gate_dd(gates::phase(theta), &[Control::pos(2)], 0, 3)
             .unwrap();
-        u = dd.mat_mat(g, u);
+        u = dd.mat_mat(g, u).unwrap();
     }
     let h = dd.gate_dd(gates::H, &[], 1, 3).unwrap();
-    dd.mat_mat(h, u)
+    dd.mat_mat(h, u).unwrap()
 }
 
 #[test]

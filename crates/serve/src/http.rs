@@ -2,10 +2,10 @@
 //!
 //! The workspace carries no web framework; this module implements exactly
 //! the subset `qdd serve` needs: request-line + header parsing,
-//! `Content-Length` bodies with a hard cap, fixed responses, and chunked
-//! transfer encoding for the JSONL shot streams. Every connection serves
-//! one request (`Connection: close`), which keeps the daemon's concurrency
-//! model one-thread-per-request with no keep-alive state machine.
+//! `Content-Length` bodies with a hard cap, and fixed-length responses,
+//! each sent with one write. Every connection serves one request
+//! (`Connection: close`), which keeps the daemon's concurrency model
+//! one-thread-per-request with no keep-alive state machine.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -152,63 +152,26 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete fixed-length response and flushes it.
+/// Writes a complete fixed-length response, head and body in one write,
+/// and flushes it.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
     body: &[u8],
 ) -> std::io::Result<()> {
-    write!(
-        stream,
+    let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         status,
         reason(status),
         content_type,
         body.len()
-    )?;
-    stream.write_all(body)?;
+    );
+    let mut response = Vec::with_capacity(head.len() + body.len());
+    response.extend_from_slice(head.as_bytes());
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
-}
-
-/// A chunked-transfer response body: each [`ChunkedWriter::write_line`]
-/// leaves the wire immediately as its own chunk, so clients observe JSONL
-/// lines as the server produces them.
-pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
-}
-
-impl<'a> ChunkedWriter<'a> {
-    /// Sends the status line + headers announcing a chunked body.
-    pub fn begin(
-        stream: &'a mut TcpStream,
-        status: u16,
-        content_type: &str,
-    ) -> std::io::Result<Self> {
-        write!(
-            stream,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
-            status,
-            reason(status),
-            content_type,
-        )?;
-        stream.flush()?;
-        Ok(ChunkedWriter { stream })
-    }
-
-    /// Sends `line` plus a trailing newline as one flushed chunk.
-    pub fn write_line(&mut self, line: &str) -> std::io::Result<()> {
-        write!(self.stream, "{:x}\r\n", line.len() + 1)?;
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n\r\n")?;
-        self.stream.flush()
-    }
-
-    /// Sends the zero-length terminating chunk.
-    pub fn finish(self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
-    }
 }
 
 /// Reads and discards whatever else the client already sent. Called after

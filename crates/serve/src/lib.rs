@@ -26,8 +26,8 @@
 //!    across concurrent requests; every request builds its own gate DDs in
 //!    a package it owns (DESIGN.md §15).
 //!
-//! Endpoints: `POST /v1/simulate`, `POST /v1/shots` (chunked JSONL
-//! stream), `POST /v1/verify`, and the session family `POST /v1/sessions`,
+//! Endpoints: `POST /v1/simulate`, `POST /v1/shots` (a JSONL body),
+//! `POST /v1/verify`, and the session family `POST /v1/sessions`,
 //! `POST /v1/sessions/{id}/step`, `POST /v1/sessions/{id}/play`,
 //! `DELETE /v1/sessions/{id}` mirroring the tool's step/play state
 //! machine. Every response embeds the request's merged telemetry snapshot
@@ -40,7 +40,7 @@ pub mod quota;
 pub mod session;
 
 use crate::cache::CircuitCache;
-use crate::http::{ChunkedWriter, ParseError, Request};
+use crate::http::{ParseError, Request};
 use crate::json::{get_bool, get_str, get_u64, num, parse_json, JsonValue};
 use crate::quota::{ApiError, Quota};
 use crate::session::SessionStore;
@@ -182,8 +182,9 @@ fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
     }
 }
 
-/// Routing table. `Ok(Some)` is a fixed JSON response; `Ok(None)` means
-/// the handler wrote the response itself (the streaming path).
+/// Routing table. `Ok(Some)` is a JSON response; `Ok(None)` means the
+/// handler wrote the response itself (the JSONL shots body) or the client
+/// hung up.
 fn route(
     req: &Request,
     stream: &mut TcpStream,
@@ -372,7 +373,7 @@ fn handle_simulate(body: &JsonValue, state: &ServerState) -> Result<(u16, String
 
 // --- /v1/shots ------------------------------------------------------------
 
-/// Runs a sampling job and streams the histogram as chunked JSONL: a
+/// Runs a sampling job and answers with the histogram as one JSONL body: a
 /// header line, one line per outcome (byte-identical to the CLI's
 /// `--histogram-out` lines), and a trailer with stats + telemetry. While
 /// the engine runs, the handler watches the connection: a client that
@@ -478,17 +479,17 @@ fn handle_shots(
         outcome.key,
         snap.to_json(),
     );
-    // From here any write failure means the client vanished mid-stream;
-    // there is nothing useful to do but stop.
-    let _ = (|| -> io::Result<()> {
-        let mut w = ChunkedWriter::begin(stream, 200, "application/jsonl")?;
-        w.write_line(&header)?;
-        for line in report.histogram_lines() {
-            w.write_line(&line)?;
-        }
-        w.write_line(&trailer)?;
-        w.finish()
-    })();
+    let mut body = header;
+    body.push('\n');
+    for line in report.histogram_lines() {
+        body.push_str(&line);
+        body.push('\n');
+    }
+    body.push_str(&trailer);
+    body.push('\n');
+    // A write failure means the client vanished; there is nothing useful
+    // to do but stop.
+    let _ = http::write_response(stream, 200, "application/jsonl", body.as_bytes());
     Ok(None)
 }
 

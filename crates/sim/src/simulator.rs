@@ -529,11 +529,14 @@ impl DdSimulator {
             Err(SimError::Dd(e @ DdError::ResourceExhausted { .. })) => e,
             other => return other,
         };
-        // Rung 2: prune the state's cheapest mass and retry, as long as the
-        // cumulative fidelity bound has budget left and each round makes
-        // progress. Each round targets half the current node count, so the
-        // loop is finitely bounded even under a generous fidelity budget.
-        while self.approximation_applies() {
+        // Rung 2 (needs an authorized fidelity budget): prune the state's
+        // cheapest mass and retry, as long as the cumulative fidelity bound
+        // has budget left and each round makes progress. Both memory
+        // budgets (nodes, interned weights) scale with diagram size, so a
+        // smaller state helps against either. Each round targets half the
+        // current node count, so the loop is finitely bounded even under a
+        // generous fidelity budget.
+        while self.dd.limits().min_fidelity.is_some() {
             if !self.approximate_round() {
                 break;
             }
@@ -550,7 +553,7 @@ impl DdSimulator {
         }
         qdd_telemetry::emit("sim.dense_fallback").field("qubits", n);
         qdd_telemetry::counter_add("sim.dense_fallbacks", 1);
-        let amps = self.dd.try_to_dense_vector(self.state, n)?;
+        let amps = self.dd.to_dense_vector(self.state, n);
         let seed = self.rng.gen::<u64>();
         let mut dense = DenseSimulator::from_parts(n, amps, self.classical.clone(), seed)?;
         dense.apply_operation(&self.circuit, op)?;
@@ -558,16 +561,6 @@ impl DdSimulator {
         self.stats.dense_fallback = true;
         self.sync_dense_classical();
         Ok(())
-    }
-
-    /// Whether the approximation rung may fire: it needs an authorized
-    /// fidelity budget. Both memory budgets (nodes, interned weights) scale
-    /// with diagram size, so a smaller state helps against either.
-    fn approximation_applies(&self) -> bool {
-        self.dd.limits().min_fidelity.is_some()
-            // Node contributions are probability masses only under L2; the
-            // ablation rules opt out of the approximation rung.
-            && self.dd.config().vector_normalization == qdd_core::VectorNormalization::L2
     }
 
     /// One approximation round: prune per policy, adopt the smaller state,

@@ -234,22 +234,6 @@ pub fn gauge_set(name: &'static str, value: f64) {
     });
 }
 
-/// Raises the named gauge to `value` if it is higher than the current
-/// reading (high-water marks).
-#[inline]
-pub fn gauge_max(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    COLLECTOR.with(|c| {
-        let mut c = c.borrow_mut();
-        let g = c.gauges.entry(name).or_insert(f64::NEG_INFINITY);
-        if value > *g {
-            *g = value;
-        }
-    });
-}
-
 /// Records `value` into the named log₂-bucketed histogram.
 #[inline]
 pub fn observe(name: &'static str, value: u64) {
@@ -340,16 +324,6 @@ impl Drop for Span {
             });
         });
     }
-}
-
-/// Opens a span named `$name`; with extra arguments, formats them into
-/// nothing — the macro form exists so call sites read as annotations:
-/// `let _s = qdd_telemetry::span!("core.mat_vec");`
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
 }
 
 /// Starts an instant (zero-duration) structured event. Chain `.field(…)`
@@ -540,12 +514,9 @@ mod tests {
         counter_add("ops", 3);
         gauge_set("level", 4.0);
         gauge_set("level", 7.0);
-        gauge_max("peak", 5.0);
-        gauge_max("peak", 2.0);
         let snap = snapshot();
         assert_eq!(snap.counter("ops"), Some(5));
         assert_eq!(snap.gauge("level"), Some(7.0));
-        assert_eq!(snap.gauge("peak"), Some(5.0));
         set_enabled(false);
     }
 

@@ -211,8 +211,8 @@ impl AlternatingCheck {
         };
         let u = dd.gate_dd(gate.matrix(), &g.controls, g.target, self.n)?;
         Ok(match side {
-            Side::Left => dd.try_mat_mat(u, self.matrix)?,
-            Side::Right => dd.try_mat_mat(self.matrix, u)?,
+            Side::Left => dd.mat_mat(u, self.matrix)?,
+            Side::Right => dd.mat_mat(self.matrix, u)?,
         })
     }
 

@@ -140,8 +140,8 @@ impl EquivalenceChecker {
                 Equivalence::NotEquivalent
             }
         } else {
-            let u2d = self.dd.try_adjoint_mat(u2)?;
-            let m = self.dd.try_mat_mat(u2d, u1)?;
+            let u2d = self.dd.adjoint_mat(u2)?;
+            let m = self.dd.mat_mat(u2d, u1)?;
             match counterexample(&self.dd, m) {
                 Some(cx) => {
                     witness = Some(cx);
@@ -228,8 +228,45 @@ pub(crate) fn counterexample(dd: &DdPackage, m: MatEdge) -> Option<Counterexampl
     rec(dd, m, qdd_complex::Complex::ONE, reference, 0, 0)
 }
 
-/// Builds the full system matrix of a flattened circuit, recording node
-/// counts (Example 10/11's route).
+/// Builds the system matrix of a unitary circuit (Example 10/11's
+/// construction route): starting from the identity, every gate DD
+/// multiplies onto the product from the left. Returns the matrix and the
+/// node count after each gate. The matrix is not pinned, so a caller that
+/// collects garbage must `inc_ref_mat` it first.
+///
+/// # Errors
+///
+/// [`VerifyError::NonUnitary`] (`circuit` 0) for the first measurement,
+/// reset or classically-conditioned gate, and [`VerifyError::Dd`] when a
+/// budget of the package runs out.
+///
+/// # Examples
+///
+/// The three-qubit QFT's functionality (paper Fig. 6):
+///
+/// ```
+/// use qdd_circuit::library;
+///
+/// # fn main() -> Result<(), qdd_verify::VerifyError> {
+/// let mut dd = qdd_core::DdPackage::new();
+/// let (u, nodes_per_gate) = qdd_verify::functionality(&mut dd, &library::qft(3, true))?;
+/// assert_eq!(nodes_per_gate.len(), 9); // 3 H, 3 controlled phases, a swap as 3 CX
+/// assert_eq!(dd.mat_node_count(u), *nodes_per_gate.last().unwrap());
+/// # Ok(())
+/// # }
+/// ```
+pub fn functionality(
+    dd: &mut DdPackage,
+    qc: &QuantumCircuit,
+) -> Result<(MatEdge, Vec<usize>), VerifyError> {
+    let flat = flatten_one(qc, 0)?;
+    let mut trace = Vec::with_capacity(flat.len());
+    let u = build_system_matrix(dd, &flat, qc.num_qubits(), &mut trace)?;
+    Ok((u, trace))
+}
+
+/// The multiplication loop of [`functionality`], over a flattened circuit;
+/// appends each gate's node count to `trace`.
 fn build_system_matrix(
     dd: &mut DdPackage,
     flat: &[Flat],
@@ -240,7 +277,7 @@ fn build_system_matrix(
     for step in flat {
         let Flat::Gate(g) = step else { continue };
         let gate = dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
-        u = dd.try_mat_mat(gate, u)?;
+        u = dd.mat_mat(gate, u)?;
         trace.push(dd.mat_node_count(u));
         maybe_gc(dd, u);
     }
@@ -279,23 +316,26 @@ pub(crate) fn flatten(
             right: right.num_qubits(),
         });
     }
-    let flat = |qc: &QuantumCircuit, circuit| {
-        let mut out = Vec::with_capacity(qc.len());
-        for (op_index, op) in qc.ops().iter().enumerate() {
-            match op {
-                Operation::Barrier => out.push(Flat::Barrier),
-                Operation::Gate(g) if g.condition.is_none() => out.push(Flat::Gate(g.clone())),
-                Operation::Swap { .. } => {
-                    for g in op.to_gate_sequence().expect("swap is unitary") {
-                        out.push(Flat::Gate(g));
-                    }
+    Ok((flatten_one(left, 0)?, flatten_one(right, 1)?))
+}
+
+/// Flattens one circuit; `circuit` names its side in a
+/// [`VerifyError::NonUnitary`].
+fn flatten_one(qc: &QuantumCircuit, circuit: usize) -> Result<Vec<Flat>, VerifyError> {
+    let mut out = Vec::with_capacity(qc.len());
+    for (op_index, op) in qc.ops().iter().enumerate() {
+        match op {
+            Operation::Barrier => out.push(Flat::Barrier),
+            Operation::Gate(g) if g.condition.is_none() => out.push(Flat::Gate(g.clone())),
+            Operation::Swap { .. } => {
+                for g in op.to_gate_sequence().expect("swap is unitary") {
+                    out.push(Flat::Gate(g));
                 }
-                _ => return Err(VerifyError::NonUnitary { circuit, op_index }),
             }
+            _ => return Err(VerifyError::NonUnitary { circuit, op_index }),
         }
-        Ok(out)
-    };
-    Ok((flat(left, 0)?, flat(right, 1)?))
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

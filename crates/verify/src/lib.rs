@@ -21,6 +21,9 @@
 //!   gate at a time; [`EquivalenceChecker::check`] drives it to the end,
 //!   and the tool's verification tab steps it gate by gate.
 //!
+//! [`functionality`] runs the construction route's multiplication on its
+//! own: the renderers and figure tools draw the matrix it returns.
+//!
 //! # Examples
 //!
 //! Verify the paper's QFT compilation (Fig. 5):
@@ -46,7 +49,7 @@ mod result;
 mod stimuli;
 
 pub use alternating::{AlternatingCheck, Side};
-pub use checker::EquivalenceChecker;
+pub use checker::{functionality, EquivalenceChecker};
 pub use error::VerifyError;
 pub use result::{Equivalence, EquivalenceReport, Strategy};
 pub use stimuli::{simulate_equivalence, StimuliReport};

@@ -55,7 +55,7 @@ pub fn simulate_equivalence(
         let out_l = apply_all(&mut dd, &lflat, start)?;
         let out_r = apply_all(&mut dd, &rflat, start)?;
         run += 1;
-        let f = dd.fidelity(out_l, out_r);
+        let f = dd.fidelity(out_l, out_r)?;
         min_fidelity = min_fidelity.min(f);
         if f < 1.0 - 1e-9 {
             return Ok(StimuliReport {

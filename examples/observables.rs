@@ -26,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nper-qubit reduced states:");
     for q in 0..n {
-        let (x, y, z) = sim.package_mut().bloch_vector(state, q);
-        let purity = sim.package_mut().qubit_purity(state, q);
+        let (x, y, z) = sim.package_mut().bloch_vector(state, q)?;
+        let purity = sim.package_mut().qubit_purity(state, q)?;
         println!(
             "  q{q}: bloch = ({x:+.3}, {y:+.3}, {z:+.3}), purity = {purity:.3} \
              (½ = maximally mixed)"
@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let state = sim.state();
     println!("\nproduct state RY(0.8) ⊗ RX(1.9):");
     for q in 0..2 {
-        let (x, y, z) = sim.package_mut().bloch_vector(state, q);
-        let purity = sim.package_mut().qubit_purity(state, q);
+        let (x, y, z) = sim.package_mut().bloch_vector(state, q)?;
+        let purity = sim.package_mut().qubit_purity(state, q)?;
         let r = (x * x + y * y + z * z).sqrt();
         println!("  q{q}: |bloch| = {r:.6}, purity = {purity:.6}");
         assert!((purity - 1.0).abs() < 1e-9);

@@ -9,7 +9,7 @@ Starts a daemon on an ephemeral port (parsing the bound address from the
 contracts the HTTP surface publishes:
 
 1. **Histogram identity** — for each pinned circuit, the JSONL histogram
-   streamed by ``POST /v1/shots`` must be *byte-identical* to the file the
+   returned by ``POST /v1/shots`` must be *byte-identical* to the file the
    CLI writes via ``simulate --shots N --seed S --histogram-out``. Same
    engine, same seed, same bytes — the daemon is a transport, not a fork.
 2. **Verification** — ``POST /v1/verify`` on a circuit against itself
@@ -44,8 +44,7 @@ def fail(msg):
 
 def post(addr, path, body):
     """One request over a fresh connection (the daemon is one-shot per
-    connection); returns (status, decoded body text). http.client handles
-    the chunked transfer coding the shots endpoint uses."""
+    connection); returns (status, decoded body text)."""
     host, port = addr.rsplit(":", 1)
     conn = http.client.HTTPConnection(host, int(port), timeout=120)
     try:
@@ -89,10 +88,10 @@ def check_histograms(qdd, addr):
                             {"qasm": qasm, "shots": SHOTS, "seed": SEED})
         if status != 200:
             fail(f"{name}: /v1/shots returned {status}: {body[:200]}")
-        # The stream is the CLI file plus one stats trailer line.
+        # The body is the CLI file plus one stats trailer line.
         lines = body.splitlines(keepends=True)
         if not lines or not lines[-1].startswith('{"stats"'):
-            fail(f"{name}: stream does not end with a stats trailer")
+            fail(f"{name}: body does not end with a stats trailer")
         http_hist = "".join(lines[:-1])
         if http_hist != cli:
             fail(f"{name}: HTTP histogram differs from the CLI's "

@@ -7,7 +7,7 @@ use qdd::circuit::{compile, library, QuantumCircuit};
 use qdd::complex::Complex;
 use qdd::core::{gates, Control, DdPackage, MeasurementOutcome};
 use qdd::sim::{DdSimulator, StepOutcome, SteppableSimulation};
-use qdd::verify::{EquivalenceChecker, Strategy};
+use qdd::verify::{functionality, EquivalenceChecker, Strategy};
 use std::f64::consts::FRAC_1_SQRT_2;
 
 fn bell_state(dd: &mut DdPackage) -> qdd::core::VecEdge {
@@ -129,7 +129,7 @@ fn example_8_tensor_product() {
     let i2 = dd.identity(1).unwrap();
     // Identity skip makes I₂ a nodeless terminal edge; its one-level span
     // must be stated for the tensor product to shift H past it.
-    let kron = dd.kron_mat_spanned(h, i2, 1);
+    let kron = dd.kron_mat(h, i2, 1).unwrap();
     let direct = dd.gate_dd(gates::H, &[], 1, 2).unwrap();
     assert_eq!(kron, direct);
 }
@@ -147,7 +147,7 @@ fn example_9_multiplication() {
         Complex::new(0.0, -0.5),
     ];
     let v = dd.state_from_amplitudes(&amps).unwrap();
-    let product = dd.mat_vec(u, v);
+    let product = dd.mat_vec(u, v).unwrap();
     let dense_u = dd.to_dense_matrix(u, 2);
     let dense_v = dd.to_dense_vector(v, 2);
     let dense_p = dd.to_dense_vector(product, 2);
@@ -165,14 +165,7 @@ fn example_9_multiplication() {
 #[test]
 fn example_10_qft_functionality() {
     let mut dd = DdPackage::new();
-    let qft = library::qft(3, true);
-    let mut u = dd.identity(3).unwrap();
-    for op in qft.ops() {
-        for g in op.to_gate_sequence().unwrap() {
-            let m = dd.gate_dd(g.gate.matrix(), &g.controls, g.target, 3).unwrap();
-            u = dd.mat_mat(m, u);
-        }
-    }
+    let (u, _) = functionality(&mut dd, &library::qft(3, true)).unwrap();
     let omega = Complex::cis(std::f64::consts::FRAC_PI_4);
     assert!(omega.approx_eq(Complex::I.sqrt(), 1e-12), "ω = √i");
     let dense = dd.to_dense_matrix(u, 3);
@@ -190,20 +183,8 @@ fn example_10_qft_functionality() {
 #[test]
 fn example_11_canonicity() {
     let mut dd = DdPackage::new();
-    let build = |dd: &mut DdPackage, qc: &QuantumCircuit| {
-        let mut u = dd.identity(3).unwrap();
-        for op in qc.ops() {
-            if let Some(gs) = op.to_gate_sequence() {
-                for g in gs {
-                    let m = dd.gate_dd(g.gate.matrix(), &g.controls, g.target, 3).unwrap();
-                    u = dd.mat_mat(m, u);
-                }
-            }
-        }
-        u
-    };
-    let u1 = build(&mut dd, &library::qft(3, true));
-    let u2 = build(&mut dd, &compile::compiled_qft(3));
+    let (u1, _) = functionality(&mut dd, &library::qft(3, true)).unwrap();
+    let (u2, _) = functionality(&mut dd, &compile::compiled_qft(3)).unwrap();
     assert_eq!(u1, u2, "same edge, same diagram");
     // The paper's size for this diagram: 21 nodes.
     assert_eq!(dd.mat_node_count(u1), 21);

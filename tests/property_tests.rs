@@ -105,7 +105,7 @@ proptest! {
         let mut sim = DdSimulator::with_seed(qc, 1);
         sim.run().unwrap();
         let state = sim.state();
-        let norm = sim.package_mut().vec_norm(state);
+        let norm = sim.package_mut().vec_norm(state).unwrap();
         prop_assert!((norm - 1.0).abs() < 1e-8);
     }
 
@@ -177,10 +177,10 @@ proptest! {
         let mut dd = DdPackage::new();
         let ea = dd.state_from_amplitudes(&a).unwrap();
         let eb = dd.state_from_amplitudes(&b).unwrap();
-        let ip = dd.inner_product(ea, eb);
+        let ip = dd.inner_product(ea, eb).unwrap();
         prop_assert!(ip.abs() <= 1.0 + 1e-9);
         // ⟨a|a⟩ is real 1 after normalization.
-        let aa = dd.inner_product(ea, ea);
+        let aa = dd.inner_product(ea, ea).unwrap();
         prop_assert!(aa.approx_eq(Complex::ONE, 1e-9));
     }
 
@@ -190,7 +190,7 @@ proptest! {
         let mut dd = DdPackage::new();
         let ea = dd.state_from_amplitudes(&a).unwrap();
         let eb = dd.state_from_amplitudes(&b).unwrap();
-        let prod = dd.kron_vec(ea, eb);
+        let prod = dd.kron_vec(ea, eb).unwrap();
         let da = dd.to_dense_vector(ea, 2);
         let db = dd.to_dense_vector(eb, 2);
         let dp = dd.to_dense_vector(prod, 4);
@@ -289,7 +289,7 @@ proptest! {
         let mut dd = DdPackage::new();
         let state = dd.state_from_amplitudes(&amps).unwrap();
         let (pruned, report) = dd.prune_to_fidelity(state, floor).unwrap();
-        let exact = dd.fidelity(state, pruned);
+        let exact = dd.fidelity(state, pruned).unwrap();
         prop_assert!(
             report.fidelity_lower_bound <= exact + 1e-9,
             "bound {} exceeds exact fidelity {exact}",
@@ -300,7 +300,7 @@ proptest! {
             "bound {} broke the floor {floor}",
             report.fidelity_lower_bound
         );
-        let norm = dd.vec_norm(pruned);
+        let norm = dd.vec_norm(pruned).unwrap();
         prop_assert!((norm - 1.0).abs() < 1e-9, "pruned norm {norm}");
     }
 
@@ -323,13 +323,13 @@ proptest! {
         let mut dd = DdPackage::new();
         let state = dd.state_from_amplitudes(&amps).unwrap();
         if let Ok((pruned, report)) = dd.contract_threshold(state, eps) {
-            let exact = dd.fidelity(state, pruned);
+            let exact = dd.fidelity(state, pruned).unwrap();
             prop_assert!(
                 report.fidelity_lower_bound <= exact + 1e-9,
                 "bound {} exceeds exact fidelity {exact}",
                 report.fidelity_lower_bound
             );
-            let norm = dd.vec_norm(pruned);
+            let norm = dd.vec_norm(pruned).unwrap();
             prop_assert!((norm - 1.0).abs() < 1e-9, "pruned norm {norm}");
         }
     }

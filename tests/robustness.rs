@@ -5,7 +5,10 @@
 //! never by panicking or exhausting the host.
 
 use qdd::circuit::{library, qasm, QuantumCircuit};
-use qdd::core::{DdError, DdPackage, Limits, PackageConfig, ResourceKind};
+use qdd::complex::Complex;
+use qdd::core::{
+    gates, Control, DdError, DdPackage, Limits, PackageConfig, PauliString, ResourceKind,
+};
 use qdd::sim::{DdSimulator, SimError};
 use qdd::verify::{EquivalenceChecker, Strategy, VerifyError};
 use std::time::Duration;
@@ -272,18 +275,8 @@ fn degradation_ladder_fires_in_order() {
 /// immediately instead of attempting a 2³⁰-amplitude vector.
 #[test]
 fn dense_cap_is_checked_before_allocation() {
-    // Direct probe of the guarded export.
-    let mut dd = DdPackage::with_config(PackageConfig::default());
-    let state = dd.zero_state(30).unwrap();
-    match dd.try_to_dense_vector(state, 30) {
-        Err(DdError::TooLargeForDense { num_qubits: 30, max }) => {
-            assert!(max < 30, "the cap must be below the register width");
-        }
-        other => panic!("expected TooLargeForDense, got {other:?}"),
-    }
-
-    // Through the ladder: the run must fail with the node-budget error —
-    // not hang on a dense allocation, not report a dense fallback.
+    // The run must fail with the node-budget error — not hang on a dense
+    // allocation, not report a dense fallback.
     let config = limited(Limits {
         max_nodes: Some(600),
         ..Limits::default()
@@ -298,6 +291,82 @@ fn dense_cap_is_checked_before_allocation() {
         })
     ));
     assert!(!sim.stats().dense_fallback);
+}
+
+/// Every DD operation of the package returns a value or a typed error
+/// under every node budget, never a panic. The operands are built on an
+/// unlimited package; each call then runs on a clone of it with the
+/// budget set, so the smallest budgets sit below the live operands.
+#[test]
+fn every_kernel_entry_is_a_value_or_a_typed_error_under_every_node_budget() {
+    let mut base = DdPackage::new();
+    let s = base
+        .state_from_amplitudes(&[
+            Complex::new(0.1, 0.2),
+            Complex::real(0.3),
+            Complex::new(-0.4, 0.1),
+            Complex::real(0.2),
+            Complex::new(0.0, 0.5),
+            Complex::real(-0.3),
+            Complex::new(0.2, -0.2),
+            Complex::real(0.4),
+        ])
+        .unwrap();
+    let t = base.basis_state(3, 0b101).unwrap();
+    let h = base.gate_dd(gates::H, &[], 2, 3).unwrap();
+    let cx = base.gate_dd(gates::X, &[Control::pos(2)], 0, 3).unwrap();
+    let a = base.mat_mat(cx, h).unwrap();
+    let b = base
+        .gate_dd(gates::ry(0.7), &[Control::neg(0)], 1, 3)
+        .unwrap();
+    let xyz: PauliString = "XYZ".parse().unwrap();
+
+    type Call<'a> = &'a dyn Fn(&mut DdPackage) -> Result<(), DdError>;
+    let calls: [(&str, Call); 13] = [
+        ("add_vec", &|dd| dd.add_vec(s, t).map(drop)),
+        ("add_mat", &|dd| dd.add_mat(a, b).map(drop)),
+        ("mat_vec", &|dd| dd.mat_vec(a, s).map(drop)),
+        ("mat_mat", &|dd| dd.mat_mat(a, b).map(drop)),
+        ("kron_vec", &|dd| dd.kron_vec(s, t).map(drop)),
+        ("kron_mat", &|dd| dd.kron_mat(a, b, 3).map(drop)),
+        ("adjoint_mat", &|dd| dd.adjoint_mat(a).map(drop)),
+        ("inner_product", &|dd| dd.inner_product(s, t).map(drop)),
+        ("make_vec_node", &|dd| dd.make_vec_node(3, [s, t]).map(drop)),
+        ("make_mat_node", &|dd| {
+            dd.make_mat_node(3, [a, b, b, a]).map(drop)
+        }),
+        ("expectation_value", &|dd| {
+            dd.expectation_value(s, &xyz).map(drop)
+        }),
+        ("reduced_density_matrix", &|dd| {
+            dd.reduced_density_matrix(s, 1).map(drop)
+        }),
+        ("bloch_vector", &|dd| dd.bloch_vector(s, 0).map(drop)),
+    ];
+    let mut refused = 0;
+    for max_nodes in 1..=64 {
+        for (name, call) in calls {
+            let mut dd = base.clone();
+            dd.set_limits(Limits {
+                max_nodes: Some(max_nodes),
+                ..Limits::default()
+            });
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&mut dd)));
+            match result {
+                Ok(Ok(())) => {}
+                Ok(Err(DdError::ResourceExhausted {
+                    kind: ResourceKind::Nodes,
+                    ..
+                })) => {
+                    refused += 1;
+                    assert!(max_nodes < 64, "{name} refused the largest budget");
+                }
+                Ok(Err(e)) => panic!("{name} at max_nodes = {max_nodes}: untyped {e:?}"),
+                Err(_) => panic!("{name} panicked at max_nodes = {max_nodes}"),
+            }
+        }
+    }
+    assert!(refused > 0, "no budget was small enough to refuse a call");
 }
 
 /// Malformed QASM must produce `Err`, never a panic. Each entry is run

@@ -29,7 +29,7 @@ impl Response {
             .unwrap_or_else(|e| panic!("response body is not JSON ({e}): {}", self.body))
     }
 
-    /// Lines of a JSONL body (chunked bodies decode to plain lines).
+    /// Lines of a JSONL body.
     fn lines(&self) -> Vec<&str> {
         self.body.lines().collect()
     }
@@ -56,29 +56,18 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
         .expect("status code")
         .parse()
         .expect("numeric status");
-    let chunked = head
+    // Every response, the JSONL shots body included, is framed by its
+    // Content-Length.
+    let content_length: usize = head
         .lines()
-        .any(|l| l.to_ascii_lowercase().contains("transfer-encoding: chunked"));
-    let body = if chunked {
-        decode_chunked(payload)
-    } else {
-        payload.to_string()
-    };
-    Response { status, body }
-}
-
-fn decode_chunked(payload: &str) -> String {
-    let mut out = String::new();
-    let mut rest = payload;
-    loop {
-        let (size_line, tail) = rest.split_once("\r\n").expect("chunk size line");
-        let size = usize::from_str_radix(size_line.trim(), 16).expect("hex chunk size");
-        if size == 0 {
-            return out;
-        }
-        out.push_str(&tail[..size]);
-        rest = &tail[size + 2..]; // skip the chunk's trailing CRLF
-    }
+        .find_map(|l| {
+            let (name, value) = l.split_once(':')?;
+            name.eq_ignore_ascii_case("content-length")
+                .then(|| value.trim().parse().expect("numeric Content-Length"))
+        })
+        .unwrap_or_else(|| panic!("{method} {path}: no Content-Length in {head}"));
+    assert_eq!(content_length, payload.len(), "{method} {path}: Content-Length");
+    Response { status, body: payload.to_string() }
 }
 
 fn get_f64(v: &JsonValue, key: &str) -> f64 {
@@ -246,7 +235,7 @@ fn concurrent_warm_requests_beat_the_cold_request_hit_rate() {
             trailer.get("cache").unwrap().get("hit"),
             Some(&JsonValue::Bool(true))
         );
-        // Same circuit, same seed: the streamed histogram lines are
+        // Same circuit, same seed: the returned histogram lines are
         // identical across cold and warm requests.
         assert_eq!(
             resp.lines()[1..resp.lines().len() - 1],

@@ -67,7 +67,7 @@ impl StoreArity for VecArity {
         }
     }
     fn make(dd: &mut DdPackage, var: u8, children: &[VecEdge]) -> VecEdge {
-        dd.make_vec_node(var, [children[0], children[1]])
+        dd.make_vec_node(var, [children[0], children[1]]).unwrap()
     }
     fn is_zero(e: VecEdge) -> bool {
         e.is_zero()
@@ -109,6 +109,7 @@ impl StoreArity for MatArity {
     }
     fn make(dd: &mut DdPackage, var: u8, children: &[MatEdge]) -> MatEdge {
         dd.make_mat_node(var, [children[0], children[1], children[2], children[3]])
+            .unwrap()
     }
     fn is_zero(e: MatEdge) -> bool {
         e.is_zero()

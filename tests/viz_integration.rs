@@ -52,14 +52,7 @@ fn all_formats_well_formed_for_library_states() {
 fn matrix_exports_for_functionalities() {
     use qdd::core::DdPackage;
     let mut dd = DdPackage::new();
-    let qft = library::qft(3, true);
-    let mut u = dd.identity(3).unwrap();
-    for op in qft.ops() {
-        for g in op.to_gate_sequence().unwrap() {
-            let m = dd.gate_dd(g.gate.matrix(), &g.controls, g.target, 3).unwrap();
-            u = dd.mat_mat(m, u);
-        }
-    }
+    let (u, _) = qdd::verify::functionality(&mut dd, &library::qft(3, true)).unwrap();
     for style in styles() {
         let d = dot::matrix_to_dot(&dd, u, &style);
         assert_eq!(d.matches('{').count(), d.matches('}').count());
