@@ -13,8 +13,8 @@ const VALUE_FLAGS: &[&str] = &[
     "--seed", "--shots", "--threads", "--style", "--svg", "--dot", "--html",
     "--strategy", "--stimuli", "-o", "--threshold", "--node-limit",
     "--timeout-ms", "--metrics-out", "--trace-out", "--min-fidelity",
-    "--approx-policy", "--record-timeline", "--snapshot-stride",
-    "--histogram-out", "--port", "--host", "--cache-capacity",
+    "--record-timeline", "--snapshot-stride", "--histogram-out",
+    "--port", "--host", "--cache-capacity",
     "--quota-shots", "--quota-body-bytes", "--quota-sessions",
     "--quota-nodes", "--quota-complex", "--quota-deadline-ms",
 ];
@@ -112,39 +112,7 @@ pub fn parse_limits(args: &Args) -> Result<qdd_core::Limits, String> {
         }
         limits.min_fidelity = Some(f);
     }
-    if let Some(text) = args.value("--approx-policy") {
-        if args.value("--min-fidelity").is_none() {
-            return Err(
-                "option `--approx-policy` requires `--min-fidelity` \
-                 (without a fidelity floor the approximation rung never fires)"
-                    .to_string(),
-            );
-        }
-        limits.approx_policy = parse_approx_policy(text)?;
-    }
     Ok(limits)
-}
-
-/// Resolves an `--approx-policy` spec: `budget` (the default) or
-/// `threshold:EPS` with the edge-contribution cutoff.
-fn parse_approx_policy(text: &str) -> Result<qdd_core::ApproxPolicy, String> {
-    if text == "budget" {
-        return Ok(qdd_core::ApproxPolicy::FidelityBudget);
-    }
-    if let Some(eps_text) = text.strip_prefix("threshold:") {
-        let epsilon: f64 = eps_text.parse().map_err(|_| {
-            format!("option `--approx-policy`: cannot parse epsilon `{eps_text}`")
-        })?;
-        if !(epsilon > 0.0 && epsilon < 0.5) {
-            return Err(format!(
-                "option `--approx-policy`: epsilon `{eps_text}` is not in (0, 0.5)"
-            ));
-        }
-        return Ok(qdd_core::ApproxPolicy::Threshold { epsilon });
-    }
-    Err(format!(
-        "unknown approx policy `{text}` (expected budget or threshold:EPS)"
-    ))
 }
 
 /// Resolves a `--style` name.
@@ -192,32 +160,12 @@ mod tests {
     }
 
     #[test]
-    fn min_fidelity_and_policy_parse_and_validate() {
-        let flags: &[&str] = &["--min-fidelity", "--approx-policy"];
+    fn min_fidelity_parses_and_validates() {
+        let flags: &[&str] = &["--min-fidelity"];
         let ok = Args::parse(&argv(&["--min-fidelity", "0.9"]), flags).unwrap();
-        let limits = parse_limits(&ok).unwrap();
-        assert_eq!(limits.min_fidelity, Some(0.9));
-        assert_eq!(limits.approx_policy, qdd_core::ApproxPolicy::FidelityBudget);
-
-        let both = Args::parse(
-            &argv(&["--min-fidelity", "0.8", "--approx-policy", "threshold:0.01"]),
-            flags,
-        )
-        .unwrap();
-        assert_eq!(
-            parse_limits(&both).unwrap().approx_policy,
-            qdd_core::ApproxPolicy::Threshold { epsilon: 0.01 }
-        );
-
-        for bad in [
-            vec!["--min-fidelity", "0"],
-            vec!["--min-fidelity", "1.5"],
-            vec!["--min-fidelity", "nope"],
-            vec!["--approx-policy", "budget"], // needs --min-fidelity
-            vec!["--min-fidelity", "0.9", "--approx-policy", "threshold:0.7"],
-            vec!["--min-fidelity", "0.9", "--approx-policy", "frobnicate"],
-        ] {
-            let parsed = Args::parse(&argv(&bad), flags).unwrap();
+        assert_eq!(parse_limits(&ok).unwrap().min_fidelity, Some(0.9));
+        for bad in ["0", "1.5", "nope"] {
+            let parsed = Args::parse(&argv(&["--min-fidelity", bad]), flags).unwrap();
             assert!(parse_limits(&parsed).is_err(), "accepted {bad:?}");
         }
     }

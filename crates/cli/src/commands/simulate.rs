@@ -32,13 +32,10 @@ OPTIONS:
                     dense simulation (≤ 24 qubits), then fails
   --timeout-ms N    wall-clock budget for the run
   --min-fidelity F  allow fidelity-bounded approximation under resource
-                    pressure, keeping the state's fidelity to the exact
-                    run at least F (in (0, 1]); runs that approximated
-                    exit with code 4
-  --approx-policy P approximation strategy: budget (default; prune the
-                    cheapest subtrees within the fidelity budget) or
-                    threshold:EPS (zero edges contributing < EPS).
-                    Requires --min-fidelity
+                    pressure: prune the diagram nodes that carry the least
+                    probability mass, keeping the state's fidelity to the
+                    exact run at least F (in (0, 1]); runs that
+                    approximated exit with code 4
   --stats           print the run's statistics when it ends: every counter,
                     gauge and histogram of the telemetry snapshot (the
                     numbers --metrics-out writes: node counts, per-table
@@ -78,8 +75,8 @@ completed but the result is approximate (--min-fidelity pruning fired).";
 const FLAGS: &[&str] = &[
     "--seed", "--shots", "--threads", "--state", "--threshold", "--node-limit",
     "--timeout-ms", "--stats", "--svg", "--dot", "--html", "--style",
-    "--metrics-out", "--trace-out", "--min-fidelity", "--approx-policy",
-    "--record-timeline", "--snapshot-stride", "--histogram-out",
+    "--metrics-out", "--trace-out", "--min-fidelity", "--record-timeline",
+    "--snapshot-stride", "--histogram-out",
 ];
 
 /// Exit code reported to `main` when the run finished but the state was

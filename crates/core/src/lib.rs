@@ -82,7 +82,7 @@ pub use cachekey::fnv1a_64;
 pub use compute::ComputeTableStat;
 pub use error::{DdError, ResourceKind};
 pub use gates::{Control, GateMatrix, Polarity};
-pub use limits::{ApproxPolicy, Limits, DEFAULT_AUTO_GC_THRESHOLD, DEFAULT_COMPLEX_GC_THRESHOLD};
+pub use limits::{Limits, DEFAULT_AUTO_GC_THRESHOLD, DEFAULT_COMPLEX_GC_THRESHOLD};
 pub use measure::MeasurementOutcome;
 pub use node::{MNode, Node, VNode};
 pub use observable::{ParsePauliError, Pauli, PauliString};

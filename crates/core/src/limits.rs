@@ -76,28 +76,6 @@ pub struct Limits {
     /// behavior once another budget (nodes, complex entries) applies
     /// pressure — so it does not affect [`Limits::is_unlimited`].
     pub min_fidelity: Option<f64>,
-    /// Which of the paper's two approximation strategies the degradation
-    /// rung uses when [`Limits::min_fidelity`] is set.
-    pub approx_policy: ApproxPolicy,
-}
-
-/// Approximation strategy for the fidelity-bounded degradation rung
-/// (arXiv 2002.04904 implements both).
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-pub enum ApproxPolicy {
-    /// One-shot fidelity-budget pruning: remove the cheapest subtrees until
-    /// the removed `|amplitude|²` mass reaches the round's fidelity budget.
-    /// The default; spends exactly as much fidelity as shrinking requires.
-    #[default]
-    FidelityBudget,
-    /// Threshold contraction: zero every edge whose contribution falls
-    /// below `epsilon`. Cheaper per pass but spends fidelity eagerly; a
-    /// round whose bound lands below the remaining budget is rejected.
-    Threshold {
-        /// Contribution cutoff in `|amplitude|²` mass; edges routing less
-        /// probability than this are zeroed.
-        epsilon: f64,
-    },
 }
 
 impl Default for Limits {
@@ -109,7 +87,6 @@ impl Default for Limits {
             auto_gc_threshold: DEFAULT_AUTO_GC_THRESHOLD,
             complex_gc_threshold: DEFAULT_COMPLEX_GC_THRESHOLD,
             min_fidelity: None,
-            approx_policy: ApproxPolicy::FidelityBudget,
         }
     }
 }

@@ -3,11 +3,11 @@
 //! The workspace carries no web framework; this module implements exactly
 //! the subset `qdd serve` needs: request-line + header parsing,
 //! `Content-Length` bodies with a hard cap, and fixed-length responses,
-//! each sent with one write. Every connection serves one request
+//! each sent with one vectored write. Every connection serves one request
 //! (`Connection: close`), which keeps the daemon's concurrency model
 //! one-thread-per-request with no keep-alive state machine.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
 
 /// A parsed request: method, percent-unencoded path, and body bytes.
@@ -152,8 +152,9 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete fixed-length response, head and body in one write,
-/// and flushes it.
+/// Writes a complete fixed-length response and flushes it. Head and body
+/// go out in one vectored write (one syscall in the common case), so the
+/// body is never copied behind the head.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -167,10 +168,16 @@ pub fn write_response(
         content_type,
         body.len()
     );
-    let mut response = Vec::with_capacity(head.len() + body.len());
-    response.extend_from_slice(head.as_bytes());
-    response.extend_from_slice(body);
-    stream.write_all(&response)?;
+    let mut slices = [IoSlice::new(head.as_bytes()), IoSlice::new(body)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match stream.write_vectored(pending) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 

@@ -6,8 +6,7 @@ use crate::error::SimError;
 use qdd_circuit::{Operation, QuantumCircuit};
 use qdd_complex::{Complex, FxHashMap};
 use qdd_core::{
-    ApproxPolicy, DdError, DdPackage, Limits, MeasurementOutcome, PackageConfig, PackageStats,
-    VecEdge,
+    DdError, DdPackage, Limits, MeasurementOutcome, PackageConfig, PackageStats, VecEdge,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -87,12 +86,10 @@ pub(crate) fn op_name(op: &Operation) -> &'static str {
 /// 1. When an operation exhausts the node budget, the simulator
 ///    garbage-collects under pressure and retries once.
 /// 2. If [`Limits::min_fidelity`](qdd_core::Limits::min_fidelity) is set,
-///    the state is pruned ([`DdPackage::prune_to_node_target`] or
-///    [`DdPackage::contract_threshold`], per the configured
-///    [`ApproxPolicy`]) and the operation retried — repeatedly, as long as
-///    the *cumulative* fidelity lower bound (the product of all rounds'
-///    bounds, tracked in [`SimStats::fidelity_lower_bound`]) stays at or
-///    above `min_fidelity`.
+///    the state is pruned ([`DdPackage::prune_to_fidelity`]) and the
+///    operation retried — repeatedly, as long as the *cumulative* fidelity
+///    lower bound (the product of all rounds' bounds, tracked in
+///    [`SimStats::fidelity_lower_bound`]) stays at or above `min_fidelity`.
 /// 3. If the budget is still exhausted and the register is small enough
 ///    (≤ [`MAX_DENSE_QUBITS`]), the state is exported and the run continues
 ///    on a [`DenseSimulator`] (recorded in [`SimStats::dense_fallback`]).
@@ -563,14 +560,13 @@ impl DdSimulator {
         Ok(())
     }
 
-    /// One approximation round: prune per policy, adopt the smaller state,
-    /// fold the round's bound into the cumulative account, leave a
-    /// telemetry trail. Returns `false` when no (further) round is possible
-    /// — budget spent, pruning made no progress, or pruning itself starved
-    /// — signalling the ladder to move on to the dense rung.
+    /// One approximation round: prune toward half the diagram, adopt the
+    /// smaller state, fold the round's bound into the cumulative account,
+    /// leave a telemetry trail. Returns `false` when no (further) round is
+    /// possible — budget spent, pruning made no progress, or pruning itself
+    /// starved — signalling the ladder to move on to the dense rung.
     fn approximate_round(&mut self) -> bool {
-        let limits = *self.dd.limits();
-        let Some(min_fidelity) = limits.min_fidelity else {
+        let Some(min_fidelity) = self.dd.limits().min_fidelity else {
             return false;
         };
         // The cumulative bound is a product, so this round may spend at
@@ -580,25 +576,18 @@ impl DdSimulator {
             return false;
         }
         let node_target = self.dd.vec_node_count(self.state) / 2;
-        let result = match limits.approx_policy {
-            ApproxPolicy::FidelityBudget => {
-                self.dd
-                    .prune_to_node_target(self.state, round_min, Some(node_target))
-            }
-            ApproxPolicy::Threshold { epsilon } => {
-                self.dd.contract_threshold(self.state, epsilon)
-            }
-        };
-        let (pruned, report) = match result {
-            Ok(v) => v,
-            // Pruning under a starved allocator (or an over-eager
-            // threshold) cannot help; the dense rung still can.
-            Err(_) => return false,
+        let Ok((pruned, report)) =
+            self.dd
+                .prune_to_fidelity(self.state, round_min, Some(node_target))
+        else {
+            // Pruning under a starved allocator cannot help; the dense rung
+            // still can.
+            return false;
         };
         if report.rounds == 0 || report.fidelity_lower_bound < round_min {
-            // No progress, or (threshold policy) the round would overdraw
-            // the fidelity account: reject it. The rejected diagram is
-            // unreferenced and reclaimed by the next collection.
+            // No progress, or float rounding put the round's bound under
+            // its share: reject it. The rejected diagram is unreferenced
+            // and reclaimed by the next collection.
             return false;
         }
         self.set_state(pruned);
@@ -1207,28 +1196,6 @@ mod tests {
         sim.restart(2).unwrap();
         assert_eq!(sim.stats().fidelity_lower_bound, 1.0);
         assert_eq!(sim.stats().approx_rounds, 0);
-    }
-
-    #[test]
-    fn threshold_policy_also_degrades_gracefully() {
-        let config = PackageConfig {
-            limits: qdd_core::Limits {
-                max_nodes: Some(24),
-                min_fidelity: Some(0.5),
-                approx_policy: qdd_core::ApproxPolicy::Threshold { epsilon: 1e-3 },
-                ..qdd_core::Limits::default()
-            },
-            ..PackageConfig::default()
-        };
-        let mut sim = DdSimulator::with_config(entangling_workload(8, 3), 1, config);
-        let outcome = sim.run();
-        // Threshold contraction may or may not shrink enough on its own;
-        // either way the run must complete (dense rung backs it up) with a
-        // consistent fidelity account.
-        outcome.unwrap();
-        let stats = sim.stats();
-        assert!(stats.fidelity_lower_bound >= 0.5);
-        assert!(stats.fidelity_lower_bound <= 1.0);
     }
 
     #[test]

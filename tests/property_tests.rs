@@ -283,12 +283,17 @@ proptest! {
     /// Approximation soundness: the reported fidelity lower bound never
     /// exceeds the exact overlap `|⟨ψ|ψ̃⟩|²` (computed independently via
     /// the DD inner product), honors the requested floor, and the pruned
-    /// state comes back normalized.
+    /// state comes back normalized — with and without the node target the
+    /// simulator's approximation rung passes.
     #[test]
-    fn pruning_bound_is_sound(amps in amplitudes(4), floor in 0.3f64..0.999) {
+    fn pruning_bound_is_sound(
+        amps in amplitudes(4),
+        floor in 0.3f64..0.999,
+        node_target in prop_oneof![Just(None), (0usize..16).prop_map(Some)],
+    ) {
         let mut dd = DdPackage::new();
         let state = dd.state_from_amplitudes(&amps).unwrap();
-        let (pruned, report) = dd.prune_to_fidelity(state, floor).unwrap();
+        let (pruned, report) = dd.prune_to_fidelity(state, floor, node_target).unwrap();
         let exact = dd.fidelity(state, pruned).unwrap();
         prop_assert!(
             report.fidelity_lower_bound <= exact + 1e-9,
@@ -310,28 +315,10 @@ proptest! {
     fn full_fidelity_floor_is_identity(amps in amplitudes(4)) {
         let mut dd = DdPackage::new();
         let state = dd.state_from_amplitudes(&amps).unwrap();
-        let (pruned, report) = dd.prune_to_fidelity(state, 1.0).unwrap();
+        let (pruned, report) = dd.prune_to_fidelity(state, 1.0, None).unwrap();
         prop_assert_eq!(pruned, state);
         prop_assert_eq!(report.rounds, 0);
         prop_assert_eq!(report.fidelity_lower_bound, 1.0);
-    }
-
-    /// Threshold contraction reports the same kind of sound bound whenever
-    /// it leaves a nonzero state behind.
-    #[test]
-    fn threshold_bound_is_sound(amps in amplitudes(4), eps in 1e-6f64..0.05) {
-        let mut dd = DdPackage::new();
-        let state = dd.state_from_amplitudes(&amps).unwrap();
-        if let Ok((pruned, report)) = dd.contract_threshold(state, eps) {
-            let exact = dd.fidelity(state, pruned).unwrap();
-            prop_assert!(
-                report.fidelity_lower_bound <= exact + 1e-9,
-                "bound {} exceeds exact fidelity {exact}",
-                report.fidelity_lower_bound
-            );
-            let norm = dd.vec_norm(pruned).unwrap();
-            prop_assert!((norm - 1.0).abs() < 1e-9, "pruned norm {norm}");
-        }
     }
 
     /// The optimizer never changes semantics (dense-state comparison,

@@ -4,11 +4,12 @@
 //! graceful degradation — when driven past its budgets or fed garbage,
 //! never by panicking or exhausting the host.
 
-use qdd::circuit::{library, qasm, QuantumCircuit};
+use qdd::circuit::{compile, library, qasm, Condition, QuantumCircuit, StandardGate};
 use qdd::complex::Complex;
 use qdd::core::{
     gates, Control, DdError, DdPackage, Limits, PackageConfig, PauliString, ResourceKind,
 };
+use qdd::sim::shots::{self, ShotOptions};
 use qdd::sim::{DdSimulator, SimError};
 use qdd::verify::{EquivalenceChecker, Strategy, VerifyError};
 use std::time::Duration;
@@ -367,6 +368,162 @@ fn every_kernel_entry_is_a_value_or_a_typed_error_under_every_node_budget() {
         }
     }
     assert!(refused > 0, "no budget was small enough to refuse a call");
+}
+
+/// A 4-qubit circuit with a mid-circuit measurement, a reset and a
+/// classically controlled gate between entangling layers.
+fn measured_circuit() -> QuantumCircuit {
+    let mut qc = QuantumCircuit::new(4);
+    let c = qc.add_creg("c", 2);
+    for q in 0..4 {
+        qc.ry(0.4 + 0.3 * q as f64, q);
+    }
+    for q in 0..3 {
+        qc.cx(q, q + 1);
+    }
+    qc.measure(0, 0);
+    qc.reset(0);
+    qc.gate_if(StandardGate::X, vec![], 2, Condition { creg: c, value: 1 });
+    qc.h(0);
+    for q in (0..3).rev() {
+        qc.cx(q + 1, q);
+    }
+    qc.measure(3, 1);
+    qc
+}
+
+/// Runs `call` under `catch_unwind`: a value comes back as `Some`, a
+/// node-budget refusal (as `refused` recognizes it) as `None`. A panic or
+/// any other error fails the test, naming `what`.
+fn value_or_refusal<T, E: std::fmt::Debug>(
+    what: &str,
+    refused: fn(&E) -> bool,
+    call: impl FnOnce() -> Result<T, E>,
+) -> Option<T> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)) {
+        Ok(Ok(value)) => Some(value),
+        Ok(Err(e)) if refused(&e) => None,
+        Ok(Err(e)) => panic!("{what}: untyped {e:?}"),
+        Err(_) => panic!("{what} panicked"),
+    }
+}
+
+fn nodes_refused(e: &DdError) -> bool {
+    matches!(
+        e,
+        DdError::ResourceExhausted {
+            kind: ResourceKind::Nodes,
+            ..
+        }
+    )
+}
+
+/// Every circuit-level driver returns a value or a typed node-budget error
+/// under every node budget, with and without a fidelity floor, and what
+/// completes agrees with the unlimited run: the same verdicts, the exact
+/// amplitudes when no approximation fired, a bound at or above the floor
+/// when one did, and the same histogram at 1 and 2 shot threads.
+#[test]
+fn every_circuit_driver_is_a_value_or_a_typed_error_under_every_node_budget() {
+    let sim_refused: fn(&SimError) -> bool = |e| matches!(e, SimError::Dd(d) if nodes_refused(d));
+    let verify_refused: fn(&VerifyError) -> bool =
+        |e| matches!(e, VerifyError::Dd(d) if nodes_refused(d));
+    let unitary = adversarial(4, 2);
+    let measured = measured_circuit();
+    // An equivalent pair, and a faulty one whose construction check once
+    // panicked in its adjoint step under `max_nodes` 18–21.
+    let ghz = library::ghz(4);
+    let mut ghz_z = library::ghz(4);
+    ghz_z.z(2);
+    let pairs = [
+        (library::qft(3, true), compile::compiled_qft(3)),
+        (ghz, ghz_z),
+    ];
+
+    let mut reference = DdSimulator::with_seed(unitary.clone(), 1);
+    reference.run().unwrap();
+    let exact = reference.dense_state();
+    let verdicts = pairs.each_ref().map(|(left, right)| {
+        Strategy::ALL.map(|strategy| {
+            EquivalenceChecker::with_config(limited(Limits::default()))
+                .check(left, right, strategy)
+                .unwrap()
+                .result
+        })
+    });
+
+    let mut refused = 0;
+    let mut approximated = 0;
+    for max_nodes in 1..=64 {
+        for min_fidelity in [None, Some(0.5)] {
+            let config = limited(Limits {
+                max_nodes: Some(max_nodes),
+                min_fidelity,
+                ..Limits::default()
+            });
+            let at = format!("max_nodes = {max_nodes}, min_fidelity = {min_fidelity:?}");
+            for dense_fallback in [true, false] {
+                for (name, circuit) in [("unitary", &unitary), ("measured", &measured)] {
+                    let what = format!("run of the {name} circuit, dense {dense_fallback}, {at}");
+                    let mut sim = DdSimulator::with_config(circuit.clone(), 1, config);
+                    sim.set_dense_fallback(dense_fallback);
+                    if value_or_refusal(&what, sim_refused, || sim.run()).is_none() {
+                        refused += 1;
+                        continue;
+                    }
+                    let stats = sim.stats();
+                    if stats.is_approximate() {
+                        approximated += 1;
+                        assert!(stats.fidelity_lower_bound >= 0.5, "{what}: {stats:?}");
+                    } else if name == "unitary" {
+                        for (a, b) in exact.iter().zip(sim.dense_state()) {
+                            assert!(a.approx_eq(b, 1e-9), "{what}: {a:?} vs {b:?}");
+                        }
+                    }
+                }
+            }
+
+            for dense_fallback in [true, false] {
+                let histograms = [1, 2].map(|threads| {
+                    let what = format!("shots at {threads} threads, dense {dense_fallback}, {at}");
+                    let opts = ShotOptions {
+                        threads,
+                        config,
+                        dense_fallback,
+                        ..ShotOptions::new(32, 7)
+                    };
+                    let job = || shots::run(&measured, &opts);
+                    let report = value_or_refusal(&what, sim_refused, job)?;
+                    assert!(report.fidelity_lower_bound >= 0.5, "{what}: {report:?}");
+                    Some(report.histogram)
+                });
+                if let [Some(one), Some(two)] = &histograms {
+                    assert_eq!(one, two, "histograms differ across threads, {at}");
+                }
+            }
+
+            for ((left, right), verdicts) in pairs.iter().zip(verdicts) {
+                for (strategy, verdict) in Strategy::ALL.into_iter().zip(verdicts) {
+                    let what = format!("{strategy} check of {}, {at}", left.name());
+                    let mut checker = EquivalenceChecker::with_config(config);
+                    let check = || checker.check(left, right, strategy);
+                    if let Some(report) = value_or_refusal(&what, verify_refused, check) {
+                        assert_eq!(report.result, verdict, "{what}");
+                    }
+                }
+            }
+
+            // QFT(2): building QFT(3) leaves 100 nodes alive (dead products
+            // are not collected), so it would be refused at every budget here.
+            let mut dd = DdPackage::with_config(config);
+            let what = format!("functionality, {at}");
+            value_or_refusal(&what, verify_refused, || {
+                qdd::verify::functionality(&mut dd, &library::qft(2, true))
+            });
+        }
+    }
+    assert!(refused > 0, "no budget was small enough to refuse a run");
+    assert!(approximated > 0, "no budget made a run approximate");
 }
 
 /// Malformed QASM must produce `Err`, never a panic. Each entry is run
