@@ -2,7 +2,7 @@
 
 use crate::error::CircuitError;
 use crate::gate::{format_angle, StandardGate};
-use crate::op::{Condition, GateApplication, Operation};
+use crate::op::{swap_gates, Condition, GateApplication, Operation};
 use qdd_core::{Control, Polarity};
 use std::fmt;
 
@@ -586,8 +586,8 @@ impl QuantumCircuit {
                     self.qubit_name(*b)
                 ));
             }
-            Operation::Swap { .. } => {
-                for g in op.to_gate_sequence().expect("swap is unitary") {
+            Operation::Swap { a, b, controls } => {
+                for g in swap_gates(*a, *b, controls) {
                     self.emit_qasm_op(&Operation::Gate(g), out);
                 }
             }

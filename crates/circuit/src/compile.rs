@@ -11,7 +11,7 @@
 
 use crate::circuit::QuantumCircuit;
 use crate::gate::StandardGate;
-use crate::op::{GateApplication, Operation};
+use crate::op::{swap_gates, GateApplication, Operation};
 use qdd_core::{Control, Polarity};
 
 /// Where to insert barriers while compiling.
@@ -79,12 +79,9 @@ pub fn compiled_qft(n: usize) -> QuantumCircuit {
 
 fn expand_op(op: &Operation, options: CompileOptions) -> Vec<Operation> {
     match op {
-        Operation::Swap { .. } if options.decompose_swaps => op
-            .to_gate_sequence()
-            .expect("swap is unitary")
-            .into_iter()
-            .map(Operation::Gate)
-            .collect(),
+        Operation::Swap { a, b, controls } if options.decompose_swaps => {
+            Vec::from(swap_gates(*a, *b, controls).map(Operation::Gate))
+        }
         Operation::Gate(g) if g.condition.is_none() => {
             let is_phase_family = matches!(
                 g.gate.simplified(),

@@ -48,7 +48,7 @@ pub use analysis::{MeasurementAnalysis, MeasurementRegime};
 pub use circuit::{ClassicalRegister, QuantumCircuit, QuantumRegister};
 pub use error::CircuitError;
 pub use gate::StandardGate;
-pub use op::{Condition, GateApplication, Operation};
+pub use op::{swap_gates, Condition, GateApplication, Operation};
 
 // Re-export the control types: they are shared vocabulary with the DD layer.
 pub use qdd_core::{Control, Polarity};

@@ -113,31 +113,6 @@ impl Operation {
         }
     }
 
-    /// Expands the operation into elementary controlled-single-qubit gates
-    /// (SWAP → 3 CNOTs; everything else passes through).
-    ///
-    /// Returns `None` for non-unitary operations.
-    pub fn to_gate_sequence(&self) -> Option<Vec<GateApplication>> {
-        match self {
-            Operation::Gate(g) if g.condition.is_none() => Some(vec![g.clone()]),
-            Operation::Swap { a, b, controls } => {
-                // SWAP(a,b) = CX(a→b) · CX(b→a) · CX(a→b); a controlled swap
-                // (Fredkin) only needs the middle CX controlled.
-                let outer = |ctrl: usize, tgt: usize| {
-                    GateApplication::new(StandardGate::X, vec![Control::pos(ctrl)], tgt)
-                };
-                let mut mid_controls = vec![Control::pos(*b)];
-                mid_controls.extend(controls.iter().copied());
-                Some(vec![
-                    outer(*a, *b),
-                    GateApplication::new(StandardGate::X, mid_controls, *a),
-                    outer(*a, *b),
-                ])
-            }
-            _ => None,
-        }
-    }
-
     /// The inverse operation, if the operation is unitary.
     pub fn inverse(&self) -> Option<Operation> {
         match self {
@@ -156,6 +131,20 @@ impl Operation {
             _ => None,
         }
     }
+}
+
+/// The elementary gates of `Operation::Swap { a, b, controls }`:
+/// `SWAP(a,b) = CX(a→b) · CX(b→a) · CX(a→b)`. A controlled swap (Fredkin)
+/// only needs the middle CX controlled.
+pub fn swap_gates(a: usize, b: usize, controls: &[Control]) -> [GateApplication; 3] {
+    let outer = || GateApplication::new(StandardGate::X, vec![Control::pos(a)], b);
+    let mut mid_controls = vec![Control::pos(b)];
+    mid_controls.extend_from_slice(controls);
+    [
+        outer(),
+        GateApplication::new(StandardGate::X, mid_controls, a),
+        outer(),
+    ]
 }
 
 impl fmt::Display for Operation {
@@ -208,12 +197,7 @@ mod tests {
 
     #[test]
     fn swap_expands_to_three_cnots() {
-        let sw = Operation::Swap {
-            a: 0,
-            b: 2,
-            controls: vec![],
-        };
-        let seq = sw.to_gate_sequence().unwrap();
+        let seq = swap_gates(0, 2, &[]);
         assert_eq!(seq.len(), 3);
         assert!(seq.iter().all(|g| g.gate == StandardGate::X));
         assert_eq!(seq[0].target, 2);
@@ -223,12 +207,7 @@ mod tests {
 
     #[test]
     fn fredkin_controls_only_middle_cnot() {
-        let sw = Operation::Swap {
-            a: 0,
-            b: 1,
-            controls: vec![Control::pos(2)],
-        };
-        let seq = sw.to_gate_sequence().unwrap();
+        let seq = swap_gates(0, 1, &[Control::pos(2)]);
         assert_eq!(seq[0].controls.len(), 1);
         assert_eq!(seq[1].controls.len(), 2);
         assert_eq!(seq[2].controls.len(), 1);

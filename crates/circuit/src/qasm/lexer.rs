@@ -16,6 +16,10 @@ pub(crate) struct Token {
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum TokenKind {
     Ident(String),
+    /// A digit-only literal that fits a `u64`, kept exact: register sizes,
+    /// indices and `if` values are integers, and a 64-bit register value
+    /// has more digits than an `f64` holds.
+    Int(u64),
     Number(f64),
     Str(String),
     LParen,
@@ -40,6 +44,7 @@ impl TokenKind {
     pub(crate) fn describe(&self) -> String {
         match self {
             TokenKind::Ident(s) => format!("identifier `{s}`"),
+            TokenKind::Int(n) => format!("number `{n}`"),
             TokenKind::Number(n) => format!("number `{n}`"),
             TokenKind::Str(s) => format!("string \"{s}\""),
             TokenKind::LParen => "`(`".into(),
@@ -184,10 +189,13 @@ pub(crate) fn tokenize(src: &str) -> Result<Vec<Token>, CircuitError> {
                     }
                 }
                 let text: String = bytes[start..j].iter().collect();
-                let value: f64 = text
-                    .parse()
-                    .map_err(|_| CircuitError::parse(line, format!("bad number `{text}`")))?;
-                out.push(Token { kind: TokenKind::Number(value), line });
+                let kind = match text.parse::<u64>() {
+                    Ok(v) => TokenKind::Int(v),
+                    Err(_) => TokenKind::Number(text.parse().map_err(|_| {
+                        CircuitError::parse(line, format!("bad number `{text}`"))
+                    })?),
+                };
+                out.push(Token { kind, line });
                 i = j;
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
@@ -224,7 +232,7 @@ mod tests {
                 TokenKind::Ident("h".into()),
                 TokenKind::Ident("q".into()),
                 TokenKind::LBracket,
-                TokenKind::Number(0.0),
+                TokenKind::Int(0),
                 TokenKind::RBracket,
                 TokenKind::Semicolon,
                 TokenKind::Eof,

@@ -81,9 +81,10 @@ const MAX_GATE_EXPANSION_DEPTH: usize = 64;
 /// powers) — bounds the recursive-descent stack on adversarial input.
 const MAX_EXPR_DEPTH: usize = 256;
 
-/// Ceiling on declared classical bits; quantum registers are capped by
+/// Ceiling on declared classical bits: a register's value, and a shot's
+/// outcome over all bits, is a `u64`. Quantum registers are capped by
 /// [`qdd_core::MAX_QUBITS`].
-const MAX_CLASSICAL_BITS: usize = 4096;
+const MAX_CLASSICAL_BITS: usize = 64;
 
 struct Parser {
     tokens: Vec<Token>,
@@ -140,7 +141,7 @@ impl Parser {
     fn expect_uint(&mut self) -> Result<u64, CircuitError> {
         let t = self.advance();
         match t.kind {
-            TokenKind::Number(v) if v >= 0.0 && v.fract() == 0.0 => Ok(v as u64),
+            TokenKind::Int(v) => Ok(v),
             other => Err(CircuitError::parse(
                 t.line,
                 format!("expected non-negative integer, found {}", other.describe()),
@@ -180,6 +181,7 @@ impl Parser {
         self.advance(); // OPENQASM
         let t = self.advance();
         match t.kind {
+            TokenKind::Int(2) => {}
             TokenKind::Number(v) if (2.0..3.0).contains(&v) => {}
             _ => return Err(CircuitError::parse(line, "only OpenQASM 2.x is supported")),
         }
@@ -949,6 +951,7 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<Expr, CircuitError> {
         let t = self.advance();
         match t.kind {
+            TokenKind::Int(v) => Ok(Expr::Num(v as f64)),
             TokenKind::Number(v) => Ok(Expr::Num(v)),
             TokenKind::Ident(name) if name == "pi" => Ok(Expr::Pi),
             TokenKind::Ident(name) => {

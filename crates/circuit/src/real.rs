@@ -76,6 +76,16 @@ pub fn parse(src: &str) -> Result<QuantumCircuit, CircuitError> {
                     if v == 0 {
                         return Err(CircuitError::parse(line_number, ".numvars must be positive"));
                     }
+                    // Checked before `.begin` builds one name per variable.
+                    if v > qdd_core::MAX_QUBITS {
+                        return Err(CircuitError::parse(
+                            line_number,
+                            format!(
+                                ".numvars {v} exceeds the supported maximum of {} qubits",
+                                qdd_core::MAX_QUBITS
+                            ),
+                        ));
+                    }
                     numvars = Some(v);
                 }
                 "variables" => {

@@ -17,8 +17,9 @@ OPTIONS:
                    barrier-guided | lookahead   (default proportional)
   --stimuli N      additionally run N random basis states through both
                    circuits and compare the outputs (default 0)
-  --node-limit N   cap live DD nodes during the check
-  --timeout-ms N   wall-clock budget for the check
+  --node-limit N   cap live DD nodes during the check and the stimuli
+  --timeout-ms N   wall-clock budget for the check, and again for the
+                   stimuli
   --stats          print the check's statistics when it ends: every
                    counter, gauge and histogram of the telemetry snapshot
                    (the numbers --metrics-out writes) and the per-phase
@@ -74,25 +75,25 @@ pub fn run(argv: &[String]) -> Result<(), CmdError> {
             ..qdd_core::PackageConfig::default()
         })
     };
-    let report = match checker.check(&left, &right, strategy) {
-        Ok(report) => report,
-        Err(e) => {
-            // Still write the requested telemetry outputs: the trace of a
-            // check that blew its budget is exactly what a post-mortem needs.
-            checker.package().publish_telemetry();
-            let _ = crate::telemetry::finish(&args, telemetry_on, None);
-            return Err(CmdError::from_verify(&e));
-        }
+    // Still write the requested telemetry outputs when a budget runs
+    // out: the trace of a check that blew it is what a post-mortem needs.
+    let fail = |checker: &EquivalenceChecker, e: &qdd_verify::VerifyError| {
+        checker.package().publish_telemetry();
+        let _ = crate::telemetry::finish(&args, telemetry_on, None);
+        CmdError::from_verify(e)
     };
-    checker.package().publish_telemetry();
+    let report = checker
+        .check(&left, &right, strategy)
+        .map_err(|e| fail(&checker, &e))?;
     println!("{report}");
     if let Some(cx) = report.counterexample {
         println!("counterexample: entry ({}, {}) deviates from the identity pattern", cx.row, cx.col);
     }
 
     if stimuli > 0 {
-        let sim_report = qdd_verify::simulate_equivalence(&left, &right, stimuli, 1)
-            .map_err(|e| e.to_string())?;
+        let sim_report = checker
+            .check_stimuli(&left, &right, stimuli, 1)
+            .map_err(|e| fail(&checker, &e))?;
         println!(
             "stimuli: {} inputs run, min fidelity {:.9}{}",
             sim_report.stimuli_run,
@@ -104,6 +105,7 @@ pub fn run(argv: &[String]) -> Result<(), CmdError> {
         );
     }
 
+    checker.package().publish_telemetry();
     crate::telemetry::finish(&args, telemetry_on, None)?;
     match report.result {
         Equivalence::NotEquivalent => {

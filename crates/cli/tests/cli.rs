@@ -296,6 +296,38 @@ fn adversarial_qasm(n: usize, layers: usize) -> String {
     s
 }
 
+/// `--node-limit` bounds the stimuli as it bounds the check, and the
+/// stimuli run on the checker's package, so `--metrics-out` counts them.
+#[test]
+fn verify_budgets_and_stats_cover_the_stimuli() {
+    let file = temp_file("stimuli.qasm", &adversarial_qasm(10, 4));
+    let path = file.to_str().unwrap();
+    let out = qdd(&["verify", path, path, "--node-limit", "300", "--stimuli", "1"]);
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let metrics = temp_path("stimuli.json");
+    let out = qdd(&[
+        "verify", path, path, "--stimuli", "4", "--metrics-out", metrics.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let doc = read_json(&metrics);
+    let gauge = |name: &str| {
+        doc.get("gauges")
+            .and_then(|g| g.get(name))
+            .and_then(JsonValue::as_f64)
+    };
+    let applied = doc
+        .get("spans")
+        .and_then(|s| s.get("core.apply_gate"))
+        .and_then(|s| s.get("count"))
+        .and_then(JsonValue::as_u64);
+    // 76 gates a side: the check looks each up once, the stimuli once per
+    // input and side.
+    assert_eq!(applied, Some(4 * 2 * 76));
+    assert_eq!(gauge("core.gate_cache.lookups"), Some((2 * 76 + 4 * 2 * 76) as f64));
+    std::fs::remove_file(file).ok();
+}
+
 #[test]
 fn simulate_exits_four_when_approximated() {
     let file = temp_file("approx.qasm", &adversarial_qasm(8, 3));
@@ -565,6 +597,26 @@ fn simulate_prints_degradation_trail_on_exhaustion() {
     // The typed error names the budget that tripped and its limit.
     assert!(err.contains("max_nodes = 10000"), "{err}");
     std::fs::remove_file(file).ok();
+}
+
+/// Basis indices and register values are `u64`s: wider registers are
+/// refused at the line that declares them, before anything is allocated.
+#[test]
+fn registers_past_64_bits_exit_one_naming_the_cap() {
+    for (name, text, line) in [
+        ("wide.qasm", "OPENQASM 2.0;\nqreg q[65];\n", 2),
+        ("bits.qasm", "OPENQASM 2.0;\nqreg q[1];\ncreg c[65];\n", 3),
+        ("wide.real", ".version 2.0\n.numvars 65\n.begin\n.end\n", 2),
+        ("huge.real", ".numvars 100000000000\n.begin\n.end\n", 1),
+    ] {
+        let file = temp_file(name, text);
+        let out = qdd(&["simulate", file.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains(&format!("line {line}: ")), "{name}: {err}");
+        assert!(err.contains("maximum of 64"), "{name}: {err}");
+        std::fs::remove_file(file).ok();
+    }
 }
 
 #[test]

@@ -73,7 +73,6 @@ mod observable;
 mod ops;
 mod package;
 mod sample;
-mod serialize;
 mod traverse;
 mod types;
 
@@ -88,11 +87,12 @@ pub use node::{MNode, Node, VNode};
 pub use observable::{ParsePauliError, Pauli, PauliString};
 pub use package::{DdPackage, GcReport, PackageConfig, PackageStats};
 pub use sample::SamplingTableau;
-pub use serialize::SerializeError;
 pub use traverse::Traversable;
 pub use types::{Edge, MatEdge, MNodeId, NodeId, Qubit, VecEdge, VNodeId};
 
 /// Maximum number of qubits a single package supports.
 ///
-/// Bounded by the `u8` variable labels plus headroom for sentinel values.
-pub const MAX_QUBITS: usize = 128;
+/// Basis indices, sampled outcomes and classical-register values are
+/// `u64`s, with bit `q` for qubit `q`, so a register holds 64 qubits at
+/// most.
+pub const MAX_QUBITS: usize = 64;

@@ -91,7 +91,7 @@ impl DdPackage {
             if e.is_terminal() {
                 // Identity skip: a terminal edge is `w·I` on every
                 // remaining level, contributing `w·2^levels`.
-                return w * Complex::real((1u64 << levels_left) as f64);
+                return w * Complex::real(2f64.powi(levels_left as i32));
             }
             let node = dd.mnode(e.node);
             let var = node.var as usize;
@@ -102,7 +102,7 @@ impl DdPackage {
             let c0 = node.children[0];
             let c3 = node.children[3];
             let t = rec(dd, c0, var) + rec(dd, c3, var);
-            w * t * Complex::real((1u64 << gap) as f64)
+            w * t * Complex::real(2f64.powi(gap as i32))
         }
         rec(self, m, n)
     }
@@ -182,10 +182,10 @@ mod tests {
     #[test]
     fn trace_of_identity_is_dimension() {
         let mut dd = DdPackage::new();
-        for n in 1..=5 {
+        for n in (1..=5).chain([crate::MAX_QUBITS]) {
             let id = dd.identity(n).unwrap();
             let t = dd.mat_trace(id, n);
-            assert!(t.approx_eq(Complex::real((1u64 << n) as f64), 1e-10));
+            assert!(t.approx_eq(Complex::real((1u128 << n) as f64), 1e-10));
         }
     }
 

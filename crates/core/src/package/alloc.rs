@@ -74,8 +74,7 @@ impl DdPackage {
     /// Vector diagrams stay dense (children exactly one level down); matrix
     /// children may sit *any* number of levels down — or be non-zero
     /// terminals — with the gap meaning identity on the skipped qubits.
-    /// Debug builds assert it on every construction; the text readers check
-    /// it on every node they load.
+    /// Debug builds assert it on every construction.
     pub(crate) fn children_well_formed<const N: usize>(
         &self,
         var: Qubit,

@@ -294,6 +294,15 @@ mod tests {
         // The non-firing branch is the skipped identity on q0.
         assert!(root.children[0].is_terminal());
         assert!(dd.complex_value(root.children[0].weight).is_one(1e-12));
+
+        // Spelled densely, with Fig. 2(c)'s identity node on the idle
+        // branch, the same CX collapses to the canonical diagram.
+        let (t, z) = (crate::MatEdge::ONE, crate::MatEdge::ZERO);
+        let id = dd.make_mat_node(0, [t, z, z, t]).unwrap();
+        let x = dd.make_mat_node(0, [z, t, t, z]).unwrap();
+        let dense = dd.make_mat_node(1, [id, z, z, x]).unwrap();
+        assert_eq!(dense, cx);
+        assert_eq!(dd.mat_node_count(dense), 2);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!
 //! The public API is unchanged from the pre-split, hand-duplicated
 //! implementation: concrete `*_vec` / `*_mat` methods wrap the generic
-//! code, so downstream crates (and serialized files) see the exact same
-//! surface and semantics.
+//! code, so downstream crates see the exact same surface and semantics.
 
 mod alloc;
 mod gates;
@@ -29,8 +28,6 @@ mod store;
 
 pub use self::gc::GcReport;
 pub use self::stats::PackageStats;
-
-pub(crate) use self::store::HasStore;
 
 use self::gates::GateKey;
 use self::store::NodeStore;

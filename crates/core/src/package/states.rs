@@ -42,7 +42,7 @@ impl DdPackage {
         }
         let mut e = VecEdge::ONE;
         for q in 0..n {
-            let bit = if q < 64 { (index >> q) & 1 } else { 0 };
+            let bit = (index >> q) & 1;
             let children = if bit == 0 {
                 [e, VecEdge::ZERO]
             } else {
@@ -141,6 +141,10 @@ mod tests {
         assert!(dd.zero_state(0).is_err());
         assert!(dd.zero_state(MAX_QUBITS + 1).is_err());
         assert!(dd.zero_state(MAX_QUBITS).is_ok());
+        // At the cap, the top qubit is bit 63 of every basis index.
+        let top = dd.basis_state(MAX_QUBITS, 1 << 63).unwrap();
+        assert!(dd.amplitude(top, 1 << 63).approx_eq(Complex::ONE, 1e-12));
+        assert_eq!(dd.nonzero_basis_states(top), vec![1 << 63]);
     }
 
     #[test]
@@ -166,6 +170,19 @@ mod tests {
         let root_w = dd.complex_value(e.weight);
         // Norm of 5 divided out; the state is unit norm.
         assert!((root_w.abs() - 1.0).abs() < 1e-12);
+
+        // Nodes built from unnormalized child weights keep the intended
+        // direction [2, 2, 0, 6]: each node's pulled-out factor rides on
+        // the edge into it.
+        let mut leaf = |re: f64| crate::VecEdge::terminal(dd.intern(Complex::real(re)));
+        let (two, six) = (leaf(2.0), leaf(6.0));
+        let lo = dd.make_vec_node(0, [two, two]).unwrap();
+        let hi = dd.make_vec_node(0, [crate::VecEdge::ZERO, six]).unwrap();
+        let e = dd.make_vec_node(1, [lo, hi]).unwrap();
+        let dense = dd.to_dense_vector(e, 2);
+        assert!((dense[1].re / dense[0].re - 1.0).abs() < 1e-10);
+        assert!((dense[3].re / dense[0].re - 3.0).abs() < 1e-10);
+        assert!(dense[2].abs() < 1e-12);
     }
 
     #[test]

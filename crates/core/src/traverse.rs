@@ -1,7 +1,7 @@
 //! The shared traversal layer: every walk over a decision diagram — node
-//! counting, serialization, visualization extraction, basis-state
-//! enumeration — goes through the visitors defined here instead of
-//! hand-rolling its own stack and seen-set.
+//! counting, visualization extraction, basis-state enumeration — goes
+//! through the visitors defined here instead of hand-rolling its own stack
+//! and seen-set.
 //!
 //! The walkers are allocation-free after warm-up: they reuse an
 //! epoch-stamped [`WalkScratch`] owned by the node store (one `u32` stamp
@@ -51,9 +51,6 @@ pub trait Traversable<const N: usize> {
     /// Depth-first pre-order walk: `f` sees every distinct non-terminal
     /// node reachable from `root` exactly once, parents before their
     /// children, children explored in slot order.
-    ///
-    /// This is the order the serializer pins: root first, then the
-    /// slot-`0` subtree interleaved per the explicit-stack DFS.
     fn visit_preorder(&self, root: Edge<N>, mut f: impl FnMut(NodeId<N>, &Node<N>)) {
         if root.is_terminal() {
             return;

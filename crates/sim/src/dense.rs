@@ -8,7 +8,7 @@
 
 use crate::creg_value;
 use crate::error::SimError;
-use qdd_circuit::{Operation, QuantumCircuit};
+use qdd_circuit::{swap_gates, Operation, QuantumCircuit};
 use qdd_complex::{Complex, FxHashMap};
 use qdd_core::{Control, GateMatrix, Polarity};
 use rand::rngs::SmallRng;
@@ -133,7 +133,7 @@ impl DenseSimulator {
                 if controls.is_empty() {
                     self.apply_swap(*a, *b);
                 } else {
-                    for g in crate::gate_sequence(op)? {
+                    for g in swap_gates(*a, *b, controls) {
                         self.apply_gate(&g.gate.matrix(), &g.controls, g.target);
                     }
                 }

@@ -44,12 +44,6 @@ pub enum SimError {
     /// The job was cancelled through its cooperative cancel flag (e.g. a
     /// server dropped the request after the client disconnected).
     Cancelled,
-    /// An operation could not be decomposed into elementary gates (its
-    /// `to_gate_sequence` returned nothing) where a unitary was required.
-    NonDecomposableOp {
-        /// Name of the offending operation.
-        op: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -67,9 +61,6 @@ impl fmt::Display for SimError {
                 write!(f, "shot worker {worker} panicked: {payload}")
             }
             SimError::Cancelled => write!(f, "job cancelled"),
-            SimError::NonDecomposableOp { op } => {
-                write!(f, "operation '{op}' has no elementary gate decomposition")
-            }
         }
     }
 }

@@ -43,18 +43,6 @@ pub use shots::{shot_seed, HistogramKind, ShotOptions, ShotReport};
 pub use simulator::{DdSimulator, SimStats};
 pub use stepper::{ChoiceKind, PendingChoice, StepOutcome, SteppableSimulation};
 
-/// Fallible elementary-gate decomposition of an operation: the typed-error
-/// spelling of `to_gate_sequence().expect(..)`. An op a future library
-/// change makes non-decomposable yields [`SimError::NonDecomposableOp`]
-/// naming the op instead of a process abort.
-pub(crate) fn gate_sequence(
-    op: &qdd_circuit::Operation,
-) -> Result<Vec<qdd_circuit::GateApplication>, SimError> {
-    op.to_gate_sequence().ok_or_else(|| SimError::NonDecomposableOp {
-        op: simulator::op_name(op).to_string(),
-    })
-}
-
 /// Resolves a user-facing thread-count option: `0` means one worker per
 /// available CPU, anything else is taken literally (minimum 1).
 pub fn resolve_threads(threads: usize) -> usize {
@@ -83,16 +71,7 @@ pub fn creg_value(bits: &[bool], offset: usize, size: usize) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{creg_value, gate_sequence, SimError};
-
-    #[test]
-    fn non_decomposable_op_yields_typed_error_with_op_name() {
-        // Regression for `.expect("swap is unitary")`: an op without an
-        // elementary decomposition must produce a typed error naming it.
-        let err = gate_sequence(&qdd_circuit::Operation::Barrier).unwrap_err();
-        assert_eq!(err, SimError::NonDecomposableOp { op: "barrier".into() });
-        assert!(err.to_string().contains("barrier"));
-    }
+    use super::creg_value;
 
     #[test]
     fn creg_value_is_little_endian_within_register() {

@@ -3,7 +3,7 @@
 use crate::creg_value;
 use crate::dense::{DenseSimulator, MAX_DENSE_QUBITS};
 use crate::error::SimError;
-use qdd_circuit::{Operation, QuantumCircuit};
+use qdd_circuit::{swap_gates, Operation, QuantumCircuit};
 use qdd_complex::{Complex, FxHashMap};
 use qdd_core::{
     DdError, DdPackage, Limits, MeasurementOutcome, PackageConfig, PackageStats, VecEdge,
@@ -58,7 +58,7 @@ impl SimStats {
 }
 
 /// Stable label of an operation for telemetry events.
-pub(crate) fn op_name(op: &Operation) -> &'static str {
+fn op_name(op: &Operation) -> &'static str {
     match op {
         Operation::Barrier => "barrier",
         Operation::Gate(g) => g.gate.name(),
@@ -656,9 +656,9 @@ impl DdSimulator {
                         .apply_gate(self.state, g.gate.matrix(), &g.controls, g.target)?;
                 self.set_state(new_state);
             }
-            Operation::Swap { .. } => {
+            Operation::Swap { a, b, controls } => {
                 let mut s = self.state;
-                for g in crate::gate_sequence(op)? {
+                for g in swap_gates(*a, *b, controls) {
                     s = self.dd.apply_gate(s, g.gate.matrix(), &g.controls, g.target)?;
                 }
                 self.set_state(s);
@@ -791,8 +791,8 @@ fn build_gate_dds(dd: &mut DdPackage, circuit: &QuantumCircuit) -> Result<(), Si
             Operation::Gate(g) => {
                 dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
             }
-            Operation::Swap { .. } => {
-                for g in crate::gate_sequence(op)? {
+            Operation::Swap { a, b, controls } => {
+                for g in swap_gates(*a, *b, controls) {
                     dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
                 }
             }

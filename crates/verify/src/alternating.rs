@@ -1,11 +1,11 @@
 //! The alternating scheme (paper ref \[20\], Example 12) as a step type:
 //! gates from either circuit, one at a time, onto one working diagram.
 
-use crate::checker::{count_gates, counterexample, flatten, maybe_gc, Flat};
+use crate::checker::{count_gates, counterexample, flatten, maybe_gc, with_pressure_retry, Flat};
 use crate::error::VerifyError;
 use crate::result::{Equivalence, EquivalenceReport, Strategy};
 use qdd_circuit::{GateApplication, QuantumCircuit};
-use qdd_core::{DdPackage, MatEdge};
+use qdd_core::{DdError, DdPackage, MatEdge};
 
 /// The circuit a gate of an [`AlternatingCheck`] comes from.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -28,8 +28,9 @@ pub enum Side {
 /// The check borrows its package per call, so one package can serve many
 /// checks; every call must pass the package the check was opened on.
 /// Garbage is collected between gates whenever the package asks for it,
-/// with `M` kept alive; between calls `M` holds no reference, so a caller
-/// that collects garbage itself must pin [`Self::matrix`] first.
+/// and once under pressure before a spent budget fails a gate, with `M`
+/// kept alive; between calls `M` holds no reference, so a caller that
+/// collects garbage itself must pin [`Self::matrix`] first.
 #[derive(Clone, Debug)]
 pub struct AlternatingCheck {
     n: usize,
@@ -122,7 +123,7 @@ impl AlternatingCheck {
         let Some(gate) = self.gate_at(side) else {
             return Ok(None);
         };
-        let m = self.multiply(dd, side, gate)?;
+        let m = with_pressure_retry(dd, self.matrix, |dd| self.multiply(dd, side, gate))?;
         Ok(Some(self.adopt(dd, side, m)))
     }
 
@@ -182,13 +183,15 @@ impl AlternatingCheck {
         else {
             unreachable!("both sides have gates left");
         };
-        let left = self.multiply(dd, Side::Left, lgate)?;
-        let right = self.multiply(dd, Side::Right, rgate)?;
-        let (side, m) = if dd.mat_node_count(left) <= dd.mat_node_count(right) {
-            (Side::Left, left)
-        } else {
-            (Side::Right, right)
-        };
+        let (side, m) = with_pressure_retry(dd, self.matrix, |dd| {
+            let left = self.multiply(dd, Side::Left, lgate)?;
+            let right = self.multiply(dd, Side::Right, rgate)?;
+            Ok(if dd.mat_node_count(left) <= dd.mat_node_count(right) {
+                (Side::Left, left)
+            } else {
+                (Side::Right, right)
+            })
+        })?;
         Ok((side, self.adopt(dd, side, m)))
     }
 
@@ -204,7 +207,7 @@ impl AlternatingCheck {
         dd: &mut DdPackage,
         side: Side,
         g: &GateApplication,
-    ) -> Result<MatEdge, VerifyError> {
+    ) -> Result<MatEdge, DdError> {
         let gate = match side {
             Side::Left => g.gate,
             Side::Right => g.gate.inverse(),

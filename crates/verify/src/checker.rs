@@ -3,8 +3,9 @@
 use crate::alternating::AlternatingCheck;
 use crate::error::VerifyError;
 use crate::result::{Counterexample, Equivalence, EquivalenceReport, Strategy};
-use qdd_circuit::{GateApplication, Operation, QuantumCircuit};
-use qdd_core::{DdPackage, Limits, MatEdge, PackageConfig};
+use crate::stimuli::{self, StimuliReport};
+use qdd_circuit::{swap_gates, GateApplication, Operation, QuantumCircuit};
+use qdd_core::{DdError, DdPackage, Limits, MatEdge, PackageConfig, VecEdge};
 
 /// Default live-node estimate that triggers an intermediate garbage
 /// collection between gate applications. Checking builds operator (4-ary)
@@ -34,8 +35,9 @@ impl Flat {
 ///
 /// The package's [`Limits`] apply to every check: node/complex budgets are
 /// enforced during gate application, and a configured deadline is armed for
-/// the duration of [`Self::check`]. Resource overruns surface as
-/// [`VerifyError::Dd`].
+/// the duration of [`Self::check`] and of [`Self::check_stimuli`]. A spent
+/// budget gets one pressure collection and a retry of the gate; if that
+/// fails too, the overrun surfaces as [`VerifyError::Dd`].
 ///
 /// Every check runs on the checker's one package, so both circuits'
 /// diagrams are canonical in the same unique table (Example 11).
@@ -108,6 +110,29 @@ impl EquivalenceChecker {
         out
     }
 
+    /// Runs `left` and `right` on `count` random computational-basis
+    /// inputs drawn from `seed` and compares the output states by fidelity
+    /// (the random-stimuli route). It runs on the checker's package, under
+    /// its limits like [`Self::check`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::check`].
+    pub fn check_stimuli(
+        &mut self,
+        left: &QuantumCircuit,
+        right: &QuantumCircuit,
+        count: usize,
+        seed: u64,
+    ) -> Result<StimuliReport, VerifyError> {
+        self.dd.arm_deadline();
+        let out = flatten(left, right).and_then(|(l, r)| {
+            stimuli::run(&mut self.dd, &l, &r, left.num_qubits(), count, seed)
+        });
+        self.dd.disarm_deadline();
+        out
+    }
+
     fn check_construction(
         &mut self,
         lflat: &[Flat],
@@ -140,8 +165,15 @@ impl EquivalenceChecker {
                 Equivalence::NotEquivalent
             }
         } else {
-            let u2d = self.dd.adjoint_mat(u2)?;
-            let m = self.dd.mat_mat(u2d, u1)?;
+            // The miter product retries under pressure like a gate, with
+            // both system matrices kept alive.
+            self.dd.inc_ref_mat(u1);
+            let m = with_pressure_retry(&mut self.dd, u2, |dd| {
+                let u2d = dd.adjoint_mat(u2)?;
+                dd.mat_mat(u2d, u1)
+            });
+            self.dd.dec_ref_mat(u1);
+            let m = m?;
             match counterexample(&self.dd, m) {
                 Some(cx) => {
                     witness = Some(cx);
@@ -276,22 +308,70 @@ fn build_system_matrix(
     let mut u = dd.identity(n)?;
     for step in flat {
         let Flat::Gate(g) = step else { continue };
-        let gate = dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
-        u = dd.mat_mat(gate, u)?;
+        u = with_pressure_retry(dd, u, |dd| {
+            let gate = dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)?;
+            dd.mat_mat(gate, u)
+        })?;
         trace.push(dd.mat_node_count(u));
         maybe_gc(dd, u);
     }
     Ok(u)
 }
 
+/// A diagram a verifier loop keeps alive, as an external root, across a
+/// collection.
+pub(crate) trait Root: Copy {
+    fn pin(self, dd: &mut DdPackage);
+    fn unpin(self, dd: &mut DdPackage);
+}
+
+impl Root for MatEdge {
+    fn pin(self, dd: &mut DdPackage) {
+        dd.inc_ref_mat(self);
+    }
+    fn unpin(self, dd: &mut DdPackage) {
+        dd.dec_ref_mat(self);
+    }
+}
+
+impl Root for VecEdge {
+    fn pin(self, dd: &mut DdPackage) {
+        dd.inc_ref_vec(self);
+    }
+    fn unpin(self, dd: &mut DdPackage) {
+        dd.dec_ref_vec(self);
+    }
+}
+
+/// One gate application of a verifier loop (the construction route,
+/// [`AlternatingCheck`] and the stimuli) under the package's budgets:
+/// `apply` multiplies the next gate onto `work`. When a budget runs out,
+/// garbage is collected under pressure with `work` kept alive, and `apply`
+/// is retried once; the failed attempt's partial products are dead.
+pub(crate) fn with_pressure_retry<T>(
+    dd: &mut DdPackage,
+    work: impl Root,
+    mut apply: impl FnMut(&mut DdPackage) -> Result<T, DdError>,
+) -> Result<T, DdError> {
+    match apply(dd) {
+        Err(DdError::ResourceExhausted { .. }) => {}
+        done => return done,
+    }
+    work.pin(dd);
+    dd.gc_under_pressure();
+    let retried = apply(dd);
+    work.unpin(dd);
+    retried
+}
+
 /// Collects garbage if the package asks for it, keeping `root` alive.
-pub(crate) fn maybe_gc(dd: &mut DdPackage, root: MatEdge) {
+pub(crate) fn maybe_gc(dd: &mut DdPackage, root: impl Root) {
     if !dd.wants_auto_gc() {
         return;
     }
-    dd.inc_ref_mat(root);
+    root.pin(dd);
     dd.garbage_collect();
-    dd.dec_ref_mat(root);
+    root.unpin(dd);
 }
 
 pub(crate) fn count_gates(flat: &[Flat]) -> usize {
@@ -327,10 +407,8 @@ fn flatten_one(qc: &QuantumCircuit, circuit: usize) -> Result<Vec<Flat>, VerifyE
         match op {
             Operation::Barrier => out.push(Flat::Barrier),
             Operation::Gate(g) if g.condition.is_none() => out.push(Flat::Gate(g.clone())),
-            Operation::Swap { .. } => {
-                for g in op.to_gate_sequence().expect("swap is unitary") {
-                    out.push(Flat::Gate(g));
-                }
+            Operation::Swap { a, b, controls } => {
+                out.extend(swap_gates(*a, *b, controls).map(Flat::Gate));
             }
             _ => return Err(VerifyError::NonUnitary { circuit, op_index }),
         }
@@ -507,6 +585,29 @@ mod tests {
             err,
             VerifyError::Dd(qdd_core::DdError::ResourceExhausted { .. })
         ));
+    }
+
+    /// Dead products are collected and the step retried when a budget
+    /// runs out, in the gate loop and in the miter product `U₂†·U₁`.
+    #[test]
+    fn construction_check_collects_under_pressure() {
+        let limited = |max_nodes| {
+            EquivalenceChecker::with_config(PackageConfig {
+                limits: Limits {
+                    max_nodes: Some(max_nodes),
+                    ..Limits::default()
+                },
+                ..PackageConfig::default()
+            })
+        };
+        let qft = library::qft(3, true);
+        let report = limited(64).check(&qft, &qft, Strategy::Construction).unwrap();
+        assert_eq!((report.result, report.peak_nodes), (Equivalence::Equivalent, 21));
+        let good = library::ghz(4);
+        let mut bad = library::ghz(4);
+        bad.z(2);
+        let report = limited(18).check(&good, &bad, Strategy::Construction).unwrap();
+        assert_eq!(report.result, Equivalence::NotEquivalent);
     }
 
     #[test]

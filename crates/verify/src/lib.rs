@@ -52,4 +52,4 @@ pub use alternating::{AlternatingCheck, Side};
 pub use checker::{functionality, EquivalenceChecker};
 pub use error::VerifyError;
 pub use result::{Equivalence, EquivalenceReport, Strategy};
-pub use stimuli::{simulate_equivalence, StimuliReport};
+pub use stimuli::StimuliReport;

@@ -7,7 +7,7 @@
 //! Run with `cargo run --example qft_equivalence`.
 
 use qdd::circuit::{compile, library};
-use qdd::verify::{simulate_equivalence, EquivalenceChecker, Strategy};
+use qdd::verify::{EquivalenceChecker, Strategy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let qft = library::qft(3, true);
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Route 3 — random-stimuli simulation (the complementary QCEC check).
-    let stimuli = simulate_equivalence(&qft, &compiled, 16, 7)?;
+    let stimuli = checker.check_stimuli(&qft, &compiled, 16, 7)?;
     println!(
         "stimuli route:      {} after {} random basis inputs (min fidelity {:.12})",
         if stimuli.probably_equivalent { "no difference found" } else { "MISMATCH" },

@@ -5,7 +5,7 @@ Usage:
     serve_check.py [QDD_BINARY]
 
 Starts a daemon on an ephemeral port (parsing the bound address from the
-``qdd serve listening on http://…`` handshake line), then checks the four
+``qdd serve listening on http://…`` handshake line), then checks the five
 contracts the HTTP surface publishes:
 
 1. **Histogram identity** — for each pinned circuit, the JSONL histogram
@@ -19,6 +19,10 @@ contracts the HTTP surface publishes:
    daemon keeps serving: the very next request must succeed.
 4. **Quota rejection** — a shots ask over the server ceiling gets a typed
    429 whose ``budget`` field names the tripped dimension.
+5. **Telemetry** — every successful response it reads (``/v1/simulate``,
+   ``/v1/verify``, the ``/v1/shots`` trailer, session create/step/play)
+   embeds a ``qdd-metrics-v1`` snapshot that passes check_trace.py's
+   metrics checker.
 
 Exits non-zero on the first violation. Like check_trace.py this *is* a
 gate: the HTTP surface is a published contract, not a measurement.
@@ -31,6 +35,9 @@ import re
 import subprocess
 import sys
 import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import check_trace  # noqa: E402
 
 SHOTS = 4096
 SEED = 7
@@ -54,6 +61,14 @@ def post(addr, path, body):
         return resp.status, resp.read().decode()
     finally:
         conn.close()
+
+
+def check_telemetry(where, doc):
+    """The response's embedded snapshot, held to the --metrics-out contract."""
+    snap = doc.get("telemetry")
+    if not isinstance(snap, dict) or snap.get("schema") != check_trace.METRICS_SCHEMA:
+        fail(f"{where}: no embedded {check_trace.METRICS_SCHEMA} snapshot")
+    check_trace.check_metrics(where, snap)
 
 
 def start_daemon(qdd):
@@ -97,6 +112,7 @@ def check_histograms(qdd, addr):
             fail(f"{name}: HTTP histogram differs from the CLI's "
                  f"--histogram-out ({len(http_hist)} vs {len(cli)} bytes)")
         trailer = json.loads(lines[-1])
+        check_telemetry(f"{name}: /v1/shots trailer", trailer)
         if trailer["stats"]["regime"] not in (
                 "no-measurement", "terminal-measurement", "mid-circuit"):
             fail(f"{name}: bad regime {trailer['stats']['regime']!r}")
@@ -113,6 +129,7 @@ def check_verify(addr):
     if status != 200:
         fail(f"/v1/verify returned {status}: {body[:200]}")
     doc = json.loads(body)
+    check_telemetry("/v1/verify", doc)
     if not doc.get("equivalent") or doc.get("verdict") != "equivalent":
         fail(f"/v1/verify: circuit not equivalent to itself: {body[:200]}")
     print(f"verify: {CIRCUITS[0]} ≡ itself "
@@ -148,7 +165,29 @@ def check_panic_containment(addr):
                         {"qasm": qasm, "shots": 256, "seed": SEED})
     if status != 200:
         fail(f"daemon did not survive the panic: retry got {status}")
+    check_telemetry("/v1/shots retry trailer", json.loads(body.splitlines()[-1]))
     print("panic containment: typed 500, daemon kept serving")
+
+
+def check_simulate_and_session(addr):
+    """The routes the checks above do not read: one run, one session."""
+    replies = []
+    status, body = post(addr, "/v1/simulate", {"qasm": MID_CIRCUIT, "seed": SEED})
+    replies.append(("/v1/simulate", status, 200, body))
+    status, body = post(addr, "/v1/sessions", {"qasm": MID_CIRCUIT})
+    replies.append(("/v1/sessions", status, 201, body))
+    if status == 201:
+        session = json.loads(body)["session"]
+        for action, ask in [("step", {}), ("play", {"seed": SEED})]:
+            route = f"/v1/sessions/{session}/{action}"
+            status, body = post(addr, route, ask)
+            replies.append((route, status, 200, body))
+    for route, status, expected, body in replies:
+        if status != expected:
+            fail(f"{route} returned {status}: {body[:200]}")
+        check_telemetry(route, json.loads(body))
+    print(f"telemetry: {len(replies)} simulate/session responses embed a "
+          f"valid {check_trace.METRICS_SCHEMA} snapshot")
 
 
 def check_quota(addr):
@@ -174,6 +213,7 @@ def main():
         check_histograms(qdd, addr)
         check_verify(addr)
         check_panic_containment(addr)
+        check_simulate_and_session(addr)
         check_quota(addr)
     finally:
         proc.kill()

@@ -264,22 +264,6 @@ proptest! {
         }
     }
 
-    /// Diagram serialization round trip on arbitrary circuit states.
-    #[test]
-    fn dd_serialization_round_trip(qc in small_circuit()) {
-        let mut sim = DdSimulator::with_seed(qc.clone(), 1);
-        sim.run().unwrap();
-        let mut buffer = Vec::new();
-        sim.package().write_vector(sim.state(), &mut buffer).unwrap();
-        let mut fresh = DdPackage::new();
-        let loaded = fresh.read_vector(buffer.as_slice()).unwrap();
-        let a = sim.dense_state();
-        let b = fresh.to_dense_vector(loaded, qc.num_qubits());
-        for (x, y) in a.iter().zip(b.iter()) {
-            prop_assert!(x.approx_eq(*y, 1e-9));
-        }
-    }
-
     /// Approximation soundness: the reported fidelity lower bound never
     /// exceeds the exact overlap `|⟨ψ|ψ̃⟩|²` (computed independently via
     /// the DD inner product), honors the requested floor, and the pruned

@@ -4,7 +4,7 @@
 //! graceful degradation — when driven past its budgets or fed garbage,
 //! never by panicking or exhausting the host.
 
-use qdd::circuit::{compile, library, qasm, Condition, QuantumCircuit, StandardGate};
+use qdd::circuit::{compile, library, qasm, real, Condition, QuantumCircuit, StandardGate};
 use qdd::complex::Complex;
 use qdd::core::{
     gates, Control, DdError, DdPackage, Limits, PackageConfig, PauliString, ResourceKind,
@@ -451,6 +451,12 @@ fn every_circuit_driver_is_a_value_or_a_typed_error_under_every_node_budget() {
                 .result
         })
     });
+    let stimuli = pairs.each_ref().map(|(left, right)| {
+        let report = EquivalenceChecker::with_config(limited(Limits::default()))
+            .check_stimuli(left, right, 4, 7)
+            .unwrap();
+        (report.probably_equivalent, report.witness)
+    });
 
     let mut refused = 0;
     let mut approximated = 0;
@@ -513,17 +519,68 @@ fn every_circuit_driver_is_a_value_or_a_typed_error_under_every_node_budget() {
                 }
             }
 
-            // QFT(2): building QFT(3) leaves 100 nodes alive (dead products
-            // are not collected), so it would be refused at every budget here.
+            for ((left, right), stimuli) in pairs.iter().zip(stimuli) {
+                let what = format!("stimuli of {}, {at}", left.name());
+                let mut checker = EquivalenceChecker::with_config(config);
+                let run = || checker.check_stimuli(left, right, 4, 7);
+                if let Some(report) = value_or_refusal(&what, verify_refused, run) {
+                    assert_eq!((report.probably_equivalent, report.witness), stimuli, "{what}");
+                }
+            }
+
+            // QFT(3) peaks at 21 nodes; an unlimited build leaves 100 alive,
+            // so it completes at 64 only because a spent budget collects the
+            // dead products and retries the gate.
             let mut dd = DdPackage::with_config(config);
             let what = format!("functionality, {at}");
-            value_or_refusal(&what, verify_refused, || {
-                qdd::verify::functionality(&mut dd, &library::qft(2, true))
+            let built = value_or_refusal(&what, verify_refused, || {
+                qdd::verify::functionality(&mut dd, &library::qft(3, true))
             });
+            assert!(built.is_some() || max_nodes < 64, "{what}: refused");
         }
     }
     assert!(refused > 0, "no budget was small enough to refuse a run");
     assert!(approximated > 0, "no budget made a run approximate");
+}
+
+/// `.real` headers are untrusted too: `.numvars` is checked against the
+/// register cap before `.begin` builds a name per variable.
+#[test]
+fn oversized_real_registers_are_refused() {
+    for numvars in ["65", "200", "100000000000"] {
+        let src = format!(".numvars {numvars}\n.begin\nt1 x1\n.end\n");
+        let parsed = std::panic::catch_unwind(|| real::parse(&src));
+        let err = parsed.expect("no panic").expect_err("refused");
+        assert!(err.to_string().contains("maximum of 64 qubits"), "{err}");
+    }
+    assert!(real::parse(".numvars 64\n.begin\nt1 x1\n.end\n").is_ok());
+}
+
+/// At the 64-bit cap every qubit and classical bit keeps its own bit of
+/// the `u64` basis indices and register values.
+#[test]
+fn registers_are_exact_at_64_bits() {
+    let mut ghz = String::from("OPENQASM 2.0; qreg q[64]; creg c[64]; h q[0];");
+    for i in 0..63 {
+        ghz.push_str(&format!(" cx q[{i}],q[{}];", i + 1));
+    }
+    ghz.push_str(" measure q -> c;");
+    let report = shots::run(&qasm::parse(&ghz).unwrap(), &ShotOptions::new(1000, 3)).unwrap();
+    let mut outcomes: Vec<u64> = report.histogram.keys().copied().collect();
+    outcomes.sort_unstable();
+    assert_eq!(outcomes, [0, u64::MAX]);
+
+    let mut top = DdSimulator::with_seed(qasm::parse("OPENQASM 2.0; qreg q[64]; x q[63];").unwrap(), 1);
+    top.run().unwrap();
+    assert_eq!(top.package().nonzero_basis_states(top.state()), [1 << 63]);
+
+    // c = 2⁶³: only the condition spelling exactly that value fires.
+    let conditioned = "OPENQASM 2.0; qreg q[3]; creg c[64]; x q[0]; measure q[0] -> c[63]; \
+                       if (c == 9223372036854775808) x q[1]; if (c == 1) x q[2]; \
+                       if (c == 9223372036854775809) x q[2];";
+    let mut sim = DdSimulator::with_seed(qasm::parse(conditioned).unwrap(), 1);
+    sim.run().unwrap();
+    assert_eq!(sim.package().nonzero_basis_states(sim.state()), [0b011]);
 }
 
 /// Malformed QASM must produce `Err`, never a panic. Each entry is run
@@ -561,6 +618,13 @@ fn malformed_qasm_corpus_never_panics() {
         "OPENQASM 2.0; include \"unterminated".into(),
         deep_parens,
         format!("OPENQASM 2.0; qreg q[1]; rz({}1) q[0];", "-".repeat(50_000)),
+        // Registers past the 64 bits of a basis index or register value.
+        "OPENQASM 2.0; qreg q[65];".into(),
+        "OPENQASM 2.0; qreg q[66]; x q[65];".into(),
+        "OPENQASM 2.0; qreg q[2]; creg c[70]; x q[0]; measure q[0] -> c[65]; if (c==2) x q[1];"
+            .into(),
+        // Sizes and indices are integers, not whole-valued reals.
+        "OPENQASM 2.0; qreg q[2.0];".into(),
     ];
     for src in &corpus {
         let label: String = src.chars().take(60).collect();

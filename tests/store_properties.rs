@@ -15,7 +15,7 @@
 //!   its node count and semantics (dense amplitudes) intact.
 
 use proptest::prelude::*;
-use qdd::circuit::{Operation, QuantumCircuit};
+use qdd::circuit::{swap_gates, Operation, QuantumCircuit};
 use qdd::complex::Complex;
 use qdd::core::{DdPackage, MatEdge, VecEdge};
 use qdd::sim::{DdSimulator, DenseSimulator};
@@ -350,10 +350,12 @@ fn pinned_gate_diagrams_stay_within_their_node_bounds() {
         let n = qc.num_qubits();
         let mut dd = DdPackage::new();
         for op in qc.ops() {
-            let (Operation::Gate(_) | Operation::Swap { .. }) = op else {
-                continue;
+            let gates = match op {
+                Operation::Gate(g) => vec![g.clone()],
+                Operation::Swap { a, b, controls } => swap_gates(*a, *b, controls).to_vec(),
+                _ => continue,
             };
-            for g in op.to_gate_sequence().expect("unitary operation") {
+            for g in gates {
                 dd.gate_dd(g.gate.matrix(), &g.controls, g.target, n)
                     .expect("gate diagram");
             }

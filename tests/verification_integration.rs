@@ -2,7 +2,7 @@
 //! and fault models.
 
 use qdd::circuit::{compile, library, QuantumCircuit, StandardGate};
-use qdd::verify::{simulate_equivalence, EquivalenceChecker, Strategy};
+use qdd::verify::{EquivalenceChecker, Strategy};
 
 #[test]
 fn qft_compile_flow_verifies_at_multiple_sizes() {
@@ -131,7 +131,7 @@ fn hadamard_conjugation_rewrites_verify() {
 fn verdicts_agree(a: &QuantumCircuit, b: &QuantumCircuit, seed: u64) -> bool {
     let mut checker = EquivalenceChecker::new();
     let exact = checker.check(a, b, Strategy::Construction).unwrap();
-    let stimuli = simulate_equivalence(a, b, 12, seed).unwrap();
+    let stimuli = checker.check_stimuli(a, b, 12, seed).unwrap();
     // A global-phase-only difference could fool stimuli, but none of the
     // pairs below differ by a phase alone.
     assert_eq!(
