@@ -7,7 +7,7 @@
 //!
 //! * `sim/<circuit>`: `circuits/{cliffordt15,qft16,grover12}.qasm` through
 //!   `DdSimulator::run`, timed with recording off and with what
-//!   `--record-timeline --snapshot-stride 16` turns on (the timeline's
+//!   `--trace-out --snapshot-stride 16` turns on (the per-op fields'
 //!   overhead claim, DESIGN §17), plus the run's exact GC and
 //!   complex-table counts. perfbench's states stay
 //!   at n ≤ 9; these are the circuits where GC thrash shows.
@@ -67,7 +67,7 @@ fn sim_row(name: &str) -> String {
         sim
     };
     // Runs with recording off and on alternate, so drift in the host's
-    // speed falls on both. "On" is what `--record-timeline` with
+    // speed falls on both. "On" is what `--trace-out` with
     // `--snapshot-stride 16` turns on: telemetry plus the armed timeline.
     // Events are drained inside the timed region and dropped outside it
     // with the run's simulator.

@@ -13,7 +13,7 @@ const VALUE_FLAGS: &[&str] = &[
     "--seed", "--shots", "--threads", "--style", "--svg", "--dot", "--html",
     "--strategy", "--stimuli", "-o", "--threshold", "--node-limit",
     "--timeout-ms", "--metrics-out", "--trace-out", "--min-fidelity",
-    "--record-timeline", "--snapshot-stride", "--histogram-out",
+    "--snapshot-stride", "--histogram-out",
     "--port", "--host", "--cache-capacity",
     "--quota-shots", "--quota-body-bytes", "--quota-sessions",
     "--quota-nodes", "--quota-complex", "--quota-deadline-ms",

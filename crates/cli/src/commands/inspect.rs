@@ -1,17 +1,18 @@
-//! `qdd inspect` — turn a recorded timeline into a self-contained HTML
-//! report.
+//! `qdd inspect` — turn a recorded run (a Chrome trace) into a
+//! self-contained HTML report.
 
 use crate::args::{parse_style, Args};
 
 pub const HELP: &str = "\
-qdd inspect <timeline.jsonl> [options]
+qdd inspect <trace.json> [options]
 
-Renders a `qdd-timeline-v1` recording (produced by
-`qdd simulate … --record-timeline OUT.jsonl [--snapshot-stride K]`) into a
-single self-contained HTML file: live-node and per-level curves over op
-index with GC/approximation/fallback markers, a flamegraph-style span
-tree, and a steppable gallery of the embedded structural snapshots. The
-report needs no network and no external assets — open it in any browser.
+Renders a run recorded with `qdd simulate … --trace-out TRACE.json
+[--snapshot-stride K]` (or `qdd verify … --trace-out`, which has spans
+only) into a single self-contained HTML file: live-node and per-level
+curves over op index with GC/approximation/fallback markers, a
+flamegraph-style span tree with one band per worker, and a steppable,
+playable gallery of the embedded structural snapshots. The report needs
+no network and no external assets — open it in any browser.
 
 OPTIONS:
   -o PATH       output file (default: the input with a .html extension)
@@ -22,12 +23,12 @@ const FLAGS: &[&str] = &["-o", "--style"];
 pub fn run(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, FLAGS)?;
     let [path] = args.positional.as_slice() else {
-        return Err(format!("expected exactly one timeline file\n\n{HELP}"));
+        return Err(format!("expected exactly one trace file\n\n{HELP}"));
     };
     let style = parse_style(args.value("--style"))?;
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading `{path}`: {e}"))?;
-    let doc = qdd_viz::inspect::parse_timeline(&text).map_err(|e| format!("`{path}`: {e}"))?;
+    let doc = qdd_viz::inspect::parse_trace(&text).map_err(|e| format!("`{path}`: {e}"))?;
     let out = match args.value("-o") {
         Some(out) => std::path::PathBuf::from(out),
         None => std::path::Path::new(path).with_extension("html"),
@@ -40,8 +41,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         doc.ops.len(),
         doc.snapshots.len(),
         doc.spans.len(),
-        if doc.header.dropped_records > 0 {
-            format!(" ({} records dropped during recording)", doc.header.dropped_records)
+        if doc.header.dropped_events > 0 {
+            format!(" ({} events dropped at the buffer cap)", doc.header.dropped_events)
         } else {
             String::new()
         }

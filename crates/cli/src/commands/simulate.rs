@@ -43,19 +43,15 @@ OPTIONS:
                     GC, approximation) and the per-phase wall-time table
   --metrics-out P   write the telemetry snapshot to P as one line of
                     qdd-metrics-v1 JSON
-  --trace-out P     write the telemetry event stream to P as Chrome
-                    trace_event JSON: one lane for the run, one per
-                    mid-circuit shot worker, all on one clock
-  --record-timeline P
-                    add per-op detail to the event stream (live/peak
-                    nodes, allocation and cache-hit deltas, level profile)
-                    and write it to P as a qdd-timeline-v1 JSONL execution
-                    timeline, with GC/approximation/fallback events folded
-                    into the op they fell in; render it with
-                    `qdd inspect P`. Shot workers appear as workers 1..N,
-                    merged in a thread-schedule-independent order
+  --trace-out P     record the run: write the telemetry event stream to
+                    P as Chrome trace_event JSON, with per-op detail on
+                    every sim.op event (live/peak nodes, allocation and
+                    cache-hit deltas, level profile) and the run's circuit,
+                    size and dropped-event count in its otherData header.
+                    One lane for the run, one per mid-circuit shot worker,
+                    all on one clock. Render it with `qdd inspect P`
   --snapshot-stride K
-                    with --record-timeline: every K-th op embeds a full
+                    with --trace-out: every K-th op embeds a full
                     structural snapshot of the diagram (0 = off, default)
   --histogram-out P with --shots: write the histogram to P as
                     qdd-histogram-v1 JSONL (a header line, then one sorted
@@ -75,8 +71,8 @@ completed but the result is approximate (--min-fidelity pruning fired).";
 const FLAGS: &[&str] = &[
     "--seed", "--shots", "--threads", "--state", "--threshold", "--node-limit",
     "--timeout-ms", "--stats", "--svg", "--dot", "--html", "--style",
-    "--metrics-out", "--trace-out", "--min-fidelity", "--record-timeline",
-    "--snapshot-stride", "--histogram-out",
+    "--metrics-out", "--trace-out", "--min-fidelity", "--snapshot-stride",
+    "--histogram-out",
 ];
 
 /// Exit code reported to `main` when the run finished but the state was
@@ -93,10 +89,11 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
     // Enable recording before the circuit loads so parse spans are captured.
     let telemetry_on = crate::telemetry::start(&args)?;
     let circuit = load_circuit(path)?;
-    let workload = crate::telemetry::Workload {
-        name: circuit.name().to_string(),
+    let workload = qdd_telemetry::sink::TraceHeader {
+        circuit: circuit.name().to_string(),
         qubits: circuit.num_qubits(),
         ops: circuit.len(),
+        ..Default::default()
     };
     let seed: u64 = args.number("--seed", 1)?;
     let shots: u64 = args.number("--shots", 0)?;

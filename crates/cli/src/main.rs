@@ -6,7 +6,7 @@
 //! qdd verify   <left> <right> [--strategy STRATEGY] [--stimuli N]
 //! qdd render   <file> [--matrix] [--style STYLE] -o OUT.{svg,dot,json,html}
 //! qdd circuit  <file> [--optimize]
-//! qdd inspect  <timeline.jsonl> [-o OUT.html] [--style STYLE]
+//! qdd inspect  <trace.json> [-o OUT.html] [--style STYLE]
 //! qdd serve    [--port N] [--quota-* ...]
 //! ```
 //!
@@ -28,7 +28,7 @@ USAGE:
   qdd verify   <left> <right> [options]       check two circuits for equivalence
   qdd render   <file> [options]               export a diagram (svg/dot/json/html)
   qdd circuit  <file> [--optimize]            show the circuit as ASCII art + stats
-  qdd inspect  <timeline.jsonl> [options]     render a recorded timeline as HTML
+  qdd inspect  <trace.json> [options]         render a recorded run as HTML
   qdd serve    [options]                      run the engine as an HTTP daemon
   qdd help [command]                          this message / command details
 

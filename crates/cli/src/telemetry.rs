@@ -1,47 +1,38 @@
 //! Shared handling of the reporting flags (`--stats`, `--metrics-out`,
-//! `--trace-out`, `--record-timeline`, `--snapshot-stride`) for the
-//! subcommands that run the engine. `--stats` and `--metrics-out` report
-//! the same merged telemetry snapshot, as text and as JSON.
+//! `--trace-out`, `--snapshot-stride`) for the subcommands that run the
+//! engine. `--stats` and `--metrics-out` report the same merged telemetry
+//! snapshot, as text and as JSON; `--trace-out` records the run's event
+//! stream with per-op detail, the file `qdd inspect` reads.
 
 use crate::args::Args;
+use qdd_telemetry::sink::TraceHeader;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-
-/// What ran, for the timeline header and the Chrome-trace `process_name`
-/// metadata. Built by the subcommand once the circuit is loaded.
-pub struct Workload {
-    pub name: String,
-    pub qubits: usize,
-    pub ops: usize,
-}
 
 /// Turns recording on when any telemetry output was requested. Returns
 /// `true` if recording was enabled (callers pass it to [`finish`]).
 ///
-/// `--record-timeline` additionally arms the timeline on the calling
-/// thread with the `--snapshot-stride` (the shot engine hands the switch
-/// on to its workers), so `sim.op` events carry the per-op fields.
+/// `--trace-out` additionally arms the timeline on the calling thread with
+/// the `--snapshot-stride` (the shot engine hands the switch on to its
+/// workers), so `sim.op` events carry the per-op fields.
 ///
 /// # Errors
 ///
-/// Reports an unparsable `--snapshot-stride`.
+/// Reports an unparsable `--snapshot-stride`, or one without `--trace-out`.
 pub fn start(args: &Args) -> Result<bool, String> {
-    let timeline = args.value("--record-timeline").is_some();
-    let wanted = args.has("--stats")
-        || args.value("--metrics-out").is_some()
-        || args.value("--trace-out").is_some()
-        || timeline;
+    let trace = args.value("--trace-out").is_some();
+    let wanted = trace || args.has("--stats") || args.value("--metrics-out").is_some();
     if wanted {
         qdd_telemetry::set_enabled(true);
         qdd_telemetry::reset();
         qdd_telemetry::reset_published();
     }
-    if timeline {
+    if trace {
         qdd_telemetry::set_timeline(Some(args.number("--snapshot-stride", 0)?));
     } else if args.value("--snapshot-stride").is_some() {
         return Err(
-            "option `--snapshot-stride` requires `--record-timeline` \
-             (snapshots are embedded in the timeline stream)"
+            "option `--snapshot-stride` requires `--trace-out` \
+             (snapshots are embedded in the trace)"
                 .to_string(),
         );
     }
@@ -50,50 +41,44 @@ pub fn start(args: &Args) -> Result<bool, String> {
 
 /// Writes the requested telemetry outputs: the metrics snapshot to
 /// `--metrics-out` (`qdd-metrics-v1` JSON), the event stream to
-/// `--trace-out` (Chrome `trace_event` JSON) and to `--record-timeline`
-/// (`qdd-timeline-v1` JSONL), and the same snapshot as text to stdout
-/// under `--stats`. Both readings merge this thread's recordings with
-/// everything worker threads published, so all three files count the same
-/// work.
+/// `--trace-out` (Chrome `trace_event` JSON, headed by `workload` with the
+/// snapshot stride and drop count filled in), and the same snapshot as
+/// text to stdout under `--stats`. Both readings merge this thread's
+/// recordings with everything worker threads published, so the files
+/// count the same work.
 ///
 /// # Errors
 ///
 /// Reports unwritable output paths.
-pub fn finish(args: &Args, enabled: bool, workload: Option<&Workload>) -> Result<(), String> {
+pub fn finish(args: &Args, enabled: bool, workload: Option<&TraceHeader>) -> Result<(), String> {
     if !enabled {
         return Ok(());
     }
     let snapshot = qdd_telemetry::merged_snapshot();
     let events = qdd_telemetry::drain_events();
     let dropped = snapshot.dropped_events;
-    let at_cap = if dropped > 0 {
-        format!(" ({dropped} events dropped at the buffer cap)")
-    } else {
-        String::new()
-    };
     if let Some(path) = args.value("--metrics-out") {
         std::fs::write(path, snapshot.to_json() + "\n")
             .map_err(|e| format!("writing `{path}`: {e}"))?;
         eprintln!("wrote metrics snapshot to {path}");
     }
     if let Some(path) = args.value("--trace-out") {
-        let process = workload.map(|w| w.name.as_str());
-        write_file(path, |out| {
-            qdd_telemetry::sink::write_chrome_trace(out, &events, process)
-        })?;
-        eprintln!("wrote {} events to {path}{at_cap}", events.len());
-    }
-    if let Some(path) = args.value("--record-timeline") {
-        let meta = qdd_telemetry::timeline::TimelineMeta {
-            circuit: workload.map(|w| w.name.clone()).unwrap_or_default(),
-            qubits: workload.map_or(0, |w| w.qubits),
-            ops: workload.map_or(0, |w| w.ops),
+        let header = TraceHeader {
             snapshot_stride: qdd_telemetry::timeline_stride().unwrap_or(0),
+            dropped_events: dropped,
+            ..workload.cloned().unwrap_or_default()
         };
-        let records = write_file(path, |out| {
-            qdd_telemetry::timeline::write_jsonl(out, &meta, &events, dropped)
-        })?;
-        eprintln!("wrote {records} timeline records to {path}{at_cap}");
+        let mut out =
+            BufWriter::new(File::create(path).map_err(|e| format!("writing `{path}`: {e}"))?);
+        qdd_telemetry::sink::write_chrome_trace(&mut out, &events, &header)
+            .and_then(|()| out.flush())
+            .map_err(|e| format!("writing `{path}`: {e}"))?;
+        let at_cap = if dropped > 0 {
+            format!(" ({dropped} events dropped at the buffer cap)")
+        } else {
+            String::new()
+        };
+        eprintln!("wrote {} events to {path}{at_cap}", events.len());
         qdd_telemetry::set_timeline(None);
     }
     if args.has("--stats") {
@@ -101,14 +86,4 @@ pub fn finish(args: &Args, enabled: bool, workload: Option<&Workload>) -> Result
     }
     qdd_telemetry::set_enabled(false);
     Ok(())
-}
-
-/// Creates `path` and streams `write` into it through a buffer.
-fn write_file<T>(
-    path: &str,
-    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<T>,
-) -> Result<T, String> {
-    let mut out = BufWriter::new(File::create(path).map_err(|e| format!("writing `{path}`: {e}"))?);
-    let written = write(&mut out).and_then(|t| out.flush().map(|()| t));
-    written.map_err(|e| format!("writing `{path}`: {e}"))
 }

@@ -466,20 +466,16 @@ fn removed_report_flags_are_unknown_options() {
     std::fs::remove_file(file).ok();
 }
 
-/// A multi-threaded shot run reports one set of statistics: its metrics,
-/// trace and timeline count the same `sim.run` spans, every worker that
-/// executed a shot has a named trace lane, only lanes with events are
-/// named, and all threads stamp events on one clock.
-#[test]
-fn chrome_trace_names_only_lanes_with_events() {
+/// The 2-thread mid-circuit shot run, recorded to a trace and a metrics
+/// snapshot: `(trace, metrics)`.
+fn record_lanes(name: &str) -> (PathBuf, PathBuf) {
     let file = temp_file(
-        "lanes.qasm",
+        &format!("{name}.qasm"),
         "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
          h q[0];\nmeasure q[0] -> c[0];\nif (c==1) x q[1];\nh q[1];\nmeasure q[1] -> c[1];\n",
     );
-    let trace = temp_path("lanes.json");
-    let metrics = temp_path("lanes-metrics.json");
-    let timeline = temp_path("lanes-timeline.jsonl");
+    let trace = temp_path(&format!("{name}.json"));
+    let metrics = temp_path(&format!("{name}-metrics.json"));
     let out = qdd(&[
         "simulate",
         file.to_str().unwrap(),
@@ -491,14 +487,31 @@ fn chrome_trace_names_only_lanes_with_events() {
         trace.to_str().unwrap(),
         "--metrics-out",
         metrics.to_str().unwrap(),
-        "--record-timeline",
-        timeline.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_file(file).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("2 threads"));
+    (trace, metrics)
+}
+
+/// A multi-threaded shot run reports one set of statistics: its metrics
+/// and trace count the same `sim.run` spans, every worker that executed a
+/// shot has a named trace lane, only lanes with events are named, and all
+/// threads stamp events on one clock.
+#[test]
+fn chrome_trace_names_only_lanes_with_events() {
+    let (trace, metrics) = record_lanes("lanes");
     let doc = read_json(&trace);
-    let events = doc.get("traceEvents").and_then(JsonValue::as_array).unwrap();
-    let str_of = |e: &JsonValue, key: &str| e.get(key).and_then(JsonValue::as_str).map(str::to_string);
+    let events = doc
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .unwrap();
+    let str_of =
+        |e: &JsonValue, key: &str| e.get(key).and_then(JsonValue::as_str).map(str::to_string);
     let num = |e: &JsonValue, key: &str| e.get(key).and_then(JsonValue::as_u64);
     let is = |e: &JsonValue, name: &str| str_of(e, "name").as_deref() == Some(name);
     let recorded: Vec<&JsonValue> = events
@@ -518,7 +531,7 @@ fn chrome_trace_names_only_lanes_with_events() {
         );
     }
 
-    // One count of sim.run spans in all three files.
+    // One count of sim.run spans in both files.
     let trace_runs = recorded.iter().filter(|e| is(e, "sim.run")).count() as u64;
     let metrics_doc = read_json(&metrics);
     let metric_runs = metrics_doc
@@ -526,16 +539,8 @@ fn chrome_trace_names_only_lanes_with_events() {
         .and_then(|s| s.get("sim.run"))
         .and_then(|s| num(s, "count"))
         .unwrap();
-    let text = std::fs::read_to_string(&timeline).unwrap();
-    std::fs::remove_file(&timeline).ok();
-    let timeline_runs = text
-        .lines()
-        .map(|l| parse_json(l).unwrap())
-        .filter(|l| str_of(l, "type").as_deref() == Some("span"))
-        .filter(|l| str_of(l, "name").as_deref() == Some("sim.run"))
-        .count() as u64;
     assert!(trace_runs > 1, "worker runs reach the trace");
-    assert_eq!((trace_runs, timeline_runs), (metric_runs, metric_runs));
+    assert_eq!(trace_runs, metric_runs);
 
     // A worker with shots executed its first one: its lane (tid w + 2)
     // carries its runs and is named.
@@ -574,7 +579,106 @@ fn chrome_trace_names_only_lanes_with_events() {
             start + dur
         );
     }
-    std::fs::remove_file(file).ok();
+}
+
+/// Runs `qdd inspect` on `trace`, which it then deletes: the command's
+/// output and the report it wrote.
+fn inspect(trace: &PathBuf) -> (Output, String) {
+    let report = trace.with_extension("html");
+    let out = qdd(&[
+        "inspect",
+        trace.to_str().unwrap(),
+        "-o",
+        report.to_str().unwrap(),
+    ]);
+    std::fs::remove_file(trace).ok();
+    let html = std::fs::read_to_string(&report).unwrap_or_default();
+    std::fs::remove_file(&report).ok();
+    (out, html)
+}
+
+/// `qdd inspect` of the 2-thread run draws each worker's spans in a band
+/// of its own: no two workers' spans share a row.
+#[test]
+fn inspect_gives_each_worker_its_own_flamegraph_band() {
+    let (trace, metrics) = record_lanes("bands");
+    std::fs::remove_file(metrics).ok();
+    let (out, html) = inspect(&trace);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        html.contains("on 3 worker(s)"),
+        "coordinator and two workers"
+    );
+    // A span's row is its `top`; its tooltip names its worker.
+    let mut rows = std::collections::BTreeMap::new();
+    for tag in html.split("<div class=\"span\" ").skip(1) {
+        let field = |from, to| tag.split(from).nth(1).unwrap().split(to).next().unwrap();
+        let worker = field(", worker ", ")");
+        let first = *rows.entry(field("top:", "px")).or_insert(worker);
+        assert_eq!(first, worker, "two workers share a row");
+    }
+    assert!(rows.len() >= 3, "{rows:?}");
+}
+
+/// A `qdd verify` trace has spans and no `sim.op` events: its report is
+/// the span tree alone.
+#[test]
+fn inspect_renders_a_verify_trace_as_spans_only() {
+    let (file, trace) = (bell_qasm(), temp_path("verify-trace.json"));
+    let f = file.to_str().unwrap();
+    let out = qdd(&["verify", f, f, "--trace-out", trace.to_str().unwrap()]);
+    std::fs::remove_file(&file).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (out, html) = inspect(&trace);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(": 0 ops, 0 snapshots, "), "{stdout}");
+    assert!(html.contains("No op records") && html.contains("No snapshots"));
+    assert!(html.contains("core.mat_mat"), "the span tree is drawn");
+}
+
+/// Snapshot graphs the renderers cannot draw are refused with a typed
+/// error naming the event and the member: exit 1, not a panic.
+#[test]
+fn inspect_refuses_inconsistent_snapshot_graphs() {
+    let one = "\"nodes\":[{\"key\":1,\"var\":0}]";
+    let w = "\"weight\":{\"re\":1,\"im\":0}";
+    for (graph, why) in [
+        (
+            format!("\"root\":1,{one},\"edges\":[{{\"from\":1,\"to\":5,{w}}}]"),
+            "edge \"to\" 5",
+        ),
+        (
+            format!("\"root\":1,{one},\"edges\":[{{\"from\":7,\"to\":1,{w}}}]"),
+            "edge \"from\" 7",
+        ),
+        ("\"root\":9".to_string(), "\"root\" 9"),
+        (
+            "\"nodes\":[{\"key\":1,\"var\":200}]".to_string(),
+            "node 1 has \"var\" 200",
+        ),
+    ] {
+        let trace = temp_file(
+            "bad-graph.json",
+            &format!(
+                "{{\"traceEvents\":[{{\"name\":\"sim.op\",\"ph\":\"i\",\"ts\":1,\"tid\":1,\
+                 \"args\":{{\"op_index\":0,\"snapshot\":{{\"kind\":\"vector\",\"numLevels\":1,\
+                 \"rootWeight\":{{\"re\":1,\"im\":0}},{graph}}}}}}}]}}"
+            ),
+        );
+        let (out, _) = inspect(&trace);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{why}: {err}");
+        let at = "traceEvents[0] (sim.op): args.snapshot: graph:";
+        assert!(err.contains(&format!("{at} {why}")), "{err}");
+    }
 }
 
 #[test]

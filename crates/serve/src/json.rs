@@ -2,10 +2,12 @@
 //! accessors over the workspace's hand-rolled parser.
 //!
 //! Parsing and escaping are [`qdd_telemetry::json`]'s — the same parser
-//! the timeline inspector uses — so the daemon adds no serialization
+//! `qdd inspect` reads traces with — so the daemon adds no serialization
 //! dependency. Responses are single-line objects with manually escaped
-//! strings and a deterministic member order; their `telemetry` member is
-//! [`qdd_telemetry::Snapshot::to_json`].
+//! strings and a deterministic member order; the connection handler
+//! appends their last member, `telemetry`, the request's
+//! [`qdd_telemetry::Snapshot::to_json`], to every JSON response, errors
+//! included.
 
 pub use qdd_telemetry::json::{parse_json, JsonValue};
 

@@ -30,8 +30,12 @@
 //! `POST /v1/verify`, and the session family `POST /v1/sessions`,
 //! `POST /v1/sessions/{id}/step`, `POST /v1/sessions/{id}/play`,
 //! `DELETE /v1/sessions/{id}` mirroring the tool's step/play state
-//! machine. Every response embeds the request's merged telemetry snapshot
-//! (scoped per request via [`qdd_telemetry::set_scope`]).
+//! machine. Every JSON response to a parsed request, errors included,
+//! ends with a `telemetry` member: the request's merged telemetry
+//! snapshot (scoped per request via [`qdd_telemetry::set_scope`]), added
+//! in one place, `handle_connection`; `/v1/shots` carries it in its
+//! trailer line. A request rejected before it is parsed (an oversized or
+//! malformed HTTP head) has no scope, and its error carries no snapshot.
 
 pub mod cache;
 pub mod http;
@@ -165,21 +169,21 @@ fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
     qdd_telemetry::set_enabled(true);
     qdd_telemetry::set_scope(qdd_telemetry::next_scope_id());
     let result = route(&req, &mut stream, &state);
-    if !matches!(result, Ok(Some(_))) {
-        // Drain the request scope so error paths and jobs whose client hung
-        // up do not leak what their threads published.
-        let _ = qdd_telemetry::take_merged_snapshot();
-    }
+    // Taking the snapshot drains the request scope, so jobs whose client
+    // hung up do not leak what their threads published either.
+    let snap = qdd_telemetry::take_merged_snapshot();
     qdd_telemetry::set_scope(0);
-    match result {
-        Ok(Some((status, body))) => {
-            let _ = http::write_response(&mut stream, status, "application/json", body.as_bytes());
-        }
-        Ok(None) => {} // the handler streamed its own response
-        Err(e) => {
-            let _ = http::write_response(&mut stream, e.status, "application/json", e.to_json().as_bytes());
-        }
-    }
+    let (status, mut body) = match result {
+        Ok(Some(response)) => response,
+        Ok(None) => return, // the handler streamed its own response
+        Err(e) => (e.status, e.to_json()),
+    };
+    // The snapshot is the body object's last member.
+    body.pop();
+    body.push_str(",\"telemetry\":");
+    body.push_str(&snap.to_json());
+    body.push('}');
+    let _ = http::write_response(&mut stream, status, "application/json", body.as_bytes());
 }
 
 /// Routing table. `Ok(Some)` is a JSON response; `Ok(None)` means the
@@ -347,13 +351,11 @@ fn handle_simulate(body: &JsonValue, state: &ServerState) -> Result<(u16, String
     } else {
         String::new()
     };
-    let snap = qdd_telemetry::take_merged_snapshot();
     let body = format!(
         "{{\"qubits\":{},\"applied_ops\":{},\"nodes\":{},\"peak_nodes\":{},\
          \"fidelity_lower_bound\":{},\"degraded\":{},\"classical_bits\":[{}],\
          \"cache\":{{\"hit\":{},\"key\":\"{:016x}\"}},\
-         \"gate_cache\":{{\"lookups\":{},\"hits\":{}}}{}\
-         ,\"telemetry\":{}}}",
+         \"gate_cache\":{{\"lookups\":{},\"hits\":{}}}{}}}",
         entry.circuit.num_qubits(),
         stats.applied_ops,
         nodes,
@@ -366,7 +368,6 @@ fn handle_simulate(body: &JsonValue, state: &ServerState) -> Result<(u16, String
         sim.package().gate_cache_lookups(),
         sim.package().gate_cache_hits(),
         amplitudes,
-        snap.to_json(),
     );
     Ok((200, body))
 }
@@ -520,11 +521,10 @@ fn handle_verify(body: &JsonValue, state: &ServerState) -> Result<(u16, String),
         Some(c) => format!("{{\"row\":{},\"col\":{}}}", c.row, c.col),
         None => String::from("null"),
     };
-    let snap = qdd_telemetry::take_merged_snapshot();
     let body = format!(
         "{{\"equivalent\":{},\"verdict\":\"{}\",\"phase\":{},\"strategy\":\"{}\",\
          \"peak_nodes\":{},\"applied_left\":{},\"applied_right\":{},\
-         \"counterexample\":{},\"telemetry\":{}}}",
+         \"counterexample\":{}}}",
         report.result.is_equivalent(),
         verdict,
         phase,
@@ -533,7 +533,6 @@ fn handle_verify(body: &JsonValue, state: &ServerState) -> Result<(u16, String),
         report.applied_left,
         report.applied_right,
         counterexample,
-        snap.to_json(),
     );
     Ok((200, body))
 }
@@ -558,14 +557,7 @@ fn handle_session_create(body: &JsonValue, state: &ServerState) -> Result<(u16, 
         ..limits
     });
     let id = state.sessions.create(circuit, config)?;
-    let snap = qdd_telemetry::take_merged_snapshot();
-    Ok((
-        201,
-        format!(
-            "{{\"session\":{id},\"qubits\":{qubits},\"ops\":{ops},\"telemetry\":{}}}",
-            snap.to_json()
-        ),
-    ))
+    Ok((201, format!("{{\"session\":{id},\"qubits\":{qubits},\"ops\":{ops}}}")))
 }
 
 /// The common tail of step/play responses: where the session stands.
@@ -626,8 +618,7 @@ fn handle_session_step(
             session_position_json(s.position(), s.is_finished(), s.node_count())
         ))
     })??;
-    let snap = qdd_telemetry::take_merged_snapshot();
-    Ok((200, format!("{{{fields},\"telemetry\":{}}}", snap.to_json())))
+    Ok((200, format!("{{{fields}}}")))
 }
 
 /// Plays the session to the end, resolving every choice dialog with the
@@ -661,8 +652,7 @@ fn handle_session_play(
             bits.join(",")
         ))
     })??;
-    let snap = qdd_telemetry::take_merged_snapshot();
-    Ok((200, format!("{{{fields},\"telemetry\":{}}}", snap.to_json())))
+    Ok((200, format!("{{{fields}}}")))
 }
 
 #[cfg(test)]

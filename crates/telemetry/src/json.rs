@@ -1,12 +1,13 @@
 //! The workspace's one JSON reader and string escaper.
 //!
 //! Every writer in the workspace (metrics snapshots, Chrome traces,
-//! timelines, `qdd serve` responses) escapes strings with
-//! [`write_json_string`]. [`parse_json`] is a minimal
-//! recursive-descent parser for the documents they produce — objects,
-//! arrays, strings with standard escapes, finite numbers, booleans, null —
-//! and for the request bodies `qdd serve` receives. It rejects everything
-//! else with a position-annotated error.
+//! `qdd serve` responses) escapes strings with [`write_json_string`].
+//! [`parse_json`] is a minimal recursive-descent parser for the documents
+//! they produce — objects, arrays, strings with standard escapes, finite
+//! numbers, booleans, null — and for the request bodies `qdd serve`
+//! receives. It rejects everything else with a position-annotated error.
+//! [`parse_json_streaming`] reads a large document's one big array an
+//! element at a time.
 
 use std::fmt::Write as _;
 
@@ -96,27 +97,51 @@ impl JsonValue {
 ///
 /// A human-readable message with the byte offset of the first problem.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
+    let mut p = Parser::new(text);
     let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
+    p.end()?;
     Ok(value)
+}
+
+/// Parses the JSON object `text` like [`parse_json`], except that the
+/// elements of its array member `key` go to `element` one at a time, in
+/// order, instead of into the result, so a reader of a large document
+/// holds one element at a time. Returns the object's other members.
+///
+/// # Errors
+///
+/// What [`parse_json`] reports, a missing `key` array, and the first error
+/// `element` returns.
+pub fn parse_json_streaming(
+    text: &str,
+    key: &str,
+    mut element: impl FnMut(JsonValue) -> Result<(), String>,
+) -> Result<JsonValue, String> {
+    let mut p = Parser::new(text);
+    let (mut members, mut streamed) = (Vec::new(), false);
+    p.seq(b'{', b'}', |p| {
+        let name = p.key()?;
+        if name == key && p.peek() == Some(b'[') {
+            streamed = true;
+            p.seq(b'[', b']', |p| element(p.value()?))
+        } else {
+            members.push((name, p.value()?));
+            Ok(())
+        }
+    })?;
+    if !streamed {
+        return Err(format!("no \"{key}\" array"));
+    }
+    p.end()?;
+    Ok(JsonValue::Object(members))
 }
 
 /// Maximum container nesting. The parser recurses per nesting level, so
 /// without a cap a hostile document of consecutive `[`s overflows the
 /// thread's stack — fatal for the whole process, which matters when the
 /// input is an untrusted HTTP body (`qdd serve`) rather than a local
-/// timeline file. 128 is far beyond anything the timeline writer or the
-/// serve API emits.
+/// trace file. 128 is far beyond anything the trace writer or the serve
+/// API emits.
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
@@ -126,9 +151,37 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
-    /// Tracks entry into an object/array; errors past [`MAX_DEPTH`].
-    fn descend(&mut self) -> Result<(), String> {
+impl<'a> Parser<'a> {
+    /// A parser at the first non-blank byte of `text`.
+    fn new(text: &'a str) -> Self {
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// Requires that only blanks follow the document.
+    fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing content at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    /// Reads an `open` … `close` container of comma-separated items, each
+    /// read by `item`; errors past [`MAX_DEPTH`] nested containers.
+    fn seq(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(open)?;
         self.depth += 1;
         if self.depth > MAX_DEPTH {
             return Err(format!(
@@ -136,8 +189,32 @@ impl Parser<'_> {
                 self.pos
             ));
         }
-        Ok(())
+        self.skip_ws();
+        if self.peek() != Some(close) {
+            loop {
+                self.skip_ws();
+                item(self)?;
+                self.skip_ws();
+                if self.peek() != Some(b',') {
+                    break;
+                }
+                self.pos += 1;
+            }
+        }
+        self.depth -= 1;
+        self.expect(close)
+            .map_err(|_| format!("expected ',' or '{}' at byte {}", close as char, self.pos))
     }
+
+    /// An object member's key and the `:` after it.
+    fn key(&mut self) -> Result<String, String> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -184,60 +261,22 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        self.descend()?;
         let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
+        self.seq(b'{', b'}', |p| {
+            let key = p.key()?;
+            members.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(JsonValue::Object(members))
     }
 
     fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        self.descend()?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
+        self.seq(b'[', b']', |p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(JsonValue::Array(items))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -358,6 +397,28 @@ mod tests {
         // Depth resets between sibling containers: wide-but-shallow
         // documents are unaffected.
         assert!(parse_json(&format!("[{}]", vec!["[1]"; 1000].join(","))).is_ok());
+    }
+
+    #[test]
+    fn streaming_hands_out_the_array_one_element_at_a_time() {
+        let text = "{\"a\":{\"k\":[1]},\"items\":[ {\"n\":1}, [2] ,3],\"z\":null}\n";
+        let mut items = Vec::new();
+        let rest = parse_json_streaming(text, "items", |v| {
+            items.push(v);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            items,
+            parse_json("[{\"n\":1},[2],3]").unwrap().as_array().unwrap()
+        );
+        assert_eq!(rest, parse_json("{\"a\":{\"k\":[1]},\"z\":null}").unwrap());
+        let stop = parse_json_streaming(text, "items", |_| Err("stop".to_string()));
+        assert_eq!(stop.unwrap_err(), "stop");
+        let missing = parse_json_streaming("{\"a\":1}", "items", |_| Ok(()));
+        assert_eq!(missing.unwrap_err(), "no \"items\" array");
+        assert!(parse_json_streaming("{\"items\":[1}", "items", |_| Ok(())).is_err());
+        assert!(parse_json_streaming("{\"items\":[]} x", "items", |_| Ok(())).is_err());
     }
 
     #[test]

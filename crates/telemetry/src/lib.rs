@@ -11,9 +11,9 @@
 //!   aggregate per-phase wall time and emit structured events
 //!   ([`span()`]);
 //! * structured **events** with typed fields ([`emit`]), written as
-//!   Chrome `trace_event` JSON ([`sink::write_chrome_trace`]) or, with the
-//!   per-op fields the armed timeline adds ([`set_timeline`]), as the
-//!   `qdd-timeline-v1` execution timeline ([`timeline::write_jsonl`]);
+//!   Chrome `trace_event` JSON ([`sink::write_chrome_trace`]), the one
+//!   recording of a run: with the per-op fields the armed timeline adds
+//!   ([`set_timeline`]) it is the execution timeline `qdd inspect` reads;
 //! * one **report** of a run, the merged [`Snapshot`]: written as
 //!   `qdd-metrics-v1` JSON ([`Snapshot::to_json`]) or as the `--stats` text
 //!   ([`sink::render_stats`]).
@@ -62,7 +62,6 @@ pub mod json;
 mod metrics;
 pub mod sink;
 mod snapshot;
-pub mod timeline;
 
 pub use event::{Event, EventBuilder, Value};
 pub use metrics::{Histogram, HistogramSnapshot, SpanAgg};
@@ -195,9 +194,12 @@ pub fn set_lane(lane: u32) {
 
 /// Arms (`Some(stride)`) or disarms (`None`) the execution timeline on
 /// this thread. While it is armed and recording is on, every `sim.op`
-/// event also carries the per-op fields [`timeline::write_jsonl`] writes,
-/// and every `stride`-th op (0 = none) a structural snapshot of the
-/// diagram. The shot engine hands the switch on to its workers.
+/// event also carries per-op fields — counters as deltas over the op
+/// (`nodes_allocated`, `nodes_freed`, compute-table and gate-cache hits
+/// and misses; they telescope to the package totals), gauges at its end,
+/// the level profile — and every `stride`-th op (0 = none) a structural
+/// snapshot of the diagram (`snapshot`, a graph JSON document). The shot
+/// engine hands the switch on to its workers.
 pub fn set_timeline(stride: Option<u32>) {
     TIMELINE.with(|t| t.set(stride));
 }

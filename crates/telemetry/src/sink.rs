@@ -1,24 +1,46 @@
 //! Output sinks: Chrome `trace_event` JSON for the event stream, and the
 //! `--stats` text rendering of a metrics snapshot.
 
-use crate::event::Event;
+use crate::event::{Event, Value};
 use crate::json::write_json_string;
 use crate::snapshot::Snapshot;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
+/// The run a trace records, written as the trace's `otherData` object.
+#[derive(Clone, Debug, Default)]
+pub struct TraceHeader {
+    /// Circuit name, also the trace's `process_name` (no metadata records
+    /// when empty).
+    pub circuit: String,
+    /// Number of qubits in the circuit.
+    pub qubits: usize,
+    /// Number of operations in the circuit program.
+    pub ops: usize,
+    /// Structural-snapshot stride of the armed per-op fields
+    /// ([`crate::set_timeline`]; 0 = none).
+    pub snapshot_stride: u32,
+    /// Events the run dropped at the buffer cap ([`crate::MAX_EVENTS`]).
+    pub dropped_events: u64,
+}
+
 /// Writes events in the Chrome `trace_event` format (the
-/// `{"traceEvents": […]}` object form), loadable in `chrome://tracing`,
-/// Perfetto, or Speedscope for flamegraph-style inspection, one event per
-/// line.
+/// `{"traceEvents": […], "otherData": {…}}` object form), loadable in
+/// `chrome://tracing`, Perfetto, or Speedscope for flamegraph-style
+/// inspection, one event per line; `qdd inspect` reads it back.
 ///
-/// Spans become complete (`"ph":"X"`) events; instants become
-/// thread-scoped instant (`"ph":"i"`) events. Lane `l` is tid `l + 1`, so
-/// each shot worker gets a row of its own beside the coordinator. With a
-/// `process_name`, metadata (`"ph":"M"`) records name the process and each
-/// lane that carries an event (`coordinator`, `worker N`). The armed
-/// timeline's diagram snapshots (`sim.op`'s `snapshot` field) stay out of
-/// the trace.
+/// Spans become complete (`"ph":"X"`) events with their nesting `depth`;
+/// instants become thread-scoped instant (`"ph":"i"`) events. An event's
+/// fields are its `args`; a `sim.op` structural snapshot (`snapshot`, a
+/// pre-serialized graph document) is inlined as an object. Lane `l` is tid
+/// `l + 1`, so each shot worker gets a row of its own beside the
+/// coordinator. With a circuit name, metadata (`"ph":"M"`) records name
+/// the process and each lane that carries an event (`coordinator`,
+/// `worker N`). `otherData` is the header:
+///
+/// ```json
+/// {"circuit":"qft16","qubits":16,"ops":144,"snapshot_stride":16,"dropped_events":0}
+/// ```
 ///
 /// # Errors
 ///
@@ -26,7 +48,7 @@ use std::io::{self, Write};
 pub fn write_chrome_trace(
     out: &mut impl Write,
     events: &[Event],
-    process_name: Option<&str>,
+    header: &TraceHeader,
 ) -> io::Result<()> {
     let mut line = String::with_capacity(256);
     let mut first = true;
@@ -36,7 +58,7 @@ pub fn write_chrome_trace(
         out.write_all(line.as_bytes())
     };
     out.write_all(b"{\"traceEvents\":[")?;
-    if let Some(process) = process_name {
+    if !header.circuit.is_empty() {
         let mut lanes: Vec<u32> = events.iter().map(|e| e.lane).collect();
         lanes.sort_unstable();
         lanes.dedup();
@@ -48,7 +70,7 @@ pub fn write_chrome_trace(
             ("thread_name", lane + 1, name)
         });
         for (kind, tid, name) in
-            std::iter::once(("process_name", 1, process.to_string())).chain(threads)
+            std::iter::once(("process_name", 1, header.circuit.clone())).chain(threads)
         {
             line.clear();
             let _ = write!(
@@ -66,26 +88,40 @@ pub fn write_chrome_trace(
         write_json_string(&mut line, ev.name);
         match ev.dur_us {
             Some(dur) => {
-                let _ = write!(line, ",\"ph\":\"X\",\"ts\":{},\"dur\":{}", ev.ts_us, dur);
+                let _ = write!(
+                    line,
+                    ",\"ph\":\"X\",\"ts\":{},\"dur\":{dur},\"depth\":{}",
+                    ev.ts_us, ev.depth
+                );
             }
             None => {
                 let _ = write!(line, ",\"ph\":\"i\",\"ts\":{},\"s\":\"t\"", ev.ts_us);
             }
         }
         let _ = write!(line, ",\"pid\":1,\"tid\":{},\"args\":{{", ev.lane + 1);
-        let args = ev.fields.iter().filter(|(key, _)| *key != "snapshot");
-        for (i, (key, value)) in args.enumerate() {
+        for (i, (key, value)) in ev.fields.iter().enumerate() {
             if i > 0 {
                 line.push(',');
             }
             write_json_string(&mut line, key);
             line.push(':');
-            value.write_json(&mut line);
+            match (*key, value) {
+                ("snapshot", Value::Str(graph)) => line.push_str(graph),
+                _ => value.write_json(&mut line),
+            }
         }
         line.push_str("}}");
         emit(out, &line)?;
     }
-    out.write_all(b"\n]}\n")
+    line.clear();
+    line.push_str("\n],\n\"otherData\":{\"circuit\":");
+    write_json_string(&mut line, &header.circuit);
+    let _ = writeln!(
+        line,
+        ",\"qubits\":{},\"ops\":{},\"snapshot_stride\":{},\"dropped_events\":{}}}}}",
+        header.qubits, header.ops, header.snapshot_stride, header.dropped_events
+    );
+    out.write_all(line.as_bytes())
 }
 
 /// Formats a nanosecond duration for the phase table (aligned, 4
@@ -181,7 +217,6 @@ pub fn render_stats(snapshot: &Snapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Value;
     use crate::metrics::SpanAgg;
 
     fn sample_events() -> Vec<Event> {
@@ -205,30 +240,39 @@ mod tests {
         ]
     }
 
-    fn chrome_trace(events: &[Event], process_name: Option<&str>) -> String {
+    fn chrome_trace(events: &[Event], circuit: &str) -> String {
+        let header = TraceHeader {
+            circuit: circuit.to_string(),
+            qubits: 2,
+            ops: 5,
+            snapshot_stride: 4,
+            dropped_events: 3,
+        };
         let mut out = Vec::new();
-        write_chrome_trace(&mut out, events, process_name).unwrap();
+        write_chrome_trace(&mut out, events, &header).unwrap();
         String::from_utf8(out).unwrap()
     }
 
     #[test]
-    fn chrome_trace_has_required_keys() {
-        let text = chrome_trace(&sample_events(), None);
+    fn chrome_trace_has_required_keys_and_the_header() {
+        let text = chrome_trace(&sample_events(), "");
         assert!(text.starts_with("{\"traceEvents\":["));
-        assert!(text.contains("\"ph\":\"X\""));
-        assert!(text.contains("\"ph\":\"i\""));
-        assert!(text.contains("\"pid\":1"));
-        assert!(text.contains("\"ts\":10"));
-        assert!(text.contains("\"dur\":5"));
+        assert!(text.contains("{\"name\":\"core.mat_vec\",\"ph\":\"X\",\"ts\":10,\"dur\":5,\"depth\":1,\"pid\":1,\"tid\":1,"));
+        assert!(text.contains("{\"name\":\"sim.op\",\"ph\":\"i\",\"ts\":20,\"s\":\"t\",\"pid\":1,"));
         assert!(
             !text.contains("\"ph\":\"M\""),
-            "no metadata without a process name"
+            "no metadata without a circuit name"
         );
+        assert!(text.ends_with(
+            "\n],\n\"otherData\":{\"circuit\":\"\",\"qubits\":2,\"ops\":5,\
+             \"snapshot_stride\":4,\"dropped_events\":3}}\n"
+        ));
+        assert!(crate::json::parse_json(&text).is_ok());
     }
 
     #[test]
     fn chrome_trace_metadata_records_name_threads() {
-        let text = chrome_trace(&sample_events(), Some("qft16"));
+        let text = chrome_trace(&sample_events(), "qft16");
         assert!(text.contains("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"qft16\"}"));
         assert!(text.contains("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"coordinator\"}"));
         assert_eq!(text.matches("\"ph\":\"M\"").count(), 2);
@@ -244,23 +288,22 @@ mod tests {
         events[1]
             .fields
             .push(("snapshot", Value::Str("{\"kind\":\"vector\"}".into())));
-        let text = chrome_trace(&events, Some("run"));
+        let text = chrome_trace(&events, "run");
         assert!(text.contains("\"tid\":3,\"args\":{\"name\":\"worker 2\"}"));
         assert_eq!(
             text.matches("\"ph\":\"M\"").count(),
             3,
             "no name for the empty lane 1"
         );
-        assert!(text.contains("\"pid\":1,\"tid\":3,\"args\":{\"gate\":\"h\"}}"));
-        assert!(
-            !text.contains("vector"),
-            "diagram snapshots stay out of the trace"
-        );
+        assert!(text.contains(
+            "\"pid\":1,\"tid\":3,\"args\":{\"gate\":\"h\",\"snapshot\":{\"kind\":\"vector\"}}}"
+        ));
         // One object per line between the array brackets.
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2 + 3 + events.len());
+        assert_eq!(lines.len(), 3 + 3 + events.len());
         assert_eq!(lines[0], "{\"traceEvents\":[");
-        assert_eq!(*lines.last().unwrap(), "]}");
+        assert_eq!(lines[lines.len() - 2], "],");
+        assert!(lines[lines.len() - 1].starts_with("\"otherData\":{\"circuit\":\"run\","));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! installation-free web tool.
 //!
 //! [`explorer_html`] bundles a session's frames into a single HTML file
-//! with the tool's `⏮ ← → ⏭` navigation (buttons and arrow keys), a title
-//! bar showing the current step, and the node count. No network, no
-//! external assets.
+//! with the tool's `⏮ ← → ⏭` navigation and `▶` play (buttons and keys),
+//! a caption showing the current step, and the node count. The run
+//! inspector ([`timeline_report`]) steps through its snapshots with the
+//! same player. No network, no external assets.
 
 use crate::inspect::{OpLine, SpanLine, TimelineDoc};
 use crate::session::Frame;
@@ -13,6 +14,80 @@ use crate::svg::graph_to_svg;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
+
+/// The style rules of [`frame_player`].
+const PLAYER_CSS: &str = "\
+#controls { padding: 6px 0; }
+#controls button { font-size: 16px; margin-right: 6px; padding: 4px 12px; }
+#caption { padding-bottom: 8px; color: #333; }
+.frame { display: none; }
+.frame.active { display: block; }
+.frame svg { max-width: 100%; height: auto; border: 1px solid #ddd; background: white; }
+";
+
+/// Appends the frame player both pages share: `⏮ ← → ⏭` and `▶`
+/// (play/pause) buttons, the arrow, Home, End and space keys, a caption,
+/// and one frame per `(caption, svg)`.
+fn frame_player<S: AsRef<str>>(
+    out: &mut String,
+    frames: impl ExactSizeIterator<Item = (String, S)>,
+) {
+    out.push_str(
+        "<div id=\"controls\">\n\
+         <button onclick=\"go(0)\" title=\"to start\">&#9198;</button>\n\
+         <button onclick=\"go(current-1)\" title=\"back\">&#8592;</button>\n\
+         <button onclick=\"go(current+1)\" title=\"forward\">&#8594;</button>\n\
+         <button onclick=\"go(frames-1)\" title=\"to end\">&#9197;</button>\n\
+         <button id=\"play\" onclick=\"playPause()\" title=\"play\">&#9654;</button>\n\
+         <span id=\"pos\"></span>\n\
+         </div>\n<div id=\"caption\"></div>\n",
+    );
+    let count = frames.len();
+    for (i, (caption, svg)) in frames.enumerate() {
+        let _ = writeln!(
+            out,
+            "<div class=\"frame\" id=\"frame{i}\" data-title=\"{}\">",
+            escape_html(&caption)
+        );
+        out.push_str(svg.as_ref());
+        out.push_str("</div>\n");
+    }
+    let _ = writeln!(
+        out,
+        "<script>\n\
+         const frames = {count};\n\
+         let current = 0;\n\
+         let timer = null;\n\
+         function go(i) {{\n\
+           if (i < 0 || i >= frames) return;\n\
+           document.getElementById('frame' + current).classList.remove('active');\n\
+           current = i;\n\
+           const el = document.getElementById('frame' + current);\n\
+           el.classList.add('active');\n\
+           document.getElementById('caption').textContent = el.dataset.title;\n\
+           document.getElementById('pos').textContent = (current + 1) + ' / ' + frames;\n\
+         }}\n\
+         function playPause() {{\n\
+           const btn = document.getElementById('play');\n\
+           if (timer) {{ clearInterval(timer); timer = null; btn.innerHTML = '&#9654;'; return; }}\n\
+           btn.innerHTML = '&#9646;&#9646;';\n\
+           timer = setInterval(() => {{\n\
+             if (current + 1 >= frames) {{ playPause(); return; }}\n\
+             go(current + 1);\n\
+           }}, 700);\n\
+         }}\n\
+         document.addEventListener('keydown', e => {{\n\
+           if (e.key === 'ArrowRight') go(current + 1);\n\
+           if (e.key === 'ArrowLeft') go(current - 1);\n\
+           if (e.key === 'Home') go(0);\n\
+           if (e.key === 'End') go(frames - 1);\n\
+           if (e.key === ' ') {{ e.preventDefault(); playPause(); }}\n\
+         }});\n\
+         document.getElementById('frame0').classList.add('active');\n\
+         go(0);\n\
+         </script>"
+    );
+}
 
 /// Builds a standalone HTML document from captured frames.
 ///
@@ -28,60 +103,23 @@ pub fn explorer_html(title: &str, frames: &[Frame]) -> String {
         "<style>\n\
          body { font-family: Helvetica, sans-serif; margin: 0; background: #fafafa; }\n\
          header { background: #2b4a6f; color: white; padding: 10px 16px; }\n\
-         #controls { padding: 10px 16px; }\n\
-         #controls button { font-size: 16px; margin-right: 6px; padding: 4px 12px; }\n\
-         #caption { padding: 0 16px 8px; color: #333; }\n\
-         .frame { display: none; padding: 0 16px 16px; }\n\
-         .frame.active { display: block; }\n\
-         .frame svg { max-width: 100%; height: auto; border: 1px solid #ddd; background: white; }\n\
-         </style>\n</head>\n<body>\n",
+         main { padding: 4px 16px 16px; }\n",
     );
-    let _ = writeln!(out, "<header><h1>{}</h1></header>", escape_html(title));
-    out.push_str(
-        "<div id=\"controls\">\n\
-         <button onclick=\"go(0)\" title=\"to start\">&#9198;</button>\n\
-         <button onclick=\"go(current-1)\" title=\"back\">&#8592;</button>\n\
-         <button onclick=\"go(current+1)\" title=\"forward\">&#8594;</button>\n\
-         <button onclick=\"go(frames-1)\" title=\"to end\">&#9197;</button>\n\
-         <span id=\"pos\"></span>\n\
-         </div>\n<div id=\"caption\"></div>\n",
-    );
-    for frame in frames {
-        let _ = writeln!(
-            out,
-            "<div class=\"frame\" id=\"frame{}\" data-title=\"{} ({} nodes)\">",
-            frame.index,
-            escape_html(&frame.title),
-            frame.node_count
-        );
-        out.push_str(&frame.svg);
-        out.push_str("</div>\n");
-    }
+    out.push_str(PLAYER_CSS);
+    out.push_str("</style>\n</head>\n<body>\n");
     let _ = writeln!(
         out,
-        "<script>\n\
-         const frames = {};\n\
-         let current = 0;\n\
-         function go(i) {{\n\
-           if (i < 0 || i >= frames) return;\n\
-           document.getElementById('frame' + current).classList.remove('active');\n\
-           current = i;\n\
-           const el = document.getElementById('frame' + current);\n\
-           el.classList.add('active');\n\
-           document.getElementById('caption').textContent = el.dataset.title;\n\
-           document.getElementById('pos').textContent = (current + 1) + ' / ' + frames;\n\
-         }}\n\
-         document.addEventListener('keydown', e => {{\n\
-           if (e.key === 'ArrowRight') go(current + 1);\n\
-           if (e.key === 'ArrowLeft') go(current - 1);\n\
-           if (e.key === 'Home') go(0);\n\
-           if (e.key === 'End') go(frames - 1);\n\
-         }});\n\
-         document.getElementById('frame0').classList.add('active');\n\
-         go(0);\n\
-         </script>\n</body>\n</html>",
-        frames.len()
+        "<header><h1>{}</h1></header>\n<main>",
+        escape_html(title)
     );
+    let captions = frames.iter().map(|f| {
+        (
+            format!("{} ({} nodes)", f.title, f.node_count),
+            f.svg.as_str(),
+        )
+    });
+    frame_player(&mut out, captions);
+    out.push_str("</main>\n</body>\n</html>\n");
     out
 }
 
@@ -102,7 +140,7 @@ const CURVE_COLORS: [&str; 6] = [
     "#2b4a6f", "#c0392b", "#1e8449", "#8e44ad", "#b9770e", "#148f9f",
 ];
 
-/// Builds the self-contained run inspector from a parsed timeline.
+/// Builds the self-contained run inspector from a read trace.
 ///
 /// One HTML file, no external assets: a live-node curve with GC /
 /// approximation / dense-fallback markers, per-level node sparklines, a
@@ -133,14 +171,10 @@ pub fn timeline_report(doc: &TimelineDoc, style: &VizStyle) -> String {
          #flame { position: relative; background: white; border: 1px solid #ddd; overflow: hidden; }\n\
          #flame .span { position: absolute; height: 18px; font-size: 11px; color: white;\n\
            overflow: hidden; white-space: nowrap; border-radius: 2px; padding-left: 3px;\n\
-           box-sizing: border-box; line-height: 18px; }\n\
-         #controls { padding: 6px 0; }\n\
-         #controls button { font-size: 16px; margin-right: 6px; padding: 4px 12px; }\n\
-         .frame { display: none; }\n\
-         .frame.active { display: block; }\n\
-         .frame svg { max-width: 100%; height: auto; border: 1px solid #ddd; background: white; }\n\
-         </style>\n</head>\n<body>\n",
+           box-sizing: border-box; line-height: 18px; }\n",
     );
+    out.push_str(PLAYER_CSS);
+    out.push_str("</style>\n</head>\n<body>\n");
     let _ = writeln!(
         out,
         "<header><h1>Timeline — {}</h1><div class=\"sub\">{} qubits · {} ops · {} worker(s) \
@@ -152,19 +186,19 @@ pub fn timeline_report(doc: &TimelineDoc, style: &VizStyle) -> String {
         doc.ops.len(),
         doc.header.snapshot_stride,
     );
-    if doc.header.dropped_records > 0 {
+    if doc.header.dropped_events > 0 {
         let _ = writeln!(
             out,
-            "<section><div class=\"warn\">⚠ {} record(s) were dropped at the recording cap; \
-             curves below are truncated.</div></section>",
-            doc.header.dropped_records
+            "<section><div class=\"warn\">⚠ {} event(s) were dropped at the buffer cap; \
+             the curves and spans below are truncated.</div></section>",
+            doc.header.dropped_events
         );
     }
 
     // Live-node curve with event markers.
     out.push_str("<section>\n<h2>Live nodes over op index</h2>\n");
     if doc.ops.is_empty() {
-        out.push_str("<div class=\"muted\">No op records in this timeline.</div>\n");
+        out.push_str("<div class=\"muted\">No op records in this trace.</div>\n");
     } else {
         out.push_str(
             "<div class=\"legend\">\
@@ -187,7 +221,7 @@ pub fn timeline_report(doc: &TimelineDoc, style: &VizStyle) -> String {
     } else {
         out.push_str(
             "<div class=\"muted\">No per-level profiles recorded (dense fallback \
-             or empty timeline).</div>\n",
+             or no op records).</div>\n",
         );
     }
     out.push_str("</section>\n");
@@ -205,66 +239,18 @@ pub fn timeline_report(doc: &TimelineDoc, style: &VizStyle) -> String {
     out.push_str("<section>\n<h2>Structural snapshots</h2>\n");
     if doc.snapshots.is_empty() {
         out.push_str(
-            "<div class=\"muted\">No snapshots in this timeline — record with \
+            "<div class=\"muted\">No snapshots in this trace — record with \
              <code>--snapshot-stride K</code> to embed diagrams.</div>\n",
         );
     } else {
-        out.push_str(
-            "<div id=\"controls\">\n\
-             <button onclick=\"go(0)\" title=\"to start\">&#9198;</button>\n\
-             <button onclick=\"go(current-1)\" title=\"back\">&#8592;</button>\n\
-             <button onclick=\"go(current+1)\" title=\"forward\">&#8594;</button>\n\
-             <button onclick=\"go(frames-1)\" title=\"to end\">&#9197;</button>\n\
-             <button id=\"play\" onclick=\"playPause()\" title=\"play\">&#9654;</button>\n\
-             <span id=\"pos\"></span>\n\
-             </div>\n<div id=\"caption\" class=\"muted\"></div>\n",
-        );
-        for (i, snap) in doc.snapshots.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "<div class=\"frame\" id=\"frame{}\" data-title=\"after op {} \
-                 (worker {}, run {}, {} nodes)\">",
-                i, snap.op_index, snap.worker, snap.run, snap.nodes,
+        let captions = doc.snapshots.iter().map(|snap| {
+            let caption = format!(
+                "after op {} (worker {}, run {}, {} nodes)",
+                snap.op_index, snap.worker, snap.run, snap.nodes
             );
-            out.push_str(&graph_to_svg(&snap.graph, style));
-            out.push_str("</div>\n");
-        }
-        let _ = writeln!(
-            out,
-            "<script>\n\
-             const frames = {};\n\
-             let current = 0;\n\
-             let timer = null;\n\
-             function go(i) {{\n\
-               if (i < 0 || i >= frames) return;\n\
-               document.getElementById('frame' + current).classList.remove('active');\n\
-               current = i;\n\
-               const el = document.getElementById('frame' + current);\n\
-               el.classList.add('active');\n\
-               document.getElementById('caption').textContent = el.dataset.title;\n\
-               document.getElementById('pos').textContent = (current + 1) + ' / ' + frames;\n\
-             }}\n\
-             function playPause() {{\n\
-               const btn = document.getElementById('play');\n\
-               if (timer) {{ clearInterval(timer); timer = null; btn.innerHTML = '&#9654;'; return; }}\n\
-               btn.innerHTML = '&#9646;&#9646;';\n\
-               timer = setInterval(() => {{\n\
-                 if (current + 1 >= frames) {{ playPause(); return; }}\n\
-                 go(current + 1);\n\
-               }}, 700);\n\
-             }}\n\
-             document.addEventListener('keydown', e => {{\n\
-               if (e.key === 'ArrowRight') go(current + 1);\n\
-               if (e.key === 'ArrowLeft') go(current - 1);\n\
-               if (e.key === 'Home') go(0);\n\
-               if (e.key === 'End') go(frames - 1);\n\
-               if (e.key === ' ') {{ e.preventDefault(); playPause(); }}\n\
-             }});\n\
-             document.getElementById('frame0').classList.add('active');\n\
-             go(0);\n\
-             </script>",
-            doc.snapshots.len()
-        );
+            (caption, graph_to_svg(&snap.graph, style))
+        });
+        frame_player(&mut out, captions);
     }
     out.push_str("</section>\n</body>\n</html>");
     out
@@ -338,8 +324,8 @@ fn node_curve_svg(ops: &[OpLine]) -> String {
     }
     // Event markers on top of the curves.
     for op in ops {
-        for (kind, _) in &op.events {
-            let color = match kind.as_str() {
+        for &kind in &op.events {
+            let color = match kind {
                 "gc" => "#b9770e",
                 "approx" => "#8e44ad",
                 "dense_fallback" => "#c0392b",
@@ -492,6 +478,10 @@ mod tests {
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("<title>Bell state</title>"));
         assert!(html.contains("const frames = 3;"));
+        assert!(
+            html.contains("onclick=\"playPause()\""),
+            "the explorer plays too"
+        );
         assert!(html.contains("<svg"));
         assert!(!html.contains("http://") || html.contains("xmlns"), "no external links beyond the SVG namespace");
         assert!(html.trim_end().ends_with("</html>"));
@@ -520,28 +510,49 @@ mod tests {
         explorer_html("x", &[]);
     }
 
-    fn sample_doc() -> crate::inspect::TimelineDoc {
+    fn sample_doc() -> TimelineDoc {
+        use crate::inspect::{SnapshotLine, TimelineHeader};
         use qdd_core::{gates, Control, DdPackage};
         let mut dd = DdPackage::new();
         let z = dd.zero_state(2).unwrap();
         let s = dd.apply_gate(z, gates::H, &[], 1).unwrap();
         let bell = dd.apply_gate(s, gates::X, &[Control::pos(1)], 0).unwrap();
-        let graph = qdd_core::graph::DdGraph::from_vector(&dd, bell).to_json();
-        let text = format!(
-            "{{\"schema\":\"qdd-timeline-v1\",\"circuit\":\"bell<1>\",\"qubits\":2,\"ops\":2,\
-             \"snapshot_stride\":1,\"workers\":1,\"records\":2,\"dropped_records\":0}}\n\
-             {{\"type\":\"op\",\"worker\":0,\"run\":0,\"op_index\":0,\"op\":\"h\",\"qubits\":[1],\
-             \"ts_us\":1,\"dur_us\":2,\"vec_nodes\":2,\"levels\":[1,1],\
-             \"events\":[{{\"kind\":\"gc\",\"runs\":1}}]}}\n\
-             {{\"type\":\"op\",\"worker\":0,\"run\":0,\"op_index\":1,\"op\":\"cx\",\
-             \"qubits\":[0,1],\"ts_us\":3,\"dur_us\":2,\"vec_nodes\":3,\"levels\":[2,1],\
-             \"events\":[]}}\n\
-             {{\"type\":\"snapshot\",\"worker\":0,\"run\":0,\"op_index\":1,\"nodes\":3,\
-             \"graph\":{graph}}}\n\
-             {{\"type\":\"span\",\"name\":\"sim.run\",\"ts_us\":0,\"dur_us\":9,\"depth\":0}}\n\
-             {{\"type\":\"span\",\"name\":\"sim.apply\",\"ts_us\":1,\"dur_us\":4,\"depth\":1}}\n"
-        );
-        crate::inspect::parse_timeline(&text).unwrap()
+        let graph = qdd_core::graph::DdGraph::from_vector(&dd, bell);
+        let op = |op_index, op: &str, vec_nodes, levels| OpLine {
+            op_index,
+            op: op.to_string(),
+            vec_nodes,
+            levels,
+            ..OpLine::default()
+        };
+        let mut h = op(0, "h", 2, vec![1, 1]);
+        h.events = vec!["gc"];
+        let span = |name: &str, ts_us, dur_us, depth| SpanLine {
+            name: name.to_string(),
+            ts_us,
+            dur_us,
+            depth,
+            ..SpanLine::default()
+        };
+        TimelineDoc {
+            header: TimelineHeader {
+                circuit: "bell<1>".to_string(),
+                qubits: 2,
+                ops: 2,
+                snapshot_stride: 1,
+                workers: 1,
+                dropped_events: 0,
+            },
+            ops: vec![h, op(1, "cx", 3, vec![2, 1])],
+            snapshots: vec![SnapshotLine {
+                worker: 0,
+                run: 0,
+                op_index: 1,
+                nodes: 3,
+                graph,
+            }],
+            spans: vec![span("sim.run", 0, 9, 0), span("sim.apply", 1, 4, 1)],
+        }
     }
 
     #[test]
@@ -603,16 +614,13 @@ mod tests {
 
     #[test]
     fn timeline_report_handles_empty_doc() {
-        let doc = crate::inspect::parse_timeline(
-            "{\"schema\":\"qdd-timeline-v1\",\"circuit\":\"x\",\"qubits\":0,\"ops\":0,\
-             \"snapshot_stride\":0,\"workers\":1,\"records\":0,\"dropped_records\":3}\n",
-        )
-        .unwrap();
+        let mut doc = TimelineDoc::default();
+        doc.header.dropped_events = 3;
         let html = timeline_report(&doc, &VizStyle::classic());
         assert!(html.contains("No op records"));
         assert!(html.contains("No spans recorded"));
         assert!(html.contains("No snapshots"));
-        assert!(html.contains("3 record(s) were dropped"));
+        assert!(html.contains("3 event(s) were dropped"));
     }
 
     #[test]

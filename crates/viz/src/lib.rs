@@ -18,10 +18,11 @@
 //! * [`verify_session`] — the verification tab (Fig. 9): two circuits,
 //!   gates applied from either side onto a shared working diagram;
 //! * [`html`] — bundles frames into a single self-contained HTML explorer
-//!   with ⏮ ← → ⏭ controls: the offline stand-in for the hosted web tool;
-//! * [`inspect`] — parses `qdd-timeline-v1` JSONL recordings back into a
-//!   model, feeding the time-resolved run inspector
-//!   ([`html::timeline_report`]);
+//!   with ⏮ ← → ⏭ and ▶ controls: the offline stand-in for the hosted web
+//!   tool;
+//! * [`inspect`] — reads a recorded run (the Chrome trace of
+//!   `--trace-out`) back into a model, feeding the time-resolved run
+//!   inspector ([`html::timeline_report`]);
 //! * [`text`] — terminal renderings: ASCII circuit diagrams and amplitude
 //!   tables.
 //!

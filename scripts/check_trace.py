@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Validate telemetry artifacts produced by `qdd --metrics-out / --trace-out
-/ --record-timeline`.
+"""Validate telemetry artifacts produced by `qdd --metrics-out / --trace-out`.
 
 Usage:
     check_trace.py FILE [FILE ...]
@@ -9,21 +8,19 @@ Each file's format is detected from its content:
 
 * **metrics snapshot** — a JSON object with ``"schema": "qdd-metrics-v1"``
   (from ``--metrics-out``);
-* **Chrome trace** — a JSON object with a ``traceEvents`` array (from
-  ``--trace-out``), loadable in ``chrome://tracing`` / Perfetto;
-* **execution timeline** — JSONL whose first line carries
-  ``"schema": "qdd-timeline-v1"`` (from ``--record-timeline``), the input
-  of ``qdd inspect``.
+* **Chrome trace** — a JSON object with a ``traceEvents`` array and an
+  ``otherData`` header (from ``--trace-out``), loadable in
+  ``chrome://tracing`` / Perfetto and the input of ``qdd inspect``.
 
 Exits non-zero on the first malformed file, printing what was wrong and
 where. The output formats are a published contract, not a noisy
 measurement, so a malformed file is an error. Validated-but-lossy artifacts
-(events or records dropped at a recording cap) emit a GitHub
-``::warning::`` annotation without failing the check.
+(events dropped at the buffer cap) emit a GitHub ``::warning::``
+annotation without failing the check.
 
-Files given together are taken to come from one run, which all three
-formats report from one event stream: their span counts must agree name by
-name (unless events were dropped at the cap).
+Files given together are taken to come from one run, which both formats
+report from one event stream: their span counts must agree name by name
+(files that dropped events are left out of the comparison).
 """
 
 from collections import Counter
@@ -32,7 +29,13 @@ import json
 import sys
 
 METRICS_SCHEMA = "qdd-metrics-v1"
-TIMELINE_SCHEMA = "qdd-timeline-v1"
+
+# Per-op fields of a `sim.op` event's args that must be non-negative
+# integers when present (the trace's execution-timeline detail).
+OP_FIELDS = ("op_index", "dur_us", "nodes", "mat_nodes", "peak_nodes",
+             "nodes_allocated", "nodes_freed", "complex_entries",
+             "compute_hits", "compute_misses", "gate_hits", "gate_misses")
+HEADER_FIELDS = ("qubits", "ops", "snapshot_stride", "dropped_events")
 
 
 def fail(path, msg):
@@ -82,11 +85,23 @@ def check_metrics(path, doc):
         f"{doc['dropped_events']} dropped")
 
 
+def is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def check_chrome(path, doc):
-    """The subset of the trace_event format the converter emits."""
+    """The subset of the trace_event format the converter emits, its
+    otherData header, and the per-op args of its sim.op events."""
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         fail(path, "`traceEvents` must be an array")
+    header = doc.get("otherData")
+    if not isinstance(header, dict) or not isinstance(header.get("circuit"), str):
+        fail(path, "`otherData` must be an object with a string `circuit`")
+    for field in HEADER_FIELDS:
+        if not is_count(header.get(field)):
+            fail(path, f"otherData: bad `{field}`: {header.get(field)!r}")
+    ops = snapshots = 0
     for i, ev in enumerate(events):
         where = f"traceEvents[{i}]"
         if not isinstance(ev, dict):
@@ -104,86 +119,31 @@ def check_chrome(path, doc):
             if not isinstance(args, dict) or not isinstance(args.get("name"), str):
                 fail(path, f"{where}: metadata needs args.name")
             continue
-        for field in ("ts", "pid", "tid") + (("dur",) if ph == "X" else ()):
-            if not isinstance(ev.get(field), (int, float)) or ev[field] < 0:
+        for field in ("ts", "pid", "tid") + (("dur", "depth") if ph == "X" else ()):
+            if not is_count(ev.get(field)):
                 fail(path, f"{where}: bad `{field}`: {ev.get(field)!r}")
-    spans = Counter(ev["name"] for ev in events if ev["ph"] == "X")
-    return spans, 0, f"Chrome trace: {len(events)} trace events"
-
-
-# Per-op delta fields that must never go negative in a timeline record.
-TIMELINE_DELTAS = ("dur_us", "vec_nodes", "mat_nodes", "peak_nodes",
-                   "nodes_allocated", "nodes_freed", "complex_entries",
-                   "compute_hits", "compute_misses", "gate_hits",
-                   "gate_misses")
-
-
-def check_timeline(path, text):
-    """A --record-timeline stream: header, op records, snapshots, spans."""
-    lines = [l for l in text.splitlines() if l.strip()]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        fail(path, f"line 1: not JSON ({e})")
-    for field in ("circuit", "qubits", "ops", "snapshot_stride", "workers",
-                  "records", "dropped_records"):
-        if field not in header:
-            fail(path, f"header: missing `{field}`")
-    ops = 0            # op lines seen
-    spans = Counter()  # span name -> lines
-    snapshots = 0
-    last_index = {}    # (worker, run) -> last op_index
-    seen_ops = set()   # (worker, run, op_index) valid snapshot targets
-    for i, line in enumerate(lines[1:], 2):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            fail(path, f"line {i}: not JSON ({e})")
-        kind = rec.get("type")
-        if kind == "op":
-            ops += 1
-            for field in TIMELINE_DELTAS:
-                v = rec.get(field, 0)
-                if not isinstance(v, int) or v < 0:
-                    fail(path, f"line {i}: bad `{field}`: {v!r}")
-            key = (rec.get("worker"), rec.get("run"))
-            idx = rec.get("op_index")
-            if not isinstance(idx, int) or idx < 0:
-                fail(path, f"line {i}: bad `op_index`: {idx!r}")
-            if key in last_index and idx <= last_index[key]:
-                fail(path, f"line {i}: op_index {idx} not monotonic within "
-                           f"worker/run {key} (previous {last_index[key]})")
-            last_index[key] = idx
-            seen_ops.add((key[0], key[1], idx))
-            for ev in rec.get("events", []):
-                if not isinstance(ev.get("kind"), str) or not ev["kind"]:
-                    fail(path, f"line {i}: event without `kind`")
-        elif kind == "snapshot":
+        if ev["name"] != "sim.op":
+            continue
+        ops += 1
+        args = ev.get("args")
+        if not isinstance(args, dict) or "op_index" not in args:
+            fail(path, f"{where}: sim.op without args.op_index")
+        for field in OP_FIELDS:
+            if field in args and not is_count(args[field]):
+                fail(path, f"{where}: bad args.{field}: {args[field]!r}")
+        if "snapshot" in args:
             snapshots += 1
-            ref = (rec.get("worker"), rec.get("run"), rec.get("op_index"))
-            if ref not in seen_ops:
-                fail(path, f"line {i}: snapshot references unknown op "
-                           f"worker={ref[0]} run={ref[1]} op_index={ref[2]}")
-            if not isinstance(rec.get("graph"), dict):
-                fail(path, f"line {i}: snapshot without an inline `graph`")
-        elif kind == "span":
-            spans[rec.get("name")] += 1
-            for field in ("ts_us", "dur_us"):
-                v = rec.get(field)
-                if not isinstance(v, int) or v < 0:
-                    fail(path, f"line {i}: bad `{field}`: {v!r}")
-        else:
-            fail(path, f"line {i}: unknown record type {kind!r}")
-    if ops != header["records"]:
-        fail(path, f"header says {header['records']} records, "
-                   f"stream has {ops}")
-    if header["dropped_records"] > 0:
-        warn(path, f"timeline dropped {header['dropped_records']} records at "
-                   f"the recording cap; per-op attribution is incomplete")
-    return spans, header["dropped_records"], (
-        f"timeline: {ops} ops over {len(last_index)} worker/run passes, "
-        f"{snapshots} snapshots, {sum(spans.values())} spans, "
-        f"{header['dropped_records']} dropped")
+            graph = args["snapshot"]
+            if not isinstance(graph, dict) or not isinstance(graph.get("kind"), str):
+                fail(path, f"{where}: args.snapshot is not a graph object with a `kind`")
+    dropped = header["dropped_events"]
+    if dropped > 0:
+        warn(path, f"trace dropped {dropped} events at the buffer cap; "
+                   f"the recording is incomplete")
+    spans = Counter(ev["name"] for ev in events if ev["ph"] == "X")
+    return spans, dropped, (
+        f"Chrome trace: {len(events)} trace events, {ops} ops, "
+        f"{snapshots} snapshots, {dropped} dropped")
 
 
 def check_file(path):
@@ -191,13 +151,6 @@ def check_file(path):
         text = f.read()
     if not text.strip():
         fail(path, "empty file")
-    first = text.strip().splitlines()[0]
-    try:
-        head = json.loads(first)
-    except json.JSONDecodeError:
-        head = None
-    if isinstance(head, dict) and head.get("schema") == TIMELINE_SCHEMA:
-        return check_timeline(path, text)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -208,9 +161,9 @@ def check_file(path):
         return check_chrome(path, doc)
     if isinstance(doc, dict) and "schema" in doc:
         fail(path, f"unknown schema {doc['schema']!r} (this checker knows "
-                   f"{METRICS_SCHEMA!r} and {TIMELINE_SCHEMA!r})")
-    fail(path, "unrecognized format: neither a metrics snapshot, a Chrome "
-               "trace, nor an execution timeline")
+                   f"{METRICS_SCHEMA!r} and Chrome traces)")
+    fail(path, "unrecognized format: neither a metrics snapshot nor a "
+               "Chrome trace")
 
 
 def main():

@@ -19,10 +19,10 @@ contracts the HTTP surface publishes:
    daemon keeps serving: the very next request must succeed.
 4. **Quota rejection** — a shots ask over the server ceiling gets a typed
    429 whose ``budget`` field names the tripped dimension.
-5. **Telemetry** — every successful response it reads (``/v1/simulate``,
-   ``/v1/verify``, the ``/v1/shots`` trailer, session create/step/play)
-   embeds a ``qdd-metrics-v1`` snapshot that passes check_trace.py's
-   metrics checker.
+5. **Telemetry** — every response it reads (``/v1/simulate``,
+   ``/v1/verify``, the ``/v1/shots`` trailer, session create/step/play/
+   DELETE, and a 422 refusal) embeds a ``qdd-metrics-v1`` snapshot that
+   passes check_trace.py's metrics checker.
 
 Exits non-zero on the first violation. Like check_trace.py this *is* a
 gate: the HTTP surface is a published contract, not a measurement.
@@ -49,13 +49,13 @@ def fail(msg):
     raise SystemExit(f"serve_check: {msg}")
 
 
-def post(addr, path, body):
+def post(addr, path, body, method="POST"):
     """One request over a fresh connection (the daemon is one-shot per
     connection); returns (status, decoded body text)."""
     host, port = addr.rsplit(":", 1)
     conn = http.client.HTTPConnection(host, int(port), timeout=120)
     try:
-        conn.request("POST", path, body=json.dumps(body),
+        conn.request(method, path, body=json.dumps(body),
                      headers={"Content-Type": "application/json"})
         resp = conn.getresponse()
         return resp.status, resp.read().decode()
@@ -169,11 +169,24 @@ def check_panic_containment(addr):
     print("panic containment: typed 500, daemon kept serving")
 
 
+# Ten qubits of `ry` and `cx` layers: more than 50 nodes, so a request
+# capped there without the dense rung is refused with a 422.
+ENTANGLING = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[10];\n" + "".join(
+    "".join(f"ry({0.37 + 0.11 * (layer * 10 + q)}) q[{q}];\n" for q in range(10))
+    + "".join(f"cx q[{q}],q[{q + 1}];\n" for q in range(9))
+    for layer in range(4))
+
+
 def check_simulate_and_session(addr):
-    """The routes the checks above do not read: one run, one session."""
+    """The routes the checks above do not read: one run, one refusal, one
+    session from creation to deletion."""
     replies = []
     status, body = post(addr, "/v1/simulate", {"qasm": MID_CIRCUIT, "seed": SEED})
     replies.append(("/v1/simulate", status, 200, body))
+    status, body = post(addr, "/v1/simulate",
+                        {"qasm": ENTANGLING, "limits": {"max_nodes": 50},
+                         "dense_fallback": False})
+    replies.append(("/v1/simulate over its node budget", status, 422, body))
     status, body = post(addr, "/v1/sessions", {"qasm": MID_CIRCUIT})
     replies.append(("/v1/sessions", status, 201, body))
     if status == 201:
@@ -182,12 +195,16 @@ def check_simulate_and_session(addr):
             route = f"/v1/sessions/{session}/{action}"
             status, body = post(addr, route, ask)
             replies.append((route, status, 200, body))
+        route = f"DELETE /v1/sessions/{session}"
+        status, body = post(addr, f"/v1/sessions/{session}", None, "DELETE")
+        replies.append((route, status, 200, body))
     for route, status, expected, body in replies:
         if status != expected:
             fail(f"{route} returned {status}: {body[:200]}")
         check_telemetry(route, json.loads(body))
-    print(f"telemetry: {len(replies)} simulate/session responses embed a "
-          f"valid {check_trace.METRICS_SCHEMA} snapshot")
+    print(f"telemetry: {len(replies)} simulate/session responses, a 422 and "
+          f"a DELETE included, embed a valid {check_trace.METRICS_SCHEMA} "
+          f"snapshot")
 
 
 def check_quota(addr):

@@ -150,6 +150,8 @@ fn session_lifecycle_mirrors_the_step_play_state_machine() {
     // Delete releases the slot; a second delete is a typed 404.
     let deleted = request(addr, "DELETE", &format!("/v1/sessions/{id}"), "");
     assert_eq!(deleted.status, 200);
+    let telemetry = deleted.json().get("telemetry").cloned();
+    assert_eq!(get_str(&telemetry.unwrap(), "schema"), "qdd-metrics-v1");
     let gone = request(addr, "DELETE", &format!("/v1/sessions/{id}"), "");
     assert_eq!(gone.status, 404);
     assert_eq!(
@@ -519,6 +521,10 @@ fn resource_budgets_clamp_and_degradation_is_reported() {
         get_str(resp.json().get("error").unwrap(), "code"),
         "resource_exhausted"
     );
+    // The refusal still accounts for the work the request did.
+    let telemetry = resp.json().get("telemetry").cloned().unwrap();
+    let spans = telemetry.get("spans").unwrap();
+    assert!(spans.get("shots.engine").is_some(), "{}", resp.body);
 }
 
 #[test]

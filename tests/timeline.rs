@@ -3,15 +3,17 @@
 //! at every thread count, per-op cache-hit deltas sum to the run-level
 //! package totals, and the disarmed probe costs one branch.
 //!
-//! The timeline is the event stream written by
-//! `qdd_telemetry::timeline::write_jsonl`; the tests read the JSONL back.
-//! Recording state is thread-local, and only the shot test publishes from
-//! other threads, into a scope of its own.
+//! The timeline is the event stream with per-op fields, recorded as the
+//! Chrome trace `qdd_telemetry::sink::write_chrome_trace` writes; the
+//! tests read it back with `qdd inspect`'s reader. Recording state is
+//! thread-local, and only the shot test publishes from other threads, into
+//! a scope of its own.
 
 use qdd::circuit::{library, Condition, QuantumCircuit, StandardGate};
+use qdd::core::graph::NodeKind;
 use qdd::sim::{shots, DdSimulator, ShotOptions};
-use qdd::telemetry::json::{parse_json, JsonValue};
-use qdd::telemetry::{self, timeline};
+use qdd::telemetry::{self, sink};
+use qdd::viz::inspect::{parse_trace, OpLine, TimelineDoc};
 use std::time::Instant;
 
 /// GHZ preparation plus rotation and entangling layers: touches the gate
@@ -61,35 +63,13 @@ fn disarm() {
     telemetry::reset();
 }
 
-/// The timeline of everything recorded so far (events drained), as parsed
-/// JSONL lines: the header, then every other line.
-fn timeline_lines() -> (JsonValue, Vec<JsonValue>) {
+/// The trace of everything recorded so far (events drained), read back.
+fn timeline() -> TimelineDoc {
     let events = telemetry::drain_events();
-    let meta = timeline::TimelineMeta::default();
     let mut out = Vec::new();
-    let records = timeline::write_jsonl(&mut out, &meta, &events, 0).expect("in-memory write");
-    let text = String::from_utf8(out).expect("UTF-8 JSONL");
-    let mut lines = text
-        .lines()
-        .map(|l| parse_json(l).expect("one JSON object per line"));
-    let header = lines.next().expect("header line");
-    let rest: Vec<JsonValue> = lines.collect();
-    assert_eq!(records, rest.iter().filter(|l| kind(l) == "op").count());
-    (header, rest)
-}
-
-fn kind(line: &JsonValue) -> &str {
-    line.get("type").and_then(JsonValue::as_str).unwrap_or("")
-}
-
-fn ops(lines: &[JsonValue]) -> Vec<&JsonValue> {
-    lines.iter().filter(|l| kind(l) == "op").collect()
-}
-
-fn num(line: &JsonValue, key: &str) -> u64 {
-    line.get(key)
-        .and_then(JsonValue::as_u64)
-        .unwrap_or_else(|| panic!("no `{key}` in {line:?}"))
+    sink::write_chrome_trace(&mut out, &events, &sink::TraceHeader::default())
+        .expect("in-memory write");
+    parse_trace(&String::from_utf8(out).expect("UTF-8 trace")).expect("the reader reads the writer")
 }
 
 #[test]
@@ -100,7 +80,7 @@ fn recording_is_bit_identical_to_off() {
     arm(4);
     let recorded = run(workload());
     let dropped = telemetry::snapshot().dropped_events;
-    let (header, lines) = timeline_lines();
+    let doc = timeline();
     disarm();
 
     // Amplitudes must match to the bit, not merely to a tolerance: the
@@ -120,11 +100,7 @@ fn recording_is_bit_identical_to_off() {
     assert_eq!(plain.package().stats(), recorded.package().stats());
 
     // One record per applied operation, none dropped.
-    assert_eq!(ops(&lines).len(), recorded.stats().applied_ops);
-    assert_eq!(
-        num(&header, "records") as usize,
-        recorded.stats().applied_ops
-    );
+    assert_eq!(doc.ops.len(), recorded.stats().applied_ops);
     assert_eq!(dropped, 0);
 }
 
@@ -132,26 +108,25 @@ fn recording_is_bit_identical_to_off() {
 fn per_op_deltas_sum_to_package_totals() {
     arm(0);
     let sim = run(workload());
-    let (_, lines) = timeline_lines();
+    let records = timeline().ops;
     disarm();
-    let records = ops(&lines);
-    let sum = |key: &str| records.iter().map(|r| num(r, key)).sum::<u64>();
+    let sum = |field: fn(&OpLine) -> u64| records.iter().map(field).sum::<u64>();
 
     let pkg = sim.package().stats();
-    let compute_hits = sum("compute_hits");
-    let gate_hits = sum("gate_hits");
+    let compute_hits = sum(|r| r.compute_hits);
+    let gate_hits = sum(|r| r.gate_hits);
 
     // The deltas telescope: every lookup the package made happened inside
     // exactly one op's window (state preparation does none).
     assert_eq!(compute_hits, pkg.cache_hits, "compute hits attribute fully");
     assert_eq!(
-        compute_hits + sum("compute_misses"),
+        compute_hits + sum(|r| r.compute_misses),
         pkg.cache_lookups,
         "compute lookups attribute fully"
     );
     assert_eq!(gate_hits, pkg.gate_cache_hits, "gate hits attribute fully");
     assert_eq!(
-        gate_hits + sum("gate_misses"),
+        gate_hits + sum(|r| r.gate_misses),
         pkg.gate_cache_lookups,
         "gate lookups attribute fully"
     );
@@ -164,7 +139,7 @@ fn per_op_deltas_sum_to_package_totals() {
         .live_node_estimate() as u64;
     let final_live = sim.package().live_node_estimate() as u64;
     assert_eq!(
-        initial + sum("nodes_allocated") - sum("nodes_freed"),
+        initial + sum(|r| r.nodes_allocated) - sum(|r| r.nodes_freed),
         final_live
     );
 
@@ -172,16 +147,12 @@ fn per_op_deltas_sum_to_package_totals() {
     // per op gives both the level profile and the node count.
     let mut prev_peak = 0;
     for r in &records {
-        let peak = num(r, "peak_nodes");
-        assert!(peak >= prev_peak, "peak is monotone");
-        assert!(peak >= num(r, "vec_nodes"), "peak dominates live");
-        prev_peak = peak;
-        let levels = r
-            .get("levels")
-            .and_then(JsonValue::as_array)
-            .expect("level profile");
-        let total: u64 = levels.iter().filter_map(JsonValue::as_u64).sum();
-        assert_eq!(total, num(r, "vec_nodes"), "levels sum to the node count");
+        assert!(r.peak_nodes >= prev_peak, "peak is monotone");
+        assert!(r.peak_nodes >= r.vec_nodes, "peak dominates live");
+        prev_peak = r.peak_nodes;
+        assert!(!r.levels.is_empty(), "level profile");
+        let total: u64 = r.levels.iter().map(|&n| u64::from(n)).sum();
+        assert_eq!(total, r.vec_nodes, "levels sum to the node count");
     }
 }
 
@@ -202,7 +173,7 @@ fn shot_histograms_match_off_run_at_every_thread_count() {
             opts.threads = threads;
             let report = shots::run(&circuit, &opts).expect("recorded shots");
             let dropped = telemetry::merged_snapshot().dropped_events;
-            let (header, lines) = timeline_lines();
+            let doc = timeline();
             telemetry::take_merged_snapshot();
             telemetry::set_scope(0);
             disarm();
@@ -212,32 +183,19 @@ fn shot_histograms_match_off_run_at_every_thread_count() {
                 "histogram diverged at {threads} threads with recording on"
             );
             assert_eq!(dropped, 0);
-            let records = ops(&lines);
-            assert!(!records.is_empty(), "workers recorded at {threads} threads");
-            assert_eq!(num(&header, "workers") as usize, threads);
+            assert!(!doc.ops.is_empty(), "workers recorded at {threads} threads");
+            assert_eq!(doc.header.workers as usize, threads);
 
-            // The merge is ordered by (worker, run, seq), with op indices
-            // monotonic within each (worker, run) pass.
-            let mut prev: Option<(u64, u64, u64, u64)> = None;
-            for r in &records {
-                let key = (
-                    num(r, "worker"),
-                    num(r, "run"),
-                    num(r, "seq"),
-                    num(r, "op_index"),
-                );
-                if let Some(p) = prev {
-                    assert!(key > p, "merge order violated: {p:?} then {key:?}");
-                    if (p.0, p.1) == (key.0, key.1) {
-                        assert!(key.3 > p.3, "op_index not monotonic in a run");
-                    }
-                }
-                prev = Some(key);
-            }
-            let order: Vec<_> = records
+            // The merge is ordered by (worker, run), with op indices
+            // increasing within each (worker, run) pass.
+            let order: Vec<_> = doc
+                .ops
                 .iter()
-                .map(|r| (num(r, "worker"), num(r, "run"), num(r, "op_index")))
+                .map(|r| (r.worker, r.run, r.op_index))
                 .collect();
+            for pair in order.windows(2) {
+                assert!(pair[1] > pair[0], "merge order violated: {pair:?}");
+            }
             orders.push(order);
         }
         assert_eq!(
@@ -251,27 +209,23 @@ fn shot_histograms_match_off_run_at_every_thread_count() {
 fn snapshot_stride_captures_every_kth_op() {
     arm(4);
     let sim = run(workload());
-    let (_, lines) = timeline_lines();
+    let doc = timeline();
     disarm();
 
-    let records = ops(&lines);
-    let snapshots: Vec<_> = lines.iter().filter(|l| kind(l) == "snapshot").collect();
-    let expected = records
+    let expected = doc
+        .ops
         .iter()
-        .filter(|r| num(r, "op_index").is_multiple_of(4))
+        .filter(|r| r.op_index.is_multiple_of(4))
         .count();
-    assert_eq!(snapshots.len(), expected, "one snapshot per stride hit");
-    assert!(!snapshots.is_empty());
-    for s in &snapshots {
+    assert_eq!(doc.snapshots.len(), expected, "one snapshot per stride hit");
+    assert!(!doc.snapshots.is_empty());
+    for s in &doc.snapshots {
         assert!(
-            num(s, "op_index").is_multiple_of(4),
+            s.op_index.is_multiple_of(4),
             "snapshots land on stride boundaries"
         );
-        let graph = s.get("graph").expect("inline graph");
-        assert_eq!(
-            graph.get("kind").and_then(JsonValue::as_str),
-            Some("vector")
-        );
+        assert_eq!(s.graph.kind, NodeKind::Vector);
+        assert_eq!(s.graph.node_count() as u64, s.nodes);
     }
     drop(sim);
 }
