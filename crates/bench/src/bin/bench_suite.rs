@@ -14,8 +14,7 @@
 //! * `teleport/<workers>`: mid-circuit shots per second of the shot engine
 //!   on teleportation at 1 and 8 workers.
 //! * `approx/<workload>`: the fidelity-bounded approximation rung at node
-//!   caps that exhaust the exact engine (dense fallback off), with the
-//!   certified bound it paid.
+//!   caps that exhaust the exact engine, with the certified bound it paid.
 //!
 //! Every row runs [`REPS`] times; each timed value is written as the median
 //! and quartiles of those runs.
@@ -146,7 +145,6 @@ fn approx_row(name: &str, circuit: QuantumCircuit, cap: usize, floor: f64) -> St
         .map(|_| {
             let (ms, sim) = timed(|| {
                 let mut sim = DdSimulator::with_config(circuit.clone(), 1, config);
-                sim.set_dense_fallback(false);
                 sim.run()
                     .expect("approximation must complete this workload");
                 sim

@@ -9,7 +9,7 @@ qdd inspect <trace.json> [options]
 Renders a run recorded with `qdd simulate … --trace-out TRACE.json
 [--snapshot-stride K]` (or `qdd verify … --trace-out`, which has spans
 only) into a single self-contained HTML file: live-node and per-level
-curves over op index with GC/approximation/fallback markers, a
+curves over op index with GC/approximation markers, a
 flamegraph-style span tree with one band per worker, and a steppable,
 playable gallery of the embedded structural snapshots. The report needs
 no network and no external assets — open it in any browser.

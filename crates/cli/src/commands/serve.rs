@@ -24,9 +24,12 @@ Endpoints (all JSON; see DESIGN.md §18 for schemas):
 Requests may carry their own resource budgets (a `limits` object); the
 --quota-* flags set server-side ceilings that clamp them. Work-size asks
 over quota (shots, body bytes, sessions) are rejected with a typed 429
-naming the tripped budget. Runs degraded by fidelity-bounded approximation
-report `\"degraded\": \"approximate\"` — the HTTP rendition of the CLI's
-exit code 4.
+naming the tripped budget. A run whose budget stays exhausted after
+pressure GC (and approximation, with `limits.min_fidelity`) is a typed
+422, so --quota-nodes bounds a request's memory. Runs degraded by
+fidelity-bounded approximation report `\"degraded\": \"approximate\"` — the
+HTTP rendition of the CLI's exit code 4. A connection that has not sent
+its whole request within 10 s is closed.
 
 OPTIONS:
   --port N               port to listen on (default 7878; 0 = ephemeral)

@@ -28,8 +28,7 @@ OPTIONS:
   --state           print the amplitude table of the final state
   --threshold P     hide amplitudes below probability P (default 1e-9)
   --node-limit N    cap live DD nodes; under pressure the run GCs, then
-                    approximates (with --min-fidelity), then degrades to
-                    dense simulation (≤ 24 qubits), then fails
+                    approximates (with --min-fidelity), then fails
   --timeout-ms N    wall-clock budget for the run
   --min-fidelity F  allow fidelity-bounded approximation under resource
                     pressure: prune the diagram nodes that carry the least
@@ -137,11 +136,11 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
             e,
             qdd_sim::SimError::Dd(qdd_core::DdError::DeadlineExceeded { .. })
         ) {
-            print_degradation_trail(&sim, &circuit, &limits);
+            print_degradation_trail(&sim, &limits);
         }
         // Still write the requested telemetry outputs: the trace of a run
         // that hit its budget is exactly what a post-mortem needs.
-        let _ = crate::telemetry::finish(&args, telemetry_on, Some(&workload));
+        let _ = crate::telemetry::finish(&args, telemetry_on, &workload);
         return Err(CmdError::from_sim(&e));
     }
     if sim.stats().is_approximate() {
@@ -153,21 +152,12 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
             sim.stats().approx_nodes_removed
         );
     }
-    if sim.degraded_to_dense() {
-        println!(
-            "node limit hit: degraded to dense simulation after {} operations \
-             ({} pressure GCs)",
-            sim.stats().applied_ops,
-            sim.package().gc_pressure_runs()
-        );
-    } else {
-        println!(
-            "final diagram: {} nodes (peak {} during the run)",
-            sim.node_count(),
-            sim.stats().peak_nodes
-        );
-    }
-    if sim.package().gc_pressure_runs() > 0 && !sim.degraded_to_dense() {
+    println!(
+        "final diagram: {} nodes (peak {} during the run)",
+        sim.node_count(),
+        sim.stats().peak_nodes
+    );
+    if sim.package().gc_pressure_runs() > 0 {
         println!(
             "budget pressure: {} forced garbage collections",
             sim.package().gc_pressure_runs()
@@ -184,24 +174,10 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
     }
 
     if args.has("--state") {
-        if sim.degraded_to_dense() {
-            let n = circuit.num_qubits();
-            for (basis, amp) in sim.dense_state().iter().enumerate() {
-                if amp.norm_sqr() >= threshold {
-                    println!("  |{basis:0n$b}⟩ : {:+.6}{:+.6}i", amp.re, amp.im);
-                }
-            }
-        } else {
-            print!(
-                "{}",
-                qdd_viz::text::state_table(
-                    sim.package(),
-                    sim.state(),
-                    circuit.num_qubits(),
-                    threshold
-                )
-            );
-        }
+        print!(
+            "{}",
+            qdd_viz::text::state_table(sim.package(), sim.state(), circuit.num_qubits(), threshold)
+        );
     }
 
     // Exit code 4 signals "completed, but the result is approximate". The
@@ -219,7 +195,7 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
         let report = match qdd_sim::shots::run(&circuit, &opts) {
             Ok(r) => r,
             Err(e) => {
-                let _ = crate::telemetry::finish(&args, telemetry_on, Some(&workload));
+                let _ = crate::telemetry::finish(&args, telemetry_on, &workload);
                 return Err(CmdError::from_sim(&e));
             }
         };
@@ -271,9 +247,6 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
         }
     }
 
-    if sim.degraded_to_dense() && (args.value("--svg").is_some() || args.value("--dot").is_some()) {
-        println!("note: diagram exports show the last in-budget DD snapshot");
-    }
     if let Some(svg_path) = args.value("--svg") {
         let svg = qdd_viz::svg::vector_to_svg(sim.package(), sim.state(), &style);
         std::fs::write(svg_path, svg).map_err(|e| format!("writing `{svg_path}`: {e}"))?;
@@ -284,18 +257,14 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
         std::fs::write(dot_path, dot).map_err(|e| format!("writing `{dot_path}`: {e}"))?;
         println!("wrote {dot_path}");
     }
-    crate::telemetry::finish(&args, telemetry_on, Some(&workload))?;
+    crate::telemetry::finish(&args, telemetry_on, &workload)?;
     Ok(if approximate { EXIT_APPROXIMATE } else { 0 })
 }
 
 /// Reports which degradation rungs ran before a resource failure, so the
 /// error's "what now?" is answerable from the transcript alone: raise the
 /// budget, lower `--min-fidelity`, or accept that the circuit is too big.
-fn print_degradation_trail(
-    sim: &qdd_sim::DdSimulator,
-    circuit: &qdd_circuit::QuantumCircuit,
-    limits: &qdd_core::Limits,
-) {
+fn print_degradation_trail(sim: &qdd_sim::DdSimulator, limits: &qdd_core::Limits) {
     let stats = sim.stats();
     let pressure_runs = sim.package().gc_pressure_runs();
     eprintln!("degradation ladder exhausted:");
@@ -313,15 +282,5 @@ fn print_degradation_trail(
             "  2. approximation: no subtree prunable within --min-fidelity {f}"
         ),
         None => eprintln!("  2. approximation: skipped (no --min-fidelity)"),
-    }
-    let n = circuit.num_qubits();
-    if n > qdd_sim::MAX_DENSE_QUBITS {
-        eprintln!(
-            "  3. dense fallback: unavailable ({n} qubits exceeds the \
-             {}-qubit dense cap)",
-            qdd_sim::MAX_DENSE_QUBITS
-        );
-    } else {
-        eprintln!("  3. dense fallback: failed");
     }
 }

@@ -53,6 +53,12 @@ pub fn run(argv: &[String]) -> Result<(), CmdError> {
         .map_or(Ok(Strategy::default()), str::parse)?;
     let stimuli: usize = args.number("--stimuli", 0)?;
     let limits = parse_limits(&args)?;
+    let workload = qdd_telemetry::sink::TraceHeader {
+        circuit: format!("{} vs {}", left.name(), right.name()),
+        qubits: left.num_qubits().max(right.num_qubits()),
+        ops: left.len() + right.len(),
+        ..Default::default()
+    };
 
     println!(
         "left:  {} ({} qubits, {} gates)",
@@ -79,7 +85,7 @@ pub fn run(argv: &[String]) -> Result<(), CmdError> {
     // out: the trace of a check that blew it is what a post-mortem needs.
     let fail = |checker: &EquivalenceChecker, e: &qdd_verify::VerifyError| {
         checker.package().publish_telemetry();
-        let _ = crate::telemetry::finish(&args, telemetry_on, None);
+        let _ = crate::telemetry::finish(&args, telemetry_on, &workload);
         CmdError::from_verify(e)
     };
     let report = checker
@@ -106,7 +112,7 @@ pub fn run(argv: &[String]) -> Result<(), CmdError> {
     }
 
     checker.package().publish_telemetry();
-    crate::telemetry::finish(&args, telemetry_on, None)?;
+    crate::telemetry::finish(&args, telemetry_on, &workload)?;
     match report.result {
         Equivalence::NotEquivalent => {
             Err(CmdError::Input("circuits are NOT equivalent".to_string()))

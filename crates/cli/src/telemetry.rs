@@ -50,7 +50,7 @@ pub fn start(args: &Args) -> Result<bool, String> {
 /// # Errors
 ///
 /// Reports unwritable output paths.
-pub fn finish(args: &Args, enabled: bool, workload: Option<&TraceHeader>) -> Result<(), String> {
+pub fn finish(args: &Args, enabled: bool, workload: &TraceHeader) -> Result<(), String> {
     if !enabled {
         return Ok(());
     }
@@ -66,7 +66,7 @@ pub fn finish(args: &Args, enabled: bool, workload: Option<&TraceHeader>) -> Res
         let header = TraceHeader {
             snapshot_stride: qdd_telemetry::timeline_stride().unwrap_or(0),
             dropped_events: dropped,
-            ..workload.cloned().unwrap_or_default()
+            ..workload.clone()
         };
         let mut out =
             BufWriter::new(File::create(path).map_err(|e| format!("writing `{path}`: {e}"))?);

@@ -352,7 +352,7 @@ fn simulate_exits_four_when_approximated() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("approximated in"), "{text}");
     // The metrics snapshot carries the bound, which must sit in [0.5, 1),
-    // the rounds, and no dense fallback.
+    // and the rounds.
     let doc = read_json(&metrics);
     let metric = |section: &str, name: &str| doc.get(section).and_then(|m| m.get(name));
     let bound = metric("gauges", "approx.fidelity_lower_bound")
@@ -361,7 +361,6 @@ fn simulate_exits_four_when_approximated() {
     assert!((0.5..1.0).contains(&bound), "bound {bound} out of range");
     let rounds = metric("counters", "approx.rounds").and_then(JsonValue::as_u64);
     assert!(rounds > Some(0), "approx.rounds {rounds:?}");
-    assert_eq!(metric("counters", "sim.dense_fallbacks"), None);
     std::fs::remove_file(file).ok();
 }
 
@@ -625,7 +624,7 @@ fn inspect_gives_each_worker_its_own_flamegraph_band() {
 }
 
 /// A `qdd verify` trace has spans and no `sim.op` events: its report is
-/// the span tree alone.
+/// the span tree alone. Its header names both circuits.
 #[test]
 fn inspect_renders_a_verify_trace_as_spans_only() {
     let (file, trace) = (bell_qasm(), temp_path("verify-trace.json"));
@@ -637,6 +636,21 @@ fn inspect_renders_a_verify_trace_as_spans_only() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let doc = parse_json(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let header = doc.get("otherData").expect("otherData header");
+    let circuit = header.get("circuit").and_then(JsonValue::as_str).unwrap();
+    assert!(circuit.contains(" vs "), "{circuit:?}");
+    assert_eq!(header.get("qubits").and_then(JsonValue::as_u64), Some(2));
+    let events = doc
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .unwrap();
+    let named = |kind: &str| {
+        events
+            .iter()
+            .any(|e| e.get("name").and_then(JsonValue::as_str) == Some(kind))
+    };
+    assert!(named("process_name") && named("thread_name"));
     let (out, html) = inspect(&trace);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains(": 0 ops, 0 snapshots, "), "{stdout}");
@@ -693,11 +707,13 @@ fn simulate_prints_degradation_trail_on_exhaustion() {
     assert_eq!(out.status.code(), Some(3), "resource exhaustion must exit 3");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("degradation ladder exhausted"), "{err}");
-    assert!(err.contains("skipped (no --min-fidelity)"), "{err}");
+    // Two rungs: pressure GC, then approximation, which has no floor here.
+    assert!(err.contains("  1. pressure GC: "), "{err}");
     assert!(
-        err.contains("26 qubits exceeds the 24-qubit dense cap"),
+        err.contains("  2. approximation: skipped (no --min-fidelity)"),
         "{err}"
     );
+    assert!(!err.contains("  3. "), "{err}");
     // The typed error names the budget that tripped and its limit.
     assert!(err.contains("max_nodes = 10000"), "{err}");
     std::fs::remove_file(file).ok();

@@ -1,5 +1,5 @@
 //! Fidelity-bounded state approximation — the degradation rung between
-//! pressure-GC and dense fallback.
+//! pressure-GC and the typed resource error.
 //!
 //! The paper's premise is that diagram *size*, not qubit count, is the real
 //! resource; "Approximation of Quantum States Using Decision Diagrams"
@@ -83,7 +83,7 @@ impl DdPackage {
     ///
     /// [`DdError::ResourceExhausted`] when rebuilding the pruned diagram
     /// itself runs out of node budget (callers under pressure should GC and
-    /// fall through to their next degradation rung).
+    /// give up with the budget's error).
     pub fn prune_to_fidelity(
         &mut self,
         state: VecEdge,

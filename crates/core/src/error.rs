@@ -98,7 +98,7 @@ pub enum DdError {
 impl DdError {
     /// True for errors caused by a configured resource budget or deadline
     /// (as opposed to invalid input). Drivers use this to pick exit codes
-    /// and decide whether degradation (GC, dense fallback) may help.
+    /// and decide whether degradation (GC, approximation) may help.
     pub fn is_resource(&self) -> bool {
         matches!(
             self,

@@ -90,7 +90,7 @@ impl DdPackage {
     /// node budget every reclaimable node counts. Counted separately in
     /// [`PackageStats::gc_pressure_runs`](crate::PackageStats::gc_pressure_runs),
     /// so callers implementing the degradation ladder (collect, retry, then
-    /// fall back or fail) leave an audit trail.
+    /// approximate or fail) leave an audit trail.
     pub fn gc_under_pressure(&mut self) -> GcReport {
         qdd_telemetry::emit("core.pressure_gc")
             .field("live_before", self.live_node_estimate() as u64);

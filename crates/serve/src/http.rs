@@ -2,13 +2,15 @@
 //!
 //! The workspace carries no web framework; this module implements exactly
 //! the subset `qdd serve` needs: request-line + header parsing,
-//! `Content-Length` bodies with a hard cap, and fixed-length responses,
-//! each sent with one vectored write. Every connection serves one request
-//! (`Connection: close`), which keeps the daemon's concurrency model
-//! one-thread-per-request with no keep-alive state machine.
+//! `Content-Length` bodies with a hard cap, one deadline for reading the
+//! whole request, and fixed-length responses, each sent with one vectored
+//! write. Every connection serves one request (`Connection: close`), which
+//! keeps the daemon's concurrency model one-thread-per-request with no
+//! keep-alive state machine.
 
 use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// A parsed request: method, percent-unencoded path, and body bytes.
 #[derive(Debug)]
@@ -82,9 +84,35 @@ fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> Result<String, Pa
 /// Reads one request from the stream. `body_cap` bounds the bytes this
 /// connection may make the server buffer; request-line and header reads
 /// are bounded by `MAX_LINE_BYTES` / `MAX_HEADER_BYTES` so that *no*
-/// phase of request parsing buffers unbounded client input.
-pub fn read_request(stream: &mut TcpStream, body_cap: usize) -> Result<Request, ParseError> {
-    read_request_from(&mut BufReader::new(stream), body_cap)
+/// phase of request parsing buffers unbounded client input. `deadline`
+/// bounds the time the client may take to send head and body together:
+/// a silent or trickling client gets [`ParseError::Io`] once it passes.
+pub fn read_request(
+    stream: &mut TcpStream,
+    body_cap: usize,
+    deadline: Duration,
+) -> Result<Request, ParseError> {
+    let until = Instant::now() + deadline;
+    read_request_from(&mut BufReader::new(Deadlined { stream, until }), body_cap)
+}
+
+/// A socket whose reads must all finish by `until`: before each read, the
+/// time left becomes the socket's read timeout, so the deadline bounds the
+/// whole request, not each read.
+struct Deadlined<'a> {
+    stream: &'a mut TcpStream,
+    until: Instant,
+}
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 /// [`read_request`] over any buffered reader (unit-testable without a
@@ -223,6 +251,7 @@ pub fn peer_disconnected(stream: &TcpStream) -> bool {
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use std::net::TcpListener;
 
     fn parse(raw: &[u8]) -> Result<Request, ParseError> {
         read_request_from(&mut Cursor::new(raw), 1 << 20)
@@ -262,6 +291,65 @@ mod tests {
         }
         raw.extend_from_slice(b"\r\n");
         assert!(matches!(parse(&raw), Err(ParseError::Malformed(_))));
+    }
+
+    /// Runs `client` against a loopback connection and reads one request
+    /// from it under a 300 ms deadline; returns the result and how long the
+    /// read took.
+    fn read_over_loopback(
+        client: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (Result<Request, ParseError>, Duration) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || client(TcpStream::connect(addr).unwrap()));
+        let (mut stream, _) = listener.accept().unwrap();
+        let start = Instant::now();
+        let result = read_request(&mut stream, 1 << 20, Duration::from_millis(300));
+        let took = start.elapsed();
+        drop(stream);
+        client.join().unwrap();
+        (result, took)
+    }
+
+    #[test]
+    fn a_silent_client_fails_at_the_deadline() {
+        let (result, took) = read_over_loopback(|mut s| {
+            // Holds the connection open past the deadline without a byte.
+            let _ = s.read(&mut [0u8; 1]);
+        });
+        assert!(matches!(result, Err(ParseError::Io(_))), "{result:?}");
+        assert!(took < Duration::from_millis(1300), "took {took:?}");
+    }
+
+    #[test]
+    fn a_trickling_client_fails_at_the_deadline_too() {
+        // One byte every 50 ms: each read succeeds well within 300 ms, so
+        // only a deadline on the whole request stops this client.
+        let (result, took) = read_over_loopback(|mut s| {
+            for &b in b"GET /healthz HTTP/1.1\r\nX-Slow: 0123456789abcdef\r\n\r\n" {
+                if s.write_all(&[b]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        assert!(matches!(result, Err(ParseError::Io(_))), "{result:?}");
+        assert!(took < Duration::from_millis(1300), "took {took:?}");
+    }
+
+    #[test]
+    fn a_whole_request_parses_within_the_deadline() {
+        let (result, _) = read_over_loopback(|mut s| {
+            s.write_all(b"POST /v1/verify HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
+                .unwrap();
+            let _ = s.read(&mut [0u8; 1]);
+        });
+        let req = result.unwrap();
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("POST", "/v1/verify")
+        );
+        assert_eq!(req.body, b"{}");
     }
 
     #[test]

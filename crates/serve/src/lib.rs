@@ -13,14 +13,17 @@
 //!    shot engine contains worker panics as
 //!    [`SimError::WorkerPanicked`](qdd_sim::SimError) (returned as a typed
 //!    500), and every connection runs on its own thread, so an unexpected
-//!    handler panic kills one connection, never the accept loop.
+//!    handler panic kills one connection, never the accept loop. A
+//!    connection has [`REQUEST_READ_DEADLINE`] to send its request, so
+//!    every connection thread ends.
 //! 3. **Per-tenant budgets under server ceilings.** Requests carry their
 //!    own [`Limits`] asks; the operator's
 //!    [`Quota`] clamps them ([`quota`] documents the
 //!    reject-vs-clamp contract). Exceeding a budget is a typed 422/429,
 //!    and fidelity-bounded degradation surfaces as `"degraded":
 //!    "approximate"` in the response — the HTTP rendition of the CLI's
-//!    exit code 4.
+//!    exit code 4. No rung of the degradation ladder leaves the diagram,
+//!    so the node ceiling bounds a request's memory.
 //! 4. **Shared parsing, private packages.** Parsed circuits are interned
 //!    in a [`cache::CircuitCache`] keyed by the QASM hash and `Arc`-shared
 //!    across concurrent requests; every request builds its own gate DDs in
@@ -59,6 +62,11 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
+
+/// How long a connection may take to send its whole request, head and body
+/// together. A connection still sending when it passes is closed, so every
+/// connection thread ends.
+pub const REQUEST_READ_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Operator-facing daemon configuration.
 #[derive(Clone, Debug)]
@@ -140,7 +148,11 @@ impl Server {
 
 /// Reads, routes, and answers one request, then closes the connection.
 fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
-    let req = match http::read_request(&mut stream, state.quota.max_body_bytes) {
+    let req = match http::read_request(
+        &mut stream,
+        state.quota.max_body_bytes,
+        REQUEST_READ_DEADLINE,
+    ) {
         Ok(req) => req,
         // Both rejections can leave unread request bytes on the socket;
         // drain them after responding so the close does not RST away the
@@ -289,12 +301,10 @@ fn map_verify_error(e: VerifyError) -> ApiError {
 }
 
 /// The `"degraded"` response field: the HTTP rendition of the CLI's
-/// exit-code-4 (approximate) and dense-fallback degradation signals.
-fn degraded_field(approximate: bool, dense: bool) -> &'static str {
+/// exit code 4 (approximate).
+fn degraded_field(approximate: bool) -> &'static str {
     if approximate {
         "\"approximate\""
-    } else if dense {
-        "\"dense\""
     } else {
         "null"
     }
@@ -319,9 +329,6 @@ fn handle_simulate(body: &JsonValue, state: &ServerState) -> Result<(u16, String
     let outcome = state.cache.get_or_build(qasm)?;
     let entry = &outcome.entry;
     let mut sim = DdSimulator::with_config(entry.circuit.clone(), seed, request_config(limits));
-    if let Some(fallback) = get_bool(body, "dense_fallback") {
-        sim.set_dense_fallback(fallback);
-    }
     sim.run().map_err(map_sim_error)?;
     let stats = sim.stats().clone();
     let nodes = sim.node_count();
@@ -361,7 +368,7 @@ fn handle_simulate(body: &JsonValue, state: &ServerState) -> Result<(u16, String
         nodes,
         stats.peak_nodes,
         num(stats.fidelity_lower_bound),
-        degraded_field(stats.is_approximate(), sim.degraded_to_dense()),
+        degraded_field(stats.is_approximate()),
         bits.join(","),
         outcome.hit,
         outcome.key,
@@ -408,9 +415,6 @@ fn handle_shots(
         cancel: Some(Arc::clone(&cancel)),
         ..ShotOptions::default()
     };
-    if let Some(fallback) = get_bool(body, "dense_fallback") {
-        opts.dense_fallback = fallback;
-    }
     if state.test_hooks {
         opts.panic_at_shot = get_u64(body, "test_panic_at_shot");
     }
@@ -475,7 +479,7 @@ fn handle_shots(
         num(report.gate_cache_hit_rate()),
         worker_shots.join(","),
         report.executed_shots,
-        degraded_field(report.is_approximate(), false),
+        degraded_field(report.is_approximate()),
         outcome.hit,
         outcome.key,
         snap.to_json(),
@@ -661,8 +665,7 @@ mod tests {
 
     #[test]
     fn degraded_field_prefers_approximate() {
-        assert_eq!(degraded_field(true, true), "\"approximate\"");
-        assert_eq!(degraded_field(false, true), "\"dense\"");
-        assert_eq!(degraded_field(false, false), "null");
+        assert_eq!(degraded_field(true), "\"approximate\"");
+        assert_eq!(degraded_field(false), "null");
     }
 }

@@ -3,8 +3,9 @@
 //! The paper's motivation for decision diagrams is that state vectors and
 //! operation matrices are "exponential in size with respect to the number
 //! of qubits" (§III). This module implements that straightforward
-//! representation so the benchmarks can quantify the comparison on
-//! identical circuits.
+//! representation: the baseline the benchmarks measure diagrams against
+//! on identical circuits, and the independent oracle the tests check the
+//! decision-diagram simulator with.
 
 use crate::creg_value;
 use crate::error::SimError;
@@ -45,34 +46,6 @@ impl DenseSimulator {
             n,
             state,
             classical: Vec::new(),
-            rng: SmallRng::seed_from_u64(seed),
-        })
-    }
-
-    /// Creates a simulator mid-circuit from an exported amplitude vector and
-    /// classical-bit snapshot — the hand-off point of the DD simulator's
-    /// dense degradation fallback.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::TooLarge`] beyond [`MAX_DENSE_QUBITS`] or when `state`
-    /// is not `2ⁿ` amplitudes long.
-    pub fn from_parts(
-        n: usize,
-        state: Vec<Complex>,
-        classical: Vec<bool>,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        if n == 0 || n > MAX_DENSE_QUBITS || state.len() != 1 << n {
-            return Err(SimError::TooLarge {
-                num_qubits: n,
-                max: MAX_DENSE_QUBITS,
-            });
-        }
-        Ok(DenseSimulator {
-            n,
-            state,
-            classical,
             rng: SmallRng::seed_from_u64(seed),
         })
     }
@@ -235,35 +208,14 @@ impl DenseSimulator {
         }
     }
 
-    /// Samples `shots` basis states from the current distribution, drawing
-    /// uniforms from the simulator's internal RNG.
+    /// Samples `shots` basis states from the current distribution by
+    /// inverse-CDF sampling, drawing uniforms from the simulator's internal
+    /// RNG.
     pub fn sample(&mut self, shots: u64) -> FxHashMap<u64, u64> {
         let probs: Vec<f64> = self.state.iter().map(|a| a.norm_sqr()).collect();
-        Self::sample_distribution(&probs, shots, &mut self.rng)
-    }
-
-    /// Samples `shots` basis states drawing uniforms from a caller-provided
-    /// RNG, leaving the internal stream untouched — lets a caller that owns
-    /// the seeding discipline (e.g. the DD simulator after a dense
-    /// degradation) keep one stream across backends.
-    pub fn sample_with_rng<R: Rng + ?Sized>(
-        &self,
-        shots: u64,
-        rng: &mut R,
-    ) -> FxHashMap<u64, u64> {
-        let probs: Vec<f64> = self.state.iter().map(|a| a.norm_sqr()).collect();
-        Self::sample_distribution(&probs, shots, rng)
-    }
-
-    /// Inverse-CDF sampling over an explicit probability table.
-    fn sample_distribution<R: Rng + ?Sized>(
-        probs: &[f64],
-        shots: u64,
-        rng: &mut R,
-    ) -> FxHashMap<u64, u64> {
         let mut counts: FxHashMap<u64, u64> = FxHashMap::default();
         for _ in 0..shots {
-            let mut r = rng.gen::<f64>();
+            let mut r = self.rng.gen::<f64>();
             let mut picked = probs.len() - 1;
             for (i, p) in probs.iter().enumerate() {
                 if r < *p {

@@ -10,8 +10,8 @@
 //!   engine's draw takes the batch run's outcome.
 //! * [`shots`] runs many shots of a circuit on worker-owned simulators.
 //! * [`DenseSimulator`] is the exponential state-vector baseline the
-//!   paper's compactness argument is made against, and the engine's last
-//!   degradation rung.
+//!   paper's compactness argument is made against, and the oracle the
+//!   tests check the engine with.
 //!
 //! # Examples
 //!

@@ -106,9 +106,6 @@ pub struct ShotOptions {
     /// Package configuration (tolerance, caches, [`qdd_core::Limits`])
     /// applied inside every worker.
     pub config: PackageConfig,
-    /// Whether workers may degrade to dense simulation under node-budget
-    /// pressure (mirrors [`DdSimulator::set_dense_fallback`]).
-    pub dense_fallback: bool,
     /// Cooperative external cancel flag. When a caller (e.g. a server whose
     /// client disconnected mid-stream) sets it, workers stop at the next
     /// shot boundary and the job returns [`SimError::Cancelled`] instead of
@@ -128,7 +125,6 @@ impl Default for ShotOptions {
             seed: 1,
             threads: 0,
             config: PackageConfig::default(),
-            dense_fallback: true,
             cancel: None,
             panic_at_shot: None,
         }
@@ -273,24 +269,17 @@ fn run_shared_state(
     opts: &ShotOptions,
 ) -> Result<ShotReport, SimError> {
     let mut sim = DdSimulator::with_config(circuit.clone(), opts.seed, opts.config);
-    sim.set_dense_fallback(opts.dense_fallback);
     sim.run_prefix(analysis.prefix_len)?;
     if externally_cancelled(opts) {
         return Err(SimError::Cancelled);
     }
-    // Sampling consumes the simulator's seeded stream whether the prefix
-    // stayed on diagrams or degraded to dense — backend-transparent
-    // seeding. The tableau walk is bit-identical to `sample_once`, so the
-    // DD fast path reproduces exactly what naive per-shot traversal of the
-    // same diagram would draw.
-    let basis_counts = if sim.degraded_to_dense() {
-        sim.sample(opts.shots)
-    } else {
-        let tableau = sim.package().sampling_tableau(sim.state());
-        qdd_telemetry::gauge_set("shots.tableau_nodes", tableau.node_count() as f64);
-        let mut rng = SmallRng::seed_from_u64(opts.seed);
-        tableau.sample(opts.shots, &mut rng)
-    };
+    // The tableau walk is bit-identical to `sample_once`, so the fast path
+    // reproduces exactly what naive per-shot traversal of the same diagram
+    // would draw.
+    let tableau = sim.package().sampling_tableau(sim.state());
+    qdd_telemetry::gauge_set("shots.tableau_nodes", tableau.node_count() as f64);
+    let mut rng = SmallRng::seed_from_u64(opts.seed);
+    let basis_counts = tableau.sample(opts.shots, &mut rng);
     let (histogram, kind) = if analysis.regime == MeasurementRegime::TerminalMeasurement {
         // Fold the basis histogram through the trailing measurement map:
         // each sampled index *is* the joint outcome of the terminal block.
@@ -622,11 +611,8 @@ fn shot_worker(
             done += 1;
             continue;
         }
-        let sim = sim.get_or_insert_with(|| {
-            let mut s = DdSimulator::with_config(circuit.clone(), seed, opts.config);
-            s.set_dense_fallback(opts.dense_fallback);
-            s
-        });
+        let sim =
+            sim.get_or_insert_with(|| DdSimulator::with_config(circuit.clone(), seed, opts.config));
         sim.restart(seed).map_err(|e| abort(cancel, shot, e))?;
         sim.run().map_err(|e| abort(cancel, shot, e))?;
         let value = if analysis.has_measurements {

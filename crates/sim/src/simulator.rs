@@ -1,7 +1,6 @@
 //! Batch decision-diagram simulation.
 
 use crate::creg_value;
-use crate::dense::{DenseSimulator, MAX_DENSE_QUBITS};
 use crate::error::SimError;
 use qdd_circuit::{swap_gates, Operation, QuantumCircuit};
 use qdd_complex::{Complex, FxHashMap};
@@ -9,7 +8,7 @@ use qdd_core::{
     DdError, DdPackage, Limits, MeasurementOutcome, PackageConfig, PackageStats, VecEdge,
 };
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::time::Instant;
 
 /// Per-run statistics of a [`DdSimulator`]: what the run alone knows.
@@ -17,14 +16,10 @@ use std::time::Instant;
 /// [`DdSimulator::package`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimStats {
-    /// Peak node count of the state DD over the run (not updated after a
-    /// dense fallback).
+    /// Peak node count of the state DD over the run.
     pub peak_nodes: usize,
     /// Number of operations applied.
     pub applied_ops: usize,
-    /// Whether the run degraded to dense state-vector simulation after the
-    /// node budget stayed exhausted through a pressure GC.
-    pub dense_fallback: bool,
     /// Fidelity-bounded pruning rounds taken by the approximation rung.
     pub approx_rounds: u64,
     /// Total nodes shed across all approximation rounds.
@@ -39,7 +34,6 @@ impl Default for SimStats {
         SimStats {
             peak_nodes: 0,
             applied_ops: 0,
-            dense_fallback: false,
             approx_rounds: 0,
             approx_nodes_removed: 0,
             // An untouched run is exact; every pruning round multiplies
@@ -90,11 +84,10 @@ fn op_name(op: &Operation) -> &'static str {
 ///    operation retried — repeatedly, as long as the *cumulative* fidelity
 ///    lower bound (the product of all rounds' bounds, tracked in
 ///    [`SimStats::fidelity_lower_bound`]) stays at or above `min_fidelity`.
-/// 3. If the budget is still exhausted and the register is small enough
-///    (≤ [`MAX_DENSE_QUBITS`]), the state is exported and the run continues
-///    on a [`DenseSimulator`] (recorded in [`SimStats::dense_fallback`]).
-/// 4. Otherwise the error is returned. Deadline overruns are returned
-///    immediately — more memory strategies cannot buy back time.
+/// 3. If the budget is still exhausted, the typed
+///    [`DdError::ResourceExhausted`] is returned: the node budget bounds
+///    the run's memory. Deadline overruns are returned immediately — more
+///    memory strategies cannot buy back time.
 #[derive(Debug)]
 pub struct DdSimulator {
     dd: DdPackage,
@@ -104,11 +97,6 @@ pub struct DdSimulator {
     cursor: usize,
     rng: SmallRng,
     stats: SimStats,
-    /// Dense continuation after degradation; `state` stays frozen at the
-    /// (budget-sized) DD snapshot taken at the hand-off.
-    dense: Option<DenseSimulator>,
-    /// Gates the dense rung of the degradation ladder.
-    dense_fallback_enabled: bool,
     /// The pinned `|0…0⟩` at the package's warm mark, once the first
     /// [`Self::restart`] has built the warm state.
     warm_zero: Option<VecEdge>,
@@ -162,26 +150,11 @@ impl DdSimulator {
             cursor: 0,
             rng: SmallRng::seed_from_u64(seed),
             stats: SimStats::default(),
-            dense: None,
-            dense_fallback_enabled: true,
             warm_zero: None,
             collapses: Vec::new(),
             collapses_complete: true,
             forced: None,
         }
-    }
-
-    /// Enables or disables the dense rung of the degradation ladder
-    /// (enabled by default). With it off, a node budget that stays
-    /// exhausted after a pressure GC is a hard
-    /// [`DdError::ResourceExhausted`].
-    pub fn set_dense_fallback(&mut self, enabled: bool) {
-        self.dense_fallback_enabled = enabled;
-    }
-
-    /// Whether the run has degraded to dense simulation.
-    pub fn degraded_to_dense(&self) -> bool {
-        self.dense.is_some()
     }
 
     /// Replaces the initial state with `amplitudes` (length `2ⁿ`),
@@ -249,9 +222,8 @@ impl DdSimulator {
     ///
     /// `None` unless those draws were the run's only use of its RNG and the
     /// run stayed exact: the degradation ladder (pressure GC, an
-    /// approximation round, the dense fallback, which draws a `u64`
-    /// seed), a forced outcome ([`Self::step_with`]), a reseed or a
-    /// [`Self::sample`] call each void the log until the next
+    /// approximation round), a forced outcome ([`Self::step_with`]), a
+    /// reseed or a [`Self::sample`] call each void the log until the next
     /// [`Self::restart`]. A complete log of a run from the warm mark is
     /// what lets the shot engine replay that outcome path without
     /// re-executing it.
@@ -371,7 +343,6 @@ impl DdSimulator {
         self.classical.iter_mut().for_each(|b| *b = false);
         self.cursor = 0;
         self.rng = SmallRng::seed_from_u64(seed);
-        self.dense = None;
         self.stats = SimStats::default();
         self.collapses.clear();
         self.collapses_complete = true;
@@ -411,56 +382,41 @@ impl DdSimulator {
         // the node count below, so GC an op provokes is attributed to it.
         let armed = qdd_telemetry::timeline_stride()
             .map(|stride| (stride, Instant::now(), self.dd.stats()));
-        let applied = if self.dense.is_some() {
-            self.apply_dense(&op)
-        } else {
-            self.apply_governed(&op)
-        };
-        if let Err(e) = applied {
+        if let Err(e) = self.apply_governed(&op) {
             if matches!(e, SimError::Dd(DdError::DeadlineExceeded { .. })) {
                 qdd_telemetry::emit("sim.deadline").field("op_index", op_index);
             }
             return Err(e);
         }
+        if self.dd.wants_auto_gc() {
+            self.dd.garbage_collect();
+        }
+        // One walk: the level profile when armed, its sum is the count.
         let mut levels = None;
-        let nodes = if self.dense.is_none() {
-            if self.dd.wants_auto_gc() {
-                self.dd.garbage_collect();
-            }
-            // One walk: the level profile when armed, its sum is the count.
-            let nodes = if armed.is_some() {
-                let profile = self
-                    .dd
-                    .vec_level_profile(self.state, self.circuit.num_qubits());
-                let nodes = profile.iter().map(|&n| n as usize).sum();
-                levels = Some(profile);
-                nodes
-            } else {
-                self.dd.vec_node_count(self.state)
-            };
-            self.stats.peak_nodes = self.stats.peak_nodes.max(nodes);
-            Some(nodes)
+        let nodes = if armed.is_some() {
+            let profile = self
+                .dd
+                .vec_level_profile(self.state, self.circuit.num_qubits());
+            let nodes = profile.iter().map(|&n| n as usize).sum();
+            levels = Some(profile);
+            nodes
         } else {
-            None
+            self.dd.vec_node_count(self.state)
         };
+        self.stats.peak_nodes = self.stats.peak_nodes.max(nodes);
         let mut event = qdd_telemetry::emit("sim.op")
             .field("op_index", op_index)
-            .field("op", op_name(&op));
-        event = match nodes {
-            Some(nodes) => event.field("nodes", nodes),
-            None => event.field("dense", true),
-        };
+            .field("op", op_name(&op))
+            .field("nodes", nodes);
         if let Some((stride, start, before)) = armed {
             event = self.timeline_fields(event, &op, start, &before, levels);
-            if stride > 0 && op_index.is_multiple_of(stride as usize) && nodes.is_some() {
+            if stride > 0 && op_index.is_multiple_of(stride as usize) {
                 let graph = qdd_core::graph::DdGraph::from_vector(&self.dd, self.state);
                 event = event.field("snapshot", graph.to_json());
             }
         }
         drop(event);
-        if let Some(nodes) = nodes {
-            qdd_telemetry::observe("sim.nodes_after_op", nodes as u64);
-        }
+        qdd_telemetry::observe("sim.nodes_after_op", nodes as u64);
         self.stats.applied_ops += 1;
         Ok(true)
     }
@@ -512,7 +468,7 @@ impl DdSimulator {
 
     /// One operation through the degradation ladder: apply, and on node
     /// exhaustion GC-under-pressure + retry, then fidelity-bounded
-    /// approximation (when authorized), then fall back to dense.
+    /// approximation (when authorized), then the typed error.
     fn apply_governed(&mut self, op: &Operation) -> Result<(), SimError> {
         match self.apply_operation(op) {
             Err(SimError::Dd(DdError::ResourceExhausted { .. })) => {}
@@ -542,29 +498,14 @@ impl DdSimulator {
                 other => return other,
             }
         }
-        // Rung 3: continue densely when the register permits it. The qubit
-        // cap is checked *before* any dense allocation is attempted.
-        let n = self.circuit.num_qubits();
-        if !self.dense_fallback_enabled || n > MAX_DENSE_QUBITS {
-            return Err(SimError::Dd(err));
-        }
-        qdd_telemetry::emit("sim.dense_fallback").field("qubits", n);
-        qdd_telemetry::counter_add("sim.dense_fallbacks", 1);
-        let amps = self.dd.to_dense_vector(self.state, n);
-        let seed = self.rng.gen::<u64>();
-        let mut dense = DenseSimulator::from_parts(n, amps, self.classical.clone(), seed)?;
-        dense.apply_operation(&self.circuit, op)?;
-        self.dense = Some(dense);
-        self.stats.dense_fallback = true;
-        self.sync_dense_classical();
-        Ok(())
+        Err(SimError::Dd(err))
     }
 
     /// One approximation round: prune toward half the diagram, adopt the
     /// smaller state, fold the round's bound into the cumulative account,
     /// leave a telemetry trail. Returns `false` when no (further) round is
     /// possible — budget spent, pruning made no progress, or pruning itself
-    /// starved — signalling the ladder to move on to the dense rung.
+    /// starved — signalling the ladder to give up with the typed error.
     fn approximate_round(&mut self) -> bool {
         let Some(min_fidelity) = self.dd.limits().min_fidelity else {
             return false;
@@ -580,8 +521,7 @@ impl DdSimulator {
             self.dd
                 .prune_to_fidelity(self.state, round_min, Some(node_target))
         else {
-            // Pruning under a starved allocator cannot help; the dense rung
-            // still can.
+            // Pruning under a starved allocator cannot help.
             return false;
         };
         if report.rounds == 0 || report.fidelity_lower_bound < round_min {
@@ -612,20 +552,6 @@ impl DdSimulator {
         // its event must precede ours in the ladder-order telemetry.
         self.dd.garbage_collect();
         true
-    }
-
-    fn apply_dense(&mut self, op: &Operation) -> Result<(), SimError> {
-        let dense = self.dense.as_mut().expect("dense mode");
-        dense.apply_operation(&self.circuit, op)?;
-        self.sync_dense_classical();
-        Ok(())
-    }
-
-    fn sync_dense_classical(&mut self) {
-        if let Some(dense) = &self.dense {
-            self.classical.clear();
-            self.classical.extend_from_slice(dense.classical_bits());
-        }
     }
 
     fn set_state(&mut self, new_state: VecEdge) {
@@ -703,24 +629,15 @@ impl DdSimulator {
     }
 
     /// Samples `shots` basis states from the **current** state
-    /// (non-destructively, paper ref \[16\]).
-    ///
-    /// Uniform draws always come from the simulator's seeded RNG — also
-    /// after a dense degradation, so a given seed yields the same stream
-    /// position regardless of which backend ended up serving the run.
+    /// (non-destructively, paper ref \[16\]), drawing uniforms from the
+    /// simulator's seeded RNG.
     pub fn sample(&mut self, shots: u64) -> FxHashMap<u64, u64> {
         self.collapses_complete = false;
-        if let Some(dense) = &self.dense {
-            return dense.sample_with_rng(shots, &mut self.rng);
-        }
         self.dd.sample(self.state, shots, &mut self.rng)
     }
 
     /// The amplitude of one basis state of the current state.
     pub fn amplitude(&self, basis: u64) -> Complex {
-        if let Some(dense) = &self.dense {
-            return dense.state()[basis as usize];
-        }
         self.dd.amplitude(self.state, basis)
     }
 
@@ -730,9 +647,6 @@ impl DdSimulator {
     ///
     /// Panics for registers above 24 qubits.
     pub fn dense_state(&self) -> Vec<Complex> {
-        if let Some(dense) = &self.dense {
-            return dense.state().to_vec();
-        }
         self.dd.to_dense_vector(self.state, self.circuit.num_qubits())
     }
 
@@ -805,6 +719,7 @@ fn build_gate_dds(dd: &mut DdPackage, circuit: &QuantumCircuit) -> Result<(), Si
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DenseSimulator;
     use qdd_circuit::library;
     use std::f64::consts::FRAC_1_SQRT_2;
 
@@ -1054,7 +969,6 @@ mod tests {
     #[test]
     fn node_budget_without_fallback_is_a_hard_error() {
         let mut sim = limited_sim(entangling_workload(8, 3), 24);
-        sim.set_dense_fallback(false);
         let err = sim.run().unwrap_err();
         match err {
             SimError::Dd(DdError::ResourceExhausted { limit, used, .. }) => {
@@ -1066,50 +980,6 @@ mod tests {
         assert!(
             sim.package().gc_pressure_runs() > 0,
             "pressure GC must have been attempted before giving up"
-        );
-        assert!(!sim.degraded_to_dense());
-    }
-
-    #[test]
-    fn node_budget_degrades_to_dense_and_matches_unlimited_run() {
-        let qc = entangling_workload(8, 3);
-        let mut reference = DdSimulator::with_seed(qc.clone(), 1);
-        reference.run().unwrap();
-        let expected = reference.dense_state();
-
-        let mut sim = limited_sim(qc, 24);
-        sim.run().unwrap();
-        assert!(sim.degraded_to_dense());
-        assert!(sim.stats().dense_fallback);
-        assert!(sim.package().gc_pressure_runs() > 0);
-        let got = sim.dense_state();
-        for (a, b) in expected.iter().zip(got.iter()) {
-            assert!(a.approx_eq(*b, 1e-9), "dense fallback diverged: {a:?} vs {b:?}");
-        }
-    }
-
-    #[test]
-    fn dense_mode_serves_sampling_and_measurement() {
-        let mut qc = entangling_workload(6, 3);
-        qc.add_creg("c", 1);
-        qc.measure(0, 0);
-        let mut sim = limited_sim(qc, 16);
-        sim.run().unwrap();
-        assert!(sim.degraded_to_dense());
-        let counts = sim.sample(64);
-        assert_eq!(counts.values().sum::<u64>(), 64);
-        // The measurement collapsed q0 onto the recorded bit.
-        let p1: f64 = sim
-            .dense_state()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i & 1 != 0)
-            .map(|(_, a)| a.norm_sqr())
-            .sum();
-        let expected = if sim.classical_bits()[0] { 1.0 } else { 0.0 };
-        assert!(
-            (p1 - expected).abs() < 1e-12,
-            "q0 is not collapsed: p1 = {p1}"
         );
     }
 
@@ -1128,7 +998,6 @@ mod tests {
     #[test]
     fn approximation_rung_completes_within_budget_and_bound() {
         let mut sim = approx_sim(entangling_workload(8, 3), 160, 0.5);
-        sim.set_dense_fallback(false);
         sim.run().unwrap();
         let stats = sim.stats();
         assert!(stats.is_approximate(), "the rung must have fired: {stats:?}");
@@ -1139,7 +1008,6 @@ mod tests {
             "cumulative bound {} outside [0.5, 1)",
             stats.fidelity_lower_bound
         );
-        assert!(!sim.degraded_to_dense(), "approximation must suffice here");
         // The approximated run respects the budget and stays normalized.
         assert!(sim.node_count() <= 160);
         let norm: f64 = sim.dense_state().iter().map(|a| a.norm_sqr()).sum();
@@ -1163,12 +1031,16 @@ mod tests {
     }
 
     #[test]
-    fn approximation_precedes_dense_fallback() {
+    fn rejected_approximation_rounds_spend_no_fidelity_before_the_typed_error() {
         // A budget so tight that even halved diagrams keep starving: the
-        // ladder must spend its fidelity budget and then continue densely.
+        // ladder must reject rounds its fidelity budget cannot pay for and
+        // then give up with the typed error.
         let mut sim = approx_sim(entangling_workload(8, 3), 12, 0.999_999);
-        sim.run().unwrap();
-        assert!(sim.degraded_to_dense(), "approx alone cannot satisfy 12 nodes");
+        let err = sim.run().unwrap_err();
+        assert!(
+            matches!(err, SimError::Dd(DdError::ResourceExhausted { .. })),
+            "approx alone cannot satisfy 12 nodes: {err:?}"
+        );
         assert!(
             sim.stats().fidelity_lower_bound >= 0.999_999,
             "rejected rounds must not spend fidelity: {}",
@@ -1179,8 +1051,11 @@ mod tests {
     #[test]
     fn without_min_fidelity_ladder_is_unchanged() {
         let mut sim = limited_sim(entangling_workload(8, 3), 24);
-        sim.run().unwrap();
-        assert!(sim.degraded_to_dense());
+        let err = sim.run().unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::Dd(DdError::ResourceExhausted { .. })
+        ));
         let stats = sim.stats();
         assert_eq!(stats.approx_rounds, 0);
         assert_eq!(stats.fidelity_lower_bound, 1.0);
@@ -1190,7 +1065,6 @@ mod tests {
     #[test]
     fn restart_resets_fidelity_account() {
         let mut sim = approx_sim(entangling_workload(8, 3), 160, 0.5);
-        sim.set_dense_fallback(false);
         sim.run().unwrap();
         assert!(sim.stats().fidelity_lower_bound < 1.0);
         sim.restart(2).unwrap();

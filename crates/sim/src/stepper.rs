@@ -99,14 +99,11 @@ impl SteppableSimulation {
     /// Opens a session whose package runs under `config` — the budgeted
     /// form used by `qdd serve`, where interactive sessions must honor the
     /// same per-tenant resource leashes as batch requests. Operations climb
-    /// the simulator's degradation ladder without its dense rung: a
-    /// session draws and rewinds decision diagrams, so a budget the ladder
-    /// cannot meet is a typed error from the step that tripped it.
+    /// the simulator's degradation ladder, so a budget the ladder cannot
+    /// meet is a typed error from the step that tripped it.
     pub fn with_config(circuit: QuantumCircuit, seed: u64, config: PackageConfig) -> Self {
-        let mut sim = DdSimulator::with_config(circuit, seed, config);
-        sim.set_dense_fallback(false);
         SteppableSimulation {
-            sim,
+            sim: DdSimulator::with_config(circuit, seed, config),
             history: Vec::new(),
             pending: None,
         }

@@ -279,11 +279,11 @@ fn outcome_trie_replay_matches_the_serial_oracle_past_the_trie_cap() {
 
 #[test]
 fn outcome_trie_replay_matches_the_serial_oracle_under_a_node_budget() {
-    // At 60 nodes every shot goes through the degradation ladder, so no
-    // path is ever recorded and every shot executes.
+    // At 100 nodes every shot goes through pressure GC, so no path is ever
+    // recorded and every shot executes.
     let config = PackageConfig {
         limits: Limits {
-            max_nodes: Some(60),
+            max_nodes: Some(100),
             ..Limits::default()
         },
         ..PackageConfig::default()
@@ -293,8 +293,8 @@ fn outcome_trie_replay_matches_the_serial_oracle_under_a_node_budget() {
 }
 
 /// A 5-qubit mid-circuit workload whose gate DDs and states are big enough
-/// for a node budget to bite: at `max_nodes = 60` shots go through pressure
-/// GC and dense fallback.
+/// for a node budget to bite: at `max_nodes = 100` every shot goes through
+/// pressure GC and completes.
 fn entangled_mid_circuit() -> QuantumCircuit {
     let n = 5;
     let mut qc = QuantumCircuit::new(n);
@@ -344,7 +344,7 @@ fn mid_circuit_histograms_are_thread_count_invariant() {
         "auto-GC fires inside a shot"
     );
     let budgeted = Limits {
-        max_nodes: Some(60),
+        max_nodes: Some(100),
         ..Limits::default()
     };
     for limits in [Limits::default(), budgeted, gc_often] {
@@ -480,7 +480,6 @@ fn node_budget_error_propagates_without_fallback() {
     };
     let mut opts = ShotOptions::new(50, 1);
     opts.config = config;
-    opts.dense_fallback = false;
     let err = shots::run(&library::qft(8, true), &opts).unwrap_err();
     assert!(matches!(err, SimError::Dd(DdError::ResourceExhausted { .. })));
 }
@@ -577,33 +576,4 @@ fn already_cancelled_job_never_starts() {
     opts.cancel = Some(Arc::new(AtomicBool::new(true)));
     let err = shots::run(&library::teleportation(0.2), &opts).unwrap_err();
     assert_eq!(err, SimError::Cancelled);
-}
-
-#[test]
-fn dense_degraded_fast_path_is_seed_deterministic() {
-    // Under a tight node budget the fast path degrades to the dense
-    // backend; sampling must still come from the engine's seeded stream,
-    // so identical options ⇒ identical histograms.
-    let config = PackageConfig {
-        limits: Limits {
-            max_nodes: Some(16),
-            ..Limits::default()
-        },
-        ..PackageConfig::default()
-    };
-    let mut qc = QuantumCircuit::new(6);
-    for layer in 0..3 {
-        for q in 0..6 {
-            qc.ry(0.37 + 0.11 * (layer * 6 + q) as f64, q);
-        }
-        for q in 0..5 {
-            qc.cx(q, q + 1);
-        }
-    }
-    let mut opts = ShotOptions::new(400, 13);
-    opts.config = config;
-    let a = shots::run(&qc, &opts).unwrap();
-    let b = shots::run(&qc, &opts).unwrap();
-    assert_eq!(a.histogram, b.histogram);
-    assert_eq!(a.histogram.values().sum::<u64>(), 400);
 }

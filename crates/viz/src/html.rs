@@ -11,7 +11,7 @@ use crate::inspect::{OpLine, SpanLine, TimelineDoc};
 use crate::session::Frame;
 use crate::style::VizStyle;
 use crate::svg::graph_to_svg;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -143,7 +143,7 @@ const CURVE_COLORS: [&str; 6] = [
 /// Builds the self-contained run inspector from a read trace.
 ///
 /// One HTML file, no external assets: a live-node curve with GC /
-/// approximation / dense-fallback markers, per-level node sparklines, a
+/// approximation markers, per-level node sparklines, a
 /// flamegraph-style span tree, and a steppable gallery of the per-stride
 /// structural snapshots (rendered with `style`). Degrades gracefully —
 /// sections whose data was not recorded say so instead of vanishing.
@@ -196,6 +196,7 @@ pub fn timeline_report(doc: &TimelineDoc, style: &VizStyle) -> String {
     }
 
     // Live-node curve with event markers.
+    let groups = op_groups(&doc.ops);
     out.push_str("<section>\n<h2>Live nodes over op index</h2>\n");
     if doc.ops.is_empty() {
         out.push_str("<div class=\"muted\">No op records in this trace.</div>\n");
@@ -204,25 +205,24 @@ pub fn timeline_report(doc: &TimelineDoc, style: &VizStyle) -> String {
             "<div class=\"legend\">\
              <span class=\"dot\" style=\"background:#b9770e\"></span><b>GC</b>\
              <span class=\"dot\" style=\"background:#8e44ad\"></span><b>approximation</b>\
-             <span class=\"dot\" style=\"background:#c0392b\"></span><b>dense fallback</b>\
              — one curve per (worker, run)</div>\n",
         );
-        let _ = writeln!(out, "<div class=\"chart\">{}</div>", node_curve_svg(&doc.ops));
+        let _ = writeln!(
+            out,
+            "<div class=\"chart\">{}</div>",
+            node_curve_svg(&doc.ops, &groups)
+        );
     }
     out.push_str("</section>\n");
 
     // Per-level sparklines.
     out.push_str("<section>\n<h2>Nodes per level</h2>\n");
-    let level_svg = level_curves_svg(&doc.ops);
-    if let Some(svg) = level_svg {
+    if let Some(svg) = level_curves_svg(&groups) {
         out.push_str("<div class=\"chart\">");
         out.push_str(&svg);
         out.push_str("</div>\n");
     } else {
-        out.push_str(
-            "<div class=\"muted\">No per-level profiles recorded (dense fallback \
-             or no op records).</div>\n",
-        );
+        out.push_str("<div class=\"muted\">No per-level profiles recorded.</div>\n");
     }
     out.push_str("</section>\n");
 
@@ -272,19 +272,22 @@ pub fn write_timeline_report(
     std::fs::write(path, timeline_report(doc, style))
 }
 
-/// Groups op records by `(worker, run)`, preserving stream order.
-fn op_groups(ops: &[OpLine]) -> Vec<(u32, u32, Vec<&OpLine>)> {
-    let mut groups: Vec<(u32, u32, Vec<&OpLine>)> = Vec::new();
+/// Groups op records by `(worker, run)`, in order of each group's first
+/// op; each group keeps stream order.
+fn op_groups(ops: &[OpLine]) -> Vec<Vec<&OpLine>> {
+    let mut index: HashMap<(u32, u32), usize> = HashMap::new();
+    let mut groups: Vec<Vec<&OpLine>> = Vec::new();
     for op in ops {
-        match groups.iter_mut().find(|(w, r, _)| *w == op.worker && *r == op.run) {
-            Some((_, _, list)) => list.push(op),
-            None => groups.push((op.worker, op.run, vec![op])),
-        }
+        let at = *index.entry((op.worker, op.run)).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[at].push(op);
     }
     groups
 }
 
-fn node_curve_svg(ops: &[OpLine]) -> String {
+fn node_curve_svg(ops: &[OpLine], groups: &[Vec<&OpLine>]) -> String {
     const W: f64 = 860.0;
     const H: f64 = 200.0;
     const MX: f64 = 46.0;
@@ -310,7 +313,7 @@ fn node_curve_svg(ops: &[OpLine]) -> String {
         MY + 4.0,
         H - 2.0,
     );
-    for (gi, (_, _, group)) in op_groups(ops).iter().enumerate() {
+    for (gi, group) in groups.iter().enumerate() {
         let color = CURVE_COLORS[gi % CURVE_COLORS.len()];
         let points: Vec<String> = group
             .iter()
@@ -328,7 +331,6 @@ fn node_curve_svg(ops: &[OpLine]) -> String {
             let color = match kind {
                 "gc" => "#b9770e",
                 "approx" => "#8e44ad",
-                "dense_fallback" => "#c0392b",
                 _ => "#555",
             };
             let _ = writeln!(
@@ -349,9 +351,8 @@ fn node_curve_svg(ops: &[OpLine]) -> String {
 
 /// One mini-sparkline per DD level, taken from the longest `(worker, run)`
 /// group. `None` when no op carries a level profile.
-fn level_curves_svg(ops: &[OpLine]) -> Option<String> {
-    let groups = op_groups(ops);
-    let group = groups.iter().max_by_key(|(_, _, g)| g.len()).map(|(_, _, g)| g)?;
+fn level_curves_svg(groups: &[Vec<&OpLine>]) -> Option<String> {
+    let group = groups.iter().max_by_key(|g| g.len())?;
     let num_levels = group.iter().map(|o| o.levels.len()).max().unwrap_or(0);
     if num_levels == 0 {
         return None;
@@ -553,6 +554,39 @@ mod tests {
             }],
             spans: vec![span("sim.run", 0, 9, 0), span("sim.apply", 1, 4, 1)],
         }
+    }
+
+    #[test]
+    fn ops_group_by_worker_and_run_in_first_appearance_order() {
+        let op = |worker, run, op_index| OpLine {
+            worker,
+            run,
+            op_index,
+            ..OpLine::default()
+        };
+        // Two workers interleaved; worker 1 restarts mid-stream.
+        let ops = [
+            op(1, 0, 0),
+            op(2, 0, 0),
+            op(1, 0, 1),
+            op(1, 1, 0),
+            op(2, 0, 1),
+            op(1, 1, 1),
+            op(0, 0, 0),
+        ];
+        let groups: Vec<Vec<(u32, u32, u64)>> = op_groups(&ops)
+            .iter()
+            .map(|g| g.iter().map(|o| (o.worker, o.run, o.op_index)).collect())
+            .collect();
+        assert_eq!(
+            groups,
+            [
+                vec![(1, 0, 0), (1, 0, 1)],
+                vec![(2, 0, 0), (2, 0, 1)],
+                vec![(1, 1, 0), (1, 1, 1)],
+                vec![(0, 0, 0)],
+            ]
+        );
     }
 
     #[test]

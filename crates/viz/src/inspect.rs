@@ -68,9 +68,8 @@ pub struct OpLine {
     /// Per-level node counts after the op (may be empty).
     pub levels: Vec<u32>,
     /// The engine events the worker recorded since its previous op,
-    /// folded into their kinds: `gc` (a `core.gc` span), `approx`
-    /// (`degrade.approximate`) and `dense_fallback`
-    /// (`sim.dense_fallback`), in that order.
+    /// folded into their kinds: `gc` (a `core.gc` span) and `approx`
+    /// (`degrade.approximate`), in that order.
     pub events: Vec<&'static str>,
 }
 
@@ -162,11 +161,7 @@ pub fn parse_trace(text: &str) -> Result<TimelineDoc, String> {
 
 /// The trace events that fold into the next op of their lane, and the
 /// kind each becomes in [`OpLine::events`].
-const FOLDED: [(&str, &str); 3] = [
-    ("core.gc", "gc"),
-    ("degrade.approximate", "approx"),
-    ("sim.dense_fallback", "dense_fallback"),
-];
+const FOLDED: [(&str, &str); 2] = [("core.gc", "gc"), ("degrade.approximate", "approx")];
 
 /// A lane's reading state: its runs so far, and which [`FOLDED`] events
 /// it recorded since its last op.
@@ -457,12 +452,6 @@ mod tests {
             op(1, 1, Vec::new()),
             event(1, "degrade.approximate", None, round.clone()),
             event(1, "degrade.approximate", None, round),
-            event(
-                1,
-                "sim.dense_fallback",
-                None,
-                vec![("qubits", Value::U64(2))],
-            ),
             op(1, 0, Vec::new()),
         ]);
         assert_eq!(doc.header.workers, 2);
@@ -472,7 +461,7 @@ mod tests {
             .map(|o| (o.worker, o.run, o.op_index))
             .collect();
         assert_eq!(keys, [(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0)]);
-        assert_eq!(doc.ops[3].events, ["approx", "dense_fallback"]);
+        assert_eq!(doc.ops[3].events, ["approx"]);
     }
 
     #[test]

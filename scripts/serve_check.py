@@ -5,7 +5,7 @@ Usage:
     serve_check.py [QDD_BINARY]
 
 Starts a daemon on an ephemeral port (parsing the bound address from the
-``qdd serve listening on http://…`` handshake line), then checks the five
+``qdd serve listening on http://…`` handshake line), then checks the seven
 contracts the HTTP surface publishes:
 
 1. **Histogram identity** — for each pinned circuit, the JSONL histogram
@@ -23,6 +23,12 @@ contracts the HTTP surface publishes:
    ``/v1/verify``, the ``/v1/shots`` trailer, session create/step/play/
    DELETE, and a 422 refusal) embeds a ``qdd-metrics-v1`` snapshot that
    passes check_trace.py's metrics checker.
+6. **Idle connections close** — a connection that sends nothing reads EOF
+   within the daemon's 10 s request read deadline plus 2 s.
+7. **A node ceiling bounds memory** — a second daemon, started with
+   ``--quota-nodes 2000``, answers a 24-qubit circuit whose state vector
+   would take 256 MB with a typed 422 ``resource_exhausted``, and its peak
+   RSS (``VmHWM`` in ``/proc/<pid>/status``) stays under 32 MB.
 
 Exits non-zero on the first violation. Like check_trace.py this *is* a
 gate: the HTTP surface is a published contract, not a measurement.
@@ -32,9 +38,12 @@ import http.client
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import check_trace  # noqa: E402
@@ -42,6 +51,10 @@ import check_trace  # noqa: E402
 SHOTS = 4096
 SEED = 7
 QUOTA_SHOTS = 1_000_000
+QUOTA_NODES = 2000
+VMHWM_CAP_MB = 32
+# The daemon's request read deadline (REQUEST_READ_DEADLINE) plus slack.
+IDLE_EOF_SECONDS = 12
 CIRCUITS = ["qft16", "cliffordt15"]
 
 
@@ -71,10 +84,9 @@ def check_telemetry(where, doc):
     check_trace.check_metrics(where, snap)
 
 
-def start_daemon(qdd):
+def start_daemon(qdd, *options):
     proc = subprocess.Popen(
-        [qdd, "serve", "--port", "0", "--test-hooks",
-         "--quota-shots", str(QUOTA_SHOTS)],
+        [qdd, "serve", "--port", "0", *options],
         stdout=subprocess.PIPE, text=True)
     # The handshake line is the startup contract: wrappers block on it.
     line = proc.stdout.readline()
@@ -169,12 +181,17 @@ def check_panic_containment(addr):
     print("panic containment: typed 500, daemon kept serving")
 
 
-# Ten qubits of `ry` and `cx` layers: more than 50 nodes, so a request
-# capped there without the dense rung is refused with a 422.
-ENTANGLING = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[10];\n" + "".join(
-    "".join(f"ry({0.37 + 0.11 * (layer * 10 + q)}) q[{q}];\n" for q in range(10))
-    + "".join(f"cx q[{q}],q[{q + 1}];\n" for q in range(9))
-    for layer in range(4))
+def entangling(n, layers):
+    """`n` qubits under `layers` of `ry` and `cx`: no product structure, so
+    the diagram grows exponentially in `n`."""
+    return f"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{n}];\n" + "".join(
+        "".join(f"ry({0.37 + 0.11 * (layer * n + q)}) q[{q}];\n" for q in range(n))
+        + "".join(f"cx q[{q}],q[{q + 1}];\n" for q in range(n - 1))
+        for layer in range(layers))
+
+
+# More than 50 nodes, so a request capped there is refused with a 422.
+ENTANGLING = entangling(10, 4)
 
 
 def check_simulate_and_session(addr):
@@ -184,8 +201,7 @@ def check_simulate_and_session(addr):
     status, body = post(addr, "/v1/simulate", {"qasm": MID_CIRCUIT, "seed": SEED})
     replies.append(("/v1/simulate", status, 200, body))
     status, body = post(addr, "/v1/simulate",
-                        {"qasm": ENTANGLING, "limits": {"max_nodes": 50},
-                         "dense_fallback": False})
+                        {"qasm": ENTANGLING, "limits": {"max_nodes": 50}})
     replies.append(("/v1/simulate over its node budget", status, 422, body))
     status, body = post(addr, "/v1/sessions", {"qasm": MID_CIRCUIT})
     replies.append(("/v1/sessions", status, 201, body))
@@ -221,20 +237,85 @@ def check_quota(addr):
           "naming 'shots'")
 
 
+def watch_idle_connection(addr):
+    """Opens a connection that sends nothing and, on a thread, times how
+    long until the daemon closes it; returns the thread and its result."""
+    host, port = addr.rsplit(":", 1)
+    sock = socket.create_connection((host, int(port)))
+    result = {}
+
+    def wait_for_eof():
+        opened = time.monotonic()
+        sock.settimeout(IDLE_EOF_SECONDS)
+        try:
+            result["read"] = sock.recv(1)
+        except socket.timeout:
+            result["read"] = None
+        finally:
+            sock.close()
+        result["seconds"] = time.monotonic() - opened
+
+    watcher = threading.Thread(target=wait_for_eof)
+    watcher.start()
+    return watcher, result
+
+
+def check_idle_connection(watcher, result):
+    watcher.join()
+    if result["read"] is None:
+        fail(f"an idle connection was still open after {IDLE_EOF_SECONDS} s")
+    if result["read"] != b"":
+        fail(f"an idle connection read {result['read']!r} instead of EOF")
+    print(f"idle connection: closed after {result['seconds']:.1f} s")
+
+
+def vm_hwm_mb(pid):
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    fail(f"no VmHWM in /proc/{pid}/status")
+
+
+def check_node_ceiling(qdd):
+    proc, addr = start_daemon(qdd, "--quota-nodes", str(QUOTA_NODES))
+    try:
+        status, body = post(addr, "/v1/simulate", {"qasm": entangling(24, 3)})
+        hwm = vm_hwm_mb(proc.pid)
+    finally:
+        proc.kill()
+        proc.wait()
+    if status != 422:
+        fail(f"24 qubits under --quota-nodes {QUOTA_NODES}: expected 422, "
+             f"got {status}: {body[:200]}")
+    code = json.loads(body)["error"]["code"]
+    if code != "resource_exhausted":
+        fail(f"24 qubits under --quota-nodes {QUOTA_NODES}: code {code!r}")
+    if hwm >= VMHWM_CAP_MB:
+        fail(f"--quota-nodes {QUOTA_NODES}: daemon peak RSS {hwm:.1f} MB, "
+             f"not under {VMHWM_CAP_MB} MB")
+    print(f"node ceiling: 24 qubits refused with a typed 422, daemon peak "
+          f"RSS {hwm:.1f} MB")
+
+
 def main():
     qdd = sys.argv[1] if len(sys.argv) > 1 else "target/release/qdd"
     if not os.path.exists(qdd):
         fail(f"binary not found: {qdd} (build with cargo build --release)")
-    proc, addr = start_daemon(qdd)
+    proc, addr = start_daemon(qdd, "--test-hooks", "--quota-shots", str(QUOTA_SHOTS))
     try:
+        # The idle connection waits out its deadline while the others run.
+        watcher, idle = watch_idle_connection(addr)
         check_histograms(qdd, addr)
         check_verify(addr)
         check_panic_containment(addr)
         check_simulate_and_session(addr)
         check_quota(addr)
+        check_idle_connection(watcher, idle)
     finally:
         proc.kill()
         proc.wait()
+    check_node_ceiling(qdd)
     print("serve_check: all contracts hold")
     return 0
 

@@ -39,8 +39,7 @@ fn adversarial(n: usize, layers: usize) -> QuantumCircuit {
 
 #[test]
 fn node_budget_yields_structured_error_with_balanced_stats() {
-    // Register too wide for the dense fallback: the budget must surface as
-    // a hard, typed error.
+    // The budget must surface as a hard, typed error.
     let config = limited(Limits {
         max_nodes: Some(10_000),
         ..Limits::default()
@@ -69,7 +68,6 @@ fn node_budget_yields_structured_error_with_balanced_stats() {
         }
         other => panic!("expected ResourceExhausted, got {other:?}"),
     }
-    assert!(!sim.stats().dense_fallback, "26 qubits cannot fall back densely");
 
     // The package survives the failure with a consistent node ledger:
     // every live node occupies an allocated slot, and the pressure GCs
@@ -126,32 +124,35 @@ fn deadline_fires_on_long_qft() {
     );
 }
 
+/// A node budget bounds the run's memory on a register whose state vector
+/// would take 256 MB: the run ends in the typed error, with no more live
+/// nodes than the budget allows.
 #[test]
-fn dense_fallback_preserves_semantics() {
-    let circuit = adversarial(10, 3);
-    let mut reference = DdSimulator::with_seed(circuit.clone(), 7);
-    reference.run().unwrap();
-    let expected = reference.dense_state();
-
+fn node_budget_bounds_memory_on_a_24_qubit_register() {
     let config = limited(Limits {
-        max_nodes: Some(32),
+        max_nodes: Some(2000),
         ..Limits::default()
     });
-    qdd::telemetry::set_enabled(true);
-    qdd::telemetry::reset();
-    let mut sim = DdSimulator::with_config(circuit, 7, config);
-    sim.run().unwrap();
-    let events = qdd::telemetry::drain_events();
-    qdd::telemetry::set_enabled(false);
-    assert!(sim.degraded_to_dense());
-    assert!(sim.stats().dense_fallback);
+    let mut sim = DdSimulator::with_config(adversarial(24, 3), 1, config);
+    let err = sim.run().unwrap_err();
     assert!(
-        events.iter().any(|e| e.name == "sim.dense_fallback"),
-        "dense fallback must emit a telemetry event"
+        matches!(
+            err,
+            SimError::Dd(DdError::ResourceExhausted {
+                kind: ResourceKind::Nodes,
+                limit: 2000,
+                ..
+            })
+        ),
+        "expected the node budget's error, got {err:?}"
     );
-    for (a, b) in expected.iter().zip(sim.dense_state().iter()) {
-        assert!(a.approx_eq(*b, 1e-9), "fallback diverged: {a:?} vs {b:?}");
-    }
+    let pkg = sim.package().stats();
+    assert!(pkg.gc_pressure_runs > 0, "pressure GC must have run first");
+    assert!(
+        pkg.peak_live_nodes <= 2000,
+        "{} live nodes at the peak",
+        pkg.peak_live_nodes
+    );
 }
 
 #[test]
@@ -188,13 +189,11 @@ fn verifier_respects_budgets() {
 
 /// The full degradation ladder, stage by stage on the same adversarial
 /// family, with the telemetry stream proving the rungs fire in order:
-/// pressure GC → fidelity-bounded approximation → dense fallback → typed
-/// error.
+/// pressure GC → fidelity-bounded approximation → typed error.
 #[test]
 fn degradation_ladder_fires_in_order() {
-    // Stage A: approximation suffices. The run completes without dense
-    // fallback, and the event stream shows pressure GC before the first
-    // degrade.approximate.
+    // Stage A: approximation suffices. The run completes, and the event
+    // stream shows pressure GC before the first degrade.approximate.
     let config = limited(Limits {
         max_nodes: Some(160),
         min_fidelity: Some(0.5),
@@ -206,7 +205,6 @@ fn degradation_ladder_fires_in_order() {
     sim.run().unwrap();
     let events = qdd::telemetry::drain_events();
     qdd::telemetry::set_enabled(false);
-    assert!(!sim.degraded_to_dense(), "approximation must carry stage A");
     assert!(sim.stats().approx_rounds > 0);
     assert!(sim.stats().fidelity_lower_bound >= 0.5);
     let first_gc = events
@@ -221,14 +219,10 @@ fn degradation_ladder_fires_in_order() {
         first_gc < first_approx,
         "GC rung must fire before approximation ({first_gc} vs {first_approx})"
     );
-    assert!(
-        !events.iter().any(|e| e.name == "sim.dense_fallback"),
-        "stage A must not reach the dense rung"
-    );
 
     // Stage B: the cap is so tight that even an approximated diagram cannot
-    // fit, so the dense rung backs the approximation up — and its event
-    // arrives after the approximation's.
+    // fit, so the ladder runs out: the approximation events come before the
+    // typed error, whose run span closes the stream.
     let config = limited(Limits {
         max_nodes: Some(96),
         min_fidelity: Some(0.5),
@@ -237,25 +231,28 @@ fn degradation_ladder_fires_in_order() {
     qdd::telemetry::set_enabled(true);
     qdd::telemetry::reset();
     let mut sim = DdSimulator::with_config(adversarial(8, 3), 1, config);
-    sim.run().unwrap();
+    let err = sim.run().unwrap_err();
     let events = qdd::telemetry::drain_events();
     qdd::telemetry::set_enabled(false);
-    assert!(sim.degraded_to_dense(), "stage B must exhaust into dense");
-    let first_approx = events
-        .iter()
-        .position(|e| e.name == "degrade.approximate")
-        .expect("stage B must attempt approximation before going dense");
-    let dense = events
-        .iter()
-        .position(|e| e.name == "sim.dense_fallback")
-        .expect("stage B must reach the dense rung");
     assert!(
-        first_approx < dense,
-        "approximation must precede dense fallback ({first_approx} vs {dense})"
+        matches!(err, SimError::Dd(DdError::ResourceExhausted { .. })),
+        "stage B must end in the typed error: {err:?}"
+    );
+    let last_approx = events
+        .iter()
+        .rposition(|e| e.name == "degrade.approximate")
+        .expect("stage B must approximate before giving up");
+    let run_end = events
+        .iter()
+        .rposition(|e| e.name == "sim.run")
+        .expect("the failed run closes its span");
+    assert!(
+        last_approx < run_end,
+        "approximation must precede the typed error ({last_approx} vs {run_end})"
     );
 
-    // Stage C: too wide for the dense rung — the ladder runs out and the
-    // typed error names the budget that tripped.
+    // Stage C: a wide register — the ladder runs out and the typed error
+    // names the budget that tripped.
     let config = limited(Limits {
         max_nodes: Some(10_000),
         min_fidelity: Some(0.9),
@@ -263,35 +260,11 @@ fn degradation_ladder_fires_in_order() {
     });
     let mut sim = DdSimulator::with_config(adversarial(26, 3), 1, config);
     let err = sim.run().unwrap_err();
-    assert!(!sim.stats().dense_fallback, "26 qubits cannot go dense");
     let message = err.to_string();
     assert!(
         message.contains("max_nodes") && message.contains("10000"),
         "error must name the tripped budget and its limit: {message}"
     );
-}
-
-/// The dense rung refuses registers beyond its cap *before* allocating:
-/// a 30-qubit run under node pressure gets the typed resource error
-/// immediately instead of attempting a 2³⁰-amplitude vector.
-#[test]
-fn dense_cap_is_checked_before_allocation() {
-    // The run must fail with the node-budget error — not hang on a dense
-    // allocation, not report a dense fallback.
-    let config = limited(Limits {
-        max_nodes: Some(600),
-        ..Limits::default()
-    });
-    let mut sim = DdSimulator::with_config(adversarial(30, 2), 1, config);
-    let err = sim.run().unwrap_err();
-    assert!(matches!(
-        err,
-        SimError::Dd(DdError::ResourceExhausted {
-            kind: ResourceKind::Nodes,
-            ..
-        })
-    ));
-    assert!(!sim.stats().dense_fallback);
 }
 
 /// Every DD operation of the package returns a value or a typed error
@@ -468,44 +441,38 @@ fn every_circuit_driver_is_a_value_or_a_typed_error_under_every_node_budget() {
                 ..Limits::default()
             });
             let at = format!("max_nodes = {max_nodes}, min_fidelity = {min_fidelity:?}");
-            for dense_fallback in [true, false] {
-                for (name, circuit) in [("unitary", &unitary), ("measured", &measured)] {
-                    let what = format!("run of the {name} circuit, dense {dense_fallback}, {at}");
-                    let mut sim = DdSimulator::with_config(circuit.clone(), 1, config);
-                    sim.set_dense_fallback(dense_fallback);
-                    if value_or_refusal(&what, sim_refused, || sim.run()).is_none() {
-                        refused += 1;
-                        continue;
-                    }
-                    let stats = sim.stats();
-                    if stats.is_approximate() {
-                        approximated += 1;
-                        assert!(stats.fidelity_lower_bound >= 0.5, "{what}: {stats:?}");
-                    } else if name == "unitary" {
-                        for (a, b) in exact.iter().zip(sim.dense_state()) {
-                            assert!(a.approx_eq(b, 1e-9), "{what}: {a:?} vs {b:?}");
-                        }
+            for (name, circuit) in [("unitary", &unitary), ("measured", &measured)] {
+                let what = format!("run of the {name} circuit, {at}");
+                let mut sim = DdSimulator::with_config(circuit.clone(), 1, config);
+                if value_or_refusal(&what, sim_refused, || sim.run()).is_none() {
+                    refused += 1;
+                    continue;
+                }
+                let stats = sim.stats();
+                if stats.is_approximate() {
+                    approximated += 1;
+                    assert!(stats.fidelity_lower_bound >= 0.5, "{what}: {stats:?}");
+                } else if name == "unitary" {
+                    for (a, b) in exact.iter().zip(sim.dense_state()) {
+                        assert!(a.approx_eq(b, 1e-9), "{what}: {a:?} vs {b:?}");
                     }
                 }
             }
 
-            for dense_fallback in [true, false] {
-                let histograms = [1, 2].map(|threads| {
-                    let what = format!("shots at {threads} threads, dense {dense_fallback}, {at}");
-                    let opts = ShotOptions {
-                        threads,
-                        config,
-                        dense_fallback,
-                        ..ShotOptions::new(32, 7)
-                    };
-                    let job = || shots::run(&measured, &opts);
-                    let report = value_or_refusal(&what, sim_refused, job)?;
-                    assert!(report.fidelity_lower_bound >= 0.5, "{what}: {report:?}");
-                    Some(report.histogram)
-                });
-                if let [Some(one), Some(two)] = &histograms {
-                    assert_eq!(one, two, "histograms differ across threads, {at}");
-                }
+            let histograms = [1, 2].map(|threads| {
+                let what = format!("shots at {threads} threads, {at}");
+                let opts = ShotOptions {
+                    threads,
+                    config,
+                    ..ShotOptions::new(32, 7)
+                };
+                let job = || shots::run(&measured, &opts);
+                let report = value_or_refusal(&what, sim_refused, job)?;
+                assert!(report.fidelity_lower_bound >= 0.5, "{what}: {report:?}");
+                Some(report.histogram)
+            });
+            if let [Some(one), Some(two)] = &histograms {
+                assert_eq!(one, two, "histograms differ across threads, {at}");
             }
 
             for ((left, right), verdicts) in pairs.iter().zip(verdicts) {

@@ -504,17 +504,13 @@ fn resource_budgets_clamp_and_degradation_is_reported() {
         },
         ..ServerConfig::default()
     });
-    // 8 nodes cannot hold a 12-qubit GHZ cascade: with no fidelity floor
-    // and dense fallback disabled, the budget trips as a typed 422.
+    // 8 nodes cannot hold a 12-qubit GHZ cascade: with no fidelity floor,
+    // the budget trips as a typed 422.
     let mut ghz = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[12];\nh q[0];\n");
     for i in 0..11 {
         ghz.push_str(&format!("cx q[{i}],q[{}];\n", i + 1));
     }
-    let body = shots_body(
-        &ghz,
-        10,
-        ",\"dense_fallback\":false,\"limits\":{\"max_nodes\":999999}",
-    );
+    let body = shots_body(&ghz, 10, ",\"limits\":{\"max_nodes\":999999}");
     let resp = request(addr, "POST", "/v1/shots", &body);
     assert_eq!(resp.status, 422, "{}", resp.body);
     assert_eq!(
@@ -525,6 +521,43 @@ fn resource_budgets_clamp_and_degradation_is_reported() {
     let telemetry = resp.json().get("telemetry").cloned().unwrap();
     let spans = telemetry.get("spans").unwrap();
     assert!(spans.get("shots.engine").is_some(), "{}", resp.body);
+}
+
+#[test]
+fn the_node_ceiling_refuses_a_wide_register_with_a_typed_422() {
+    // 24 qubits under three `ry` + `cx` layers: no product structure, so
+    // the state's diagram outgrows a 2000-node ceiling, and its dense
+    // vector would take 256 MB. The operator's ceiling bounds the request.
+    let addr = spawn_server(ServerConfig {
+        quota: Quota {
+            node_ceiling: Some(2000),
+            ..Quota::default()
+        },
+        ..ServerConfig::default()
+    });
+    let n = 24;
+    let mut qasm = format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{n}];\n");
+    for layer in 0..3 {
+        for q in 0..n {
+            qasm.push_str(&format!(
+                "ry({}) q[{q}];\n",
+                0.37 + 0.11 * (layer * n + q) as f64
+            ));
+        }
+        for q in 0..n - 1 {
+            qasm.push_str(&format!("cx q[{q}],q[{}];\n", q + 1));
+        }
+    }
+    let body = format!("{{\"qasm\":\"{}\"}}", json_escape(&qasm));
+    let resp = request(addr, "POST", "/v1/simulate", &body);
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    let error = resp.json().get("error").cloned().unwrap();
+    assert_eq!(get_str(&error, "code"), "resource_exhausted");
+    assert!(
+        get_str(&error, "message").contains("max_nodes = 2000"),
+        "{}",
+        resp.body
+    );
 }
 
 #[test]
