@@ -35,11 +35,12 @@ OPTIONS:
                     probability mass, keeping the state's fidelity to the
                     exact run at least F (in (0, 1]); runs that
                     approximated exit with code 4
-  --stats           print the run's statistics when it ends: every counter,
-                    gauge and histogram of the telemetry snapshot (the
-                    numbers --metrics-out writes: node counts, per-table
-                    cache traffic, gate-DD cache, complex-table interning,
-                    GC, approximation) and the per-phase wall-time table
+  --stats           print the run's statistics when it ends: every counter
+                    and gauge of the telemetry snapshot (the numbers
+                    --metrics-out writes: ops applied, the state's peak,
+                    node counts, per-table cache traffic, gate-DD cache,
+                    complex-table interning, GC, approximation) and the
+                    per-phase wall-time table
   --metrics-out P   write the telemetry snapshot to P as one line of
                     qdd-metrics-v1 JSON
   --trace-out P     record the run: write the telemetry event stream to
@@ -60,7 +61,10 @@ OPTIONS:
   --svg PATH        write the final diagram as SVG
   --dot PATH        write the final diagram as Graphviz DOT
   --html PATH       write a step-by-step HTML explorer of the whole run:
-                    the same seed gives the same run as the printed one
+                    the same seed gives the same run as the printed one.
+                    It runs under the same budgets but keeps every step's
+                    state alive for stepping back, so a budget the batch
+                    run meets can stop it (exit 3, no file written)
   --style STYLE     classic | colored | modern  (default classic)
 
 EXIT STATUS: 0 on success (exact result), 1 on bad input, 3 when a
@@ -109,12 +113,21 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
         circuit.depth()
     );
 
+    let config = qdd_core::PackageConfig {
+        limits,
+        ..qdd_core::PackageConfig::default()
+    };
+
     // The HTML explorer needs per-step frames. Its dialogs resolve with the
     // simulator's own draw from `seed`, so its frames show the run printed
-    // below.
+    // below; it runs under the same budgets.
     if let Some(html_path) = args.value("--html") {
-        let mut explorer = qdd_viz::SimulationExplorer::with_seed(circuit.clone(), seed, style);
-        explorer.run_scripted(&[]).map_err(|e| e.to_string())?;
+        let mut explorer =
+            qdd_viz::SimulationExplorer::with_config(circuit.clone(), seed, config, style);
+        if let Err(e) = explorer.run_scripted(&[]) {
+            let _ = crate::telemetry::finish(&args, telemetry_on, &workload);
+            return Err(CmdError::from_sim(&e));
+        }
         qdd_viz::html::write_explorer(
             std::path::Path::new(html_path),
             &format!("qdd — {}", circuit.name()),
@@ -124,10 +137,6 @@ pub fn run(argv: &[String]) -> Result<u8, CmdError> {
         println!("wrote {} frames to {html_path}", explorer.frames().len());
     }
 
-    let config = qdd_core::PackageConfig {
-        limits,
-        ..qdd_core::PackageConfig::default()
-    };
     let mut sim = qdd_sim::DdSimulator::with_config(circuit.clone(), seed, config);
     if let Err(e) = sim.run() {
         // A blown deadline returns immediately without climbing the ladder

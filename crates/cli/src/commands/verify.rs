@@ -21,8 +21,8 @@ OPTIONS:
   --timeout-ms N   wall-clock budget for the check, and again for the
                    stimuli
   --stats          print the check's statistics when it ends: every
-                   counter, gauge and histogram of the telemetry snapshot
-                   (the numbers --metrics-out writes) and the per-phase
+                   counter and gauge of the telemetry snapshot (the
+                   numbers --metrics-out writes) and the per-phase
                    wall-time table
   --metrics-out P  write the telemetry snapshot to P as one line of
                    qdd-metrics-v1 JSON

@@ -32,13 +32,26 @@ USAGE:
   qdd serve    [options]                      run the engine as an HTTP daemon
   qdd help [command]                          this message / command details
 
-Run `qdd help <command>` for per-command options.";
+Run `qdd help <command>` or `qdd <command> --help` for per-command options.";
 
 /// Exit code for resource exhaustion (node budget or deadline), distinct
 /// from 1 (bad input / failure) so scripts can retry with a larger budget.
 /// Successful-but-approximated runs exit with
 /// [`commands::simulate::EXIT_APPROXIMATE`] (4).
 const EXIT_RESOURCE: u8 = 3;
+
+/// The help text of `command`, or `None` when there is no such command.
+fn command_help(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "simulate" => commands::simulate::HELP,
+        "verify" => commands::verify::HELP,
+        "render" => commands::render::HELP,
+        "circuit" => commands::circuit::HELP,
+        "inspect" => commands::inspect::HELP,
+        "serve" => commands::serve::HELP,
+        _ => return None,
+    })
+}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -47,6 +60,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &argv[1..];
+    // `qdd <command> --help` prints the help before anything runs, so a
+    // `serve` never binds.
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        if let Some(help) = command_help(command) {
+            println!("{help}");
+            return ExitCode::SUCCESS;
+        }
+    }
     let result: Result<u8, commands::CmdError> = match command.as_str() {
         "simulate" => commands::simulate::run(rest),
         "verify" => commands::verify::run(rest).map(|()| 0),
@@ -55,15 +76,8 @@ fn main() -> ExitCode {
         "inspect" => commands::inspect::run(rest).map(|()| 0).map_err(Into::into),
         "serve" => commands::serve::run(rest).map(|()| 0),
         "help" | "--help" | "-h" => {
-            match rest.first().map(String::as_str) {
-                Some("simulate") => println!("{}", commands::simulate::HELP),
-                Some("verify") => println!("{}", commands::verify::HELP),
-                Some("render") => println!("{}", commands::render::HELP),
-                Some("circuit") => println!("{}", commands::circuit::HELP),
-                Some("inspect") => println!("{}", commands::inspect::HELP),
-                Some("serve") => println!("{}", commands::serve::HELP),
-                _ => println!("{USAGE}"),
-            }
+            let help = rest.first().and_then(|c| command_help(c));
+            println!("{}", help.unwrap_or(USAGE));
             Ok(0)
         }
         other => Err(commands::CmdError::Input(format!(

@@ -40,8 +40,22 @@ fn help_lists_commands() {
     let out = qdd(&["help"]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for cmd in ["simulate", "verify", "render", "circuit"] {
+    for cmd in [
+        "simulate", "verify", "render", "circuit", "inspect", "serve",
+    ] {
         assert!(text.contains(cmd), "help missing {cmd}");
+        // `qdd <cmd> --help` prints what `qdd help <cmd>` prints, before
+        // anything runs: `serve` does not bind.
+        let help = qdd(&["help", cmd]);
+        for flag in ["--help", "-h"] {
+            let out = qdd(&[cmd, flag]);
+            assert!(
+                out.status.success(),
+                "{cmd} {flag}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(out.stdout, help.stdout, "{cmd} {flag}");
+        }
     }
 }
 
@@ -365,9 +379,10 @@ fn simulate_exits_four_when_approximated() {
 }
 
 /// `--stats` is the text form of the snapshot `--metrics-out` writes, for
-/// the whole command: every counter, gauge, histogram and span of the file
-/// appears in the report with the same value (durations as the phase table
-/// formats them).
+/// the whole command: every counter, gauge and span of the file appears in
+/// the report with the same value (durations as the phase table formats
+/// them). The snapshot holds those three kinds and no ratio of its own
+/// values.
 #[test]
 fn stats_text_reports_the_metrics_out_snapshot() {
     let circuit = concat!(env!("CARGO_MANIFEST_DIR"), "/../../circuits/qft16.qasm");
@@ -400,6 +415,14 @@ fn stats_text_reports_the_metrics_out_snapshot() {
             .unwrap_or_else(|| panic!("`--stats` has no {section} row {name}:\n{text}"))
     };
     let doc = read_json(&metrics);
+    let JsonValue::Object(top) = &doc else {
+        panic!("the snapshot is not an object: {doc:?}");
+    };
+    let top: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        top,
+        ["schema", "counters", "gauges", "spans", "dropped_events"]
+    );
     let members = |key: &str| match doc.get(key) {
         Some(JsonValue::Object(m)) => m.clone(),
         other => panic!("`{key}` is not an object: {other:?}"),
@@ -431,10 +454,10 @@ fn stats_text_reports_the_metrics_out_snapshot() {
     ] {
         assert!(gauges.iter().any(|(n, _)| n == name), "no gauge {name}");
     }
-    for (name, h) in &members("histograms") {
-        let expected = ["count", "min", "max"].map(|key| int(h, key).to_string());
-        assert_eq!(row("histograms:", name), &expected, "{name}");
-    }
+    assert!(
+        !gauges.iter().any(|(name, _)| name.ends_with(".hit_rate")),
+        "a ratio of two gauges is left to the reader"
+    );
     let spans = members("spans");
     assert!(spans.iter().any(|(name, _)| name == "sim.run"), "{spans:?}");
     for (name, s) in &spans {
@@ -717,6 +740,28 @@ fn simulate_prints_degradation_trail_on_exhaustion() {
     // The typed error names the budget that tripped and its limit.
     assert!(err.contains("max_nodes = 10000"), "{err}");
     std::fs::remove_file(file).ok();
+}
+
+/// `--html` plays the run under the command's budgets: a node budget the
+/// explorer spends stops the command with exit 3, and no explorer of an
+/// unbudgeted run is written.
+#[test]
+fn simulate_html_runs_under_the_node_budget() {
+    let file = temp_file("html-budget.qasm", &adversarial_qasm(10, 3));
+    let html = temp_path("html-budget.html");
+    let out = qdd(&[
+        "simulate",
+        file.to_str().unwrap(),
+        "--node-limit",
+        "100",
+        "--html",
+        html.to_str().unwrap(),
+    ]);
+    std::fs::remove_file(file).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{err}");
+    assert!(err.contains("max_nodes = 100"), "{err}");
+    assert!(!html.exists(), "the explorer was written");
 }
 
 /// Basis indices and register values are `u64`s: wider registers are

@@ -162,17 +162,6 @@ pub struct ComputeTableStat {
     pub capacity: usize,
 }
 
-impl ComputeTableStat {
-    /// Hit rate in `[0, 1]` (0 when the table was never probed).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-}
-
 macro_rules! stat_of {
     ($table:expr, $name:literal) => {
         ComputeTableStat {

@@ -165,20 +165,13 @@ impl DdPackage {
 
     /// Publishes the package's internal counters into the thread's telemetry
     /// registry as gauges, so a metrics snapshot taken afterwards carries
-    /// node counts, per-table hit rates, gate-DD-cache stats, GC totals, and
-    /// complex-table health alongside the span timings. No-op (one branch)
-    /// when telemetry is disabled. Call once per reporting point — values
+    /// node counts, per-table lookups and hits, gate-DD-cache stats, GC
+    /// totals, and complex-table health alongside the span timings. No-op
+    /// (one branch) when telemetry is disabled. Call once per reporting point — values
     /// are absolute readings, not deltas.
     pub fn publish_telemetry(&self) {
         if !qdd_telemetry::enabled() {
             return;
-        }
-        fn rate(hits: u64, lookups: u64) -> f64 {
-            if lookups == 0 {
-                0.0
-            } else {
-                hits as f64 / lookups as f64
-            }
         }
         let s = self.stats();
         qdd_telemetry::gauge_set("core.nodes.vec_alive", s.vnodes_alive as f64);
@@ -188,15 +181,10 @@ impl DdPackage {
         qdd_telemetry::gauge_set("core.nodes.identity_skipped", s.identity_nodes_skipped as f64);
         qdd_telemetry::gauge_set("core.compute.lookups", s.cache_lookups as f64);
         qdd_telemetry::gauge_set("core.compute.hits", s.cache_hits as f64);
-        qdd_telemetry::gauge_set("core.compute.hit_rate", rate(s.cache_hits, s.cache_lookups));
         qdd_telemetry::gauge_set("core.compute.evictions", s.compute_evictions as f64);
         qdd_telemetry::gauge_set("core.compute.clears", s.compute_clears as f64);
         qdd_telemetry::gauge_set("core.gate_cache.lookups", s.gate_cache_lookups as f64);
         qdd_telemetry::gauge_set("core.gate_cache.hits", s.gate_cache_hits as f64);
-        qdd_telemetry::gauge_set(
-            "core.gate_cache.hit_rate",
-            rate(s.gate_cache_hits, s.gate_cache_lookups),
-        );
         qdd_telemetry::gauge_set("core.gc.total_runs", s.gc_runs as f64);
         qdd_telemetry::gauge_set("core.gc.total_pressure_runs", s.gc_pressure_runs as f64);
 
@@ -204,7 +192,6 @@ impl DdPackage {
         qdd_telemetry::gauge_set("core.complex.entries", ct.entries as f64);
         qdd_telemetry::gauge_set("core.complex.lookups", ct.lookups as f64);
         qdd_telemetry::gauge_set("core.complex.hits", ct.hits as f64);
-        qdd_telemetry::gauge_set("core.complex.hit_rate", rate(ct.hits, ct.lookups));
         qdd_telemetry::gauge_set("core.complex.front_hits", ct.front_hits as f64);
         qdd_telemetry::gauge_set("core.complex.reclaimed", ct.reclaimed as f64);
         qdd_telemetry::gauge_set("core.complex.approx_bytes", ct.approx_bytes as f64);
@@ -215,22 +202,20 @@ impl DdPackage {
             ($($name:literal => $key:literal),*) => {
                 [$(($name, concat!("core.table.", $key, ".lookups"),
                     concat!("core.table.", $key, ".hits"),
-                    concat!("core.table.", $key, ".hit_rate"),
                     concat!("core.table.", $key, ".dropped"))),*]
             };
         }
-        const TABLE_KEYS: [(&str, &str, &str, &str, &str); 9] = table_keys!(
+        const TABLE_KEYS: [(&str, &str, &str, &str); 9] = table_keys!(
             "add-vec" => "add_vec", "add-mat" => "add_mat", "mat-vec" => "mat_vec",
             "mat-mat" => "mat_mat", "kron-vec" => "kron_vec", "kron-mat" => "kron_mat",
             "adjoint" => "adjoint", "inner" => "inner", "prob-one" => "prob_one"
         );
-        for (t, (name, lookups_key, hits_key, rate_key, dropped_key)) in
+        for (t, (name, lookups_key, hits_key, dropped_key)) in
             self.compute_table_stats().iter().zip(TABLE_KEYS)
         {
             debug_assert_eq!(t.name, name, "table reporting order changed");
             qdd_telemetry::gauge_set(lookups_key, t.lookups as f64);
             qdd_telemetry::gauge_set(hits_key, t.hits as f64);
-            qdd_telemetry::gauge_set(rate_key, t.hit_rate());
             qdd_telemetry::gauge_set(dropped_key, t.dropped as f64);
         }
     }

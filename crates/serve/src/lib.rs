@@ -468,7 +468,7 @@ fn handle_shots(
     let trailer = format!(
         "{{\"stats\":{{\"regime\":\"{}\",\"threads_used\":{},\"elapsed_ms\":{},\
          \"fidelity_lower_bound\":{},\"gate_cache_lookups\":{},\"gate_cache_hits\":{},\
-         \"gate_cache_hit_rate\":{},\"worker_shots\":[{}],\"executed_shots\":{}}},\
+         \"worker_shots\":[{}],\"executed_shots\":{}}},\
          \"degraded\":{},\"cache\":{{\"hit\":{},\"key\":\"{:016x}\"}},\"telemetry\":{}}}",
         report.regime.name(),
         report.threads_used,
@@ -476,7 +476,6 @@ fn handle_shots(
         num(report.fidelity_lower_bound),
         report.gate_cache_lookups,
         report.gate_cache_hits,
-        num(report.gate_cache_hit_rate()),
         worker_shots.join(","),
         report.executed_shots,
         degraded_field(report.is_approximate()),

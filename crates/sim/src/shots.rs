@@ -183,15 +183,6 @@ impl ShotReport {
         self.fidelity_lower_bound < 1.0
     }
 
-    /// Gate-DD cache hit rate over the whole job (`0.0` when no lookups).
-    pub fn gate_cache_hit_rate(&self) -> f64 {
-        if self.gate_cache_lookups == 0 {
-            0.0
-        } else {
-            self.gate_cache_hits as f64 / self.gate_cache_lookups as f64
-        }
-    }
-
     /// The `qdd-histogram-v1` header line (without a newline): what the
     /// keys mean and how many shots the counts sum to.
     pub fn histogram_header(&self) -> String {

@@ -416,7 +416,8 @@ impl DdSimulator {
             }
         }
         drop(event);
-        qdd_telemetry::observe("sim.nodes_after_op", nodes as u64);
+        qdd_telemetry::counter_add("sim.ops", 1);
+        qdd_telemetry::gauge_max("sim.peak_nodes", nodes as f64);
         self.stats.applied_ops += 1;
         Ok(true)
     }

@@ -5,8 +5,8 @@
 //! growth — that wall time alone cannot explain. This crate gives every
 //! layer of the engine one uniform observability surface:
 //!
-//! * a **metrics registry** of named counters, gauges, and log₂-bucketed
-//!   histograms ([`counter_add`], [`gauge_set`], [`observe`]);
+//! * a **metrics registry** of named counters and gauges
+//!   ([`counter_add`], [`gauge_set`], [`gauge_max`]);
 //! * lightweight **spans** — RAII guards over a monotonic clock that
 //!   aggregate per-phase wall time and emit structured events
 //!   ([`span()`]);
@@ -34,8 +34,8 @@
 //! its events into its scope of a process-wide registry; the coordinating
 //! thread then reads [`merged_snapshot`] and [`drain_events`], which
 //! combine the published registry with its own thread-local recordings.
-//! Counters and histogram/span aggregates add across threads, gauges take
-//! the maximum (see [`Snapshot::merge`]). Every thread stamps events with
+//! Counters and span aggregates add across threads, gauges take the
+//! maximum (see [`Snapshot::merge`]). Every thread stamps events with
 //! one process-wide clock, and a drain orders them by lane, then by
 //! recording order within the lane, so the merged stream does not depend
 //! on thread scheduling.
@@ -64,7 +64,7 @@ pub mod sink;
 mod snapshot;
 
 pub use event::{Event, EventBuilder, Value};
-pub use metrics::{Histogram, HistogramSnapshot, SpanAgg};
+pub use metrics::SpanAgg;
 pub use snapshot::Snapshot;
 
 use std::cell::{Cell, RefCell};
@@ -117,7 +117,6 @@ struct Collector {
     lane: u32,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
     spans: BTreeMap<&'static str, SpanAgg>,
     /// Current span nesting depth (for trace viewers).
     depth: u16,
@@ -131,7 +130,6 @@ impl Collector {
             lane: 0,
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
             spans: BTreeMap::new(),
             depth: 0,
             events: Vec::new(),
@@ -236,18 +234,17 @@ pub fn gauge_set(name: &'static str, value: f64) {
     });
 }
 
-/// Records `value` into the named log₂-bucketed histogram.
+/// Raises the named gauge to `value` if that is higher than its current
+/// value: a high-water mark, merged across threads like every gauge.
 #[inline]
-pub fn observe(name: &'static str, value: u64) {
+pub fn gauge_max(name: &'static str, value: f64) {
     if !enabled() {
         return;
     }
     COLLECTOR.with(|c| {
-        c.borrow_mut()
-            .histograms
-            .entry(name)
-            .or_default()
-            .record(value);
+        let mut c = c.borrow_mut();
+        let gauge = c.gauges.entry(name).or_insert(value);
+        *gauge = gauge.max(value);
     });
 }
 
@@ -363,13 +360,7 @@ pub(crate) fn record_event(ev: Event) {
 pub fn snapshot() -> Snapshot {
     COLLECTOR.with(|c| {
         let c = c.borrow();
-        Snapshot::build(
-            &c.counters,
-            &c.gauges,
-            &c.histograms,
-            &c.spans,
-            c.dropped_events,
-        )
+        Snapshot::build(&c.counters, &c.gauges, &c.spans, c.dropped_events)
     })
 }
 
@@ -381,16 +372,9 @@ pub fn snapshot() -> Snapshot {
 pub fn publish() {
     let (snap, events) = COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
-        let snap = Snapshot::build(
-            &c.counters,
-            &c.gauges,
-            &c.histograms,
-            &c.spans,
-            c.dropped_events,
-        );
+        let snap = Snapshot::build(&c.counters, &c.gauges, &c.spans, c.dropped_events);
         c.counters.clear();
         c.gauges.clear();
-        c.histograms.clear();
         c.spans.clear();
         c.dropped_events = 0;
         (snap, std::mem::take(&mut c.events))
@@ -496,7 +480,7 @@ mod tests {
         reset();
         counter_add("c", 1);
         gauge_set("g", 1.0);
-        observe("h", 1);
+        gauge_max("m", 1.0);
         let mut s = span("s");
         s.field("k", 1u64);
         drop(s);
@@ -504,7 +488,6 @@ mod tests {
         let snap = snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
-        assert!(snap.histograms.is_empty());
         assert!(snap.spans.is_empty());
         assert!(drain_events().is_empty());
     }
@@ -516,9 +499,12 @@ mod tests {
         counter_add("ops", 3);
         gauge_set("level", 4.0);
         gauge_set("level", 7.0);
+        gauge_max("peak", 9.0);
+        gauge_max("peak", 3.0);
         let snap = snapshot();
         assert_eq!(snap.counter("ops"), Some(5));
         assert_eq!(snap.gauge("level"), Some(7.0));
+        assert_eq!(snap.gauge("peak"), Some(9.0), "a lower value keeps the mark");
         set_enabled(false);
     }
 
@@ -575,7 +561,7 @@ mod tests {
         fresh();
         counter_add("m.ops", 2);
         gauge_set("m.level", 4.0);
-        observe("m.size", 5);
+        gauge_max("m.peak", 5.0);
         {
             let _s = span("m.phase");
         }
@@ -584,7 +570,7 @@ mod tests {
         counter_add("m.ops", 3);
         counter_add("m.extra", 1);
         gauge_set("m.level", 9.0);
-        observe("m.size", 1000);
+        gauge_max("m.peak", 1000.0);
         {
             let _s = span("m.phase");
         }
@@ -594,17 +580,7 @@ mod tests {
         assert_eq!(merged.counter("m.ops"), Some(5));
         assert_eq!(merged.counter("m.extra"), Some(1));
         assert_eq!(merged.gauge("m.level"), Some(9.0));
-        let h = &merged
-            .histograms
-            .iter()
-            .find(|(k, _)| k == "m.size")
-            .unwrap()
-            .1;
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 1005);
-        assert_eq!(h.min, 5);
-        assert_eq!(h.max, 1000);
-        assert_eq!(h.buckets, vec![(4, 7, 1), (512, 1023, 1)]);
+        assert_eq!(merged.gauge("m.peak"), Some(1000.0));
         assert_eq!(merged.span_stats("m.phase").unwrap().count, 2);
         // Merge is commutative — same result from the other direction.
         let mut rev = b.clone();

@@ -1,139 +1,4 @@
-//! Metric primitives: log₂-bucketed histograms and span aggregates.
-
-/// A log₂-bucketed histogram of `u64` observations.
-///
-/// Bucket `0` counts exact zeros; bucket `i ≥ 1` counts values in
-/// `[2^(i-1), 2^i)`. Sixty-five buckets cover the full `u64` range, so
-/// recording never saturates or clips.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        }
-    }
-}
-
-/// The bucket index of a value: 0 for 0, otherwise `1 + floor(log2 v)`.
-#[inline]
-pub(crate) fn bucket_of(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
-    }
-}
-
-/// The `[lo, hi]` value range a bucket index covers.
-pub(crate) fn bucket_bounds(index: usize) -> (u64, u64) {
-    if index == 0 {
-        (0, 0)
-    } else {
-        let lo = 1u64 << (index - 1);
-        let hi = if index >= 64 { u64::MAX } else { (1u64 << index) - 1 };
-        (lo, hi)
-    }
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_of(value)] += 1;
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Serializable snapshot with only the populated buckets.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            min: self.min,
-            max: self.max,
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &c)| {
-                    let (lo, hi) = bucket_bounds(i);
-                    (lo, hi, c)
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Snapshot of one histogram: summary statistics plus the non-empty
-/// `(lo, hi, count)` buckets in ascending order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation (0 when empty).
-    pub max: u64,
-    /// Populated buckets as `(lo, hi, count)`.
-    pub buckets: Vec<(u64, u64, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// Folds another snapshot of the same metric into this one: counts and
-    /// sums add (saturating), min/max combine, and buckets merge by their
-    /// `(lo, hi)` range, staying in ascending order.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for &(lo, hi, c) in &other.buckets {
-            match self.buckets.binary_search_by_key(&lo, |&(l, _, _)| l) {
-                Ok(i) => self.buckets[i].2 += c,
-                Err(i) => self.buckets.insert(i, (lo, hi, c)),
-            }
-        }
-    }
-}
+//! Metric primitives: span aggregates.
 
 /// Wall-time aggregate of one span name.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -163,56 +28,6 @@ impl SpanAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_edges_are_exact() {
-        // The canonical edge cases: zero, one, powers of two and their
-        // neighbours, and the extremes.
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(7), 3);
-        assert_eq!(bucket_of(8), 4);
-        assert_eq!(bucket_of(1 << 63), 64);
-        assert_eq!(bucket_of(u64::MAX), 64);
-        for i in 1..=64usize {
-            let (lo, hi) = bucket_bounds(i);
-            assert_eq!(bucket_of(lo), i, "lower bound of bucket {i}");
-            assert_eq!(bucket_of(hi), i, "upper bound of bucket {i}");
-            if lo > 1 {
-                assert_eq!(bucket_of(lo - 1), i - 1, "below bucket {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn histogram_tracks_summary_stats() {
-        let mut h = Histogram::default();
-        for v in [0, 1, 1, 5, 1000] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.sum, 1007);
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, 1000);
-        // 0 → bucket 0; 1,1 → bucket 1; 5 → bucket 3; 1000 → bucket 10.
-        assert_eq!(
-            s.buckets,
-            vec![(0, 0, 1), (1, 1, 2), (4, 7, 1), (512, 1023, 1)]
-        );
-    }
-
-    #[test]
-    fn histogram_saturates_instead_of_overflowing() {
-        let mut h = Histogram::default();
-        h.record(u64::MAX);
-        h.record(u64::MAX);
-        assert_eq!(h.sum(), u64::MAX);
-        assert_eq!(h.count(), 2);
-    }
 
     #[test]
     fn span_agg_means() {

@@ -139,14 +139,12 @@ pub fn fmt_ns(ns: u64) -> String {
 }
 
 /// Renders a snapshot as the `--stats` report: every counter and gauge
-/// with the value [`Snapshot::to_json`] writes, every histogram's count,
-/// min and max, the per-phase table of span aggregates sorted by total
-/// wall time (calls, then total, mean and max in [`fmt_ns`] units), and the
+/// with the value [`Snapshot::to_json`] writes, the per-phase table of
+/// span aggregates sorted by total wall time (calls, then total, mean and max in [`fmt_ns`] units), and the
 /// number of dropped events. Empty sections are left out.
 pub fn render_stats(snapshot: &Snapshot) -> String {
     let names = snapshot.counters.iter().map(|(n, _)| n.len());
     let names = names.chain(snapshot.gauges.iter().map(|(n, _)| n.len()));
-    let names = names.chain(snapshot.histograms.iter().map(|(n, _)| n.len()));
     let names = names.chain(snapshot.spans.iter().map(|(n, _)| n.len()));
     let w = names.max().unwrap_or(0).clamp(10, 40);
     let mut out = String::new();
@@ -162,24 +160,6 @@ pub fn render_stats(snapshot: &Snapshot) -> String {
             let _ = write!(out, "  {name:<w$} ");
             crate::Value::F64(*v).write_json(&mut out);
             out.push('\n');
-        }
-    }
-    if !snapshot.histograms.is_empty() {
-        let _ = writeln!(
-            out,
-            "{:<pad$} {:>10} {:>10} {:>10}",
-            "histograms:",
-            "count",
-            "min",
-            "max",
-            pad = w + 2
-        );
-        for (name, h) in &snapshot.histograms {
-            let _ = writeln!(
-                out,
-                "  {name:<w$} {:>10} {:>10} {:>10}",
-                h.count, h.min, h.max
-            );
         }
     }
     if !snapshot.spans.is_empty() {
@@ -318,7 +298,7 @@ mod tests {
     fn stats_report_lists_every_metric_and_sorts_phases_by_total_time() {
         let snap = Snapshot {
             counters: vec![("approx.rounds".to_string(), 3)],
-            gauges: vec![("core.compute.hit_rate".to_string(), 0.5)],
+            gauges: vec![("approx.fidelity_lower_bound".to_string(), 0.5)],
             spans: vec![
                 (
                     "fast".to_string(),
@@ -350,15 +330,16 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(row("approx.rounds"), ["3"]);
-        assert_eq!(row("core.compute.hit_rate"), ["0.5"]);
+        assert_eq!(row("approx.fidelity_lower_bound"), ["0.5"]);
         assert_eq!(row("slow"), ["1", "9.0ms", "9.0ms", "9.0ms"]);
         let slow_at = report.find("slow").unwrap();
         let fast_at = report.find("fast").unwrap();
         assert!(slow_at < fast_at, "slowest phase first:\n{report}");
-        assert!(
-            !report.contains("histograms:"),
+        assert!(report.ends_with("telemetry: 0 events dropped at the buffer cap\n"));
+        assert_eq!(
+            render_stats(&Snapshot::default()),
+            "telemetry: 0 events dropped at the buffer cap\n",
             "empty sections are left out"
         );
-        assert!(report.ends_with("telemetry: 0 events dropped at the buffer cap\n"));
     }
 }

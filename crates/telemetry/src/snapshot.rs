@@ -1,7 +1,7 @@
 //! Serializable snapshot of the metrics registry.
 
 use crate::json::write_json_string;
-use crate::metrics::{Histogram, HistogramSnapshot, SpanAgg};
+use crate::metrics::SpanAgg;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -16,8 +16,6 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// Named gauges (last/max value), sorted by name.
     pub gauges: Vec<(String, f64)>,
-    /// Named histograms, sorted by name.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
     /// Per-span wall-time aggregates, sorted by name.
     pub spans: Vec<(String, SpanAgg)>,
     /// Events dropped after the buffer cap was hit.
@@ -28,17 +26,12 @@ impl Snapshot {
     pub(crate) fn build(
         counters: &BTreeMap<&'static str, u64>,
         gauges: &BTreeMap<&'static str, f64>,
-        histograms: &BTreeMap<&'static str, Histogram>,
         spans: &BTreeMap<&'static str, SpanAgg>,
         dropped_events: u64,
     ) -> Self {
         Snapshot {
             counters: counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
             gauges: gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            histograms: histograms
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.snapshot()))
-                .collect(),
             spans: spans.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
             dropped_events,
         }
@@ -48,9 +41,8 @@ impl Snapshot {
     /// step behind [`crate::merged_snapshot`]. Semantics per kind:
     ///
     /// * **counters** — summed (they are monotonic totals);
-    /// * **gauges** — the maximum wins (levels and rates; the conservative
-    ///   merge for high-water marks, and a defined one for everything else);
-    /// * **histograms** — bucket-wise sum, min/max combined;
+    /// * **gauges** — the maximum wins (the conservative merge for
+    ///   high-water marks, and a defined one for everything else);
     /// * **spans** — counts and totals summed, `max_ns` combined;
     /// * **dropped_events** — summed.
     ///
@@ -58,9 +50,6 @@ impl Snapshot {
     pub fn merge(&mut self, other: &Snapshot) {
         merge_sorted(&mut self.counters, &other.counters, |a, b| *a += b);
         merge_sorted(&mut self.gauges, &other.gauges, |a, b| *a = a.max(b));
-        merge_sorted(&mut self.histograms, &other.histograms, |a, b| {
-            a.merge(&b);
-        });
         merge_sorted(&mut self.spans, &other.spans, |a, b| {
             a.count += b.count;
             a.total_ns = a.total_ns.saturating_add(b.total_ns);
@@ -95,7 +84,6 @@ impl Snapshot {
     ///
     /// ```json
     /// {"schema":"qdd-metrics-v1","counters":{"name":3},"gauges":{"name":0.97},
-    ///  "histograms":{"name":{"count":2,"sum":9,"min":4,"max":5,"buckets":[[4,7,2]]}},
     ///  "spans":{"name":{"count":1,"total_ns":1200,"max_ns":1200}},"dropped_events":0}
     /// ```
     ///
@@ -109,21 +97,6 @@ impl Snapshot {
         s.push_str(",\"gauges\":");
         write_object(&mut s, &self.gauges, |s, v| {
             crate::Value::F64(*v).write_json(s)
-        });
-        s.push_str(",\"histograms\":");
-        write_object(&mut s, &self.histograms, |s, h| {
-            let _ = write!(
-                s,
-                "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-                h.count, h.sum, h.min, h.max
-            );
-            for (j, (lo, hi, c)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "[{lo},{hi},{c}]");
-            }
-            s.push_str("]}");
         });
         s.push_str(",\"spans\":");
         write_object(&mut s, &self.spans, |s, a| {
@@ -178,21 +151,16 @@ mod tests {
         assert_eq!(
             Snapshot::default().to_json(),
             "{\"schema\":\"qdd-metrics-v1\",\"counters\":{},\"gauges\":{},\
-             \"histograms\":{},\"spans\":{},\"dropped_events\":0}"
+             \"spans\":{},\"dropped_events\":0}"
         );
     }
 
     #[test]
     fn to_json_is_single_line_and_parseable() {
         use crate::json::{parse_json, JsonValue};
-        let mut hist = Histogram::default();
-        for v in [0, 3, 5, 1000] {
-            hist.record(v);
-        }
         let snap = Snapshot {
             counters: vec![("a.b".into(), 3)],
-            gauges: vec![("g".into(), 1.5), ("inf".into(), f64::INFINITY)],
-            histograms: vec![("h\"q".into(), hist.snapshot())],
+            gauges: vec![("g\"q".into(), 1.5), ("inf".into(), f64::INFINITY)],
             spans: vec![(
                 "s".into(),
                 SpanAgg {
@@ -213,7 +181,7 @@ mod tests {
         let member =
             |section: &str, name: &str| parsed.get(section).unwrap().get(name).unwrap().clone();
         assert_eq!(member("counters", "a.b").as_u64(), Some(3));
-        assert_eq!(member("gauges", "g").as_f64(), Some(1.5));
+        assert_eq!(member("gauges", "g\"q").as_f64(), Some(1.5));
         assert_eq!(member("gauges", "inf"), JsonValue::Null);
         assert_eq!(
             member("spans", "s")
@@ -225,16 +193,6 @@ mod tests {
             parsed.get("dropped_events").and_then(JsonValue::as_u64),
             Some(1)
         );
-        // The buckets account for every observation.
-        let h = member("histograms", "h\"q");
-        let buckets = h.get("buckets").and_then(JsonValue::as_array).unwrap();
-        let bucket_sum: u64 = buckets
-            .iter()
-            .map(|b| b.as_array().unwrap()[2].as_u64().unwrap())
-            .sum();
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(Some(bucket_sum), h.get("count").and_then(JsonValue::as_u64));
-        assert_eq!(bucket_sum, 4);
     }
 
     #[test]
@@ -248,10 +206,9 @@ mod tests {
         b.insert("alpha", 2);
         b.insert("zeta", 1);
         let empty_g = BTreeMap::new();
-        let empty_h = BTreeMap::new();
         let empty_s = BTreeMap::new();
-        let sa = Snapshot::build(&a, &empty_g, &empty_h, &empty_s, 0);
-        let sb = Snapshot::build(&b, &empty_g, &empty_h, &empty_s, 0);
+        let sa = Snapshot::build(&a, &empty_g, &empty_s, 0);
+        let sb = Snapshot::build(&b, &empty_g, &empty_s, 0);
         assert_eq!(sa, sb);
         assert_eq!(sa.to_json(), sb.to_json());
         assert!(sa.to_json().find("alpha").unwrap() < sa.to_json().find("zeta").unwrap());

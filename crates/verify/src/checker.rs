@@ -5,12 +5,7 @@ use crate::error::VerifyError;
 use crate::result::{Counterexample, Equivalence, EquivalenceReport, Strategy};
 use crate::stimuli::{self, StimuliReport};
 use qdd_circuit::{swap_gates, GateApplication, Operation, QuantumCircuit};
-use qdd_core::{DdError, DdPackage, Limits, MatEdge, PackageConfig, VecEdge};
-
-/// Default live-node estimate that triggers an intermediate garbage
-/// collection between gate applications. Checking builds operator (4-ary)
-/// diagrams, so this sits well below the simulator's default threshold.
-const DEFAULT_GC_THRESHOLD: usize = 500_000;
+use qdd_core::{DdError, DdPackage, MatEdge, PackageConfig, VecEdge};
 
 /// One primitive step of a flattened circuit.
 #[derive(Clone, Debug)]
@@ -33,11 +28,12 @@ impl Flat {
 /// A checker owns its [`DdPackage`]; reusing one checker across many checks
 /// shares gate diagrams and cache entries.
 ///
-/// The package's [`Limits`] apply to every check: node/complex budgets are
-/// enforced during gate application, and a configured deadline is armed for
-/// the duration of [`Self::check`] and of [`Self::check_stimuli`]. A spent
-/// budget gets one pressure collection and a retry of the gate; if that
-/// fails too, the overrun surfaces as [`VerifyError::Dd`].
+/// The package's [`Limits`](qdd_core::Limits) apply to every check:
+/// node/complex budgets are enforced during gate application, and a
+/// configured deadline is armed for the duration of [`Self::check`] and of
+/// [`Self::check_stimuli`]. A spent budget gets one pressure collection and
+/// a retry of the gate; if that fails too, the overrun surfaces as
+/// [`VerifyError::Dd`].
 ///
 /// Every check runs on the checker's one package, so both circuits'
 /// diagrams are canonical in the same unique table (Example 11).
@@ -53,16 +49,10 @@ impl Default for EquivalenceChecker {
 }
 
 impl EquivalenceChecker {
-    /// Creates a checker with a fresh, unlimited package (auto-GC at
-    /// `DEFAULT_GC_THRESHOLD` live nodes).
+    /// Creates a checker with a fresh, unlimited package in the default
+    /// configuration, the one every other driver starts from.
     pub fn new() -> Self {
-        Self::with_config(PackageConfig {
-            limits: Limits {
-                auto_gc_threshold: DEFAULT_GC_THRESHOLD,
-                ..Limits::default()
-            },
-            ..PackageConfig::default()
-        })
+        Self::with_config(PackageConfig::default())
     }
 
     /// Creates a checker over an explicit package configuration — the hook
@@ -420,6 +410,19 @@ fn flatten_one(qc: &QuantumCircuit, circuit: usize) -> Result<Vec<Flat>, VerifyE
 mod tests {
     use super::*;
     use qdd_circuit::{compile, library, QuantumCircuit};
+    use qdd_core::Limits;
+
+    /// A check collects garbage at the same points whether or not a budget
+    /// was set: `new` is the default configuration.
+    #[test]
+    fn new_uses_the_default_package_config() {
+        assert_eq!(
+            EquivalenceChecker::new().package().config(),
+            EquivalenceChecker::with_config(PackageConfig::default())
+                .package()
+                .config()
+        );
+    }
 
     /// Paper Example 11: the QFT and its compiled form yield the same
     /// canonical diagram — equivalent under every strategy.

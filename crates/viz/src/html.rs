@@ -401,8 +401,14 @@ fn level_curves_svg(groups: &[Vec<&OpLine>]) -> Option<String> {
     Some(svg)
 }
 
+/// The narrowest span the span tree draws, as a share of the run. Spans of
+/// one worker and depth never overlap, so a row holds at most about 667 of
+/// them; the narrower ones are left to a trace viewer.
+const MIN_SPAN_SHARE: f64 = 0.0015;
+
 /// The span tree, one band of rows per worker: workers run concurrently,
-/// so their spans would overlay each other on a shared band.
+/// so their spans would overlay each other on a shared band. Spans
+/// narrower than [`MIN_SPAN_SHARE`] of the run are counted, not drawn.
 fn flamegraph_html(spans: &[SpanLine]) -> String {
     let t0 = spans.iter().map(|s| s.ts_us).min().unwrap_or(0);
     let t1 = spans
@@ -412,9 +418,13 @@ fn flamegraph_html(spans: &[SpanLine]) -> String {
         .unwrap_or(t0 + 1)
         .max(t0 + 1);
     let total = (t1 - t0) as f64;
+    let drawn: Vec<&SpanLine> = spans
+        .iter()
+        .filter(|s| s.dur_us as f64 >= total * MIN_SPAN_SHARE)
+        .collect();
     // Worker → its band's first row, bands stacked in worker order.
     let mut depths: BTreeMap<u32, usize> = BTreeMap::new();
-    for span in spans {
+    for span in &drawn {
         let rows = depths.entry(span.worker).or_default();
         *rows = (*rows).max(span.depth as usize + 1);
     }
@@ -425,16 +435,28 @@ fn flamegraph_html(spans: &[SpanLine]) -> String {
         rows += depth;
     }
     let mut out = format!(
-        "<div class=\"legend\">{} span(s) on {} worker(s), {:.1} ms total</div>\n\
-         <div id=\"flame\" style=\"height: {}px\">\n",
-        spans.len(),
+        "<div class=\"legend\">{} span(s) on {} worker(s), {:.1} ms total",
+        drawn.len(),
         depths.len(),
         total / 1000.0,
-        rows * 22 + 4,
     );
-    for span in spans {
+    let narrow = spans.len() - drawn.len();
+    if narrow > 0 {
+        let _ = write!(
+            out,
+            "; {narrow} span(s) narrower than {}% of the run are not drawn: \
+             open the trace (Chrome trace_event JSON) in a trace viewer",
+            MIN_SPAN_SHARE * 100.0
+        );
+    }
+    let _ = writeln!(
+        out,
+        "</div>\n<div id=\"flame\" style=\"height: {}px\">",
+        rows * 22 + 4
+    );
+    for span in drawn {
         let left = (span.ts_us - t0) as f64 / total * 100.0;
-        let width = (span.dur_us as f64 / total * 100.0).max(0.15);
+        let width = span.dur_us as f64 / total * 100.0;
         // Stable name-derived color so repeated spans read as one family.
         let hash: usize = span.name.bytes().map(usize::from).sum();
         let color = CURVE_COLORS[hash % CURVE_COLORS.len()];
@@ -644,6 +666,27 @@ mod tests {
         // Worker 2's run starts below worker 0's two rows, not on top of them.
         assert_eq!(top("sim.run (9 µs, worker 2)"), "46");
         assert!(html.contains("height: 70px"));
+    }
+
+    #[test]
+    fn flamegraph_counts_the_spans_too_narrow_to_draw() {
+        let span = |name: &str, ts_us, dur_us, depth| SpanLine {
+            name: name.to_string(),
+            ts_us,
+            dur_us,
+            depth,
+            ..SpanLine::default()
+        };
+        let mut spans: Vec<SpanLine> = (0..10_000).map(|i| span("core.mat_vec", i, 1, 1)).collect();
+        spans.push(span("sim.run", 0, 10_000, 0));
+        let html = flamegraph_html(&spans);
+        assert_eq!(html.matches("<div class=\"span\"").count(), 1);
+        assert!(html.contains("title=\"sim.run (10000 µs, worker 0)\""));
+        assert!(html.contains(
+            "1 span(s) on 1 worker(s), 10.0 ms total; 10000 span(s) narrower than 0.15% of \
+             the run are not drawn"
+        ));
+        assert!(html.contains("height: 26px"), "one row");
     }
 
     #[test]

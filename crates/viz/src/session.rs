@@ -10,7 +10,7 @@ use crate::dot::vector_to_dot;
 use crate::style::VizStyle;
 use crate::svg::vector_to_svg;
 use qdd_circuit::QuantumCircuit;
-use qdd_core::MeasurementOutcome;
+use qdd_core::{MeasurementOutcome, PackageConfig};
 use qdd_sim::{SimError, StepOutcome, SteppableSimulation};
 use std::io::Write as _;
 use std::path::Path;
@@ -46,11 +46,21 @@ impl SimulationExplorer {
         Self::from_session(SteppableSimulation::new(circuit), style)
     }
 
-    /// Opens a session whose collapses draw from `seed`: played with
-    /// [`Self::run_scripted`]`(&[])`, it shows the run
-    /// [`DdSimulator::with_seed`](qdd_sim::DdSimulator::with_seed) takes.
-    pub fn with_seed(circuit: QuantumCircuit, seed: u64, style: VizStyle) -> Self {
-        Self::from_session(SteppableSimulation::with_seed(circuit, seed), style)
+    /// Opens a session whose collapses draw from `seed` and whose package
+    /// runs under `config`: played with [`Self::run_scripted`]`(&[])`, it
+    /// shows the run
+    /// [`DdSimulator::with_config`](qdd_sim::DdSimulator::with_config)
+    /// takes, under the same budgets.
+    pub fn with_config(
+        circuit: QuantumCircuit,
+        seed: u64,
+        config: PackageConfig,
+        style: VizStyle,
+    ) -> Self {
+        Self::from_session(
+            SteppableSimulation::with_config(circuit, seed, config),
+            style,
+        )
     }
 
     fn from_session(sim: SteppableSimulation, style: VizStyle) -> Self {
@@ -145,12 +155,21 @@ impl SimulationExplorer {
 
     /// Plays the whole circuit, resolving dialogs from `choices` in order;
     /// dialogs beyond the script resolve with the simulator's seeded draw.
-    /// Returns the number of dialogs resolved.
+    /// The package's deadline, if any, is armed for the play, as
+    /// [`DdSimulator::run`](qdd_sim::DdSimulator::run) arms it. Returns the
+    /// number of dialogs resolved.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError`].
     pub fn run_scripted(&mut self, choices: &[MeasurementOutcome]) -> Result<usize, SimError> {
+        self.sim.package_mut().arm_deadline();
+        let played = self.play(choices);
+        self.sim.package_mut().disarm_deadline();
+        played
+    }
+
+    fn play(&mut self, choices: &[MeasurementOutcome]) -> Result<usize, SimError> {
         let mut used = 0usize;
         loop {
             match self.step_forward()? {

@@ -47,9 +47,9 @@ def warn(path, msg):
 
 
 def check_metrics(path, doc):
-    """A --metrics-out snapshot: four name->record maps plus a drop count."""
+    """A --metrics-out snapshot: three name->record maps plus a drop count."""
     for key, kind in [("counters", int), ("gauges", (int, float)),
-                      ("histograms", dict), ("spans", dict)]:
+                      ("spans", dict)]:
         section = doc.get(key)
         if not isinstance(section, dict):
             fail(path, f"`{key}` must be an object, got {type(section).__name__}")
@@ -61,14 +61,6 @@ def check_metrics(path, doc):
     if doc["dropped_events"] > 0:
         warn(path, f"metrics snapshot dropped {doc['dropped_events']} events "
                    f"at the buffer cap; the trace is incomplete")
-    for name, h in doc["histograms"].items():
-        bucket_total = sum(c for _, _, c in h.get("buckets", []))
-        if bucket_total != h.get("count"):
-            fail(path, f"histogram {name!r}: buckets sum to {bucket_total}, "
-                       f"count says {h.get('count')}")
-        for lo, hi, c in h["buckets"]:
-            if not (0 <= lo <= hi and c > 0):
-                fail(path, f"histogram {name!r}: bad bucket [{lo},{hi},{c}]")
     for name, s in doc["spans"].items():
         for field in ("count", "total_ns", "max_ns"):
             if not isinstance(s.get(field), int) or s[field] < 0:

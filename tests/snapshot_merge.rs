@@ -4,12 +4,13 @@
 //! Worker threads publish in whatever order they finish, and the
 //! coordinator folds them left-to-right — so the merged result is
 //! deterministic only if merge is **commutative** and **associative** over
-//! every metric kind, with the empty snapshot as the **identity**. These
+//! every metric kind (counters, gauges and spans), with the empty snapshot
+//! as the **identity**. These
 //! properties are checked over randomized snapshots whose names overlap
 //! (the interesting case: disjoint names trivially commute).
 
 use proptest::prelude::*;
-use qdd::telemetry::{HistogramSnapshot, Snapshot, SpanAgg};
+use qdd::telemetry::{Snapshot, SpanAgg};
 
 /// A small name pool so generated snapshots collide on names often.
 const NAMES: [&str; 5] = ["core.apply", "sim.op", "gc.runs", "shots.run", "verify.step"];
@@ -28,36 +29,11 @@ fn named<T>(entries: Vec<(usize, T)>, fold: impl Fn(&mut T, T)) -> Vec<(String, 
     out
 }
 
-/// A histogram over explicit observations, bucketed into fixed decades so
-/// any two generated histograms agree on bucket boundaries (as real ones
-/// do: the recorder's bucketing is value-determined, not state-determined).
-fn histogram(observations: &[u64]) -> HistogramSnapshot {
-    let mut h = HistogramSnapshot::default();
-    for &v in observations {
-        if h.count == 0 {
-            h.min = v;
-            h.max = v;
-        } else {
-            h.min = h.min.min(v);
-            h.max = h.max.max(v);
-        }
-        h.count += 1;
-        h.sum += v;
-        let lo = v / 10 * 10;
-        match h.buckets.binary_search_by_key(&lo, |&(l, _, _)| l) {
-            Ok(i) => h.buckets[i].2 += 1,
-            Err(i) => h.buckets.insert(i, (lo, lo + 9, 1)),
-        }
-    }
-    h
-}
-
 #[allow(clippy::type_complexity)]
 fn snapshot_strategy() -> impl Strategy<
     Value = (
         Vec<(usize, u64)>,
         Vec<(usize, f64)>,
-        Vec<(usize, Vec<u64>)>,
         Vec<(usize, (u64, u64))>,
         u64,
     ),
@@ -65,7 +41,6 @@ fn snapshot_strategy() -> impl Strategy<
     (
         prop::collection::vec((0usize..5, 0u64..1_000), 0..6),
         prop::collection::vec((0usize..5, 0.0f64..100.0), 0..6),
-        prop::collection::vec((0usize..5, prop::collection::vec(0u64..200, 1..5)), 0..4),
         prop::collection::vec((0usize..5, (1u64..50, 1u64..10_000)), 0..6),
         0u64..4,
     )
@@ -74,20 +49,15 @@ fn snapshot_strategy() -> impl Strategy<
 type SnapshotSpec = (
     Vec<(usize, u64)>,
     Vec<(usize, f64)>,
-    Vec<(usize, Vec<u64>)>,
     Vec<(usize, (u64, u64))>,
     u64,
 );
 
 fn build(spec: SnapshotSpec) -> Snapshot {
-    let (counters, gauges, histograms, spans, dropped) = spec;
+    let (counters, gauges, spans, dropped) = spec;
     Snapshot {
         counters: named(counters, |a, b| *a += b),
         gauges: named(gauges, |a, b| *a = a.max(b)),
-        histograms: named(
-            histograms.into_iter().map(|(i, obs)| (i, histogram(&obs))).collect(),
-            |a, b| a.merge(&b),
-        ),
         spans: named(
             spans
                 .into_iter()
@@ -164,7 +134,6 @@ fn empty_merge_identity_regression() {
     let full = Snapshot {
         counters: vec![("a".into(), 7), ("b".into(), 0)],
         gauges: vec![("g".into(), 3.5)],
-        histograms: vec![("h".into(), histogram(&[1, 15, 15, 220]))],
         spans: vec![(
             "s".into(),
             SpanAgg {

@@ -75,6 +75,15 @@ fn enabled_run_records_the_expected_shape() {
     assert!(snapshot.gauge("core.nodes.peak_live").unwrap_or(0.0) > 0.0);
     assert!(snapshot.gauge("core.compute.lookups").unwrap_or(0.0) > 0.0);
 
+    // The run's op count and state peak, as a counter and a high-water
+    // gauge.
+    let stats = sim.stats();
+    assert_eq!(snapshot.counter("sim.ops"), Some(stats.applied_ops as u64));
+    assert_eq!(
+        snapshot.gauge("sim.peak_nodes"),
+        Some(stats.peak_nodes as f64)
+    );
+
     // Every operation produced a `sim.op` event, none were dropped.
     let ops = events.iter().filter(|e| e.name == "sim.op").count();
     assert_eq!(ops as u64, gates, "one sim.op event per gate");
